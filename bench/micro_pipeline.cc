@@ -101,8 +101,11 @@ BM_JitCompile(benchmark::State& state)
 {
     auto module = wasm::decodeModule(gemmBytes()).takeValue();
     auto lowered = wasm::lowerModule(std::move(module)).takeValue();
+    std::unique_ptr<exec::FuncCode[]> table(new exec::FuncCode[
+        lowered.module.numImportedFuncs() + lowered.funcs.size()]);
     jit::JitOptions options;
     options.optimize = state.range(0) != 0;
+    options.codeTable = table.get();
     size_t code_bytes = 0;
     for (auto _ : state) {
         auto code = jit::compileModule(lowered, options);
@@ -116,14 +119,11 @@ BM_JitCompile(benchmark::State& state)
 BENCHMARK(BM_JitCompile)->Arg(0)->Arg(1);
 
 /**
- * Cost of the per-function code table (the tiered-execution calling
- * convention) on a call-saturated workload: run(n) makes 2n calls — one
- * direct, one indirect through the funcref table — to a trivial callee,
- * so nearly all time is call dispatch. Arg(0) is the pre-table
- * monolithic JIT (direct rel32 calls, TableEntry::code); Arg(1) calls
- * through FuncCode slots with the function index in edx. The delta is
- * what every fixed-tier JIT configuration pays for making mid-run
- * tier-up possible.
+ * Call dispatch through the per-function code table (the tiered-execution
+ * calling convention) on a call-saturated workload: run(n) makes 2n calls
+ * — one direct, one indirect through the funcref table — to a trivial
+ * callee, so nearly all time is loading a FuncCode slot and calling it
+ * with the function index in edx.
  */
 void
 BM_TierDispatch(benchmark::State& state)
@@ -168,7 +168,6 @@ BM_TierDispatch(benchmark::State& state)
     rt::EngineConfig config;
     config.kind = rt::EngineKind::jit_base;
     config.strategy = mem::BoundsStrategy::none;
-    config.directJitCalls = state.range(0) == 0;
     auto compiled = rt::Engine(config).compile(mb.build());
     if (!compiled.isOk()) {
         state.SkipWithError(compiled.status().toString().c_str());
@@ -191,9 +190,8 @@ BM_TierDispatch(benchmark::State& state)
         benchmark::DoNotOptimize(out.results[0].i32);
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * kLoops * 2);
-    state.SetLabel(config.directJitCalls ? "direct-call" : "code-table");
 }
-BENCHMARK(BM_TierDispatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_TierDispatch);
 
 } // namespace
 

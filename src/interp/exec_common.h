@@ -89,14 +89,14 @@ struct HostFuncBinding
 
 /**
  * One funcref table element. Fixed 32-byte layout: the JIT indexes the
- * table with `idx * 32`.
+ * table with `idx * 32`. Calls dispatch through the module's code table
+ * by funcIdx.
  */
 struct TableEntry
 {
-    /** Entry point of the compiled function (JIT engines) or null. */
-    const void* code = nullptr;
+    uint64_t padding = 0; ///< keeps the 32-byte stride
     uint64_t typeIdx = 0;   ///< module-level type index for the type check
-    uint64_t funcIdx = 0;   ///< function index (interpreters dispatch on it)
+    uint64_t funcIdx = 0;   ///< function index (code-table slot)
     uint64_t initialized = 0;
 };
 

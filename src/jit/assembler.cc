@@ -644,32 +644,11 @@ Assembler::jcc(Cond cond, Label target)
 }
 
 void
-Assembler::jmpReg(Reg target)
-{
-    rex(false, 0, 0, target);
-    byte(0xFF);
-    modrmReg(4, target);
-}
-
-void
 Assembler::jmpMemIdx(MemIdx target)
 {
     rex(false, 0, target.index, target.base);
     byte(0xFF);
     modrmMemIdx(4, target);
-}
-
-void
-Assembler::callLabel(Label target)
-{
-    byte(0xE8);
-    LabelState& state = labels_[target.id];
-    if (state.offset >= 0) {
-        u32(uint32_t(state.offset - int64_t(pos_ + 4)));
-    } else {
-        state.rel32Fixups.push_back(pos_);
-        u32(0);
-    }
 }
 
 void

@@ -221,9 +221,7 @@ class Assembler
     // ----- control flow -----
     void jmp(Label target);
     void jcc(Cond cond, Label target);
-    void jmpReg(Reg target);
     void jmpMemIdx(MemIdx target);
-    void callLabel(Label target);
     void callReg(Reg target);
     void callImm(const void* target); ///< via movabs r11 + call r11
     /** callImm that records a relocation for the movabs imm64. */

@@ -204,14 +204,12 @@ class FunctionCompiler
   public:
     FunctionCompiler(Assembler& as, const LoweredModule& mod,
                      const LoweredFunc& func, const JitOptions& opts,
-                     const std::vector<Label>& func_labels,
                      std::vector<std::pair<uint32_t, uint32_t>>*
                          check_ranges = nullptr)
         : as_(as),
           mod_(mod),
           func_(func),
           opts_(opts),
-          funcLabels_(func_labels),
           checkRanges_(check_ranges)
     {
         assignLocalHomes();
@@ -740,7 +738,6 @@ class FunctionCompiler
     const LoweredModule& mod_;
     const LoweredFunc& func_;
     const JitOptions& opts_;
-    const std::vector<Label>& funcLabels_;
     /** Sink for emitted bounds-check PC ranges (buffer offsets), fed to
      * the profiler code map; null when symbolization is not wanted. */
     std::vector<std::pair<uint32_t, uint32_t>>* checkRanges_ = nullptr;
@@ -1101,22 +1098,17 @@ FunctionCompiler::emitCall(const LInst& inst)
 
     as_.movRR64(rdi, kCtxReg);
     as_.lea(rsi, cellMem(inst.b));
-    if (opts_.codeTable != nullptr) {
-        // Cross-tier dispatch: load the callee's *current* entry from its
-        // code-table slot (an aligned 8-byte load; publication is a
-        // release store on the compiler thread, and x86-TSO makes the
-        // dependent call see the published code). edx carries the
-        // function index for interpreter entries.
-        as_.movRI64Reloc(rax, uint64_t(&opts_.codeTable[inst.a].entry),
-                         RelocKind::codeTable,
-                         uint64_t(inst.a) * sizeof(exec::FuncCode));
-        as_.movRM64(rax, Mem{rax, 0});
-        as_.movRI32(rdx, inst.a);
-        as_.callReg(rax);
-    } else {
-        uint32_t defined = inst.a - mod_.module.numImportedFuncs();
-        as_.callLabel(funcLabels_[defined]);
-    }
+    // Cross-tier dispatch: load the callee's *current* entry from its
+    // code-table slot (an aligned 8-byte load; publication is a release
+    // store on the compiler thread, and x86-TSO makes the dependent call
+    // see the published code). edx carries the function index for
+    // interpreter entries.
+    as_.movRI64Reloc(rax, uint64_t(&opts_.codeTable[inst.a].entry),
+                     RelocKind::codeTable,
+                     uint64_t(inst.a) * sizeof(exec::FuncCode));
+    as_.movRM64(rax, Mem{rax, 0});
+    as_.movRI32(rdx, inst.a);
+    as_.callReg(rax);
 
     reloadFloatMask(inst.aux);
     if (!callee.results.empty())
@@ -1172,24 +1164,19 @@ FunctionCompiler::emitCallIndirect(const LInst& inst)
         spillCell(arg_base + i, classOf(callee.params[i]));
     spillFloatMask(inst.aux);
 
-    if (opts_.codeTable != nullptr) {
-        // Cross-tier dispatch: index the code table by the entry's
-        // function index (slots are 16 bytes; entry pointer at offset 0)
-        // instead of snapshotting TableEntry::code, so funcref calls pick
-        // up tier-up publications too. Imports resolve to the host-call
-        // glue, which takes the function index (== import index) in edx.
-        as_.movRM64(rdx, Mem{rcx, int32_t(offsetof(exec::TableEntry,
-                                                   funcIdx))});
-        as_.movRR64(rax, rdx);
-        as_.shiftImm64(4, rax, 4); // * sizeof(FuncCode) == 16
-        as_.movRI64Reloc(r11, uint64_t(opts_.codeTable),
-                         RelocKind::codeTable, 0);
-        as_.addRR64(rax, r11);
-        as_.movRM64(rax, Mem{rax, 0});
-    } else {
-        as_.movRM64(rax,
-                    Mem{rcx, int32_t(offsetof(exec::TableEntry, code))});
-    }
+    // Cross-tier dispatch: index the code table by the entry's function
+    // index (slots are 16 bytes; entry pointer at offset 0), so funcref
+    // calls pick up tier-up publications too. Imports resolve to the
+    // host-call glue, which takes the function index (== import index)
+    // in edx.
+    as_.movRM64(rdx,
+                Mem{rcx, int32_t(offsetof(exec::TableEntry, funcIdx))});
+    as_.movRR64(rax, rdx);
+    as_.shiftImm64(4, rax, 4); // * sizeof(FuncCode) == 16
+    as_.movRI64Reloc(r11, uint64_t(opts_.codeTable), RelocKind::codeTable,
+                     0);
+    as_.addRR64(rax, r11);
+    as_.movRM64(rax, Mem{rax, 0});
     as_.movRR64(rdi, kCtxReg);
     as_.lea(rsi, cellMem(arg_base));
     as_.callReg(rax);
@@ -2603,15 +2590,6 @@ class ModuleArtifact : public CompiledCode
                                          entryOffsets_[defined]);
     }
 
-    const void*
-    tableCode(uint32_t func_idx) const override
-    {
-        if (func_idx < numImports_)
-            return buffer_->data() + thunkOffsets_[func_idx];
-        return buffer_->data() +
-               entryOffsets_[func_idx - numImports_ - firstDefined_];
-    }
-
     size_t codeBytes() const override { return buffer_->used(); }
 
     std::string
@@ -2641,7 +2619,6 @@ class ModuleArtifact : public CompiledCode
     mem::JitCodeInfo codeInfo_;
     std::unique_ptr<CodeBuffer> buffer_;
     std::vector<size_t> entryOffsets_; ///< per compiled function
-    std::vector<size_t> thunkOffsets_; ///< per import
     uint32_t numImports_ = 0;
     /** First defined-function index covered by entryOffsets_ (non-zero
      * for single-function tier-up artifacts). */
@@ -2690,49 +2667,37 @@ jitSupported()
 #endif
 }
 
+namespace {
+
+/** Compile defined functions [first, first + count) into one artifact;
+ * every outgoing call goes through options.codeTable. */
 Result<std::unique_ptr<CompiledCode>>
-compileModule(const LoweredModule& module, const JitOptions& options)
+compileFuncs(const LoweredModule& module, uint32_t first, uint32_t count,
+             const JitOptions& options)
 {
-    LNB_TRACE_SCOPE("jit.compile");
-    obs::ScopedLatency compile_latency(jitMetrics().compileLatency);
+    if (options.codeTable == nullptr)
+        return errInvalid("JIT compilation requires a code table");
     // Size estimate: generous per-instruction expansion plus fixed
     // per-function overhead; grows are handled by failing with a clear
     // error (callers can retry with bigger estimates if ever needed).
     size_t estimate = 4096;
-    for (const LoweredFunc& func : module.funcs)
+    for (uint32_t i = first; i < first + count; i++) {
+        const LoweredFunc& func = module.funcs[i];
         estimate += func.code.size() * 96 + func.numLocalCells * 16 + 512;
-    estimate += module.module.imports.size() * 32;
+    }
 
     LNB_ASSIGN_OR_RETURN(auto buffer, CodeBuffer::allocate(estimate));
     Assembler as(buffer->data(), buffer->capacity());
 
     auto artifact = std::make_unique<ModuleArtifact>();
     artifact->numImports_ = module.module.numImportedFuncs();
-
-    // Host-call thunks (used from funcref tables): set the import index
-    // and tail-call the host glue.
-    for (uint32_t i = 0; i < artifact->numImports_; i++) {
-        artifact->thunkOffsets_.push_back(as.size());
-        as.movRI32(rdx, i);
-        as.movRI64Reloc(r11,
-                        uint64_t(reinterpret_cast<const void*>(
-                            &exec::lnbJitHostCall)),
-                        RelocKind::glue, kGlueHostCall);
-        as.jmpReg(r11);
-    }
-
-    // Function labels first so calls can be direct rel32.
-    std::vector<Label> func_labels;
-    func_labels.reserve(module.funcs.size());
-    for (size_t i = 0; i < module.funcs.size(); i++)
-        func_labels.push_back(as.newLabel());
+    artifact->firstDefined_ = first;
 
     std::vector<std::pair<uint32_t, uint32_t>> check_ranges;
-    for (size_t i = 0; i < module.funcs.size(); i++) {
-        as.bind(func_labels[i]);
+    for (uint32_t i = first; i < first + count; i++) {
         artifact->entryOffsets_.push_back(as.size());
         FunctionCompiler compiler(as, module, module.funcs[i], options,
-                                  func_labels, &check_ranges);
+                                  &check_ranges);
         compiler.compile();
     }
 
@@ -2741,51 +2706,34 @@ compileModule(const LoweredModule& module, const JitOptions& options)
 
     artifact->buildCodeInfo(options.optimize, check_ranges);
     LNB_RETURN_IF_ERROR(buffer->finalize(as.size(), &artifact->codeInfo_));
-    jitMetrics().modulesCompiled.add();
-    jitMetrics().functionsCompiled.add(module.funcs.size());
+    jitMetrics().functionsCompiled.add(count);
     jitMetrics().codeBytes.add(as.size());
     artifact->relocs_ = as.takeRelocs();
     artifact->buffer_ = std::move(buffer);
     return std::unique_ptr<CompiledCode>(std::move(artifact));
 }
 
+} // namespace
+
+Result<std::unique_ptr<CompiledCode>>
+compileModule(const LoweredModule& module, const JitOptions& options)
+{
+    LNB_TRACE_SCOPE("jit.compile");
+    obs::ScopedLatency compile_latency(jitMetrics().compileLatency);
+    auto code = compileFuncs(module, 0, uint32_t(module.funcs.size()),
+                             options);
+    if (code.isOk())
+        jitMetrics().modulesCompiled.add();
+    return code;
+}
+
 Result<std::unique_ptr<CompiledCode>>
 compileFunction(const LoweredModule& module, uint32_t func_idx,
                 const JitOptions& options)
 {
-    if (options.codeTable == nullptr)
-        return errInvalid("compileFunction requires a code table");
     LNB_TRACE_SCOPE("jit.compile_function");
-    const LoweredFunc& func = module.funcByIndex(func_idx);
-    size_t estimate =
-        4096 + func.code.size() * 96 + func.numLocalCells * 16 + 512;
-
-    LNB_ASSIGN_OR_RETURN(auto buffer, CodeBuffer::allocate(estimate));
-    Assembler as(buffer->data(), buffer->capacity());
-
-    auto artifact = std::make_unique<ModuleArtifact>();
-    artifact->numImports_ = module.module.numImportedFuncs();
-    artifact->firstDefined_ =
-        func_idx - artifact->numImports_;
-
-    // No sibling labels: every outgoing call is table-indirect.
-    std::vector<Label> no_labels;
-    std::vector<std::pair<uint32_t, uint32_t>> check_ranges;
-    artifact->entryOffsets_.push_back(as.size());
-    FunctionCompiler compiler(as, module, func, options, no_labels,
-                              &check_ranges);
-    compiler.compile();
-
-    if (as.overflow())
-        return errInternal("JIT code buffer overflow");
-
-    artifact->buildCodeInfo(options.optimize, check_ranges);
-    LNB_RETURN_IF_ERROR(buffer->finalize(as.size(), &artifact->codeInfo_));
-    jitMetrics().functionsCompiled.add();
-    jitMetrics().codeBytes.add(as.size());
-    artifact->relocs_ = as.takeRelocs();
-    artifact->buffer_ = std::move(buffer);
-    return std::unique_ptr<CompiledCode>(std::move(artifact));
+    return compileFuncs(module, func_idx - module.module.numImportedFuncs(),
+                        1, options);
 }
 
 // ---------------------------------------------------------------------
@@ -2803,9 +2751,6 @@ serializeCode(const CompiledCode& code, wasm::ByteWriter& w)
     w.u64(art.buffer_->used());
     w.u64(art.entryOffsets_.size());
     for (size_t off : art.entryOffsets_)
-        w.u64(off);
-    w.u64(art.thunkOffsets_.size());
-    for (size_t off : art.thunkOffsets_)
         w.u64(off);
 
     w.u8(art.codeInfo_.tier);
@@ -2844,9 +2789,6 @@ deserializeCode(wasm::ByteReader& r, exec::FuncCode* code_table)
     uint64_t n = r.u64();
     for (uint64_t i = 0; i < n && r.ok(); i++)
         artifact->entryOffsets_.push_back(size_t(r.u64()));
-    n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); i++)
-        artifact->thunkOffsets_.push_back(size_t(r.u64()));
 
     artifact->codeInfo_.tier = r.u8();
     artifact->codeInfo_.funcStarts = r.podVec<uint32_t>();
@@ -2885,8 +2827,6 @@ deserializeCode(wasm::ByteReader& r, exec::FuncCode* code_table)
             break;
           }
           case RelocKind::codeTable:
-            if (code_table == nullptr)
-                return errInvalid("artifact needs a code table");
             value = uint64_t(reinterpret_cast<uintptr_t>(code_table)) +
                     reloc.addend;
             break;

@@ -49,13 +49,10 @@ struct JitOptions
      */
     bool countChecks = false;
     /**
-     * Per-function code table for cross-tier calls. When set, callf and
-     * call_indirect are emitted as indirect calls through the table
-     * (load the callee's current entry, pass the function index in edx),
-     * so a callee can be tiered up mid-run underneath a running caller.
-     * When null, the legacy monolithic dispatch is kept: direct rel32
-     * calls between functions of one artifact and TableEntry::code for
-     * call_indirect (compileFunction() requires a table).
+     * The module's per-function code table (required). Every callf and
+     * call_indirect is an indirect call through it (load the callee's
+     * current entry, pass the function index in edx), so a callee can
+     * be tiered up mid-run underneath a running caller.
      */
     exec::FuncCode* codeTable = nullptr;
     /**
@@ -94,12 +91,6 @@ class CompiledCode
      * function index space). */
     virtual EntryFn entry(uint32_t func_idx) const = 0;
 
-    /**
-     * Code address for a funcref table slot: the function's entry for
-     * defined functions, a generated host-call thunk for imports.
-     */
-    virtual const void* tableCode(uint32_t func_idx) const = 0;
-
     /** Total bytes of generated machine code. */
     virtual size_t codeBytes() const = 0;
 
@@ -107,14 +98,14 @@ class CompiledCode
     virtual std::string dumpFunction(uint32_t func_idx) const = 0;
 };
 
-/** Compile every defined function of @p module. */
+/** Compile every defined function of @p module; @p options.codeTable
+ * must be set. */
 Result<std::unique_ptr<CompiledCode>>
 compileModule(const wasm::LoweredModule& module, const JitOptions& options);
 
 /**
- * Compile a single defined function (the background tier-up path). All
- * outgoing calls go through @p options.codeTable, which must be set — a
- * lone function has no sibling labels to call directly. The returned
+ * Compile a single defined function (the background tier-up path); as
+ * for compileModule, @p options.codeTable must be set. The returned
  * artifact serves entry(func_idx) for exactly @p func_idx.
  */
 Result<std::unique_ptr<CompiledCode>>
@@ -127,7 +118,7 @@ bool jitSupported();
 
 /**
  * Serialize a finished artifact (module- or function-granular) into @p w:
- * entry/thunk offset tables, the profiler symbolization side table, the
+ * the entry offset table, the profiler symbolization side table, the
  * relocation table recorded at emit time, and the raw code bytes. The
  * result is position- and process-independent — every absolute address
  * the code embeds is covered by a relocation (DESIGN.md §14).
@@ -137,9 +128,9 @@ void serializeCode(const CompiledCode& code, wasm::ByteWriter& w);
 /**
  * Rebuild an artifact in this process: map fresh executable memory, copy
  * the code, patch the relocation sites against this process's glue
- * symbols / @p code_table / the new buffer base, flip to RX and
- * re-register with the code registry. @p code_table may be null only for
- * artifacts that recorded no codeTable relocations (directJitCalls).
+ * symbols / @p code_table (the module's code table, playing the role
+ * JitOptions::codeTable played at compile time) / the new buffer base,
+ * flip to RX and re-register with the code registry.
  */
 Result<std::unique_ptr<CompiledCode>>
 deserializeCode(wasm::ByteReader& r, exec::FuncCode* code_table);

@@ -1,7 +1,5 @@
 #include "runtime/engine.h"
 
-#include <cstdlib>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/clock.h"
@@ -36,18 +34,6 @@ engineKindFromName(const std::string& name, EngineKind& out)
 }
 
 namespace {
-
-/** LNB_OPT_DISABLED (any non-empty value) force-disables the lowered-IR
- * optimization pass, mirroring LNB_OBS_DISABLED's ablation style. */
-bool
-optDisabledByEnv()
-{
-    static const bool disabled = [] {
-        const char* v = std::getenv("LNB_OPT_DISABLED");
-        return v != nullptr && v[0] != '\0';
-    }();
-    return disabled;
-}
 
 /**
  * True if the start function (when present) cannot perform host calls:
@@ -94,31 +80,27 @@ computeStartIsPure(const wasm::LoweredModule& lm)
     return true;
 }
 
+/** Apply one table row's env column (see LNB_FOREACH_ENGINE_CONFIG_FIELD). */
+template <typename T>
+void
+envOverride(T& field, const char* env, int64_t env_min, int64_t env_max)
+{
+    if (env != nullptr)
+        field = static_cast<T>(envInt(env, int64_t(field), env_min, env_max));
+}
+
 } // namespace
 
 EngineConfig
 resolveEngineConfig(EngineConfig config)
 {
-    config.tierThreshold = uint32_t(
-        envInt("LNB_TIER_THRESHOLD", config.tierThreshold, 1, 1u << 30));
-    config.tierCompileThreads = uint32_t(envInt(
-        "LNB_TIER_COMPILE_THREADS", config.tierCompileThreads, 1, 256));
-    // Tri-state opt kill-switches: unset keeps the config value, 0/1
-    // forces; anything else warns (strict parsing) and keeps the config.
-    config.optVersioning =
-        envInt("LNB_OPT_VERSIONING", config.optVersioning ? 1 : 0, 0, 1) !=
-        0;
-    config.optIpoSummaries =
-        envInt("LNB_OPT_IPO", config.optIpoSummaries ? 1 : 0, 0, 1) != 0;
-    config.optIpoStats =
-        envInt("LNB_OPT_IPO_STATS", config.optIpoStats ? 1 : 0, 0, 1) != 0;
-    config.countRetiredChecks =
-        envInt("LNB_COUNT_CHECKS", config.countRetiredChecks ? 1 : 0, 0,
-               1) != 0;
-    config.sharedMemory =
-        envInt("LNB_SHARED_MEM", config.sharedMemory ? 1 : 0, 0, 1) != 0;
-    config.epochChecks =
-        envInt("LNB_EPOCH_CHECKS", config.epochChecks ? 1 : 0, 0, 1) != 0;
+#define LNB_ENV_OVERRIDE(type, name, def, env, env_min, env_max)              \
+    envOverride(config.name, env, env_min, env_max);
+    LNB_FOREACH_ENGINE_CONFIG_FIELD(LNB_ENV_OVERRIDE)
+#undef LNB_ENV_OVERRIDE
+    // Flag-style kill switches: set to anything but "" or "0" to force.
+    if (envFlag("LNB_OPT_DISABLED"))
+        config.optimizeLoweredIR = false;
     if (config.tiered &&
         (envFlag("LNB_TIER_DISABLED") || !jit::jitSupported())) {
         // Kill switch: the module stays in the base tier, not whatever
@@ -136,6 +118,74 @@ CompiledModule::~CompiledModule()
     // The controller's workers publish into funcCode_ and read lowered_;
     // join them before any member is torn down.
     tierController_.reset();
+}
+
+Status
+CompiledModule::installCode(wasm::ByteReader* reload)
+{
+    // The per-function code table: one slot per function in the
+    // module-wide index space. Allocated before codegen so the JIT can
+    // bake slot addresses into its table-indirect call sequences.
+    const uint32_t num_imports = lowered_.module.numImportedFuncs();
+    numFuncs_ = num_imports + uint32_t(lowered_.funcs.size());
+    funcCode_.reset(new exec::FuncCode[numFuncs_]);
+    for (uint32_t i = 0; i < num_imports; i++) {
+        funcCode_[i].entry.store(&exec::lnbJitHostCall,
+                                 std::memory_order_relaxed);
+        funcCode_[i].tier.store(uint8_t(exec::Tier::host),
+                                std::memory_order_relaxed);
+    }
+
+    const bool tiered = config_.tiered;
+    jit::JitOptions options;
+    options.strategy = config_.strategy;
+    options.optimize = tiered || config_.kind == EngineKind::jit_opt;
+    options.stackChecks = config_.stackChecks;
+    options.countChecks = config_.countRetiredChecks;
+    options.sharedMemory = config_.sharedMemory;
+    options.epochChecks = config_.epochChecks;
+    options.codeTable = funcCode_.get();
+
+    if (!tiered && engineIsJit(config_.kind)) {
+        // A cache dir shared across heterogeneous hosts could reach a
+        // CPU without the JIT's ISA baseline; fail so the caller
+        // recompiles (to an interp config or a clean error).
+        if (!jit::jitSupported())
+            return errUnsupported("this CPU lacks the JIT's ISA baseline");
+        if (reload != nullptr) {
+            LNB_ASSIGN_OR_RETURN(
+                jitCode_, jit::deserializeCode(*reload, funcCode_.get()));
+        } else {
+            ScopedTimer timer(stats_.codegenSeconds);
+            LNB_ASSIGN_OR_RETURN(jitCode_,
+                                 jit::compileModule(lowered_, options));
+        }
+        stats_.codeBytes = jitCode_->codeBytes();
+        for (uint32_t i = num_imports; i < numFuncs_; i++) {
+            funcCode_[i].entry.store(jitCode_->entry(i),
+                                     std::memory_order_relaxed);
+            funcCode_[i].tier.store(uint8_t(exec::Tier::jit),
+                                    std::memory_order_relaxed);
+        }
+        return Status::ok();
+    }
+
+    // Interpreter base tier: fixed interp kinds use their dispatch
+    // technique unprofiled; tiered modules start every function in the
+    // profiled threaded interpreter.
+    exec::DispatchKind dispatch =
+        !tiered && config_.kind == EngineKind::interp_switch
+            ? exec::DispatchKind::switch_loop
+            : exec::DispatchKind::threaded;
+    exec::EntryFn entry = exec::interpFuncEntry(
+        dispatch, exec::checkModeFor(config_.strategy), tiered);
+    for (uint32_t i = num_imports; i < numFuncs_; i++)
+        funcCode_[i].entry.store(entry, std::memory_order_relaxed);
+    if (tiered) {
+        tierController_ = std::make_unique<TierController>(
+            &lowered_, funcCode_.get(), options, config_.tierCompileThreads);
+    }
+    return Status::ok();
 }
 
 Engine::Engine(const EngineConfig& config) : config_(config) {}
@@ -190,7 +240,7 @@ Engine::compile(wasm::Module module) const
         }
     }
 
-    if (config.optimizeLoweredIR && !optDisabledByEnv()) {
+    if (config.optimizeLoweredIR) {
         // Strategy-aware transform selection: interpreters get
         // superinstruction fusion; the optimizing JIT under the trap
         // strategy gets check analysis + hoisting (guard-page and clamp
@@ -217,69 +267,7 @@ Engine::compile(wasm::Module module) const
         }
     }
 
-    // The per-function code table: one slot per function in the
-    // module-wide index space. Allocated before codegen so the JIT can
-    // bake slot addresses into table-indirect call sequences.
-    const wasm::Module& m = cm->lowered_.module;
-    cm->numFuncs_ = m.numImportedFuncs() +
-                    uint32_t(cm->lowered_.funcs.size());
-    cm->funcCode_.reset(new exec::FuncCode[cm->numFuncs_]);
-    for (uint32_t i = 0; i < m.numImportedFuncs(); i++) {
-        cm->funcCode_[i].entry.store(&exec::lnbJitHostCall,
-                                     std::memory_order_relaxed);
-        cm->funcCode_[i].tier.store(uint8_t(exec::Tier::host),
-                                    std::memory_order_relaxed);
-    }
-
-    if (!tiered && engineIsJit(config.kind)) {
-        if (!jit::jitSupported())
-            return errUnsupported("this CPU lacks the JIT's ISA baseline");
-        jit::JitOptions options;
-        options.strategy = config.strategy;
-        options.optimize = config.kind == EngineKind::jit_opt;
-        options.stackChecks = config.stackChecks;
-        options.countChecks = config.countRetiredChecks;
-        options.sharedMemory = config.sharedMemory;
-        options.epochChecks = config.epochChecks;
-        if (!config.directJitCalls)
-            options.codeTable = cm->funcCode_.get();
-        ScopedTimer timer(cm->stats_.codegenSeconds);
-        LNB_ASSIGN_OR_RETURN(cm->jitCode_,
-                             jit::compileModule(cm->lowered_, options));
-        cm->stats_.codeBytes = cm->jitCode_->codeBytes();
-        for (uint32_t i = m.numImportedFuncs(); i < cm->numFuncs_; i++) {
-            cm->funcCode_[i].entry.store(cm->jitCode_->entry(i),
-                                         std::memory_order_relaxed);
-            cm->funcCode_[i].tier.store(uint8_t(exec::Tier::jit),
-                                        std::memory_order_relaxed);
-        }
-    } else {
-        // Interpreter base tier: fixed interp kinds use their dispatch
-        // technique unprofiled; tiered modules start every function in
-        // the profiled threaded interpreter.
-        exec::DispatchKind dispatch =
-            !tiered && config.kind == EngineKind::interp_switch
-                ? exec::DispatchKind::switch_loop
-                : exec::DispatchKind::threaded;
-        exec::EntryFn entry = exec::interpFuncEntry(
-            dispatch, exec::checkModeFor(config.strategy), tiered);
-        for (uint32_t i = m.numImportedFuncs(); i < cm->numFuncs_; i++)
-            cm->funcCode_[i].entry.store(entry,
-                                         std::memory_order_relaxed);
-        if (tiered) {
-            jit::JitOptions options;
-            options.strategy = config.strategy;
-            options.optimize = true;
-            options.stackChecks = config.stackChecks;
-            options.countChecks = config.countRetiredChecks;
-            options.sharedMemory = config.sharedMemory;
-            options.epochChecks = config.epochChecks;
-            options.codeTable = cm->funcCode_.get();
-            cm->tierController_ = std::make_unique<TierController>(
-                &cm->lowered_, cm->funcCode_.get(), options,
-                config.tierCompileThreads);
-        }
-    }
+    LNB_RETURN_IF_ERROR(cm->installCode(nullptr));
     cm->startIsPure_ = computeStartIsPure(cm->lowered_);
     return std::shared_ptr<const CompiledModule>(std::move(cm));
 }
@@ -307,59 +295,69 @@ Engine::compileBytes(const std::vector<uint8_t>& bytes) const
 
 namespace {
 
-void
-writeConfig(const EngineConfig& c, wasm::ByteWriter& w)
+/** Read one field; false if the byte is no enumerator of its type. */
+bool
+readField(wasm::ByteReader& r, bool& v)
 {
-    w.u8(uint8_t(c.kind));
-    w.u8(uint8_t(c.strategy));
-    w.boolean(c.forceUffdEmulation);
-    w.boolean(c.stackChecks);
-    w.u32(c.valueStackCells);
-    w.u32(c.maxCallDepth);
-    w.boolean(c.optimizeLoweredIR);
-    w.boolean(c.optVersioning);
-    w.boolean(c.optIpoSummaries);
-    w.boolean(c.optIpoStats);
-    w.boolean(c.countRetiredChecks);
-    w.boolean(c.tiered);
-    w.u32(c.tierThreshold);
-    w.u32(c.tierCompileThreads);
-    w.boolean(c.directJitCalls);
-    w.boolean(c.sharedMemory);
-    w.boolean(c.epochChecks);
+    v = r.boolean();
+    return true;
 }
 
-EngineConfig
-readConfig(wasm::ByteReader& r)
+bool
+readField(wasm::ByteReader& r, uint32_t& v)
 {
-    EngineConfig c;
-    c.kind = EngineKind(r.u8());
-    c.strategy = mem::BoundsStrategy(r.u8());
-    c.forceUffdEmulation = r.boolean();
-    c.stackChecks = r.boolean();
-    c.valueStackCells = r.u32();
-    c.maxCallDepth = r.u32();
-    c.optimizeLoweredIR = r.boolean();
-    c.optVersioning = r.boolean();
-    c.optIpoSummaries = r.boolean();
-    c.optIpoStats = r.boolean();
-    c.countRetiredChecks = r.boolean();
-    c.tiered = r.boolean();
-    c.tierThreshold = r.u32();
-    c.tierCompileThreads = r.u32();
-    c.directJitCalls = r.boolean();
-    c.sharedMemory = r.boolean();
-    c.epochChecks = r.boolean();
-    return c;
+    v = r.u32();
+    return true;
+}
+
+bool
+readField(wasm::ByteReader& r, EngineKind& v)
+{
+    uint8_t b = r.u8();
+    v = EngineKind(b);
+    return b < kNumEngineKinds;
+}
+
+bool
+readField(wasm::ByteReader& r, mem::BoundsStrategy& v)
+{
+    uint8_t b = r.u8();
+    v = mem::BoundsStrategy(b);
+    return b < mem::kNumBoundsStrategies;
 }
 
 } // namespace
+
+void
+writeEngineConfig(const EngineConfig& config, wasm::ByteWriter& w)
+{
+    // A field's wire form is its bytes: bool as 0/1, enums as uint8_t.
+#define LNB_WRITE_FIELD(type, name, ...) w.pod(config.name);
+    LNB_FOREACH_ENGINE_CONFIG_FIELD(LNB_WRITE_FIELD)
+#undef LNB_WRITE_FIELD
+}
+
+Result<EngineConfig>
+readEngineConfig(wasm::ByteReader& r)
+{
+    EngineConfig config;
+    bool valid = true;
+#define LNB_READ_FIELD(type, name, ...) valid &= readField(r, config.name);
+    LNB_FOREACH_ENGINE_CONFIG_FIELD(LNB_READ_FIELD)
+#undef LNB_READ_FIELD
+    if (!r.ok())
+        return errInvalid("truncated serialized engine config");
+    if (!valid)
+        return errInvalid("serialized engine config names no such "
+                          "engine kind or bounds strategy");
+    return config;
+}
 
 std::vector<uint8_t>
 serializeCompiledModule(const CompiledModule& cm)
 {
     wasm::ByteWriter w;
-    writeConfig(cm.config(), w);
+    writeEngineConfig(cm.config(), w);
     w.pod(cm.stats());
     w.pod(cm.optStats());
     // Derived at compile time from the start function's lowered body;
@@ -375,7 +373,6 @@ serializeCompiledModule(const CompiledModule& cm)
     // the frame metadata. Interp and tiered artifacts keep the full IR.
     const bool lean_ir = has_jit && !cm.config().tiered;
     wasm::serializeLoweredModule(cm.lowered(), w, !lean_ir);
-    w.boolean(has_jit);
     if (has_jit)
         jit::serializeCode(*cm.jitCode(), w);
     return w.take();
@@ -386,68 +383,15 @@ deserializeCompiledModule(const uint8_t* data, size_t size)
 {
     wasm::ByteReader r(data, size);
     auto cm = std::make_shared<CompiledModule>();
-    cm->config_ = readConfig(r);
+    LNB_ASSIGN_OR_RETURN(cm->config_, readEngineConfig(r));
     cm->stats_ = r.pod<CompileStats>();
     cm->optStats_ = r.pod<wasm::OptStats>();
     cm->startIsPure_ = r.boolean();
     if (!r.ok() || !wasm::deserializeLoweredModule(r, cm->lowered_))
         return errInvalid("truncated serialized module payload");
-
-    const EngineConfig& config = cm->config_;
-    const bool tiered = config.tiered;
-    const wasm::Module& m = cm->lowered_.module;
-    cm->numFuncs_ = m.numImportedFuncs() +
-                    uint32_t(cm->lowered_.funcs.size());
-    cm->funcCode_.reset(new exec::FuncCode[cm->numFuncs_]);
-    for (uint32_t i = 0; i < m.numImportedFuncs(); i++) {
-        cm->funcCode_[i].entry.store(&exec::lnbJitHostCall,
-                                     std::memory_order_relaxed);
-        cm->funcCode_[i].tier.store(uint8_t(exec::Tier::host),
-                                    std::memory_order_relaxed);
-    }
-
-    bool has_jit = r.boolean();
-    if (has_jit) {
-        // Same machine, same build — but a cache dir shared across
-        // heterogeneous hosts could reach a CPU without the JIT's ISA
-        // baseline; fail so the caller recompiles (to an interp config
-        // or a clean error).
-        if (!jit::jitSupported())
-            return errUnsupported("this CPU lacks the JIT's ISA baseline");
-        exec::FuncCode* table =
-            config.directJitCalls ? nullptr : cm->funcCode_.get();
-        LNB_ASSIGN_OR_RETURN(cm->jitCode_, jit::deserializeCode(r, table));
-        cm->stats_.codeBytes = cm->jitCode_->codeBytes();
-        for (uint32_t i = m.numImportedFuncs(); i < cm->numFuncs_; i++) {
-            cm->funcCode_[i].entry.store(cm->jitCode_->entry(i),
-                                         std::memory_order_relaxed);
-            cm->funcCode_[i].tier.store(uint8_t(exec::Tier::jit),
-                                        std::memory_order_relaxed);
-        }
-    } else {
-        exec::DispatchKind dispatch =
-            !tiered && config.kind == EngineKind::interp_switch
-                ? exec::DispatchKind::switch_loop
-                : exec::DispatchKind::threaded;
-        exec::EntryFn entry = exec::interpFuncEntry(
-            dispatch, exec::checkModeFor(config.strategy), tiered);
-        for (uint32_t i = m.numImportedFuncs(); i < cm->numFuncs_; i++)
-            cm->funcCode_[i].entry.store(entry,
-                                         std::memory_order_relaxed);
-        if (tiered) {
-            jit::JitOptions options;
-            options.strategy = config.strategy;
-            options.optimize = true;
-            options.stackChecks = config.stackChecks;
-            options.countChecks = config.countRetiredChecks;
-            options.sharedMemory = config.sharedMemory;
-            options.epochChecks = config.epochChecks;
-            options.codeTable = cm->funcCode_.get();
-            cm->tierController_ = std::make_unique<TierController>(
-                &cm->lowered_, cm->funcCode_.get(), options,
-                config.tierCompileThreads);
-        }
-    }
+    // The config decides whether a code artifact follows, exactly as it
+    // decided whether compile produced one.
+    LNB_RETURN_IF_ERROR(cm->installCode(&r));
     if (!r.ok())
         return errInvalid("truncated serialized module payload");
     return std::shared_ptr<const CompiledModule>(std::move(cm));

@@ -52,103 +52,100 @@ engineIsJit(EngineKind kind)
     return kind == EngineKind::jit_base || kind == EngineKind::jit_opt;
 }
 
+/**
+ * The EngineConfig field table. Each knob is declared once, as one row;
+ * the struct, the LNB_* environment overrides in resolveEngineConfig,
+ * the persistent-cache (de)serialization and the cache fingerprint
+ * (svc::engineConfigFingerprint hashes the serialized bytes) are all
+ * generated from it, so a new knob is one row plus its docs.
+ *
+ * Table columns:
+ *   V(type, name, def, env, env_min, env_max)
+ *     type    - member type: bool, uint32_t, or one of the uint8_t enums
+ *               EngineKind / mem::BoundsStrategy
+ *     name    - EngineConfig member
+ *     def     - default value
+ *     env     - LNB_* variable parsed strictly (envInt) into the field
+ *               when set, or nullptr; a value outside [env_min, env_max]
+ *               or not an integer warns and keeps the config value
+ */
+// clang-format off
+#define LNB_FOREACH_ENGINE_CONFIG_FIELD(V)                                    \
+    /* Execution technique; ignored when tiered. */                           \
+    V(EngineKind,          kind,               EngineKind::jit_base,          \
+      nullptr, 0, 0)                                                          \
+    V(mem::BoundsStrategy, strategy,           mem::BoundsStrategy::mprotect, \
+      nullptr, 0, 0)                                                          \
+    /* Force the uffd emulation even when real userfaultfd exists. */         \
+    V(bool,                forceUffdEmulation, false,     nullptr, 0, 0)      \
+    /* Function-entry stack-overflow checks (ablation knob). */               \
+    V(bool,                stackChecks,        true,      nullptr, 0, 0)      \
+    /* Value-stack size per instance, in 8-byte cells. */                     \
+    V(uint32_t,            valueStackCells,    1u << 20,  nullptr, 0, 0)      \
+    V(uint32_t,            maxCallDepth,       8192,      nullptr, 0, 0)      \
+    /* Run the lowered-IR optimization pass (wasm/opt.*) between lowering     \
+       and execution: superinstruction fusion for the interpreter tiers,      \
+       cross-block/loop bounds-check elimination for jit_opt under the trap   \
+       strategy. Ablation knob; LNB_OPT_DISABLED (flag) clears it. */         \
+    V(bool,                optimizeLoweredIR,  true,      nullptr, 0, 0)      \
+    /* Affine loop versioning (wasm/opt.*): clone counted loops with in-loop  \
+       bounds checks behind a preheader range guard so the fast path runs     \
+       check-free. Effective only where check analysis runs (jit_opt or       \
+       tiered, trap strategy, optimizeLoweredIR on). */                       \
+    V(bool,                optVersioning,      true,                          \
+      "LNB_OPT_VERSIONING", 0, 1)                                             \
+    /* Interprocedural check summaries (wasm/opt.*): bottom-up grow-free and  \
+       entry-checked-limit facts let bounds-check elision survive calls.      \
+       Same gating as optVersioning. */                                       \
+    V(bool,                optIpoSummaries,    true,      "LNB_OPT_IPO", 0, 1)\
+    /* Attribute the IPO contribution to check elision                        \
+       (opt.checks_elided_ipo) by re-running the check analysis with the old  \
+       clear-at-call semantics. Diagnostics only -- emitted code is identical \
+       -- and roughly doubles check-analysis compile time. */                 \
+    V(bool,                optIpoStats,        false,                         \
+      "LNB_OPT_IPO_STATS", 0, 1)                                              \
+    /* Count dynamically retired software bounds checks in JIT code           \
+       (InstanceContext::checksRetired; the interpreters always count).       \
+       Measurement only: the increments pollute steady-state timings. */      \
+    V(bool,                countRetiredChecks, false,                         \
+      "LNB_COUNT_CHECKS", 0, 1)                                               \
+    /* Per-function tiered execution: every function starts in the profiled   \
+       threaded interpreter and is recompiled with the jit_opt pipeline in    \
+       the background once its hotness (function entries + loop back edges)   \
+       crosses tierThreshold; the new entry is published atomically into the  \
+       module's code table. `kind` is ignored. LNB_TIER_DISABLED (flag)       \
+       pins the module to interp_threaded instead. */                         \
+    V(bool,                tiered,             false,     nullptr, 0, 0)      \
+    /* Hotness units (entry = 8, back edge = 1) before tier-up. */            \
+    V(uint32_t,            tierThreshold,      1u << 14,                      \
+      "LNB_TIER_THRESHOLD", 1, 1 << 30)                                       \
+    /* Background compiler threads serving the tier-up queue. */              \
+    V(uint32_t,            tierCompileThreads, 1,                             \
+      "LNB_TIER_COMPILE_THREADS", 1, 256)                                     \
+    /* Compile for a shared (multi-thread) linear memory even when the        \
+       module's memory section does not carry the shared flag: instances     \
+       get a process-shared mapping with an atomic size word, the JIT lowers  \
+       memory.size as a synchronizing native call, and loop versioning is     \
+       disabled unless the module is grow-free. Forced on when the module     \
+       declares a shared memory. */                                           \
+    V(bool,                sharedMemory,       false,                         \
+      "LNB_SHARED_MEM", 0, 1)                                                 \
+    /* Compile epoch interrupt checks into all tiers: a load+branch on the    \
+       instance's interrupt flag at loop back edges and function entries,     \
+       raising the clean-unwind traps interrupted/deadline_exceeded.          \
+       Deadlines, Service::stop() and waking parked memory.atomic.wait all    \
+       depend on it. LNB_EPOCH_INTERVAL tunes the interpreter poll divisor. */\
+    V(bool,                epochChecks,        true,                          \
+      "LNB_EPOCH_CHECKS", 0, 1)
+// clang-format on
+
 /** Engine configuration: execution technique + safety knobs. */
 struct EngineConfig
 {
-    EngineKind kind = EngineKind::jit_base;
-    mem::BoundsStrategy strategy = mem::BoundsStrategy::mprotect;
-    /** Force the uffd emulation even when real userfaultfd exists. */
-    bool forceUffdEmulation = false;
-    /** Function-entry stack-overflow checks (ablation knob). */
-    bool stackChecks = true;
-    /** Value-stack size per instance, in 8-byte cells. */
-    uint32_t valueStackCells = 1u << 20;
-    uint32_t maxCallDepth = 8192;
-    /**
-     * Run the lowered-IR optimization pass (wasm/opt.*) between lowering
-     * and execution: superinstruction fusion for the interpreter tiers,
-     * cross-block/loop bounds-check elimination for jit_opt under the
-     * trap strategy. Ablation knob; the LNB_OPT_DISABLED environment
-     * variable force-disables it regardless of this flag.
-     */
-    bool optimizeLoweredIR = true;
-    /**
-     * Affine loop versioning (wasm/opt.*): clone counted loops with
-     * in-loop bounds checks behind a preheader range guard so the fast
-     * path runs check-free; the guard falls back to the fully-checked
-     * clone. Effective only where check analysis runs (jit_opt or tiered,
-     * trap strategy, optimizeLoweredIR on). LNB_OPT_VERSIONING=0/1
-     * overrides.
-     */
-    bool optVersioning = true;
-    /**
-     * Interprocedural check summaries (wasm/opt.*): bottom-up grow-free
-     * and entry-checked-limit facts let bounds-check elision survive
-     * calls. Same gating as optVersioning; LNB_OPT_IPO=0/1 overrides.
-     */
-    bool optIpoSummaries = true;
-    /**
-     * Attribute the IPO contribution to check elision
-     * (opt.checks_elided_ipo) by re-running the check analysis with the
-     * old clear-at-call semantics as a baseline. Diagnostics-only knob —
-     * emitted code is identical — that roughly doubles check-analysis
-     * compile time, so it defaults off. LNB_OPT_IPO_STATS=0/1 overrides.
-     */
-    bool optIpoStats = false;
-    /**
-     * Count dynamically retired software bounds checks in JIT code
-     * (InstanceContext::checksRetired; the interpreters always count).
-     * Measurement-only knob — the increments pollute steady-state
-     * timings. LNB_COUNT_CHECKS=0/1 overrides.
-     */
-    bool countRetiredChecks = false;
-    /**
-     * Per-function tiered execution: every function starts in the
-     * profiled threaded interpreter and is recompiled with the jit_opt
-     * pipeline in the background once its hotness (function entries +
-     * loop back edges) crosses tierThreshold; the new entry is published
-     * atomically into the module's code table. When set, `kind` is
-     * ignored (the tiers are fixed: interp_threaded below, jit_opt
-     * above); the four EngineKinds remain available as degenerate
-     * fixed-tier configurations with tiered == false. LNB_TIER_DISABLED
-     * force-disables tier-up (the module stays interpreted) and
-     * LNB_TIER_THRESHOLD / LNB_TIER_COMPILE_THREADS override the two
-     * knobs below.
-     */
-    bool tiered = false;
-    /** Hotness units (entry = 8, back edge = 1) before tier-up. */
-    uint32_t tierThreshold = 1u << 14;
-    /** Background compiler threads serving the tier-up queue. */
-    uint32_t tierCompileThreads = 1;
-    /**
-     * Ablation (BM_TierDispatch baseline): restore the pre-code-table
-     * monolithic JIT dispatch — direct rel32 calls between functions and
-     * TableEntry::code for call_indirect. JIT kinds only; incompatible
-     * with tiered.
-     */
-    bool directJitCalls = false;
-    /**
-     * Compile for a shared (multi-thread) linear memory even when the
-     * module's memory section does not carry the shared flag: instances
-     * get a process-shared mapping with an atomic size word, the JIT
-     * lowers memory.size as a synchronizing native call, and loop
-     * versioning is disabled unless the module is grow-free (another
-     * thread's memory.grow must not invalidate a versioned fast path).
-     * Forced on automatically when the module declares a shared memory.
-     * LNB_SHARED_MEM=0/1 overrides (strict parse).
-     */
-    bool sharedMemory = false;
-    /**
-     * Compile epoch interrupt checks into all tiers: a load+branch on the
-     * instance's interrupt flag at loop back edges and function entries
-     * (the same sites the tiering profiler instruments), raising the
-     * clean-unwind traps `interrupted`/`deadline_exceeded`. This is what
-     * makes requests killable — deadlines, Service::stop(), and waking
-     * parked memory.atomic.wait all depend on it — so it defaults on;
-     * LNB_EPOCH_CHECKS=0/1 overrides (strict parse), and
-     * LNB_EPOCH_INTERVAL tunes the interpreter poll divisor.
-     */
-    bool epochChecks = true;
+#define LNB_ENGINE_CONFIG_MEMBER(type, name, def, env, env_min, env_max)      \
+    type name = def;
+    LNB_FOREACH_ENGINE_CONFIG_FIELD(LNB_ENGINE_CONFIG_MEMBER)
+#undef LNB_ENGINE_CONFIG_MEMBER
 };
 
 /**
@@ -161,6 +158,13 @@ struct EngineConfig
  * whose env demands different codegen.
  */
 EngineConfig resolveEngineConfig(EngineConfig config);
+
+/** Append @p config to @p w: one encoding per table row, in row order. */
+void writeEngineConfig(const EngineConfig& config, wasm::ByteWriter& w);
+
+/** Inverse of writeEngineConfig; errInvalid on a short read or an enum
+ * byte out of range. */
+Result<EngineConfig> readEngineConfig(wasm::ByteReader& r);
 
 /**
  * Post-`start` instance state captured once per module and restored
@@ -284,6 +288,14 @@ class CompiledModule
     friend class Engine;
     friend Result<std::shared_ptr<const CompiledModule>>
     deserializeCompiledModule(const uint8_t* data, size_t size);
+    /**
+     * The one install path for compile and cache reload: allocate the
+     * code table, obtain the AOT JIT code when the config names a fixed
+     * JIT kind (generate it, or read it from @p reload), publish every
+     * slot's entry and tier, and start the TierController for tiered
+     * modules. Needs config_ and lowered_.
+     */
+    Status installCode(wasm::ByteReader* reload);
     wasm::LoweredModule lowered_;
     EngineConfig config_;
     std::unique_ptr<jit::CompiledCode> jitCode_;

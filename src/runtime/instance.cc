@@ -272,9 +272,6 @@ Instance::initMutableState()
             entry.typeIdx = module_->lowered()
                                 .typeCanon[m.funcTypeIdx(func_idx)];
             entry.initialized = 1;
-            entry.code = module_->jitCode() != nullptr
-                             ? module_->jitCode()->tableCode(func_idx)
-                             : nullptr;
         }
     }
 

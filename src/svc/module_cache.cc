@@ -64,7 +64,7 @@ struct CacheFileHeader
 static_assert(sizeof(CacheFileHeader) == 48);
 
 constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
-constexpr uint32_t kCacheFormatVersion = 1;
+constexpr uint32_t kCacheFormatVersion = 2;
 
 uint64_t
 cacheBuildId()
@@ -137,40 +137,11 @@ contentHash64(const void* data, size_t len, uint64_t seed)
 uint64_t
 engineConfigFingerprint(const rt::EngineConfig& config)
 {
-    // Pack the discrete fields, then fold the wide ones through the same
-    // FNV stream so every field distinguishes the key.
-    uint64_t packed = uint64_t(config.kind) | (uint64_t(config.strategy) << 8) |
-                      (uint64_t(config.forceUffdEmulation) << 16) |
-                      (uint64_t(config.stackChecks) << 17) |
-                      (uint64_t(config.optimizeLoweredIR) << 18) |
-                      (uint64_t(config.tiered) << 19) |
-                      (uint64_t(config.directJitCalls) << 20) |
-                      // The opt knobs change codegen identity (versioned
-                      // clones, elision patterns, counting instructions):
-                      // artifacts must not be shared across settings.
-                      (uint64_t(config.optVersioning) << 21) |
-                      (uint64_t(config.optIpoSummaries) << 22) |
-                      (uint64_t(config.countRetiredChecks) << 23) |
-                      // Shared memory changes codegen (synchronizing
-                      // memory.size, versioning gate) and instance
-                      // memory flavor.
-                      (uint64_t(config.sharedMemory) << 24) |
-                      // Epoch polls change the emitted code.
-                      (uint64_t(config.epochChecks) << 25);
-    uint64_t hash = contentHash64(&packed, sizeof packed);
-    hash = contentHash64(&config.valueStackCells,
-                         sizeof config.valueStackCells, hash);
-    hash = contentHash64(&config.maxCallDepth, sizeof config.maxCallDepth,
-                         hash);
-    // Tiering knobs change runtime behavior (threshold, compile
-    // parallelism), so modules compiled under different knobs must not
-    // share cache entries — sharing would also share tier state built
-    // under the other configuration.
-    hash = contentHash64(&config.tierThreshold, sizeof config.tierThreshold,
-                         hash);
-    hash = contentHash64(&config.tierCompileThreads,
-                         sizeof config.tierCompileThreads, hash);
-    return hash;
+    // The serialized form has one entry per config table row, so every
+    // field, present and future, distinguishes the key.
+    wasm::ByteWriter w;
+    rt::writeEngineConfig(config, w);
+    return contentHash64(w.bytes().data(), w.bytes().size());
 }
 
 ModuleCache::ModuleCache(size_t capacity, const char* persist_dir)

@@ -43,8 +43,8 @@ namespace lnb::svc {
 uint64_t contentHash64(const void* data, size_t len,
                        uint64_t seed = 0xcbf29ce484222325ull);
 
-/** Exact fingerprint of every config field that affects compilation or
- * execution. Distinct configs never share a cache entry. */
+/** Hash of the serialized config (rt::writeEngineConfig), so it covers
+ * every EngineConfig field. Distinct configs never share a cache entry. */
 uint64_t engineConfigFingerprint(const rt::EngineConfig& config);
 
 /** Build identity stamped into persisted cache files (tests use it to

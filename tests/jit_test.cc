@@ -175,12 +175,24 @@ lowerSample()
     return wasm::lowerModule(std::move(module)).takeValue();
 }
 
+/** Codegen needs a code table to address calls; these tests never run
+ * the code, so one scratch table serves every module. */
+exec::FuncCode g_codeTable[8];
+
+JitOptions
+tableOptions()
+{
+    JitOptions options;
+    options.codeTable = g_codeTable;
+    return options;
+}
+
 TEST(Compiler, ProducesCodeForAllStrategies)
 {
     ASSERT_TRUE(jitSupported());
     wasm::LoweredModule lowered = lowerSample();
     for (int s = 0; s < mem::kNumBoundsStrategies; s++) {
-        JitOptions options;
+        JitOptions options = tableOptions();
         options.strategy = mem::BoundsStrategy(s);
         auto code = compileModule(lowered, options);
         ASSERT_TRUE(code.isOk()) << code.status().toString();
@@ -193,9 +205,9 @@ TEST(Compiler, ProducesCodeForAllStrategies)
 TEST(Compiler, SoftwareChecksEnlargeCode)
 {
     wasm::LoweredModule lowered = lowerSample();
-    JitOptions guard;
+    JitOptions guard = tableOptions();
     guard.strategy = mem::BoundsStrategy::mprotect;
-    JitOptions trap;
+    JitOptions trap = tableOptions();
     trap.strategy = mem::BoundsStrategy::trap;
     size_t guard_bytes =
         compileModule(lowered, guard).value()->codeBytes();
@@ -224,7 +236,7 @@ TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
     ASSERT_TRUE(wasm::validateModule(module).isOk());
     auto lowered = wasm::lowerModule(std::move(module)).takeValue();
 
-    JitOptions base;
+    JitOptions base = tableOptions();
     base.strategy = mem::BoundsStrategy::trap;
     base.optimize = false;
     JitOptions opt = base;
@@ -237,8 +249,8 @@ TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
 TEST(Compiler, StackCheckAblationShrinksPrologue)
 {
     wasm::LoweredModule lowered = lowerSample();
-    JitOptions checked;
-    JitOptions unchecked;
+    JitOptions checked = tableOptions();
+    JitOptions unchecked = tableOptions();
     unchecked.stackChecks = false;
     size_t with_checks =
         compileModule(lowered, checked).value()->codeBytes();

@@ -375,6 +375,116 @@ TEST(Serialize, TruncatedBlobIsRejected)
     }
 }
 
+TEST(Serialize, OutOfRangeEnumBytesAreRejected)
+{
+    TestModule tm = buildStateful();
+    auto compiled = Engine(EngineConfig{}).compileBytes(tm.bytes);
+    ASSERT_TRUE(compiled.isOk());
+    const std::vector<uint8_t> blob =
+        rt::serializeCompiledModule(*compiled.value());
+    // The blob opens with the config: the kind byte, then the strategy.
+    for (size_t offset : {size_t(0), size_t(1)}) {
+        std::vector<uint8_t> bad = blob;
+        bad[offset] = 0x7f;
+        auto reloaded = rt::deserializeCompiledModule(bad.data(), bad.size());
+        ASSERT_FALSE(reloaded.isOk()) << "offset=" << offset;
+        EXPECT_EQ(reloaded.status().code(), StatusCode::invalid_argument);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The EngineConfig field table: serialization, cache key, env overrides
+// ---------------------------------------------------------------------
+
+TEST(EngineConfigTable, OptDisabledEnvClearsOptimizeAndKeysTheCache)
+{
+    TestModule tm = buildStateful();
+    EngineConfig config;
+    config.kind = EngineKind::jit_opt;
+    config.strategy = BoundsStrategy::trap;
+    const uint64_t unset_key =
+        svc::engineConfigFingerprint(rt::resolveEngineConfig(config));
+
+    ::setenv("LNB_OPT_DISABLED", "1", 1);
+    EngineConfig resolved = rt::resolveEngineConfig(config);
+    auto compiled = Engine(config).compileBytes(tm.bytes);
+    ::setenv("LNB_OPT_DISABLED", "0", 1);
+    EngineConfig zero = rt::resolveEngineConfig(config);
+    ::unsetenv("LNB_OPT_DISABLED");
+
+    EXPECT_FALSE(resolved.optimizeLoweredIR);
+    ASSERT_TRUE(compiled.isOk());
+    EXPECT_FALSE(compiled.value()->config().optimizeLoweredIR);
+    EXPECT_NE(svc::engineConfigFingerprint(resolved), unset_key);
+    EXPECT_TRUE(zero.optimizeLoweredIR) << "flag convention: 0 is off";
+}
+
+bool otherValue(bool v) { return !v; }
+uint32_t otherValue(uint32_t v) { return v + 1; }
+EngineKind
+otherValue(EngineKind v)
+{
+    return EngineKind((int(v) + 1) % rt::kNumEngineKinds);
+}
+BoundsStrategy
+otherValue(BoundsStrategy v)
+{
+    return BoundsStrategy((int(v) + 1) % mem::kNumBoundsStrategies);
+}
+
+std::vector<uint8_t>
+configBytes(const EngineConfig& config)
+{
+    wasm::ByteWriter w;
+    rt::writeEngineConfig(config, w);
+    return w.take();
+}
+
+/** One table row: a non-default value survives serialize/deserialize
+ * and changes the cache key; an env row overrides when valid and warns
+ * and keeps the config value when malformed. */
+template <typename T>
+void
+checkConfigRow(const char* name, T EngineConfig::*field, const char* env,
+               int64_t env_min, int64_t env_max)
+{
+    SCOPED_TRACE(name);
+    const EngineConfig base;
+    EngineConfig changed;
+    changed.*field = otherValue(base.*field);
+
+    std::vector<uint8_t> bytes = configBytes(changed);
+    wasm::ByteReader r(bytes.data(), bytes.size());
+    auto back = rt::readEngineConfig(r);
+    ASSERT_TRUE(back.isOk()) << back.status().toString();
+    EXPECT_EQ(back.value().*field, changed.*field);
+    EXPECT_EQ(configBytes(back.value()), bytes);
+    EXPECT_NE(svc::engineConfigFingerprint(changed),
+              svc::engineConfigFingerprint(base));
+
+    if (env == nullptr)
+        return;
+    int64_t valid = int64_t(base.*field) == env_min ? env_max : env_min;
+    ::setenv(env, std::to_string(valid).c_str(), 1);
+    EXPECT_EQ(rt::resolveEngineConfig(base).*field, static_cast<T>(valid));
+
+    ::setenv(env, "not-a-number", 1);
+    testing::internal::CaptureStderr();
+    T kept = rt::resolveEngineConfig(base).*field;
+    std::string warning = testing::internal::GetCapturedStderr();
+    ::unsetenv(env);
+    EXPECT_EQ(kept, base.*field);
+    EXPECT_NE(warning.find(env), std::string::npos) << "no warning";
+}
+
+TEST(EngineConfigTable, EveryRowRoundTripsKeysTheCacheAndParsesEnv)
+{
+#define LNB_CHECK_ROW(type, name, def, env, env_min, env_max)                 \
+    checkConfigRow(#name, &EngineConfig::name, env, env_min, env_max);
+    LNB_FOREACH_ENGINE_CONFIG_FIELD(LNB_CHECK_ROW)
+#undef LNB_CHECK_ROW
+}
+
 class PersistCacheTest : public ::testing::Test
 {
   protected:

@@ -393,30 +393,6 @@ TEST(TierFixed, EngineKindsAreDegenerateFixedTiers)
     }
 }
 
-/** directJitCalls restores monolithic dispatch; results are unchanged. */
-TEST(TierFixed, DirectJitCallsAblationAgrees)
-{
-    EngineConfig table_config;
-    table_config.kind = EngineKind::jit_opt;
-    table_config.strategy = BoundsStrategy::trap;
-    auto table_cm = compileCompute(table_config);
-    ASSERT_NE(table_cm, nullptr);
-    auto table_inst = rt::Instance::create(table_cm);
-    ASSERT_TRUE(table_inst.isOk());
-
-    EngineConfig direct_config = table_config;
-    direct_config.directJitCalls = true;
-    auto direct_cm = compileCompute(direct_config);
-    ASSERT_NE(direct_cm, nullptr);
-    auto direct_inst = rt::Instance::create(direct_cm);
-    ASSERT_TRUE(direct_inst.isOk());
-
-    for (int32_t n : runSequence()) {
-        EXPECT_EQ(callRun(*direct_inst.value(), n),
-                  callRun(*table_inst.value(), n));
-    }
-}
-
 /** LNB_TIER_DISABLED pins a tiered config to the interpreter. */
 TEST(TierFixed, EnvKillSwitchDisablesTierUp)
 {
