@@ -370,21 +370,29 @@ Assembler::aluRM64(uint8_t opcode_base, Reg dst, Mem src)
 }
 
 void
-Assembler::aluRI32(uint8_t ext, Reg dst, uint32_t imm)
+Assembler::aluRI(bool w, uint8_t ext, Reg dst, int32_t imm)
 {
-    rex(false, 0, 0, dst);
-    byte(0x81);
+    rex(w, 0, 0, dst);
+    bool short_imm = fitsImm8(imm);
+    byte(short_imm ? 0x83 : 0x81); // 0x83: sign-extended imm8
     modrmReg(ext, dst);
-    u32(imm);
+    if (short_imm)
+        byte(uint8_t(imm));
+    else
+        u32(uint32_t(imm));
 }
 
 void
-Assembler::aluRI64(uint8_t ext, Reg dst, int32_t imm)
+Assembler::imulRRI(bool w, Reg dst, Reg src, int32_t imm)
 {
-    rex(true, 0, 0, dst);
-    byte(0x81);
-    modrmReg(ext, dst);
-    u32(uint32_t(imm));
+    rex(w, dst, 0, src);
+    bool short_imm = fitsImm8(imm);
+    byte(short_imm ? 0x6B : 0x69); // imul r, r/m, imm8 / imm32
+    modrmReg(dst, src);
+    if (short_imm)
+        byte(uint8_t(imm));
+    else
+        u32(uint32_t(imm));
 }
 
 void

@@ -174,9 +174,17 @@ class Assembler
     void aluRM32(uint8_t opcode_base, Reg dst, Mem src);
     void aluRM64(uint8_t opcode_base, Reg dst, Mem src);
 
-    // ----- ALU (reg, imm32) -----
-    void aluRI32(uint8_t ext, Reg dst, uint32_t imm);
-    void aluRI64(uint8_t ext, Reg dst, int32_t imm); ///< sign-extended
+    // ----- ALU (reg, imm) -----
+    /** Group-1 op (0x81 /ext) with the shortest immediate: 0x83 and a
+     * sign-extended imm8 when @p imm fits in one. */
+    void aluRI32(uint8_t ext, Reg dst, uint32_t imm)
+    {
+        aluRI(false, ext, dst, int32_t(imm));
+    }
+    void aluRI64(uint8_t ext, Reg dst, int32_t imm) ///< sign-extended
+    {
+        aluRI(true, ext, dst, imm);
+    }
     void addRI32(Reg d, uint32_t i) { aluRI32(0, d, i); }
     void addRI64(Reg d, int32_t i) { aluRI64(0, d, i); }
     void subRI64(Reg d, int32_t i) { aluRI64(5, d, i); }
@@ -190,6 +198,9 @@ class Assembler
 
     void imulRR32(Reg dst, Reg src);
     void imulRR64(Reg dst, Reg src);
+    /** imul dst, src, imm (0x6B imm8 / 0x69 imm32, sign-extended). */
+    void imulRRI32(Reg d, Reg s, int32_t i) { imulRRI(false, d, s, i); }
+    void imulRRI64(Reg d, Reg s, int32_t i) { imulRRI(true, d, s, i); }
     void cdq();
     void cqo();
     void idiv32(Reg divisor);
@@ -326,6 +337,10 @@ class Assembler
         for (int i = 0; i < 8; i++)
             byte(uint8_t(v >> (8 * i)));
     }
+
+    static bool fitsImm8(int32_t imm) { return imm >= -128 && imm <= 127; }
+    void aluRI(bool w, uint8_t ext, Reg dst, int32_t imm);
+    void imulRRI(bool w, Reg dst, Reg src, int32_t imm);
 
     /** Emit REX if needed (or always when @p force for 8-bit regs). */
     void rex(bool w, uint8_t reg, uint8_t index, uint8_t base,

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -30,6 +31,13 @@ struct JitMetrics
     obs::Counter codeBytes = obs::registerCounter("jit.code_bytes");
     obs::Counter boundsChecksEmitted = obs::registerCounter(
         "jit.bounds_checks_emitted");
+    /** Constants taken as immediates plus copies read at their source
+     * (the peephole in FunctionCompiler::emitFolded). */
+    obs::Counter operandsFolded = obs::registerCounter(
+        "jit.operands_folded");
+    /** Int compares emitted as cmp + jcc into the branch popping them. */
+    obs::Counter branchesFused = obs::registerCounter(
+        "jit.branches_fused");
     obs::Counter boundsChecksElided = obs::registerCounter(
         "jit.bounds_checks_elided");
     obs::Counter guardAccessesEmitted = obs::registerCounter(
@@ -139,26 +147,117 @@ synthBinop(uint16_t op, uint32_t a, uint32_t b)
     return binop;
 }
 
+// ----- operand folding (FunctionCompiler::emitFolded) -----
+
+static_assert(uint16_t(Op::i32_ge_u) - uint16_t(Op::i32_eq) == 9 &&
+                  uint16_t(Op::i64_ge_u) - uint16_t(Op::i64_eq) == 9,
+              "int compares run eq, ne, lt_s, lt_u, gt_s, gt_u, le_s, "
+              "le_u, ge_s, ge_u");
+
+/** Width and x86 condition of an int compare; false for any other op
+ * (eqz included: it has no rhs). */
+bool
+intCompare(uint16_t op, bool& is64, Cond& cond)
+{
+    static constexpr Cond kConds[10] = {Cond::e,  Cond::ne, Cond::l,
+                                        Cond::b,  Cond::g,  Cond::a,
+                                        Cond::le, Cond::be, Cond::ge,
+                                        Cond::ae};
+    for (Op first : {Op::i32_eq, Op::i64_eq}) {
+        uint16_t i = uint16_t(op - uint16_t(first));
+        if (i < 10) {
+            is64 = first == Op::i64_eq;
+            cond = kConds[i];
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Int ops that take a constant rhs as an x86 immediate: the group-1
+ * ALU ops, imul, shifts by an immediate count, and the compares.
+ * Division, rotates and every float op never do. */
+bool
+takesImmRhs(uint16_t op)
+{
+    bool is64;
+    Cond cond;
+    if (intCompare(op, is64, cond))
+        return true;
+    switch (Op(op)) {
+      case Op::i32_add: case Op::i32_sub: case Op::i32_mul:
+      case Op::i32_and: case Op::i32_or: case Op::i32_xor:
+      case Op::i32_shl: case Op::i32_shr_s: case Op::i32_shr_u:
+      case Op::i64_add: case Op::i64_sub: case Op::i64_mul:
+      case Op::i64_and: case Op::i64_or: case Op::i64_xor:
+      case Op::i64_shl: case Op::i64_shr_s: case Op::i64_shr_u:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** Ops that can read their rhs (b) straight from a copy's source. */
+bool
+takesForwardedRhs(uint16_t op)
+{
+    if (takesImmRhs(op))
+        return true;
+    switch (Op(op)) {
+      case Op::f32_add: case Op::f32_sub: case Op::f32_mul:
+      case Op::f32_div:
+      case Op::f64_add: case Op::f64_sub: case Op::f64_mul:
+      case Op::f64_div:
+      case Op::i32_store: case Op::i64_store:
+      case Op::f32_store: case Op::f64_store:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** Group-1 digit (the 0x81 /ext; the reg-form opcode base is ext << 3)
+ * of cmp, and the marker emitAluRhs uses for imul. */
+constexpr uint8_t kAluCmp = 7;
+constexpr uint8_t kAluImul = 0xFF;
+
+/** Group-1 digit of an int add/sub/and/or/xor, kAluImul for mul. */
+uint8_t
+aluExt(Op op)
+{
+    switch (op) {
+      case Op::i32_add: case Op::i64_add: return 0;
+      case Op::i32_or: case Op::i64_or: return 1;
+      case Op::i32_and: case Op::i64_and: return 4;
+      case Op::i32_sub: case Op::i64_sub: return 5;
+      case Op::i32_xor: case Op::i64_xor: return 6;
+      default: return kAluImul;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Register conventions (see DESIGN.md §6)
 //
 //   rbp  InstanceContext*                        (pinned, callee-saved)
 //   r15  frame base (cells) in the value stack   (pinned, callee-saved)
-//   rbx, r12, r13, r14   integer homes of stack slots 0..3
-//   xmm8..xmm11          float homes of stack slots 0..3
-//   rax, rcx, rdx, rsi, rdi, r8-r11, xmm0-xmm5   scratch
+//   rbx, r12, r13        integer homes of stack slots 0..2
+//   xmm8, xmm9, xmm10    float homes of stack slots 0..2
+//   r14, r8, r9, r10     integer homes of the first four locals
+//   xmm11..xmm14         float homes of the first four locals
+//   rax, rcx, rdx, rsi, rdi, r11, xmm0-xmm5      scratch
 // ---------------------------------------------------------------------
 
 constexpr Reg kCtxReg = rbp;
 constexpr Reg kFrameReg = r15;
 
 /**
- * Register-home pools. Index 0..1 are the homes of operand-stack slots 0
- * and 1 (dual-class: a slot holds ints or floats depending on the program
- * point). Indices 2..5 are assigned to the function's first four locals;
+ * Register-home pools. Indices 0..2 are the homes of operand-stack slots
+ * 0..2 (dual-class: a slot holds ints or floats depending on the program
+ * point). Indices 3..6 are assigned to the function's first four locals;
  * a local uses the pool register of its own class (the cross-class
  * register of that index stays idle). rbx/r12/r13/r14 are callee-saved;
- * r8/r9 and every xmm are caller-saved and spilled around native calls.
+ * r8/r9/r10 and every xmm are caller-saved and spilled around native
+ * calls.
  */
 constexpr Reg kSlotGpr[7] = {rbx, r12, r13, r14, r8, r9, r10};
 constexpr Xmm kSlotXmm[7] = {xmm8, xmm9, xmm10, xmm11, xmm12, xmm13, xmm14};
@@ -292,6 +391,22 @@ class FunctionCompiler
         else
             as_.movMR64(cellMem(cell), src);
         invalidate(cell);
+    }
+    void
+    loadGpr(bool is64, Reg dst, uint32_t cell)
+    {
+        if (is64)
+            loadGpr64(dst, cell);
+        else
+            loadGpr32(dst, cell);
+    }
+    void
+    storeGpr(bool is64, uint32_t cell, Reg src)
+    {
+        if (is64)
+            storeGpr64(cell, src);
+        else
+            storeGpr32(cell, src);
     }
     void
     loadXmm32(Xmm dst, uint32_t cell)
@@ -694,9 +809,138 @@ class FunctionCompiler
         return Mem{rax, 0};
     }
 
+    // ----- operand folding (both tiers) -----
+    bool isJumpTarget(uint32_t pc) const { return pcLabels_[pc].id >= 0; }
+
+    /**
+     * May an instruction writing stack cell @p cell be folded into the
+     * one at @p use_pc? Only if that instruction pops the cell (checked
+     * by the callers: it reads the cell as its top operand) and no other
+     * path can reach it carrying a different value — a jump target can
+     * be entered from a branch that wrote the cell itself.
+     */
+    bool
+    foldableAt(uint32_t use_pc, uint32_t cell) const
+    {
+        return cell >= func_.numLocalCells &&
+               use_pc < func_.code.size() && !isJumpTarget(use_pc);
+    }
+
+    /**
+     * The constant or copy at @p pc writes a cell the next instruction
+     * pops as its rhs: b == cell == a + 1 (so a != cell). A stack cell
+     * consumed as the top operand is dead until rewritten (wasm/lower.h),
+     * so nothing later can read the value the fold never stores.
+     */
+    bool
+    foldsIntoNext(uint32_t pc) const
+    {
+        const LInst& def = func_.code[pc];
+        uint32_t cell;
+        bool (*accepts)(uint16_t);
+        switch (def.op) {
+          case uint16_t(Op::i64_const):
+            if (int64_t(def.imm) != int32_t(def.imm))
+                return false; // no sign-extended imm32 form
+            [[fallthrough]];
+          case uint16_t(Op::i32_const):
+            cell = def.a;
+            accepts = takesImmRhs;
+            break;
+          case uint16_t(LOp::copy):
+            cell = def.b;
+            accepts = takesForwardedRhs;
+            break;
+          default:
+            return false;
+        }
+        if (!foldableAt(pc + 1, cell))
+            return false;
+        const LInst& use = func_.code[pc + 1];
+        return accepts(use.op) && use.b == cell && use.a + 1 == cell;
+    }
+
+    /** The instruction at @p pc is a conditional branch popping @p cell. */
+    bool
+    branchPops(uint32_t pc, uint32_t cell) const
+    {
+        if (!foldableAt(pc, cell))
+            return false;
+        const LInst& br = func_.code[pc];
+        return (LOp(br.op) == LOp::jump_if ||
+                LOp(br.op) == LOp::jump_if_zero) &&
+               br.b == cell;
+    }
+
+    /**
+     * Register an in-place int op on cell @p a works in: the cell's
+     * register home in the optimizing tier, else rax loaded from the
+     * cell. commitDst() finishes the op.
+     */
+    Reg
+    dstReg(bool is64, uint32_t a)
+    {
+        int s = opts_.optimize ? slotRegIndex(a) : -1;
+        if (s >= 0)
+            return kSlotGpr[s];
+        loadGpr(is64, rax, a);
+        return rax;
+    }
+    void
+    commitDst(bool is64, uint32_t a, Reg reg)
+    {
+        if (reg == rax)
+            storeGpr(is64, a, rax);
+        else
+            invalidate(a);
+    }
+
+    /**
+     * lhs = lhs <op> rhs for group-1 digit @p ext (or kAluImul), where
+     * rhs is the folded immediate or cell @p b. The optimizing tier
+     * reads b from its home (register or frame slot); the baseline
+     * stages it in rcx.
+     */
+    void
+    emitAluRhs(uint8_t ext, bool is64, Reg lhs, uint32_t b)
+    {
+        if (rhsImm_) {
+            int32_t imm = *rhsImm_;
+            if (ext == kAluImul && is64)
+                as_.imulRRI64(lhs, lhs, imm);
+            else if (ext == kAluImul)
+                as_.imulRRI32(lhs, lhs, imm);
+            else if (is64)
+                as_.aluRI64(ext, lhs, imm);
+            else
+                as_.aluRI32(ext, lhs, uint32_t(imm));
+            return;
+        }
+        int sb = opts_.optimize ? slotRegIndex(b) : -1;
+        if (sb < 0 && opts_.optimize && ext != kAluImul) {
+            if (is64)
+                as_.aluRM64(uint8_t(ext << 3), lhs, cellMem(b));
+            else
+                as_.aluRM32(uint8_t(ext << 3), lhs, cellMem(b));
+            return;
+        }
+        Reg rhs = sb >= 0 ? kSlotGpr[sb] : rcx;
+        if (sb < 0)
+            loadGpr(is64, rcx, b);
+        if (ext == kAluImul && is64)
+            as_.imulRR64(lhs, rhs);
+        else if (ext == kAluImul)
+            as_.imulRR32(lhs, rhs);
+        else if (is64)
+            as_.aluRR64(uint8_t(ext << 3), lhs, rhs);
+        else
+            as_.aluRR32(uint8_t(ext << 3), lhs, rhs);
+    }
+
     // ----- instruction emission -----
     void emitPrologue();
     void emitEpilogue();
+    uint32_t emitFolded(uint32_t pc);
     void emitInstr(const LInst& inst);
     void emitWasmOp(const LInst& inst);
     void emitLoad(const LInst& inst);
@@ -705,7 +949,10 @@ class FunctionCompiler
     void emitIntDivRem(const LInst& inst);
     void emitFloatMinMax(const LInst& inst);
     void emitFloatCompare(const LInst& inst);
-    void emitIntCompare(const LInst& inst, bool is64, Cond cond);
+    void emitIntBinop(const LInst& inst, bool is64);
+    void emitShift(const LInst& inst, bool is64);
+    void emitIntCompare(const LInst& inst, bool is64, Cond cond,
+                        const Label* branch = nullptr);
     void emitTruncChecked(const LInst& inst);
     void emitTruncSat(const LInst& inst);
     void emitConvert(const LInst& inst);
@@ -744,10 +991,10 @@ class FunctionCompiler
 
     /** Pool index per local cell, -1 = memory home. */
     std::vector<int8_t> localHome_;
+    /** Label per pc, created (id >= 0) only at jump targets. */
     std::vector<Label> pcLabels_;
-    std::unordered_set<uint32_t> jumpTargets_;
     /** Targets of at least one backward jump (loop headers): the epoch
-     * poll sites. Subset of jumpTargets_. */
+     * poll sites. */
     std::unordered_set<uint32_t> backEdgeTargets_;
     std::unordered_map<uint8_t, Label> trapLabels_;
     /** Per-function epoch-interrupt island (lazily created; id -1 when no
@@ -763,6 +1010,9 @@ class FunctionCompiler
     uint32_t curPc_ = 0;
     /** Accesses the opt pass proved covered by an earlier check. */
     std::unordered_set<uint32_t> elideHints_;
+    /** Rhs of the instruction being emitted when its constant operand
+     * was folded into it (set by emitFolded only). */
+    std::optional<int32_t> rhsImm_;
     /** Jump-target pc -> [begin, end) range into func_.entryCheckFacts. */
     std::unordered_map<uint32_t, std::pair<uint32_t, uint32_t>> factRanges_;
 };
@@ -835,12 +1085,14 @@ void
 FunctionCompiler::compile()
 {
     // Pre-scan for jump targets so the bounds-check cache resets at basic
-    // block boundaries and labels exist before backward jumps bind.
+    // block boundaries, folds never cross into a label, and labels exist
+    // before backward jumps bind.
     pcLabels_.resize(func_.code.size());
     // A target at or before its jump is a loop back edge: those labels
     // additionally get an epoch poll (the JIT's preemption sites).
     auto mark = [&](uint32_t pc, uint32_t from) {
-        jumpTargets_.insert(pc);
+        if (!isJumpTarget(pc))
+            pcLabels_[pc] = as_.newLabel();
         if (pc <= from)
             backEdgeTargets_.insert(pc);
     };
@@ -861,8 +1113,6 @@ FunctionCompiler::compile()
             break;
         }
     }
-    for (uint32_t pc : jumpTargets_)
-        pcLabels_[pc] = as_.newLabel();
 
     emitPrologue();
     // Facts that hold at any entry into the function (the IPO pass's
@@ -870,7 +1120,7 @@ FunctionCompiler::compile()
     seedFactsAt(0);
 
     for (uint32_t pc = 0; pc < func_.code.size(); pc++) {
-        if (jumpTargets_.count(pc)) {
+        if (isJumpTarget(pc)) {
             as_.bind(pcLabels_[pc]);
             invalidateAllChecks();
             // Re-seed the caches with facts the opt pass proved to hold
@@ -885,11 +1135,49 @@ FunctionCompiler::compile()
                 emitEpochPoll();
         }
         curPc_ = pc;
-        emitInstr(func_.code[pc]);
+        pc = emitFolded(pc);
     }
 
     emitTrapIslands();
     emitInterruptIsland();
+}
+
+/**
+ * Pairwise peephole, in both tiers. Emits code[pc], folding it into
+ * the next instruction when that pops the cell it writes (a constant
+ * becomes an immediate, a copy becomes a direct read of its source),
+ * and fuses an int compare with the branch popping its result into
+ * cmp + jcc. The skipped cell writes are invalidated in the check
+ * cache. Returns the last pc consumed.
+ */
+uint32_t
+FunctionCompiler::emitFolded(uint32_t pc)
+{
+    LInst inst = func_.code[pc];
+    if (foldsIntoNext(pc)) {
+        const LInst& def = func_.code[pc];
+        inst = func_.code[++pc];
+        curPc_ = pc;
+        invalidate(inst.b); // never written
+        if (LOp(def.op) == LOp::copy)
+            inst.b = def.a;
+        else
+            rhsImm_ = int32_t(def.imm);
+        jitMetrics().operandsFolded.add();
+    }
+    bool is64;
+    Cond cond;
+    if (intCompare(inst.op, is64, cond) && branchPops(pc + 1, inst.a)) {
+        const LInst& br = func_.code[++pc];
+        if (LOp(br.op) == LOp::jump_if_zero)
+            cond = Cond(uint8_t(cond) ^ 1); // x86 pairs cc with !cc
+        emitIntCompare(inst, is64, cond, &pcLabels_[br.a]);
+        jitMetrics().branchesFused.add();
+    } else {
+        emitInstr(inst);
+    }
+    rhsImm_.reset();
+    return pc;
 }
 
 void
@@ -1606,20 +1894,58 @@ FunctionCompiler::emitFloatCompare(const LInst& inst)
     storeGpr32(inst.a, rax);
 }
 
+/** With @p branch, jump there on @p cond instead of materializing the
+ * result: the branch popped it, so the result cell is never written. */
 void
-FunctionCompiler::emitIntCompare(const LInst& inst, bool is64, Cond cond)
+FunctionCompiler::emitIntCompare(const LInst& inst, bool is64, Cond cond,
+                                 const Label* branch)
 {
-    if (is64) {
-        loadGpr64(rax, inst.a);
-        loadGpr64(rcx, inst.b);
-        as_.cmpRR64(rax, rcx);
-    } else {
-        loadGpr32(rax, inst.a);
-        loadGpr32(rcx, inst.b);
-        as_.cmpRR32(rax, rcx);
+    emitAluRhs(kAluCmp, is64, dstReg(is64, inst.a), inst.b);
+    if (branch != nullptr) {
+        as_.jcc(cond, *branch);
+        invalidate(inst.a);
+        return;
     }
     materializeCond(cond);
     storeGpr32(inst.a, rax);
+}
+
+void
+FunctionCompiler::emitIntBinop(const LInst& inst, bool is64)
+{
+    Reg dst = dstReg(is64, inst.a);
+    emitAluRhs(aluExt(Op(inst.op)), is64, dst, inst.b);
+    commitDst(is64, inst.a, dst);
+}
+
+void
+FunctionCompiler::emitShift(const LInst& inst, bool is64)
+{
+    Op op = Op(inst.op);
+    uint8_t ext = op == Op::i32_shl || op == Op::i64_shl         ? 4
+                  : op == Op::i32_shr_u || op == Op::i64_shr_u   ? 5
+                  : op == Op::i32_shr_s || op == Op::i64_shr_s   ? 7
+                  : op == Op::i32_rotl || op == Op::i64_rotl     ? 0
+                                                                 : 1;
+    if (rhsImm_) {
+        // A folded count is masked here exactly as wasm and the
+        // hardware mask a count in cl.
+        Reg dst = dstReg(is64, inst.a);
+        uint8_t count = uint8_t(*rhsImm_ & (is64 ? 63 : 31));
+        if (is64)
+            as_.shiftImm64(ext, dst, count);
+        else
+            as_.shiftImm32(ext, dst, count);
+        commitDst(is64, inst.a, dst);
+        return;
+    }
+    loadGpr(is64, rcx, inst.b);
+    loadGpr(is64, rax, inst.a);
+    if (is64)
+        as_.shiftCl64(ext, rax);
+    else
+        as_.shiftCl32(ext, rax);
+    storeGpr(is64, inst.a, rax);
 }
 
 void
@@ -2021,6 +2347,12 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         emitAtomic(inst);
         return;
     }
+    bool is64;
+    Cond cond;
+    if (intCompare(inst.op, is64, cond)) {
+        emitIntCompare(inst, is64, cond);
+        return;
+    }
 
     switch (op) {
       // ----- constants -----
@@ -2137,41 +2469,19 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         return;
       }
 
-      // ----- i32 compare -----
+      // ----- eqz (two-operand int compares are handled above) -----
       case Op::i32_eqz:
         loadGpr32(rax, inst.a);
         as_.testRR32(rax, rax);
         materializeCond(Cond::e);
         storeGpr32(inst.a, rax);
         return;
-      case Op::i32_eq: emitIntCompare(inst, false, Cond::e); return;
-      case Op::i32_ne: emitIntCompare(inst, false, Cond::ne); return;
-      case Op::i32_lt_s: emitIntCompare(inst, false, Cond::l); return;
-      case Op::i32_lt_u: emitIntCompare(inst, false, Cond::b); return;
-      case Op::i32_gt_s: emitIntCompare(inst, false, Cond::g); return;
-      case Op::i32_gt_u: emitIntCompare(inst, false, Cond::a); return;
-      case Op::i32_le_s: emitIntCompare(inst, false, Cond::le); return;
-      case Op::i32_le_u: emitIntCompare(inst, false, Cond::be); return;
-      case Op::i32_ge_s: emitIntCompare(inst, false, Cond::ge); return;
-      case Op::i32_ge_u: emitIntCompare(inst, false, Cond::ae); return;
-
-      // ----- i64 compare -----
       case Op::i64_eqz:
         loadGpr64(rax, inst.a);
         as_.testRR64(rax, rax);
         materializeCond(Cond::e);
         storeGpr32(inst.a, rax);
         return;
-      case Op::i64_eq: emitIntCompare(inst, true, Cond::e); return;
-      case Op::i64_ne: emitIntCompare(inst, true, Cond::ne); return;
-      case Op::i64_lt_s: emitIntCompare(inst, true, Cond::l); return;
-      case Op::i64_lt_u: emitIntCompare(inst, true, Cond::b); return;
-      case Op::i64_gt_s: emitIntCompare(inst, true, Cond::g); return;
-      case Op::i64_gt_u: emitIntCompare(inst, true, Cond::a); return;
-      case Op::i64_le_s: emitIntCompare(inst, true, Cond::le); return;
-      case Op::i64_le_u: emitIntCompare(inst, true, Cond::be); return;
-      case Op::i64_ge_s: emitIntCompare(inst, true, Cond::ge); return;
-      case Op::i64_ge_u: emitIntCompare(inst, true, Cond::ae); return;
 
       // ----- float compares -----
       case Op::f32_eq: case Op::f32_ne: case Op::f32_lt:
@@ -2181,98 +2491,15 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         emitFloatCompare(inst);
         return;
 
-      // ----- i32 arithmetic -----
+      // ----- int arithmetic -----
       case Op::i32_add: case Op::i32_sub: case Op::i32_mul:
-      case Op::i32_and: case Op::i32_or: case Op::i32_xor: {
-        // Optimizing tier: operate directly on the destination home.
-        int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
-        if (opts_.optimize && sa >= 0) {
-            Reg a = kSlotGpr[sa];
-            if (sb >= 0) {
-                Reg b = kSlotGpr[sb];
-                switch (op) {
-                  case Op::i32_add: as_.addRR32(a, b); break;
-                  case Op::i32_sub: as_.subRR32(a, b); break;
-                  case Op::i32_mul: as_.imulRR32(a, b); break;
-                  case Op::i32_and: as_.andRR32(a, b); break;
-                  case Op::i32_or: as_.orRR32(a, b); break;
-                  default: as_.xorRR32(a, b); break;
-                }
-            } else if (op == Op::i32_mul) {
-                loadGpr32(rcx, inst.b);
-                as_.imulRR32(a, rcx);
-            } else {
-                Mem b = cellMem(inst.b);
-                switch (op) {
-                  case Op::i32_add: as_.aluRM32(0x00, a, b); break;
-                  case Op::i32_sub: as_.aluRM32(0x28, a, b); break;
-                  case Op::i32_and: as_.aluRM32(0x20, a, b); break;
-                  case Op::i32_or: as_.aluRM32(0x08, a, b); break;
-                  default: as_.aluRM32(0x30, a, b); break;
-                }
-            }
-            invalidate(inst.a);
-            return;
-        }
-        loadGpr32(rax, inst.a);
-        loadGpr32(rcx, inst.b);
-        switch (op) {
-          case Op::i32_add: as_.addRR32(rax, rcx); break;
-          case Op::i32_sub: as_.subRR32(rax, rcx); break;
-          case Op::i32_mul: as_.imulRR32(rax, rcx); break;
-          case Op::i32_and: as_.andRR32(rax, rcx); break;
-          case Op::i32_or: as_.orRR32(rax, rcx); break;
-          default: as_.xorRR32(rax, rcx); break;
-        }
-        storeGpr32(inst.a, rax);
+      case Op::i32_and: case Op::i32_or: case Op::i32_xor:
+        emitIntBinop(inst, false);
         return;
-      }
-
-      // ----- i64 arithmetic -----
       case Op::i64_add: case Op::i64_sub: case Op::i64_mul:
-      case Op::i64_and: case Op::i64_or: case Op::i64_xor: {
-        int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
-        if (opts_.optimize && sa >= 0) {
-            Reg a = kSlotGpr[sa];
-            if (sb >= 0) {
-                Reg b = kSlotGpr[sb];
-                switch (op) {
-                  case Op::i64_add: as_.addRR64(a, b); break;
-                  case Op::i64_sub: as_.subRR64(a, b); break;
-                  case Op::i64_mul: as_.imulRR64(a, b); break;
-                  case Op::i64_and: as_.andRR64(a, b); break;
-                  case Op::i64_or: as_.orRR64(a, b); break;
-                  default: as_.xorRR64(a, b); break;
-                }
-            } else if (op == Op::i64_mul) {
-                loadGpr64(rcx, inst.b);
-                as_.imulRR64(a, rcx);
-            } else {
-                Mem b = cellMem(inst.b);
-                switch (op) {
-                  case Op::i64_add: as_.aluRM64(0x00, a, b); break;
-                  case Op::i64_sub: as_.aluRM64(0x28, a, b); break;
-                  case Op::i64_and: as_.aluRM64(0x20, a, b); break;
-                  case Op::i64_or: as_.aluRM64(0x08, a, b); break;
-                  default: as_.aluRM64(0x30, a, b); break;
-                }
-            }
-            invalidate(inst.a);
-            return;
-        }
-        loadGpr64(rax, inst.a);
-        loadGpr64(rcx, inst.b);
-        switch (op) {
-          case Op::i64_add: as_.addRR64(rax, rcx); break;
-          case Op::i64_sub: as_.subRR64(rax, rcx); break;
-          case Op::i64_mul: as_.imulRR64(rax, rcx); break;
-          case Op::i64_and: as_.andRR64(rax, rcx); break;
-          case Op::i64_or: as_.orRR64(rax, rcx); break;
-          default: as_.xorRR64(rax, rcx); break;
-        }
-        storeGpr64(inst.a, rax);
+      case Op::i64_and: case Op::i64_or: case Op::i64_xor:
+        emitIntBinop(inst, true);
         return;
-      }
 
       case Op::i32_div_s: case Op::i32_div_u:
       case Op::i32_rem_s: case Op::i32_rem_u:
@@ -2283,31 +2510,13 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
 
       // ----- shifts / rotates -----
       case Op::i32_shl: case Op::i32_shr_s: case Op::i32_shr_u:
-      case Op::i32_rotl: case Op::i32_rotr: {
-        loadGpr32(rcx, inst.b);
-        loadGpr32(rax, inst.a);
-        uint8_t ext = op == Op::i32_shl     ? 4
-                      : op == Op::i32_shr_u ? 5
-                      : op == Op::i32_shr_s ? 7
-                      : op == Op::i32_rotl  ? 0
-                                            : 1;
-        as_.shiftCl32(ext, rax);
-        storeGpr32(inst.a, rax);
+      case Op::i32_rotl: case Op::i32_rotr:
+        emitShift(inst, false);
         return;
-      }
       case Op::i64_shl: case Op::i64_shr_s: case Op::i64_shr_u:
-      case Op::i64_rotl: case Op::i64_rotr: {
-        loadGpr64(rcx, inst.b);
-        loadGpr64(rax, inst.a);
-        uint8_t ext = op == Op::i64_shl     ? 4
-                      : op == Op::i64_shr_u ? 5
-                      : op == Op::i64_shr_s ? 7
-                      : op == Op::i64_rotl  ? 0
-                                            : 1;
-        as_.shiftCl64(ext, rax);
-        storeGpr64(inst.a, rax);
+      case Op::i64_rotl: case Op::i64_rotr:
+        emitShift(inst, true);
         return;
-      }
 
       // ----- bit counting -----
       case Op::i32_clz:

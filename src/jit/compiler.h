@@ -31,10 +31,15 @@ struct JitOptions
 {
     mem::BoundsStrategy strategy = mem::BoundsStrategy::mprotect;
     /**
-     * Enable the optimizing tier (the WAVM analogue): constant folding
-     * into addressing modes, redundant bounds-check elimination, and
-     * memory-base caching. Off = baseline single-pass tier (the
-     * V8-Liftoff/Cranelift analogue).
+     * Enable the optimizing tier (the WAVM analogue): loads, stores,
+     * copies, constants and int/float arithmetic work on the operands'
+     * register homes in place instead of staging through scratch
+     * registers, and the trap strategy's redundant bounds checks are
+     * elided (a per-block check cache seeded with the opt pass's facts).
+     * Off = baseline single-pass tier (the V8-Liftoff/Cranelift
+     * analogue). Both tiers fold constants, copies and compares into
+     * the instruction that pops them, and both reload the memory base
+     * from the context on every access.
      */
     bool optimize = false;
     /** Emit the function-entry value-stack overflow check (paper §1 lists

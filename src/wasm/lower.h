@@ -106,7 +106,15 @@ struct LoweredFunc
     uint32_t funcIdx = 0;  ///< index in the module's function space
     uint32_t typeIdx = 0;
     uint32_t numParams = 0;
-    uint32_t numLocalCells = 0; ///< locals including parameters
+    /**
+     * Locals including parameters; cells at and above it are stack
+     * cells. A stack cell consumed as the top operand (an instruction
+     * with b == cell == a + 1, or the condition of a jump_if /
+     * jump_if_zero) is dead until rewritten: nothing reads it again
+     * before an instruction writes it. Code the opt pass inserts obeys
+     * this too; the JIT's operand folding relies on it.
+     */
+    uint32_t numLocalCells = 0;
     uint32_t numCells = 0;      ///< locals + maximum operand-stack depth
     uint16_t numResults = 0;
     /** Types of all locals (parameters first); drives zero-init and JIT

@@ -1100,6 +1100,12 @@ versionLoops(LoweredFunc& func)
 
     // Five scratch cells, shared by all guards in the function:
     //   S0 = memSize in bytes, S1 = M (then per-term work in S2..S4).
+    // Like every stack cell they obey the pop rule (wasm/lower.h): a
+    // cell consumed as the top operand (the const or copy right before a
+    // binop reading it as b == a + 1, a jump_if condition) is rewritten
+    // before it is read again, so the JIT may fold those writes away.
+    // The memSize in S0 and M in S1 are read by every term, but never as
+    // a popped top operand.
     const uint32_t S0 = func.numCells;
     const uint32_t S1 = S0 + 1, S2 = S0 + 2, S3 = S0 + 3, S4 = S0 + 4;
     func.numCells += 5;

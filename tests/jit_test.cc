@@ -10,6 +10,7 @@
 #include "jit/assembler.h"
 #include "jit/code_buffer.h"
 #include "jit/compiler.h"
+#include "obs/metrics.h"
 #include "wasm/builder.h"
 #include "wasm/validator.h"
 
@@ -66,6 +67,28 @@ TEST(Assembler, AluAndShift)
               (std::vector<uint8_t>{0x48, 0x29, 0xDA}));
     EXPECT_EQ(assemble([](Assembler& a) { a.cmpRI32(rax, 0x80000000u); }),
               (std::vector<uint8_t>{0x81, 0xF8, 0x00, 0x00, 0x00, 0x80}));
+    // Immediates that fit a sign-extended imm8 take the 0x83 form.
+    EXPECT_EQ(assemble([](Assembler& a) { a.addRI32(rbx, 1); }),
+              (std::vector<uint8_t>{0x83, 0xC3, 0x01}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRI64(r14, -1); }),
+              (std::vector<uint8_t>{0x49, 0x83, 0xFE, 0xFF}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.imulRRI32(r13, r13, 26); }),
+              (std::vector<uint8_t>{0x45, 0x6B, 0xED, 0x1A}));
+    // The imm8/imm32 boundary: 127 and -128 fit, 128 and -129 do not.
+    EXPECT_EQ(assemble([](Assembler& a) { a.addRI32(rax, 127); }),
+              (std::vector<uint8_t>{0x83, 0xC0, 0x7F}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.addRI32(rax, 128); }),
+              (std::vector<uint8_t>{0x81, 0xC0, 0x80, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRI64(5, rdx, -128); }),
+              (std::vector<uint8_t>{0x48, 0x83, 0xEA, 0x80}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRI64(5, rdx, -129); }),
+              (std::vector<uint8_t>{0x48, 0x81, 0xEA, 0x7F, 0xFF, 0xFF,
+                                    0xFF}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.imulRRI64(rax, rcx, -128); }),
+              (std::vector<uint8_t>{0x48, 0x6B, 0xC1, 0x80}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.imulRRI64(rax, rcx, 128); }),
+              (std::vector<uint8_t>{0x48, 0x69, 0xC1, 0x80, 0x00, 0x00,
+                                    0x00}));
     // shl rax, 5 -> 48 C1 E0 05
     EXPECT_EQ(assemble([](Assembler& a) { a.shiftImm64(4, rax, 5); }),
               (std::vector<uint8_t>{0x48, 0xC1, 0xE0, 0x05}));
@@ -245,6 +268,103 @@ TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
     size_t opt_bytes = compileModule(lowered, opt).value()->codeBytes();
     EXPECT_LT(opt_bytes, base_bytes);
 }
+
+// The fold counters compile out with the observability layer.
+#ifndef LNB_OBS_DISABLED
+TEST(Compiler, FoldsOperandsAndFusesBranchesInBothTiers)
+{
+    // for (i = 0; i < n; i++) for (j = 0; j < n; j++) acc += i * 3 + j;
+    wasm::ModuleBuilder mb;
+    uint32_t t = mb.addType({wasm::ValType::i32}, {wasm::ValType::i32});
+    auto& f = mb.addFunction(t);
+    uint32_t i = f.addLocal(wasm::ValType::i32);
+    uint32_t j = f.addLocal(wasm::ValType::i32);
+    uint32_t acc = f.addLocal(wasm::ValType::i32);
+    auto outer = f.loop();
+    f.i32Const(0);
+    f.localSet(j);
+    auto inner = f.loop();
+    f.localGet(acc);
+    f.localGet(i);
+    f.i32Const(3);
+    f.emit(wasm::Op::i32_mul);
+    f.localGet(j);
+    f.emit(wasm::Op::i32_add);
+    f.emit(wasm::Op::i32_add);
+    f.localSet(acc);
+    f.localGet(j);
+    f.i32Const(1);
+    f.emit(wasm::Op::i32_add);
+    f.localTee(j);
+    f.localGet(0);
+    f.emit(wasm::Op::i32_lt_u);
+    f.brIf(inner);
+    f.end();
+    f.localGet(i);
+    f.i32Const(1);
+    f.emit(wasm::Op::i32_add);
+    f.localTee(i);
+    f.localGet(0);
+    f.emit(wasm::Op::i32_lt_u);
+    f.brIf(outer);
+    f.end();
+    f.localGet(acc);
+    mb.exportFunc("nest", f.finish());
+    wasm::Module module = mb.build();
+    ASSERT_TRUE(wasm::validateModule(module).isOk());
+    auto lowered = wasm::lowerModule(std::move(module)).takeValue();
+
+    obs::Counter folded = obs::registerCounter("jit.operands_folded");
+    obs::Counter fused = obs::registerCounter("jit.branches_fused");
+    for (bool optimize : {false, true}) {
+        JitOptions options = tableOptions();
+        options.optimize = optimize;
+        uint64_t folded_before = folded.value();
+        uint64_t fused_before = fused.value();
+        ASSERT_TRUE(compileModule(lowered, options).isOk());
+        // Constants 3 and 1 (x2) become immediates, `local.get j` and
+        // `local.get 0` are read at their source, and both loop tests
+        // fuse into cmp + jcc.
+        EXPECT_GT(folded.value() - folded_before, 0u) << optimize;
+        EXPECT_EQ(fused.value() - fused_before, 2u) << optimize;
+    }
+}
+
+TEST(Compiler, FoldsOnlyIntoTheInstructionThatPopsTheCell)
+{
+    // x + (x + 5): the constant is popped by the add right after it.
+    wasm::ModuleBuilder mb;
+    uint32_t t = mb.addType({wasm::ValType::i32}, {wasm::ValType::i32});
+    auto& f = mb.addFunction(t);
+    f.localGet(0);
+    f.localGet(0);
+    f.i32Const(5);
+    f.emit(wasm::Op::i32_add);
+    f.emit(wasm::Op::i32_add);
+    mb.exportFunc("f", f.finish());
+    wasm::Module module = mb.build();
+    ASSERT_TRUE(wasm::validateModule(module).isOk());
+    auto lowered = wasm::lowerModule(std::move(module)).takeValue();
+    std::vector<wasm::LInst>& code = lowered.funcs[0].code;
+    uint32_t k = 0;
+    while (code[k].op != uint16_t(wasm::Op::i32_const))
+        k++;
+    ASSERT_EQ(code[k + 1].op, uint16_t(wasm::Op::i32_add));
+    ASSERT_EQ(code[k + 1].b, code[k + 1].a + 1);
+
+    obs::Counter folded = obs::registerCounter("jit.operands_folded");
+    auto folds = [&] {
+        uint64_t before = folded.value();
+        EXPECT_TRUE(compileModule(lowered, tableOptions()).isOk());
+        return folded.value() - before;
+    };
+    EXPECT_EQ(folds(), 1u);
+    // Read the constant's cell as the rhs of a lower stack slot instead:
+    // the add no longer pops it, so the cell must be written.
+    code[k + 1].a -= 1;
+    EXPECT_EQ(folds(), 0u);
+}
+#endif // LNB_OBS_DISABLED
 
 TEST(Compiler, StackCheckAblationShrinksPrologue)
 {
