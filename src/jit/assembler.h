@@ -173,6 +173,7 @@ class Assembler
     /** op reg, [mem] forms (opcode base + 0x03). */
     void aluRM32(uint8_t opcode_base, Reg dst, Mem src);
     void aluRM64(uint8_t opcode_base, Reg dst, Mem src);
+    void addRM64(Reg d, Mem s) { aluRM64(0x00, d, s); }
 
     // ----- ALU (reg, imm) -----
     /** Group-1 op (0x81 /ext) with the shortest immediate: 0x83 and a

@@ -35,6 +35,10 @@ struct JitMetrics
      * (the peephole in FunctionCompiler::emitFolded). */
     obs::Counter operandsFolded = obs::registerCounter(
         "jit.operands_folded");
+    /** Emitted [r15+disp] operands: operand traffic through the frame
+     * cells rather than register homes. */
+    obs::Counter frameCellAccesses = obs::registerCounter(
+        "jit.frame_cell_accesses");
     /** Int compares emitted as cmp + jcc into the branch popping them. */
     obs::Counter branchesFused = obs::registerCounter(
         "jit.branches_fused");
@@ -149,6 +153,9 @@ synthBinop(uint16_t op, uint32_t a, uint32_t b)
 
 // ----- operand folding (FunctionCompiler::emitFolded) -----
 
+static_assert(uint16_t(Op::f32_div) - uint16_t(Op::f32_add) == 3 &&
+                  uint16_t(Op::f64_div) - uint16_t(Op::f64_add) == 3,
+              "float arithmetic runs add, sub, mul, div");
 static_assert(uint16_t(Op::i32_ge_u) - uint16_t(Op::i32_eq) == 9 &&
                   uint16_t(Op::i64_ge_u) - uint16_t(Op::i64_eq) == 9,
               "int compares run eq, ne, lt_s, lt_u, gt_s, gt_u, le_s, "
@@ -240,29 +247,38 @@ aluExt(Op op)
 //
 //   rbp  InstanceContext*                        (pinned, callee-saved)
 //   r15  frame base (cells) in the value stack   (pinned, callee-saved)
-//   rbx, r12, r13        integer homes of stack slots 0..2
-//   xmm8, xmm9, xmm10    float homes of stack slots 0..2
+//   rbx, r12, r13, rsi, rdi, r11     integer homes of stack slots 0..5
+//   xmm8, xmm9, xmm10, xmm2-xmm4     float homes of stack slots 0..5
 //   r14, r8, r9, r10     integer homes of the first four locals
 //   xmm11..xmm14         float homes of the first four locals
-//   rax, rcx, rdx, rsi, rdi, r11, xmm0-xmm5      scratch
+//   rax, rcx, rdx, xmm0, xmm1        scratch
 // ---------------------------------------------------------------------
 
 constexpr Reg kCtxReg = rbp;
 constexpr Reg kFrameReg = r15;
 
 /**
- * Register-home pools. Indices 0..2 are the homes of operand-stack slots
- * 0..2 (dual-class: a slot holds ints or floats depending on the program
- * point). Indices 3..6 are assigned to the function's first four locals;
+ * Register-home pools. Indices 0..5 are the homes of operand-stack slots
+ * 0..5 (dual-class: a slot holds ints or floats depending on the program
+ * point). Indices 6..9 are assigned to the function's first four locals;
  * a local uses the pool register of its own class (the cross-class
  * register of that index stays idle). rbx/r12/r13/r14 are callee-saved;
- * r8/r9/r10 and every xmm are caller-saved and spilled around native
- * calls.
+ * every other home is caller-saved and spilled around native calls
+ * while live.
  */
-constexpr Reg kSlotGpr[7] = {rbx, r12, r13, r14, r8, r9, r10};
-constexpr Xmm kSlotXmm[7] = {xmm8, xmm9, xmm10, xmm11, xmm12, xmm13, xmm14};
-constexpr int kNumSlotRegs = 3;  ///< stack slots with register homes
+constexpr Reg kSlotGpr[10] = {rbx, r12, r13, rsi, rdi,
+                              r11, r14, r8,  r9,  r10};
+constexpr Xmm kSlotXmm[10] = {xmm8, xmm9,  xmm10, xmm2,  xmm3,
+                              xmm4, xmm11, xmm12, xmm13, xmm14};
+constexpr int kNumSlotRegs = 6;  ///< stack slots with register homes
 constexpr int kNumLocalRegs = 4; ///< locals with register homes
+
+/** Survives a SysV call (rbp and r15 are pinned, never homes). */
+constexpr bool
+calleeSaved(Reg reg)
+{
+    return reg == rbx || reg == r12 || reg == r13 || reg == r14;
+}
 
 Mem
 ctxField(size_t offset)
@@ -349,8 +365,11 @@ class FunctionCompiler
             localHome_[i] = int8_t(next++);
         }
     }
-    Mem cellMem(uint32_t cell) const
+    /** The frame-memory operand of @p cell; call only to emit it. */
+    Mem
+    cellMem(uint32_t cell) const
     {
+        jitMetrics().frameCellAccesses.add();
         return Mem{kFrameReg, int32_t(cell * 8)};
     }
 
@@ -484,7 +503,8 @@ class FunctionCompiler
         else
             as_.movsdMR(cellMem(cell), kSlotXmm[s]);
     }
-    /** Load the cell's register home from its memory slot (call results). */
+    /** Load the cell's register home from its memory slot (after calls;
+     * the call sites' cache updates cover the result cell). */
     void
     fillCell(uint32_t cell, RC rc)
     {
@@ -495,63 +515,55 @@ class FunctionCompiler
             as_.movRM64(kSlotGpr[s], cellMem(cell));
         else
             as_.movsdRM(kSlotXmm[s], cellMem(cell));
-        invalidate(cell);
     }
 
     /**
-     * Spill/reload the caller-saved register homes around a native call:
-     * live float *slot* registers (per the lowering's mask) plus every
-     * local home living in a caller-saved register (all xmm homes, and
-     * the gpr homes beyond r13/r14).
+     * Calls @p fn(cell, rc) for each register home a native call would
+     * clobber while it holds a live value: stack slots below @p live_end
+     * (the first cell the call consumes) in their xmm home when
+     * @p float_mask (the lowering's live mask) marks them float, else in
+     * a caller-saved gpr home; and every local homed in a caller-saved
+     * register.
      */
-    bool
-    localHomeIsCallClobbered(uint32_t cell) const
-    {
-        int h = localHome_[cell];
-        if (h < 0)
-            return false;
-        if (wasm::isFloatType(func_.localTypes[cell]))
-            return true; // xmm registers are caller-saved
-        Reg reg = kSlotGpr[h];
-        return reg == r8 || reg == r9 || reg == r10;
-    }
+    template <typename Fn>
     void
-    spillFloatMask(uint16_t mask)
+    forEachCallClobberedHome(uint16_t float_mask, uint32_t live_end,
+                             Fn fn)
     {
-        for (int s = 0; s < kNumSlotRegs; s++) {
-            if (mask & (1u << s)) {
-                uint32_t cell = func_.numLocalCells + uint32_t(s);
-                as_.movsdMR(cellMem(cell), kSlotXmm[s]);
-            }
+        uint32_t slots = live_end > func_.numLocalCells
+                             ? live_end - func_.numLocalCells
+                             : 0;
+        for (uint32_t s = 0; s < slots && s < uint32_t(kNumSlotRegs);
+             s++) {
+            RC rc = (float_mask & (1u << s)) ? RC::fpr : RC::gpr;
+            if (rc == RC::fpr || !calleeSaved(kSlotGpr[s]))
+                fn(func_.numLocalCells + s, rc);
         }
         for (uint32_t i = 0; i < func_.numLocalCells; i++) {
-            if (!localHomeIsCallClobbered(i))
-                continue;
             int h = localHome_[i];
-            if (wasm::isFloatType(func_.localTypes[i]))
-                as_.movsdMR(cellMem(i), kSlotXmm[h]);
-            else
-                as_.movMR64(cellMem(i), kSlotGpr[h]);
+            RC rc = classOf(func_.localTypes[i]);
+            if (h >= 0 && (rc == RC::fpr || !calleeSaved(kSlotGpr[h])))
+                fn(i, rc);
         }
     }
     void
-    reloadFloatMask(uint16_t mask)
+    spillLiveHomes(uint16_t float_mask, uint32_t live_end)
     {
-        for (int s = 0; s < kNumSlotRegs; s++) {
-            if (mask & (1u << s)) {
-                uint32_t cell = func_.numLocalCells + uint32_t(s);
-                as_.movsdRM(kSlotXmm[s], cellMem(cell));
-            }
-        }
-        for (uint32_t i = 0; i < func_.numLocalCells; i++) {
-            if (!localHomeIsCallClobbered(i))
-                continue;
-            int h = localHome_[i];
-            if (wasm::isFloatType(func_.localTypes[i]))
-                as_.movsdRM(kSlotXmm[h], cellMem(i));
-            else
-                as_.movRM64(kSlotGpr[h], cellMem(i));
-        }
+        forEachCallClobberedHome(float_mask, live_end,
+                                 [&](uint32_t c, RC rc) { spillCell(c, rc); });
+    }
+    void
+    reloadLiveHomes(uint16_t float_mask, uint32_t live_end)
+    {
+        forEachCallClobberedHome(float_mask, live_end,
+                                 [&](uint32_t c, RC rc) { fillCell(c, rc); });
+    }
+
+    /** Call runtime glue @p id through a relocated absolute address. */
+    void
+    callGlue(GlueSym id)
+    {
+        as_.callImmReloc(glueSymAddress(id), RelocKind::glue, id);
     }
 
     // ----- trap islands -----
@@ -604,8 +616,7 @@ class FunctionCompiler
             return;
         as_.bind(interruptLabel_);
         as_.movRR64(rdi, kCtxReg);
-        as_.callImmReloc(reinterpret_cast<const void*>(&exec::lnbJitInterrupt),
-                         RelocKind::glue, kGlueInterrupt);
+        callGlue(kGlueInterrupt);
     }
 
     // ----- bounds-check cache (opt tier) -----
@@ -741,8 +752,7 @@ class FunctionCompiler
 
     /**
      * Compute the accessible address for a memory access: returns a Mem
-     * operand ready for the load/store. Address scratch: rax (+rcx);
-     * clobbers rsi.
+     * operand ready for the load/store. Clobbers rax and rcx only.
      */
     Mem
     emitAddress(const LInst& inst, unsigned access_size)
@@ -757,8 +767,7 @@ class FunctionCompiler
             // displacement when it fits; the 8 GiB reservation absorbs
             // the worst case (2^32-1 base + 2^32-1 offset).
             jitMetrics().guardAccessesEmitted.add();
-            as_.movRM64(rsi, CTX_FIELD(memBase));
-            as_.addRR64(rax, rsi);
+            as_.addRM64(rax, CTX_FIELD(memBase));
             if (offset <= 0x7FFFFF00ull)
                 return Mem{rax, int32_t(offset)};
             as_.movRI32(rcx, uint32_t(offset));
@@ -774,14 +783,12 @@ class FunctionCompiler
 
         uint64_t limit = offset + access_size;
         bool elide = false;
-        if (opts_.optimize) {
-            auto it = checkedLimit_.find(inst.a);
-            elide = it != checkedLimit_.end() && it->second >= limit;
+        if (checkCacheActive()) {
             // Elision hints are only sound where skipping the check means
             // trapping was already guaranteed; clamp must still redirect.
-            if (!elide && opts_.strategy == BoundsStrategy::trap &&
-                elideHints_.count(curPc_))
-                elide = true;
+            auto it = checkedLimit_.find(inst.a);
+            elide = (it != checkedLimit_.end() && it->second >= limit) ||
+                    elideHints_.count(curPc_) != 0;
         }
         if (elide) {
             jitMetrics().boundsChecksElided.add();
@@ -799,13 +806,12 @@ class FunctionCompiler
             } else {
                 as_.jcc(Cond::a,
                         trapLabel(TrapKind::out_of_bounds_memory));
-                if (opts_.optimize)
+                if (checkCacheActive())
                     checkedLimit_[inst.a] = limit;
             }
             recordCheckRange(check_begin);
         }
-        as_.movRM64(rsi, CTX_FIELD(memBase));
-        as_.addRR64(rax, rsi);
+        as_.addRM64(rax, CTX_FIELD(memBase));
         return Mem{rax, 0};
     }
 
@@ -874,13 +880,13 @@ class FunctionCompiler
 
     /**
      * Register an in-place int op on cell @p a works in: the cell's
-     * register home in the optimizing tier, else rax loaded from the
-     * cell. commitDst() finishes the op.
+     * register home, else rax loaded from the cell. commitDst() finishes
+     * the op.
      */
     Reg
     dstReg(bool is64, uint32_t a)
     {
-        int s = opts_.optimize ? slotRegIndex(a) : -1;
+        int s = slotRegIndex(a);
         if (s >= 0)
             return kSlotGpr[s];
         loadGpr(is64, rax, a);
@@ -897,9 +903,8 @@ class FunctionCompiler
 
     /**
      * lhs = lhs <op> rhs for group-1 digit @p ext (or kAluImul), where
-     * rhs is the folded immediate or cell @p b. The optimizing tier
-     * reads b from its home (register or frame slot); the baseline
-     * stages it in rcx.
+     * rhs is the folded immediate or cell @p b, read from its home
+     * (register or frame slot; imul stages a frame slot in rcx).
      */
     void
     emitAluRhs(uint8_t ext, bool is64, Reg lhs, uint32_t b)
@@ -916,8 +921,8 @@ class FunctionCompiler
                 as_.aluRI32(ext, lhs, uint32_t(imm));
             return;
         }
-        int sb = opts_.optimize ? slotRegIndex(b) : -1;
-        if (sb < 0 && opts_.optimize && ext != kAluImul) {
+        int sb = slotRegIndex(b);
+        if (sb < 0 && ext != kAluImul) {
             if (is64)
                 as_.aluRM64(uint8_t(ext << 3), lhs, cellMem(b));
             else
@@ -1215,35 +1220,28 @@ FunctionCompiler::emitInstr(const LInst& inst)
       }
 
       case LOp::copy: {
+        // Move directly between homes; only a memory-to-memory copy
+        // stages through rax.
         RC rc = classOf(ValType(inst.aux));
-        if (opts_.optimize) {
-            // Move directly between homes when either side is a register.
-            int src = slotRegIndex(inst.a), dst = slotRegIndex(inst.b);
-            if (rc == RC::gpr) {
-                if (dst >= 0 && src >= 0)
-                    as_.movRR64(kSlotGpr[dst], kSlotGpr[src]);
-                else if (dst >= 0)
-                    as_.movRM64(kSlotGpr[dst], cellMem(inst.a));
-                else if (src >= 0)
-                    as_.movMR64(cellMem(inst.b), kSlotGpr[src]);
-                else
-                    goto copy_generic;
-            } else {
-                if (dst >= 0 && src >= 0)
-                    as_.movapsRR(kSlotXmm[dst], kSlotXmm[src]);
-                else if (dst >= 0)
-                    as_.movsdRM(kSlotXmm[dst], cellMem(inst.a));
-                else if (src >= 0)
-                    as_.movsdMR(cellMem(inst.b), kSlotXmm[src]);
-                else
-                    goto copy_generic;
-            }
-            propagateCheckOnCopy(inst);
-            return;
+        int src = slotRegIndex(inst.a), dst = slotRegIndex(inst.b);
+        if (src < 0 && dst < 0) {
+            as_.movRM64(rax, cellMem(inst.a));
+            as_.movMR64(cellMem(inst.b), rax);
+        } else if (rc == RC::gpr) {
+            if (src < 0)
+                as_.movRM64(kSlotGpr[dst], cellMem(inst.a));
+            else if (dst < 0)
+                as_.movMR64(cellMem(inst.b), kSlotGpr[src]);
+            else
+                as_.movRR64(kSlotGpr[dst], kSlotGpr[src]);
+        } else {
+            if (src < 0)
+                as_.movsdRM(kSlotXmm[dst], cellMem(inst.a));
+            else if (dst < 0)
+                as_.movsdMR(cellMem(inst.b), kSlotXmm[src]);
+            else
+                as_.movapsRR(kSlotXmm[dst], kSlotXmm[src]);
         }
-      copy_generic:
-        loadBits64(rax, inst.a, rc);
-        storeBits64(inst.b, rax, rc); // invalidates b; re-derive below
         propagateCheckOnCopy(inst);
         return;
       }
@@ -1252,7 +1250,7 @@ FunctionCompiler::emitInstr(const LInst& inst)
         if (inst.aux != 0) {
             RC rc = classOf(mod_.module.types[func_.typeIdx].results[0]);
             loadBits64(rax, inst.a, rc);
-            as_.movMR64(Mem{kFrameReg, 0}, rax);
+            as_.movMR64(cellMem(0), rax);
         }
         emitEpilogue();
         return;
@@ -1300,7 +1298,7 @@ FunctionCompiler::emitInstr(const LInst& inst)
             as_.addRR64(rax, rcx);
             as_.cmpRM64(rax, CTX_FIELD(memSize));
             as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
-            if (opts_.optimize) {
+            if (checkCacheActive()) {
                 uint64_t& cached = checkedLimit_[inst.a];
                 cached = std::max(cached, inst.imm);
             }
@@ -1308,7 +1306,7 @@ FunctionCompiler::emitInstr(const LInst& inst)
             as_.movRI64(rax, inst.imm);
             as_.cmpRM64(rax, CTX_FIELD(memSize));
             as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
-            if (opts_.optimize)
+            if (checkCacheActive())
                 checkedConstLimit_ =
                     std::max(checkedConstLimit_, inst.imm);
         }
@@ -1382,7 +1380,7 @@ FunctionCompiler::emitCall(const LInst& inst)
     // are the callee's parameter locals, thanks to frame overlap).
     for (size_t i = 0; i < callee.params.size(); i++)
         spillCell(inst.b + uint32_t(i), classOf(callee.params[i]));
-    spillFloatMask(inst.aux);
+    spillLiveHomes(inst.aux, inst.b);
 
     as_.movRR64(rdi, kCtxReg);
     as_.lea(rsi, cellMem(inst.b));
@@ -1398,7 +1396,7 @@ FunctionCompiler::emitCall(const LInst& inst)
     as_.movRI32(rdx, inst.a);
     as_.callReg(rax);
 
-    reloadFloatMask(inst.aux);
+    reloadLiveHomes(inst.aux, inst.b);
     if (!callee.results.empty())
         fillCell(inst.b, classOf(callee.results[0]));
     noteDirectCall(inst.a, inst.b);
@@ -1410,15 +1408,14 @@ FunctionCompiler::emitCallHost(const LInst& inst)
     const wasm::FuncType& callee = mod_.module.funcType(inst.a);
     for (size_t i = 0; i < callee.params.size(); i++)
         spillCell(inst.b + uint32_t(i), classOf(callee.params[i]));
-    spillFloatMask(inst.aux);
+    spillLiveHomes(inst.aux, inst.b);
 
     as_.movRR64(rdi, kCtxReg);
     as_.lea(rsi, cellMem(inst.b));
     as_.movRI32(rdx, inst.a);
-    as_.callImmReloc(reinterpret_cast<const void*>(&exec::lnbJitHostCall),
-                     RelocKind::glue, kGlueHostCall);
+    callGlue(kGlueHostCall);
 
-    reloadFloatMask(inst.aux);
+    reloadLiveHomes(inst.aux, inst.b);
     if (!callee.results.empty())
         fillCell(inst.b, classOf(callee.results[0]));
     invalidateAllChecks();
@@ -1450,7 +1447,7 @@ FunctionCompiler::emitCallIndirect(const LInst& inst)
 
     for (uint32_t i = 0; i < nargs; i++)
         spillCell(arg_base + i, classOf(callee.params[i]));
-    spillFloatMask(inst.aux);
+    spillLiveHomes(inst.aux, arg_base);
 
     // Cross-tier dispatch: index the code table by the entry's function
     // index (slots are 16 bytes; entry pointer at offset 0), so funcref
@@ -1469,7 +1466,7 @@ FunctionCompiler::emitCallIndirect(const LInst& inst)
     as_.lea(rsi, cellMem(arg_base));
     as_.callReg(rax);
 
-    reloadFloatMask(inst.aux);
+    reloadLiveHomes(inst.aux, arg_base);
     if (!callee.results.empty())
         fillCell(arg_base, classOf(callee.results[0]));
     noteOpaqueMemClobber();
@@ -1479,96 +1476,39 @@ void
 FunctionCompiler::emitLoad(const LInst& inst)
 {
     Op op = Op(inst.op);
-    unsigned size = wasm::memAccessSize(op);
-    Mem src = emitAddress(inst, size);
+    Mem src = emitAddress(inst, wasm::memAccessSize(op));
 
-    if (opts_.optimize) {
-        // Load straight into the destination's register home.
-        int dst = slotRegIndex(inst.a);
-        if (dst >= 0) {
-            Reg hg = kSlotGpr[dst];
-            Xmm hx = kSlotXmm[dst];
-            switch (op) {
-              case Op::i32_load: as_.movRM32(hg, src); break;
-              case Op::i64_load: as_.movRM64(hg, src); break;
-              case Op::f32_load: as_.movssRM(hx, src); break;
-              case Op::f64_load: as_.movsdRM(hx, src); break;
-              case Op::i32_load8_s: as_.movsxRM8_32(hg, src); break;
-              case Op::i32_load8_u: as_.movzxRM8(hg, src); break;
-              case Op::i32_load16_s: as_.movsxRM16_32(hg, src); break;
-              case Op::i32_load16_u: as_.movzxRM16(hg, src); break;
-              case Op::i64_load8_s: as_.movsxRM8_64(hg, src); break;
-              case Op::i64_load8_u: as_.movzxRM8(hg, src); break;
-              case Op::i64_load16_s: as_.movsxRM16_64(hg, src); break;
-              case Op::i64_load16_u: as_.movzxRM16(hg, src); break;
-              case Op::i64_load32_s: as_.movsxRM32_64(hg, src); break;
-              case Op::i64_load32_u: as_.movRM32(hg, src); break;
-              default: assert(false);
-            }
-            invalidate(inst.a);
-            return;
-        }
-    }
-
+    // Load straight into the destination's register home; a frame cell
+    // stages the value in rdx/xmm0.
+    int home = slotRegIndex(inst.a);
+    Reg g = home >= 0 ? kSlotGpr[home] : rdx;
+    Xmm x = home >= 0 ? kSlotXmm[home] : xmm0;
     switch (op) {
-      case Op::i32_load:
-        as_.movRM32(rdx, src);
-        storeGpr32(inst.a, rdx);
-        break;
-      case Op::i64_load:
-        as_.movRM64(rdx, src);
-        storeGpr64(inst.a, rdx);
-        break;
-      case Op::f32_load:
-        as_.movssRM(xmm0, src);
-        storeXmm32(inst.a, xmm0);
-        break;
-      case Op::f64_load:
-        as_.movsdRM(xmm0, src);
-        storeXmm64(inst.a, xmm0);
-        break;
-      case Op::i32_load8_s:
-        as_.movsxRM8_32(rdx, src);
-        storeGpr32(inst.a, rdx);
-        break;
-      case Op::i32_load8_u:
-        as_.movzxRM8(rdx, src);
-        storeGpr32(inst.a, rdx);
-        break;
-      case Op::i32_load16_s:
-        as_.movsxRM16_32(rdx, src);
-        storeGpr32(inst.a, rdx);
-        break;
-      case Op::i32_load16_u:
-        as_.movzxRM16(rdx, src);
-        storeGpr32(inst.a, rdx);
-        break;
-      case Op::i64_load8_s:
-        as_.movsxRM8_64(rdx, src);
-        storeGpr64(inst.a, rdx);
-        break;
-      case Op::i64_load8_u:
-        as_.movzxRM8(rdx, src);
-        storeGpr64(inst.a, rdx);
-        break;
-      case Op::i64_load16_s:
-        as_.movsxRM16_64(rdx, src);
-        storeGpr64(inst.a, rdx);
-        break;
-      case Op::i64_load16_u:
-        as_.movzxRM16(rdx, src);
-        storeGpr64(inst.a, rdx);
-        break;
-      case Op::i64_load32_s:
-        as_.movsxRM32_64(rdx, src);
-        storeGpr64(inst.a, rdx);
-        break;
-      case Op::i64_load32_u:
-        as_.movRM32(rdx, src); // zero-extends
-        storeGpr64(inst.a, rdx);
-        break;
-      default:
-        assert(false);
+      case Op::i32_load: as_.movRM32(g, src); break;
+      case Op::i64_load: as_.movRM64(g, src); break;
+      case Op::f32_load: as_.movssRM(x, src); break;
+      case Op::f64_load: as_.movsdRM(x, src); break;
+      case Op::i32_load8_s: as_.movsxRM8_32(g, src); break;
+      case Op::i32_load8_u: as_.movzxRM8(g, src); break;
+      case Op::i32_load16_s: as_.movsxRM16_32(g, src); break;
+      case Op::i32_load16_u: as_.movzxRM16(g, src); break;
+      case Op::i64_load8_s: as_.movsxRM8_64(g, src); break;
+      case Op::i64_load8_u: as_.movzxRM8(g, src); break;
+      case Op::i64_load16_s: as_.movsxRM16_64(g, src); break;
+      case Op::i64_load16_u: as_.movzxRM16(g, src); break;
+      case Op::i64_load32_s: as_.movsxRM32_64(g, src); break;
+      case Op::i64_load32_u: as_.movRM32(g, src); break; // zero-extends
+      default: assert(false);
+    }
+    if (home >= 0) {
+        invalidate(inst.a);
+        return;
+    }
+    switch (wasm::opInfo(op).sig[2]) { // "i:<result>"
+      case 'f': storeXmm32(inst.a, xmm0); break;
+      case 'F': storeXmm64(inst.a, xmm0); break;
+      case 'I': storeGpr64(inst.a, rdx); break;
+      default: storeGpr32(inst.a, rdx); break;
     }
 }
 
@@ -1578,12 +1518,11 @@ FunctionCompiler::emitStore(const LInst& inst)
     Op op = Op(inst.op);
     unsigned size = wasm::memAccessSize(op);
 
-    // Stage the value first (the address computation clobbers
-    // rax/rcx/rsi); in the optimizing tier a register-homed value is
-    // stored straight from its home (the slot registers survive
-    // emitAddress).
+    // A register-homed value is stored straight from its home (homes
+    // survive emitAddress, which clobbers rax/rcx only); a frame cell is
+    // staged in rdx/xmm0 first.
     bool is_float = op == Op::f32_store || op == Op::f64_store;
-    int sval = opts_.optimize ? slotRegIndex(inst.b) : -1;
+    int sval = slotRegIndex(inst.b);
     Reg gval = rdx;
     Xmm xval = xmm0;
     if (sval >= 0) {
@@ -1676,38 +1615,32 @@ FunctionCompiler::emitAtomic(const LInst& inst)
         return;
     }
 
-    spillFloatMask(inst.aux);
-    as_.movRR64(rdi, kCtxReg);
-    loadGpr32(rsi, inst.a); // linear address
-    if (shape == 2) {
-        // Value/count at the top-of-stack cell.
-        if (is64)
-            loadGpr64(rdx, inst.b);
-        else
-            loadGpr32(rdx, inst.b);
-    } else if (shape == 3) {
+    spillLiveHomes(inst.aux, inst.a);
+    // Operands load from the highest cell down and ctx goes to rdi last:
+    // the homes of slots 3..5 are rsi/rdi/r11 in that order, so no
+    // argument register is written before every home above it is read.
+    if (shape == 3) {
         // Arg-base layout: operands at a+1 (expected) and a+2
         // (replacement / timeout_ns).
-        if (is64)
-            loadGpr64(rdx, inst.a + 1);
-        else
-            loadGpr32(rdx, inst.a + 1);
         if (aop == exec::AtomicOp::wait)
             loadGpr64(rcx, inst.a + 2); // timeout_ns is always i64
-        else if (is64)
-            loadGpr64(rcx, inst.a + 2);
         else
-            loadGpr32(rcx, inst.a + 2);
+            loadGpr(is64, rcx, inst.a + 2);
+        loadGpr(is64, rdx, inst.a + 1);
+    } else if (shape == 2) {
+        // Value/count at the top-of-stack cell.
+        loadGpr(is64, rdx, inst.b);
     }
+    loadGpr32(rsi, inst.a); // linear address
+    as_.movRR64(rdi, kCtxReg);
     if (inst.imm <= UINT32_MAX)
         as_.movRI32(r8, uint32_t(inst.imm));
     else
         as_.movRI64(r8, inst.imm);
     as_.movRI32(r9, exec::atomicOpMode(
                         aop, is64, exec::checkModeFor(opts_.strategy)));
-    as_.callImmReloc(reinterpret_cast<const void*>(&exec::lnbJitAtomic),
-                     RelocKind::glue, kGlueAtomic);
-    reloadFloatMask(inst.aux);
+    callGlue(kGlueAtomic);
+    reloadLiveHomes(inst.aux, inst.a);
     if (aop != exec::AtomicOp::store)
         storeGpr64(inst.a, rax); // glue returns zero-extended results
     noteOpaqueMemClobber();
@@ -2356,26 +2289,21 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
 
     switch (op) {
       // ----- constants -----
-      case Op::i32_const: {
-        int dst = opts_.optimize ? slotRegIndex(inst.a) : -1;
-        as_.movRI32(dst >= 0 ? kSlotGpr[dst] : rax, uint32_t(inst.imm));
-        if (dst >= 0)
-            invalidate(inst.a);
-        else
-            storeGpr32(inst.a, rax);
-        return;
-      }
+      case Op::i32_const:
       case Op::i64_const: {
-        int dst = opts_.optimize ? slotRegIndex(inst.a) : -1;
+        // Materialize in the register home, or in rax for a frame cell.
+        bool is64 = op == Op::i64_const;
+        uint64_t imm = is64 ? inst.imm : uint32_t(inst.imm);
+        int dst = slotRegIndex(inst.a);
         Reg target = dst >= 0 ? kSlotGpr[dst] : rax;
-        if (inst.imm <= UINT32_MAX)
-            as_.movRI32(target, uint32_t(inst.imm));
+        if (imm <= UINT32_MAX)
+            as_.movRI32(target, uint32_t(imm));
         else
-            as_.movRI64(target, inst.imm);
+            as_.movRI64(target, imm);
         if (dst >= 0)
             invalidate(inst.a);
         else
-            storeGpr64(inst.a, rax);
+            storeGpr(is64, inst.a, rax);
         return;
       }
       case Op::f32_const:
@@ -2395,12 +2323,10 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         if (opts_.sharedMemory) {
             // Synchronization point on shared memories: the glue
             // refreshes ctx->memSize from the authoritative size word.
-            spillFloatMask(inst.aux);
+            spillLiveHomes(inst.aux, inst.a);
             as_.movRR64(rdi, kCtxReg);
-            as_.callImmReloc(
-                reinterpret_cast<const void*>(&exec::lnbJitMemorySize),
-                RelocKind::glue, kGlueMemSize);
-            reloadFloatMask(inst.aux);
+            callGlue(kGlueMemSize);
+            reloadLiveHomes(inst.aux, inst.a);
             storeGpr32(inst.a, rax);
             noteOpaqueMemClobber();
             return;
@@ -2410,38 +2336,27 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         storeGpr32(inst.a, rax);
         return;
       case Op::memory_grow:
-        spillFloatMask(inst.aux);
-        as_.movRR64(rdi, kCtxReg);
+        spillLiveHomes(inst.aux, inst.a);
         loadGpr32(rsi, inst.a);
-        as_.callImmReloc(
-            reinterpret_cast<const void*>(&exec::lnbJitMemoryGrow),
-            RelocKind::glue, kGlueMemGrow);
-        reloadFloatMask(inst.aux);
+        as_.movRR64(rdi, kCtxReg);
+        callGlue(kGlueMemGrow);
+        reloadLiveHomes(inst.aux, inst.a);
         storeGpr32(inst.a, rax);
         noteOpaqueMemClobber();
         return;
       case Op::memory_copy:
-        spillFloatMask(inst.aux);
-        as_.movRR64(rdi, kCtxReg);
-        loadGpr32(rsi, inst.a);
-        loadGpr32(rdx, inst.a + 1);
+      case Op::memory_fill: {
+        GlueSym glue = op == Op::memory_copy ? kGlueMemCopy : kGlueMemFill;
+        spillLiveHomes(inst.aux, inst.a);
+        // Highest operand first, ctx last (see emitAtomic).
         loadGpr32(rcx, inst.a + 2);
-        as_.callImmReloc(
-            reinterpret_cast<const void*>(&exec::lnbJitMemoryCopy),
-            RelocKind::glue, kGlueMemCopy);
-        reloadFloatMask(inst.aux);
-        return;
-      case Op::memory_fill:
-        spillFloatMask(inst.aux);
-        as_.movRR64(rdi, kCtxReg);
-        loadGpr32(rsi, inst.a);
         loadGpr32(rdx, inst.a + 1);
-        loadGpr32(rcx, inst.a + 2);
-        as_.callImmReloc(
-            reinterpret_cast<const void*>(&exec::lnbJitMemoryFill),
-            RelocKind::glue, kGlueMemFill);
-        reloadFloatMask(inst.aux);
+        loadGpr32(rsi, inst.a);
+        as_.movRR64(rdi, kCtxReg);
+        callGlue(glue);
+        reloadLiveHomes(inst.aux, inst.a);
         return;
+      }
 
       // ----- parametric / globals -----
       case Op::select: {
@@ -2564,55 +2479,33 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
 
       // ----- float arithmetic -----
       case Op::f32_add: case Op::f32_sub: case Op::f32_mul:
-      case Op::f32_div: {
-        uint8_t opcode = op == Op::f32_add   ? 0x58
-                         : op == Op::f32_sub ? 0x5C
-                         : op == Op::f32_mul ? 0x59
-                                             : 0x5E;
-        int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
-        if (opts_.optimize && sa >= 0) {
-            if (sb >= 0)
-                as_.sseOp(0xF3, opcode, kSlotXmm[sa], kSlotXmm[sb]);
-            else
-                as_.sseOpRM(0xF3, opcode, kSlotXmm[sa], cellMem(inst.b));
-            invalidate(inst.a);
-            return;
-        }
-        loadXmm32(xmm0, inst.a);
-        loadXmm32(xmm1, inst.b);
-        switch (op) {
-          case Op::f32_add: as_.addss(xmm0, xmm1); break;
-          case Op::f32_sub: as_.subss(xmm0, xmm1); break;
-          case Op::f32_mul: as_.mulss(xmm0, xmm1); break;
-          default: as_.divss(xmm0, xmm1); break;
-        }
-        storeXmm32(inst.a, xmm0);
-        return;
-      }
+      case Op::f32_div:
       case Op::f64_add: case Op::f64_sub: case Op::f64_mul:
       case Op::f64_div: {
-        uint8_t opcode = op == Op::f64_add   ? 0x58
-                         : op == Op::f64_sub ? 0x5C
-                         : op == Op::f64_mul ? 0x59
-                                             : 0x5E;
+        // addss/subss/mulss/divss (F3) and the sd forms (F2), in place
+        // on a's home with b read from its home.
+        static constexpr uint8_t kSseArith[4] = {0x58, 0x5C, 0x59, 0x5E};
+        bool is32 = op >= Op::f32_add && op <= Op::f32_div;
+        uint8_t prefix = is32 ? 0xF3 : 0xF2;
+        uint8_t opcode = kSseArith[uint16_t(op) -
+                                   uint16_t(is32 ? Op::f32_add
+                                                 : Op::f64_add)];
         int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
-        if (opts_.optimize && sa >= 0) {
-            if (sb >= 0)
-                as_.sseOp(0xF2, opcode, kSlotXmm[sa], kSlotXmm[sb]);
-            else
-                as_.sseOpRM(0xF2, opcode, kSlotXmm[sa], cellMem(inst.b));
+        Xmm lhs = sa >= 0 ? kSlotXmm[sa] : xmm0;
+        if (sa < 0 && is32)
+            loadXmm32(xmm0, inst.a);
+        else if (sa < 0)
+            loadXmm64(xmm0, inst.a);
+        if (sb >= 0)
+            as_.sseOp(prefix, opcode, lhs, kSlotXmm[sb]);
+        else
+            as_.sseOpRM(prefix, opcode, lhs, cellMem(inst.b));
+        if (sa >= 0)
             invalidate(inst.a);
-            return;
-        }
-        loadXmm64(xmm0, inst.a);
-        loadXmm64(xmm1, inst.b);
-        switch (op) {
-          case Op::f64_add: as_.addsd(xmm0, xmm1); break;
-          case Op::f64_sub: as_.subsd(xmm0, xmm1); break;
-          case Op::f64_mul: as_.mulsd(xmm0, xmm1); break;
-          default: as_.divsd(xmm0, xmm1); break;
-        }
-        storeXmm64(inst.a, xmm0);
+        else if (is32)
+            storeXmm32(inst.a, xmm0);
+        else
+            storeXmm64(inst.a, xmm0);
         return;
       }
 

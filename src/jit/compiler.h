@@ -31,15 +31,14 @@ struct JitOptions
 {
     mem::BoundsStrategy strategy = mem::BoundsStrategy::mprotect;
     /**
-     * Enable the optimizing tier (the WAVM analogue): loads, stores,
-     * copies, constants and int/float arithmetic work on the operands'
-     * register homes in place instead of staging through scratch
-     * registers, and the trap strategy's redundant bounds checks are
-     * elided (a per-block check cache seeded with the opt pass's facts).
-     * Off = baseline single-pass tier (the V8-Liftoff/Cranelift
-     * analogue). Both tiers fold constants, copies and compares into
-     * the instruction that pops them, and both reload the memory base
-     * from the context on every access.
+     * Enable the optimizing tier (the WAVM analogue): under the trap
+     * strategy, redundant bounds checks are elided through a per-block
+     * check cache seeded with the opt pass's facts. Off = the baseline
+     * tier (the TurboFan/Cranelift analogue). Everything else is one
+     * codegen: both tiers work on the operands' register homes in
+     * place, fold constants, copies and compares into the instruction
+     * that pops them, and add the memory base from the context on every
+     * access, so outside `trap` they emit identical code.
      */
     bool optimize = false;
     /** Emit the function-entry value-stack overflow check (paper §1 lists

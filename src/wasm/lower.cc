@@ -163,18 +163,18 @@ class FuncLowerer
     }
 
     /**
-     * Bitmask of register-homed stack slots (0..3) that hold float values
-     * and stay live across an instruction consuming @p consumed operands.
-     * The JIT spills/reloads exactly these xmm slot registers around
-     * anything that becomes a native call (xmm registers are caller-saved
-     * in the SysV ABI; the integer slot registers are callee-saved).
+     * Bitmask of stack slots (0..15) that hold float values and stay
+     * live across an instruction consuming @p consumed operands. Around
+     * anything that becomes a native call the JIT spills and reloads
+     * each live register-homed slot: a float slot through its xmm home,
+     * an int slot through its gpr home when that is caller-saved.
      */
     uint16_t
     floatLiveMask(uint32_t consumed) const
     {
         uint32_t live = depth() - consumed;
         uint16_t mask = 0;
-        for (uint32_t s = 0; s < live && s < 4; s++) {
+        for (uint32_t s = 0; s < live && s < 16; s++) {
             if (stack_[s] == ValType::f32 || stack_[s] == ValType::f64)
                 mask |= uint16_t(1u << s);
         }

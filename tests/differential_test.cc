@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 
 #include "runtime/engine.h"
@@ -599,12 +600,170 @@ generateAtomicsProgram(uint64_t seed)
 }
 
 /**
+ * Six live values of mixed types in stack slots 0..5 (the slots with
+ * register homes) across every kind of site the JIT turns into a native
+ * call: callf, call_host, call_indirect, memory.grow, shared
+ * memory.size, an atomic rmw, cmpxchg, memory.copy and memory.fill.
+ * Each site also runs with three live values, which puts its operands
+ * in slots 3..5, whose homes are caller-saved and double as argument
+ * registers. The wasm callee fills all six of its own slot homes with
+ * floats and ints, and the host import does float work, so a home not
+ * saved across the call shows up in the folded result.
+ */
+wasm::Module
+generateCallSiteProgram()
+{
+    ModuleBuilder mb;
+    mb.addMemory(1, 2, /*shared=*/true);
+    mb.addTable(1, 1);
+    uint32_t unop = mb.addType({ValType::i32}, {ValType::i32});
+    uint32_t host = mb.addImport(
+        "env", "mix", mb.addType({ValType::i32, ValType::f64}, {ValType::i64}));
+
+    // callee(x) = 24 + 5x
+    auto& callee = mb.addFunction(unop);
+    for (double d : {1.5, 2.5, 3.5, 4.5, 5.5, 6.5})
+        callee.f64Const(d);
+    for (int i = 0; i < 5; i++)
+        callee.emit(Op::f64_add);
+    callee.emit(Op::i32_trunc_f64_s);
+    for (int i = 0; i < 5; i++)
+        callee.localGet(0);
+    for (int i = 0; i < 5; i++)
+        callee.emit(Op::i32_add);
+    uint32_t callee_idx = callee.finish();
+    mb.addElem(0, {callee_idx});
+
+    auto& f = mb.addFunction(mb.addType({}, {ValType::i64}));
+    uint32_t acc = f.addLocal(ValType::i64);
+    // Pops a value of type @p t into acc = acc*131 + bits.
+    auto fold = [&](ValType t) {
+        if (t == ValType::f32)
+            f.emit(Op::i32_reinterpret_f32);
+        if (t == ValType::f32 || t == ValType::i32)
+            f.emit(Op::i64_extend_i32_u);
+        if (t == ValType::f64)
+            f.emit(Op::i64_reinterpret_f64);
+        f.localGet(acc);
+        f.i64Const(131);
+        f.emit(Op::i64_mul);
+        f.emit(Op::i64_add);
+        f.localSet(acc);
+    };
+    // Slot types per pattern: between them, slots 3..5 hold an int and
+    // a float each.
+    static constexpr ValType kPatterns[2][6] = {
+        {ValType::i32, ValType::i64, ValType::f32, ValType::f64,
+         ValType::i32, ValType::i64},
+        {ValType::f64, ValType::f32, ValType::i64, ValType::i32,
+         ValType::f64, ValType::f32}};
+    uint64_t salt = 0;
+    auto site = [&](const std::function<void()>& body) {
+        for (int live : {6, 3}) {
+            for (const ValType* types : kPatterns) {
+                for (int s = 0; s < live; s++) {
+                    uint64_t k = ++salt;
+                    switch (types[s]) {
+                      case ValType::i32:
+                        f.i32Const(int32_t(k * 0x9E3779B9u));
+                        break;
+                      case ValType::i64:
+                        f.i64Const(int64_t(k * 0x9E3779B97F4A7C15ull));
+                        break;
+                      case ValType::f32:
+                        f.f32Const(float(k) + 0.375f);
+                        break;
+                      default:
+                        f.f64Const(-double(k) / 3.0);
+                        break;
+                    }
+                }
+                body();
+                for (int s = live - 1; s >= 0; s--)
+                    fold(types[s]);
+            }
+        }
+    };
+
+    f.i32Const(256);
+    f.i64Const(0x1122334455667788);
+    f.memOp(Op::i64_store);
+
+    site([&] {
+        f.i32Const(7);
+        f.call(callee_idx);
+        fold(ValType::i32);
+    });
+    site([&] {
+        f.i32Const(3);
+        f.f64Const(2.25);
+        f.call(host);
+        fold(ValType::i64);
+    });
+    site([&] {
+        f.i32Const(9);
+        f.i32Const(0);
+        f.callIndirect(unop);
+        fold(ValType::i32);
+    });
+    site([&] { // 1 -> 2 pages once, then -1 at the maximum
+        f.i32Const(1);
+        f.memoryGrow();
+        fold(ValType::i32);
+    });
+    site([&] {
+        f.memorySize();
+        fold(ValType::i32);
+    });
+    site([&] {
+        f.i32Const(64);
+        f.i64Const(0x0101010101010101);
+        f.memOp(Op::i64_atomic_rmw_add);
+        fold(ValType::i64);
+    });
+    site([&] {
+        f.i32Const(96);
+        f.i32Const(96);
+        f.memOp(Op::i32_atomic_load);
+        f.i32Const(96);
+        f.memOp(Op::i32_atomic_load);
+        f.i32Const(0x5A5A);
+        f.emit(Op::i32_add);
+        f.memOp(Op::i32_atomic_rmw_cmpxchg); // (96, old, old + 0x5A5A)
+        fold(ValType::i32);
+    });
+    site([&] {
+        f.i32Const(512);
+        f.i32Const(256);
+        f.i32Const(8);
+        f.memoryCopy();
+    });
+    site([&] {
+        f.i32Const(600);
+        f.i32Const(0xAB);
+        f.i32Const(8);
+        f.memoryFill();
+    });
+
+    for (uint32_t addr : {64u, 96u, 512u, 600u}) {
+        f.i32Const(int32_t(addr));
+        f.memOp(Op::i64_load);
+        fold(ValType::i64);
+    }
+    f.localGet(acc);
+    mb.exportFunc("run", f.finish());
+    return mb.build();
+}
+
+/**
  * Run @p module on every engine (plus the tiered pipeline) x every
  * bounds strategy x opt modes; every configuration must return the same
- * i64 bit pattern and none may trap.
+ * i64 bit pattern and none may trap. @p imports, when set, builds each
+ * instance's import map.
  */
 void
-sweepAllEngines(const wasm::Module& module, uint64_t seed)
+sweepAllEngines(const wasm::Module& module, uint64_t seed,
+                const std::function<rt::ImportMap()>& imports = {})
 {
     bool have_reference = false;
     uint64_t reference = 0;
@@ -646,7 +805,9 @@ sweepAllEngines(const wasm::Module& module, uint64_t seed)
                 auto compiled = eng.compile(std::move(copy));
                 ASSERT_TRUE(compiled.isOk())
                     << compiled.status().toString();
-                auto inst = rt::Instance::create(compiled.takeValue());
+                auto inst = rt::Instance::create(
+                    compiled.takeValue(),
+                    imports ? imports() : rt::ImportMap());
                 ASSERT_TRUE(inst.isOk()) << inst.status().toString();
                 rt::CallOutcome out = inst.value()->callExport("run", {});
                 ASSERT_TRUE(out.ok())
@@ -724,6 +885,28 @@ atomicsSeeds()
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AtomicsDifferentialFuzz,
                          testing::ValuesIn(atomicsSeeds()));
+
+TEST(CallSites, LiveSlotsSurviveEveryNativeCall)
+{
+    wasm::Module module = generateCallSiteProgram();
+    ASSERT_TRUE(wasm::validateModule(module).isOk())
+        << wasm::validateModule(module).toString();
+    sweepAllEngines(module, 0, [] {
+        rt::ImportMap imports;
+        imports.add("env", "mix",
+                    wasm::FuncType{{ValType::i32, ValType::f64},
+                                   {ValType::i64}},
+                    [](exec::InstanceContext*, wasm::Value* args, void*) {
+                        double x = args[1].f64;
+                        for (int i = 0; i < 4; i++)
+                            x = x * 1.5 + std::sqrt(x);
+                        args[0] = wasm::Value::fromI64(
+                            uint64_t(args[0].i32) * 1000003u +
+                            uint64_t(int64_t(x * 64)));
+                    });
+        return imports;
+    });
+}
 
 } // namespace
 } // namespace lnb

@@ -2,16 +2,18 @@
  * @file
  * JIT-layer tests: byte-exact assembler encodings (checked against
  * reference encodings from the Intel SDM), code-buffer lifecycle, and
- * compiler-level properties (code size, tier differences, trap-kind
- * bytes after ud2 islands).
+ * compiler-level properties (code size, what the tiers share and where
+ * they differ, trap-kind bytes after ud2 islands).
  */
 #include <gtest/gtest.h>
 
 #include "jit/assembler.h"
 #include "jit/code_buffer.h"
 #include "jit/compiler.h"
+#include "kernels/kernel.h"
 #include "obs/metrics.h"
 #include "wasm/builder.h"
+#include "wasm/opt.h"
 #include "wasm/validator.h"
 
 namespace lnb::jit {
@@ -95,6 +97,10 @@ TEST(Assembler, AluAndShift)
     EXPECT_EQ(assemble([](Assembler& a) { a.aluRM32(0x00, rax,
                                                     {rbx, 16}); }),
               (std::vector<uint8_t>{0x03, 0x83, 0x10, 0x00, 0x00, 0x00}));
+    // add rax, [rbp+16] -> 48 03 85 disp32
+    EXPECT_EQ(assemble([](Assembler& a) { a.addRM64(rax, {rbp, 16}); }),
+              (std::vector<uint8_t>{0x48, 0x03, 0x85, 0x10, 0x00, 0x00,
+                                    0x00}));
 }
 
 TEST(Assembler, SseEncodings)
@@ -242,8 +248,8 @@ TEST(Compiler, SoftwareChecksEnlargeCode)
 
 TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
 {
-    // Two loads from the same address cell: the opt tier's redundant
-    // bounds-check elimination should drop the second check.
+    // Two loads from the same address: the opt pass marks the second
+    // access covered by the first check, and the opt tier drops it.
     wasm::ModuleBuilder mb;
     mb.addMemory(1, 1);
     uint32_t t = mb.addType({wasm::ValType::i32}, {wasm::ValType::i32});
@@ -258,15 +264,62 @@ TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
     wasm::Module module = mb.build();
     ASSERT_TRUE(wasm::validateModule(module).isOk());
     auto lowered = wasm::lowerModule(std::move(module)).takeValue();
+    // jit_opt x trap compiles the IR the check analysis annotated, as
+    // Engine::compile does; jit_base compiles the plain lowering.
+    wasm::LoweredModule analyzed = lowered;
+    wasm::OptOptions passes;
+    passes.analyzeChecks = true;
+    passes.hoistChecks = true;
+    wasm::optimizeLoweredModule(analyzed, passes);
 
     JitOptions base = tableOptions();
     base.strategy = mem::BoundsStrategy::trap;
     base.optimize = false;
     JitOptions opt = base;
     opt.optimize = true;
+    obs::Counter elided = obs::registerCounter("jit.bounds_checks_elided");
     size_t base_bytes = compileModule(lowered, base).value()->codeBytes();
-    size_t opt_bytes = compileModule(lowered, opt).value()->codeBytes();
+    [[maybe_unused]] uint64_t elided_before = elided.value();
+    size_t opt_bytes = compileModule(analyzed, opt).value()->codeBytes();
     EXPECT_LT(opt_bytes, base_bytes);
+#ifndef LNB_OBS_DISABLED
+    EXPECT_GT(elided.value(), elided_before);
+#endif
+}
+
+TEST(Compiler, TiersEmitIdenticalCodeWithoutTheTrapCheckCache)
+{
+    // One codegen serves both tiers; only the trap strategy's check
+    // cache differs. No kernel has a br_table (whose jump table holds
+    // absolute addresses), so the dumps compare as plain bytes.
+    for (const char* suite : {"polybench", "specproxy"}) {
+        for (const kernels::Kernel* kernel : kernels::suiteKernels(suite)) {
+            auto lowered =
+                wasm::lowerModule(kernel->buildModule(16)).takeValue();
+            uint32_t first = lowered.module.numImportedFuncs();
+            for (auto strategy :
+                 {mem::BoundsStrategy::none, mem::BoundsStrategy::clamp,
+                  mem::BoundsStrategy::mprotect,
+                  mem::BoundsStrategy::uffd}) {
+                JitOptions base = tableOptions();
+                base.strategy = strategy;
+                JitOptions opt = base;
+                opt.optimize = true;
+                auto base_code = compileModule(lowered, base).takeValue();
+                auto opt_code = compileModule(lowered, opt).takeValue();
+                ASSERT_EQ(base_code->codeBytes(), opt_code->codeBytes())
+                    << kernel->name << " "
+                    << mem::boundsStrategyName(strategy);
+                for (uint32_t i = 0; i < lowered.funcs.size(); i++) {
+                    EXPECT_EQ(base_code->dumpFunction(first + i),
+                              opt_code->dumpFunction(first + i))
+                        << kernel->name << " "
+                        << mem::boundsStrategyName(strategy) << " func "
+                        << first + i;
+                }
+            }
+        }
+    }
 }
 
 // The fold counters compile out with the observability layer.
@@ -363,6 +416,45 @@ TEST(Compiler, FoldsOnlyIntoTheInstructionThatPopsTheCell)
     // the add no longer pops it, so the cell must be written.
     code[k + 1].a -= 1;
     EXPECT_EQ(folds(), 0u);
+}
+
+TEST(Compiler, TiersReportTheSameFrameCellTraffic)
+{
+    // Under `none` both tiers run one codegen, so they emit the same
+    // [r15+disp] operands; a function using more stack slots and locals
+    // than have register homes emits some.
+    wasm::ModuleBuilder mb;
+    uint32_t t = mb.addType({wasm::ValType::i32}, {wasm::ValType::i32});
+    auto& f = mb.addFunction(t);
+    std::vector<uint32_t> locals;
+    for (int i = 0; i < 6; i++)
+        locals.push_back(f.addLocal(wasm::ValType::i64));
+    for (int depth = 0; depth < 8; depth++)
+        f.localGet(0);
+    for (int depth = 1; depth < 8; depth++)
+        f.emit(wasm::Op::i32_add);
+    for (uint32_t local : locals) {
+        f.localGet(local);
+        f.emit(wasm::Op::i32_wrap_i64);
+        f.emit(wasm::Op::i32_add);
+    }
+    mb.exportFunc("f", f.finish());
+    wasm::Module module = mb.build();
+    ASSERT_TRUE(wasm::validateModule(module).isOk());
+    auto lowered = wasm::lowerModule(std::move(module)).takeValue();
+
+    obs::Counter cells = obs::registerCounter("jit.frame_cell_accesses");
+    uint64_t counts[2];
+    for (bool optimize : {false, true}) {
+        JitOptions options = tableOptions();
+        options.strategy = mem::BoundsStrategy::none;
+        options.optimize = optimize;
+        uint64_t before = cells.value();
+        ASSERT_TRUE(compileModule(lowered, options).isOk());
+        counts[optimize] = cells.value() - before;
+    }
+    EXPECT_GT(counts[0], 0u);
+    EXPECT_EQ(counts[0], counts[1]);
 }
 #endif // LNB_OBS_DISABLED
 
