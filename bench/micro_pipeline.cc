@@ -69,10 +69,11 @@ BENCHMARK(BM_Lower);
 
 /**
  * The lowered-IR optimization pass (wasm/opt.*), in the two configurations
- * the engine uses: superinstruction fusion (interpreter tiers) and bounds-
- * check analysis + loop hoisting (jit-opt under the trap strategy). Counters
- * report what the pass found in the kernel, so per-kernel fusion/hoisting
- * coverage is visible alongside the stage's throughput.
+ * the engine uses: the register-form rewrite (interpreter tiers) and
+ * bounds-check analysis + loop hoisting (jit-opt under the trap strategy).
+ * Counters report what the pass did to the kernel (insts_fused: the
+ * instructions the rewrite removed), so its coverage is visible alongside
+ * the stage's throughput.
  */
 void
 BM_OptPass(benchmark::State& state)
@@ -89,7 +90,7 @@ BM_OptPass(benchmark::State& state)
         stats = wasm::optimizeLoweredModule(copy, options);
         benchmark::DoNotOptimize(copy.funcs.data());
     }
-    state.SetLabel(options.fuse ? "fuse" : "check-analysis");
+    state.SetLabel(options.fuse ? "register-form" : "check-analysis");
     state.counters["insts_fused"] = double(stats.instsFused);
     state.counters["checks_hoisted"] = double(stats.checksHoisted);
     state.counters["checks_elided"] = double(stats.checksElided);

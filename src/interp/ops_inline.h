@@ -15,7 +15,9 @@
  * therefore an independently predicted dispatch branch, the property that
  * makes threaded interpreters fast — paper §2.2). The switch interpreter
  * reuses the same functions through an X-macro-generated switch, so the
- * two dispatch techniques share identical semantics.
+ * two dispatch techniques share identical semantics. A value op (one
+ * with register forms, wasm::IrForm) declares its typed body once
+ * (LNB_VAL); its plain handler and its form handlers all run it.
  */
 #ifndef LNB_INTERP_OPS_INLINE_H
 #define LNB_INTERP_OPS_INLINE_H
@@ -73,35 +75,27 @@ memAddr(InstanceContext* ctx, uint32_t addr, uint64_t offset, unsigned size)
     return ctx->memBase + ea;
 }
 
-template <CheckMode M, typename MemT, typename CellT>
-inline void
-loadOp(InstanceContext* ctx, Value* f, const LInst& inst)
+/** An unaligned MemT in linear memory. */
+template <typename MemT>
+struct [[gnu::packed, gnu::may_alias]] Unaligned
 {
-    MemT raw;
-    std::memcpy(&raw, memAddr<M>(ctx, f[inst.a].i32, inst.imm, sizeof(MemT)),
-                sizeof(MemT));
-    CellT widened = CellT(raw);
-    if constexpr (sizeof(CellT) == 4) {
-        f[inst.a].i32 = uint32_t(widened);
-    } else {
-        f[inst.a].i64 = uint64_t(widened);
-    }
-}
+    MemT v;
+};
 
-template <CheckMode M>
-inline void
-loadF32(InstanceContext* ctx, Value* f, const LInst& inst)
+/**
+ * Read a MemT at linear address @p addr + @p offset. The read goes
+ * through a packed type rather than memcpy into a local: every load
+ * handler inlines this, and under ASan each such local would get its
+ * own redzoned stack slot, growing the interpreter frame until deep
+ * recursion overflows the native stack before maxCallDepth traps.
+ */
+template <CheckMode M, typename MemT>
+inline MemT
+loadMem(InstanceContext* ctx, uint32_t addr, uint64_t offset)
 {
-    std::memcpy(&f[inst.a].f32, memAddr<M>(ctx, f[inst.a].i32, inst.imm, 4),
-                4);
-}
-
-template <CheckMode M>
-inline void
-loadF64(InstanceContext* ctx, Value* f, const LInst& inst)
-{
-    std::memcpy(&f[inst.a].f64, memAddr<M>(ctx, f[inst.a].i32, inst.imm, 8),
-                8);
+    return reinterpret_cast<const Unaligned<MemT>*>(
+               memAddr<M>(ctx, addr, offset, sizeof(MemT)))
+        ->v;
 }
 
 template <CheckMode M, typename MemT>
@@ -563,6 +557,70 @@ atomic64(InstanceContext* ctx, Value* f, const LInst& inst, AtomicOp op)
  * unreachable for validated modules. */
 #define LNB_SEM_ABSENT(name) LNB_SEM(name, trap(TrapKind::host_error);)
 
+/** C++ type of signature character T: 'i' i32, 'I' i64, 'f' f32, 'F' f64. */
+template <char T> struct SigType { using type = uint32_t; };
+template <> struct SigType<'I'> { using type = uint64_t; };
+template <> struct SigType<'f'> { using type = float; };
+template <> struct SigType<'F'> { using type = double; };
+template <char T> using SigT = typename SigType<T>::type;
+
+/** The member of a cell holding signature type T: 4 bytes for i32/f32,
+ * 8 for i64/f64. */
+template <char T>
+inline SigT<T>&
+cellAs(Value& v)
+{
+    if constexpr (T == 'I')
+        return v.i64;
+    else if constexpr (T == 'f')
+        return v.f32;
+    else if constexpr (T == 'F')
+        return v.f64;
+    else
+        return v.i32;
+}
+
+/**
+ * Semantics of a value op: one that has register forms (wasm::IrForm).
+ * `apply` returns the result from operands a and b (b is unused by
+ * one-input ops) and, for a load, the byte offset imm. The plain
+ * handler (semValue) and the form handlers (semForm) both run it.
+ */
+template <wasm::Op O> struct ValOp;
+
+/** Plain handler of value op O: f[a] = f[a] OP f[b], or OP(f[a]). */
+template <CheckMode M, wasm::Op O>
+inline void
+semValue(InstanceContext* ctx, Value* f, const LInst& inst)
+{
+    constexpr const char* sig = wasm::opSig(O);
+    SigT<sig[0]> a = cellAs<sig[0]>(f[inst.a]);
+    if constexpr (wasm::opInputs(O) == 2) {
+        cellAs<wasm::opResult(O)>(f[inst.a]) = ValOp<O>::template apply<M>(
+            ctx, a, cellAs<sig[1]>(f[inst.b]), 0);
+    } else {
+        cellAs<wasm::opResult(O)>(f[inst.a]) =
+            ValOp<O>::template apply<M>(ctx, a, 0, inst.imm);
+    }
+}
+
+#define LNB_VAL(name, ...)                                                   \
+    template <> struct ValOp<wasm::Op::name>                                 \
+    {                                                                        \
+        static constexpr const char* kSig = wasm::opSig(wasm::Op::name);     \
+        template <CheckMode M>                                               \
+        static SigT<wasm::opResult(wasm::Op::name)>                          \
+        apply(InstanceContext* ctx, SigT<kSig[0]> a, SigT<kSig[1]> b,        \
+              uint64_t imm)                                                  \
+        {                                                                    \
+            (void)ctx;                                                       \
+            (void)b;                                                         \
+            (void)imm;                                                       \
+            __VA_ARGS__                                                      \
+        }                                                                    \
+    };                                                                       \
+    LNB_SEM(name, semValue<M, wasm::Op::name>(ctx, f, inst);)
+
 LNB_SEM_ABSENT(unreachable)
 LNB_SEM_ABSENT(nop)
 LNB_SEM_ABSENT(block)
@@ -582,20 +640,25 @@ LNB_SEM_ABSENT(local_set)
 LNB_SEM_ABSENT(local_tee)
 
 // ----- loads -----
-LNB_SEM(i32_load, (loadOp<M, uint32_t, uint32_t>(ctx, f, inst));)
-LNB_SEM(i64_load, (loadOp<M, uint64_t, uint64_t>(ctx, f, inst));)
-LNB_SEM(f32_load, loadF32<M>(ctx, f, inst);)
-LNB_SEM(f64_load, loadF64<M>(ctx, f, inst);)
-LNB_SEM(i32_load8_s, (loadOp<M, int8_t, int32_t>(ctx, f, inst));)
-LNB_SEM(i32_load8_u, (loadOp<M, uint8_t, uint32_t>(ctx, f, inst));)
-LNB_SEM(i32_load16_s, (loadOp<M, int16_t, int32_t>(ctx, f, inst));)
-LNB_SEM(i32_load16_u, (loadOp<M, uint16_t, uint32_t>(ctx, f, inst));)
-LNB_SEM(i64_load8_s, (loadOp<M, int8_t, int64_t>(ctx, f, inst));)
-LNB_SEM(i64_load8_u, (loadOp<M, uint8_t, uint64_t>(ctx, f, inst));)
-LNB_SEM(i64_load16_s, (loadOp<M, int16_t, int64_t>(ctx, f, inst));)
-LNB_SEM(i64_load16_u, (loadOp<M, uint16_t, uint64_t>(ctx, f, inst));)
-LNB_SEM(i64_load32_s, (loadOp<M, int32_t, int64_t>(ctx, f, inst));)
-LNB_SEM(i64_load32_u, (loadOp<M, uint32_t, uint64_t>(ctx, f, inst));)
+LNB_VAL(i32_load, return loadMem<M, uint32_t>(ctx, a, imm);)
+LNB_VAL(i64_load, return loadMem<M, uint64_t>(ctx, a, imm);)
+LNB_VAL(f32_load, return loadMem<M, float>(ctx, a, imm);)
+LNB_VAL(f64_load, return loadMem<M, double>(ctx, a, imm);)
+LNB_VAL(i32_load8_s,
+        return uint32_t(int32_t(loadMem<M, int8_t>(ctx, a, imm)));)
+LNB_VAL(i32_load8_u, return loadMem<M, uint8_t>(ctx, a, imm);)
+LNB_VAL(i32_load16_s,
+        return uint32_t(int32_t(loadMem<M, int16_t>(ctx, a, imm)));)
+LNB_VAL(i32_load16_u, return loadMem<M, uint16_t>(ctx, a, imm);)
+LNB_VAL(i64_load8_s,
+        return uint64_t(int64_t(loadMem<M, int8_t>(ctx, a, imm)));)
+LNB_VAL(i64_load8_u, return loadMem<M, uint8_t>(ctx, a, imm);)
+LNB_VAL(i64_load16_s,
+        return uint64_t(int64_t(loadMem<M, int16_t>(ctx, a, imm)));)
+LNB_VAL(i64_load16_u, return loadMem<M, uint16_t>(ctx, a, imm);)
+LNB_VAL(i64_load32_s,
+        return uint64_t(int64_t(loadMem<M, int32_t>(ctx, a, imm)));)
+LNB_VAL(i64_load32_u, return loadMem<M, uint32_t>(ctx, a, imm);)
 
 // ----- stores -----
 LNB_SEM(i32_store, (storeOp<M, uint32_t>(ctx, f, inst, f[inst.b].i32));)
@@ -669,213 +732,172 @@ LNB_SEM(f32_const, f[inst.a].i64 = inst.imm;)
 LNB_SEM(f64_const, f[inst.a].i64 = inst.imm;)
 
 // ----- i32 compare -----
-LNB_SEM(i32_eqz, f[inst.a].i32 = f[inst.a].i32 == 0;)
-LNB_SEM(i32_eq, f[inst.a].i32 = f[inst.a].i32 == f[inst.b].i32;)
-LNB_SEM(i32_ne, f[inst.a].i32 = f[inst.a].i32 != f[inst.b].i32;)
-LNB_SEM(i32_lt_s,
-        f[inst.a].i32 = int32_t(f[inst.a].i32) < int32_t(f[inst.b].i32);)
-LNB_SEM(i32_lt_u, f[inst.a].i32 = f[inst.a].i32 < f[inst.b].i32;)
-LNB_SEM(i32_gt_s,
-        f[inst.a].i32 = int32_t(f[inst.a].i32) > int32_t(f[inst.b].i32);)
-LNB_SEM(i32_gt_u, f[inst.a].i32 = f[inst.a].i32 > f[inst.b].i32;)
-LNB_SEM(i32_le_s,
-        f[inst.a].i32 = int32_t(f[inst.a].i32) <= int32_t(f[inst.b].i32);)
-LNB_SEM(i32_le_u, f[inst.a].i32 = f[inst.a].i32 <= f[inst.b].i32;)
-LNB_SEM(i32_ge_s,
-        f[inst.a].i32 = int32_t(f[inst.a].i32) >= int32_t(f[inst.b].i32);)
-LNB_SEM(i32_ge_u, f[inst.a].i32 = f[inst.a].i32 >= f[inst.b].i32;)
+LNB_VAL(i32_eqz, return a == 0;)
+LNB_VAL(i32_eq, return a == b;)
+LNB_VAL(i32_ne, return a != b;)
+LNB_VAL(i32_lt_s, return int32_t(a) < int32_t(b);)
+LNB_VAL(i32_lt_u, return a < b;)
+LNB_VAL(i32_gt_s, return int32_t(a) > int32_t(b);)
+LNB_VAL(i32_gt_u, return a > b;)
+LNB_VAL(i32_le_s, return int32_t(a) <= int32_t(b);)
+LNB_VAL(i32_le_u, return a <= b;)
+LNB_VAL(i32_ge_s, return int32_t(a) >= int32_t(b);)
+LNB_VAL(i32_ge_u, return a >= b;)
 
 // ----- i64 compare -----
-LNB_SEM(i64_eqz, f[inst.a].i32 = f[inst.a].i64 == 0;)
-LNB_SEM(i64_eq, f[inst.a].i32 = f[inst.a].i64 == f[inst.b].i64;)
-LNB_SEM(i64_ne, f[inst.a].i32 = f[inst.a].i64 != f[inst.b].i64;)
-LNB_SEM(i64_lt_s,
-        f[inst.a].i32 = int64_t(f[inst.a].i64) < int64_t(f[inst.b].i64);)
-LNB_SEM(i64_lt_u, f[inst.a].i32 = f[inst.a].i64 < f[inst.b].i64;)
-LNB_SEM(i64_gt_s,
-        f[inst.a].i32 = int64_t(f[inst.a].i64) > int64_t(f[inst.b].i64);)
-LNB_SEM(i64_gt_u, f[inst.a].i32 = f[inst.a].i64 > f[inst.b].i64;)
-LNB_SEM(i64_le_s,
-        f[inst.a].i32 = int64_t(f[inst.a].i64) <= int64_t(f[inst.b].i64);)
-LNB_SEM(i64_le_u, f[inst.a].i32 = f[inst.a].i64 <= f[inst.b].i64;)
-LNB_SEM(i64_ge_s,
-        f[inst.a].i32 = int64_t(f[inst.a].i64) >= int64_t(f[inst.b].i64);)
-LNB_SEM(i64_ge_u, f[inst.a].i32 = f[inst.a].i64 >= f[inst.b].i64;)
+LNB_VAL(i64_eqz, return a == 0;)
+LNB_VAL(i64_eq, return a == b;)
+LNB_VAL(i64_ne, return a != b;)
+LNB_VAL(i64_lt_s, return int64_t(a) < int64_t(b);)
+LNB_VAL(i64_lt_u, return a < b;)
+LNB_VAL(i64_gt_s, return int64_t(a) > int64_t(b);)
+LNB_VAL(i64_gt_u, return a > b;)
+LNB_VAL(i64_le_s, return int64_t(a) <= int64_t(b);)
+LNB_VAL(i64_le_u, return a <= b;)
+LNB_VAL(i64_ge_s, return int64_t(a) >= int64_t(b);)
+LNB_VAL(i64_ge_u, return a >= b;)
 
 // ----- float compare -----
-LNB_SEM(f32_eq, f[inst.a].i32 = f[inst.a].f32 == f[inst.b].f32;)
-LNB_SEM(f32_ne, f[inst.a].i32 = f[inst.a].f32 != f[inst.b].f32;)
-LNB_SEM(f32_lt, f[inst.a].i32 = f[inst.a].f32 < f[inst.b].f32;)
-LNB_SEM(f32_gt, f[inst.a].i32 = f[inst.a].f32 > f[inst.b].f32;)
-LNB_SEM(f32_le, f[inst.a].i32 = f[inst.a].f32 <= f[inst.b].f32;)
-LNB_SEM(f32_ge, f[inst.a].i32 = f[inst.a].f32 >= f[inst.b].f32;)
-LNB_SEM(f64_eq, f[inst.a].i32 = f[inst.a].f64 == f[inst.b].f64;)
-LNB_SEM(f64_ne, f[inst.a].i32 = f[inst.a].f64 != f[inst.b].f64;)
-LNB_SEM(f64_lt, f[inst.a].i32 = f[inst.a].f64 < f[inst.b].f64;)
-LNB_SEM(f64_gt, f[inst.a].i32 = f[inst.a].f64 > f[inst.b].f64;)
-LNB_SEM(f64_le, f[inst.a].i32 = f[inst.a].f64 <= f[inst.b].f64;)
-LNB_SEM(f64_ge, f[inst.a].i32 = f[inst.a].f64 >= f[inst.b].f64;)
+LNB_VAL(f32_eq, return a == b;)
+LNB_VAL(f32_ne, return a != b;)
+LNB_VAL(f32_lt, return a < b;)
+LNB_VAL(f32_gt, return a > b;)
+LNB_VAL(f32_le, return a <= b;)
+LNB_VAL(f32_ge, return a >= b;)
+LNB_VAL(f64_eq, return a == b;)
+LNB_VAL(f64_ne, return a != b;)
+LNB_VAL(f64_lt, return a < b;)
+LNB_VAL(f64_gt, return a > b;)
+LNB_VAL(f64_le, return a <= b;)
+LNB_VAL(f64_ge, return a >= b;)
 
 // ----- i32 arithmetic -----
-LNB_SEM(i32_clz, f[inst.a].i32 = clz32(f[inst.a].i32);)
-LNB_SEM(i32_ctz, f[inst.a].i32 = ctz32(f[inst.a].i32);)
-LNB_SEM(i32_popcnt,
-        f[inst.a].i32 = uint32_t(__builtin_popcount(f[inst.a].i32));)
-LNB_SEM(i32_add, f[inst.a].i32 += f[inst.b].i32;)
-LNB_SEM(i32_sub, f[inst.a].i32 -= f[inst.b].i32;)
-LNB_SEM(i32_mul, f[inst.a].i32 *= f[inst.b].i32;)
-LNB_SEM(i32_div_s, f[inst.a].i32 = idiv32s(f[inst.a].i32, f[inst.b].i32);)
-LNB_SEM(i32_div_u, f[inst.a].i32 = idiv32u(f[inst.a].i32, f[inst.b].i32);)
-LNB_SEM(i32_rem_s, f[inst.a].i32 = irem32s(f[inst.a].i32, f[inst.b].i32);)
-LNB_SEM(i32_rem_u, f[inst.a].i32 = irem32u(f[inst.a].i32, f[inst.b].i32);)
-LNB_SEM(i32_and, f[inst.a].i32 &= f[inst.b].i32;)
-LNB_SEM(i32_or, f[inst.a].i32 |= f[inst.b].i32;)
-LNB_SEM(i32_xor, f[inst.a].i32 ^= f[inst.b].i32;)
-LNB_SEM(i32_shl, f[inst.a].i32 <<= (f[inst.b].i32 & 31);)
-LNB_SEM(i32_shr_s,
-        f[inst.a].i32 =
-            uint32_t(int32_t(f[inst.a].i32) >> (f[inst.b].i32 & 31));)
-LNB_SEM(i32_shr_u, f[inst.a].i32 >>= (f[inst.b].i32 & 31);)
-LNB_SEM(i32_rotl, f[inst.a].i32 = rotl32(f[inst.a].i32, f[inst.b].i32);)
-LNB_SEM(i32_rotr, f[inst.a].i32 = rotr32(f[inst.a].i32, f[inst.b].i32);)
+LNB_VAL(i32_clz, return clz32(a);)
+LNB_VAL(i32_ctz, return ctz32(a);)
+LNB_VAL(i32_popcnt, return uint32_t(__builtin_popcount(a));)
+LNB_VAL(i32_add, return a + b;)
+LNB_VAL(i32_sub, return a - b;)
+LNB_VAL(i32_mul, return a * b;)
+LNB_VAL(i32_div_s, return idiv32s(a, b);)
+LNB_VAL(i32_div_u, return idiv32u(a, b);)
+LNB_VAL(i32_rem_s, return irem32s(a, b);)
+LNB_VAL(i32_rem_u, return irem32u(a, b);)
+LNB_VAL(i32_and, return a & b;)
+LNB_VAL(i32_or, return a | b;)
+LNB_VAL(i32_xor, return a ^ b;)
+LNB_VAL(i32_shl, return a << (b & 31);)
+LNB_VAL(i32_shr_s, return uint32_t(int32_t(a) >> (b & 31));)
+LNB_VAL(i32_shr_u, return a >> (b & 31);)
+LNB_VAL(i32_rotl, return rotl32(a, b);)
+LNB_VAL(i32_rotr, return rotr32(a, b);)
 
 // ----- i64 arithmetic -----
-LNB_SEM(i64_clz, f[inst.a].i64 = clz64(f[inst.a].i64);)
-LNB_SEM(i64_ctz, f[inst.a].i64 = ctz64(f[inst.a].i64);)
-LNB_SEM(i64_popcnt,
-        f[inst.a].i64 = uint64_t(__builtin_popcountll(f[inst.a].i64));)
-LNB_SEM(i64_add, f[inst.a].i64 += f[inst.b].i64;)
-LNB_SEM(i64_sub, f[inst.a].i64 -= f[inst.b].i64;)
-LNB_SEM(i64_mul, f[inst.a].i64 *= f[inst.b].i64;)
-LNB_SEM(i64_div_s, f[inst.a].i64 = idiv64s(f[inst.a].i64, f[inst.b].i64);)
-LNB_SEM(i64_div_u, f[inst.a].i64 = idiv64u(f[inst.a].i64, f[inst.b].i64);)
-LNB_SEM(i64_rem_s, f[inst.a].i64 = irem64s(f[inst.a].i64, f[inst.b].i64);)
-LNB_SEM(i64_rem_u, f[inst.a].i64 = irem64u(f[inst.a].i64, f[inst.b].i64);)
-LNB_SEM(i64_and, f[inst.a].i64 &= f[inst.b].i64;)
-LNB_SEM(i64_or, f[inst.a].i64 |= f[inst.b].i64;)
-LNB_SEM(i64_xor, f[inst.a].i64 ^= f[inst.b].i64;)
-LNB_SEM(i64_shl, f[inst.a].i64 <<= (f[inst.b].i64 & 63);)
-LNB_SEM(i64_shr_s,
-        f[inst.a].i64 =
-            uint64_t(int64_t(f[inst.a].i64) >> (f[inst.b].i64 & 63));)
-LNB_SEM(i64_shr_u, f[inst.a].i64 >>= (f[inst.b].i64 & 63);)
-LNB_SEM(i64_rotl, f[inst.a].i64 = rotl64(f[inst.a].i64, f[inst.b].i64);)
-LNB_SEM(i64_rotr, f[inst.a].i64 = rotr64(f[inst.a].i64, f[inst.b].i64);)
+LNB_VAL(i64_clz, return clz64(a);)
+LNB_VAL(i64_ctz, return ctz64(a);)
+LNB_VAL(i64_popcnt, return uint64_t(__builtin_popcountll(a));)
+LNB_VAL(i64_add, return a + b;)
+LNB_VAL(i64_sub, return a - b;)
+LNB_VAL(i64_mul, return a * b;)
+LNB_VAL(i64_div_s, return idiv64s(a, b);)
+LNB_VAL(i64_div_u, return idiv64u(a, b);)
+LNB_VAL(i64_rem_s, return irem64s(a, b);)
+LNB_VAL(i64_rem_u, return irem64u(a, b);)
+LNB_VAL(i64_and, return a & b;)
+LNB_VAL(i64_or, return a | b;)
+LNB_VAL(i64_xor, return a ^ b;)
+LNB_VAL(i64_shl, return a << (b & 63);)
+LNB_VAL(i64_shr_s, return uint64_t(int64_t(a) >> (b & 63));)
+LNB_VAL(i64_shr_u, return a >> (b & 63);)
+LNB_VAL(i64_rotl, return rotl64(a, b);)
+LNB_VAL(i64_rotr, return rotr64(a, b);)
 
 // ----- f32 arithmetic -----
-LNB_SEM(f32_abs, f[inst.a].f32 = std::fabs(f[inst.a].f32);)
-LNB_SEM(f32_neg, f[inst.a].f32 = -f[inst.a].f32;)
-LNB_SEM(f32_ceil, f[inst.a].f32 = std::ceil(f[inst.a].f32);)
-LNB_SEM(f32_floor, f[inst.a].f32 = std::floor(f[inst.a].f32);)
-LNB_SEM(f32_trunc, f[inst.a].f32 = std::trunc(f[inst.a].f32);)
-LNB_SEM(f32_nearest, f[inst.a].f32 = fnearest(f[inst.a].f32);)
-LNB_SEM(f32_sqrt, f[inst.a].f32 = std::sqrt(f[inst.a].f32);)
-LNB_SEM(f32_add, f[inst.a].f32 += f[inst.b].f32;)
-LNB_SEM(f32_sub, f[inst.a].f32 -= f[inst.b].f32;)
-LNB_SEM(f32_mul, f[inst.a].f32 *= f[inst.b].f32;)
-LNB_SEM(f32_div, f[inst.a].f32 /= f[inst.b].f32;)
-LNB_SEM(f32_min, f[inst.a].f32 = fminWasm(f[inst.a].f32, f[inst.b].f32);)
-LNB_SEM(f32_max, f[inst.a].f32 = fmaxWasm(f[inst.a].f32, f[inst.b].f32);)
-LNB_SEM(f32_copysign,
-        f[inst.a].f32 = std::copysign(f[inst.a].f32, f[inst.b].f32);)
+LNB_VAL(f32_abs, return std::fabs(a);)
+LNB_VAL(f32_neg, return -a;)
+LNB_VAL(f32_ceil, return std::ceil(a);)
+LNB_VAL(f32_floor, return std::floor(a);)
+LNB_VAL(f32_trunc, return std::trunc(a);)
+LNB_VAL(f32_nearest, return fnearest(a);)
+LNB_VAL(f32_sqrt, return std::sqrt(a);)
+LNB_VAL(f32_add, return a + b;)
+LNB_VAL(f32_sub, return a - b;)
+LNB_VAL(f32_mul, return a * b;)
+LNB_VAL(f32_div, return a / b;)
+LNB_VAL(f32_min, return fminWasm(a, b);)
+LNB_VAL(f32_max, return fmaxWasm(a, b);)
+LNB_VAL(f32_copysign, return std::copysign(a, b);)
 
 // ----- f64 arithmetic -----
-LNB_SEM(f64_abs, f[inst.a].f64 = std::fabs(f[inst.a].f64);)
-LNB_SEM(f64_neg, f[inst.a].f64 = -f[inst.a].f64;)
-LNB_SEM(f64_ceil, f[inst.a].f64 = std::ceil(f[inst.a].f64);)
-LNB_SEM(f64_floor, f[inst.a].f64 = std::floor(f[inst.a].f64);)
-LNB_SEM(f64_trunc, f[inst.a].f64 = std::trunc(f[inst.a].f64);)
-LNB_SEM(f64_nearest, f[inst.a].f64 = fnearest(f[inst.a].f64);)
-LNB_SEM(f64_sqrt, f[inst.a].f64 = std::sqrt(f[inst.a].f64);)
-LNB_SEM(f64_add, f[inst.a].f64 += f[inst.b].f64;)
-LNB_SEM(f64_sub, f[inst.a].f64 -= f[inst.b].f64;)
-LNB_SEM(f64_mul, f[inst.a].f64 *= f[inst.b].f64;)
-LNB_SEM(f64_div, f[inst.a].f64 /= f[inst.b].f64;)
-LNB_SEM(f64_min, f[inst.a].f64 = fminWasm(f[inst.a].f64, f[inst.b].f64);)
-LNB_SEM(f64_max, f[inst.a].f64 = fmaxWasm(f[inst.a].f64, f[inst.b].f64);)
-LNB_SEM(f64_copysign,
-        f[inst.a].f64 = std::copysign(f[inst.a].f64, f[inst.b].f64);)
+LNB_VAL(f64_abs, return std::fabs(a);)
+LNB_VAL(f64_neg, return -a;)
+LNB_VAL(f64_ceil, return std::ceil(a);)
+LNB_VAL(f64_floor, return std::floor(a);)
+LNB_VAL(f64_trunc, return std::trunc(a);)
+LNB_VAL(f64_nearest, return fnearest(a);)
+LNB_VAL(f64_sqrt, return std::sqrt(a);)
+LNB_VAL(f64_add, return a + b;)
+LNB_VAL(f64_sub, return a - b;)
+LNB_VAL(f64_mul, return a * b;)
+LNB_VAL(f64_div, return a / b;)
+LNB_VAL(f64_min, return fminWasm(a, b);)
+LNB_VAL(f64_max, return fmaxWasm(a, b);)
+LNB_VAL(f64_copysign, return std::copysign(a, b);)
 
 // ----- conversions -----
-LNB_SEM(i32_wrap_i64, f[inst.a].i32 = uint32_t(f[inst.a].i64);)
-LNB_SEM(i32_trunc_f32_s, f[inst.a].i32 = truncF32ToI32s(f[inst.a].f32);)
-LNB_SEM(i32_trunc_f32_u, f[inst.a].i32 = truncF32ToI32u(f[inst.a].f32);)
-LNB_SEM(i32_trunc_f64_s, f[inst.a].i32 = truncF64ToI32s(f[inst.a].f64);)
-LNB_SEM(i32_trunc_f64_u, f[inst.a].i32 = truncF64ToI32u(f[inst.a].f64);)
-LNB_SEM(i64_extend_i32_s,
-        f[inst.a].i64 = uint64_t(int64_t(int32_t(f[inst.a].i32)));)
-LNB_SEM(i64_extend_i32_u, f[inst.a].i64 = f[inst.a].i32;)
-LNB_SEM(i64_trunc_f32_s, f[inst.a].i64 = truncF32ToI64s(f[inst.a].f32);)
-LNB_SEM(i64_trunc_f32_u, f[inst.a].i64 = truncF32ToI64u(f[inst.a].f32);)
-LNB_SEM(i64_trunc_f64_s, f[inst.a].i64 = truncF64ToI64s(f[inst.a].f64);)
-LNB_SEM(i64_trunc_f64_u, f[inst.a].i64 = truncF64ToI64u(f[inst.a].f64);)
-LNB_SEM(f32_convert_i32_s, f[inst.a].f32 = float(int32_t(f[inst.a].i32));)
-LNB_SEM(f32_convert_i32_u, f[inst.a].f32 = float(f[inst.a].i32);)
-LNB_SEM(f32_convert_i64_s, f[inst.a].f32 = float(int64_t(f[inst.a].i64));)
-LNB_SEM(f32_convert_i64_u, f[inst.a].f32 = float(f[inst.a].i64);)
-LNB_SEM(f32_demote_f64, f[inst.a].f32 = float(f[inst.a].f64);)
-LNB_SEM(f64_convert_i32_s, f[inst.a].f64 = double(int32_t(f[inst.a].i32));)
-LNB_SEM(f64_convert_i32_u, f[inst.a].f64 = double(f[inst.a].i32);)
-LNB_SEM(f64_convert_i64_s, f[inst.a].f64 = double(int64_t(f[inst.a].i64));)
-LNB_SEM(f64_convert_i64_u, f[inst.a].f64 = double(f[inst.a].i64);)
-LNB_SEM(f64_promote_f32, f[inst.a].f64 = double(f[inst.a].f32);)
-// Reinterpret casts: the bit pattern is already in the cell.
-LNB_SEM(i32_reinterpret_f32, ;)
-LNB_SEM(i64_reinterpret_f64, ;)
-LNB_SEM(f32_reinterpret_i32, ;)
-LNB_SEM(f64_reinterpret_i64, ;)
+LNB_VAL(i32_wrap_i64, return uint32_t(a);)
+LNB_VAL(i32_trunc_f32_s, return truncF32ToI32s(a);)
+LNB_VAL(i32_trunc_f32_u, return truncF32ToI32u(a);)
+LNB_VAL(i32_trunc_f64_s, return truncF64ToI32s(a);)
+LNB_VAL(i32_trunc_f64_u, return truncF64ToI32u(a);)
+LNB_VAL(i64_extend_i32_s, return uint64_t(int64_t(int32_t(a)));)
+LNB_VAL(i64_extend_i32_u, return a;)
+LNB_VAL(i64_trunc_f32_s, return truncF32ToI64s(a);)
+LNB_VAL(i64_trunc_f32_u, return truncF32ToI64u(a);)
+LNB_VAL(i64_trunc_f64_s, return truncF64ToI64s(a);)
+LNB_VAL(i64_trunc_f64_u, return truncF64ToI64u(a);)
+LNB_VAL(f32_convert_i32_s, return float(int32_t(a));)
+LNB_VAL(f32_convert_i32_u, return float(a);)
+LNB_VAL(f32_convert_i64_s, return float(int64_t(a));)
+LNB_VAL(f32_convert_i64_u, return float(a);)
+LNB_VAL(f32_demote_f64, return float(a);)
+LNB_VAL(f64_convert_i32_s, return double(int32_t(a));)
+LNB_VAL(f64_convert_i32_u, return double(a);)
+LNB_VAL(f64_convert_i64_s, return double(int64_t(a));)
+LNB_VAL(f64_convert_i64_u, return double(a);)
+LNB_VAL(f64_promote_f32, return double(a);)
+// Reinterpret casts keep the bit pattern. __builtin_bit_cast rather than
+// std::bit_cast, which takes its operand by reference: under ASan every
+// inlined copy of such an operand gets its own stack slot.
+LNB_VAL(i32_reinterpret_f32, return __builtin_bit_cast(uint32_t, a);)
+LNB_VAL(i64_reinterpret_f64, return __builtin_bit_cast(uint64_t, a);)
+LNB_VAL(f32_reinterpret_i32, return __builtin_bit_cast(float, a);)
+LNB_VAL(f64_reinterpret_i64, return __builtin_bit_cast(double, a);)
 
 // ----- sign extension -----
-LNB_SEM(i32_extend8_s,
-        f[inst.a].i32 = uint32_t(int32_t(int8_t(f[inst.a].i32)));)
-LNB_SEM(i32_extend16_s,
-        f[inst.a].i32 = uint32_t(int32_t(int16_t(f[inst.a].i32)));)
-LNB_SEM(i64_extend8_s,
-        f[inst.a].i64 = uint64_t(int64_t(int8_t(f[inst.a].i64)));)
-LNB_SEM(i64_extend16_s,
-        f[inst.a].i64 = uint64_t(int64_t(int16_t(f[inst.a].i64)));)
-LNB_SEM(i64_extend32_s,
-        f[inst.a].i64 = uint64_t(int64_t(int32_t(f[inst.a].i64)));)
+LNB_VAL(i32_extend8_s, return uint32_t(int32_t(int8_t(a)));)
+LNB_VAL(i32_extend16_s, return uint32_t(int32_t(int16_t(a)));)
+LNB_VAL(i64_extend8_s, return uint64_t(int64_t(int8_t(a)));)
+LNB_VAL(i64_extend16_s, return uint64_t(int64_t(int16_t(a)));)
+LNB_VAL(i64_extend32_s, return uint64_t(int64_t(int32_t(a)));)
 
 // ----- saturating truncations -----
-LNB_SEM(i32_trunc_sat_f32_s, f[inst.a].i32 = satF32ToI32s(f[inst.a].f32);)
-LNB_SEM(i32_trunc_sat_f32_u, f[inst.a].i32 = satF32ToI32u(f[inst.a].f32);)
-LNB_SEM(i32_trunc_sat_f64_s, f[inst.a].i32 = satF64ToI32s(f[inst.a].f64);)
-LNB_SEM(i32_trunc_sat_f64_u, f[inst.a].i32 = satF64ToI32u(f[inst.a].f64);)
-LNB_SEM(i64_trunc_sat_f32_s, f[inst.a].i64 = satF32ToI64s(f[inst.a].f32);)
-LNB_SEM(i64_trunc_sat_f32_u, f[inst.a].i64 = satF32ToI64u(f[inst.a].f32);)
-LNB_SEM(i64_trunc_sat_f64_s, f[inst.a].i64 = satF64ToI64s(f[inst.a].f64);)
-LNB_SEM(i64_trunc_sat_f64_u, f[inst.a].i64 = satF64ToI64u(f[inst.a].f64);)
+LNB_VAL(i32_trunc_sat_f32_s, return satF32ToI32s(a);)
+LNB_VAL(i32_trunc_sat_f32_u, return satF32ToI32u(a);)
+LNB_VAL(i32_trunc_sat_f64_s, return satF64ToI32s(a);)
+LNB_VAL(i32_trunc_sat_f64_u, return satF64ToI32u(a);)
+LNB_VAL(i64_trunc_sat_f32_s, return satF32ToI64s(a);)
+LNB_VAL(i64_trunc_sat_f32_u, return satF32ToI64u(a);)
+LNB_VAL(i64_trunc_sat_f64_s, return satF64ToI64s(a);)
+LNB_VAL(i64_trunc_sat_f64_u, return satF64ToI64u(a);)
 
 // ----- parametric / variable ops that survive lowering -----
 LNB_SEM(select, if (f[inst.a + 2].i32 == 0) f[inst.a] = f[inst.a + 1];)
 LNB_SEM(global_get, f[inst.a] = ctx->globals[inst.b];)
 LNB_SEM(global_set, ctx->globals[inst.b] = f[inst.a];)
 
+#undef LNB_VAL
 #undef LNB_SEM_ABSENT
 #undef LNB_SEM
-
-/**
- * Switch-dispatched execution of one lowered wasm instruction (used by the
- * switch interpreter and as a slow path elsewhere). Control pseudo-ops
- * (LOp) are handled by the interpreter loops themselves.
- */
-template <CheckMode M>
-inline void
-execWasmOp(InstanceContext* ctx, Value* f, const LInst& inst)
-{
-    using wasm::Op;
-    switch (Op(inst.op)) {
-#define V(id, name, enc, imm, sig)                                           \
-      case Op::id:                                                           \
-        sem_##id<M>(ctx, f, inst);                                           \
-        break;
-        LNB_FOREACH_OPCODE(V)
-#undef V
-      default:
-        trap(TrapKind::host_error);
-    }
-}
 
 // ---------------------------------------------------------------------
 // Pseudo-ops emitted by the optimization pass (wasm/opt.*)
@@ -903,75 +925,57 @@ semCheckBounds(InstanceContext* ctx, Value* f, const LInst& inst)
     }
 }
 
-/** Replay a 2-input wasm binop `op` on cells (a, b) through the shared
- * semantic functions, so fused forms stay bit-exact with the originals. */
-template <CheckMode M>
-inline void
-replayBinop(InstanceContext* ctx, Value* f, uint16_t op, uint32_t a,
-            uint32_t b)
+// ---------------------------------------------------------------------
+// Register forms (wasm::IrForm), emitted by the interpreter rewrite
+// ---------------------------------------------------------------------
+
+/** An immediate operand as signature type T. */
+template <char T>
+inline SigT<T>
+immAs(uint64_t imm)
 {
-    LInst binop;
-    binop.op = op;
-    binop.a = a;
-    binop.b = b;
-    execWasmOp<M>(ctx, f, binop);
+    if constexpr (T == 'I')
+        return imm;
+    else if constexpr (T == 'f')
+        return __builtin_bit_cast(float, uint32_t(imm));
+    else if constexpr (T == 'F')
+        return __builtin_bit_cast(double, imm);
+    else
+        return uint32_t(imm);
 }
 
-/** fused const+binop: f[b] = imm, then wasm binop `aux` on (a, b). */
-template <CheckMode M>
-inline void
-semFusedConstBinop(InstanceContext* ctx, Value* f, const LInst& inst)
+/** Result of value op O in register form F. */
+template <CheckMode M, wasm::Op O, wasm::IrForm F>
+inline SigT<wasm::opResult(O)>
+formValue(InstanceContext* ctx, Value* f, const LInst& inst)
 {
-    f[inst.b].i64 = inst.imm;
-    replayBinop<M>(ctx, f, inst.aux, inst.a, inst.b);
+    using wasm::IrForm;
+    constexpr const char* sig = wasm::opSig(O);
+    SigT<sig[0]> a = cellAs<sig[0]>(f[inst.b]);
+    if constexpr (F == IrForm::rr || F == IrForm::jrr) {
+        return ValOp<O>::template apply<M>(ctx, a, cellAs<sig[1]>(f[inst.imm]),
+                                           0);
+    } else if constexpr (F == IrForm::ri || F == IrForm::jri) {
+        return ValOp<O>::template apply<M>(ctx, a, immAs<sig[1]>(inst.imm), 0);
+    } else {
+        return ValOp<O>::template apply<M>(ctx, a, 0, inst.imm);
+    }
 }
 
-/**
- * fused compare+branch: compare `aux` on (b, imm>>1), then report
- * whether the jump to pc `a` should be taken (imm bit 0 inverts the
- * condition for jump_if_zero). The interpreter loop performs the jump.
- */
-template <CheckMode M>
+/** rr / ri / r: f[a] = the result. */
+template <CheckMode M, wasm::Op O, wasm::IrForm F>
+inline void
+semForm(InstanceContext* ctx, Value* f, const LInst& inst)
+{
+    cellAs<wasm::opResult(O)>(f[inst.a]) = formValue<M, O, F>(ctx, f, inst);
+}
+
+/** jrr / jri: is the jump to pc a taken? */
+template <CheckMode M, wasm::Op O, wasm::IrForm F>
 inline bool
-semFusedCmpJump(InstanceContext* ctx, Value* f, const LInst& inst)
+semFormBranch(InstanceContext* ctx, Value* f, const LInst& inst)
 {
-    replayBinop<M>(ctx, f, inst.aux, inst.b, uint32_t(inst.imm >> 1));
-    bool taken = f[inst.b].i32 != 0;
-    return (inst.imm & 1) ? !taken : taken;
-}
-
-/** fused copy+binop: f[imm & 0xffffffff] = f[imm >> 32], then wasm
- * binop `aux` on (a, b). */
-template <CheckMode M>
-inline void
-semFusedCopyBinop(InstanceContext* ctx, Value* f, const LInst& inst)
-{
-    f[uint32_t(inst.imm)] = f[inst.imm >> 32];
-    replayBinop<M>(ctx, f, inst.aux, inst.a, inst.b);
-}
-
-/** The load half of fused load+binop: load op `imm >> 32` into cell b
- * (offset imm & 0xffffffff). Split out so the threaded interpreter can
- * dispatch the binop half through its own handler table. */
-template <CheckMode M>
-inline void
-semFusedLoadPart(InstanceContext* ctx, Value* f, const LInst& inst)
-{
-    LInst load;
-    load.op = uint16_t(inst.imm >> 32);
-    load.a = inst.b;
-    load.imm = uint32_t(inst.imm);
-    execWasmOp<M>(ctx, f, load);
-}
-
-/** fused load+binop: load op `imm >> 32` into cell b (offset
- * imm & 0xffffffff), then wasm binop `aux` on (a, b). */
-template <CheckMode M>
-inline void
-semFusedLoadBinop(InstanceContext* ctx, Value* f, const LInst& inst)
-{
-    semFusedLoadPart<M>(ctx, f, inst);
-    replayBinop<M>(ctx, f, inst.aux, inst.a, inst.b);
+    return (formValue<M, O, F>(ctx, f, inst) != 0) != (inst.aux != 0);
 }
 
 } // namespace lnb::exec::sem

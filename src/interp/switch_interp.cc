@@ -17,8 +17,10 @@ namespace lnb::exec {
 
 namespace {
 
+using wasm::IrForm;
 using wasm::LInst;
 using wasm::LOp;
+using wasm::Op;
 using wasm::LoweredFunc;
 using wasm::TrapKind;
 using wasm::Value;
@@ -47,13 +49,20 @@ runSwitch(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
 
     for (;;) {
         const LInst& inst = code[pc];
-        switch (LOp(inst.op)) {
-          case LOp::jump:
+        switch (inst.op) {
+#define V(id, name, enc, imm, sig)                                           \
+          case uint16_t(Op::id):                                             \
+            sem::sem_##id<M>(ctx, frame, inst);                              \
+            break;
+            LNB_FOREACH_OPCODE(V)
+#undef V
+
+          case uint16_t(LOp::jump):
             profile_jump(inst.a);
             pc = inst.a;
             continue;
 
-          case LOp::jump_if:
+          case uint16_t(LOp::jump_if):
             if (frame[inst.b].i32 != 0) {
                 profile_jump(inst.a);
                 pc = inst.a;
@@ -61,7 +70,7 @@ runSwitch(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
             }
             break;
 
-          case LOp::jump_if_zero:
+          case uint16_t(LOp::jump_if_zero):
             if (frame[inst.b].i32 == 0) {
                 profile_jump(inst.a);
                 pc = inst.a;
@@ -69,7 +78,7 @@ runSwitch(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
             }
             break;
 
-          case LOp::jump_table: {
+          case uint16_t(LOp::jump_table): {
             uint32_t idx = frame[inst.b].i32;
             if (idx > inst.aux)
                 idx = inst.aux; // default case
@@ -79,65 +88,79 @@ runSwitch(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
             continue;
           }
 
-          case LOp::copy:
+          case uint16_t(LOp::copy):
             frame[inst.b] = frame[inst.a];
             break;
 
-          case LOp::ret:
+          case uint16_t(LOp::ret):
             if (inst.aux != 0)
                 frame[0] = frame[inst.a];
             ctx->callDepth--;
             return;
 
-          case LOp::callf:
+          case uint16_t(LOp::callf):
             detail::callThroughTable(ctx, inst.a, frame + inst.b);
             break;
 
-          case LOp::call_host:
+          case uint16_t(LOp::call_host):
             lnbJitHostCall(ctx, frame + inst.b, inst.a);
             break;
 
-          case LOp::calli: {
+          case uint16_t(LOp::calli): {
             detail::IndirectTarget target =
                 detail::resolveIndirect(ctx, inst, frame);
             detail::callThroughTable(ctx, target.funcIdx, target.argBase);
             break;
           }
 
-          case LOp::trap:
+          case uint16_t(LOp::trap):
             mem::TrapManager::raiseTrap(TrapKind(inst.aux));
 
-          case LOp::check_bounds:
+          case uint16_t(LOp::check_bounds):
             sem::semCheckBounds<M>(ctx, frame, inst);
             break;
 
-          case LOp::fused_const_binop:
-            sem::semFusedConstBinop<M>(ctx, frame, inst);
-            break;
-
-          case LOp::fused_cmp_jump:
-            if (sem::semFusedCmpJump<M>(ctx, frame, inst)) {
-                profile_jump(inst.a);
-                pc = inst.a;
-                continue;
-            }
-            break;
-
-          case LOp::fused_copy_binop:
-            sem::semFusedCopyBinop<M>(ctx, frame, inst);
-            break;
-
-          case LOp::fused_load_binop:
-            sem::semFusedLoadBinop<M>(ctx, frame, inst);
-            break;
-
-          case LOp::count_fallback:
+          case uint16_t(LOp::count_fallback):
             ctx->guardFallbacks++;
             break;
 
+            // Register forms, typed per (form, wasm op) like the threaded
+            // handlers. The profiled instantiations run tiered IR, which
+            // is never rewritten, and trap on every form.
+#define FORM_VALUE(form, id)                                                 \
+          case wasm::formOp(IrForm::form, Op::id):                           \
+            if constexpr (!Profile &&                                        \
+                          wasm::formDefined(IrForm::form, Op::id)) {         \
+                sem::semForm<M, Op::id, IrForm::form>(ctx, frame, inst);     \
+                break;                                                       \
+            }                                                                \
+            sem::trap(TrapKind::host_error);
+#define FORM_BRANCH(form, id)                                                \
+          case wasm::formOp(IrForm::form, Op::id):                           \
+            if constexpr (!Profile &&                                        \
+                          wasm::formDefined(IrForm::form, Op::id)) {         \
+                if (sem::semFormBranch<M, Op::id, IrForm::form>(ctx, frame,  \
+                                                                inst)) {     \
+                    profile_jump(inst.a);                                    \
+                    pc = inst.a;                                             \
+                    continue;                                                \
+                }                                                            \
+                break;                                                       \
+            }                                                                \
+            sem::trap(TrapKind::host_error);
+#define V(id, name, enc, imm, sig)                                           \
+            FORM_VALUE(rr, id)                                               \
+            FORM_VALUE(ri, id)                                               \
+            FORM_VALUE(r, id)                                                \
+            FORM_BRANCH(jrr, id)                                             \
+            FORM_BRANCH(jri, id)
+            LNB_FOREACH_OPCODE(V)
+#undef V
+#undef FORM_BRANCH
+#undef FORM_VALUE
+
           default:
-            sem::execWasmOp<M>(ctx, frame, inst);
-            break;
+            sem::trap(TrapKind::host_error);
         }
         pc++;
     }

@@ -18,8 +18,10 @@ namespace lnb::exec {
 
 namespace {
 
+using wasm::IrForm;
 using wasm::LInst;
 using wasm::LoweredFunc;
+using wasm::Op;
 using wasm::TrapKind;
 using wasm::Value;
 
@@ -36,12 +38,32 @@ runThreaded(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
 #undef V
         &&L_jump,      &&L_jump_if, &&L_jump_if_zero, &&L_jump_table,
         &&L_copy,      &&L_ret,     &&L_callf,        &&L_call_host,
-        &&L_calli,     &&L_trap,    &&L_check_bounds,
-        &&L_fused_const_binop,      &&L_fused_cmp_jump,
-        &&L_fused_copy_binop,       &&L_fused_load_binop,
-        &&L_count_fallback,
+        &&L_calli,     &&L_trap,    &&L_check_bounds, &&L_count_fallback,
+        // Register forms, form-major (wasm::formOp). The profiled
+        // instantiations run tiered IR, which is never rewritten, so
+        // they send every form to the no-handler trap.
+#define FORM_LABEL(form, id)                                                 \
+        (!Profile && wasm::formDefined(IrForm::form, Op::id))                \
+            ? &&L_##form##_##id                                              \
+            : &&L_no_handler,
+#define V(id, name, enc, imm, sig) FORM_LABEL(rr, id)
+        LNB_FOREACH_OPCODE(V)
+#undef V
+#define V(id, name, enc, imm, sig) FORM_LABEL(ri, id)
+        LNB_FOREACH_OPCODE(V)
+#undef V
+#define V(id, name, enc, imm, sig) FORM_LABEL(r, id)
+        LNB_FOREACH_OPCODE(V)
+#undef V
+#define V(id, name, enc, imm, sig) FORM_LABEL(jrr, id)
+        LNB_FOREACH_OPCODE(V)
+#undef V
+#define V(id, name, enc, imm, sig) FORM_LABEL(jri, id)
+        LNB_FOREACH_OPCODE(V)
+#undef V
+#undef FORM_LABEL
     };
-    static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == wasm::kLOpCount,
+    static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == wasm::kIrOpCount,
                   "handler table must cover every lowered opcode");
 
     detail::enterFrame(ctx, func, frame);
@@ -132,28 +154,34 @@ L_check_bounds:
     sem::semCheckBounds<M>(ctx, frame, *inst);
     NEXT();
 
-    // The fused handlers run the first half of the pair inline, then jump
-    // straight to the binop's own handler: a fused instruction carries the
-    // binop's (a, b) cells in its own a/b fields, and the binop handler's
-    // NEXT() continues past the fused instruction. This keeps the second
-    // half on the same inlined sem functions as the unfused form (bit-exact)
-    // without paying a call into the generic execWasmOp switch.
-L_fused_const_binop:
-    frame[inst->b].i64 = inst->imm;
-    goto* kLabels[inst->aux];
-
-L_fused_cmp_jump:
-    if (sem::semFusedCmpJump<M>(ctx, frame, *inst))
-        JUMP_TO(inst->a);
+    // Register forms: one handler per (form, wasm op), each inlining the
+    // op's semantic function. Labels without a form are never in the
+    // table.
+#define FORM_VALUE(form, id)                                                 \
+    L_##form##_##id:                                                         \
+    if constexpr (!Profile && wasm::formDefined(IrForm::form, Op::id))       \
+        sem::semForm<M, Op::id, IrForm::form>(ctx, frame, *inst);            \
     NEXT();
+#define FORM_BRANCH(form, id)                                                \
+    L_##form##_##id:                                                         \
+    if constexpr (!Profile && wasm::formDefined(IrForm::form, Op::id)) {     \
+        if (sem::semFormBranch<M, Op::id, IrForm::form>(ctx, frame, *inst))  \
+            JUMP_TO(inst->a);                                                \
+    }                                                                        \
+    NEXT();
+#define V(id, name, enc, imm, sig)                                           \
+    FORM_VALUE(rr, id)                                                       \
+    FORM_VALUE(ri, id)                                                       \
+    FORM_VALUE(r, id)                                                        \
+    FORM_BRANCH(jrr, id)                                                     \
+    FORM_BRANCH(jri, id)
+    LNB_FOREACH_OPCODE(V)
+#undef V
+#undef FORM_BRANCH
+#undef FORM_VALUE
 
-L_fused_copy_binop:
-    frame[uint32_t(inst->imm)] = frame[inst->imm >> 32];
-    goto* kLabels[inst->aux];
-
-L_fused_load_binop:
-    sem::semFusedLoadPart<M>(ctx, frame, *inst);
-    goto* kLabels[inst->aux];
+L_no_handler:
+    sem::trap(TrapKind::host_error);
 
 L_count_fallback:
     ctx->guardFallbacks++;

@@ -108,49 +108,6 @@ using wasm::Op;
 using wasm::TrapKind;
 using wasm::ValType;
 
-// ----- helpers for decomposing fused pseudo-ops (wasm/opt.*) -----
-
-/** Signature character of @p binop's operand @p index ('i'/'I'/'f'/'F'). */
-char
-operandSigChar(Op binop, int index)
-{
-    return wasm::opInfo(binop).sig[index];
-}
-
-/** Const opcode whose cell write matches operand @p index of @p binop. */
-Op
-constOpForOperand(Op binop, int index)
-{
-    switch (operandSigChar(binop, index)) {
-      case 'i': return Op::i32_const;
-      case 'I': return Op::i64_const;
-      case 'f': return Op::f32_const;
-      default: return Op::f64_const;
-    }
-}
-
-/** ValType of operand @p index of @p binop (drives copy register class). */
-ValType
-valTypeForOperand(Op binop, int index)
-{
-    switch (operandSigChar(binop, index)) {
-      case 'i': return ValType::i32;
-      case 'I': return ValType::i64;
-      case 'f': return ValType::f32;
-      default: return ValType::f64;
-    }
-}
-
-LInst
-synthBinop(uint16_t op, uint32_t a, uint32_t b)
-{
-    LInst binop;
-    binop.op = op;
-    binop.a = a;
-    binop.b = b;
-    return binop;
-}
-
 // ----- operand folding (FunctionCompiler::emitFolded) -----
 
 static_assert(uint16_t(Op::f32_div) - uint16_t(Op::f32_add) == 3 &&
@@ -1107,7 +1064,6 @@ FunctionCompiler::compile()
           case LOp::jump:
           case LOp::jump_if:
           case LOp::jump_if_zero:
-          case LOp::fused_cmp_jump:
             mark(inst.a, pc);
             break;
           case LOp::jump_table:
@@ -1321,50 +1277,6 @@ FunctionCompiler::emitInstr(const LInst& inst)
         as_.lea(rax, Mem{rax, 1});
         as_.movMR64(CTX_FIELD(guardFallbacks), rax);
         return;
-
-      // The engine only enables fusion for the interpreter tiers, but
-      // keep the JIT total over the IR by decomposing fused forms back
-      // into their original pair.
-      case LOp::fused_const_binop: {
-        LInst c;
-        c.op = uint16_t(constOpForOperand(Op(inst.aux), 1));
-        c.a = inst.b;
-        c.imm = inst.imm;
-        emitWasmOp(c);
-        emitWasmOp(synthBinop(inst.aux, inst.a, inst.b));
-        return;
-      }
-
-      case LOp::fused_cmp_jump: {
-        emitWasmOp(synthBinop(inst.aux, inst.b, uint32_t(inst.imm >> 1)));
-        loadGpr32(rax, inst.b);
-        as_.testRR32(rax, rax);
-        as_.jcc((inst.imm & 1) ? Cond::e : Cond::ne, pcLabels_[inst.a]);
-        return;
-      }
-
-      case LOp::fused_copy_binop: {
-        uint32_t dst = uint32_t(inst.imm);
-        LInst c;
-        c.op = uint16_t(LOp::copy);
-        c.aux = uint16_t(
-            valTypeForOperand(Op(inst.aux), dst == inst.a ? 0 : 1));
-        c.a = uint32_t(inst.imm >> 32);
-        c.b = dst;
-        emitInstr(c);
-        emitWasmOp(synthBinop(inst.aux, inst.a, inst.b));
-        return;
-      }
-
-      case LOp::fused_load_binop: {
-        LInst load;
-        load.op = uint16_t(inst.imm >> 32);
-        load.a = inst.b;
-        load.imm = uint32_t(inst.imm);
-        emitWasmOp(load);
-        emitWasmOp(synthBinop(inst.aux, inst.a, inst.b));
-        return;
-      }
 
       default:
         emitWasmOp(inst);
@@ -2779,6 +2691,15 @@ compileFuncs(const LoweredModule& module, uint32_t first, uint32_t count,
 {
     if (options.codeTable == nullptr)
         return errInvalid("JIT compilation requires a code table");
+    // Register forms are interpreter-only IR (wasm/opt.h).
+    for (uint32_t i = first; i < first + count; i++) {
+        for (const LInst& inst : module.funcs[i].code) {
+            if (wasm::isFormOp(inst.op))
+                return errInvalid("JIT cannot compile register-form IR (" +
+                                  std::string(wasm::lopName(inst.op)) +
+                                  ")");
+        }
+    }
     // Size estimate: generous per-instruction expansion plus fixed
     // per-function overhead; grows are handled by failing with a clear
     // error (callers can retry with bigger estimates if ever needed).

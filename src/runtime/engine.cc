@@ -241,14 +241,14 @@ Engine::compile(wasm::Module module) const
     }
 
     if (config.optimizeLoweredIR) {
-        // Strategy-aware transform selection: interpreters get
-        // superinstruction fusion; the optimizing JIT under the trap
+        // Strategy-aware transform selection: interpreters get the
+        // register-form rewrite; the optimizing JIT under the trap
         // strategy gets check analysis + hoisting (guard-page and clamp
         // codegen has nothing to elide — clamp must still redirect).
         // Tiered modules share one IR between both tiers, so they skip
-        // fusion (the JIT has no fused-op patterns) but keep the check
-        // analysis their jit_opt top tier consumes; the interpreter
-        // executes hoisted check_bounds soundly.
+        // the rewrite (the JIT refuses register forms) but keep the
+        // check analysis their jit_opt top tier consumes; the
+        // interpreter executes hoisted check_bounds soundly.
         wasm::OptOptions opt;
         opt.fuse = !tiered && !engineIsJit(config.kind);
         bool top_is_opt_jit =
@@ -387,8 +387,9 @@ deserializeCompiledModule(const uint8_t* data, size_t size)
     cm->stats_ = r.pod<CompileStats>();
     cm->optStats_ = r.pod<wasm::OptStats>();
     cm->startIsPure_ = r.boolean();
-    if (!r.ok() || !wasm::deserializeLoweredModule(r, cm->lowered_))
+    if (!r.ok())
         return errInvalid("truncated serialized module payload");
+    LNB_RETURN_IF_ERROR(wasm::deserializeLoweredModule(r, cm->lowered_));
     // The config decides whether a code artifact follows, exactly as it
     // decided whether compile produced one.
     LNB_RETURN_IF_ERROR(cm->installCode(&r));

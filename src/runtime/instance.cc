@@ -507,8 +507,16 @@ Instance::call(uint32_t func_idx, const std::vector<wasm::Value>& args)
     if (!outcome.ok())
         rtMetrics().trapsReturned.add();
     if (outcome.ok()) {
-        for (size_t i = 0; i < type.results.size(); i++)
-            outcome.results.push_back(frame[i]);
+        for (size_t i = 0; i < type.results.size(); i++) {
+            // A 32-bit result fills the low half of its cell; the high
+            // half holds whatever an earlier wider write left there.
+            // Zero it so every engine returns the same bits.
+            wasm::Value v = frame[i];
+            if (type.results[i] == wasm::ValType::i32 ||
+                type.results[i] == wasm::ValType::f32)
+                v.i64 = v.i32;
+            outcome.results.push_back(v);
+        }
     }
     return outcome;
 }

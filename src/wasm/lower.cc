@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 #include <optional>
+#include <string>
 
 namespace lnb::wasm {
 
@@ -652,6 +653,20 @@ lopName(uint16_t op)
 {
     if (op < uint16_t(Op::count_))
         return opName(Op(op));
+    if (isFormOp(op)) {
+        // "<mnemonic>.<form>", e.g. "i32.add.ri".
+        static const std::vector<std::string> kFormNames = [] {
+            static const char* const kSuffix[] = {"rr", "ri", "r", "jrr",
+                                                  "jri"};
+            std::vector<std::string> names;
+            for (size_t i = kLOpCount; i < kIrOpCount; i++) {
+                names.push_back(std::string(opName(formWasmOp(i))) + "." +
+                                kSuffix[size_t(formOf(i))]);
+            }
+            return names;
+        }();
+        return op < kIrOpCount ? kFormNames[op - kLOpCount].c_str() : "?";
+    }
     switch (LOp(op)) {
       case LOp::jump: return "jump";
       case LOp::jump_if: return "jump.if";
@@ -664,10 +679,6 @@ lopName(uint16_t op)
       case LOp::calli: return "call.i";
       case LOp::trap: return "trap";
       case LOp::check_bounds: return "check.bounds";
-      case LOp::fused_const_binop: return "fused.const.binop";
-      case LOp::fused_cmp_jump: return "fused.cmp.jump";
-      case LOp::fused_copy_binop: return "fused.copy.binop";
-      case LOp::fused_load_binop: return "fused.load.binop";
       case LOp::count_fallback: return "count.fallback";
       default: return "?";
     }

@@ -49,20 +49,6 @@ enum class LOp : uint16_t {
      * as a no-op; the pass only inserts it for the trap strategy.
      */
     check_bounds,
-    /** f[b] = imm, then 2-input wasm op `aux` on (a, b). */
-    fused_const_binop,
-    /**
-     * 2-input compare `aux` on (b, imm>>1 cell), then jump to pc `a` if
-     * the result is nonzero (imm bit 0 clear) or zero (bit 0 set).
-     */
-    fused_cmp_jump,
-    /** f[imm & 0xffffffff] = f[imm >> 32], then wasm op `aux` on (a, b). */
-    fused_copy_binop,
-    /**
-     * Load op `imm >> 32` into cell b (address also cell b, byte offset
-     * imm & 0xffffffff), then 2-input wasm op `aux` on (a, b).
-     */
-    fused_load_binop,
     /**
      * First instruction of the slow-path clone a versioned loop falls
      * back to when its preheader guard fails: bumps the instance's
@@ -76,8 +62,79 @@ enum class LOp : uint16_t {
 constexpr size_t kLOpCount = size_t(LOp::count_);
 
 /**
- * One lowered instruction. `op` holds either a wasm Op (< Op::count_) or an
- * LOp. Cell-index operands are absolute within the function frame.
+ * Three-address register forms of a wasm op, emitted only by the
+ * interpreter rewrite (OptOptions::fuse, wasm/opt.*). A form op is
+ * `kLOpCount + form * kOpCount + wasm op`; its operands are any cells:
+ *
+ *   rr  : f[a] = f[b] OP f[imm]
+ *   ri  : f[a] = f[b] OP imm
+ *   r   : f[a] = OP(f[b]); a load keeps its byte offset in imm
+ *   jrr : jump to pc a if (f[b] OP f[imm] != 0) != aux
+ *   jri : jump to pc a if (f[b] OP imm != 0) != aux
+ *
+ * Each operand is read, and the result written, at the width of its
+ * signature character: 4 bytes for i32/f32, 8 for i64/f64. The JIT
+ * never sees forms.
+ */
+enum class IrForm : uint8_t { rr, ri, r, jrr, jri, count_ };
+
+/** One past the largest opcode a lowered instruction may carry. */
+constexpr size_t kIrOpCount = kLOpCount + size_t(IrForm::count_) * kOpCount;
+static_assert(kIrOpCount <= UINT16_MAX, "form ops must fit LInst::op");
+
+constexpr uint16_t
+formOp(IrForm form, Op op)
+{
+    return uint16_t(kLOpCount + size_t(form) * kOpCount + size_t(op));
+}
+
+constexpr bool isFormOp(uint16_t op) { return op >= kLOpCount; }
+constexpr IrForm formOf(uint16_t op)
+{
+    return IrForm((op - kLOpCount) / kOpCount);
+}
+constexpr Op formWasmOp(uint16_t op) { return Op((op - kLOpCount) % kOpCount); }
+
+/**
+ * Does @p op have a @p form? Pure value ops only: two inputs and a
+ * result for rr/ri, one input and a result (loads included) for r, and
+ * an i32 result for the branch forms. Atomics, stores and memory.grow
+ * have none.
+ */
+constexpr bool
+formDefined(IrForm form, Op op)
+{
+    int inputs = opInputs(op);
+    char result = opResult(op);
+    if (result == 0 || isAtomicOp(op) || op == Op::memory_grow)
+        return false;
+    switch (form) {
+      case IrForm::rr:
+      case IrForm::ri:
+        return inputs == 2;
+      case IrForm::r:
+        return inputs == 1;
+      case IrForm::jrr:
+      case IrForm::jri:
+        return inputs == 2 && result == 'i';
+      default:
+        return false;
+    }
+}
+
+/** Can an executor run @p op: a wasm op, a pseudo-op, or a defined form? */
+constexpr bool
+isExecutableOp(uint16_t op)
+{
+    if (op < kLOpCount)
+        return true;
+    return op < kIrOpCount && formDefined(formOf(op), formWasmOp(op));
+}
+
+/**
+ * One lowered instruction. `op` holds a wasm Op (< Op::count_), an LOp,
+ * or a register form (IrForm). Cell-index operands are absolute within
+ * the function frame.
  *
  * Operand conventions for wasm ops (by signature arity):
  *   0 inputs, 1 output : a = destination cell
@@ -111,8 +168,8 @@ struct LoweredFunc
      * cells. A stack cell consumed as the top operand (an instruction
      * with b == cell == a + 1, or the condition of a jump_if /
      * jump_if_zero) is dead until rewritten: nothing reads it again
-     * before an instruction writes it. Code the opt pass inserts obeys
-     * this too; the JIT's operand folding relies on it.
+     * before an instruction writes it. Code the opt pass inserts for
+     * the JIT obeys this too; its operand folding relies on it.
      */
     uint32_t numLocalCells = 0;
     uint32_t numCells = 0;      ///< locals + maximum operand-stack depth

@@ -48,24 +48,6 @@ opFromEncoding(uint32_t encoding, Op& out)
     return true;
 }
 
-bool
-isLoadOp(Op op)
-{
-    return op >= Op::i32_load && op <= Op::i64_load32_u;
-}
-
-bool
-isStoreOp(Op op)
-{
-    return op >= Op::i32_store && op <= Op::i64_store32;
-}
-
-bool
-isAtomicOp(Op op)
-{
-    return op >= Op::memory_atomic_notify && op <= Op::i64_atomic_rmw_cmpxchg;
-}
-
 unsigned
 memAccessSize(Op op)
 {

@@ -313,15 +313,62 @@ inline const char* opName(Op op) { return opInfo(op).name; }
  */
 bool opFromEncoding(uint32_t encoding, Op& out);
 
+/** Value-stack signature of @p op (the table's `sig` column), usable in
+ * constant expressions. */
+constexpr const char*
+opSig(Op op)
+{
+    constexpr const char* kSigs[] = {
+#define V(id, name, enc, imm, sig) sig,
+        LNB_FOREACH_OPCODE(V)
+#undef V
+    };
+    return kSigs[size_t(op)];
+}
+
+/** Number of value inputs in @p op's signature; -1 for a "*" op. */
+constexpr int
+opInputs(Op op)
+{
+    const char* sig = opSig(op);
+    if (sig[0] == '*')
+        return -1;
+    int inputs = 0;
+    while (sig[inputs] != ':')
+        inputs++;
+    return inputs;
+}
+
+/** Result type character of @p op ('i', 'I', 'f' or 'F'); 0 when it has
+ * no result or is a "*" op. */
+constexpr char
+opResult(Op op)
+{
+    int inputs = opInputs(op);
+    return inputs < 0 ? 0 : opSig(op)[inputs + 1];
+}
+
 /** True for the memory load instructions (0x28..0x35). */
-bool isLoadOp(Op op);
+constexpr bool
+isLoadOp(Op op)
+{
+    return op >= Op::i32_load && op <= Op::i64_load32_u;
+}
 /** True for the memory store instructions (0x36..0x3E). */
-bool isStoreOp(Op op);
+constexpr bool
+isStoreOp(Op op)
+{
+    return op >= Op::i32_store && op <= Op::i64_store32;
+}
 /** True for every 0xFE-prefixed threads instruction: atomic
  * loads/stores/rmw plus memory.atomic.{notify,wait32,wait64}. All are
  * sequentially-consistent synchronization points that may observe a
  * concurrent memory.grow, so the opt pass treats them as barriers. */
-bool isAtomicOp(Op op);
+constexpr bool
+isAtomicOp(Op op)
+{
+    return op >= Op::memory_atomic_notify && op <= Op::i64_atomic_rmw_cmpxchg;
+}
 /** Byte width accessed by a load/store/atomic instruction (1, 2, 4, 8). */
 unsigned memAccessSize(Op op);
 /** Natural alignment exponent for a memory access (log2 of access size).

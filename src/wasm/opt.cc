@@ -1,8 +1,9 @@
 /**
  * @file
  * Lowered-IR optimization pass: CFG/dominator/loop discovery, redundant
- * bounds-check analysis, loop-invariant check hoisting, and interpreter
- * superinstruction fusion. See opt.h for the soundness arguments.
+ * bounds-check analysis, loop-invariant check hoisting, and the
+ * interpreters' register-form rewrite. See opt.h for the soundness
+ * arguments.
  */
 #include "wasm/opt.h"
 
@@ -46,24 +47,6 @@ optCounters()
 // Instruction classification
 // ---------------------------------------------------------------------
 
-int
-numInputs(Op op)
-{
-    const char* sig = opInfo(op).sig;
-    if (sig[0] == '*')
-        return -1;
-    return int(std::strchr(sig, ':') - sig);
-}
-
-bool
-hasOutput(Op op)
-{
-    const char* sig = opInfo(op).sig;
-    if (sig[0] == '*')
-        return false;
-    return std::strchr(sig, ':')[1] != '\0';
-}
-
 bool
 isCallLop(const LInst& inst)
 {
@@ -86,7 +69,6 @@ isTerminator(const LInst& inst)
       case LOp::jump_table:
       case LOp::ret:
       case LOp::trap:
-      case LOp::fused_cmp_jump:
         return true;
       default:
         return false;
@@ -112,7 +94,7 @@ writesCell(const LInst& inst, uint32_t& cell)
         }
         if (opInfo(op).sig[0] == '*')
             return false; // ops that never survive lowering
-        if (!hasOutput(op))
+        if (opResult(op) == 0)
             return false; // stores, global_set, memory_copy/fill
         cell = inst.a;
         return true;
@@ -156,7 +138,6 @@ collectJumpTargets(const LoweredFunc& func, std::vector<uint8_t>& target)
           case LOp::jump:
           case LOp::jump_if:
           case LOp::jump_if_zero:
-          case LOp::fused_cmp_jump:
             target[inst.a] = 1;
             break;
           case LOp::jump_table:
@@ -220,7 +201,6 @@ buildCfg(const LoweredFunc& func)
             break;
           case LOp::jump_if:
           case LOp::jump_if_zero:
-          case LOp::fused_cmp_jump:
             addEdge(b, last.a);
             if (block.end < n)
                 addEdge(b, block.end);
@@ -375,11 +355,16 @@ remapJumps(LoweredFunc& func, const std::vector<uint32_t>& new_pc)
     for (LInst& inst : func.code) {
         if (inst.isWasmOp())
             continue;
+        if (isFormOp(inst.op)) {
+            if (formOf(inst.op) == IrForm::jrr ||
+                formOf(inst.op) == IrForm::jri)
+                inst.a = new_pc[inst.a];
+            continue;
+        }
         switch (inst.lop()) {
           case LOp::jump:
           case LOp::jump_if:
           case LOp::jump_if_zero:
-          case LOp::fused_cmp_jump:
             inst.a = new_pc[inst.a];
             break;
           default:
@@ -430,32 +415,6 @@ applyInsertions(LoweredFunc& func,
         while (k < inserts.size() && inserts[k].first == pc)
             out.push_back(inserts[k++].second);
         out.push_back(func.code[pc]);
-    }
-    func.code = std::move(out);
-    remapJumps(func, new_pc);
-    remapFacts(func, new_pc);
-}
-
-/** Drop flagged instructions. No jump may target a dropped pc. */
-void
-applyDeletions(LoweredFunc& func, const std::vector<uint8_t>& drop)
-{
-    const size_t n = func.code.size();
-    std::vector<uint32_t> new_pc(n + 1);
-    uint32_t removed = 0;
-    for (size_t pc = 0; pc < n; pc++) {
-        new_pc[pc] = uint32_t(pc - removed);
-        if (drop[pc])
-            removed++;
-    }
-    new_pc[n] = uint32_t(n - removed);
-    if (removed == 0)
-        return;
-    std::vector<LInst> out;
-    out.reserve(n - removed);
-    for (size_t pc = 0; pc < n; pc++) {
-        if (!drop[pc])
-            out.push_back(func.code[pc]);
     }
     func.code = std::move(out);
     remapJumps(func, new_pc);
@@ -546,7 +505,6 @@ blockJumpsTo(const LoweredFunc& func, const Block& p, uint32_t h)
       case LOp::jump:
       case LOp::jump_if:
       case LOp::jump_if_zero:
-      case LOp::fused_cmp_jump:
         return last.a == h;
       case LOp::jump_table:
         for (uint32_t i = 0; i <= last.aux; i++) {
@@ -1317,11 +1275,11 @@ markVnElidableChecks(const LoweredFunc& func, const Cfg& cfg,
               default:
                 break;
             }
-            int nin = numInputs(op);
-            if (nin == 1 && hasOutput(op)) {
+            int nin = opInputs(op);
+            if (nin == 1 && opResult(op) != 0) {
                 cellVn[inst.a] =
                     keyed({uint64_t(inst.op), vnOf(inst.a), 1});
-            } else if (nin == 2 && hasOutput(op)) {
+            } else if (nin == 2 && opResult(op) != 0) {
                 uint64_t va = vnOf(inst.a), vb = vnOf(inst.b);
                 cellVn[inst.a] =
                     keyed({uint64_t(inst.op), (va << 32) | vb, 2});
@@ -1834,103 +1792,482 @@ computeFuncSummaries(LoweredModule& module)
 }
 
 // ---------------------------------------------------------------------
-// Superinstruction fusion
+// Register-form rewrite (interpreter tiers)
 // ---------------------------------------------------------------------
 
-bool
-isFusableBinop(const LInst& inst)
+/**
+ * Stack cells [base, base + 64) map to one bit of a 64-bit liveness
+ * word. Deeper cells have no bit and always count as live.
+ */
+struct StackBits
 {
-    if (!inst.isWasmOp())
-        return false;
-    Op op = inst.wasmOp();
-    if (isLoadOp(op) || isStoreOp(op) || isAtomicOp(op))
-        return false; // their imm (offset) is live; cannot be repurposed
-    if (opInfo(op).sig[0] == '*')
-        return false;
-    return numInputs(op) == 2 && hasOutput(op);
+    uint32_t base = 0;
+
+    uint64_t bit(uint32_t cell) const
+    {
+        return cell >= base && cell - base < 64
+                   ? uint64_t(1) << (cell - base)
+                   : 0;
+    }
+    bool live(uint64_t mask, uint32_t cell) const
+    {
+        return cell - base >= 64 || ((mask >> (cell - base)) & 1) != 0;
+    }
+};
+
+/** Stack cells one instruction reads and writes. */
+struct StackUseDef
+{
+    uint64_t use = 0;
+    uint64_t def = 0;
+};
+
+/** Calls and anything unmodelled read every cell. */
+StackUseDef
+stackUseDef(const LInst& inst, const StackBits& sb)
+{
+    constexpr uint64_t kAll = ~uint64_t(0);
+    if (inst.isWasmOp()) {
+        Op op = inst.wasmOp();
+        if (op == Op::select) {
+            return {sb.bit(inst.a) | sb.bit(inst.a + 1) | sb.bit(inst.a + 2),
+                    sb.bit(inst.a)};
+        }
+        if (op == Op::global_get)
+            return {0, sb.bit(inst.a)};
+        if (op == Op::global_set)
+            return {sb.bit(inst.a), 0};
+        int inputs = opInputs(op);
+        if (inputs < 0)
+            return {kAll, 0};
+        StackUseDef ud;
+        for (int i = 0; i < inputs; i++)
+            ud.use |= sb.bit(inputs == 2 && i == 1 ? inst.b : inst.a + i);
+        if (opResult(op) != 0)
+            ud.def = sb.bit(inst.a);
+        return ud;
+    }
+    switch (inst.lop()) {
+      case LOp::copy:
+        return {sb.bit(inst.a), sb.bit(inst.b)};
+      case LOp::jump_if:
+      case LOp::jump_if_zero:
+      case LOp::jump_table:
+        return {sb.bit(inst.b), 0};
+      case LOp::ret:
+        return {inst.aux != 0 ? sb.bit(inst.a) : 0, 0};
+      case LOp::check_bounds:
+        return {inst.aux == 0 ? sb.bit(inst.a) : 0, 0};
+      case LOp::jump:
+      case LOp::trap:
+      case LOp::count_fallback:
+        return {};
+      default:
+        return {kAll, 0};
+    }
 }
 
 bool
-isTwoInputCompare(const LInst& inst)
+isConstOp(Op op)
 {
-    if (!inst.isWasmOp())
-        return false;
-    Op op = inst.wasmOp();
-    return (op >= Op::i32_eq && op <= Op::i32_ge_u) ||
-           (op >= Op::i64_eq && op <= Op::i64_ge_u) ||
-           (op >= Op::f32_eq && op <= Op::f64_ge);
-}
-
-bool
-isConstOp(const LInst& inst)
-{
-    if (!inst.isWasmOp())
-        return false;
-    Op op = inst.wasmOp();
     return op == Op::i32_const || op == Op::i64_const ||
            op == Op::f32_const || op == Op::f64_const;
 }
 
-uint64_t
-fuseSuperinstructions(LoweredFunc& func)
+/** Integer ops whose operands may be swapped. Float ops never are: x86
+ * NaN propagation depends on operand order. */
+bool
+isCommutativeInt(Op op)
 {
-    std::vector<uint8_t> target;
-    collectJumpTargets(func, target);
-    const size_t n = func.code.size();
-    std::vector<uint8_t> drop(n, 0);
-    uint64_t fused = 0;
-    for (size_t pc = 0; pc + 1 < n; pc++) {
-        if (target[pc + 1])
-            continue; // a jump could land between the pair
-        LInst& a = func.code[pc];
-        const LInst& b = func.code[pc + 1];
-        LInst repl;
-        bool matched = false;
-        if (isTwoInputCompare(a) && !b.isWasmOp() &&
-            (b.lop() == LOp::jump_if || b.lop() == LOp::jump_if_zero) &&
-            b.b == a.a) {
-            repl.op = uint16_t(LOp::fused_cmp_jump);
-            repl.aux = a.op;
-            repl.a = b.a; // branch target
-            repl.b = a.a; // compare lhs / result cell
-            repl.imm = (uint64_t(a.b) << 1) |
-                       (b.lop() == LOp::jump_if_zero ? 1 : 0);
-            matched = true;
-        } else if (isConstOp(a) && isFusableBinop(b) && b.b == a.a) {
-            repl.op = uint16_t(LOp::fused_const_binop);
-            repl.aux = b.op;
-            repl.a = b.a;
-            repl.b = b.b;
-            repl.imm = a.imm;
-            matched = true;
-        } else if (!a.isWasmOp() && a.lop() == LOp::copy &&
-                   isFusableBinop(b) && (b.a == a.b || b.b == a.b)) {
-            repl.op = uint16_t(LOp::fused_copy_binop);
-            repl.aux = b.op;
-            repl.a = b.a;
-            repl.b = b.b;
-            repl.imm = (uint64_t(a.a) << 32) | a.b;
-            matched = true;
-        } else if (a.isWasmOp() && isLoadOp(a.wasmOp()) &&
-                   a.imm <= UINT32_MAX && isFusableBinop(b) &&
-                   b.b == a.a) {
-            repl.op = uint16_t(LOp::fused_load_binop);
-            repl.aux = b.op;
-            repl.a = b.a;
-            repl.b = a.a; // load address / destination cell
-            repl.imm = (uint64_t(a.op) << 32) | uint32_t(a.imm);
-            matched = true;
+    switch (op) {
+      case Op::i32_add: case Op::i32_mul: case Op::i32_and:
+      case Op::i32_or: case Op::i32_xor: case Op::i32_eq: case Op::i32_ne:
+      case Op::i64_add: case Op::i64_mul: case Op::i64_and:
+      case Op::i64_or: case Op::i64_xor: case Op::i64_eq: case Op::i64_ne:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/**
+ * Rewrites one function into register form (IrForm, wasm/lower.h),
+ * block by block. Copies from locals and constants into stack cells are
+ * deferred: the deferred instruction is kept, not emitted, and
+ * consumers read the source local or the immediate instead. A deferred
+ * value is emitted ("flushed") only where its cell is still live: at
+ * the block's end, before an op the rewrite does not model (calls
+ * included), and before its source local is overwritten. A result
+ * stored by local.set/local.tee is written to the local directly, and
+ * an i32-producing op whose result a jump_if/jump_if_zero pops becomes
+ * one branch form.
+ */
+class RegisterFormRewriter
+{
+  public:
+    explicit RegisterFormRewriter(LoweredFunc& func)
+        : func_(func),
+          in_(func.code),
+          sb_{func.numLocalCells},
+          pend_(func.numCells, LInst{kNoOp, 0, 0, 0, 0})
+    {
+    }
+
+    void run()
+    {
+        Cfg cfg = buildCfg(func_);
+        std::vector<uint64_t> live_out = liveOut(cfg);
+        std::vector<uint32_t> new_pc(in_.size() + 1, 0);
+        out_.reserve(in_.size());
+        for (uint32_t b = 0; b < cfg.blocks.size(); b++) {
+            const Block& block = cfg.blocks[b];
+            new_pc[block.begin] = uint32_t(out_.size());
+            computeLiveAfter(block, live_out[b]);
+            producer_ = kNone;
+            for (uint32_t pc = block.begin; pc < block.end; pc++)
+                pc += step(pc, block.end);
+            flushLive(live_out[b]); // fallthrough into the next label
         }
-        if (matched) {
-            a = repl;
-            drop[pc + 1] = 1;
-            fused++;
-            pc++; // never re-fuse a freshly fused instruction
+        new_pc[in_.size()] = uint32_t(out_.size());
+        func_.code = std::move(out_);
+        remapJumps(func_, new_pc);
+        // pc-keyed facts are JIT-only; the JIT never runs this IR.
+        func_.entryCheckFacts.clear();
+        func_.elidableCheckPcs.clear();
+    }
+
+  private:
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    /** A read of a cell after resolving deferred values. */
+    struct Operand
+    {
+        bool isImm = false;
+        uint32_t cell = 0;
+        uint64_t imm = 0;
+    };
+
+    /** Backward liveness over stack cells, one word per block. */
+    std::vector<uint64_t> liveOut(const Cfg& cfg) const
+    {
+        const size_t nb = cfg.blocks.size();
+        std::vector<uint64_t> gen(nb, 0), kill(nb, 0), in(nb, 0), out(nb, 0);
+        for (size_t b = 0; b < nb; b++) {
+            const Block& block = cfg.blocks[b];
+            for (uint32_t pc = block.end; pc-- > block.begin;) {
+                StackUseDef ud = stackUseDef(in_[pc], sb_);
+                gen[b] = ud.use | (gen[b] & ~ud.def);
+                kill[b] |= ud.def;
+            }
+        }
+        bool changed = true;
+        while (changed) {
+            changed = false;
+            for (size_t b = nb; b-- > 0;) {
+                uint64_t o = 0;
+                for (uint32_t s : cfg.blocks[b].succs)
+                    o |= in[s];
+                uint64_t i = gen[b] | (o & ~kill[b]);
+                if (i != in[b] || o != out[b]) {
+                    in[b] = i;
+                    out[b] = o;
+                    changed = true;
+                }
+            }
+        }
+        return out;
+    }
+
+    void computeLiveAfter(const Block& block, uint64_t live_out)
+    {
+        liveAfter_.assign(block.end - block.begin, 0);
+        liveBase_ = block.begin;
+        uint64_t live = live_out;
+        for (uint32_t pc = block.end; pc-- > block.begin;) {
+            liveAfter_[pc - block.begin] = live;
+            StackUseDef ud = stackUseDef(in_[pc], sb_);
+            live = ud.use | (live & ~ud.def);
         }
     }
-    if (fused > 0)
-        applyDeletions(func, drop);
-    return fused;
+    uint64_t liveAfter(uint32_t pc) const { return liveAfter_[pc - liveBase_]; }
+
+    // ----- deferred values -----
+
+    const LInst* pending(uint32_t cell) const
+    {
+        return cell >= sb_.base && pend_[cell].op != kNoOp ? &pend_[cell]
+                                                           : nullptr;
+    }
+    void defer(uint32_t cell, LInst def)
+    {
+        if (pend_[cell].op == kNoOp)
+            pending_.push_back(cell);
+        if (def.op == uint16_t(LOp::copy))
+            def.b = cell;
+        else
+            def.a = cell;
+        pend_[cell] = def;
+    }
+    void drop(uint32_t cell)
+    {
+        if (cell >= sb_.base)
+            pend_[cell].op = kNoOp;
+    }
+    /** Emit the deferred write of @p cell. */
+    void materialize(uint32_t cell)
+    {
+        emit(pend_[cell]);
+        pend_[cell].op = kNoOp;
+    }
+    /** Flush the deferred values live in @p live (or aliasing @p local
+     * when it is set) and forget the rest. Returns whether it emitted. */
+    bool flushLive(uint64_t live, uint32_t local = kNone)
+    {
+        bool emitted = false;
+        size_t kept = 0;
+        for (uint32_t cell : pending_) {
+            const LInst& def = pend_[cell];
+            if (def.op == kNoOp)
+                continue;
+            bool aliases = def.op == uint16_t(LOp::copy) && def.a == local;
+            if (local != kNone && !aliases) {
+                pending_[kept++] = cell;
+                continue;
+            }
+            if (sb_.live(live, cell)) {
+                materialize(cell);
+                emitted = true;
+            }
+            pend_[cell].op = kNoOp;
+        }
+        pending_.resize(local != kNone ? kept : 0);
+        return emitted;
+    }
+
+    Operand operand(uint32_t cell) const
+    {
+        const LInst* def = pending(cell);
+        if (def == nullptr)
+            return {false, cell, 0};
+        if (def->op == uint16_t(LOp::copy))
+            return {false, def->a, 0};
+        return {true, 0, def->imm};
+    }
+    /** Read @p cell as a cell, flushing a deferred constant into it. */
+    uint32_t operandCell(uint32_t cell)
+    {
+        Operand v = operand(cell);
+        if (!v.isImm)
+            return v.cell;
+        materialize(cell);
+        return cell;
+    }
+
+    void emit(const LInst& inst)
+    {
+        out_.push_back(inst);
+        producer_ = kNone;
+    }
+    /** Emit a value op writing stack cell inst.a that a following
+     * local.set/local.tee may retarget. */
+    void emitProducer(const LInst& inst)
+    {
+        drop(inst.a);
+        emit(inst);
+        producer_ = inst.a;
+    }
+    /** Make the last emitted instruction (which wrote `producer_`)
+     * write @p dst instead. */
+    void retargetProducer(uint32_t dst)
+    {
+        LInst& inst = out_.back();
+        if (!isFormOp(inst.op)) {
+            Op op = inst.wasmOp();
+            bool binary = opInputs(op) == 2;
+            LInst form;
+            form.op = formOp(binary ? IrForm::rr : IrForm::r, op);
+            form.b = inst.a;
+            form.imm = binary ? inst.b : inst.imm;
+            inst = form;
+        }
+        inst.a = dst;
+        if (formOf(inst.op) == IrForm::rr && inst.b == dst) {
+            // dst == lhs: the plain op says the same in one cell fewer.
+            inst.op = uint16_t(formWasmOp(inst.op));
+            inst.b = uint32_t(inst.imm);
+            inst.imm = 0;
+        }
+        producer_ = kNone;
+    }
+
+    // ----- per-instruction rewriting; returns extra instructions consumed
+
+    uint32_t step(uint32_t pc, uint32_t block_end)
+    {
+        LInst inst = in_[pc];
+        if (inst.isWasmOp()) {
+            Op op = inst.wasmOp();
+            if (isConstOp(op) && inst.a >= sb_.base) {
+                if (sb_.live(liveAfter(pc), inst.a))
+                    defer(inst.a, inst);
+                else
+                    drop(inst.a);
+                return 0;
+            }
+            if (formDefined(IrForm::rr, op))
+                return binary(pc, block_end);
+            if (formDefined(IrForm::r, op)) {
+                unary(inst);
+                return 0;
+            }
+            if (isStoreOp(op)) {
+                inst.a = operandCell(inst.a);
+                inst.b = operandCell(inst.b);
+                emit(inst);
+                return 0;
+            }
+        } else {
+            switch (inst.lop()) {
+              case LOp::copy:
+                copy(pc, inst);
+                return 0;
+              case LOp::jump_if:
+              case LOp::jump_if_zero:
+              case LOp::jump_table:
+                inst.b = operandCell(inst.b);
+                [[fallthrough]];
+              case LOp::jump:
+                flushLive(liveAfter(pc));
+                emit(inst);
+                return 0;
+              default:
+                break;
+            }
+        }
+        // Unmodelled: flush every deferred value live before it.
+        StackUseDef ud = stackUseDef(inst, sb_);
+        flushLive(ud.use | (liveAfter(pc) & ~ud.def));
+        emit(inst);
+        return 0;
+    }
+
+    uint32_t binary(uint32_t pc, uint32_t block_end)
+    {
+        const LInst& inst = in_[pc];
+        Op op = inst.wasmOp();
+        Operand lhs = operand(inst.a);
+        Operand rhs = operand(inst.b);
+        if (lhs.isImm && !rhs.isImm && isCommutativeInt(op))
+            std::swap(lhs, rhs);
+        if (lhs.isImm)
+            lhs = {false, operandCell(inst.a), 0};
+        uint64_t rhs_bits = rhs.isImm ? rhs.imm : rhs.cell;
+
+        // Compare-and-branch when the next jump pops the result.
+        if (formDefined(IrForm::jrr, op) && pc + 1 < block_end) {
+            const LInst& br = in_[pc + 1];
+            if ((br.op == uint16_t(LOp::jump_if) ||
+                 br.op == uint16_t(LOp::jump_if_zero)) &&
+                br.b == inst.a && !sb_.live(liveAfter(pc + 1), inst.a)) {
+                flushLive(liveAfter(pc + 1));
+                LInst form;
+                form.op = formOp(rhs.isImm ? IrForm::jri : IrForm::jrr, op);
+                form.aux = br.op == uint16_t(LOp::jump_if_zero) ? 1 : 0;
+                form.a = br.a;
+                form.b = lhs.cell;
+                form.imm = rhs_bits;
+                emit(form);
+                return 1;
+            }
+        }
+
+        LInst out = inst;
+        if (rhs.isImm || lhs.cell != inst.a) {
+            out.op = formOp(rhs.isImm ? IrForm::ri : IrForm::rr, op);
+            out.b = lhs.cell;
+            out.imm = rhs_bits;
+        } else {
+            out.b = rhs.cell; // plain op: dst == lhs, rhs in any cell
+        }
+        emitProducer(out);
+        return 0;
+    }
+
+    void unary(LInst inst)
+    {
+        uint32_t src = operandCell(inst.a);
+        if (src != inst.a) {
+            inst.op = formOp(IrForm::r, inst.wasmOp());
+            inst.b = src;
+        }
+        emitProducer(inst);
+    }
+
+    void copy(uint32_t pc, const LInst& inst)
+    {
+        uint32_t src = inst.a;
+        uint32_t dst = inst.b;
+        uint64_t live = liveAfter(pc);
+        if (dst >= sb_.base) {
+            const LInst* def = pending(src);
+            if (!sb_.live(live, dst)) {
+                drop(dst);
+            } else if (def != nullptr) {
+                defer(dst, *def);
+            } else if (src < sb_.base) {
+                defer(dst, inst);
+            } else {
+                drop(dst);
+                emit(inst);
+            }
+            return;
+        }
+        // local.set / local.tee: dst is a local.
+        Operand v = operand(src);
+        if (!v.isImm && v.cell == dst)
+            return; // x = x
+        bool flushed = flushLive(live, dst);
+        if (v.isImm || v.cell != src) {
+            LInst def = *pending(src);
+            if (def.op == uint16_t(LOp::copy))
+                def.b = dst;
+            else
+                def.a = dst;
+            emit(def);
+        } else if (!flushed && producer_ == src) {
+            retargetProducer(dst);
+            if (sb_.live(live, src)) {
+                LInst alias = inst;
+                alias.a = dst;
+                defer(src, alias);
+            }
+        } else {
+            emit(inst);
+        }
+    }
+
+    static constexpr uint16_t kNoOp = UINT16_MAX;
+
+    LoweredFunc& func_;
+    const std::vector<LInst> in_;
+    StackBits sb_;
+    std::vector<LInst> out_;
+    /** Deferred write per cell (op == kNoOp when none). */
+    std::vector<LInst> pend_;
+    /** Cells that may hold a deferred write. */
+    std::vector<uint32_t> pending_;
+    std::vector<uint64_t> liveAfter_;
+    uint32_t liveBase_ = 0;
+    /** Stack cell the last emitted instruction wrote, if retargetable. */
+    uint32_t producer_ = kNone;
+};
+
+uint64_t
+rewriteRegisterForm(LoweredFunc& func)
+{
+    const size_t before = func.code.size();
+    RegisterFormRewriter(func).run();
+    return before - func.code.size();
 }
 
 } // namespace
@@ -2037,19 +2374,8 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
             func.elidableCheckPcs.end());
     }
 
-    if (opts.fuse) {
-        stats.instsFused = fuseSuperinstructions(func);
-        // Fusion may have replaced hinted accesses with fused forms the
-        // JIT hints cannot describe; drop stale hints defensively.
-        std::vector<uint32_t> keep;
-        for (uint32_t pc : func.elidableCheckPcs) {
-            const LInst& inst = func.code[pc];
-            if (inst.isWasmOp() && (isLoadOp(inst.wasmOp()) ||
-                                    isStoreOp(inst.wasmOp())))
-                keep.push_back(pc);
-        }
-        func.elidableCheckPcs = std::move(keep);
-    }
+    if (opts.fuse)
+        stats.instsFused = rewriteRegisterForm(func);
 
     stats.instsAfter = func.code.size();
     return stats;

@@ -44,12 +44,19 @@
  *    shrink). call_indirect, host calls and SCC cycles degrade to the
  *    old clear-at-call behavior.
  *
- *  - Superinstruction fusion (interpreter tiers): adjacent
- *    const+binop, compare+branch, copy+binop, and load+binop pairs are
- *    rewritten into single fused pseudo-instructions, halving dispatch
- *    count on the hottest lowered pairs. Fused handlers replay the
- *    original two instructions through the shared semantic functions, so
- *    results (including NaN payloads and trap order) stay bit-exact.
+ *  - Register-form rewrite (interpreter tiers, last): a block-local
+ *    pass, driven by a liveness word over the first 64 stack cells,
+ *    that turns the stack-slot IR into three-address forms (IrForm,
+ *    wasm/lower.h). Copies from locals and constants into stack cells
+ *    are deferred, so consumers read the local or an immediate; a result
+ *    stored by local.set/local.tee is written to the local directly; an
+ *    i32-producing op whose result a jump_if/jump_if_zero pops becomes
+ *    one compare-and-branch. Deferred values still live are flushed at
+ *    block ends, before calls and any op the rewrite does not model,
+ *    and before their source local is overwritten. Integer operands of
+ *    commutative ops may be swapped; float operands never are (x86 NaN
+ *    propagation depends on operand order). Form handlers run each op's
+ *    own semantic function, so results and traps stay bit-exact.
  *
  * The pass reports opt.checks_hoisted, opt.checks_elided_crossblock,
  * opt.loops_versioned, opt.checks_elided_ipo and opt.insts_fused through
@@ -72,7 +79,7 @@ namespace lnb::wasm {
  * only under that strategy. */
 struct OptOptions
 {
-    bool fuse = false;          ///< superinstruction fusion
+    bool fuse = false;          ///< register-form rewrite (interpreters)
     bool analyzeChecks = false; ///< VN elision hints + cross-block facts
     bool hoistChecks = false;   ///< loop-invariant check hoisting
     bool versionLoops = false;  ///< affine loop versioning (guard + clone)
@@ -90,6 +97,7 @@ struct OptStats
 {
     uint64_t checksHoisted = 0;
     uint64_t checksElided = 0;
+    /** Instructions the register-form rewrite removed. */
     uint64_t instsFused = 0;
     /** Loops that received a guarded fast-path clone. */
     uint64_t loopsVersioned = 0;
@@ -100,8 +108,8 @@ struct OptStats
      * dataflow with the old clear-at-call behavior. Only computed when
      * OptOptions::ipoStats is set; 0 otherwise. */
     uint64_t checksElidedIpo = 0;
-    /** Lowered instruction counts before/after (fusion shrinks code,
-     * versioning and hoisting grow it). */
+    /** Lowered instruction counts before/after (the register-form
+     * rewrite shrinks code, versioning and hoisting grow it). */
     uint64_t instsBefore = 0;
     uint64_t instsAfter = 0;
 };

@@ -178,22 +178,34 @@ serializeLoweredModule(const LoweredModule& lm, ByteWriter& w,
     w.podVec(lm.typeCanon);
 }
 
-bool
+Status
 deserializeLoweredModule(ByteReader& r, LoweredModule& out)
 {
     out = LoweredModule{};
     if (!deserializeModule(r, out.module))
-        return false;
+        return errInvalid("truncated serialized module payload");
     bool include_func_code = r.boolean();
     uint64_t n = r.u64();
     if (!r.ok())
-        return false;
+        return errInvalid("truncated serialized module payload");
     out.funcs.reserve(size_t(n));
     for (uint64_t i = 0; i < n && r.ok(); i++)
         out.funcs.push_back(readLoweredFunc(r, include_func_code));
     out.funcSummaries = r.podVec<FuncSummary>();
     out.typeCanon = r.podVec<uint32_t>();
-    return r.ok();
+    if (!r.ok())
+        return errInvalid("truncated serialized module payload");
+    // The interpreters dispatch on LInst::op through a table; an op with
+    // no handler must never reach it.
+    for (const LoweredFunc& f : out.funcs) {
+        for (const LInst& inst : f.code) {
+            if (!isExecutableOp(inst.op))
+                return errInvalid("serialized IR has opcode " +
+                                  std::to_string(inst.op) +
+                                  " with no handler");
+        }
+    }
+    return Status::ok();
 }
 
 } // namespace lnb::wasm

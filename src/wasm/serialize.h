@@ -22,6 +22,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "support/status.h"
 #include "wasm/lower.h"
 #include "wasm/module.h"
 
@@ -175,7 +176,9 @@ bool deserializeModule(ByteReader& r, Module& out);
  * encoded in the stream, so deserializeLoweredModule is self-describing. */
 void serializeLoweredModule(const LoweredModule& lm, ByteWriter& w,
                             bool include_func_code = true);
-bool deserializeLoweredModule(ByteReader& r, LoweredModule& out);
+/** Inverse. Fails with invalid_argument on truncation or on an
+ * instruction whose opcode no executor has a handler for. */
+Status deserializeLoweredModule(ByteReader& r, LoweredModule& out);
 
 } // namespace lnb::wasm
 

@@ -231,6 +231,28 @@ TEST(Compiler, ProducesCodeForAllStrategies)
     }
 }
 
+TEST(Compiler, RefusesRegisterFormIR)
+{
+    // The interpreters' register-form rewrite emits forms the JIT has
+    // no codegen for: compiling that IR fails with a Status.
+    wasm::LoweredModule lowered = lowerSample();
+    wasm::OptOptions rewrite;
+    rewrite.fuse = true;
+    wasm::optimizeLoweredModule(lowered, rewrite);
+    bool has_form = false;
+    for (const wasm::LInst& inst : lowered.funcs[0].code)
+        has_form |= wasm::isFormOp(inst.op);
+    ASSERT_TRUE(has_form);
+    for (bool optimize : {false, true}) {
+        JitOptions options = tableOptions();
+        options.optimize = optimize;
+        auto code = compileModule(lowered, options);
+        ASSERT_FALSE(code.isOk());
+        EXPECT_EQ(code.status().code(), StatusCode::invalid_argument);
+        EXPECT_FALSE(compileFunction(lowered, 0, options).isOk());
+    }
+}
+
 TEST(Compiler, SoftwareChecksEnlargeCode)
 {
     wasm::LoweredModule lowered = lowerSample();

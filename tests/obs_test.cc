@@ -262,7 +262,8 @@ TEST(Trace, ChromeExportIsWellFormed)
 TEST(Report, OptPassCountersAppearInBenchResultReports)
 {
     // Compile a loop module through the real pipeline so the pass runs
-    // and registers its counters (interp tier -> fusion fires).
+    // and registers its counters (interp tier -> the register-form
+    // rewrite runs).
     wasm::ModuleBuilder mb;
     mb.addMemory(1, 1);
     uint32_t t = mb.addType({}, {wasm::ValType::i32});

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the lowered-IR optimization pass (wasm/opt.*): fusion
- * counts and pc remapping, loop-invariant check hoisting, cross-block
- * check facts, the bounds-check soundness property (a rewrite of the
- * address cell must never let an elided check skip a required trap),
- * and the headline elision rate on a PolyBench-style loop kernel.
+ * Tests for the lowered-IR optimization pass (wasm/opt.*): the
+ * interpreters' register-form rewrite, loop-invariant check hoisting,
+ * cross-block check facts, the bounds-check soundness property (a
+ * rewrite of the address cell must never let an elided check skip a
+ * required trap), and the headline elision rate on a PolyBench-style
+ * loop kernel.
  */
 #include <gtest/gtest.h>
 
 #include "jit/compiler.h"
+#include "kernels/kernel.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
 #include "runtime/instance.h"
@@ -110,42 +112,385 @@ rmwScaleModule()
 }
 
 // ---------------------------------------------------------------------
-// Fusion
+// Register-form rewrite (OptOptions::fuse)
 // ---------------------------------------------------------------------
 
-TEST(Fusion, FusesPairsAndShrinksCode)
+/** Lower @p module and run the interpreters' register-form rewrite. */
+LoweredModule
+rewritten(Module module, OptStats* stats = nullptr)
 {
-    Module module = bottomTestSumModule();
     auto lowered = lowerModule(std::move(module));
-    ASSERT_TRUE(lowered.isOk());
+    EXPECT_TRUE(lowered.isOk());
     LoweredModule lm = lowered.takeValue();
-
     OptOptions opts;
     opts.fuse = true;
-    OptStats stats = optimizeLoweredModule(lm, opts);
-    EXPECT_GT(stats.instsFused, 0u);
-    EXPECT_EQ(stats.instsBefore - stats.instsFused, stats.instsAfter);
-    EXPECT_EQ(lm.funcs[0].code.size(), stats.instsAfter);
-
-    bool has_fused = false;
-    for (const LInst& inst : lm.funcs[0].code) {
-        if (!inst.isWasmOp() && (inst.lop() == LOp::fused_cmp_jump ||
-                                 inst.lop() == LOp::fused_const_binop ||
-                                 inst.lop() == LOp::fused_copy_binop ||
-                                 inst.lop() == LOp::fused_load_binop))
-            has_fused = true;
-        // Every surviving jump target must be in range after the remap.
-        if (!inst.isWasmOp() &&
-            (inst.lop() == LOp::jump || inst.lop() == LOp::jump_if ||
-             inst.lop() == LOp::jump_if_zero ||
-             inst.lop() == LOp::fused_cmp_jump)) {
-            EXPECT_LT(inst.a, lm.funcs[0].code.size());
-        }
-    }
-    EXPECT_TRUE(has_fused);
+    OptStats s = optimizeLoweredModule(lm, opts);
+    if (stats != nullptr)
+        *stats = s;
+    return lm;
 }
 
-TEST(Fusion, InterpretersMatchUnoptimizedResults)
+bool
+isForm(const LInst& inst, IrForm form, Op op)
+{
+    return inst.op == formOp(form, op);
+}
+
+/** Run export "run" on one engine configuration. */
+rt::CallOutcome
+runOn(const Module& module, EngineKind kind, BoundsStrategy strategy,
+      bool opt, std::vector<Value> args)
+{
+    EngineConfig config;
+    config.kind = kind;
+    config.strategy = strategy;
+    config.optimizeLoweredIR = opt;
+    Engine engine(config);
+    auto compiled = engine.compile(Module(module));
+    EXPECT_TRUE(compiled.isOk()) << compiled.status().toString();
+    auto inst = Instance::create(compiled.takeValue());
+    EXPECT_TRUE(inst.isOk()) << inst.status().toString();
+    return inst.value()->callExport("run", std::move(args));
+}
+
+/**
+ * Both interpreters, with the opt pass on and off, must match the
+ * baseline JIT bit for bit: the i64 view of the result, or the trap
+ * kind. Returns the JIT's outcome.
+ */
+rt::CallOutcome
+expectInterpretersMatchJit(const Module& module, BoundsStrategy strategy,
+                           const std::vector<Value>& args)
+{
+    rt::CallOutcome ref =
+        runOn(module, EngineKind::jit_base, strategy, true, args);
+    for (EngineKind kind :
+         {EngineKind::interp_switch, EngineKind::interp_threaded}) {
+        for (bool opt : {false, true}) {
+            rt::CallOutcome out = runOn(module, kind, strategy, opt, args);
+            SCOPED_TRACE(std::string(rt::engineKindName(kind)) +
+                         (opt ? " opt" : " no-opt"));
+            EXPECT_EQ(out.trap, ref.trap);
+            if (out.ok() && ref.ok()) {
+                EXPECT_EQ(out.results.size(), ref.results.size());
+                for (size_t i = 0; i < ref.results.size() &&
+                                   i < out.results.size();
+                     i++)
+                    EXPECT_EQ(out.results[i].i64, ref.results[i].i64);
+            }
+        }
+    }
+    return ref;
+}
+
+/** One exported function `run` of type @p params -> @p results built
+ * by @p body. */
+template <typename Body>
+Module
+singleFunction(std::vector<ValType> params, std::vector<ValType> results,
+               std::vector<ValType> locals, Body body)
+{
+    ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    uint32_t t = mb.addType(std::move(params), std::move(results));
+    auto& f = mb.addFunction(t);
+    for (ValType l : locals)
+        f.addLocal(l);
+    body(f);
+    mb.exportFunc("run", f.finish());
+    return mb.build();
+}
+
+TEST(RegisterForm, GemmInnerLoopsAreShortAndCopyFree)
+{
+    const kernels::Kernel* gemm = kernels::findKernel("gemm");
+    ASSERT_NE(gemm, nullptr);
+    OptStats stats;
+    LoweredModule lm = rewritten(gemm->buildModule(16), &stats);
+    EXPECT_EQ(stats.instsFused, stats.instsBefore - stats.instsAfter);
+    EXPECT_GT(stats.instsFused, 0u);
+    size_t inner_loops = 0;
+    for (const LoweredFunc& func : lm.funcs) {
+        // An innermost loop: a backward branch whose body holds no other
+        // backward branch.
+        for (uint32_t pc = 0; pc < func.code.size(); pc++) {
+            const LInst& inst = func.code[pc];
+            bool is_branch =
+                inst.op == uint16_t(LOp::jump) ||
+                inst.op == uint16_t(LOp::jump_if) ||
+                (isFormOp(inst.op) && (formOf(inst.op) == IrForm::jrr ||
+                                       formOf(inst.op) == IrForm::jri));
+            if (!is_branch || inst.a > pc)
+                continue;
+            bool innermost = true;
+            for (uint32_t q = inst.a; q < pc; q++) {
+                const LInst& other = func.code[q];
+                bool back = (other.op == uint16_t(LOp::jump) ||
+                             other.op == uint16_t(LOp::jump_if) ||
+                             (isFormOp(other.op) &&
+                              formOf(other.op) >= IrForm::jrr)) &&
+                            other.a <= q;
+                innermost = innermost && !back;
+            }
+            if (!innermost)
+                continue;
+            inner_loops++;
+            EXPECT_LE(pc - inst.a + 1, 24u) << "loop at pc " << inst.a;
+            for (uint32_t q = inst.a; q <= pc; q++)
+                EXPECT_NE(func.code[q].op, uint16_t(LOp::copy))
+                    << "copy at pc " << q;
+        }
+    }
+    EXPECT_GE(inner_loops, 2u); // the beta scale and the k loop
+}
+
+TEST(RegisterForm, LocalTeeKeepsItsStackValue)
+{
+    // (x + 5) tee y; y * (tee value) + y: the tee's stack value is
+    // consumed after the local already holds it.
+    Module module = singleFunction(
+        {ValType::i32}, {ValType::i32}, {ValType::i32}, [](auto& f) {
+            f.localGet(0);
+            f.i32Const(5);
+            f.emit(Op::i32_add);
+            f.localTee(1);
+            f.localGet(1);
+            f.emit(Op::i32_mul);
+            f.localGet(1);
+            f.emit(Op::i32_add);
+        });
+    LoweredModule lm = rewritten(Module(module));
+    // The add writes local 1 directly; no copy survives.
+    bool add_into_local = false;
+    for (const LInst& inst : lm.funcs[0].code) {
+        EXPECT_NE(inst.op, uint16_t(LOp::copy));
+        add_into_local |= isForm(inst, IrForm::ri, Op::i32_add) &&
+                          inst.a == 1 && inst.b == 0 && inst.imm == 5;
+    }
+    EXPECT_TRUE(add_into_local);
+    rt::CallOutcome out = expectInterpretersMatchJit(
+        module, BoundsStrategy::none, {Value::fromI32(4)});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.results[0].i32, 9u * 9u + 9u);
+}
+
+TEST(RegisterForm, StackValueAliasingALocalSurvivesItsOverwrite)
+{
+    // Push x, overwrite x, then use the pushed (old) x: the deferred
+    // copy must be flushed before the write. The same for a tee's
+    // stack value once its local is overwritten.
+    Module module = singleFunction(
+        {ValType::i32}, {ValType::i32}, {ValType::i32}, [](auto& f) {
+            f.localGet(0);
+            f.i32Const(7);
+            f.localSet(0);
+            f.localGet(0);
+            f.emit(Op::i32_sub); // old x - 7
+            f.localGet(0);
+            f.i32Const(1);
+            f.emit(Op::i32_add);
+            f.localTee(1); // 8, aliased by the stack value
+            f.i32Const(100);
+            f.localSet(1);
+            f.localGet(1);
+            f.emit(Op::i32_mul); // 8 * 100
+            f.emit(Op::i32_add);
+        });
+    rt::CallOutcome out = expectInterpretersMatchJit(
+        module, BoundsStrategy::none, {Value::fromI32(50)});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.results[0].i32, 43u + 800u);
+}
+
+TEST(RegisterForm, JoinLabelBlocksPropagation)
+{
+    // The block's result cell reaches its end label from two
+    // predecessors, holding 10 on one and x on the other.
+    Module module = singleFunction(
+        {ValType::i32, ValType::i32}, {ValType::i32}, {}, [](auto& f) {
+            auto b = f.block(ValType::i32);
+            f.i32Const(10);
+            f.localGet(1);
+            f.brIf(b);
+            f.drop();
+            f.localGet(0);
+            f.end();
+            f.i32Const(3);
+            f.emit(Op::i32_mul);
+        });
+    LoweredModule lm = rewritten(Module(module));
+    const LoweredFunc& func = lm.funcs[0];
+    // The multiply after the label reads the stack cell itself, which
+    // both predecessors write before reaching it.
+    const uint32_t cell = func.numLocalCells;
+    uint32_t writes = 0;
+    bool mul_reads_cell = false;
+    for (const LInst& inst : func.code) {
+        writes += (inst.op == uint16_t(Op::i32_const) && inst.a == cell) ||
+                  (inst.op == uint16_t(LOp::copy) && inst.b == cell);
+        mul_reads_cell |= isForm(inst, IrForm::ri, Op::i32_mul) &&
+                          inst.b == cell && inst.imm == 3;
+    }
+    EXPECT_EQ(writes, 2u);
+    EXPECT_TRUE(mul_reads_cell);
+    for (uint32_t taken : {0u, 1u}) {
+        rt::CallOutcome out = expectInterpretersMatchJit(
+            module, BoundsStrategy::none,
+            {Value::fromI32(6), Value::fromI32(taken)});
+        ASSERT_TRUE(out.ok());
+        EXPECT_EQ(out.results[0].i32, taken ? 30u : 18u);
+    }
+}
+
+TEST(RegisterForm, CallFlushesDeferredValues)
+{
+    ModuleBuilder mb;
+    uint32_t t2 = mb.addType({ValType::i32, ValType::i32}, {ValType::i32});
+    auto& callee = mb.addFunction(t2);
+    callee.localGet(0);
+    callee.localGet(1);
+    callee.emit(Op::i32_sub);
+    uint32_t callee_idx = callee.finish();
+    uint32_t t1 = mb.addType({ValType::i32}, {ValType::i32});
+    auto& f = mb.addFunction(t1);
+    f.localGet(0); // both arguments are deferred until the call
+    f.i32Const(3);
+    f.call(callee_idx);
+    f.localGet(0);
+    f.emit(Op::i32_add);
+    mb.exportFunc("run", f.finish());
+    Module module = mb.build();
+
+    LoweredModule lm = rewritten(Module(module));
+    const LoweredFunc& func = lm.funcs[1];
+    const uint32_t base = func.numLocalCells;
+    ASSERT_GE(func.code.size(), 3u);
+    uint32_t call_pc = 0;
+    while (call_pc < func.code.size() &&
+           func.code[call_pc].op != uint16_t(LOp::callf))
+        call_pc++;
+    ASSERT_EQ(call_pc, 2u);
+    EXPECT_EQ(func.code[0].op, uint16_t(LOp::copy));
+    EXPECT_EQ(func.code[0].b, base);
+    EXPECT_EQ(func.code[1].op, uint16_t(Op::i32_const));
+    EXPECT_EQ(func.code[1].a, base + 1);
+
+    rt::CallOutcome out = expectInterpretersMatchJit(
+        module, BoundsStrategy::none, {Value::fromI32(20)});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.results[0].i32, 17u + 20u);
+}
+
+TEST(RegisterForm, ConstantFloatLhsIsNeverCommuted)
+{
+    // (1.5 - x) * (2 + x): both constants are float lhs operands, so each
+    // is written to its cell and the op keeps its operand order (x86
+    // NaN propagation depends on it), reading x from the local.
+    Module module = singleFunction(
+        {ValType::f64}, {ValType::f64}, {}, [](auto& f) {
+            f.f64Const(1.5);
+            f.localGet(0);
+            f.emit(Op::f64_sub);
+            f.f64Const(2.0);
+            f.localGet(0);
+            f.emit(Op::f64_add);
+            f.emit(Op::f64_mul);
+        });
+    LoweredModule lm = rewritten(Module(module));
+    const LoweredFunc& func = lm.funcs[0];
+    const uint32_t base = func.numLocalCells;
+    uint32_t consts = 0;
+    bool sub_in_order = false;
+    bool add_in_order = false;
+    for (const LInst& inst : func.code) {
+        consts += inst.op == uint16_t(Op::f64_const);
+        sub_in_order |= inst.op == uint16_t(Op::f64_sub) &&
+                        inst.a == base && inst.b == 0;
+        add_in_order |= inst.op == uint16_t(Op::f64_add) &&
+                        inst.a == base + 1 && inst.b == 0;
+        EXPECT_FALSE(isForm(inst, IrForm::ri, Op::f64_sub));
+        EXPECT_FALSE(isForm(inst, IrForm::ri, Op::f64_add));
+    }
+    EXPECT_EQ(consts, 2u);
+    EXPECT_TRUE(sub_in_order);
+    EXPECT_TRUE(add_in_order);
+    rt::CallOutcome out = expectInterpretersMatchJit(
+        module, BoundsStrategy::none, {Value::fromF64(0.25)});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.results[0].f64, 1.25 * 2.25);
+}
+
+TEST(RegisterForm, FormTrapsMatchTheJit)
+{
+    // x / 0 as an ri form: integer_divide_by_zero.
+    Module div = singleFunction(
+        {ValType::i32}, {ValType::i32}, {}, [](auto& f) {
+            f.localGet(0);
+            f.i32Const(0);
+            f.emit(Op::i32_div_s);
+        });
+    bool div_is_ri = false;
+    LoweredModule div_ir = rewritten(Module(div));
+    for (const LInst& inst : div_ir.funcs[0].code)
+        div_is_ri |= isForm(inst, IrForm::ri, Op::i32_div_s);
+    EXPECT_TRUE(div_is_ri);
+    EXPECT_EQ(expectInterpretersMatchJit(div, BoundsStrategy::trap,
+                                         {Value::fromI32(9)})
+                  .trap,
+              TrapKind::integer_divide_by_zero);
+
+    // f64.load from a local address as an r form: out of bounds under
+    // trap, redirected under clamp.
+    Module load = singleFunction(
+        {ValType::i32}, {ValType::i64}, {}, [](auto& f) {
+            f.localGet(0);
+            f.memOp(Op::f64_load, 8);
+            f.emit(Op::i64_reinterpret_f64);
+        });
+    bool load_is_r = false;
+    LoweredModule load_ir = rewritten(Module(load));
+    for (const LInst& inst : load_ir.funcs[0].code)
+        load_is_r |= isForm(inst, IrForm::r, Op::f64_load) && inst.b == 0 &&
+                     inst.imm == 8;
+    EXPECT_TRUE(load_is_r);
+    const std::vector<Value> oob = {Value::fromI32(kPageSize - 12)};
+    EXPECT_EQ(expectInterpretersMatchJit(load, BoundsStrategy::trap, oob)
+                  .trap,
+              TrapKind::out_of_bounds_memory);
+    EXPECT_TRUE(
+        expectInterpretersMatchJit(load, BoundsStrategy::clamp, oob).ok());
+    EXPECT_TRUE(expectInterpretersMatchJit(load, BoundsStrategy::trap,
+                                           {Value::fromI32(64)})
+                    .ok());
+}
+
+TEST(RegisterForm, ThirtyTwoBitResultsAreZeroExtended)
+{
+    // An r form writes 4 bytes of an i32/f32 result into a cell whose
+    // high half still holds the wider operand; the returned Value must
+    // carry the result alone on every engine.
+    Module wrap = singleFunction(
+        {ValType::i64}, {ValType::i32}, {}, [](auto& f) {
+            f.localGet(0);
+            f.emit(Op::i32_wrap_i64);
+        });
+    rt::CallOutcome out = expectInterpretersMatchJit(
+        wrap, BoundsStrategy::none, {Value::fromI64(0xdeadbeef00000005ull)});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.results[0].i64, 5u);
+
+    Module demote = singleFunction(
+        {ValType::f64}, {ValType::f32}, {}, [](auto& f) {
+            f.localGet(0);
+            f.emit(Op::f32_demote_f64);
+        });
+    out = expectInterpretersMatchJit(demote, BoundsStrategy::none,
+                                     {Value::fromF64(-2.5)});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.results[0].i64, uint64_t(Value::fromF32(-2.5f).i32));
+}
+
+TEST(RegisterForm, InterpretersMatchUnoptimizedResults)
 {
     for (EngineKind kind :
          {EngineKind::interp_switch, EngineKind::interp_threaded}) {

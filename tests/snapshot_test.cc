@@ -15,6 +15,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -389,6 +391,55 @@ TEST(Serialize, OutOfRangeEnumBytesAreRejected)
         auto reloaded = rt::deserializeCompiledModule(bad.data(), bad.size());
         ASSERT_FALSE(reloaded.isOk()) << "offset=" << offset;
         EXPECT_EQ(reloaded.status().code(), StatusCode::invalid_argument);
+    }
+}
+
+TEST(Serialize, OpcodesWithoutAHandlerAreRejected)
+{
+    // An interpreter artifact carries register-form IR that the
+    // threaded interpreter dispatches through a label table by opcode.
+    TestModule tm = buildStateful();
+    EngineConfig config;
+    config.kind = EngineKind::interp_threaded;
+    auto compiled = Engine(config).compileBytes(tm.bytes);
+    ASSERT_TRUE(compiled.isOk());
+    const std::vector<uint8_t> blob =
+        rt::serializeCompiledModule(*compiled.value());
+    const wasm::LoweredFunc* func = nullptr;
+    for (const wasm::LoweredFunc& f : compiled.value()->lowered().funcs) {
+        for (const wasm::LInst& inst : f.code) {
+            if (wasm::isFormOp(inst.op))
+                func = &f;
+        }
+    }
+    ASSERT_NE(func, nullptr) << "no register form to corrupt";
+    const auto* code = reinterpret_cast<const uint8_t*>(func->code.data());
+    const size_t code_bytes = func->code.size() * sizeof(wasm::LInst);
+    auto at = std::search(blob.begin(), blob.end(), code, code + code_bytes);
+    ASSERT_NE(at, blob.end());
+    const size_t base = size_t(at - blob.begin());
+
+    // Past the table, and forms the op has no handler for.
+    const uint16_t bad_ops[] = {
+        uint16_t(wasm::kIrOpCount),
+        UINT16_MAX,
+        wasm::formOp(wasm::IrForm::rr, wasm::Op::i32_load),
+        wasm::formOp(wasm::IrForm::jri, wasm::Op::f64_add),
+        wasm::formOp(wasm::IrForm::r, wasm::Op::i32_store),
+        wasm::formOp(wasm::IrForm::ri, wasm::Op::i32_atomic_rmw_add),
+    };
+    for (size_t k = 0; k < func->code.size(); k++) {
+        for (uint16_t op : bad_ops) {
+            std::vector<uint8_t> bad = blob;
+            std::memcpy(&bad[base + k * sizeof(wasm::LInst) +
+                             offsetof(wasm::LInst, op)],
+                        &op, sizeof op);
+            auto reloaded =
+                rt::deserializeCompiledModule(bad.data(), bad.size());
+            ASSERT_FALSE(reloaded.isOk()) << "inst " << k << " op " << op;
+            EXPECT_EQ(reloaded.status().code(),
+                      StatusCode::invalid_argument);
+        }
     }
 }
 
