@@ -164,7 +164,7 @@ metricsToPrometheus(const MetricsSnapshot& snapshot)
 
 namespace detail {
 
-thread_local ThreadShard* t_shard = nullptr;
+constinit thread_local ThreadShard* t_shard = nullptr;
 
 namespace {
 

@@ -88,8 +88,10 @@ struct alignas(64) ThreadShard
     std::atomic<uint64_t> histSums[kMaxHistograms];
 };
 
-/** This thread's shard, or null before the first metric write. */
-extern thread_local ThreadShard* t_shard;
+/** This thread's shard, or null before the first metric write.
+ * constinit: without it, GCC reads the variable through a weak TLS-init
+ * wrapper reference that UBSan reports as a null load. */
+extern constinit thread_local ThreadShard* t_shard;
 
 /** Claim (or fall back to the global) shard; out-of-line slow path. */
 ThreadShard* claimShard();

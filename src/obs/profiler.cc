@@ -89,7 +89,7 @@ installedJitPcClassifier()
 namespace detail {
 
 std::atomic<int> g_profState{0};
-thread_local ProfThreadState* t_profState = nullptr;
+constinit thread_local ProfThreadState* t_profState = nullptr;
 
 namespace {
 

@@ -142,9 +142,10 @@ profActive()
 
 struct ProfThreadState; // profiler.cc internal
 
-/** This thread's profiler state; null until registered. Plain pointer so
- * the SIGPROF handler's TLS access is async-signal-safe. */
-extern thread_local ProfThreadState* t_profState;
+/** This thread's profiler state; null until registered. Plain constinit
+ * pointer so every TLS access is a direct load (no TLS-init wrapper),
+ * which keeps the SIGPROF handler's access async-signal-safe. */
+extern constinit thread_local ProfThreadState* t_profState;
 
 /** Stack-allocated wasm frame marker; linked through the thread chain. */
 struct ProfFrame

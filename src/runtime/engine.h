@@ -283,6 +283,14 @@ class CompiledModule
     {
         snapshotRefused_.store(true, std::memory_order_relaxed);
     }
+    /** Count one full initialization (segments + start) of an eligible
+     * instance; true from the second on. A template is captured only
+     * once the module is reused, so a one-shot instance never pays for
+     * one. */
+    bool noteFullInit() const
+    {
+        return fullInits_.fetch_add(1, std::memory_order_relaxed) != 0;
+    }
 
   private:
     friend class Engine;
@@ -311,6 +319,7 @@ class CompiledModule
     mutable std::atomic<const SnapshotState*> snapshot_{nullptr};
     mutable std::unique_ptr<const SnapshotState> snapshotStorage_;
     mutable std::atomic<bool> snapshotRefused_{false};
+    mutable std::atomic<uint64_t> fullInits_{0};
 };
 
 /**

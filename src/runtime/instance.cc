@@ -1,6 +1,7 @@
 #include "runtime/instance.h"
 
 #include <pthread.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <cassert>
@@ -121,7 +122,11 @@ Instance::create(std::shared_ptr<const CompiledModule> module,
     return inst;
 }
 
-Instance::~Instance() = default;
+Instance::~Instance()
+{
+    if (vstack_ != nullptr)
+        munmap(vstack_, vstackBytes_);
+}
 
 Status
 Instance::initialize(ImportMap imports,
@@ -197,9 +202,18 @@ Instance::initialize(ImportMap imports,
     }
 
     // ----- value stack -----
-    vstack_.reset(new wasm::Value[config.valueStackCells]);
-    ctx_.vstack = vstack_.get();
-    ctx_.vstackEnd = vstack_.get() + config.valueStackCells;
+    // Its own mapping, not the heap: glibc raises its mmap threshold to
+    // the size of any mmapped chunk that is freed, so freeing one 8 MiB
+    // stack would move every later allocation below 8 MiB onto the brk
+    // heap, whose freed pages stay resident (DESIGN.md §14).
+    vstackBytes_ = size_t(config.valueStackCells) * sizeof(wasm::Value);
+    void* vstack = mmap(nullptr, vstackBytes_, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (vstack == MAP_FAILED)
+        return errResource("value stack mmap failed");
+    vstack_ = static_cast<wasm::Value*>(vstack);
+    ctx_.vstack = vstack_;
+    ctx_.vstackEnd = vstack_ + config.valueStackCells;
     ctx_.maxCallDepth = config.maxCallDepth;
     ctx_.lowered = &module_->lowered();
 
@@ -227,16 +241,11 @@ Instance::initialize(ImportMap imports,
     }
 
     // ----- snapshot/restore instantiation (DESIGN.md §14) -----
-    // Eligible when the module's start is pure (its effects are fully
-    // captured by memory + globals + table), the memory is private to
-    // this instance, and nothing has refused capture before. The restore
-    // path maps the module's CoW template over the fresh reservation and
-    // copies globals/table wholesale — no data segments, no start run.
-    bool want_snapshot = snapshotEnabled() && memory_ != nullptr &&
-                         !externalMemory_ && !ctx_.sharedMem &&
-                         module_->startIsPure() &&
-                         !module_->snapshotRefused();
-    if (want_snapshot) {
+    // The restore path maps the module's CoW template over the fresh
+    // reservation and copies globals/table wholesale — no data segments,
+    // no start run.
+    const bool eligible = snapshotEligible();
+    if (eligible) {
         if (const SnapshotState* snap = module_->snapshot()) {
             LNB_RETURN_IF_ERROR(memory_->adoptSnapshot(snap->memory));
             ctx_.memSize = memory_->sizeBytes();
@@ -246,9 +255,20 @@ Instance::initialize(ImportMap imports,
         }
     }
     LNB_RETURN_IF_ERROR(initMutableState());
-    if (want_snapshot)
-        captureSnapshot();
+    if (eligible)
+        captureSnapshotOnReuse();
     return Status::ok();
+}
+
+bool
+Instance::snapshotEligible() const
+{
+    // The module's start is pure (its effects are fully captured by
+    // memory + globals + table), the memory is private to this instance,
+    // and nothing has refused capture before.
+    return snapshotEnabled() && memory_ != nullptr && !externalMemory_ &&
+           !ctx_.sharedMem && module_->startIsPure() &&
+           !module_->snapshotRefused();
 }
 
 Status
@@ -312,7 +332,7 @@ Instance::resetExecState()
     ctx_.interruptFlag.store(0, std::memory_order_relaxed);
     ctx_.epochCountdown = ctx_.epochInterval != 0 ? ctx_.epochInterval
                                                   : ~0u;
-    ctx_.vstackTop = vstack_.get();
+    ctx_.vstackTop = vstack_;
     ctx_.callDepth = 0;
     ctx_.blockingEvents = 0;
     ctx_.checksRetired = 0;
@@ -340,22 +360,29 @@ Instance::applySnapshotState(const SnapshotState& snap)
 }
 
 void
-Instance::captureSnapshot()
+Instance::captureSnapshotOnReuse()
 {
-    auto captured = memory_->snapshot();
-    if (!captured.isOk()) {
-        // Unsupported backing (uffd emulation, empty memory): remember
-        // the refusal so later instances skip the attempt; transient
-        // resource failures just retry on the next instantiation.
-        if (captured.status().code() == StatusCode::unsupported)
-            module_->markSnapshotRefused();
-        return;
+    // The module's first full initialization stays on plain anonymous
+    // memory: a one-shot instance never pays for a template it would
+    // throw away. The second one captures.
+    if (module_->snapshot() == nullptr) {
+        if (!module_->noteFullInit())
+            return;
+        auto captured = memory_->snapshot();
+        if (!captured.isOk()) {
+            // Unsupported backing (uffd emulation, empty memory): remember
+            // the refusal so later instances skip the attempt; transient
+            // resource failures just retry on the next full init.
+            if (captured.status().code() == StatusCode::unsupported)
+                module_->markSnapshotRefused();
+            return;
+        }
+        auto state = std::make_unique<SnapshotState>();
+        state->memory = captured.takeValue();
+        state->globals = globals_;
+        state->table = table_;
+        module_->publishSnapshot(std::move(state));
     }
-    auto state = std::make_unique<SnapshotState>();
-    state->memory = captured.takeValue();
-    state->globals = globals_;
-    state->table = table_;
-    module_->publishSnapshot(std::move(state));
     // Adopt whatever the module published (ours, or a racing winner's) so
     // this instance's recycle() takes the restore path too. Best-effort:
     // on failure the legacy reset path still works.
@@ -394,7 +421,10 @@ Instance::recycle()
         LNB_RETURN_IF_ERROR(memory_->reset());
         ctx_.memSize = memory_->sizeBytes();
     }
-    return initMutableState();
+    LNB_RETURN_IF_ERROR(initMutableState());
+    if (snapshotEligible())
+        captureSnapshotOnReuse();
+    return Status::ok();
 }
 
 void

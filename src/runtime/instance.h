@@ -95,7 +95,10 @@ class Instance
      * tables are re-initialized, data segments re-applied and the start
      * function re-run. This is the instance-pool recycling path (src/svc):
      * it must be observably equivalent to Instance::create() on the same
-     * CompiledModule, minus the mmap/munmap cycle.
+     * CompiledModule, minus the mmap/munmap cycle. An instance that has
+     * adopted the module's snapshot template restores from it instead;
+     * a recycle that re-runs the start counts as a full initialization
+     * toward capturing one (DESIGN.md §14).
      *
      * On error the instance is left in an unspecified state and must be
      * destroyed, not reused.
@@ -178,11 +181,15 @@ class Instance
      * execution state. The memory template must already be adopted /
      * restored by the caller. */
     Status applySnapshotState(const SnapshotState& snap);
-    /** Capture this freshly initialized instance's state as the module's
-     * snapshot template (first caller wins) and adopt it so recycle()
+    /** Snapshot capture and restore apply: snapshots are on, the memory
+     * is private, the start is pure, and capture was never refused. */
+    bool snapshotEligible() const;
+    /** After a full initialization: from the module's second one on,
+     * capture this instance's state as the module's snapshot template
+     * (first caller wins) and adopt the published template so recycle()
      * takes the restore path. Refusals are recorded on the module and
      * are not errors. */
-    void captureSnapshot();
+    void captureSnapshotOnReuse();
 
     std::shared_ptr<const CompiledModule> module_;
     std::shared_ptr<mem::LinearMemory> memory_;
@@ -192,7 +199,10 @@ class Instance
     std::vector<wasm::Value> globals_;
     std::vector<exec::TableEntry> table_;
     std::vector<exec::HostFuncBinding> hostBindings_;
-    std::unique_ptr<wasm::Value[]> vstack_;
+    /** The value stack: its own MAP_NORESERVE mapping, unmapped in the
+     * destructor. */
+    wasm::Value* vstack_ = nullptr;
+    size_t vstackBytes_ = 0;
     /** Per-instance hotness accumulators (tiered modules only); zeroed
      * on create and on every recycle so pool reuse cannot inherit a
      * previous tenant's profile. */

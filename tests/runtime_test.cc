@@ -1,9 +1,15 @@
 /**
  * @file
  * Runtime-layer tests: engine/strategy registries, compile statistics,
- * import binding errors, and the WASI-lite host functions.
+ * import binding errors, value-stack limits, and the WASI-lite host
+ * functions.
  */
 #include <gtest/gtest.h>
+
+#include <malloc.h>
+
+#include <cstdlib>
+#include <string>
 
 #include "runtime/engine.h"
 #include "runtime/instance.h"
@@ -114,6 +120,115 @@ TEST(Instance, ImportTypeMismatchIsAnError)
                                  std::move(imports));
     EXPECT_FALSE(inst.isOk());
 }
+
+/** A function with @p num_locals i64 locals that bumps global "depth"
+ * and calls itself forever. */
+std::vector<uint8_t>
+runawayRecursionModule(uint32_t num_locals)
+{
+    wasm::ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    uint32_t depth = mb.addGlobal(ValType::i32, true,
+                                  wasm::Instr::constI32(0));
+    uint32_t void_t = mb.addType({}, {});
+    auto& rec = mb.addFunction(void_t);
+    for (uint32_t i = 0; i < num_locals; i++)
+        rec.addLocal(ValType::i64);
+    rec.globalGet(depth);
+    rec.i32Const(1);
+    rec.emit(Op::i32_add);
+    rec.globalSet(depth);
+    rec.call(0); // no imports: this function is index 0
+    mb.exportFunc("rec", rec.finish());
+    auto& get = mb.addFunction(mb.addType({}, {ValType::i32}));
+    get.globalGet(depth);
+    mb.exportFunc("depth", get.finish());
+    return wasm::encodeModule(mb.build());
+}
+
+TEST(Instance, SmallValueStackTrapsStackOverflowInEveryEngine)
+{
+    // 64 locals per frame on a 4096-cell stack overflow within 64 calls,
+    // far below maxCallDepth. The explicit vstackEnd check must trap
+    // before any access leaves the stack's mapping: a fault there is not
+    // in a linear memory, so the SIGSEGV handler would re-raise it and
+    // kill the process.
+    constexpr uint32_t kCells = 4096;
+    constexpr uint32_t kLocals = 64;
+    const std::vector<uint8_t> bytes = runawayRecursionModule(kLocals);
+    struct EngineCase
+    {
+        EngineKind kind;
+        bool tiered;
+    };
+    const EngineCase engines[] = {
+        {EngineKind::interp_switch, false},
+        {EngineKind::interp_threaded, false},
+        {EngineKind::jit_base, false},
+        {EngineKind::jit_opt, false},
+        {EngineKind::jit_opt, true},
+    };
+    for (const EngineCase& ec : engines) {
+        for (int s = 0; s < mem::kNumBoundsStrategies; s++) {
+            EngineConfig config;
+            config.kind = ec.kind;
+            config.tiered = ec.tiered;
+            config.strategy = BoundsStrategy(s);
+            config.valueStackCells = kCells;
+            SCOPED_TRACE(std::string(engineKindName(ec.kind)) +
+                         (ec.tiered ? "+tiered/" : "/") +
+                         boundsStrategyName(config.strategy));
+            auto compiled = Engine(config).compileBytes(bytes);
+            ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+            auto inst = Instance::create(compiled.takeValue());
+            ASSERT_TRUE(inst.isOk()) << inst.status().toString();
+
+            CallOutcome out = inst.value()->callExport("rec", {});
+            EXPECT_EQ(out.trap, wasm::TrapKind::stack_overflow)
+                << wasm::trapKindName(out.trap);
+            CallOutcome depth = inst.value()->callExport("depth", {});
+            ASSERT_TRUE(depth.ok());
+            EXPECT_GT(depth.results[0].i32, 0u);
+            EXPECT_LE(depth.results[0].i32, kCells / kLocals);
+            EXPECT_LT(depth.results[0].i32, config.maxCallDepth);
+        }
+    }
+}
+
+#ifdef __GLIBC__
+TEST(Instance, ValueStackLeavesMallocMmapThresholdAlone)
+{
+#ifdef __SANITIZE_ADDRESS__
+    GTEST_SKIP() << "ASan replaces malloc; glibc's mmap threshold is not "
+                    "in play";
+#else
+    // glibc raises its dynamic mmap threshold to the size of any mmapped
+    // chunk that is freed. If destroying an instance freed its 8 MiB
+    // value stack through free(), every later block below 8 MiB would
+    // come from the brk heap. The threadsafe death-test style re-executes
+    // the binary, so no earlier test's frees have moved the threshold.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            {
+                auto compiled = Engine(EngineConfig{}).compileBytes(
+                    wasm::encodeModule(trivialModule()));
+                if (!compiled.isOk() ||
+                    !Instance::create(compiled.takeValue()).isOk()) {
+                    std::_Exit(2);
+                }
+            }
+            size_t before = mallinfo2().hblkhd;
+            // volatile: GCC drops a malloc whose only use is free.
+            void* volatile block = std::malloc(1 << 20);
+            bool mmapped = mallinfo2().hblkhd > before;
+            std::free(block);
+            std::_Exit(mmapped ? 0 : 1);
+        },
+        testing::ExitedWithCode(0), "");
+#endif
+}
+#endif
 
 TEST(Instance, StartFunctionRuns)
 {

@@ -1,8 +1,9 @@
 /**
  * @file
  * Snapshot/restore instantiation and persistent code cache (DESIGN.md
- * §14): restored instances must be bit-exact with fresh ones across
- * every (strategy, engine) pair, growing past the template must be
+ * §14): a template is captured only once a module is reused, restored
+ * instances must be bit-exact with fresh ones across every (strategy,
+ * engine) pair, growing past the template must be
  * invalidated cleanly on recycle, shared memories and the uffd
  * emulation must refuse capture but stay correct, serialized artifacts
  * must round-trip through bytes, and the disk cache must reject
@@ -16,13 +17,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mem/linear_memory.h"
+#include "obs/metrics.h"
 #include "runtime/engine.h"
 #include "runtime/instance.h"
 #include "svc/module_cache.h"
@@ -186,13 +190,18 @@ TEST(Snapshot, RestoredBitExactAcrossStrategiesAndEngines)
             ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
             auto cm = compiled.takeValue();
 
-            // First instance runs segments + start and captures the
-            // template; the second restores from it (where supported).
+            // The first instance runs segments + start and captures
+            // nothing; the second runs them too, then captures the
+            // template and adopts it; the third restores from it (where
+            // supported).
             auto a = Instance::create(cm);
             ASSERT_TRUE(a.isOk()) << a.status().toString();
             auto b = Instance::create(cm);
             ASSERT_TRUE(b.isOk()) << b.status().toString();
-            expectBitExact(*a.value(), *b.value(), "fresh vs restored");
+            expectBitExact(*a.value(), *b.value(), "fresh vs captured");
+            auto c = Instance::create(cm);
+            ASSERT_TRUE(c.isOk()) << c.status().toString();
+            expectBitExact(*a.value(), *c.value(), "fresh vs restored");
 
             // Post-start state must be present either way.
             EXPECT_EQ(callI32(*b.value(), "peek", {Value::fromI32(128)}),
@@ -214,6 +223,147 @@ TEST(Snapshot, RestoredBitExactAcrossStrategiesAndEngines)
             EXPECT_EQ(callI32(*b.value(), "peek", {Value::fromI32(256)}),
                       0);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Capture policy: a template is captured on reuse, not on first use
+// ---------------------------------------------------------------------
+
+/** Deltas of the snapshot protocol counters over a scope. */
+struct SnapshotCounters
+{
+    uint64_t captures = 0;
+    uint64_t adopts = 0;
+    uint64_t restores = 0;
+
+    static SnapshotCounters now()
+    {
+        obs::MetricsSnapshot m = obs::snapshotMetrics();
+        return {m.counter("mem.snapshot_captures"),
+                m.counter("mem.snapshot_adopts"),
+                m.counter("rt.snapshot_restores")};
+    }
+    SnapshotCounters since(const SnapshotCounters& before) const
+    {
+        return {captures - before.captures, adopts - before.adopts,
+                restores - before.restores};
+    }
+};
+
+/** Counter deltas are observable only with obs compiled in. */
+void
+expectCounts(const SnapshotCounters& d, uint64_t captures, uint64_t adopts,
+             uint64_t restores)
+{
+#ifndef LNB_OBS_DISABLED
+    EXPECT_EQ(d.captures, captures);
+    EXPECT_EQ(d.adopts, adopts);
+    EXPECT_EQ(d.restores, restores);
+#else
+    (void)d, (void)captures, (void)adopts, (void)restores;
+#endif
+}
+
+std::shared_ptr<const rt::CompiledModule>
+compileStateful()
+{
+    auto compiled = Engine(EngineConfig{}).compileBytes(
+        buildStateful().bytes);
+    EXPECT_TRUE(compiled.isOk()) << compiled.status().toString();
+    return compiled.isOk() ? compiled.takeValue() : nullptr;
+}
+
+TEST(SnapshotPolicy, OneShotCreateCapturesNothing)
+{
+    auto cm = compileStateful();
+    ASSERT_NE(cm, nullptr);
+    SnapshotCounters before = SnapshotCounters::now();
+    auto a = Instance::create(cm);
+    ASSERT_TRUE(a.isOk()) << a.status().toString();
+    expectCounts(SnapshotCounters::now().since(before), 0, 0, 0);
+    EXPECT_FALSE(a.value()->memory()->hasSnapshot());
+    EXPECT_EQ(cm->snapshot(), nullptr);
+    EXPECT_EQ(callI32(*a.value(), "peek", {Value::fromI32(128)}),
+              int32_t(0xdeadbeef));
+}
+
+TEST(SnapshotPolicy, SecondCreateCapturesAndThirdRestores)
+{
+    auto cm = compileStateful();
+    ASSERT_NE(cm, nullptr);
+    auto a = Instance::create(cm);
+    ASSERT_TRUE(a.isOk()) << a.status().toString();
+
+    SnapshotCounters before = SnapshotCounters::now();
+    auto b = Instance::create(cm);
+    ASSERT_TRUE(b.isOk()) << b.status().toString();
+    expectCounts(SnapshotCounters::now().since(before), 1, 1, 0);
+    EXPECT_NE(cm->snapshot(), nullptr);
+    EXPECT_TRUE(b.value()->memory()->hasSnapshot());
+    EXPECT_FALSE(a.value()->memory()->hasSnapshot());
+
+    before = SnapshotCounters::now();
+    auto c = Instance::create(cm);
+    ASSERT_TRUE(c.isOk()) << c.status().toString();
+    expectCounts(SnapshotCounters::now().since(before), 0, 1, 1);
+    EXPECT_TRUE(c.value()->memory()->hasSnapshot());
+    expectBitExact(*a.value(), *c.value(), "first vs restored third");
+}
+
+TEST(SnapshotPolicy, LoneInstanceCapturesOnFirstRecycleRestoresOnSecond)
+{
+    auto cm = compileStateful();
+    ASSERT_NE(cm, nullptr);
+    auto fresh = Instance::create(cm);
+    ASSERT_TRUE(fresh.isOk()) << fresh.status().toString();
+    Instance& inst = *fresh.value();
+
+    callVoid(inst, "poke", {Value::fromI32(256), Value::fromI32(5)});
+    SnapshotCounters before = SnapshotCounters::now();
+    ASSERT_TRUE(inst.recycle().isOk());
+    expectCounts(SnapshotCounters::now().since(before), 1, 1, 0);
+    EXPECT_TRUE(inst.memory()->hasSnapshot());
+    EXPECT_EQ(callI32(inst, "peek", {Value::fromI32(256)}), 0);
+
+    callVoid(inst, "poke", {Value::fromI32(256), Value::fromI32(6)});
+    callVoid(inst, "bump");
+    before = SnapshotCounters::now();
+    ASSERT_TRUE(inst.recycle().isOk());
+    expectCounts(SnapshotCounters::now().since(before), 0, 0, 1);
+    EXPECT_EQ(callI32(inst, "peek", {Value::fromI32(256)}), 0);
+    EXPECT_EQ(callI32(inst, "gget"), 7 + int32_t(0x04030201));
+}
+
+TEST(SnapshotPolicy, ConcurrentFirstAndSecondCreatePublishOneTemplate)
+{
+    for (int round = 0; round < 20; round++) {
+        auto cm = compileStateful();
+        ASSERT_NE(cm, nullptr);
+        SnapshotCounters before = SnapshotCounters::now();
+        std::atomic<int> ready{0};
+        std::unique_ptr<Instance> made[2];
+        std::thread threads[2];
+        for (int t = 0; t < 2; t++) {
+            threads[t] = std::thread([&, t] {
+                ready.fetch_add(1);
+                while (ready.load() < 2) {
+                }
+                auto inst = Instance::create(cm);
+                if (inst.isOk())
+                    made[t] = inst.takeValue();
+            });
+        }
+        for (std::thread& th : threads)
+            th.join();
+        ASSERT_NE(made[0], nullptr);
+        ASSERT_NE(made[1], nullptr);
+        SCOPED_TRACE("round " + std::to_string(round));
+        expectCounts(SnapshotCounters::now().since(before), 1, 1, 0);
+        EXPECT_NE(cm->snapshot(), nullptr);
+        EXPECT_NE(made[0]->memory()->hasSnapshot(),
+                  made[1]->memory()->hasSnapshot());
+        expectBitExact(*made[0], *made[1], "concurrent creates");
     }
 }
 
@@ -288,10 +438,11 @@ TEST(Snapshot, UffdEmulationRefusesCaptureButStaysCorrect)
     auto a = Instance::create(cm);
     ASSERT_TRUE(a.isOk()) << a.status().toString();
     EXPECT_FALSE(a.value()->memory()->hasSnapshot());
-    EXPECT_TRUE(cm->snapshotRefused());
     auto b = Instance::create(cm);
     ASSERT_TRUE(b.isOk());
     EXPECT_FALSE(b.value()->memory()->hasSnapshot());
+    // The second full init is the first capture attempt.
+    EXPECT_TRUE(cm->snapshotRefused());
     // Legacy recycle path still works and is still equivalent to fresh.
     callVoid(*b.value(), "poke",
              {Value::fromI32(512), Value::fromI32(99)});
