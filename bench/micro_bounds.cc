@@ -120,8 +120,8 @@ BENCHMARK(BM_JitOptLoadStore)
  * The gemm beta-scale phase (PolyBench) as a standalone loop kernel:
  * C[i] *= beta over one f64 row — a read-modify-write loop whose load
  * and store hit the same address through different cells. Exercises the
- * opt pass's value-numbered check elision (the per-block JIT cache
- * alone cannot carry the load's check to the store).
+ * opt pass's value-numbered check elision (the per-cell dataflow alone
+ * cannot carry the load's check to the store).
  */
 wasm::Module
 rmwScaleModule(int count)

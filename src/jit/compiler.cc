@@ -1,5 +1,6 @@
 #include "jit/compiler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cpuid.h>
 #include <cstddef>
@@ -285,15 +286,6 @@ class FunctionCompiler
           checkRanges_(check_ranges)
     {
         assignLocalHomes();
-        for (uint32_t pc : func_.elidableCheckPcs)
-            elideHints_.insert(pc);
-        for (uint32_t i = 0; i < func_.entryCheckFacts.size(); i++) {
-            uint32_t pc = func_.entryCheckFacts[i].pc;
-            auto [it, inserted] = factRanges_.emplace(
-                pc, std::make_pair(i, i + 1));
-            if (!inserted)
-                it->second.second = i + 1; // facts are sorted by pc
-        }
     }
 
     void compile();
@@ -356,7 +348,6 @@ class FunctionCompiler
             as_.movRR32(kSlotGpr[s], src);
         else
             as_.movMR32(cellMem(cell), src);
-        invalidate(cell);
     }
     void
     storeGpr64(uint32_t cell, Reg src)
@@ -366,7 +357,6 @@ class FunctionCompiler
             as_.movRR64(kSlotGpr[s], src);
         else
             as_.movMR64(cellMem(cell), src);
-        invalidate(cell);
     }
     void
     loadGpr(bool is64, Reg dst, uint32_t cell)
@@ -410,7 +400,6 @@ class FunctionCompiler
             as_.movapsRR(kSlotXmm[s], src);
         else
             as_.movssMR(cellMem(cell), src);
-        invalidate(cell);
     }
     void
     storeXmm64(uint32_t cell, Xmm src)
@@ -420,7 +409,6 @@ class FunctionCompiler
             as_.movapsRR(kSlotXmm[s], src);
         else
             as_.movsdMR(cellMem(cell), src);
-        invalidate(cell);
     }
     void
     loadBits64(Reg dst, uint32_t cell, RC rc)
@@ -445,7 +433,6 @@ class FunctionCompiler
         } else {
             as_.movqXR(kSlotXmm[s], src);
         }
-        invalidate(cell);
     }
 
     /** Write the cell's register home back to its memory slot (calls). */
@@ -460,8 +447,7 @@ class FunctionCompiler
         else
             as_.movsdMR(cellMem(cell), kSlotXmm[s]);
     }
-    /** Load the cell's register home from its memory slot (after calls;
-     * the call sites' cache updates cover the result cell). */
+    /** Load the cell's register home from its memory slot (after calls). */
     void
     fillCell(uint32_t cell, RC rc)
     {
@@ -576,111 +562,18 @@ class FunctionCompiler
         callGlue(kGlueInterrupt);
     }
 
-    // ----- bounds-check cache (opt tier) -----
-    void invalidate(uint32_t cell) { checkedLimit_.erase(cell); }
-    void
-    invalidateAllChecks()
-    {
-        checkedLimit_.clear();
-        checkedConstLimit_ = 0;
-    }
-
-    /** The check caches are live (trap strategy, optimizing tier). */
-    bool
-    checkCacheActive() const
-    {
-        return opts_.optimize && opts_.strategy == BoundsStrategy::trap;
-    }
-
-    /** Interprocedural summaries were computed for this module. */
-    bool
-    haveSummaries() const
-    {
-        return checkCacheActive() && !mod_.funcSummaries.empty();
-    }
-
-    /** Re-seed the caches with facts the opt pass proved to hold on
-     * every path into @p pc (block entries and the function entry). */
-    void
-    seedFactsAt(uint32_t pc)
-    {
-        if (!checkCacheActive())
-            return;
-        auto it = factRanges_.find(pc);
-        if (it == factRanges_.end())
-            return;
-        for (uint32_t i = it->second.first; i < it->second.second; i++) {
-            const auto& fact = func_.entryCheckFacts[i];
-            if (fact.cell == wasm::kCheckFactConstCell)
-                checkedConstLimit_ =
-                    std::max(checkedConstLimit_, fact.limit);
-            else
-                checkedLimit_[fact.cell] = fact.limit;
-        }
-    }
-
-    /** Forget cell facts at and above @p arg_base (what a wasm callee
-     * can clobber: frames overlap, the callee's frame starts there). */
-    void
-    eraseCheckedFrom(uint32_t arg_base)
-    {
-        for (auto it = checkedLimit_.begin();
-             it != checkedLimit_.end();) {
-            if (it->first >= arg_base)
-                it = checkedLimit_.erase(it);
-            else
-                ++it;
-        }
-    }
-
     /**
-     * Update the caches after a direct call to module-wide function
-     * index @p callee_idx with the argument frame at @p arg_base. With
-     * summaries, a grow-free callee invalidates only cells it can write;
-     * any wasm callee leaves the constant fact alive (memSize is
-     * monotone) and contributes its own entry-checked constant limit.
+     * May the software check of the instruction being emitted be
+     * skipped? Exactly when the strategy traps and the opt pass listed
+     * its pc: a listed check is covered by one that already passed, so
+     * it cannot fail. clamp must still redirect every access.
      */
-    void
-    noteDirectCall(uint32_t callee_idx, uint32_t arg_base)
+    bool
+    checkSkipped() const
     {
-        if (!haveSummaries()) {
-            invalidateAllChecks();
-            return;
-        }
-        const wasm::FuncSummary& s =
-            mod_.funcSummaries[callee_idx -
-                               mod_.module.numImportedFuncs()];
-        eraseCheckedFrom(s.growFree ? arg_base : 0);
-        checkedConstLimit_ =
-            std::max(checkedConstLimit_, s.maxConstCheckLimit);
-    }
-
-    /** Caches after call_indirect or memory.grow: no callee identity,
-     * but memSize monotonicity keeps the constant fact alive. */
-    void
-    noteOpaqueMemClobber()
-    {
-        if (!haveSummaries()) {
-            invalidateAllChecks();
-            return;
-        }
-        eraseCheckedFrom(0);
-    }
-
-    /** Propagate the source cell's checked limit through a copy (the
-     * address value moved, so its passed check moved with it). */
-    void
-    propagateCheckOnCopy(const LInst& inst)
-    {
-        if (!checkCacheActive()) {
-            invalidate(inst.b);
-            return;
-        }
-        auto it = checkedLimit_.find(inst.a);
-        if (it != checkedLimit_.end())
-            checkedLimit_[inst.b] = it->second;
-        else
-            checkedLimit_.erase(inst.b);
+        return opts_.strategy == BoundsStrategy::trap &&
+               std::binary_search(func_.elidableCheckPcs.begin(),
+                                  func_.elidableCheckPcs.end(), curPc_);
     }
 
     /** ctx->checksRetired++ (mov/lea/mov: no flags touched). Emitted in
@@ -738,16 +631,7 @@ class FunctionCompiler
             as_.addRR64(rax, rcx);
         }
 
-        uint64_t limit = offset + access_size;
-        bool elide = false;
-        if (checkCacheActive()) {
-            // Elision hints are only sound where skipping the check means
-            // trapping was already guaranteed; clamp must still redirect.
-            auto it = checkedLimit_.find(inst.a);
-            elide = (it != checkedLimit_.end() && it->second >= limit) ||
-                    elideHints_.count(curPc_) != 0;
-        }
-        if (elide) {
+        if (checkSkipped()) {
             jitMetrics().boundsChecksElided.add();
         } else {
             jitMetrics().boundsChecksEmitted.add();
@@ -763,8 +647,6 @@ class FunctionCompiler
             } else {
                 as_.jcc(Cond::a,
                         trapLabel(TrapKind::out_of_bounds_memory));
-                if (checkCacheActive())
-                    checkedLimit_[inst.a] = limit;
             }
             recordCheckRange(check_begin);
         }
@@ -854,8 +736,6 @@ class FunctionCompiler
     {
         if (reg == rax)
             storeGpr(is64, a, rax);
-        else
-            invalidate(a);
     }
 
     /**
@@ -962,21 +842,11 @@ class FunctionCompiler
     /** Per-function epoch-interrupt island (lazily created; id -1 when no
      * poll was emitted). */
     Label interruptLabel_;
-    /** addr cell -> highest offset+size already checked (trap mode). */
-    std::unordered_map<uint32_t, uint64_t> checkedLimit_;
-    /** Constant limit known to satisfy memSize >= limit here (from a
-     * check_bounds aux == 1, a callee summary, or the initial-memory
-     * entry fact). Survives calls and grows: memSize is monotone. */
-    uint64_t checkedConstLimit_ = 0;
-    /** pc currently being emitted (for elision-hint lookups). */
+    /** pc currently being emitted (for check skip-list lookups). */
     uint32_t curPc_ = 0;
-    /** Accesses the opt pass proved covered by an earlier check. */
-    std::unordered_set<uint32_t> elideHints_;
     /** Rhs of the instruction being emitted when its constant operand
      * was folded into it (set by emitFolded only). */
     std::optional<int32_t> rhsImm_;
-    /** Jump-target pc -> [begin, end) range into func_.entryCheckFacts. */
-    std::unordered_map<uint32_t, std::pair<uint32_t, uint32_t>> factRanges_;
 };
 
 void
@@ -1046,9 +916,8 @@ FunctionCompiler::emitEpilogue()
 void
 FunctionCompiler::compile()
 {
-    // Pre-scan for jump targets so the bounds-check cache resets at basic
-    // block boundaries, folds never cross into a label, and labels exist
-    // before backward jumps bind.
+    // Pre-scan for jump targets so folds never cross into a label and
+    // labels exist before backward jumps bind.
     pcLabels_.resize(func_.code.size());
     // A target at or before its jump is a loop back edge: those labels
     // additionally get an epoch poll (the JIT's preemption sites).
@@ -1076,22 +945,13 @@ FunctionCompiler::compile()
     }
 
     emitPrologue();
-    // Facts that hold at any entry into the function (the IPO pass's
-    // initial-memory-size constant fact) seed the caches at pc 0.
-    seedFactsAt(0);
 
     for (uint32_t pc = 0; pc < func_.code.size(); pc++) {
         if (isJumpTarget(pc)) {
             as_.bind(pcLabels_[pc]);
-            invalidateAllChecks();
-            // Re-seed the caches with facts the opt pass proved to hold
-            // on every path into this label, so elision keeps working
-            // across block boundaries and around loop back edges.
-            seedFactsAt(pc);
             // Loop headers poll the interrupt flag: every back edge runs
             // through here, so a spinning loop is preempted within one
-            // iteration. The poll has no memory-state effect, so the
-            // check caches seeded above stay valid.
+            // iteration.
             if (opts_.epochChecks && backEdgeTargets_.count(pc))
                 emitEpochPoll();
         }
@@ -1108,8 +968,7 @@ FunctionCompiler::compile()
  * the next instruction when that pops the cell it writes (a constant
  * becomes an immediate, a copy becomes a direct read of its source),
  * and fuses an int compare with the branch popping its result into
- * cmp + jcc. The skipped cell writes are invalidated in the check
- * cache. Returns the last pc consumed.
+ * cmp + jcc. Returns the last pc consumed.
  */
 uint32_t
 FunctionCompiler::emitFolded(uint32_t pc)
@@ -1119,7 +978,6 @@ FunctionCompiler::emitFolded(uint32_t pc)
         const LInst& def = func_.code[pc];
         inst = func_.code[++pc];
         curPc_ = pc;
-        invalidate(inst.b); // never written
         if (LOp(def.op) == LOp::copy)
             inst.b = def.a;
         else
@@ -1198,7 +1056,6 @@ FunctionCompiler::emitInstr(const LInst& inst)
             else
                 as_.movapsRR(kSlotXmm[dst], kSlotXmm[src]);
         }
-        propagateCheckOnCopy(inst);
         return;
       }
 
@@ -1231,19 +1088,9 @@ FunctionCompiler::emitInstr(const LInst& inst)
         // other strategies it is dead weight the pass never inserts).
         if (opts_.strategy != BoundsStrategy::trap)
             return;
-        // A covered check cannot trap (an equal-or-stronger compare
-        // already passed on every path here), so it can be skipped.
-        if (checkCacheActive()) {
-            if (inst.aux == 0) {
-                auto it = checkedLimit_.find(inst.a);
-                if (it != checkedLimit_.end() && it->second >= inst.imm) {
-                    jitMetrics().boundsChecksElided.add();
-                    return;
-                }
-            } else if (checkedConstLimit_ >= inst.imm) {
-                jitMetrics().boundsChecksElided.add();
-                return;
-            }
+        if (checkSkipped()) {
+            jitMetrics().boundsChecksElided.add();
+            return;
         }
         jitMetrics().boundsChecksEmitted.add();
         emitCountRetired();
@@ -1254,17 +1101,10 @@ FunctionCompiler::emitInstr(const LInst& inst)
             as_.addRR64(rax, rcx);
             as_.cmpRM64(rax, CTX_FIELD(memSize));
             as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
-            if (checkCacheActive()) {
-                uint64_t& cached = checkedLimit_[inst.a];
-                cached = std::max(cached, inst.imm);
-            }
         } else {
             as_.movRI64(rax, inst.imm);
             as_.cmpRM64(rax, CTX_FIELD(memSize));
             as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
-            if (checkCacheActive())
-                checkedConstLimit_ =
-                    std::max(checkedConstLimit_, inst.imm);
         }
         recordCheckRange(check_begin);
         return;
@@ -1311,7 +1151,6 @@ FunctionCompiler::emitCall(const LInst& inst)
     reloadLiveHomes(inst.aux, inst.b);
     if (!callee.results.empty())
         fillCell(inst.b, classOf(callee.results[0]));
-    noteDirectCall(inst.a, inst.b);
 }
 
 void
@@ -1330,7 +1169,6 @@ FunctionCompiler::emitCallHost(const LInst& inst)
     reloadLiveHomes(inst.aux, inst.b);
     if (!callee.results.empty())
         fillCell(inst.b, classOf(callee.results[0]));
-    invalidateAllChecks();
 }
 
 void
@@ -1381,7 +1219,6 @@ FunctionCompiler::emitCallIndirect(const LInst& inst)
     reloadLiveHomes(inst.aux, arg_base);
     if (!callee.results.empty())
         fillCell(arg_base, classOf(callee.results[0]));
-    noteOpaqueMemClobber();
 }
 
 void
@@ -1412,10 +1249,8 @@ FunctionCompiler::emitLoad(const LInst& inst)
       case Op::i64_load32_u: as_.movRM32(g, src); break; // zero-extends
       default: assert(false);
     }
-    if (home >= 0) {
-        invalidate(inst.a);
+    if (home >= 0)
         return;
-    }
     switch (wasm::opInfo(op).sig[2]) { // "i:<result>"
       case 'f': storeXmm32(inst.a, xmm0); break;
       case 'F': storeXmm64(inst.a, xmm0); break;
@@ -1555,7 +1390,6 @@ FunctionCompiler::emitAtomic(const LInst& inst)
     reloadLiveHomes(inst.aux, inst.a);
     if (aop != exec::AtomicOp::store)
         storeGpr64(inst.a, rax); // glue returns zero-extended results
-    noteOpaqueMemClobber();
 }
 
 void
@@ -1748,7 +1582,6 @@ FunctionCompiler::emitIntCompare(const LInst& inst, bool is64, Cond cond,
     emitAluRhs(kAluCmp, is64, dstReg(is64, inst.a), inst.b);
     if (branch != nullptr) {
         as_.jcc(cond, *branch);
-        invalidate(inst.a);
         return;
     }
     materializeCond(cond);
@@ -2212,9 +2045,7 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
             as_.movRI32(target, uint32_t(imm));
         else
             as_.movRI64(target, imm);
-        if (dst >= 0)
-            invalidate(inst.a);
-        else
+        if (dst < 0)
             storeGpr(is64, inst.a, rax);
         return;
       }
@@ -2240,7 +2071,6 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
             callGlue(kGlueMemSize);
             reloadLiveHomes(inst.aux, inst.a);
             storeGpr32(inst.a, rax);
-            noteOpaqueMemClobber();
             return;
         }
         as_.movRM64(rax, CTX_FIELD(memSize));
@@ -2254,7 +2084,6 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         callGlue(kGlueMemGrow);
         reloadLiveHomes(inst.aux, inst.a);
         storeGpr32(inst.a, rax);
-        noteOpaqueMemClobber();
         return;
       case Op::memory_copy:
       case Op::memory_fill: {
@@ -2412,11 +2241,9 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
             as_.sseOp(prefix, opcode, lhs, kSlotXmm[sb]);
         else
             as_.sseOpRM(prefix, opcode, lhs, cellMem(inst.b));
-        if (sa >= 0)
-            invalidate(inst.a);
-        else if (is32)
+        if (sa < 0 && is32)
             storeXmm32(inst.a, xmm0);
-        else
+        else if (sa < 0)
             storeXmm64(inst.a, xmm0);
         return;
       }
@@ -2643,11 +2470,10 @@ class ModuleArtifact : public CompiledCode
 
     /** Fill codeInfo_ from the collected offsets + check ranges. */
     void
-    buildCodeInfo(bool optimized,
+    buildCodeInfo(uint8_t tier,
                   const std::vector<std::pair<uint32_t, uint32_t>>& checks)
     {
-        codeInfo_.tier = optimized ? obs::kProfTierJitOpt
-                                   : obs::kProfTierJitBase;
+        codeInfo_.tier = tier;
         codeInfo_.funcStarts.reserve(entryOffsets_.size());
         codeInfo_.funcIndices.reserve(entryOffsets_.size());
         for (size_t i = 0; i < entryOffsets_.size(); i++) {
@@ -2727,7 +2553,7 @@ compileFuncs(const LoweredModule& module, uint32_t first, uint32_t count,
     if (as.overflow())
         return errInternal("JIT code buffer overflow");
 
-    artifact->buildCodeInfo(options.optimize, check_ranges);
+    artifact->buildCodeInfo(options.profTier, check_ranges);
     LNB_RETURN_IF_ERROR(buffer->finalize(as.size(), &artifact->codeInfo_));
     jitMetrics().functionsCompiled.add(count);
     jitMetrics().codeBytes.add(as.size());

@@ -10,7 +10,9 @@
  * Bounds-check emission is a compile-time strategy:
  *   none / mprotect / uffd -> no inline checks (guard-page reliance)
  *   clamp                  -> compare + cmov to the red-zone offset
- *   trap                   -> compare + branch to a ud2 island
+ *   trap                   -> compare + branch to a ud2 island, except
+ *                             at the pcs the opt pass lists as covered
+ *                             (LoweredFunc::elidableCheckPcs)
  */
 #ifndef LNB_JIT_COMPILER_H
 #define LNB_JIT_COMPILER_H
@@ -20,6 +22,7 @@
 
 #include "interp/exec_common.h"
 #include "mem/linear_memory.h"
+#include "obs/profiler.h"
 #include "support/status.h"
 #include "wasm/lower.h"
 #include "wasm/serialize.h"
@@ -31,16 +34,16 @@ struct JitOptions
 {
     mem::BoundsStrategy strategy = mem::BoundsStrategy::mprotect;
     /**
-     * Enable the optimizing tier (the WAVM analogue): under the trap
-     * strategy, redundant bounds checks are elided through a per-block
-     * check cache seeded with the opt pass's facts. Off = the baseline
-     * tier (the TurboFan/Cranelift analogue). Everything else is one
-     * codegen: both tiers work on the operands' register homes in
-     * place, fold constants, copies and compares into the instruction
-     * that pops them, and add the memory base from the context on every
-     * access, so outside `trap` they emit identical code.
+     * Profiler tier tag (obs::kProfTierJitBase / kProfTierJitOpt) stamped
+     * on the artifact's code map. A label only: jit_base and jit_opt are
+     * one codegen fed different IR. Both work on the operands' register
+     * homes in place, fold constants, copies and compares into the
+     * instruction that pops them, and add the memory base from the
+     * context on every access; under `trap` both skip exactly the checks
+     * listed in LoweredFunc::elidableCheckPcs, which only jit_opt's check
+     * analysis fills.
      */
-    bool optimize = false;
+    uint8_t profTier = obs::kProfTierJitBase;
     /** Emit the function-entry value-stack overflow check (paper §1 lists
      * stack checks among the safety costs; disable for ablation only). */
     bool stackChecks = true;

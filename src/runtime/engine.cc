@@ -139,7 +139,9 @@ CompiledModule::installCode(wasm::ByteReader* reload)
     const bool tiered = config_.tiered;
     jit::JitOptions options;
     options.strategy = config_.strategy;
-    options.optimize = tiered || config_.kind == EngineKind::jit_opt;
+    options.profTier = tiered || config_.kind == EngineKind::jit_opt
+                           ? obs::kProfTierJitOpt
+                           : obs::kProfTierJitBase;
     options.stackChecks = config_.stackChecks;
     options.countChecks = config_.countRetiredChecks;
     options.sharedMemory = config_.sharedMemory;

@@ -181,37 +181,19 @@ struct LoweredFunc
     /** jump_table target pcs: aux cases then the default, per table. */
     std::vector<uint32_t> tablePool;
 
-    // ----- facts published by the optimization pass (wasm/opt.*) ------
     /**
-     * A bounds-check fact proven to hold on every path into the jump
-     * target at `pc`: cell `cell` holds an i32 address for which
-     * address + limit <= memSize has already been checked. Valid for the
-     * trap strategy only (memories never shrink, so a passed check stays
-     * passed). Sorted by pc.
-     */
-    struct EntryCheckFact
-    {
-        uint32_t pc = 0;
-        uint32_t cell = 0;
-        uint64_t limit = 0;
-    };
-    std::vector<EntryCheckFact> entryCheckFacts;
-    /**
-     * pcs of memory accesses whose bounds check the pass proved
-     * redundant (trap strategy only): an earlier check in the same block
-     * covers the same address value with an equal-or-larger limit, or a
-     * hoisted check_bounds covers it. Sorted ascending.
+     * Published by the optimization pass (wasm/opt.*), trap strategy
+     * only: the complete, sorted list of pcs of loads, stores and
+     * check_bounds whose check an executor may skip. A check is listed
+     * when an equal-or-stronger check of the same address has passed on
+     * every path to it (value numbering within a block, the
+     * available-checks dataflow across blocks and calls), or when a
+     * hoisted check_bounds or a versioned loop's guard covers it. The JIT
+     * skips exactly these checks under `trap` and keeps no check state of
+     * its own.
      */
     std::vector<uint32_t> elidableCheckPcs;
 };
-
-/**
- * Cell index used in EntryCheckFact to publish a *constant* check fact:
- * "memSize >= limit has been established" with no address cell involved
- * (from a check_bounds aux == 1 or a callee summary). Never a real cell
- * index: frames are far smaller than 2^32 cells.
- */
-constexpr uint32_t kCheckFactConstCell = 0xFFFFFFFFu;
 
 /**
  * Interprocedural summary of one defined function, computed bottom-up and

@@ -378,8 +378,6 @@ remapJumps(LoweredFunc& func, const std::vector<uint32_t>& new_pc)
 void
 remapFacts(LoweredFunc& func, const std::vector<uint32_t>& new_pc)
 {
-    for (LoweredFunc::EntryCheckFact& fact : func.entryCheckFacts)
-        fact.pc = new_pc[fact.pc];
     for (uint32_t& pc : func.elidableCheckPcs)
         pc = new_pc[pc];
 }
@@ -1294,7 +1292,14 @@ markVnElidableChecks(const LoweredFunc& func, const Cfg& cfg,
 }
 
 using Facts = std::map<uint32_t, uint64_t>; // address cell -> checked limit
-// (the pseudo-cell kCheckFactConstCell carries "memSize >= limit")
+
+/**
+ * Pseudo-cell carrying a *constant* check fact, "memSize >= limit", with
+ * no address cell involved (from a check_bounds aux == 1 or a callee
+ * summary). Never a real cell index: frames are far smaller than 2^32
+ * cells.
+ */
+constexpr uint32_t kCheckFactConstCell = 0xFFFFFFFFu;
 
 /** Intersect @p into with @p other, keeping the smaller limit. */
 void
@@ -1309,6 +1314,14 @@ meetFacts(Facts& into, const Facts& other)
             ++it;
         }
     }
+}
+
+/** Does @p facts hold a check of at least @p limit on @p cell? */
+bool
+factCovers(const Facts& facts, uint32_t cell, uint64_t limit)
+{
+    auto it = facts.find(cell);
+    return it != facts.end() && it->second >= limit;
 }
 
 /** Interprocedural context threaded through the dataflow when summaries
@@ -1343,19 +1356,21 @@ killFactsFromCall(Facts& facts, uint32_t arg_base)
 }
 
 /**
- * Transfer function modeling the JIT's dynamic per-cell check cache:
- * facts are generated where the JIT emits (and caches) a check, and
- * killed where the address cell is rewritten or a call clobbers the
- * frame. Accesses already hinted as elidable generate nothing (the JIT
- * will not emit a check there). Under @p ipo: facts follow values
- * through copies, calls into grow-free callees keep facts below the
- * argument base, completed calls establish the callee's constant-limit
- * fact, and the const pseudo-fact survives calls and memory.grow.
+ * Transfer function of the available-checks dataflow: facts are
+ * generated where a check executes, and killed where the address cell
+ * is rewritten or a call clobbers the frame. Accesses already marked in
+ * @p hinted generate nothing (the executor skips their check). Under
+ * @p ipo: facts follow values through copies, calls into grow-free
+ * callees keep facts below the argument base, completed calls establish
+ * the callee's constant-limit fact, and the const pseudo-fact survives
+ * calls and memory.grow. When @p covered is non-null, every load, store
+ * and check_bounds whose check the incoming facts already cover is
+ * marked in it: those are the checks the executor may skip.
  */
 void
 applyTransfer(const LoweredFunc& func, const Block& block,
               const std::vector<uint8_t>& hinted, const IpoView* ipo,
-              Facts& facts)
+              Facts& facts, std::vector<uint8_t>* covered = nullptr)
 {
     for (uint32_t pc = block.begin; pc < block.end; pc++) {
         const LInst& inst = func.code[pc];
@@ -1372,15 +1387,16 @@ applyTransfer(const LoweredFunc& func, const Block& block,
                     facts.erase(inst.b);
                 }
                 break;
-              case LOp::check_bounds:
-                if (inst.aux == 0) {
-                    uint64_t& limit = facts[inst.a];
-                    limit = std::max(limit, inst.imm);
-                } else if (ipo) {
-                    uint64_t& limit = facts[kCheckFactConstCell];
+              case LOp::check_bounds: {
+                uint32_t cell = inst.aux == 0 ? inst.a : kCheckFactConstCell;
+                if (covered && factCovers(facts, cell, inst.imm))
+                    (*covered)[pc] = 1;
+                if (inst.aux == 0 || ipo) {
+                    uint64_t& limit = facts[cell];
                     limit = std::max(limit, inst.imm);
                 }
                 break;
+              }
               case LOp::callf: {
                 const FuncSummary* s =
                     ipo ? ipo->summaryFor(inst.a) : nullptr;
@@ -1412,9 +1428,12 @@ applyTransfer(const LoweredFunc& func, const Block& block,
         }
         Op op = inst.wasmOp();
         if (isLoadOp(op) || isStoreOp(op)) {
+            uint64_t limit = inst.imm + memAccessSize(op);
+            if (covered && factCovers(facts, inst.a, limit))
+                (*covered)[pc] = 1;
             if (!hinted[pc]) {
-                uint64_t& limit = facts[inst.a];
-                limit = std::max(limit, inst.imm + memAccessSize(op));
+                uint64_t& cached = facts[inst.a];
+                cached = std::max(cached, limit);
             }
             if (isLoadOp(op))
                 facts.erase(inst.a); // the load overwrites its cell
@@ -1422,15 +1441,15 @@ applyTransfer(const LoweredFunc& func, const Block& block,
         }
         if (isAtomicOp(op)) {
             // Synchronization point: a grow performed by another thread
-            // becomes observable here, so no cached check (including the
+            // becomes observable here, so no passed check (including the
             // const pseudo-fact, whose limit was proven against a size
             // this thread read) may be carried across it.
             facts.clear();
             continue;
         }
         if (op == Op::memory_grow) {
-            // Mirror the JIT: cell facts dropped; under IPO the const
-            // pseudo-fact survives (growing never shrinks memSize).
+            // Cell facts dropped; under IPO the const pseudo-fact
+            // survives (growing never shrinks memSize).
             if (ipo)
                 killFactsFromCall(facts, 0);
             else
@@ -1444,27 +1463,21 @@ applyTransfer(const LoweredFunc& func, const Block& block,
     }
 }
 
-struct DataflowResult
-{
-    std::vector<LoweredFunc::EntryCheckFact> entryFacts;
-    uint64_t crossBlockCovered = 0;
-};
-
 /**
- * Forward available-checks dataflow. @p entry_seed (may be null) holds
- * facts proven to hold at *any* entry into the function (currently the
+ * Forward available-checks dataflow to a fixpoint, then one replay of
+ * applyTransfer per reachable block from its solved in-state that marks
+ * in @p hinted every check the facts already cover. Returns how many
+ * checks it newly marked. @p entry_seed (may be null) holds facts
+ * proven to hold at *any* entry into the function (currently the
  * initial-memory-size const pseudo-fact — sound no matter how the
  * function is reached, including direct Instance::call invocations);
- * they join the entry block's in-state and, when non-empty, are
- * republished as pc-0 entryFacts so the JIT can seed its cache before
- * the first label.
+ * they join the entry block's in-state.
  */
-DataflowResult
-runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
-                 const std::vector<uint8_t>& hinted, const IpoView* ipo,
-                 const Facts* entry_seed)
+uint64_t
+markCoveredChecks(const LoweredFunc& func, const Cfg& cfg,
+                  std::vector<uint8_t>& hinted, const IpoView* ipo,
+                  const Facts* entry_seed)
 {
-    DataflowResult result;
     const size_t nb = cfg.blocks.size();
     std::vector<Facts> in(nb), out(nb);
     std::vector<uint8_t> computed(nb, 0);
@@ -1491,8 +1504,8 @@ runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
                 }
             }
             if (b == 0 && !entry_seed) {
-                // Entry starts with an empty cache regardless of back
-                // edges (the JIT begins each function cold).
+                // Nothing is checked yet when the function is entered,
+                // whatever its back edges carry.
                 merged.clear();
             }
             // A block with no computed predecessor yet keeps the
@@ -1508,79 +1521,17 @@ runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
         }
     }
 
-    for (uint32_t b : cfg.rpo) {
-        const Block& block = cfg.blocks[b];
-        bool seeded_entry = b == 0 && !in[b].empty();
-        if (!cfg.jumpTarget[block.begin] && !seeded_entry)
-            continue;
-        for (const auto& [cell, limit] : in[b]) {
-            result.entryFacts.push_back({block.begin, cell, limit});
-        }
-        // Count accesses the seeded JIT cache will newly elide: facts
-        // alive from block entry (kills applied, no in-block gens).
-        Facts fromEntry = in[b];
-        for (uint32_t pc = block.begin; pc < block.end; pc++) {
-            const LInst& inst = func.code[pc];
-            if (inst.isWasmOp()) {
-                Op op = inst.wasmOp();
-                if ((isLoadOp(op) || isStoreOp(op)) && !hinted[pc]) {
-                    auto it = fromEntry.find(inst.a);
-                    if (it != fromEntry.end() &&
-                        it->second >= inst.imm + memAccessSize(op))
-                        result.crossBlockCovered++;
-                }
-            }
-            if (!inst.isWasmOp() && inst.lop() == LOp::callf) {
-                const FuncSummary* s =
-                    ipo ? ipo->summaryFor(inst.a) : nullptr;
-                if (s && s->growFree)
-                    killFactsFromCall(fromEntry, inst.b);
-                else if (ipo)
-                    killFactsFromCall(fromEntry, 0);
-                else
-                    fromEntry.clear();
-                continue;
-            }
-            if (!inst.isWasmOp() &&
-                (inst.lop() == LOp::calli ||
-                 inst.lop() == LOp::call_host)) {
-                if (ipo && inst.lop() == LOp::calli)
-                    killFactsFromCall(fromEntry, 0);
-                else
-                    fromEntry.clear();
-                continue;
-            }
-            if (inst.isWasmOp() && inst.wasmOp() == Op::memory_grow) {
-                if (ipo)
-                    killFactsFromCall(fromEntry, 0);
-                else
-                    fromEntry.clear();
-                fromEntry.erase(inst.a);
-                continue;
-            }
-            if (!inst.isWasmOp() && inst.lop() == LOp::copy) {
-                if (ipo) {
-                    auto it = fromEntry.find(inst.a);
-                    if (it != fromEntry.end())
-                        fromEntry[inst.b] = it->second;
-                    else
-                        fromEntry.erase(inst.b);
-                } else {
-                    fromEntry.erase(inst.b);
-                }
-                continue;
-            }
-            uint32_t written;
-            if (writesCell(inst, written))
-                fromEntry.erase(written);
+    std::vector<uint8_t> covered(func.code.size(), 0);
+    for (uint32_t b : cfg.rpo)
+        applyTransfer(func, cfg.blocks[b], hinted, ipo, in[b], &covered);
+    uint64_t marked = 0;
+    for (size_t pc = 0; pc < covered.size(); pc++) {
+        if (covered[pc] && !hinted[pc]) {
+            hinted[pc] = 1;
+            marked++;
         }
     }
-    std::sort(result.entryFacts.begin(), result.entryFacts.end(),
-              [](const LoweredFunc::EntryCheckFact& x,
-                 const LoweredFunc::EntryCheckFact& y) {
-                  return x.pc < y.pc || (x.pc == y.pc && x.cell < y.cell);
-              });
-    return result;
+    return marked;
 }
 
 // ---------------------------------------------------------------------
@@ -1931,8 +1882,7 @@ class RegisterFormRewriter
         new_pc[in_.size()] = uint32_t(out_.size());
         func_.code = std::move(out_);
         remapJumps(func_, new_pc);
-        // pc-keyed facts are JIT-only; the JIT never runs this IR.
-        func_.entryCheckFacts.clear();
+        // The skip list is JIT-only; the JIT never runs this IR.
         func_.elidableCheckPcs.clear();
     }
 
@@ -2284,7 +2234,6 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
 {
     OptStats stats;
     stats.instsBefore = func.code.size();
-    func.entryCheckFacts.clear();
     func.elidableCheckPcs.clear();
     if (func.code.empty()) {
         stats.instsAfter = 0;
@@ -2321,43 +2270,24 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
         std::vector<uint8_t> hinted(func.code.size(), 0);
         for (uint32_t pc : func.elidableCheckPcs)
             hinted[pc] = 1;
-        uint64_t covered = 0;
-        if (ipo != nullptr) {
-            if (opts.ipoStats) {
-                // Diagnostics-only baseline run with the old
-                // clear-at-call semantics so the IPO contribution can
-                // be attributed (opt.checks_elided_ipo). Its hint marks
-                // are discarded; only the covered count is kept.
-                std::vector<uint8_t> base_hinted = hinted;
-                uint64_t base = markVnElidableChecks(
-                    func, cfg, base_hinted, /*ipo=*/false);
-                DataflowResult base_flow = runCheckDataflow(
-                    func, cfg, base_hinted, nullptr, nullptr);
-                base += base_flow.crossBlockCovered;
-                covered =
-                    markVnElidableChecks(func, cfg, hinted, /*ipo=*/true);
-                DataflowResult flow =
-                    runCheckDataflow(func, cfg, hinted, ipo, entry_seed);
-                covered += flow.crossBlockCovered;
-                if (covered > base)
-                    stats.checksElidedIpo = covered - base;
-                func.entryCheckFacts = std::move(flow.entryFacts);
-            } else {
-                covered =
-                    markVnElidableChecks(func, cfg, hinted, /*ipo=*/true);
-                DataflowResult flow =
-                    runCheckDataflow(func, cfg, hinted, ipo, entry_seed);
-                covered += flow.crossBlockCovered;
-                func.entryCheckFacts = std::move(flow.entryFacts);
-            }
-        } else {
-            covered = markVnElidableChecks(func, cfg, hinted, /*ipo=*/false);
-            DataflowResult flow =
-                runCheckDataflow(func, cfg, hinted, nullptr, nullptr);
-            covered += flow.crossBlockCovered;
-            func.entryCheckFacts = std::move(flow.entryFacts);
+        // Value numbering first: the dataflow skips what it marked.
+        auto analyze = [&](std::vector<uint8_t>& marks, const IpoView* view,
+                           const Facts* seed) {
+            uint64_t marked =
+                markVnElidableChecks(func, cfg, marks, view != nullptr);
+            return marked + markCoveredChecks(func, cfg, marks, view, seed);
+        };
+        uint64_t base = 0;
+        if (ipo != nullptr && opts.ipoStats) {
+            // Diagnostics-only baseline run with the old clear-at-call
+            // semantics so the IPO contribution can be attributed
+            // (opt.checks_elided_ipo). Its marks are discarded.
+            std::vector<uint8_t> base_hinted = hinted;
+            base = analyze(base_hinted, nullptr, nullptr);
         }
-        stats.checksElided = covered;
+        stats.checksElided = analyze(hinted, ipo, entry_seed);
+        if (ipo != nullptr && opts.ipoStats && stats.checksElided > base)
+            stats.checksElidedIpo = stats.checksElided - base;
         func.elidableCheckPcs.clear();
         for (uint32_t pc = 0; pc < hinted.size(); pc++) {
             if (hinted[pc])

@@ -7,12 +7,15 @@
  *  - Bounds-check analysis (trap strategy only): rediscovers basic
  *    blocks, dominators, and natural loops from the resolved-jump CFG,
  *    value-numbers addresses within each block to mark checks that are
- *    provably covered by an earlier check of the same address value
- *    (`elidableCheckPcs`), and runs a forward "available bounds checks"
- *    dataflow — facts keyed by address cell, killed when the cell is
- *    rewritten — whose block-entry solutions (`entryCheckFacts`) let the
- *    JIT keep eliding across block boundaries instead of resetting its
- *    per-block cache at every label.
+ *    provably covered by an earlier check of the same address value,
+ *    and runs a forward "available bounds checks" dataflow — facts keyed
+ *    by address cell, killed when the cell is rewritten, cleared at
+ *    atomics — to a fixpoint, then replays each block from its solved
+ *    entry state to mark every check its facts already cover. The marks,
+ *    with those of hoisting and versioning, form `elidableCheckPcs`: the
+ *    full, sorted set of checks the JIT skips. This pass is the only
+ *    place that decides which checks survive; the JIT keeps no check
+ *    state of its own.
  *
  *  - Loop-invariant check hoisting (trap strategy only): an access in a
  *    natural-loop header whose address provably repeats every iteration
@@ -39,10 +42,10 @@
  *    stops killing facts at calls into grow-free callees (frames
  *    overlap: a direct call clobbers only cells >= the arg base),
  *    propagates facts through copies, and seeds every function's entry
- *    facts (pc 0) with the unconditional initial-memory-size fact
- *    (memSize >= min pages, sound at any entry because memories never
- *    shrink). call_indirect, host calls and SCC cycles degrade to the
- *    old clear-at-call behavior.
+ *    state with the unconditional initial-memory-size fact (memSize >=
+ *    min pages, sound at any entry because memories never shrink).
+ *    call_indirect, host calls and SCC cycles degrade to the old
+ *    clear-at-call behavior.
  *
  *  - Register-form rewrite (interpreter tiers, last): a block-local
  *    pass, driven by a liveness word over the first 64 stack cells,
@@ -80,7 +83,7 @@ namespace lnb::wasm {
 struct OptOptions
 {
     bool fuse = false;          ///< register-form rewrite (interpreters)
-    bool analyzeChecks = false; ///< VN elision hints + cross-block facts
+    bool analyzeChecks = false; ///< VN + dataflow check skip lists
     bool hoistChecks = false;   ///< loop-invariant check hoisting
     bool versionLoops = false;  ///< affine loop versioning (guard + clone)
     bool ipoSummaries = false;  ///< interprocedural check summaries
@@ -96,6 +99,8 @@ struct OptOptions
 struct OptStats
 {
     uint64_t checksHoisted = 0;
+    /** Checks value numbering and the dataflow listed as skippable
+     * (beyond the hoisted and versioned ones). */
     uint64_t checksElided = 0;
     /** Instructions the register-form rewrite removed. */
     uint64_t instsFused = 0;

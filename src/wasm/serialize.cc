@@ -34,7 +34,6 @@ writeLoweredFunc(const LoweredFunc& f, ByteWriter& w, bool include_code)
         return;
     w.podVec(f.code);
     w.podVec(f.tablePool);
-    w.podVec(f.entryCheckFacts);
     w.podVec(f.elidableCheckPcs);
 }
 
@@ -53,9 +52,34 @@ readLoweredFunc(ByteReader& r, bool include_code)
         return f;
     f.code = r.podVec<LInst>();
     f.tablePool = r.podVec<uint32_t>();
-    f.entryCheckFacts = r.podVec<LoweredFunc::EntryCheckFact>();
     f.elidableCheckPcs = r.podVec<uint32_t>();
     return f;
+}
+
+/**
+ * The JIT binary-searches elidableCheckPcs and skips the checks it
+ * lists, so a corrupt list must neither break the search nor remove a
+ * check from anything but a load, store or check_bounds.
+ */
+Status
+checkSkipList(const LoweredFunc& f)
+{
+    for (size_t i = 0; i < f.elidableCheckPcs.size(); i++) {
+        uint32_t pc = f.elidableCheckPcs[i];
+        if (pc >= f.code.size())
+            return errInvalid("serialized check skip list names pc " +
+                              std::to_string(pc) + " past the code");
+        if (i > 0 && pc <= f.elidableCheckPcs[i - 1])
+            return errInvalid("serialized check skip list is not "
+                              "strictly increasing");
+        const LInst& inst = f.code[pc];
+        bool access = inst.isWasmOp() && (isLoadOp(inst.wasmOp()) ||
+                                          isStoreOp(inst.wasmOp()));
+        if (!access && inst.op != uint16_t(LOp::check_bounds))
+            return errInvalid("serialized check skip list names pc " +
+                              std::to_string(pc) + ", which has no check");
+    }
+    return Status::ok();
 }
 
 } // namespace
@@ -204,6 +228,7 @@ deserializeLoweredModule(ByteReader& r, LoweredModule& out)
                                   std::to_string(inst.op) +
                                   " with no handler");
         }
+        LNB_RETURN_IF_ERROR(checkSkipList(f));
     }
     return Status::ok();
 }

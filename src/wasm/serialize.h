@@ -168,7 +168,7 @@ void serializeModule(const Module& m, ByteWriter& w);
 bool deserializeModule(ByteReader& r, Module& out);
 
 /** Serialize the lowered form: Module + per-function IR + the
- * optimization pass's published facts. When @p include_func_code is
+ * optimization pass's check skip lists. When @p include_func_code is
  * false only the per-function frame metadata (cell counts, types) is
  * written and the lowered instruction streams are dropped — correct
  * for an artifact whose every entry point is AOT JIT code, and the
@@ -176,8 +176,10 @@ bool deserializeModule(ByteReader& r, Module& out);
  * encoded in the stream, so deserializeLoweredModule is self-describing. */
 void serializeLoweredModule(const LoweredModule& lm, ByteWriter& w,
                             bool include_func_code = true);
-/** Inverse. Fails with invalid_argument on truncation or on an
- * instruction whose opcode no executor has a handler for. */
+/** Inverse. Fails with invalid_argument on truncation, on an
+ * instruction whose opcode no executor has a handler for, and on a
+ * check skip list (LoweredFunc::elidableCheckPcs) that is out of range,
+ * not strictly increasing, or names a pc with no bounds check. */
 Status deserializeLoweredModule(ByteReader& r, LoweredModule& out);
 
 } // namespace lnb::wasm

@@ -2,8 +2,8 @@
  * @file
  * JIT-layer tests: byte-exact assembler encodings (checked against
  * reference encodings from the Intel SDM), code-buffer lifecycle, and
- * compiler-level properties (code size, what the tiers share and where
- * they differ, trap-kind bytes after ud2 islands).
+ * compiler-level properties (code size, operand folding, which bounds
+ * checks the trap strategy skips, trap-kind bytes after ud2 islands).
  */
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "jit/compiler.h"
 #include "kernels/kernel.h"
 #include "obs/metrics.h"
+#include "runtime/engine.h"
 #include "wasm/builder.h"
 #include "wasm/opt.h"
 #include "wasm/validator.h"
@@ -243,14 +244,10 @@ TEST(Compiler, RefusesRegisterFormIR)
     for (const wasm::LInst& inst : lowered.funcs[0].code)
         has_form |= wasm::isFormOp(inst.op);
     ASSERT_TRUE(has_form);
-    for (bool optimize : {false, true}) {
-        JitOptions options = tableOptions();
-        options.optimize = optimize;
-        auto code = compileModule(lowered, options);
-        ASSERT_FALSE(code.isOk());
-        EXPECT_EQ(code.status().code(), StatusCode::invalid_argument);
-        EXPECT_FALSE(compileFunction(lowered, 0, options).isOk());
-    }
+    auto code = compileModule(lowered, tableOptions());
+    ASSERT_FALSE(code.isOk());
+    EXPECT_EQ(code.status().code(), StatusCode::invalid_argument);
+    EXPECT_FALSE(compileFunction(lowered, 0, tableOptions()).isOk());
 }
 
 TEST(Compiler, SoftwareChecksEnlargeCode)
@@ -270,8 +267,8 @@ TEST(Compiler, SoftwareChecksEnlargeCode)
 
 TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
 {
-    // Two loads from the same address: the opt pass marks the second
-    // access covered by the first check, and the opt tier drops it.
+    // Two loads from the same address: the opt pass lists the second
+    // access as covered by the first check, and trap codegen skips it.
     wasm::ModuleBuilder mb;
     mb.addMemory(1, 1);
     uint32_t t = mb.addType({wasm::ValType::i32}, {wasm::ValType::i32});
@@ -287,66 +284,100 @@ TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
     ASSERT_TRUE(wasm::validateModule(module).isOk());
     auto lowered = wasm::lowerModule(std::move(module)).takeValue();
     // jit_opt x trap compiles the IR the check analysis annotated, as
-    // Engine::compile does; jit_base compiles the plain lowering.
+    // Engine::compile does; jit_base compiles the plain lowering. One
+    // codegen serves both.
     wasm::LoweredModule analyzed = lowered;
     wasm::OptOptions passes;
     passes.analyzeChecks = true;
     passes.hoistChecks = true;
     wasm::optimizeLoweredModule(analyzed, passes);
+    ASSERT_FALSE(analyzed.funcs[0].elidableCheckPcs.empty());
 
-    JitOptions base = tableOptions();
-    base.strategy = mem::BoundsStrategy::trap;
-    base.optimize = false;
-    JitOptions opt = base;
-    opt.optimize = true;
+    JitOptions trap = tableOptions();
+    trap.strategy = mem::BoundsStrategy::trap;
     obs::Counter elided = obs::registerCounter("jit.bounds_checks_elided");
-    size_t base_bytes = compileModule(lowered, base).value()->codeBytes();
+    size_t base_bytes = compileModule(lowered, trap).value()->codeBytes();
     [[maybe_unused]] uint64_t elided_before = elided.value();
-    size_t opt_bytes = compileModule(analyzed, opt).value()->codeBytes();
+    size_t opt_bytes = compileModule(analyzed, trap).value()->codeBytes();
     EXPECT_LT(opt_bytes, base_bytes);
 #ifndef LNB_OBS_DISABLED
     EXPECT_GT(elided.value(), elided_before);
 #endif
 }
 
-TEST(Compiler, TiersEmitIdenticalCodeWithoutTheTrapCheckCache)
+#ifndef LNB_OBS_DISABLED
+/** Loads, stores and check_bounds: the sites that carry a software check. */
+uint64_t
+softwareCheckSites(const wasm::LoweredModule& lowered)
 {
-    // One codegen serves both tiers; only the trap strategy's check
-    // cache differs. No kernel has a br_table (whose jump table holds
-    // absolute addresses), so the dumps compare as plain bytes.
-    for (const char* suite : {"polybench", "specproxy"}) {
-        for (const kernels::Kernel* kernel : kernels::suiteKernels(suite)) {
-            auto lowered =
-                wasm::lowerModule(kernel->buildModule(16)).takeValue();
-            uint32_t first = lowered.module.numImportedFuncs();
-            for (auto strategy :
-                 {mem::BoundsStrategy::none, mem::BoundsStrategy::clamp,
-                  mem::BoundsStrategy::mprotect,
-                  mem::BoundsStrategy::uffd}) {
-                JitOptions base = tableOptions();
-                base.strategy = strategy;
-                JitOptions opt = base;
-                opt.optimize = true;
-                auto base_code = compileModule(lowered, base).takeValue();
-                auto opt_code = compileModule(lowered, opt).takeValue();
-                ASSERT_EQ(base_code->codeBytes(), opt_code->codeBytes())
-                    << kernel->name << " "
-                    << mem::boundsStrategyName(strategy);
-                for (uint32_t i = 0; i < lowered.funcs.size(); i++) {
-                    EXPECT_EQ(base_code->dumpFunction(first + i),
-                              opt_code->dumpFunction(first + i))
-                        << kernel->name << " "
-                        << mem::boundsStrategyName(strategy) << " func "
-                        << first + i;
-                }
-            }
+    uint64_t sites = 0;
+    for (const wasm::LoweredFunc& func : lowered.funcs) {
+        for (const wasm::LInst& inst : func.code) {
+            sites += inst.isWasmOp() ? wasm::isLoadOp(inst.wasmOp()) ||
+                                           wasm::isStoreOp(inst.wasmOp())
+                                     : inst.lop() == wasm::LOp::check_bounds;
         }
     }
+    return sites;
 }
+
+TEST(Compiler, SkipsExactlyTheListedChecks)
+{
+    // The opt pass alone decides which checks survive: under `trap` the
+    // JIT skips each listed pc and emits every other check, and under
+    // `clamp` (which must redirect every access) it skips none.
+    obs::Counter emitted = obs::registerCounter("jit.bounds_checks_emitted");
+    obs::Counter elided = obs::registerCounter("jit.bounds_checks_elided");
+    uint64_t total_listed = 0;
+    for (const char* suite : {"polybench", "specproxy"}) {
+        for (const kernels::Kernel* kernel : kernels::suiteKernels(suite)) {
+            rt::EngineConfig config;
+            config.kind = rt::EngineKind::jit_opt;
+            config.strategy = mem::BoundsStrategy::trap;
+            uint64_t emitted_before = emitted.value();
+            uint64_t elided_before = elided.value();
+            auto cm = rt::Engine(config)
+                          .compile(kernel->buildModule(16))
+                          .takeValue();
+            const wasm::LoweredModule& lowered = cm->lowered();
+            uint64_t listed = 0;
+            for (const wasm::LoweredFunc& func : lowered.funcs)
+                listed += func.elidableCheckPcs.size();
+            uint64_t sites = softwareCheckSites(lowered);
+            EXPECT_EQ(elided.value() - elided_before, listed)
+                << kernel->name;
+            // The pass counts each listed check once, by mechanism.
+            const wasm::OptStats& stats = cm->optStats();
+            EXPECT_EQ(stats.checksElided + stats.checksHoisted +
+                          stats.checksVersioned,
+                      listed)
+                << kernel->name;
+            EXPECT_EQ(emitted.value() - emitted_before +
+                          elided.value() - elided_before,
+                      sites)
+                << kernel->name;
+            total_listed += listed;
+
+            std::unique_ptr<exec::FuncCode[]> table(new exec::FuncCode[
+                lowered.module.numImportedFuncs() + lowered.funcs.size()]);
+            JitOptions clamp;
+            clamp.strategy = mem::BoundsStrategy::clamp;
+            clamp.codeTable = table.get();
+            emitted_before = emitted.value();
+            elided_before = elided.value();
+            ASSERT_TRUE(compileModule(lowered, clamp).isOk());
+            EXPECT_EQ(elided.value() - elided_before, 0u) << kernel->name;
+            EXPECT_EQ(emitted.value() - emitted_before, sites)
+                << kernel->name;
+        }
+    }
+    EXPECT_GT(total_listed, 0u);
+}
+#endif // LNB_OBS_DISABLED
 
 // The fold counters compile out with the observability layer.
 #ifndef LNB_OBS_DISABLED
-TEST(Compiler, FoldsOperandsAndFusesBranchesInBothTiers)
+TEST(Compiler, FoldsOperandsAndFusesBranches)
 {
     // for (i = 0; i < n; i++) for (j = 0; j < n; j++) acc += i * 3 + j;
     wasm::ModuleBuilder mb;
@@ -391,18 +422,14 @@ TEST(Compiler, FoldsOperandsAndFusesBranchesInBothTiers)
 
     obs::Counter folded = obs::registerCounter("jit.operands_folded");
     obs::Counter fused = obs::registerCounter("jit.branches_fused");
-    for (bool optimize : {false, true}) {
-        JitOptions options = tableOptions();
-        options.optimize = optimize;
-        uint64_t folded_before = folded.value();
-        uint64_t fused_before = fused.value();
-        ASSERT_TRUE(compileModule(lowered, options).isOk());
-        // Constants 3 and 1 (x2) become immediates, `local.get j` and
-        // `local.get 0` are read at their source, and both loop tests
-        // fuse into cmp + jcc.
-        EXPECT_GT(folded.value() - folded_before, 0u) << optimize;
-        EXPECT_EQ(fused.value() - fused_before, 2u) << optimize;
-    }
+    uint64_t folded_before = folded.value();
+    uint64_t fused_before = fused.value();
+    ASSERT_TRUE(compileModule(lowered, tableOptions()).isOk());
+    // Constants 3 and 1 (x2) become immediates, `local.get j` and
+    // `local.get 0` are read at their source, and both loop tests fuse
+    // into cmp + jcc.
+    EXPECT_GT(folded.value() - folded_before, 0u);
+    EXPECT_EQ(fused.value() - fused_before, 2u);
 }
 
 TEST(Compiler, FoldsOnlyIntoTheInstructionThatPopsTheCell)
@@ -440,11 +467,10 @@ TEST(Compiler, FoldsOnlyIntoTheInstructionThatPopsTheCell)
     EXPECT_EQ(folds(), 0u);
 }
 
-TEST(Compiler, TiersReportTheSameFrameCellTraffic)
+TEST(Compiler, ReportsFrameCellTrafficPastTheRegisterHomes)
 {
-    // Under `none` both tiers run one codegen, so they emit the same
-    // [r15+disp] operands; a function using more stack slots and locals
-    // than have register homes emits some.
+    // A function using more stack slots and locals than have register
+    // homes emits some [r15+disp] operands.
     wasm::ModuleBuilder mb;
     uint32_t t = mb.addType({wasm::ValType::i32}, {wasm::ValType::i32});
     auto& f = mb.addFunction(t);
@@ -466,17 +492,11 @@ TEST(Compiler, TiersReportTheSameFrameCellTraffic)
     auto lowered = wasm::lowerModule(std::move(module)).takeValue();
 
     obs::Counter cells = obs::registerCounter("jit.frame_cell_accesses");
-    uint64_t counts[2];
-    for (bool optimize : {false, true}) {
-        JitOptions options = tableOptions();
-        options.strategy = mem::BoundsStrategy::none;
-        options.optimize = optimize;
-        uint64_t before = cells.value();
-        ASSERT_TRUE(compileModule(lowered, options).isOk());
-        counts[optimize] = cells.value() - before;
-    }
-    EXPECT_GT(counts[0], 0u);
-    EXPECT_EQ(counts[0], counts[1]);
+    JitOptions options = tableOptions();
+    options.strategy = mem::BoundsStrategy::none;
+    uint64_t before = cells.value();
+    ASSERT_TRUE(compileModule(lowered, options).isOk());
+    EXPECT_GT(cells.value() - before, 0u);
 }
 #endif // LNB_OBS_DISABLED
 

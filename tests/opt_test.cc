@@ -9,6 +9,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "jit/compiler.h"
 #include "kernels/kernel.h"
 #include "obs/metrics.h"
@@ -69,9 +71,9 @@ bottomTestSumModule()
 /**
  * The gemm beta-scale phase as its own kernel: C[i] *= beta over a
  * contiguous f64 row, a read-modify-write loop where load and store hit
- * the same address. The per-block JIT cache cannot carry the check from
- * the load to the store (the load clobbers its own address cell), but
- * value numbering proves the store's check redundant.
+ * the same address. The available-checks dataflow cannot carry the check
+ * from the load to the store (the load clobbers its own address cell),
+ * but value numbering proves the store's check redundant.
  */
 Module
 rmwScaleModule()
@@ -574,6 +576,99 @@ TEST(Analysis, RmwStoreCheckIsValueNumberedAway)
     EXPECT_GE(stats.checksElided, 1u);
     EXPECT_FALSE(lm.funcs[0].elidableCheckPcs.empty());
 }
+
+/**
+ * A loop whose header loads mem[addr] (hoisted to a preheader
+ * check_bounds on addr's cell), leaving by a br_if to a join label that
+ * is entered with that fact; at the join, optionally an i32 atomic rmw,
+ * then mem[addr] again. The join's entry fact covers the second load,
+ * but the atomic is a synchronization point that no passed check may
+ * cross.
+ */
+Module
+joinReuseModule(bool atomic)
+{
+    ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    uint32_t t = mb.addType({ValType::i32, ValType::i32}, {ValType::i32});
+    auto& f = mb.addFunction(t); // params: addr, n
+    f.addLocal(ValType::i32);    // local 2: i
+    f.addLocal(ValType::i32);    // local 3: sum
+    auto exit = f.block();
+    auto head = f.loop();
+    f.localGet(0);
+    f.memOp(Op::i32_load, 0);
+    f.localGet(3);
+    f.emit(Op::i32_add);
+    f.localSet(3);
+    f.localGet(2);
+    f.i32Const(1);
+    f.emit(Op::i32_add);
+    f.localTee(2);
+    f.localGet(1);
+    f.emit(Op::i32_ge_s);
+    f.brIf(exit);
+    f.br(head);
+    f.end(); // loop
+    f.end(); // block: the join
+    if (atomic) {
+        f.i32Const(64);
+        f.i32Const(1);
+        f.memOp(Op::i32_atomic_rmw_add, 0);
+        f.drop();
+    }
+    f.localGet(0);
+    f.memOp(Op::i32_load, 0);
+    f.localGet(3);
+    f.emit(Op::i32_add);
+    uint32_t idx = f.finish();
+    mb.exportFunc("run", idx);
+    return mb.build();
+}
+
+#ifndef LNB_OBS_DISABLED
+TEST(Analysis, JoinEntryFactCoversTheReloadUnlessAnAtomicIntervenes)
+{
+    if (!jit::jitSupported())
+        GTEST_SKIP() << "JIT unsupported on this CPU";
+    obs::Counter elided = obs::registerCounter("jit.bounds_checks_elided");
+    for (bool atomic : {false, true}) {
+        SCOPED_TRACE(atomic ? "atomic at the join" : "no atomic");
+        EngineConfig config;
+        config.kind = EngineKind::jit_opt;
+        config.strategy = BoundsStrategy::trap;
+        uint64_t before = elided.value();
+        auto compiled = Engine(config).compile(joinReuseModule(atomic));
+        ASSERT_TRUE(compiled.isOk());
+        uint64_t elided_delta = elided.value() - before;
+        const OptStats& stats = compiled.value()->optStats();
+        ASSERT_EQ(stats.checksHoisted, 1u);
+        ASSERT_EQ(stats.loopsVersioned, 0u);
+        // The pass counts each skipped check once: the hoisted loop
+        // access under checksHoisted, every other one under
+        // checksElided.
+        EXPECT_EQ(stats.checksElided, elided_delta - stats.checksHoisted);
+
+        // The load after the join is listed exactly when no atomic
+        // sits between the join and it.
+        const LoweredFunc& func = compiled.value()->lowered().funcs[0];
+        uint32_t pc = uint32_t(func.code.size());
+        while (pc-- > 0 && !(func.code[pc].isWasmOp() &&
+                             isLoadOp(func.code[pc].wasmOp()))) {
+        }
+        ASSERT_LT(pc, func.code.size());
+        EXPECT_EQ(std::binary_search(func.elidableCheckPcs.begin(),
+                                     func.elidableCheckPcs.end(), pc),
+                  !atomic);
+
+        auto inst = Instance::create(compiled.takeValue());
+        ASSERT_TRUE(inst.isOk());
+        auto out = inst.value()->callExport(
+            "run", {Value::fromI32(65532), Value::fromI32(3)});
+        ASSERT_TRUE(out.ok());
+    }
+}
+#endif // LNB_OBS_DISABLED
 
 // ---------------------------------------------------------------------
 // Soundness: rewriting the address cell must kill the elision

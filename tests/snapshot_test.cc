@@ -594,6 +594,67 @@ TEST(Serialize, OpcodesWithoutAHandlerAreRejected)
     }
 }
 
+TEST(Serialize, CorruptCheckSkipListsAreRejected)
+{
+    // mem[a] three times: the check analysis lists the last two loads,
+    // and a tiered trap artifact keeps the IR with its skip list.
+    wasm::ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    uint32_t t = mb.addType({ValType::i32}, {ValType::i32});
+    auto& f = mb.addFunction(t);
+    for (int i = 0; i < 3; i++) {
+        f.localGet(0);
+        f.memOp(Op::i32_load);
+        if (i > 0)
+            f.emit(Op::i32_add);
+    }
+    mb.exportFunc("sum3", f.finish());
+    EngineConfig config;
+    config.tiered = true;
+    config.strategy = BoundsStrategy::trap;
+    auto compiled =
+        Engine(config).compileBytes(wasm::encodeModule(mb.build()));
+    ASSERT_TRUE(compiled.isOk());
+    const std::vector<uint8_t> blob =
+        rt::serializeCompiledModule(*compiled.value());
+    const wasm::LoweredFunc& func = compiled.value()->lowered().funcs[0];
+    const std::vector<uint32_t>& pcs = func.elidableCheckPcs;
+    ASSERT_EQ(pcs.size(), 2u);
+    ASSERT_TRUE(func.tablePool.empty());
+
+    // The function's code, then its (empty) table pool and skip list,
+    // each a u64 count followed by the elements.
+    const auto* code = reinterpret_cast<const uint8_t*>(func.code.data());
+    const size_t code_bytes = func.code.size() * sizeof(wasm::LInst);
+    auto at = std::search(blob.begin(), blob.end(), code, code + code_bytes);
+    ASSERT_NE(at, blob.end());
+    const size_t list = size_t(at - blob.begin()) + code_bytes + 2 * 8;
+    ASSERT_EQ(std::memcmp(&blob[list], pcs.data(), 2 * sizeof(uint32_t)),
+              0);
+
+    // An instruction without a check, before the first listed pc.
+    uint32_t no_check = 0;
+    while (func.code[no_check].op == uint16_t(Op::i32_load))
+        no_check++;
+    ASSERT_LT(no_check, pcs[0]);
+
+    const std::vector<uint32_t> bad_lists[] = {
+        {pcs[0], uint32_t(func.code.size())}, // past the code
+        {pcs[1], pcs[0]},                     // not increasing
+        {pcs[0], pcs[0]},                     // a duplicate
+        {no_check, pcs[1]},                   // no check at that pc
+    };
+    for (const std::vector<uint32_t>& bad_list : bad_lists) {
+        std::vector<uint8_t> bad = blob;
+        std::memcpy(&bad[list], bad_list.data(), 2 * sizeof(uint32_t));
+        auto reloaded = rt::deserializeCompiledModule(bad.data(), bad.size());
+        ASSERT_FALSE(reloaded.isOk())
+            << "list " << bad_list[0] << ", " << bad_list[1];
+        EXPECT_EQ(reloaded.status().code(), StatusCode::invalid_argument);
+    }
+    EXPECT_TRUE(rt::deserializeCompiledModule(blob.data(), blob.size()).isOk());
+}
+
 // ---------------------------------------------------------------------
 // The EngineConfig field table: serialization, cache key, env overrides
 // ---------------------------------------------------------------------
