@@ -926,7 +926,7 @@ semCheckBounds(InstanceContext* ctx, Value* f, const LInst& inst)
 }
 
 // ---------------------------------------------------------------------
-// Register forms (wasm::IrForm), emitted by the interpreter rewrite
+// Register forms (wasm::IrForm), emitted by the register-form rewrite
 // ---------------------------------------------------------------------
 
 /** An immediate operand as signature type T. */

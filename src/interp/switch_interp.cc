@@ -125,20 +125,17 @@ runSwitch(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
             break;
 
             // Register forms, typed per (form, wasm op) like the threaded
-            // handlers. The profiled instantiations run tiered IR, which
-            // is never rewritten, and trap on every form.
+            // handlers; a pair the rewrite never emits traps.
 #define FORM_VALUE(form, id)                                                 \
           case wasm::formOp(IrForm::form, Op::id):                           \
-            if constexpr (!Profile &&                                        \
-                          wasm::formDefined(IrForm::form, Op::id)) {         \
+            if constexpr (wasm::formDefined(IrForm::form, Op::id)) {         \
                 sem::semForm<M, Op::id, IrForm::form>(ctx, frame, inst);     \
                 break;                                                       \
             }                                                                \
             sem::trap(TrapKind::host_error);
 #define FORM_BRANCH(form, id)                                                \
           case wasm::formOp(IrForm::form, Op::id):                           \
-            if constexpr (!Profile &&                                        \
-                          wasm::formDefined(IrForm::form, Op::id)) {         \
+            if constexpr (wasm::formDefined(IrForm::form, Op::id)) {         \
                 if (sem::semFormBranch<M, Op::id, IrForm::form>(ctx, frame,  \
                                                                 inst)) {     \
                     profile_jump(inst.a);                                    \

@@ -39,13 +39,11 @@ runThreaded(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
         &&L_jump,      &&L_jump_if, &&L_jump_if_zero, &&L_jump_table,
         &&L_copy,      &&L_ret,     &&L_callf,        &&L_call_host,
         &&L_calli,     &&L_trap,    &&L_check_bounds, &&L_count_fallback,
-        // Register forms, form-major (wasm::formOp). The profiled
-        // instantiations run tiered IR, which is never rewritten, so
-        // they send every form to the no-handler trap.
+        // Register forms, form-major (wasm::formOp); a (form, op) pair
+        // the rewrite never emits goes to the no-handler trap.
 #define FORM_LABEL(form, id)                                                 \
-        (!Profile && wasm::formDefined(IrForm::form, Op::id))                \
-            ? &&L_##form##_##id                                              \
-            : &&L_no_handler,
+        wasm::formDefined(IrForm::form, Op::id) ? &&L_##form##_##id          \
+                                                : &&L_no_handler,
 #define V(id, name, enc, imm, sig) FORM_LABEL(rr, id)
         LNB_FOREACH_OPCODE(V)
 #undef V
@@ -159,12 +157,12 @@ L_check_bounds:
     // table.
 #define FORM_VALUE(form, id)                                                 \
     L_##form##_##id:                                                         \
-    if constexpr (!Profile && wasm::formDefined(IrForm::form, Op::id))       \
+    if constexpr (wasm::formDefined(IrForm::form, Op::id))                   \
         sem::semForm<M, Op::id, IrForm::form>(ctx, frame, *inst);            \
     NEXT();
 #define FORM_BRANCH(form, id)                                                \
     L_##form##_##id:                                                         \
-    if constexpr (!Profile && wasm::formDefined(IrForm::form, Op::id)) {     \
+    if constexpr (wasm::formDefined(IrForm::form, Op::id)) {                 \
         if (sem::semFormBranch<M, Op::id, IrForm::form>(ctx, frame, *inst))  \
             JUMP_TO(inst->a);                                                \
     }                                                                        \

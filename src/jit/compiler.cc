@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -32,17 +31,10 @@ struct JitMetrics
     obs::Counter codeBytes = obs::registerCounter("jit.code_bytes");
     obs::Counter boundsChecksEmitted = obs::registerCounter(
         "jit.bounds_checks_emitted");
-    /** Constants taken as immediates plus copies read at their source
-     * (the peephole in FunctionCompiler::emitFolded). */
-    obs::Counter operandsFolded = obs::registerCounter(
-        "jit.operands_folded");
     /** Emitted [r15+disp] operands: operand traffic through the frame
      * cells rather than register homes. */
     obs::Counter frameCellAccesses = obs::registerCounter(
         "jit.frame_cell_accesses");
-    /** Int compares emitted as cmp + jcc into the branch popping them. */
-    obs::Counter branchesFused = obs::registerCounter(
-        "jit.branches_fused");
     obs::Counter boundsChecksElided = obs::registerCounter(
         "jit.bounds_checks_elided");
     obs::Counter guardAccessesEmitted = obs::registerCounter(
@@ -109,7 +101,7 @@ using wasm::Op;
 using wasm::TrapKind;
 using wasm::ValType;
 
-// ----- operand folding (FunctionCompiler::emitFolded) -----
+// ----- value-op tables -----
 
 static_assert(uint16_t(Op::f32_div) - uint16_t(Op::f32_add) == 3 &&
                   uint16_t(Op::f64_div) - uint16_t(Op::f64_add) == 3,
@@ -139,48 +131,6 @@ intCompare(uint16_t op, bool& is64, Cond& cond)
     return false;
 }
 
-/** Int ops that take a constant rhs as an x86 immediate: the group-1
- * ALU ops, imul, shifts by an immediate count, and the compares.
- * Division, rotates and every float op never do. */
-bool
-takesImmRhs(uint16_t op)
-{
-    bool is64;
-    Cond cond;
-    if (intCompare(op, is64, cond))
-        return true;
-    switch (Op(op)) {
-      case Op::i32_add: case Op::i32_sub: case Op::i32_mul:
-      case Op::i32_and: case Op::i32_or: case Op::i32_xor:
-      case Op::i32_shl: case Op::i32_shr_s: case Op::i32_shr_u:
-      case Op::i64_add: case Op::i64_sub: case Op::i64_mul:
-      case Op::i64_and: case Op::i64_or: case Op::i64_xor:
-      case Op::i64_shl: case Op::i64_shr_s: case Op::i64_shr_u:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** Ops that can read their rhs (b) straight from a copy's source. */
-bool
-takesForwardedRhs(uint16_t op)
-{
-    if (takesImmRhs(op))
-        return true;
-    switch (Op(op)) {
-      case Op::f32_add: case Op::f32_sub: case Op::f32_mul:
-      case Op::f32_div:
-      case Op::f64_add: case Op::f64_sub: case Op::f64_mul:
-      case Op::f64_div:
-      case Op::i32_store: case Op::i64_store:
-      case Op::f32_store: case Op::f64_store:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** Group-1 digit (the 0x81 /ext; the reg-form opcode base is ext << 3)
  * of cmp, and the marker emitAluRhs uses for imul. */
 constexpr uint8_t kAluCmp = 7;
@@ -200,6 +150,25 @@ aluExt(Op op)
     }
 }
 
+/**
+ * Cells of one value op: dst = lhs OP rhs, or dst = OP(lhs) for a unary
+ * op or a load. A plain stack op is (a, a, b); a register form names
+ * its own cells (wasm/lower.h), and ri/jri carry the rhs as an
+ * immediate.
+ */
+struct Operands
+{
+    uint32_t dst = 0;
+    uint32_t lhs = 0;
+    uint32_t rhs = 0; ///< rhs cell unless rhsImm
+    bool rhsImm = false;
+    uint64_t imm = 0; ///< the rhs when rhsImm; a load's byte offset
+};
+
+/** dst of the value op inside a branch form: the result only feeds the
+ * branch, so it lives in rax, this pseudo-cell's home. */
+constexpr uint32_t kBranchCell = UINT32_MAX;
+
 // ---------------------------------------------------------------------
 // Register conventions (see DESIGN.md §6)
 //
@@ -209,7 +178,7 @@ aluExt(Op op)
 //   xmm8, xmm9, xmm10, xmm2-xmm4     float homes of stack slots 0..5
 //   r14, r8, r9, r10     integer homes of the first four locals
 //   xmm11..xmm14         float homes of the first four locals
-//   rax, rcx, rdx, xmm0, xmm1        scratch
+//   rax, rcx, rdx, xmm0, xmm1        scratch (rax also homes kBranchCell)
 // ---------------------------------------------------------------------
 
 constexpr Reg kCtxReg = rbp;
@@ -222,14 +191,15 @@ constexpr Reg kFrameReg = r15;
  * a local uses the pool register of its own class (the cross-class
  * register of that index stays idle). rbx/r12/r13/r14 are callee-saved;
  * every other home is caller-saved and spilled around native calls
- * while live.
+ * while live. Index 10 is kBranchCell's scratch home.
  */
-constexpr Reg kSlotGpr[10] = {rbx, r12, r13, rsi, rdi,
-                              r11, r14, r8,  r9,  r10};
-constexpr Xmm kSlotXmm[10] = {xmm8, xmm9,  xmm10, xmm2,  xmm3,
-                              xmm4, xmm11, xmm12, xmm13, xmm14};
+constexpr Reg kSlotGpr[11] = {rbx, r12, r13, rsi, rdi, r11,
+                              r14, r8,  r9,  r10, rax};
+constexpr Xmm kSlotXmm[11] = {xmm8,  xmm9,  xmm10, xmm2,  xmm3, xmm4,
+                              xmm11, xmm12, xmm13, xmm14, xmm0};
 constexpr int kNumSlotRegs = 6;  ///< stack slots with register homes
 constexpr int kNumLocalRegs = 4; ///< locals with register homes
+constexpr int kBranchHome = kNumSlotRegs + kNumLocalRegs;
 
 /** Survives a SysV call (rbp and r15 are pinned, never homes). */
 constexpr bool
@@ -296,6 +266,8 @@ class FunctionCompiler
     int
     slotRegIndex(uint32_t cell) const
     {
+        if (cell == kBranchCell)
+            return kBranchHome;
         if (cell < func_.numLocalCells)
             return localHome_[cell];
         uint32_t s = cell - func_.numLocalCells;
@@ -340,23 +312,26 @@ class FunctionCompiler
         else
             as_.movRM64(dst, cellMem(cell));
     }
+    /** A frame cell takes all 8 bytes even of a 32-bit value (its high
+     * half is unspecified), so a later 8-byte copy of the cell forwards
+     * from the store instead of stalling on a narrower one. */
     void
     storeGpr32(uint32_t cell, Reg src)
     {
         int s = slotRegIndex(cell);
-        if (s >= 0)
+        if (s < 0)
+            as_.movMR64(cellMem(cell), src);
+        else if (kSlotGpr[s] != src)
             as_.movRR32(kSlotGpr[s], src);
-        else
-            as_.movMR32(cellMem(cell), src);
     }
     void
     storeGpr64(uint32_t cell, Reg src)
     {
         int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movRR64(kSlotGpr[s], src);
-        else
+        if (s < 0)
             as_.movMR64(cellMem(cell), src);
+        else if (kSlotGpr[s] != src)
+            as_.movRR64(kSlotGpr[s], src);
     }
     void
     loadGpr(bool is64, Reg dst, uint32_t cell)
@@ -393,22 +368,22 @@ class FunctionCompiler
             as_.movsdRM(dst, cellMem(cell));
     }
     void
-    storeXmm32(uint32_t cell, Xmm src)
+    loadXmm(bool is32, Xmm dst, uint32_t cell)
     {
-        int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movapsRR(kSlotXmm[s], src);
+        if (is32)
+            loadXmm32(dst, cell);
         else
-            as_.movssMR(cellMem(cell), src);
+            loadXmm64(dst, cell);
     }
+    /** f32 and f64 alike: a frame cell takes all 8 bytes (storeGpr32). */
     void
-    storeXmm64(uint32_t cell, Xmm src)
+    storeXmm(uint32_t cell, Xmm src)
     {
         int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movapsRR(kSlotXmm[s], src);
-        else
+        if (s < 0)
             as_.movsdMR(cellMem(cell), src);
+        else if (kSlotXmm[s] != src)
+            as_.movapsRR(kSlotXmm[s], src);
     }
     void
     loadBits64(Reg dst, uint32_t cell, RC rc)
@@ -605,10 +580,9 @@ class FunctionCompiler
      * operand ready for the load/store. Clobbers rax and rcx only.
      */
     Mem
-    emitAddress(const LInst& inst, unsigned access_size)
+    emitAddress(uint32_t addr, uint64_t offset, unsigned access_size)
     {
-        uint64_t offset = inst.imm;
-        loadGpr32(rax, inst.a); // zero-extends the 32-bit wasm address
+        loadGpr32(rax, addr); // zero-extends the 32-bit wasm address
 
         bool soft = opts_.strategy == BoundsStrategy::clamp ||
                     opts_.strategy == BoundsStrategy::trap;
@@ -654,100 +628,75 @@ class FunctionCompiler
         return Mem{rax, 0};
     }
 
-    // ----- operand folding (both tiers) -----
     bool isJumpTarget(uint32_t pc) const { return pcLabels_[pc].id >= 0; }
 
     /**
-     * May an instruction writing stack cell @p cell be folded into the
-     * one at @p use_pc? Only if that instruction pops the cell (checked
-     * by the callers: it reads the cell as its top operand) and no other
-     * path can reach it carrying a different value — a jump target can
-     * be entered from a branch that wrote the cell itself.
+     * Home an op computing dst = lhs OP rhs works in: dst's, unless that
+     * home holds an rhs cell other than lhs (loading lhs would clobber
+     * it); -1 for scratch.
      */
-    bool
-    foldableAt(uint32_t use_pc, uint32_t cell) const
+    int
+    workHome(const Operands& v) const
     {
-        return cell >= func_.numLocalCells &&
-               use_pc < func_.code.size() && !isJumpTarget(use_pc);
+        bool free = v.lhs == v.dst || v.rhsImm || v.rhs != v.dst;
+        return free ? slotRegIndex(v.dst) : -1;
     }
-
-    /**
-     * The constant or copy at @p pc writes a cell the next instruction
-     * pops as its rhs: b == cell == a + 1 (so a != cell). A stack cell
-     * consumed as the top operand is dead until rewritten (wasm/lower.h),
-     * so nothing later can read the value the fold never stores.
-     */
-    bool
-    foldsIntoNext(uint32_t pc) const
-    {
-        const LInst& def = func_.code[pc];
-        uint32_t cell;
-        bool (*accepts)(uint16_t);
-        switch (def.op) {
-          case uint16_t(Op::i64_const):
-            if (int64_t(def.imm) != int32_t(def.imm))
-                return false; // no sign-extended imm32 form
-            [[fallthrough]];
-          case uint16_t(Op::i32_const):
-            cell = def.a;
-            accepts = takesImmRhs;
-            break;
-          case uint16_t(LOp::copy):
-            cell = def.b;
-            accepts = takesForwardedRhs;
-            break;
-          default:
-            return false;
-        }
-        if (!foldableAt(pc + 1, cell))
-            return false;
-        const LInst& use = func_.code[pc + 1];
-        return accepts(use.op) && use.b == cell && use.a + 1 == cell;
-    }
-
-    /** The instruction at @p pc is a conditional branch popping @p cell. */
-    bool
-    branchPops(uint32_t pc, uint32_t cell) const
-    {
-        if (!foldableAt(pc, cell))
-            return false;
-        const LInst& br = func_.code[pc];
-        return (LOp(br.op) == LOp::jump_if ||
-                LOp(br.op) == LOp::jump_if_zero) &&
-               br.b == cell;
-    }
-
-    /**
-     * Register an in-place int op on cell @p a works in: the cell's
-     * register home, else rax loaded from the cell. commitDst() finishes
-     * the op.
-     */
+    /** The workHome() register, or rax, holding lhs; storeGpr() to dst
+     * finishes the op. */
     Reg
-    dstReg(bool is64, uint32_t a)
+    workReg(bool is64, const Operands& v)
     {
-        int s = slotRegIndex(a);
-        if (s >= 0)
-            return kSlotGpr[s];
-        loadGpr(is64, rax, a);
-        return rax;
+        int s = workHome(v);
+        Reg reg = s >= 0 ? kSlotGpr[s] : rax;
+        if (v.lhs != v.dst || s < 0)
+            loadGpr(is64, reg, v.lhs);
+        return reg;
     }
-    void
-    commitDst(bool is64, uint32_t a, Reg reg)
+    /** workReg() for the float class: the xmm home, or xmm0. */
+    Xmm
+    workXmm(bool is32, const Operands& v)
     {
-        if (reg == rax)
-            storeGpr(is64, a, rax);
+        int s = workHome(v);
+        Xmm reg = s >= 0 ? kSlotXmm[s] : xmm0;
+        if (v.lhs != v.dst || s < 0)
+            loadXmm(is32, reg, v.lhs);
+        return reg;
+    }
+
+    /** Load an op's rhs, cell or immediate, into @p dst. */
+    void
+    loadRhsGpr(bool is64, Reg dst, const Operands& v)
+    {
+        if (!v.rhsImm)
+            loadGpr(is64, dst, v.rhs);
+        else if (is64 && v.imm > UINT32_MAX)
+            as_.movRI64(dst, v.imm);
+        else
+            as_.movRI32(dst, uint32_t(v.imm));
+    }
+    /** Load a float op's rhs into @p dst; an immediate stages in rcx. */
+    void
+    loadRhsXmm(bool is32, Xmm dst, const Operands& v)
+    {
+        if (v.rhsImm && is32)
+            loadF32Const(dst, uint32_t(v.imm));
+        else if (v.rhsImm)
+            loadF64Const(dst, v.imm);
+        else
+            loadXmm(is32, dst, v.rhs);
     }
 
     /**
      * lhs = lhs <op> rhs for group-1 digit @p ext (or kAluImul), where
-     * rhs is the folded immediate or cell @p b, read from its home
-     * (register or frame slot; imul stages a frame slot in rcx).
+     * rhs is an immediate (a 64-bit one that does not sign-extend from
+     * 32 bits stages in rcx) or a cell read from its home (register or
+     * frame slot; imul stages a frame slot in rcx).
      */
     void
-    emitAluRhs(uint8_t ext, bool is64, Reg lhs, uint32_t b)
+    emitAluRhs(uint8_t ext, bool is64, Reg lhs, const Operands& v)
     {
-        if (rhsImm_) {
-            int32_t imm = *rhsImm_;
+        if (v.rhsImm && (!is64 || int64_t(v.imm) == int32_t(v.imm))) {
+            int32_t imm = int32_t(v.imm);
             if (ext == kAluImul && is64)
                 as_.imulRRI64(lhs, lhs, imm);
             else if (ext == kAluImul)
@@ -758,17 +707,17 @@ class FunctionCompiler
                 as_.aluRI32(ext, lhs, uint32_t(imm));
             return;
         }
-        int sb = slotRegIndex(b);
-        if (sb < 0 && ext != kAluImul) {
+        int sb = v.rhsImm ? -1 : slotRegIndex(v.rhs);
+        if (sb < 0 && !v.rhsImm && ext != kAluImul) {
             if (is64)
-                as_.aluRM64(uint8_t(ext << 3), lhs, cellMem(b));
+                as_.aluRM64(uint8_t(ext << 3), lhs, cellMem(v.rhs));
             else
-                as_.aluRM32(uint8_t(ext << 3), lhs, cellMem(b));
+                as_.aluRM32(uint8_t(ext << 3), lhs, cellMem(v.rhs));
             return;
         }
         Reg rhs = sb >= 0 ? kSlotGpr[sb] : rcx;
         if (sb < 0)
-            loadGpr(is64, rcx, b);
+            loadRhsGpr(is64, rcx, v);
         if (ext == kAluImul && is64)
             as_.imulRR64(lhs, rhs);
         else if (ext == kAluImul)
@@ -782,22 +731,23 @@ class FunctionCompiler
     // ----- instruction emission -----
     void emitPrologue();
     void emitEpilogue();
-    uint32_t emitFolded(uint32_t pc);
     void emitInstr(const LInst& inst);
+    void emitForm(const LInst& inst);
     void emitWasmOp(const LInst& inst);
-    void emitLoad(const LInst& inst);
+    void emitValueOp(Op op, const Operands& v);
+    void emitLoad(Op op, const Operands& v);
     void emitStore(const LInst& inst);
     void emitAtomic(const LInst& inst);
-    void emitIntDivRem(const LInst& inst);
-    void emitFloatMinMax(const LInst& inst);
-    void emitFloatCompare(const LInst& inst);
-    void emitIntBinop(const LInst& inst, bool is64);
-    void emitShift(const LInst& inst, bool is64);
-    void emitIntCompare(const LInst& inst, bool is64, Cond cond,
+    void emitIntDivRem(Op op, const Operands& v);
+    void emitFloatMinMax(Op op, const Operands& v);
+    void emitFloatCompare(Op op, const Operands& v);
+    void emitIntBinop(Op op, const Operands& v, bool is64);
+    void emitShift(Op op, const Operands& v, bool is64);
+    void emitIntCompare(const Operands& v, bool is64, Cond cond,
                         const Label* branch = nullptr);
-    void emitTruncChecked(const LInst& inst);
-    void emitTruncSat(const LInst& inst);
-    void emitConvert(const LInst& inst);
+    void emitTruncChecked(Op op, const Operands& v);
+    void emitTruncSat(Op op, const Operands& v);
+    void emitConvert(Op op, const Operands& v);
     void emitCall(const LInst& inst);
     void emitCallHost(const LInst& inst);
     void emitCallIndirect(const LInst& inst);
@@ -844,9 +794,6 @@ class FunctionCompiler
     Label interruptLabel_;
     /** pc currently being emitted (for check skip-list lookups). */
     uint32_t curPc_ = 0;
-    /** Rhs of the instruction being emitted when its constant operand
-     * was folded into it (set by emitFolded only). */
-    std::optional<int32_t> rhsImm_;
 };
 
 void
@@ -916,8 +863,8 @@ FunctionCompiler::emitEpilogue()
 void
 FunctionCompiler::compile()
 {
-    // Pre-scan for jump targets so folds never cross into a label and
-    // labels exist before backward jumps bind.
+    // Pre-scan for jump targets so labels exist before backward jumps
+    // bind.
     pcLabels_.resize(func_.code.size());
     // A target at or before its jump is a loop back edge: those labels
     // additionally get an epoch poll (the JIT's preemption sites).
@@ -940,6 +887,9 @@ FunctionCompiler::compile()
                 mark(func_.tablePool[inst.a + i], pc);
             break;
           default:
+            if (wasm::isFormOp(inst.op) &&
+                wasm::formOf(inst.op) >= wasm::IrForm::jrr)
+                mark(inst.a, pc);
             break;
         }
     }
@@ -956,68 +906,37 @@ FunctionCompiler::compile()
                 emitEpochPoll();
         }
         curPc_ = pc;
-        pc = emitFolded(pc);
+        emitInstr(func_.code[pc]);
     }
 
     emitTrapIslands();
     emitInterruptIsland();
 }
 
-/**
- * Pairwise peephole, in both tiers. Emits code[pc], folding it into
- * the next instruction when that pops the cell it writes (a constant
- * becomes an immediate, a copy becomes a direct read of its source),
- * and fuses an int compare with the branch popping its result into
- * cmp + jcc. Returns the last pc consumed.
- */
-uint32_t
-FunctionCompiler::emitFolded(uint32_t pc)
-{
-    LInst inst = func_.code[pc];
-    if (foldsIntoNext(pc)) {
-        const LInst& def = func_.code[pc];
-        inst = func_.code[++pc];
-        curPc_ = pc;
-        if (LOp(def.op) == LOp::copy)
-            inst.b = def.a;
-        else
-            rhsImm_ = int32_t(def.imm);
-        jitMetrics().operandsFolded.add();
-    }
-    bool is64;
-    Cond cond;
-    if (intCompare(inst.op, is64, cond) && branchPops(pc + 1, inst.a)) {
-        const LInst& br = func_.code[++pc];
-        if (LOp(br.op) == LOp::jump_if_zero)
-            cond = Cond(uint8_t(cond) ^ 1); // x86 pairs cc with !cc
-        emitIntCompare(inst, is64, cond, &pcLabels_[br.a]);
-        jitMetrics().branchesFused.add();
-    } else {
-        emitInstr(inst);
-    }
-    rhsImm_.reset();
-    return pc;
-}
-
 void
 FunctionCompiler::emitInstr(const LInst& inst)
 {
+    if (wasm::isFormOp(inst.op)) {
+        emitForm(inst);
+        return;
+    }
     switch (LOp(inst.op)) {
       case LOp::jump:
         as_.jmp(pcLabels_[inst.a]);
         return;
 
       case LOp::jump_if:
-        loadGpr32(rax, inst.b);
-        as_.testRR32(rax, rax);
-        as_.jcc(Cond::ne, pcLabels_[inst.a]);
+      case LOp::jump_if_zero: {
+        // Test the condition in its home; a frame cell stages in rax.
+        int s = slotRegIndex(inst.b);
+        Reg cond = s >= 0 ? kSlotGpr[s] : rax;
+        if (s < 0)
+            loadGpr32(rax, inst.b);
+        as_.testRR32(cond, cond);
+        as_.jcc(LOp(inst.op) == LOp::jump_if ? Cond::ne : Cond::e,
+                pcLabels_[inst.a]);
         return;
-
-      case LOp::jump_if_zero:
-        loadGpr32(rax, inst.b);
-        as_.testRR32(rax, rax);
-        as_.jcc(Cond::e, pcLabels_[inst.a]);
-        return;
+      }
 
       case LOp::jump_table: {
         loadGpr32(rax, inst.b);
@@ -1124,6 +1043,39 @@ FunctionCompiler::emitInstr(const LInst& inst)
     }
 }
 
+/**
+ * A register form (wasm/lower.h): rr/ri/r run the op's value emitter on
+ * the cells the form names; jrr/jri compute the op's i32 result and
+ * branch on it, an int compare as cmp + jcc.
+ */
+void
+FunctionCompiler::emitForm(const LInst& inst)
+{
+    Op op = wasm::formWasmOp(inst.op);
+    wasm::IrForm form = wasm::formOf(inst.op);
+    // imm is the rhs cell of rr/jrr, the rhs of ri/jri, a load's offset.
+    bool imm = form == wasm::IrForm::ri || form == wasm::IrForm::jri;
+    Operands v{inst.a, inst.b, uint32_t(inst.imm), imm, inst.imm};
+    if (form < wasm::IrForm::jrr) {
+        emitValueOp(op, v);
+        return;
+    }
+    // Branch: jump to pc a when (result != 0) != aux.
+    v.dst = kBranchCell;
+    const Label& target = pcLabels_[inst.a];
+    bool is64;
+    Cond cond;
+    if (intCompare(uint16_t(op), is64, cond)) {
+        if (inst.aux != 0)
+            cond = Cond(uint8_t(cond) ^ 1); // x86 pairs cc with !cc
+        emitIntCompare(v, is64, cond, &target);
+        return;
+    }
+    emitValueOp(op, v);
+    as_.testRR32(rax, rax);
+    as_.jcc(inst.aux != 0 ? Cond::e : Cond::ne, target);
+}
+
 void
 FunctionCompiler::emitCall(const LInst& inst)
 {
@@ -1222,14 +1174,13 @@ FunctionCompiler::emitCallIndirect(const LInst& inst)
 }
 
 void
-FunctionCompiler::emitLoad(const LInst& inst)
+FunctionCompiler::emitLoad(Op op, const Operands& v)
 {
-    Op op = Op(inst.op);
-    Mem src = emitAddress(inst, wasm::memAccessSize(op));
+    Mem src = emitAddress(v.lhs, v.imm, wasm::memAccessSize(op));
 
     // Load straight into the destination's register home; a frame cell
     // stages the value in rdx/xmm0.
-    int home = slotRegIndex(inst.a);
+    int home = slotRegIndex(v.dst);
     Reg g = home >= 0 ? kSlotGpr[home] : rdx;
     Xmm x = home >= 0 ? kSlotXmm[home] : xmm0;
     switch (op) {
@@ -1252,10 +1203,10 @@ FunctionCompiler::emitLoad(const LInst& inst)
     if (home >= 0)
         return;
     switch (wasm::opInfo(op).sig[2]) { // "i:<result>"
-      case 'f': storeXmm32(inst.a, xmm0); break;
-      case 'F': storeXmm64(inst.a, xmm0); break;
-      case 'I': storeGpr64(inst.a, rdx); break;
-      default: storeGpr32(inst.a, rdx); break;
+      case 'f':
+      case 'F': storeXmm(v.dst, xmm0); break;
+      case 'I': storeGpr64(v.dst, rdx); break;
+      default: storeGpr32(v.dst, rdx); break;
     }
 }
 
@@ -1276,15 +1227,12 @@ FunctionCompiler::emitStore(const LInst& inst)
         gval = kSlotGpr[sval];
         xval = kSlotXmm[sval];
     } else if (is_float) {
-        if (op == Op::f32_store)
-            loadXmm32(xmm0, inst.b);
-        else
-            loadXmm64(xmm0, inst.b);
+        loadXmm(op == Op::f32_store, xmm0, inst.b);
     } else {
         loadGpr64(rdx, inst.b);
     }
 
-    Mem dst = emitAddress(inst, size);
+    Mem dst = emitAddress(inst.a, inst.imm, size);
     switch (op) {
       case Op::i32_store:
         as_.movMR32(dst, gval);
@@ -1393,27 +1341,24 @@ FunctionCompiler::emitAtomic(const LInst& inst)
 }
 
 void
-FunctionCompiler::emitIntDivRem(const LInst& inst)
+FunctionCompiler::emitIntDivRem(Op op, const Operands& v)
 {
-    Op op = Op(inst.op);
     bool is64 = op >= Op::i64_div_s && op <= Op::i64_rem_u;
     bool is_signed = op == Op::i32_div_s || op == Op::i32_rem_s ||
                      op == Op::i64_div_s || op == Op::i64_rem_s;
     bool is_rem = op == Op::i32_rem_s || op == Op::i32_rem_u ||
                   op == Op::i64_rem_s || op == Op::i64_rem_u;
 
-    if (is64) {
-        loadGpr64(rax, inst.a);
-        loadGpr64(rcx, inst.b);
-    } else {
-        loadGpr32(rax, inst.a);
-        loadGpr32(rcx, inst.b);
-    }
+    loadGpr(is64, rax, v.lhs);
+    loadRhsGpr(is64, rcx, v);
 
     // Division by zero traps in hardware (SIGFPE -> wasm trap); only the
-    // INT_MIN / -1 overflow case needs an explicit check.
+    // INT_MIN / -1 overflow case needs an explicit check, and not at all
+    // for an immediate divisor other than -1.
     Label done = as_.newLabel();
-    if (is_signed) {
+    bool minus_one = !v.rhsImm || (is64 ? v.imm == ~0ull
+                                        : uint32_t(v.imm) == 0xFFFFFFFFu);
+    if (is_signed && minus_one) {
         Label do_div = as_.newLabel();
         if (is64)
             as_.cmpRI64(rcx, -1);
@@ -1434,13 +1379,13 @@ FunctionCompiler::emitIntDivRem(const LInst& inst)
             as_.jcc(Cond::e, trapLabel(TrapKind::integer_overflow));
         }
         as_.bind(do_div);
-        if (is64) {
-            as_.cqo();
-            as_.idiv64(rcx);
-        } else {
-            as_.cdq();
-            as_.idiv32(rcx);
-        }
+    }
+    if (is_signed && is64) {
+        as_.cqo();
+        as_.idiv64(rcx);
+    } else if (is_signed) {
+        as_.cdq();
+        as_.idiv32(rcx);
     } else {
         as_.movRI32(rdx, 0);
         if (is64)
@@ -1450,29 +1395,21 @@ FunctionCompiler::emitIntDivRem(const LInst& inst)
     }
     as_.bind(done);
 
-    Reg result = is_rem ? rdx : rax;
-    if (is64)
-        storeGpr64(inst.a, result);
-    else
-        storeGpr32(inst.a, result);
+    storeGpr(is64, v.dst, is_rem ? rdx : rax);
 }
 
 void
-FunctionCompiler::emitFloatMinMax(const LInst& inst)
+FunctionCompiler::emitFloatMinMax(Op op, const Operands& v)
 {
-    Op op = Op(inst.op);
     bool is32 = op == Op::f32_min || op == Op::f32_max;
     bool is_min = op == Op::f32_min || op == Op::f64_min;
 
-    if (is32) {
-        loadXmm32(xmm0, inst.a);
-        loadXmm32(xmm1, inst.b);
+    loadRhsXmm(is32, xmm1, v);
+    loadXmm(is32, xmm0, v.lhs);
+    if (is32)
         as_.ucomiss(xmm0, xmm1);
-    } else {
-        loadXmm64(xmm0, inst.a);
-        loadXmm64(xmm1, inst.b);
+    else
         as_.ucomisd(xmm0, xmm1);
-    }
 
     Label nan = as_.newLabel(), take_b = as_.newLabel(),
           store = as_.newLabel(), equal = as_.newLabel();
@@ -1507,33 +1444,27 @@ FunctionCompiler::emitFloatMinMax(const LInst& inst)
         loadF64Const(xmm0, kF64QuietNaN);
 
     as_.bind(store);
-    if (is32)
-        storeXmm32(inst.a, xmm0);
-    else
-        storeXmm64(inst.a, xmm0);
+    storeXmm(v.dst, xmm0);
 }
 
 void
-FunctionCompiler::emitFloatCompare(const LInst& inst)
+FunctionCompiler::emitFloatCompare(Op op, const Operands& v)
 {
-    Op op = Op(inst.op);
     bool is32 = op >= Op::f32_eq && op <= Op::f32_ge;
-    auto cmp = [&](uint32_t lhs, uint32_t rhs) {
-        if (is32) {
-            loadXmm32(xmm0, lhs);
-            loadXmm32(xmm1, rhs);
-            as_.ucomiss(xmm0, xmm1);
-        } else {
-            loadXmm64(xmm0, lhs);
-            loadXmm64(xmm1, rhs);
-            as_.ucomisd(xmm0, xmm1);
-        }
+    // lhs in xmm0, rhs in xmm1; ucomis @p x against @p y.
+    loadRhsXmm(is32, xmm1, v);
+    loadXmm(is32, xmm0, v.lhs);
+    auto cmp = [&](Xmm x, Xmm y) {
+        if (is32)
+            as_.ucomiss(x, y);
+        else
+            as_.ucomisd(x, y);
     };
 
     switch (op) {
       case Op::f32_eq:
       case Op::f64_eq:
-        cmp(inst.a, inst.b);
+        cmp(xmm0, xmm1);
         as_.setcc(Cond::e, rax);
         as_.setcc(Cond::np, rcx);
         as_.andRR32(rax, rcx);
@@ -1541,7 +1472,7 @@ FunctionCompiler::emitFloatCompare(const LInst& inst)
         break;
       case Op::f32_ne:
       case Op::f64_ne:
-        cmp(inst.a, inst.b);
+        cmp(xmm0, xmm1);
         as_.setcc(Cond::ne, rax);
         as_.setcc(Cond::p, rcx);
         as_.orRR32(rax, rcx);
@@ -1549,93 +1480,110 @@ FunctionCompiler::emitFloatCompare(const LInst& inst)
         break;
       case Op::f32_lt:
       case Op::f64_lt:
-        cmp(inst.b, inst.a); // reversed: a < b  <=>  b `above` a
+        cmp(xmm1, xmm0); // reversed: a < b  <=>  b `above` a
         materializeCond(Cond::a);
         break;
       case Op::f32_gt:
       case Op::f64_gt:
-        cmp(inst.a, inst.b);
+        cmp(xmm0, xmm1);
         materializeCond(Cond::a);
         break;
       case Op::f32_le:
       case Op::f64_le:
-        cmp(inst.b, inst.a);
+        cmp(xmm1, xmm0);
         materializeCond(Cond::ae);
         break;
       case Op::f32_ge:
       case Op::f64_ge:
-        cmp(inst.a, inst.b);
+        cmp(xmm0, xmm1);
         materializeCond(Cond::ae);
         break;
       default:
         assert(false);
     }
-    storeGpr32(inst.a, rax);
+    storeGpr32(v.dst, rax);
 }
 
 /** With @p branch, jump there on @p cond instead of materializing the
  * result: the branch popped it, so the result cell is never written. */
 void
-FunctionCompiler::emitIntCompare(const LInst& inst, bool is64, Cond cond,
+FunctionCompiler::emitIntCompare(const Operands& v, bool is64, Cond cond,
                                  const Label* branch)
 {
-    emitAluRhs(kAluCmp, is64, dstReg(is64, inst.a), inst.b);
+    // cmp reads lhs in its home; a frame cell stages in rax.
+    int s = slotRegIndex(v.lhs);
+    Reg lhs = s >= 0 ? kSlotGpr[s] : rax;
+    if (s < 0)
+        loadGpr(is64, rax, v.lhs);
+    emitAluRhs(kAluCmp, is64, lhs, v);
     if (branch != nullptr) {
         as_.jcc(cond, *branch);
         return;
     }
     materializeCond(cond);
-    storeGpr32(inst.a, rax);
+    storeGpr32(v.dst, rax);
 }
 
 void
-FunctionCompiler::emitIntBinop(const LInst& inst, bool is64)
+FunctionCompiler::emitIntBinop(Op op, const Operands& v, bool is64)
 {
-    Reg dst = dstReg(is64, inst.a);
-    emitAluRhs(aluExt(Op(inst.op)), is64, dst, inst.b);
-    commitDst(is64, inst.a, dst);
+    uint8_t ext = aluExt(op);
+    int sl = slotRegIndex(v.lhs);
+    if (ext == kAluImul && v.rhsImm && v.lhs != v.dst && sl >= 0 &&
+        (!is64 || int64_t(v.imm) == int32_t(v.imm))) {
+        // imul's three-operand form reads lhs in its home.
+        int sd = slotRegIndex(v.dst);
+        Reg reg = sd >= 0 ? kSlotGpr[sd] : rax;
+        if (is64)
+            as_.imulRRI64(reg, kSlotGpr[sl], int32_t(v.imm));
+        else
+            as_.imulRRI32(reg, kSlotGpr[sl], int32_t(v.imm));
+        storeGpr(is64, v.dst, reg);
+        return;
+    }
+    Reg reg = workReg(is64, v);
+    emitAluRhs(ext, is64, reg, v);
+    storeGpr(is64, v.dst, reg);
 }
 
 void
-FunctionCompiler::emitShift(const LInst& inst, bool is64)
+FunctionCompiler::emitShift(Op op, const Operands& v, bool is64)
 {
-    Op op = Op(inst.op);
     uint8_t ext = op == Op::i32_shl || op == Op::i64_shl         ? 4
                   : op == Op::i32_shr_u || op == Op::i64_shr_u   ? 5
                   : op == Op::i32_shr_s || op == Op::i64_shr_s   ? 7
                   : op == Op::i32_rotl || op == Op::i64_rotl     ? 0
                                                                  : 1;
-    if (rhsImm_) {
-        // A folded count is masked here exactly as wasm and the
+    if (v.rhsImm) {
+        // An immediate count is masked here exactly as wasm and the
         // hardware mask a count in cl.
-        Reg dst = dstReg(is64, inst.a);
-        uint8_t count = uint8_t(*rhsImm_ & (is64 ? 63 : 31));
+        Reg reg = workReg(is64, v);
+        uint8_t count = uint8_t(v.imm & (is64 ? 63 : 31));
         if (is64)
-            as_.shiftImm64(ext, dst, count);
+            as_.shiftImm64(ext, reg, count);
         else
-            as_.shiftImm32(ext, dst, count);
-        commitDst(is64, inst.a, dst);
+            as_.shiftImm32(ext, reg, count);
+        storeGpr(is64, v.dst, reg);
         return;
     }
-    loadGpr(is64, rcx, inst.b);
-    loadGpr(is64, rax, inst.a);
+    // The count moves to cl first, so dst's home is free to shift in.
+    loadGpr(is64, rcx, v.rhs);
+    Operands counted = v;
+    counted.rhsImm = true;
+    Reg reg = workReg(is64, counted);
     if (is64)
-        as_.shiftCl64(ext, rax);
+        as_.shiftCl64(ext, reg);
     else
-        as_.shiftCl32(ext, rax);
-    storeGpr(is64, inst.a, rax);
+        as_.shiftCl32(ext, reg);
+    storeGpr(is64, v.dst, reg);
 }
 
 void
-FunctionCompiler::emitTruncChecked(const LInst& inst)
+FunctionCompiler::emitTruncChecked(Op op, const Operands& v)
 {
-    Op op = Op(inst.op);
     bool src32 = op == Op::i32_trunc_f32_s || op == Op::i32_trunc_f32_u ||
                  op == Op::i64_trunc_f32_s || op == Op::i64_trunc_f32_u;
-    if (src32)
-        loadXmm32(xmm0, inst.a);
-    else
-        loadXmm64(xmm0, inst.a);
+    loadXmm(src32, xmm0, v.lhs);
 
     Label ok = as_.newLabel();
     Label trap_check = as_.newLabel();
@@ -1684,7 +1632,7 @@ FunctionCompiler::emitTruncChecked(const LInst& inst)
         }
         as_.jcc(Cond::ae, trapLabel(TrapKind::integer_overflow));
         as_.bind(ok);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
       }
 
@@ -1704,7 +1652,7 @@ FunctionCompiler::emitTruncChecked(const LInst& inst)
         as_.jmp(ok);
         emitNanOrOverflowTrap();
         as_.bind(ok);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
       }
 
@@ -1727,7 +1675,7 @@ FunctionCompiler::emitTruncChecked(const LInst& inst)
         as_.jcc(Cond::p, trapLabel(TrapKind::invalid_conversion));
         as_.jcc(Cond::ne, trapLabel(TrapKind::integer_overflow));
         as_.bind(ok);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
       }
 
@@ -1767,7 +1715,7 @@ FunctionCompiler::emitTruncChecked(const LInst& inst)
 
         emitNanOrOverflowTrap();
         as_.bind(ok);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
       }
 
@@ -1777,17 +1725,13 @@ FunctionCompiler::emitTruncChecked(const LInst& inst)
 }
 
 void
-FunctionCompiler::emitTruncSat(const LInst& inst)
+FunctionCompiler::emitTruncSat(Op op, const Operands& v)
 {
-    Op op = Op(inst.op);
     bool src32 = op == Op::i32_trunc_sat_f32_s ||
                  op == Op::i32_trunc_sat_f32_u ||
                  op == Op::i64_trunc_sat_f32_s ||
                  op == Op::i64_trunc_sat_f32_u;
-    if (src32)
-        loadXmm32(xmm0, inst.a);
-    else
-        loadXmm64(xmm0, inst.a);
+    loadXmm(src32, xmm0, v.lhs);
 
     auto ucomiSelf = [&] {
         if (src32)
@@ -1832,7 +1776,7 @@ FunctionCompiler::emitTruncSat(const LInst& inst)
         as_.jcc(Cond::b, ok); // below zero: keep INT32_MIN
         as_.movRI32(rax, 0x7FFFFFFFu);
         as_.bind(ok);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
       }
 
@@ -1853,7 +1797,7 @@ FunctionCompiler::emitTruncSat(const LInst& inst)
         as_.bind(sat_max);
         as_.movRI32(rax, 0xFFFFFFFFu);
         as_.bind(ok);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
       }
 
@@ -1880,7 +1824,7 @@ FunctionCompiler::emitTruncSat(const LInst& inst)
         as_.jcc(Cond::b, ok); // negative: keep INT64_MIN
         as_.movRI64(rax, 0x7FFFFFFFFFFFFFFFull);
         as_.bind(ok);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
       }
 
@@ -1916,7 +1860,7 @@ FunctionCompiler::emitTruncSat(const LInst& inst)
         as_.bind(zero);
         as_.movRI32(rax, 0);
         as_.bind(ok);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
       }
 
@@ -1926,44 +1870,43 @@ FunctionCompiler::emitTruncSat(const LInst& inst)
 }
 
 void
-FunctionCompiler::emitConvert(const LInst& inst)
+FunctionCompiler::emitConvert(Op op, const Operands& v)
 {
-    Op op = Op(inst.op);
     switch (op) {
       case Op::f32_convert_i32_s:
-        loadGpr32(rax, inst.a);
+        loadGpr32(rax, v.lhs);
         as_.cvtsi2ss32(xmm0, rax);
-        storeXmm32(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       case Op::f32_convert_i32_u:
-        loadGpr32(rax, inst.a); // zero-extend, then 64-bit convert is exact
+        loadGpr32(rax, v.lhs); // zero-extend, then 64-bit convert is exact
         as_.cvtsi2ss64(xmm0, rax);
-        storeXmm32(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       case Op::f64_convert_i32_s:
-        loadGpr32(rax, inst.a);
+        loadGpr32(rax, v.lhs);
         as_.cvtsi2sd32(xmm0, rax);
-        storeXmm64(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       case Op::f64_convert_i32_u:
-        loadGpr32(rax, inst.a);
+        loadGpr32(rax, v.lhs);
         as_.cvtsi2sd64(xmm0, rax);
-        storeXmm64(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       case Op::f32_convert_i64_s:
-        loadGpr64(rax, inst.a);
+        loadGpr64(rax, v.lhs);
         as_.cvtsi2ss64(xmm0, rax);
-        storeXmm32(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       case Op::f64_convert_i64_s:
-        loadGpr64(rax, inst.a);
+        loadGpr64(rax, v.lhs);
         as_.cvtsi2sd64(xmm0, rax);
-        storeXmm64(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       case Op::f32_convert_i64_u:
       case Op::f64_convert_i64_u: {
         bool to32 = op == Op::f32_convert_i64_u;
-        loadGpr64(rax, inst.a);
+        loadGpr64(rax, v.lhs);
         Label negative = as_.newLabel(), done = as_.newLabel();
         as_.testRR64(rax, rax);
         as_.jcc(Cond::s, negative);
@@ -1987,21 +1930,18 @@ FunctionCompiler::emitConvert(const LInst& inst)
             as_.addsd(xmm0, xmm0);
         }
         as_.bind(done);
-        if (to32)
-            storeXmm32(inst.a, xmm0);
-        else
-            storeXmm64(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       }
       case Op::f32_demote_f64:
-        loadXmm64(xmm0, inst.a);
+        loadXmm64(xmm0, v.lhs);
         as_.cvtsd2ss(xmm0, xmm0);
-        storeXmm32(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       case Op::f64_promote_f32:
-        loadXmm32(xmm0, inst.a);
+        loadXmm32(xmm0, v.lhs);
         as_.cvtss2sd(xmm0, xmm0);
-        storeXmm64(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       default:
         assert(false);
@@ -2012,9 +1952,10 @@ void
 FunctionCompiler::emitWasmOp(const LInst& inst)
 {
     Op op = Op(inst.op);
-
-    if (wasm::isLoadOp(op)) {
-        emitLoad(inst);
+    if (wasm::formDefined(wasm::IrForm::rr, op) ||
+        wasm::formDefined(wasm::IrForm::r, op)) {
+        // A stack op: the result replaces lhs in cell a, rhs is cell b.
+        emitValueOp(op, Operands{inst.a, inst.a, inst.b, false, inst.imm});
         return;
     }
     if (wasm::isStoreOp(op)) {
@@ -2023,12 +1964,6 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
     }
     if (wasm::isAtomicOp(op)) {
         emitAtomic(inst);
-        return;
-    }
-    bool is64;
-    Cond cond;
-    if (intCompare(inst.op, is64, cond)) {
-        emitIntCompare(inst, is64, cond);
         return;
     }
 
@@ -2125,18 +2060,42 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         return;
       }
 
+      default:
+        assert(false && "unhandled op in JIT");
+        as_.ud2();
+        return;
+    }
+}
+
+/** Every op with a register form: loads and the pure value ops. */
+void
+FunctionCompiler::emitValueOp(Op op, const Operands& v)
+{
+    if (wasm::isLoadOp(op)) {
+        emitLoad(op, v);
+        return;
+    }
+    bool is64;
+    Cond cond;
+    if (intCompare(uint16_t(op), is64, cond)) {
+        emitIntCompare(v, is64, cond);
+        return;
+    }
+
+    switch (op) {
+
       // ----- eqz (two-operand int compares are handled above) -----
       case Op::i32_eqz:
-        loadGpr32(rax, inst.a);
+        loadGpr32(rax, v.lhs);
         as_.testRR32(rax, rax);
         materializeCond(Cond::e);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
       case Op::i64_eqz:
-        loadGpr64(rax, inst.a);
+        loadGpr64(rax, v.lhs);
         as_.testRR64(rax, rax);
         materializeCond(Cond::e);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
 
       // ----- float compares -----
@@ -2144,78 +2103,78 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
       case Op::f32_gt: case Op::f32_le: case Op::f32_ge:
       case Op::f64_eq: case Op::f64_ne: case Op::f64_lt:
       case Op::f64_gt: case Op::f64_le: case Op::f64_ge:
-        emitFloatCompare(inst);
+        emitFloatCompare(op, v);
         return;
 
       // ----- int arithmetic -----
       case Op::i32_add: case Op::i32_sub: case Op::i32_mul:
       case Op::i32_and: case Op::i32_or: case Op::i32_xor:
-        emitIntBinop(inst, false);
+        emitIntBinop(op, v, false);
         return;
       case Op::i64_add: case Op::i64_sub: case Op::i64_mul:
       case Op::i64_and: case Op::i64_or: case Op::i64_xor:
-        emitIntBinop(inst, true);
+        emitIntBinop(op, v, true);
         return;
 
       case Op::i32_div_s: case Op::i32_div_u:
       case Op::i32_rem_s: case Op::i32_rem_u:
       case Op::i64_div_s: case Op::i64_div_u:
       case Op::i64_rem_s: case Op::i64_rem_u:
-        emitIntDivRem(inst);
+        emitIntDivRem(op, v);
         return;
 
       // ----- shifts / rotates -----
       case Op::i32_shl: case Op::i32_shr_s: case Op::i32_shr_u:
       case Op::i32_rotl: case Op::i32_rotr:
-        emitShift(inst, false);
+        emitShift(op, v, false);
         return;
       case Op::i64_shl: case Op::i64_shr_s: case Op::i64_shr_u:
       case Op::i64_rotl: case Op::i64_rotr:
-        emitShift(inst, true);
+        emitShift(op, v, true);
         return;
 
       // ----- bit counting -----
       case Op::i32_clz:
-        loadGpr32(rcx, inst.a);
+        loadGpr32(rcx, v.lhs);
         as_.bsr32(rax, rcx);
         as_.movRI32(rdx, 0xFFFFFFFFu);
         as_.cmovcc32(Cond::e, rax, rdx); // src == 0 -> -1
         as_.movRI32(rcx, 31);
         as_.subRR32(rcx, rax); // 31 - (-1) == 32
-        storeGpr32(inst.a, rcx);
+        storeGpr32(v.dst, rcx);
         return;
       case Op::i32_ctz:
-        loadGpr32(rcx, inst.a);
+        loadGpr32(rcx, v.lhs);
         as_.bsf32(rax, rcx);
         as_.movRI32(rdx, 32);
         as_.cmovcc32(Cond::e, rax, rdx);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
       case Op::i64_clz:
-        loadGpr64(rcx, inst.a);
+        loadGpr64(rcx, v.lhs);
         as_.bsr64(rax, rcx);
         as_.movRI64(rdx, ~0ull);
         as_.cmovcc64(Cond::e, rax, rdx);
         as_.movRI32(rcx, 63);
         as_.subRR64(rcx, rax);
-        storeGpr64(inst.a, rcx);
+        storeGpr64(v.dst, rcx);
         return;
       case Op::i64_ctz:
-        loadGpr64(rcx, inst.a);
+        loadGpr64(rcx, v.lhs);
         as_.bsf64(rax, rcx);
         as_.movRI32(rdx, 64);
         as_.cmovcc64(Cond::e, rax, rdx);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
       case Op::i32_popcnt:
-        loadGpr32(rcx, inst.a);
+        loadGpr32(rcx, v.lhs);
         as_.popcnt32(rax, rcx);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
       case Op::i64_popcnt:
-        loadGpr64(rcx, inst.a);
+        loadGpr64(rcx, v.lhs);
         as_.popcnt64(rax, rcx);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
 
       // ----- float arithmetic -----
@@ -2223,45 +2182,43 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
       case Op::f32_div:
       case Op::f64_add: case Op::f64_sub: case Op::f64_mul:
       case Op::f64_div: {
-        // addss/subss/mulss/divss (F3) and the sd forms (F2), in place
-        // on a's home with b read from its home.
+        // addss/subss/mulss/divss (F3) and the sd forms (F2), in dst's
+        // home (see workXmm) with the rhs read from its home or staged
+        // in xmm1 when it is an immediate.
         static constexpr uint8_t kSseArith[4] = {0x58, 0x5C, 0x59, 0x5E};
         bool is32 = op >= Op::f32_add && op <= Op::f32_div;
         uint8_t prefix = is32 ? 0xF3 : 0xF2;
         uint8_t opcode = kSseArith[uint16_t(op) -
                                    uint16_t(is32 ? Op::f32_add
                                                  : Op::f64_add)];
-        int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
-        Xmm lhs = sa >= 0 ? kSlotXmm[sa] : xmm0;
-        if (sa < 0 && is32)
-            loadXmm32(xmm0, inst.a);
-        else if (sa < 0)
-            loadXmm64(xmm0, inst.a);
-        if (sb >= 0)
-            as_.sseOp(prefix, opcode, lhs, kSlotXmm[sb]);
-        else
-            as_.sseOpRM(prefix, opcode, lhs, cellMem(inst.b));
-        if (sa < 0 && is32)
-            storeXmm32(inst.a, xmm0);
-        else if (sa < 0)
-            storeXmm64(inst.a, xmm0);
+        Xmm reg = workXmm(is32, v);
+        int sb = v.rhsImm ? -1 : slotRegIndex(v.rhs);
+        if (v.rhsImm) {
+            loadRhsXmm(is32, xmm1, v);
+            as_.sseOp(prefix, opcode, reg, xmm1);
+        } else if (sb >= 0) {
+            as_.sseOp(prefix, opcode, reg, kSlotXmm[sb]);
+        } else {
+            as_.sseOpRM(prefix, opcode, reg, cellMem(v.rhs));
+        }
+        storeXmm(v.dst, reg);
         return;
       }
 
       case Op::f32_min: case Op::f32_max:
       case Op::f64_min: case Op::f64_max:
-        emitFloatMinMax(inst);
+        emitFloatMinMax(op, v);
         return;
 
       case Op::f32_sqrt:
-        loadXmm32(xmm0, inst.a);
+        loadXmm32(xmm0, v.lhs);
         as_.sqrtss(xmm0, xmm0);
-        storeXmm32(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       case Op::f64_sqrt:
-        loadXmm64(xmm0, inst.a);
+        loadXmm64(xmm0, v.lhs);
         as_.sqrtsd(xmm0, xmm0);
-        storeXmm64(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
 
       // Rounding: roundss/roundsd immediate (0=nearest 1=floor 2=ceil
@@ -2272,9 +2229,9 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
                        : op == Op::f32_floor ? 1
                        : op == Op::f32_ceil  ? 2
                                              : 3;
-        loadXmm32(xmm0, inst.a);
+        loadXmm32(xmm0, v.lhs);
         as_.roundss(xmm0, xmm0, mode);
-        storeXmm32(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       }
       case Op::f64_ceil: case Op::f64_floor: case Op::f64_trunc:
@@ -2283,83 +2240,89 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
                        : op == Op::f64_floor ? 1
                        : op == Op::f64_ceil  ? 2
                                              : 3;
-        loadXmm64(xmm0, inst.a);
+        loadXmm64(xmm0, v.lhs);
         as_.roundsd(xmm0, xmm0, mode);
-        storeXmm64(inst.a, xmm0);
+        storeXmm(v.dst, xmm0);
         return;
       }
 
       // Sign-bit manipulation in integer registers.
       case Op::f32_abs:
-        loadBits64(rax, inst.a, RC::fpr);
+        loadBits64(rax, v.lhs, RC::fpr);
         as_.andRI32(rax, 0x7FFFFFFFu);
-        storeBits64(inst.a, rax, RC::fpr);
+        storeBits64(v.dst, rax, RC::fpr);
         return;
       case Op::f32_neg:
-        loadBits64(rax, inst.a, RC::fpr);
+        loadBits64(rax, v.lhs, RC::fpr);
         as_.movRI32(rcx, 0x80000000u);
         as_.xorRR32(rax, rcx);
-        storeBits64(inst.a, rax, RC::fpr);
+        storeBits64(v.dst, rax, RC::fpr);
         return;
       case Op::f64_abs:
-        loadBits64(rax, inst.a, RC::fpr);
+        loadBits64(rax, v.lhs, RC::fpr);
         as_.movRI64(rcx, 0x7FFFFFFFFFFFFFFFull);
         as_.andRR64(rax, rcx);
-        storeBits64(inst.a, rax, RC::fpr);
+        storeBits64(v.dst, rax, RC::fpr);
         return;
       case Op::f64_neg:
-        loadBits64(rax, inst.a, RC::fpr);
+        loadBits64(rax, v.lhs, RC::fpr);
         as_.movRI64(rcx, 0x8000000000000000ull);
         as_.xorRR64(rax, rcx);
-        storeBits64(inst.a, rax, RC::fpr);
+        storeBits64(v.dst, rax, RC::fpr);
         return;
       case Op::f32_copysign:
-        loadBits64(rax, inst.a, RC::fpr);
-        loadBits64(rcx, inst.b, RC::fpr);
+        loadBits64(rax, v.lhs, RC::fpr);
+        if (v.rhsImm)
+            as_.movRI64(rcx, v.imm);
+        else
+            loadBits64(rcx, v.rhs, RC::fpr);
         as_.andRI32(rax, 0x7FFFFFFFu);
         as_.movRI32(rdx, 0x80000000u);
         as_.andRR32(rcx, rdx);
         as_.orRR32(rax, rcx);
-        storeBits64(inst.a, rax, RC::fpr);
+        storeBits64(v.dst, rax, RC::fpr);
         return;
       case Op::f64_copysign:
-        loadBits64(rax, inst.a, RC::fpr);
-        loadBits64(rcx, inst.b, RC::fpr);
+        loadBits64(rax, v.lhs, RC::fpr);
+        if (v.rhsImm)
+            as_.movRI64(rcx, v.imm);
+        else
+            loadBits64(rcx, v.rhs, RC::fpr);
         as_.movRI64(rdx, 0x7FFFFFFFFFFFFFFFull);
         as_.andRR64(rax, rdx);
         as_.movRI64(rdx, 0x8000000000000000ull);
         as_.andRR64(rcx, rdx);
         as_.orRR64(rax, rcx);
-        storeBits64(inst.a, rax, RC::fpr);
+        storeBits64(v.dst, rax, RC::fpr);
         return;
 
       // ----- conversions -----
       case Op::i32_wrap_i64:
-        loadGpr32(rax, inst.a); // take the low 32 bits, zero-extended
-        storeGpr32(inst.a, rax);
+        loadGpr32(rax, v.lhs); // take the low 32 bits, zero-extended
+        storeGpr32(v.dst, rax);
         return;
       case Op::i64_extend_i32_s:
-        loadGpr32(rax, inst.a);
+        loadGpr32(rax, v.lhs);
         as_.movsxdRR(rax, rax);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
       case Op::i64_extend_i32_u:
-        loadGpr32(rax, inst.a);
-        storeGpr64(inst.a, rax);
+        loadGpr32(rax, v.lhs);
+        storeGpr64(v.dst, rax);
         return;
 
       case Op::i32_trunc_f32_s: case Op::i32_trunc_f32_u:
       case Op::i32_trunc_f64_s: case Op::i32_trunc_f64_u:
       case Op::i64_trunc_f32_s: case Op::i64_trunc_f32_u:
       case Op::i64_trunc_f64_s: case Op::i64_trunc_f64_u:
-        emitTruncChecked(inst);
+        emitTruncChecked(op, v);
         return;
 
       case Op::i32_trunc_sat_f32_s: case Op::i32_trunc_sat_f32_u:
       case Op::i32_trunc_sat_f64_s: case Op::i32_trunc_sat_f64_u:
       case Op::i64_trunc_sat_f32_s: case Op::i64_trunc_sat_f32_u:
       case Op::i64_trunc_sat_f64_s: case Op::i64_trunc_sat_f64_u:
-        emitTruncSat(inst);
+        emitTruncSat(op, v);
         return;
 
       case Op::f32_convert_i32_s: case Op::f32_convert_i32_u:
@@ -2367,46 +2330,46 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
       case Op::f64_convert_i32_s: case Op::f64_convert_i32_u:
       case Op::f64_convert_i64_s: case Op::f64_convert_i64_u:
       case Op::f32_demote_f64: case Op::f64_promote_f32:
-        emitConvert(inst);
+        emitConvert(op, v);
         return;
 
       // Reinterpretations move the bits between register classes.
       case Op::i32_reinterpret_f32:
       case Op::i64_reinterpret_f64:
-        loadBits64(rax, inst.a, RC::fpr);
-        storeBits64(inst.a, rax, RC::gpr);
+        loadBits64(rax, v.lhs, RC::fpr);
+        storeBits64(v.dst, rax, RC::gpr);
         return;
       case Op::f32_reinterpret_i32:
       case Op::f64_reinterpret_i64:
-        loadBits64(rax, inst.a, RC::gpr);
-        storeBits64(inst.a, rax, RC::fpr);
+        loadBits64(rax, v.lhs, RC::gpr);
+        storeBits64(v.dst, rax, RC::fpr);
         return;
 
       // ----- sign extension -----
       case Op::i32_extend8_s:
-        loadGpr32(rax, inst.a);
+        loadGpr32(rax, v.lhs);
         as_.movsxRR8_32(rax, rax);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
       case Op::i32_extend16_s:
-        loadGpr32(rax, inst.a);
+        loadGpr32(rax, v.lhs);
         as_.movsxRR16_32(rax, rax);
-        storeGpr32(inst.a, rax);
+        storeGpr32(v.dst, rax);
         return;
       case Op::i64_extend8_s:
-        loadGpr64(rax, inst.a);
+        loadGpr64(rax, v.lhs);
         as_.movsxRR8_64(rax, rax);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
       case Op::i64_extend16_s:
-        loadGpr64(rax, inst.a);
+        loadGpr64(rax, v.lhs);
         as_.movsxRR16_64(rax, rax);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
       case Op::i64_extend32_s:
-        loadGpr64(rax, inst.a);
+        loadGpr64(rax, v.lhs);
         as_.movsxdRR(rax, rax);
-        storeGpr64(inst.a, rax);
+        storeGpr64(v.dst, rax);
         return;
 
       default:
@@ -2517,15 +2480,6 @@ compileFuncs(const LoweredModule& module, uint32_t first, uint32_t count,
 {
     if (options.codeTable == nullptr)
         return errInvalid("JIT compilation requires a code table");
-    // Register forms are interpreter-only IR (wasm/opt.h).
-    for (uint32_t i = first; i < first + count; i++) {
-        for (const LInst& inst : module.funcs[i].code) {
-            if (wasm::isFormOp(inst.op))
-                return errInvalid("JIT cannot compile register-form IR (" +
-                                  std::string(wasm::lopName(inst.op)) +
-                                  ")");
-        }
-    }
     // Size estimate: generous per-instruction expansion plus fixed
     // per-function overhead; grows are handled by failing with a clear
     // error (callers can retry with bigger estimates if ever needed).

@@ -37,11 +37,11 @@ struct JitOptions
      * Profiler tier tag (obs::kProfTierJitBase / kProfTierJitOpt) stamped
      * on the artifact's code map. A label only: jit_base and jit_opt are
      * one codegen fed different IR. Both work on the operands' register
-     * homes in place, fold constants, copies and compares into the
-     * instruction that pops them, and add the memory base from the
-     * context on every access; under `trap` both skip exactly the checks
-     * listed in LoweredFunc::elidableCheckPcs, which only jit_opt's check
-     * analysis fills.
+     * homes, compile the register forms the opt pass's rewrite emits,
+     * and add the memory base from the context on every access; under
+     * `trap` both skip exactly the checks listed in
+     * LoweredFunc::elidableCheckPcs, which only jit_opt's check analysis
+     * fills.
      */
     uint8_t profTier = obs::kProfTierJitBase;
     /** Emit the function-entry value-stack overflow check (paper §1 lists

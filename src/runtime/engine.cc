@@ -243,16 +243,13 @@ Engine::compile(wasm::Module module) const
     }
 
     if (config.optimizeLoweredIR) {
-        // Strategy-aware transform selection: interpreters get the
-        // register-form rewrite; the optimizing JIT under the trap
-        // strategy gets check analysis + hoisting (guard-page and clamp
-        // codegen has nothing to elide — clamp must still redirect).
-        // Tiered modules share one IR between both tiers, so they skip
-        // the rewrite (the JIT refuses register forms) but keep the
-        // check analysis their jit_opt top tier consumes; the
-        // interpreter executes hoisted check_bounds soundly.
+        // Every executor runs the register-form rewrite, last. The
+        // optimizing JIT under the trap strategy first gets check
+        // analysis + hoisting (guard-page and clamp codegen has nothing
+        // to elide — clamp must still redirect); the rewrite carries the
+        // skip list along. Tiered modules share one IR between both
+        // tiers; the interpreter executes hoisted check_bounds soundly.
         wasm::OptOptions opt;
-        opt.fuse = !tiered && !engineIsJit(config.kind);
         bool top_is_opt_jit =
             tiered || config.kind == EngineKind::jit_opt;
         opt.analyzeChecks = top_is_opt_jit &&
@@ -262,11 +259,9 @@ Engine::compile(wasm::Module module) const
             opt.analyzeChecks && config.optVersioning && grow_free;
         opt.ipoSummaries = opt.analyzeChecks && config.optIpoSummaries;
         opt.ipoStats = opt.ipoSummaries && config.optIpoStats;
-        if (opt.fuse || opt.analyzeChecks) {
-            LNB_TRACE_SCOPE("rt.opt");
-            ScopedTimer timer(cm->stats_.optSeconds);
-            cm->optStats_ = wasm::optimizeLoweredModule(cm->lowered_, opt);
-        }
+        LNB_TRACE_SCOPE("rt.opt");
+        ScopedTimer timer(cm->stats_.optSeconds);
+        cm->optStats_ = wasm::optimizeLoweredModule(cm->lowered_, opt);
     }
 
     LNB_RETURN_IF_ERROR(cm->installCode(nullptr));

@@ -84,7 +84,7 @@ engineIsJit(EngineKind kind)
     V(uint32_t,            valueStackCells,    1u << 20,  nullptr, 0, 0)      \
     V(uint32_t,            maxCallDepth,       8192,      nullptr, 0, 0)      \
     /* Run the lowered-IR optimization pass (wasm/opt.*) between lowering     \
-       and execution: the register-form rewrite for the interpreter tiers,    \
+       and execution: the register-form rewrite for every executor, after     \
        cross-block/loop bounds-check elimination for jit_opt under the trap   \
        strategy. Ablation knob; LNB_OPT_DISABLED (flag) clears it. */         \
     V(bool,                optimizeLoweredIR,  true,      nullptr, 0, 0)      \

@@ -64,7 +64,7 @@ struct CacheFileHeader
 static_assert(sizeof(CacheFileHeader) == 48);
 
 constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
-constexpr uint32_t kCacheFormatVersion = 3;
+constexpr uint32_t kCacheFormatVersion = 4;
 
 uint64_t
 cacheBuildId()

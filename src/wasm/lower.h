@@ -63,8 +63,9 @@ constexpr size_t kLOpCount = size_t(LOp::count_);
 
 /**
  * Three-address register forms of a wasm op, emitted only by the
- * interpreter rewrite (OptOptions::fuse, wasm/opt.*). A form op is
- * `kLOpCount + form * kOpCount + wasm op`; its operands are any cells:
+ * register-form rewrite, the last step of optimizeLoweredModule
+ * (wasm/opt.*). A form op is `kLOpCount + form * kOpCount + wasm op`;
+ * its operands are any cells:
  *
  *   rr  : f[a] = f[b] OP f[imm]
  *   ri  : f[a] = f[b] OP imm
@@ -73,8 +74,9 @@ constexpr size_t kLOpCount = size_t(LOp::count_);
  *   jri : jump to pc a if (f[b] OP imm != 0) != aux
  *
  * Each operand is read, and the result written, at the width of its
- * signature character: 4 bytes for i32/f32, 8 for i64/f64. The JIT
- * never sees forms.
+ * signature character: 4 bytes for i32/f32, 8 for i64/f64. Every
+ * executor runs forms: the interpreters through one handler per
+ * (form, op), the JIT through the op's value emitter.
  */
 enum class IrForm : uint8_t { rr, ri, r, jrr, jri, count_ };
 
@@ -152,10 +154,25 @@ struct LInst
     uint32_t b = 0;
     uint64_t imm = 0;
 
-    bool isWasmOp() const { return op < uint16_t(Op::count_); }
-    Op wasmOp() const { return Op(op); }
-    LOp lop() const { return LOp(op); }
+    constexpr bool isWasmOp() const { return op < uint16_t(Op::count_); }
+    constexpr Op wasmOp() const { return Op(op); }
+    constexpr LOp lop() const { return LOp(op); }
 };
+
+/**
+ * Does @p inst carry a software bounds check: a load (plain or in its r
+ * form), a store, or a check_bounds? The only instructions an
+ * elidableCheckPcs entry may name.
+ */
+constexpr bool
+carriesBoundsCheck(const LInst& inst)
+{
+    if (inst.isWasmOp())
+        return isLoadOp(inst.wasmOp()) || isStoreOp(inst.wasmOp());
+    if (isFormOp(inst.op))
+        return formOf(inst.op) == IrForm::r && isLoadOp(formWasmOp(inst.op));
+    return inst.lop() == LOp::check_bounds;
+}
 
 /** Executable form of one defined function. */
 struct LoweredFunc
@@ -163,14 +180,8 @@ struct LoweredFunc
     uint32_t funcIdx = 0;  ///< index in the module's function space
     uint32_t typeIdx = 0;
     uint32_t numParams = 0;
-    /**
-     * Locals including parameters; cells at and above it are stack
-     * cells. A stack cell consumed as the top operand (an instruction
-     * with b == cell == a + 1, or the condition of a jump_if /
-     * jump_if_zero) is dead until rewritten: nothing reads it again
-     * before an instruction writes it. Code the opt pass inserts for
-     * the JIT obeys this too; its operand folding relies on it.
-     */
+    /** Locals including parameters; cells at and above it are stack
+     * cells. */
     uint32_t numLocalCells = 0;
     uint32_t numCells = 0;      ///< locals + maximum operand-stack depth
     uint16_t numResults = 0;
@@ -195,45 +206,11 @@ struct LoweredFunc
     std::vector<uint32_t> elidableCheckPcs;
 };
 
-/**
- * Interprocedural summary of one defined function, computed bottom-up and
- * SCC-aware by the optimization pass (trap strategy only; the vector stays
- * empty when the pass or the IPO knob is off).
- */
-struct FuncSummary
-{
-    /**
-     * The function cannot change memSize: no memory.grow, no call_indirect
-     * and no host calls (either could reach a grower), and every direct
-     * callee is itself grow-free. Members of non-trivial call-graph SCCs
-     * (including self-recursion) are conservatively not grow-free.
-     *
-     * Because caller and callee frames overlap (callee frame = caller
-     * frame + arg base), a call can only clobber caller cells >= the arg
-     * base — so a call into a grow-free callee invalidates neither
-     * memSize-dependent facts nor facts about cells below the arg base.
-     */
-    bool growFree = false;
-    /**
-     * Largest constant limit the function is guaranteed to have checked
-     * against memSize before it can return normally (max over entry-block
-     * constant-address accesses and check_bounds aux == 1). After a
-     * completed call, the caller knows memSize >= this. Sound forever:
-     * memories never shrink. 0 = nothing proven.
-     */
-    uint64_t maxConstCheckLimit = 0;
-};
-
 /** A module plus the lowered form of each defined function. */
 struct LoweredModule
 {
     Module module;
     std::vector<LoweredFunc> funcs;
-    /**
-     * Per-defined-function interprocedural summaries, parallel to `funcs`.
-     * Empty unless the optimization pass ran with ipoSummaries enabled.
-     */
-    std::vector<FuncSummary> funcSummaries;
     /**
      * Canonical type index per type index: the first structurally equal
      * entry. call_indirect signature checks compare canonical indices so

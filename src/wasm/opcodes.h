@@ -313,17 +313,19 @@ inline const char* opName(Op op) { return opInfo(op).name; }
  */
 bool opFromEncoding(uint32_t encoding, Op& out);
 
-/** Value-stack signature of @p op (the table's `sig` column), usable in
- * constant expressions. */
+/** The table's `sig` column. At namespace scope so a lookup at run time
+ * indexes read-only data instead of building the array per call. */
+inline constexpr const char* kOpSigs[] = {
+#define V(id, name, enc, imm, sig) sig,
+    LNB_FOREACH_OPCODE(V)
+#undef V
+};
+
+/** Value-stack signature of @p op, usable in constant expressions. */
 constexpr const char*
 opSig(Op op)
 {
-    constexpr const char* kSigs[] = {
-#define V(id, name, enc, imm, sig) sig,
-        LNB_FOREACH_OPCODE(V)
-#undef V
-    };
-    return kSigs[size_t(op)];
+    return kOpSigs[size_t(op)];
 }
 
 /** Number of value inputs in @p op's signature; -1 for a "*" op. */

@@ -2,13 +2,14 @@
  * @file
  * Lowered-IR optimization pass: CFG/dominator/loop discovery, redundant
  * bounds-check analysis, loop-invariant check hoisting, and the
- * interpreters' register-form rewrite. See opt.h for the soundness
+ * register-form rewrite every executor runs. See opt.h for the soundness
  * arguments.
  */
 #include "wasm/opt.h"
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstring>
 #include <map>
 #include <unordered_map>
@@ -150,73 +151,73 @@ collectJumpTargets(const LoweredFunc& func, std::vector<uint8_t>& target)
     }
 }
 
+/**
+ * Block begins of @p func — pc 0, every jump target, every pc after a
+ * terminator — closed by code.size(), and the block of each pc.
+ */
+void
+findBlocks(const LoweredFunc& func, const std::vector<uint8_t>& jump_target,
+           std::vector<uint32_t>& begins, std::vector<uint32_t>& block_of)
+{
+    const uint32_t n = uint32_t(func.code.size());
+    block_of.resize(n);
+    for (uint32_t pc = 0; pc < n; pc++) {
+        if (pc == 0 || jump_target[pc] || isTerminator(func.code[pc - 1]))
+            begins.push_back(pc);
+        block_of[pc] = uint32_t(begins.size() - 1);
+    }
+    begins.push_back(n);
+}
+
+/** Calls @p fn with the pc of each successor of the block that ends
+ * (one past its last instruction) at @p end. */
+template <typename Fn>
+void
+forEachSuccPc(const LoweredFunc& func, uint32_t end, Fn fn)
+{
+    const LInst& last = func.code[end - 1];
+    if (!last.isWasmOp()) {
+        switch (last.lop()) {
+          case LOp::jump:
+            fn(last.a);
+            return;
+          case LOp::jump_if:
+          case LOp::jump_if_zero:
+            fn(last.a);
+            break;
+          case LOp::jump_table:
+            for (uint32_t i = 0; i <= last.aux; i++)
+                fn(func.tablePool[last.a + i]);
+            return;
+          case LOp::ret:
+          case LOp::trap:
+            return;
+          default:
+            break;
+        }
+    }
+    if (end < func.code.size())
+        fn(end);
+}
+
 Cfg
 buildCfg(const LoweredFunc& func)
 {
     Cfg cfg;
-    const size_t n = func.code.size();
     collectJumpTargets(func, cfg.jumpTarget);
-
-    std::vector<uint8_t> starts(n, 0);
-    if (n > 0)
-        starts[0] = 1;
-    for (size_t pc = 0; pc < n; pc++) {
-        if (cfg.jumpTarget[pc])
-            starts[pc] = 1;
-        if (isTerminator(func.code[pc]) && pc + 1 < n)
-            starts[pc + 1] = 1;
-    }
-
-    cfg.blockOf.assign(n, 0);
-    for (size_t pc = 0; pc < n; pc++) {
-        if (starts[pc]) {
-            if (!cfg.blocks.empty())
-                cfg.blocks.back().end = uint32_t(pc);
-            cfg.blocks.push_back({uint32_t(pc), uint32_t(n), {}, {}});
-        }
-        cfg.blockOf[pc] = uint32_t(cfg.blocks.size() - 1);
-    }
-
-    auto addEdge = [&cfg](uint32_t from, uint32_t to_pc) {
-        uint32_t to = cfg.blockOf[to_pc];
-        std::vector<uint32_t>& succs = cfg.blocks[from].succs;
-        if (std::find(succs.begin(), succs.end(), to) == succs.end()) {
-            succs.push_back(to);
-            cfg.blocks[to].preds.push_back(from);
-        }
-    };
+    std::vector<uint32_t> begins;
+    findBlocks(func, cfg.jumpTarget, begins, cfg.blockOf);
+    for (size_t b = 0; b + 1 < begins.size(); b++)
+        cfg.blocks.push_back({begins[b], begins[b + 1], {}, {}});
     for (uint32_t b = 0; b < cfg.blocks.size(); b++) {
-        const Block& block = cfg.blocks[b];
-        const LInst& last = func.code[block.end - 1];
-        if (last.isWasmOp()) {
-            // Lowered code always ends blocks with a terminator, but be
-            // defensive about straight-line fallthrough.
-            if (block.end < n)
-                addEdge(b, block.end);
-            continue;
-        }
-        switch (last.lop()) {
-          case LOp::jump:
-            addEdge(b, last.a);
-            break;
-          case LOp::jump_if:
-          case LOp::jump_if_zero:
-            addEdge(b, last.a);
-            if (block.end < n)
-                addEdge(b, block.end);
-            break;
-          case LOp::jump_table:
-            for (uint32_t i = 0; i <= last.aux; i++)
-                addEdge(b, func.tablePool[last.a + i]);
-            break;
-          case LOp::ret:
-          case LOp::trap:
-            break;
-          default:
-            if (block.end < n)
-                addEdge(b, block.end);
-            break;
-        }
+        forEachSuccPc(func, cfg.blocks[b].end, [&](uint32_t to_pc) {
+            uint32_t to = cfg.blockOf[to_pc];
+            std::vector<uint32_t>& succs = cfg.blocks[b].succs;
+            if (std::find(succs.begin(), succs.end(), to) == succs.end()) {
+                succs.push_back(to);
+                cfg.blocks[to].preds.push_back(b);
+            }
+        });
     }
 
     // Reachability + reverse postorder via iterative DFS from block 0.
@@ -1056,12 +1057,7 @@ versionLoops(LoweredFunc& func)
 
     // Five scratch cells, shared by all guards in the function:
     //   S0 = memSize in bytes, S1 = M (then per-term work in S2..S4).
-    // Like every stack cell they obey the pop rule (wasm/lower.h): a
-    // cell consumed as the top operand (the const or copy right before a
-    // binop reading it as b == a + 1, a jump_if condition) is rewritten
-    // before it is read again, so the JIT may fold those writes away.
-    // The memSize in S0 and M in S1 are read by every term, but never as
-    // a popped top operand.
+    // The memSize in S0 and M in S1 are read by every term.
     const uint32_t S0 = func.numCells;
     const uint32_t S1 = S0 + 1, S2 = S0 + 2, S3 = S0 + 3, S4 = S0 + 4;
     func.numCells += 5;
@@ -1323,6 +1319,35 @@ factCovers(const Facts& facts, uint32_t cell, uint64_t limit)
     auto it = facts.find(cell);
     return it != facts.end() && it->second >= limit;
 }
+
+/**
+ * Interprocedural summary of one defined function, computed bottom-up and
+ * SCC-aware when ipoSummaries is set. Local to the pass: summaries are not
+ * part of the lowered module.
+ */
+struct FuncSummary
+{
+    /**
+     * The function cannot change memSize: no memory.grow, no call_indirect
+     * and no host calls (either could reach a grower), and every direct
+     * callee is itself grow-free. Members of non-trivial call-graph SCCs
+     * (including self-recursion) are conservatively not grow-free.
+     *
+     * Because caller and callee frames overlap (callee frame = caller
+     * frame + arg base), a call can only clobber caller cells >= the arg
+     * base — so a call into a grow-free callee invalidates neither
+     * memSize-dependent facts nor facts about cells below the arg base.
+     */
+    bool growFree = false;
+    /**
+     * Largest constant limit the function is guaranteed to have checked
+     * against memSize before it can return normally (max over entry-block
+     * constant-address accesses and check_bounds aux == 1). After a
+     * completed call, the caller knows memSize >= this. Sound forever:
+     * memories never shrink. 0 = nothing proven.
+     */
+    uint64_t maxConstCheckLimit = 0;
+};
 
 /** Interprocedural context threaded through the dataflow when summaries
  * are enabled; null pointers select the old intraprocedural behavior. */
@@ -1691,15 +1716,16 @@ tarjanSccs(const std::vector<std::vector<uint32_t>>& adj)
     return sccs;
 }
 
-/** Compute module.funcSummaries: bottom-up grow-freedom over the callf
- * graph (SCC members — mutual or self recursion — degrade to not
- * grow-free) plus the per-function entry constant-check limit. */
-void
-computeFuncSummaries(LoweredModule& module)
+/** Summaries of every defined function, parallel to module.funcs:
+ * bottom-up grow-freedom over the callf graph (SCC members — mutual or
+ * self recursion — degrade to not grow-free) plus the per-function entry
+ * constant-check limit. */
+std::vector<FuncSummary>
+computeFuncSummaries(const LoweredModule& module)
 {
     const uint32_t n = uint32_t(module.funcs.size());
     const uint32_t imported = module.module.numImportedFuncs();
-    module.funcSummaries.assign(n, FuncSummary{});
+    std::vector<FuncSummary> summaries(n);
     std::vector<std::vector<uint32_t>> callees(n);
     std::vector<uint8_t> localBar(n, 0); // grows, host or indirect calls
     for (uint32_t i = 0; i < n; i++) {
@@ -1726,8 +1752,7 @@ computeFuncSummaries(LoweredModule& module)
         callees[i].erase(
             std::unique(callees[i].begin(), callees[i].end()),
             callees[i].end());
-        module.funcSummaries[i].maxConstCheckLimit =
-            entryConstCheckLimit(func);
+        summaries[i].maxConstCheckLimit = entryConstCheckLimit(func);
     }
     for (const std::vector<uint32_t>& scc : tarjanSccs(callees)) {
         if (scc.size() != 1)
@@ -1737,13 +1762,14 @@ computeFuncSummaries(LoweredModule& module)
             continue; // self recursion
         bool ok = !localBar[v];
         for (uint32_t w : callees[v])
-            ok = ok && module.funcSummaries[w].growFree;
-        module.funcSummaries[v].growFree = ok;
+            ok = ok && summaries[w].growFree;
+        summaries[v].growFree = ok;
     }
+    return summaries;
 }
 
 // ---------------------------------------------------------------------
-// Register-form rewrite (interpreter tiers)
+// Register-form rewrite (every executor)
 // ---------------------------------------------------------------------
 
 /**
@@ -1866,24 +1892,34 @@ class RegisterFormRewriter
 
     void run()
     {
-        Cfg cfg = buildCfg(func_);
-        std::vector<uint64_t> live_out = liveOut(cfg);
+        // Only block ranges and successors: no full Cfg.
+        std::vector<uint8_t> jump_target;
+        collectJumpTargets(func_, jump_target);
+        findBlocks(func_, jump_target, begins_, blockOf_);
+        computeLiveness();
         std::vector<uint32_t> new_pc(in_.size() + 1, 0);
+        // Each listed check moves with its instruction: the rewrite
+        // keeps every load, store and check_bounds, as the last
+        // instruction it emits for that input pc.
+        std::vector<uint32_t>& skip = func_.elidableCheckPcs;
+        size_t next_skip = 0;
         out_.reserve(in_.size());
-        for (uint32_t b = 0; b < cfg.blocks.size(); b++) {
-            const Block& block = cfg.blocks[b];
-            new_pc[block.begin] = uint32_t(out_.size());
-            computeLiveAfter(block, live_out[b]);
+        for (uint32_t b = 0; b + 1 < begins_.size(); b++) {
+            const uint32_t begin = begins_[b], end = begins_[b + 1];
+            new_pc[begin] = uint32_t(out_.size());
             producer_ = kNone;
-            for (uint32_t pc = block.begin; pc < block.end; pc++)
-                pc += step(pc, block.end);
-            flushLive(live_out[b]); // fallthrough into the next label
+            for (uint32_t pc = begin; pc < end; pc++) {
+                uint32_t consumed = step(pc, end);
+                if (next_skip < skip.size() && skip[next_skip] == pc)
+                    skip[next_skip++] = uint32_t(out_.size() - 1);
+                pc += consumed;
+            }
+            flushLive(liveOut_[b]); // fallthrough into the next label
         }
+        assert(next_skip == skip.size());
         new_pc[in_.size()] = uint32_t(out_.size());
         func_.code = std::move(out_);
         remapJumps(func_, new_pc);
-        // The skip list is JIT-only; the JIT never runs this IR.
-        func_.elidableCheckPcs.clear();
     }
 
   private:
@@ -1897,17 +1933,23 @@ class RegisterFormRewriter
         uint64_t imm = 0;
     };
 
-    /** Backward liveness over stack cells, one word per block. */
-    std::vector<uint64_t> liveOut(const Cfg& cfg) const
+    // ----- liveness -----
+
+    /** Backward liveness over stack cells: one word per block end
+     * (liveOut_) and per instruction (liveAfter_). */
+    void computeLiveness()
     {
-        const size_t nb = cfg.blocks.size();
-        std::vector<uint64_t> gen(nb, 0), kill(nb, 0), in(nb, 0), out(nb, 0);
+        const size_t n = in_.size();
+        const size_t nb = begins_.size() - 1;
+        std::vector<StackUseDef> ud(n);
+        for (size_t pc = 0; pc < n; pc++)
+            ud[pc] = stackUseDef(in_[pc], sb_);
+        std::vector<uint64_t> gen(nb, 0), kill(nb, 0), in(nb, 0);
+        liveOut_.assign(nb, 0);
         for (size_t b = 0; b < nb; b++) {
-            const Block& block = cfg.blocks[b];
-            for (uint32_t pc = block.end; pc-- > block.begin;) {
-                StackUseDef ud = stackUseDef(in_[pc], sb_);
-                gen[b] = ud.use | (gen[b] & ~ud.def);
-                kill[b] |= ud.def;
+            for (uint32_t pc = begins_[b + 1]; pc-- > begins_[b];) {
+                gen[b] = ud[pc].use | (gen[b] & ~ud[pc].def);
+                kill[b] |= ud[pc].def;
             }
         }
         bool changed = true;
@@ -1915,31 +1957,26 @@ class RegisterFormRewriter
             changed = false;
             for (size_t b = nb; b-- > 0;) {
                 uint64_t o = 0;
-                for (uint32_t s : cfg.blocks[b].succs)
-                    o |= in[s];
+                forEachSuccPc(func_, begins_[b + 1],
+                              [&](uint32_t pc) { o |= in[blockOf_[pc]]; });
                 uint64_t i = gen[b] | (o & ~kill[b]);
-                if (i != in[b] || o != out[b]) {
+                if (i != in[b] || o != liveOut_[b]) {
                     in[b] = i;
-                    out[b] = o;
+                    liveOut_[b] = o;
                     changed = true;
                 }
             }
         }
-        return out;
-    }
-
-    void computeLiveAfter(const Block& block, uint64_t live_out)
-    {
-        liveAfter_.assign(block.end - block.begin, 0);
-        liveBase_ = block.begin;
-        uint64_t live = live_out;
-        for (uint32_t pc = block.end; pc-- > block.begin;) {
-            liveAfter_[pc - block.begin] = live;
-            StackUseDef ud = stackUseDef(in_[pc], sb_);
-            live = ud.use | (live & ~ud.def);
+        liveAfter_.resize(n);
+        for (size_t b = 0; b < nb; b++) {
+            uint64_t live = liveOut_[b];
+            for (uint32_t pc = begins_[b + 1]; pc-- > begins_[b];) {
+                liveAfter_[pc] = live;
+                live = ud[pc].use | (live & ~ud[pc].def);
+            }
         }
     }
-    uint64_t liveAfter(uint32_t pc) const { return liveAfter_[pc - liveBase_]; }
+    uint64_t liveAfter(uint32_t pc) const { return liveAfter_[pc]; }
 
     // ----- deferred values -----
 
@@ -2199,15 +2236,17 @@ class RegisterFormRewriter
     static constexpr uint16_t kNoOp = UINT16_MAX;
 
     LoweredFunc& func_;
-    const std::vector<LInst> in_;
+    const std::vector<LInst>& in_; ///< func_.code until run() replaces it
     StackBits sb_;
     std::vector<LInst> out_;
     /** Deferred write per cell (op == kNoOp when none). */
     std::vector<LInst> pend_;
     /** Cells that may hold a deferred write. */
     std::vector<uint32_t> pending_;
-    std::vector<uint64_t> liveAfter_;
-    uint32_t liveBase_ = 0;
+    std::vector<uint32_t> begins_;  ///< block begins, then code.size()
+    std::vector<uint32_t> blockOf_; ///< pc -> block
+    std::vector<uint64_t> liveOut_; ///< per block
+    std::vector<uint64_t> liveAfter_; ///< per pc
     /** Stack cell the last emitted instruction wrote, if retargetable. */
     uint32_t producer_ = kNone;
 };
@@ -2304,32 +2343,27 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
             func.elidableCheckPcs.end());
     }
 
-    if (opts.fuse)
-        stats.instsFused = rewriteRegisterForm(func);
+    stats.instsFused = rewriteRegisterForm(func);
 
     stats.instsAfter = func.code.size();
     return stats;
 }
 
 OptStats
-optimizeLoweredFunc(LoweredFunc& func, const OptOptions& opts)
-{
-    return optimizeFuncInternal(func, opts, nullptr, nullptr);
-}
-
-OptStats
 optimizeLoweredModule(LoweredModule& module, const OptOptions& opts)
 {
     OptStats total;
-    module.funcSummaries.clear();
+    std::vector<FuncSummary> summaries;
     IpoView view;
     Facts seed;
     const IpoView* ipo = nullptr;
     const Facts* entry_seed = nullptr;
     if (opts.ipoSummaries && opts.analyzeChecks) {
-        computeFuncSummaries(module);
+        summaries = computeFuncSummaries(module);
+        for (const FuncSummary& summary : summaries)
+            total.funcsGrowFree += summary.growFree;
         view.mod = &module;
-        view.summaries = &module.funcSummaries;
+        view.summaries = &summaries;
         ipo = &view;
         // Sound at *any* entry — including direct Instance::call into an
         // arbitrary function index: memories never shrink below their

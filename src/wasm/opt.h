@@ -47,7 +47,7 @@
  *    call_indirect, host calls and SCC cycles degrade to the old
  *    clear-at-call behavior.
  *
- *  - Register-form rewrite (interpreter tiers, last): a block-local
+ *  - Register-form rewrite (every executor, last): a block-local
  *    pass, driven by a liveness word over the first 64 stack cells,
  *    that turns the stack-slot IR into three-address forms (IrForm,
  *    wasm/lower.h). Copies from locals and constants into stack cells
@@ -59,7 +59,10 @@
  *    and before their source local is overwritten. Integer operands of
  *    commutative ops may be swapped; float operands never are (x86 NaN
  *    propagation depends on operand order). Form handlers run each op's
- *    own semantic function, so results and traps stay bit-exact.
+ *    own semantic function, so results and traps stay bit-exact, and
+ *    the JIT compiles the same forms. The rewrite keeps every load,
+ *    store and check_bounds and moves each `elidableCheckPcs` entry to
+ *    its instruction's new pc.
  *
  * The pass reports opt.checks_hoisted, opt.checks_elided_crossblock,
  * opt.loops_versioned, opt.checks_elided_ipo and opt.insts_fused through
@@ -76,13 +79,13 @@
 
 namespace lnb::wasm {
 
-/** Which transforms to run. Check analysis, hoisting, versioning and IPO
- * summaries are only sound when the executor traps (never clamps) on
+/** Which check transforms run before the register-form rewrite, which
+ * always runs. Check analysis, hoisting, versioning and IPO summaries
+ * are only sound when the executor traps (never clamps) on
  * out-of-bounds accesses; the caller is responsible for enabling them
  * only under that strategy. */
 struct OptOptions
 {
-    bool fuse = false;          ///< register-form rewrite (interpreters)
     bool analyzeChecks = false; ///< VN + dataflow check skip lists
     bool hoistChecks = false;   ///< loop-invariant check hoisting
     bool versionLoops = false;  ///< affine loop versioning (guard + clone)
@@ -104,6 +107,9 @@ struct OptStats
     uint64_t checksElided = 0;
     /** Instructions the register-form rewrite removed. */
     uint64_t instsFused = 0;
+    /** Functions the interprocedural summaries prove grow-free (only
+     * computed when OptOptions::ipoSummaries is set). */
+    uint64_t funcsGrowFree = 0;
     /** Loops that received a guarded fast-path clone. */
     uint64_t loopsVersioned = 0;
     /** Accesses on versioned fast paths whose checks became elidable. */
@@ -119,13 +125,10 @@ struct OptStats
     uint64_t instsAfter = 0;
 };
 
-/** Optimize one lowered function in place (no interprocedural context:
- * ipoSummaries is ignored at this granularity). */
-OptStats optimizeLoweredFunc(LoweredFunc& func, const OptOptions& opts);
-
 /** Optimize every function of @p module in place — in call-graph
- * top-down order with summaries when ipoSummaries is set — and bump the
- * obs counters by the module-wide totals. */
+ * top-down order with summaries when ipoSummaries is set, the enabled
+ * check transforms first and the register-form rewrite last — and bump
+ * the obs counters by the module-wide totals. */
 OptStats optimizeLoweredModule(LoweredModule& module, const OptOptions& opts);
 
 } // namespace lnb::wasm

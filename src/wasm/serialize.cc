@@ -72,12 +72,37 @@ checkSkipList(const LoweredFunc& f)
         if (i > 0 && pc <= f.elidableCheckPcs[i - 1])
             return errInvalid("serialized check skip list is not "
                               "strictly increasing");
-        const LInst& inst = f.code[pc];
-        bool access = inst.isWasmOp() && (isLoadOp(inst.wasmOp()) ||
-                                          isStoreOp(inst.wasmOp()));
-        if (!access && inst.op != uint16_t(LOp::check_bounds))
+        if (!carriesBoundsCheck(f.code[pc]))
             return errInvalid("serialized check skip list names pc " +
                               std::to_string(pc) + ", which has no check");
+    }
+    return Status::ok();
+}
+
+/**
+ * The JIT turns a register form's cells into [r15 + 8 * cell] operands
+ * and each jump target into a code label, so a form must name cells
+ * inside the frame and a jump must land inside the code.
+ */
+Status
+checkOperands(const LoweredFunc& f)
+{
+    for (size_t pc = 0; pc < f.code.size(); pc++) {
+        const LInst& inst = f.code[pc];
+        IrForm form = isFormOp(inst.op) ? formOf(inst.op) : IrForm::count_;
+        bool jump = inst.op == uint16_t(LOp::jump) ||
+                    inst.op == uint16_t(LOp::jump_if) ||
+                    inst.op == uint16_t(LOp::jump_if_zero) ||
+                    form == IrForm::jrr || form == IrForm::jri;
+        bool cells_ok =
+            form == IrForm::count_ ||
+            ((jump || inst.a < f.numCells) && inst.b < f.numCells &&
+             ((form != IrForm::rr && form != IrForm::jrr) ||
+              inst.imm < f.numCells));
+        if (!cells_ok || (jump && inst.a >= f.code.size()))
+            return errInvalid("serialized IR at pc " + std::to_string(pc) +
+                              " names a cell outside the frame or jumps "
+                              "past the code");
     }
     return Status::ok();
 }
@@ -198,7 +223,6 @@ serializeLoweredModule(const LoweredModule& lm, ByteWriter& w,
     w.u64(lm.funcs.size());
     for (const LoweredFunc& f : lm.funcs)
         writeLoweredFunc(f, w, include_func_code);
-    w.podVec(lm.funcSummaries);
     w.podVec(lm.typeCanon);
 }
 
@@ -215,7 +239,6 @@ deserializeLoweredModule(ByteReader& r, LoweredModule& out)
     out.funcs.reserve(size_t(n));
     for (uint64_t i = 0; i < n && r.ok(); i++)
         out.funcs.push_back(readLoweredFunc(r, include_func_code));
-    out.funcSummaries = r.podVec<FuncSummary>();
     out.typeCanon = r.podVec<uint32_t>();
     if (!r.ok())
         return errInvalid("truncated serialized module payload");
@@ -228,6 +251,7 @@ deserializeLoweredModule(ByteReader& r, LoweredModule& out)
                                   std::to_string(inst.op) +
                                   " with no handler");
         }
+        LNB_RETURN_IF_ERROR(checkOperands(f));
         LNB_RETURN_IF_ERROR(checkSkipList(f));
     }
     return Status::ok();

@@ -2,8 +2,9 @@
  * @file
  * JIT-layer tests: byte-exact assembler encodings (checked against
  * reference encodings from the Intel SDM), code-buffer lifecycle, and
- * compiler-level properties (code size, operand folding, which bounds
- * checks the trap strategy skips, trap-kind bytes after ud2 islands).
+ * compiler-level properties (code size, register forms compiled
+ * bit-exact against the interpreter, which bounds checks the trap
+ * strategy skips, trap-kind bytes after ud2 islands).
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "kernels/kernel.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
+#include "runtime/instance.h"
 #include "wasm/builder.h"
 #include "wasm/opt.h"
 #include "wasm/validator.h"
@@ -232,24 +234,6 @@ TEST(Compiler, ProducesCodeForAllStrategies)
     }
 }
 
-TEST(Compiler, RefusesRegisterFormIR)
-{
-    // The interpreters' register-form rewrite emits forms the JIT has
-    // no codegen for: compiling that IR fails with a Status.
-    wasm::LoweredModule lowered = lowerSample();
-    wasm::OptOptions rewrite;
-    rewrite.fuse = true;
-    wasm::optimizeLoweredModule(lowered, rewrite);
-    bool has_form = false;
-    for (const wasm::LInst& inst : lowered.funcs[0].code)
-        has_form |= wasm::isFormOp(inst.op);
-    ASSERT_TRUE(has_form);
-    auto code = compileModule(lowered, tableOptions());
-    ASSERT_FALSE(code.isOk());
-    EXPECT_EQ(code.status().code(), StatusCode::invalid_argument);
-    EXPECT_FALSE(compileFunction(lowered, 0, tableOptions()).isOk());
-}
-
 TEST(Compiler, SoftwareChecksEnlargeCode)
 {
     wasm::LoweredModule lowered = lowerSample();
@@ -283,10 +267,11 @@ TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
     wasm::Module module = mb.build();
     ASSERT_TRUE(wasm::validateModule(module).isOk());
     auto lowered = wasm::lowerModule(std::move(module)).takeValue();
-    // jit_opt x trap compiles the IR the check analysis annotated, as
-    // Engine::compile does; jit_base compiles the plain lowering. One
+    // The same rewritten IR with and without the check analysis's skip
+    // list: the list alone separates jit_opt x trap from jit_base. One
     // codegen serves both.
     wasm::LoweredModule analyzed = lowered;
+    wasm::optimizeLoweredModule(lowered, wasm::OptOptions());
     wasm::OptOptions passes;
     passes.analyzeChecks = true;
     passes.hoistChecks = true;
@@ -312,11 +297,8 @@ softwareCheckSites(const wasm::LoweredModule& lowered)
 {
     uint64_t sites = 0;
     for (const wasm::LoweredFunc& func : lowered.funcs) {
-        for (const wasm::LInst& inst : func.code) {
-            sites += inst.isWasmOp() ? wasm::isLoadOp(inst.wasmOp()) ||
-                                           wasm::isStoreOp(inst.wasmOp())
-                                     : inst.lop() == wasm::LOp::check_bounds;
-        }
+        for (const wasm::LInst& inst : func.code)
+            sites += wasm::carriesBoundsCheck(inst);
     }
     return sites;
 }
@@ -324,8 +306,9 @@ softwareCheckSites(const wasm::LoweredModule& lowered)
 TEST(Compiler, SkipsExactlyTheListedChecks)
 {
     // The opt pass alone decides which checks survive: under `trap` the
-    // JIT skips each listed pc and emits every other check, and under
-    // `clamp` (which must redirect every access) it skips none.
+    // JIT skips each listed pc of the rewritten IR and emits every other
+    // check, and under `clamp` (which must redirect every access) it
+    // skips none.
     obs::Counter emitted = obs::registerCounter("jit.bounds_checks_emitted");
     obs::Counter elided = obs::registerCounter("jit.bounds_checks_elided");
     uint64_t total_listed = 0;
@@ -346,8 +329,10 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
             uint64_t sites = softwareCheckSites(lowered);
             EXPECT_EQ(elided.value() - elided_before, listed)
                 << kernel->name;
-            // The pass counts each listed check once, by mechanism.
+            // The pass counts each listed check once, by mechanism, and
+            // the list survives the register-form rewrite that ran last.
             const wasm::OptStats& stats = cm->optStats();
+            EXPECT_GT(stats.instsFused, 0u) << kernel->name;
             EXPECT_EQ(stats.checksElided + stats.checksHoisted +
                           stats.checksVersioned,
                       listed)
@@ -375,98 +360,7 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
 }
 #endif // LNB_OBS_DISABLED
 
-// The fold counters compile out with the observability layer.
 #ifndef LNB_OBS_DISABLED
-TEST(Compiler, FoldsOperandsAndFusesBranches)
-{
-    // for (i = 0; i < n; i++) for (j = 0; j < n; j++) acc += i * 3 + j;
-    wasm::ModuleBuilder mb;
-    uint32_t t = mb.addType({wasm::ValType::i32}, {wasm::ValType::i32});
-    auto& f = mb.addFunction(t);
-    uint32_t i = f.addLocal(wasm::ValType::i32);
-    uint32_t j = f.addLocal(wasm::ValType::i32);
-    uint32_t acc = f.addLocal(wasm::ValType::i32);
-    auto outer = f.loop();
-    f.i32Const(0);
-    f.localSet(j);
-    auto inner = f.loop();
-    f.localGet(acc);
-    f.localGet(i);
-    f.i32Const(3);
-    f.emit(wasm::Op::i32_mul);
-    f.localGet(j);
-    f.emit(wasm::Op::i32_add);
-    f.emit(wasm::Op::i32_add);
-    f.localSet(acc);
-    f.localGet(j);
-    f.i32Const(1);
-    f.emit(wasm::Op::i32_add);
-    f.localTee(j);
-    f.localGet(0);
-    f.emit(wasm::Op::i32_lt_u);
-    f.brIf(inner);
-    f.end();
-    f.localGet(i);
-    f.i32Const(1);
-    f.emit(wasm::Op::i32_add);
-    f.localTee(i);
-    f.localGet(0);
-    f.emit(wasm::Op::i32_lt_u);
-    f.brIf(outer);
-    f.end();
-    f.localGet(acc);
-    mb.exportFunc("nest", f.finish());
-    wasm::Module module = mb.build();
-    ASSERT_TRUE(wasm::validateModule(module).isOk());
-    auto lowered = wasm::lowerModule(std::move(module)).takeValue();
-
-    obs::Counter folded = obs::registerCounter("jit.operands_folded");
-    obs::Counter fused = obs::registerCounter("jit.branches_fused");
-    uint64_t folded_before = folded.value();
-    uint64_t fused_before = fused.value();
-    ASSERT_TRUE(compileModule(lowered, tableOptions()).isOk());
-    // Constants 3 and 1 (x2) become immediates, `local.get j` and
-    // `local.get 0` are read at their source, and both loop tests fuse
-    // into cmp + jcc.
-    EXPECT_GT(folded.value() - folded_before, 0u);
-    EXPECT_EQ(fused.value() - fused_before, 2u);
-}
-
-TEST(Compiler, FoldsOnlyIntoTheInstructionThatPopsTheCell)
-{
-    // x + (x + 5): the constant is popped by the add right after it.
-    wasm::ModuleBuilder mb;
-    uint32_t t = mb.addType({wasm::ValType::i32}, {wasm::ValType::i32});
-    auto& f = mb.addFunction(t);
-    f.localGet(0);
-    f.localGet(0);
-    f.i32Const(5);
-    f.emit(wasm::Op::i32_add);
-    f.emit(wasm::Op::i32_add);
-    mb.exportFunc("f", f.finish());
-    wasm::Module module = mb.build();
-    ASSERT_TRUE(wasm::validateModule(module).isOk());
-    auto lowered = wasm::lowerModule(std::move(module)).takeValue();
-    std::vector<wasm::LInst>& code = lowered.funcs[0].code;
-    uint32_t k = 0;
-    while (code[k].op != uint16_t(wasm::Op::i32_const))
-        k++;
-    ASSERT_EQ(code[k + 1].op, uint16_t(wasm::Op::i32_add));
-    ASSERT_EQ(code[k + 1].b, code[k + 1].a + 1);
-
-    obs::Counter folded = obs::registerCounter("jit.operands_folded");
-    auto folds = [&] {
-        uint64_t before = folded.value();
-        EXPECT_TRUE(compileModule(lowered, tableOptions()).isOk());
-        return folded.value() - before;
-    };
-    EXPECT_EQ(folds(), 1u);
-    // Read the constant's cell as the rhs of a lower stack slot instead:
-    // the add no longer pops it, so the cell must be written.
-    code[k + 1].a -= 1;
-    EXPECT_EQ(folds(), 0u);
-}
-
 TEST(Compiler, ReportsFrameCellTrafficPastTheRegisterHomes)
 {
     // A function using more stack slots and locals than have register
@@ -499,6 +393,269 @@ TEST(Compiler, ReportsFrameCellTrafficPastTheRegisterHomes)
     EXPECT_GT(cells.value() - before, 0u);
 }
 #endif // LNB_OBS_DISABLED
+
+// ---------------------------------------------------------------------
+// Register forms: every (form, op) pair compiles and matches the
+// interpreter bit for bit
+// ---------------------------------------------------------------------
+
+wasm::ValType
+sigType(char c)
+{
+    switch (c) {
+      case 'I': return wasm::ValType::i64;
+      case 'f': return wasm::ValType::f32;
+      case 'F': return wasm::ValType::f64;
+      default: return wasm::ValType::i32;
+    }
+}
+
+/** Raw bits of edge values of signature type @p c: 0, 1, -1, the
+ * extremes, shift counts at and past the width, NaN, -0.0, infinity and
+ * floats outside the int ranges. */
+std::vector<uint64_t>
+edgeBits(char c)
+{
+    auto f32 = [](float x) { return uint64_t(__builtin_bit_cast(uint32_t, x)); };
+    auto f64 = [](double x) { return __builtin_bit_cast(uint64_t, x); };
+    switch (c) {
+      case 'i':
+        return {0, 1, 0xFFFFFFFFu, 0x80000000u, 0x7FFFFFFFu, 32, 33, 0x1234u};
+      case 'I':
+        return {0, 1, ~0ull, 1ull << 63, ~0ull >> 1, 64, 65, 0x100000001ull};
+      case 'f':
+        return {f32(0.0f), f32(-0.0f), f32(1.5f), f32(-2.5f),
+                f32(__builtin_nanf("")), f32(-__builtin_inff()),
+                f32(2147483648.0f), f32(-3e19f)};
+      default:
+        return {f64(0.0), f64(-0.0), f64(1.5), f64(-2.5),
+                f64(__builtin_nan("")), f64(__builtin_inf()),
+                f64(-2147483648.9), f64(1.8e19)};
+    }
+}
+
+wasm::Value
+valueOf(char c, uint64_t bits)
+{
+    return c == 'i' || c == 'f' ? wasm::Value::fromI32(uint32_t(bits))
+                                : wasm::Value::fromI64(bits);
+}
+
+void
+emitConst(wasm::FunctionBuilder& f, char c, uint64_t bits)
+{
+    switch (c) {
+      case 'i': f.i32Const(int32_t(bits)); break;
+      case 'I': f.i64Const(int64_t(bits)); break;
+      case 'f': f.f32Const(__builtin_bit_cast(float, uint32_t(bits))); break;
+      default: f.f64Const(__builtin_bit_cast(double, bits)); break;
+    }
+}
+
+/** One exported test function and the argument lists it runs on. */
+struct FormCase
+{
+    std::string name;
+    std::vector<std::vector<wasm::Value>> inputs;
+};
+
+/**
+ * A module whose functions the rewrite turns into @p form of @p op.
+ * Each function takes the op's inputs as parameters (after four i32
+ * pads in the "mem" layout, so they live in frame cells rather than
+ * register homes) and writes the result to the stack, to a fresh
+ * local, or over an input local; ri/jri get one function per edge
+ * immediate, jrr/jri branch through br_if (jump_if) and if
+ * (jump_if_zero). Loads read a page whose ends hold a byte pattern, at
+ * offsets 0 and 5, including one byte past the end under the checking
+ * strategies.
+ */
+wasm::Module
+formModule(wasm::IrForm form, wasm::Op op, bool checked,
+           std::vector<FormCase>& cases)
+{
+    using wasm::IrForm;
+    const char* sig = wasm::opSig(op);
+    const char lt = sig[0];
+    const char rt = sig[1];
+    const char res = wasm::opResult(op);
+    const bool load = wasm::isLoadOp(op);
+    const bool unary = form == IrForm::r;
+    const bool imm_rhs = form == IrForm::ri || form == IrForm::jri;
+    const bool branch = form == IrForm::jrr || form == IrForm::jri;
+
+    wasm::ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    std::vector<uint8_t> pattern(64);
+    for (size_t i = 0; i < pattern.size(); i++)
+        pattern[i] = uint8_t(0x81 + 37 * i);
+    mb.addData(0, pattern);
+    mb.addData(wasm::kPageSize - 64, pattern);
+
+    std::vector<uint64_t> imms = imm_rhs ? edgeBits(rt) : std::vector<uint64_t>{0};
+    std::vector<uint32_t> offsets = load ? std::vector<uint32_t>{0, 5}
+                                         : std::vector<uint32_t>{0};
+    for (int pads : {0, 4}) {
+        std::vector<wasm::ValType> params(pads, wasm::ValType::i32);
+        params.push_back(sigType(lt));
+        if (!unary && !imm_rhs)
+            params.push_back(sigType(rt));
+        const uint32_t l = uint32_t(pads);
+        const uint32_t r = l + 1;
+        // Results the op can write over an input local.
+        std::vector<int> dsts = {-1, -2}; // stack, fresh local
+        if (!branch && sigType(res) == sigType(lt))
+            dsts.push_back(int(l));
+        if (!branch && !unary && !imm_rhs && sigType(res) == sigType(rt))
+            dsts.push_back(int(r));
+        if (branch)
+            dsts = {0, 1}; // br_if, if/else
+
+        // Argument lists: edge values, or addresses around the page end.
+        std::vector<std::vector<wasm::Value>> inputs;
+        std::vector<wasm::Value> pad_args(pads, wasm::Value::fromI32(7));
+        for (uint32_t offset : offsets) {
+            if (load) {
+                uint32_t size = wasm::memAccessSize(op);
+                uint32_t last = uint32_t(wasm::kPageSize) - size - offset;
+                for (uint32_t addr : {0u, 1u, last, last + 1}) {
+                    if (addr == last + 1 && !checked)
+                        continue;
+                    inputs.push_back(pad_args);
+                    inputs.back().push_back(wasm::Value::fromI32(addr));
+                }
+                continue;
+            }
+            for (uint64_t a : edgeBits(lt)) {
+                if (unary || imm_rhs) {
+                    inputs.push_back(pad_args);
+                    inputs.back().push_back(valueOf(lt, a));
+                    continue;
+                }
+                for (uint64_t b : edgeBits(rt)) {
+                    inputs.push_back(pad_args);
+                    inputs.back().push_back(valueOf(lt, a));
+                    inputs.back().push_back(valueOf(rt, b));
+                }
+            }
+        }
+
+        for (uint32_t offset : offsets) {
+            for (uint64_t imm : imms) {
+                for (int dst : dsts) {
+                    uint32_t t = mb.addType(
+                        params, {branch ? wasm::ValType::i32 : sigType(res)});
+                    auto& f = mb.addFunction(t);
+                    uint32_t fresh = f.addLocal(sigType(res));
+                    auto operands = [&] {
+                        f.localGet(l);
+                        if (unary && load)
+                            f.memOp(op, offset);
+                        else if (imm_rhs)
+                            emitConst(f, rt, imm);
+                        else if (!unary)
+                            f.localGet(r);
+                        if (!load)
+                            f.emit(op);
+                    };
+                    if (branch && dst == 0) {
+                        auto taken = f.block();
+                        operands();
+                        f.brIf(taken);
+                        f.i32Const(0);
+                        f.ret();
+                        f.end();
+                        f.i32Const(1);
+                    } else if (branch) {
+                        operands();
+                        f.ifElse(wasm::ValType::i32);
+                        f.i32Const(1);
+                        f.elseBranch();
+                        f.i32Const(0);
+                        f.end();
+                    } else {
+                        operands();
+                        if (dst != -1) {
+                            uint32_t local = dst == -2 ? fresh : uint32_t(dst);
+                            f.localSet(local);
+                            f.localGet(local);
+                        }
+                    }
+                    std::string name = "f" + std::to_string(cases.size());
+                    mb.exportFunc(name, f.finish());
+                    cases.push_back({name, inputs});
+                }
+            }
+        }
+    }
+    return mb.build();
+}
+
+TEST(Compiler, CompilesEveryDefinedForm)
+{
+    using wasm::IrForm;
+    size_t pairs = 0, calls = 0;
+    for (IrForm form : {IrForm::rr, IrForm::ri, IrForm::r, IrForm::jrr,
+                        IrForm::jri}) {
+        for (size_t o = 0; o < wasm::kOpCount; o++) {
+            wasm::Op op = wasm::Op(o);
+            if (!wasm::formDefined(form, op))
+                continue;
+            pairs++;
+            for (mem::BoundsStrategy strategy :
+                 {mem::BoundsStrategy::none, mem::BoundsStrategy::trap,
+                  mem::BoundsStrategy::clamp}) {
+                std::string what = std::string(wasm::lopName(
+                                       wasm::formOp(form, op))) +
+                                   " / " + mem::boundsStrategyName(strategy);
+                SCOPED_TRACE(what);
+                std::vector<FormCase> cases;
+                wasm::Module module = formModule(
+                    form, op, strategy != mem::BoundsStrategy::none, cases);
+                ASSERT_TRUE(wasm::validateModule(module).isOk());
+                std::unique_ptr<rt::Instance> instances[2];
+                for (int e = 0; e < 2; e++) {
+                    rt::EngineConfig config;
+                    config.kind = e == 0 ? rt::EngineKind::jit_base
+                                         : rt::EngineKind::interp_switch;
+                    config.strategy = strategy;
+                    auto cm = rt::Engine(config).compile(wasm::Module(module));
+                    ASSERT_TRUE(cm.isOk()) << cm.status().toString();
+                    if (e == 0) {
+                        bool has_form = false;
+                        for (const wasm::LoweredFunc& func :
+                             cm.value()->lowered().funcs) {
+                            for (const wasm::LInst& inst : func.code)
+                                has_form |= inst.op == wasm::formOp(form, op);
+                        }
+                        ASSERT_TRUE(has_form) << "the rewrite made no form";
+                    }
+                    auto inst = rt::Instance::create(cm.takeValue());
+                    ASSERT_TRUE(inst.isOk()) << inst.status().toString();
+                    instances[e] = inst.takeValue();
+                }
+                for (const FormCase& c : cases) {
+                    for (const std::vector<wasm::Value>& args : c.inputs) {
+                        rt::CallOutcome jit =
+                            instances[0]->callExport(c.name, args);
+                        rt::CallOutcome interp =
+                            instances[1]->callExport(c.name, args);
+                        calls++;
+                        ASSERT_EQ(jit.trap, interp.trap)
+                            << c.name << " arg " << args.back().i64;
+                        if (jit.ok()) {
+                            ASSERT_EQ(jit.results[0].i64,
+                                      interp.results[0].i64)
+                                << c.name << " arg " << args.back().i64;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(pairs, 200u);
+    EXPECT_GT(calls, 0u);
+}
 
 TEST(Compiler, StackCheckAblationShrinksPrologue)
 {

@@ -423,9 +423,10 @@ TEST(ConvertSemantics, UnsignedConversionsExact)
 }
 
 // ---------------------------------------------------------------------
-// Constant and forwarded operands (the JITs fold a constant rhs into an
-// x86 immediate, read a copied rhs at its source, and fuse a compare
-// with the branch popping it; the interpreters run the plain IR)
+// Constant and forwarded operands (every executor runs the register forms
+// of the opt pass's rewrite: a constant rhs becomes an immediate, a copied
+// rhs is read at its source, and a compare fuses with the branch popping
+// it)
 // ---------------------------------------------------------------------
 
 /** Spec result of the int binop or compare @p op on (a, b), zero-extended
@@ -499,7 +500,8 @@ const std::vector<Op> kCompares64 = {
 const std::vector<int64_t> kImm32 = {
     0, 1, -1, 127, 128, -128, -129, INT32_MIN, INT32_MAX, 31, 32, 33, 63,
     64};
-/** i64 constants with no sign-extended imm32 form: never folded. */
+/** i64 constants with no sign-extended imm32 form (the JIT stages them in
+ * rcx). */
 const std::vector<int64_t> kImm64Only = {
     int64_t(1) << 31, -(int64_t(1) << 31) - 1, int64_t(1) << 32};
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the lowered-IR optimization pass (wasm/opt.*): the
- * interpreters' register-form rewrite, loop-invariant check hoisting,
+ * register-form rewrite, loop-invariant check hoisting,
  * cross-block check facts, the bounds-check soundness property (a
  * rewrite of the address cell must never let an elided check skip a
  * required trap), and the headline elision rate on a PolyBench-style
@@ -114,19 +114,17 @@ rmwScaleModule()
 }
 
 // ---------------------------------------------------------------------
-// Register-form rewrite (OptOptions::fuse)
+// Register-form rewrite (the last step of optimizeLoweredModule)
 // ---------------------------------------------------------------------
 
-/** Lower @p module and run the interpreters' register-form rewrite. */
+/** Lower @p module and run the register-form rewrite. */
 LoweredModule
 rewritten(Module module, OptStats* stats = nullptr)
 {
     auto lowered = lowerModule(std::move(module));
     EXPECT_TRUE(lowered.isOk());
     LoweredModule lm = lowered.takeValue();
-    OptOptions opts;
-    opts.fuse = true;
-    OptStats s = optimizeLoweredModule(lm, opts);
+    OptStats s = optimizeLoweredModule(lm, OptOptions());
     if (stats != nullptr)
         *stats = s;
     return lm;
@@ -157,15 +155,15 @@ runOn(const Module& module, EngineKind kind, BoundsStrategy strategy,
 
 /**
  * Both interpreters, with the opt pass on and off, must match the
- * baseline JIT bit for bit: the i64 view of the result, or the trap
- * kind. Returns the JIT's outcome.
+ * baseline JIT on IR the rewrite never touched, bit for bit: the i64
+ * view of the result, or the trap kind. Returns the JIT's outcome.
  */
 rt::CallOutcome
 expectInterpretersMatchJit(const Module& module, BoundsStrategy strategy,
                            const std::vector<Value>& args)
 {
     rt::CallOutcome ref =
-        runOn(module, EngineKind::jit_base, strategy, true, args);
+        runOn(module, EngineKind::jit_base, strategy, false, args);
     for (EngineKind kind :
          {EngineKind::interp_switch, EngineKind::interp_threaded}) {
         for (bool opt : {false, true}) {
@@ -550,13 +548,22 @@ TEST(Hoisting, BottomTestLoopGetsPreheaderCheck)
     }
     ASSERT_EQ(checks, 1);
     // The back edge must jump past the hoisted check (it runs once per
-    // loop entry, not per iteration).
-    for (const LInst& inst : func.code) {
-        if (!inst.isWasmOp() && (inst.lop() == LOp::jump ||
-                                 inst.lop() == LOp::jump_if)) {
+    // loop entry, not per iteration), also where the rewrite made it a
+    // compare-and-branch form.
+    int back_edges = 0;
+    for (uint32_t pc = 0; pc < func.code.size(); pc++) {
+        const LInst& inst = func.code[pc];
+        bool jumps = isFormOp(inst.op)
+                         ? formOf(inst.op) == IrForm::jrr ||
+                               formOf(inst.op) == IrForm::jri
+                         : !inst.isWasmOp() && (inst.lop() == LOp::jump ||
+                                                inst.lop() == LOp::jump_if);
+        if (jumps) {
             EXPECT_NE(inst.a, check_pc);
+            back_edges += inst.a < pc;
         }
     }
+    EXPECT_GE(back_edges, 1);
     // The in-loop access is marked elidable for the JIT.
     EXPECT_FALSE(func.elidableCheckPcs.empty());
 }
@@ -653,8 +660,7 @@ TEST(Analysis, JoinEntryFactCoversTheReloadUnlessAnAtomicIntervenes)
         // sits between the join and it.
         const LoweredFunc& func = compiled.value()->lowered().funcs[0];
         uint32_t pc = uint32_t(func.code.size());
-        while (pc-- > 0 && !(func.code[pc].isWasmOp() &&
-                             isLoadOp(func.code[pc].wasmOp()))) {
+        while (pc-- > 0 && !carriesBoundsCheck(func.code[pc])) {
         }
         ASSERT_LT(pc, func.code.size());
         EXPECT_EQ(std::binary_search(func.elidableCheckPcs.begin(),
@@ -1138,9 +1144,7 @@ TEST(Ipo, GrowFreeCalleeKeepsCallerFacts)
     LoweredModule lm = lowered.takeValue();
 
     OptStats stats = optimizeWithVersioning(lm);
-    ASSERT_EQ(lm.funcSummaries.size(), 2u);
-    EXPECT_TRUE(lm.funcSummaries[0].growFree);
-    EXPECT_TRUE(lm.funcSummaries[1].growFree);
+    EXPECT_EQ(stats.funcsGrowFree, 2u);
     // The caller's second mem[addr] check is elidable only because the
     // summary proves the call cannot shrink facts below its arg base.
     EXPECT_GE(stats.checksElidedIpo, 1u);
@@ -1153,10 +1157,8 @@ TEST(Ipo, GrowingCalleeLosesGrowFreeBit)
     LoweredModule lm = lowered.takeValue();
 
     OptStats stats = optimizeWithVersioning(lm);
-    ASSERT_EQ(lm.funcSummaries.size(), 2u);
     // The callee's grow poisons it and (bottom-up) its caller.
-    EXPECT_FALSE(lm.funcSummaries[0].growFree);
-    EXPECT_FALSE(lm.funcSummaries[1].growFree);
+    EXPECT_EQ(stats.funcsGrowFree, 0u);
     // Same-VALUE re-checks stay elidable even across a growing callee:
     // memSize is monotone, so a passed check for a value holds forever.
     // growFree only widens what survives in the cell-fact cache.
@@ -1329,7 +1331,6 @@ TEST(Toggles, VersioningAndIpoConfigKnobs)
         ASSERT_TRUE(compiled.isOk());
         EXPECT_EQ(compiled.value()->optStats().loopsVersioned, 0u);
         EXPECT_EQ(compiled.value()->optStats().checksElidedIpo, 0u);
-        EXPECT_TRUE(compiled.value()->lowered().funcSummaries.empty());
     }
 }
 

@@ -197,6 +197,57 @@ TEST_P(PreemptStrategyTest, DeadlineKillMidLoopThenReuse)
     }
 }
 
+/**
+ * spin(n) bumps a counter while n == 0: the rewrite makes the loop test
+ * a jri whose target is the loop header, so the JIT's only poll site in
+ * the loop hangs off a branch form. Killing it mid-loop still works.
+ */
+TEST_P(PreemptStrategyTest, JriBackEdgeSpinIsInterrupted)
+{
+    ModuleBuilder mb;
+    auto& f = mb.addFunction(mb.addType({ValType::i32}, {ValType::i32}));
+    uint32_t i = f.addLocal(ValType::i32);
+    auto loop = f.loop();
+    f.localGet(i);
+    f.i32Const(1);
+    f.emit(Op::i32_add);
+    f.localSet(i);
+    f.localGet(0);
+    f.i32Const(0);
+    f.emit(Op::i32_eq);
+    f.brIf(loop);
+    f.end();
+    f.localGet(i);
+    mb.exportFunc("spin", f.finish());
+    wasm::Module module = mb.build();
+
+    for (const EngineConfig& config : sweepConfigs(GetParam())) {
+        if (!config.tiered && !rt::engineIsJit(config.kind))
+            continue;
+        auto inst = instantiate(config, wasm::Module(module));
+        ASSERT_NE(inst, nullptr) << configName(config);
+        bool jri = false;
+        for (const wasm::LInst& op : inst->module().lowered().funcs[0].code)
+            jri |= op.op == wasm::formOp(wasm::IrForm::jri, Op::i32_eq);
+        ASSERT_TRUE(jri) << configName(config);
+        // Tiered: the first call tiers spin() up; later calls run JIT code.
+        CallOutcome done = inst->callExport("spin", {Value::fromI32(1)});
+        ASSERT_TRUE(done.ok()) << configName(config);
+        inst->module().drainTierQueue();
+        EXPECT_EQ(inst->module().funcTier(inst->exportedFunc("spin").value()),
+                  exec::Tier::jit)
+            << configName(config);
+
+        std::thread killer([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            inst->interrupt(TrapKind::deadline_exceeded);
+        });
+        CallOutcome out = inst->callExport("spin", {Value::fromI32(0)});
+        killer.join();
+        EXPECT_EQ(out.trap, TrapKind::deadline_exceeded) << configName(config);
+    }
+}
+
 /** An interrupt posted to an idle instance kills the NEXT call — the
  * flag is one-shot and cleared on delivery, so the call after that one
  * runs to completion without a recycle. */

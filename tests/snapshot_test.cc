@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -632,11 +633,11 @@ TEST(Serialize, CorruptCheckSkipListsAreRejected)
     ASSERT_EQ(std::memcmp(&blob[list], pcs.data(), 2 * sizeof(uint32_t)),
               0);
 
-    // An instruction without a check, before the first listed pc.
+    // An instruction without a check, before the last listed pc.
     uint32_t no_check = 0;
-    while (func.code[no_check].op == uint16_t(Op::i32_load))
+    while (wasm::carriesBoundsCheck(func.code[no_check]))
         no_check++;
-    ASSERT_LT(no_check, pcs[0]);
+    ASSERT_LT(no_check, pcs[1]);
 
     const std::vector<uint32_t> bad_lists[] = {
         {pcs[0], uint32_t(func.code.size())}, // past the code
@@ -650,6 +651,111 @@ TEST(Serialize, CorruptCheckSkipListsAreRejected)
         auto reloaded = rt::deserializeCompiledModule(bad.data(), bad.size());
         ASSERT_FALSE(reloaded.isOk())
             << "list " << bad_list[0] << ", " << bad_list[1];
+        EXPECT_EQ(reloaded.status().code(), StatusCode::invalid_argument);
+    }
+    EXPECT_TRUE(rt::deserializeCompiledModule(blob.data(), blob.size()).isOk());
+}
+
+TEST(Serialize, OutOfRangeFormOperandsAreRejected)
+{
+    // A loop whose IR holds an rr (acc = x - y), a jrr (i < y), a jri
+    // (acc > 5) and plain jumps (the if/else). The JIT turns form cells
+    // into frame operands and jump targets into labels, so each field
+    // pushed one past its range must be refused.
+    wasm::ModuleBuilder mb;
+    uint32_t t = mb.addType({ValType::i32, ValType::i32}, {ValType::i32});
+    auto& f = mb.addFunction(t);
+    uint32_t i = f.addLocal(ValType::i32);
+    uint32_t acc = f.addLocal(ValType::i32);
+    auto exit = f.block();
+    auto loop = f.loop();
+    f.localGet(0);
+    f.localGet(1);
+    f.emit(Op::i32_sub);
+    f.localSet(acc);
+    f.localGet(acc);
+    f.i32Const(5);
+    f.emit(Op::i32_gt_s);
+    f.brIf(exit);
+    f.localGet(i);
+    f.ifElse();
+    f.localGet(i);
+    f.i32Const(2);
+    f.emit(Op::i32_add);
+    f.localSet(i);
+    f.elseBranch();
+    f.i32Const(1);
+    f.localSet(i);
+    f.end();
+    f.localGet(i);
+    f.localGet(1);
+    f.emit(Op::i32_lt_s);
+    f.brIf(loop);
+    f.end();
+    f.end();
+    f.localGet(acc);
+    mb.exportFunc("run", f.finish());
+    EngineConfig config;
+    config.kind = EngineKind::interp_threaded;
+    auto compiled =
+        Engine(config).compileBytes(wasm::encodeModule(mb.build()));
+    ASSERT_TRUE(compiled.isOk());
+    const std::vector<uint8_t> blob =
+        rt::serializeCompiledModule(*compiled.value());
+    const wasm::LoweredFunc& func = compiled.value()->lowered().funcs[0];
+    const auto* code = reinterpret_cast<const uint8_t*>(func.code.data());
+    const size_t code_bytes = func.code.size() * sizeof(wasm::LInst);
+    auto at = std::search(blob.begin(), blob.end(), code, code + code_bytes);
+    ASSERT_NE(at, blob.end());
+    const size_t base = size_t(at - blob.begin());
+
+    auto form = [](wasm::IrForm want) {
+        return [want](const wasm::LInst& inst) {
+            return wasm::isFormOp(inst.op) && wasm::formOf(inst.op) == want;
+        };
+    };
+    auto jump = [](const wasm::LInst& inst) {
+        return inst.op == uint16_t(wasm::LOp::jump) ||
+               inst.op == uint16_t(wasm::LOp::jump_if_zero);
+    };
+    const uint64_t cells = func.numCells;
+    const uint64_t past_code = func.code.size();
+    struct Corruption
+    {
+        const char* what;
+        std::function<bool(const wasm::LInst&)> match;
+        size_t offset;
+        size_t width;
+        uint64_t value;
+    };
+    const Corruption corruptions[] = {
+        {"rr dst cell", form(wasm::IrForm::rr), offsetof(wasm::LInst, a), 4,
+         cells},
+        {"rr lhs cell", form(wasm::IrForm::rr), offsetof(wasm::LInst, b), 4,
+         cells},
+        {"rr rhs cell", form(wasm::IrForm::rr), offsetof(wasm::LInst, imm), 8,
+         cells},
+        {"jrr rhs cell", form(wasm::IrForm::jrr),
+         offsetof(wasm::LInst, imm), 8, cells},
+        {"jri lhs cell", form(wasm::IrForm::jri), offsetof(wasm::LInst, b), 4,
+         cells},
+        {"jri target", form(wasm::IrForm::jri), offsetof(wasm::LInst, a), 4,
+         past_code},
+        {"jrr target", form(wasm::IrForm::jrr), offsetof(wasm::LInst, a), 4,
+         past_code},
+        {"jump target", jump, offsetof(wasm::LInst, a), 4, past_code},
+    };
+    for (const Corruption& c : corruptions) {
+        SCOPED_TRACE(c.what);
+        size_t k = 0;
+        while (k < func.code.size() && !c.match(func.code[k]))
+            k++;
+        ASSERT_LT(k, func.code.size()) << "no instruction to corrupt";
+        std::vector<uint8_t> bad = blob;
+        std::memcpy(&bad[base + k * sizeof(wasm::LInst) + c.offset], &c.value,
+                    c.width);
+        auto reloaded = rt::deserializeCompiledModule(bad.data(), bad.size());
+        ASSERT_FALSE(reloaded.isOk());
         EXPECT_EQ(reloaded.status().code(), StatusCode::invalid_argument);
     }
     EXPECT_TRUE(rt::deserializeCompiledModule(blob.data(), blob.size()).isOk());

@@ -360,6 +360,78 @@ TEST(TierRecycle, RecycleResetsProfile)
     EXPECT_EQ(inst.callExport("pulse", {}).results[0].i32, 42u);
 }
 
+// --------------------------------------------------- branch-form loops
+
+/**
+ * count() spins i up to kTrips; the rewrite turns the loop test
+ * `i < kTrips` into a jri that is also the back edge. The profiled
+ * interpreter credits it exactly like a plain jump_if, so each call adds
+ * kEntryHotness + (kTrips - 1) units and the function tiers up on the
+ * fourth call, the budget of the stack-form loop.
+ */
+TEST(TierBranchForm, JriBackEdgeTiersUpWithinTheSameCallBudget)
+{
+    constexpr int32_t kTrips = 50;
+    wasm::ModuleBuilder mb;
+    auto& count = mb.addFunction(mb.addType({}, {ValType::i32}));
+    uint32_t i = count.addLocal(ValType::i32);
+    auto head = count.loop();
+    count.localGet(i);
+    count.i32Const(1);
+    count.emit(Op::i32_add);
+    count.localSet(i);
+    count.localGet(i);
+    count.i32Const(kTrips);
+    count.emit(Op::i32_lt_u);
+    count.brIf(head);
+    count.end();
+    count.localGet(i);
+    uint32_t count_idx = count.finish();
+    mb.exportFunc("count", count_idx);
+    const wasm::Module module = mb.build();
+
+    constexpr uint32_t kPerCall = exec::kEntryHotness + kTrips - 1;
+    for (BoundsStrategy strategy : kAllStrategies) {
+        SCOPED_TRACE(boundsStrategyName(strategy));
+        EngineConfig config;
+        config.strategy = strategy;
+        config.tiered = true;
+        config.tierThreshold = 4 * kPerCall;
+        auto compiled = rt::Engine(config).compile(wasm::Module(module));
+        ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+        auto cm = compiled.takeValue();
+
+        // The loop's back edge is a jri to an earlier pc.
+        bool jri_back_edge = false;
+        const wasm::LoweredFunc& func = cm->lowered().funcs[0];
+        for (uint32_t pc = 0; pc < func.code.size(); pc++) {
+            const wasm::LInst& inst = func.code[pc];
+            jri_back_edge |=
+                inst.op == wasm::formOp(wasm::IrForm::jri, Op::i32_lt_u) &&
+                inst.a <= pc;
+        }
+        ASSERT_TRUE(jri_back_edge);
+
+        auto inst_or = rt::Instance::create(cm);
+        ASSERT_TRUE(inst_or.isOk()) << inst_or.status().toString();
+        rt::Instance& inst = *inst_or.value();
+        for (int k = 0; k < 3; k++) {
+            CallOutcome out = inst.callExport("count", {});
+            ASSERT_TRUE(out.ok()) << trapKindName(out.trap);
+            EXPECT_EQ(out.results[0].i32, uint32_t(kTrips));
+        }
+        EXPECT_EQ(inst.context().funcHotness[count_idx], 3 * kPerCall);
+        EXPECT_EQ(cm->tierStats().requests, 0u);
+        EXPECT_EQ(inst.callExport("count", {}).results[0].i32,
+                  uint32_t(kTrips));
+        EXPECT_EQ(cm->tierStats().requests, 1u);
+        cm->drainTierQueue();
+        EXPECT_EQ(cm->funcTier(count_idx), exec::Tier::jit);
+        EXPECT_EQ(inst.callExport("count", {}).results[0].i32,
+                  uint32_t(kTrips));
+    }
+}
+
 // ------------------------------------------------- degenerate configs
 
 /**
