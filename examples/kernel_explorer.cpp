@@ -9,10 +9,16 @@
  *   $ ./examples/kernel_explorer gemm                 # all engines
  *   $ ./examples/kernel_explorer gemm jit-opt uffd    # one config
  *   $ ./examples/kernel_explorer gemm --dump          # WAT + lowered IR
+ *   $ ./examples/kernel_explorer gemm jit-base trap --code gemm.bin
+ *
+ * --code writes the raw machine code the JIT emits for the module (built
+ * at perfbench's cold-start scale, 16) instead of running it;
+ * scripts/jit_encoding_audit.py disassembles such files.
  */
 #include <cstdio>
 #include <cstring>
 
+#include "jit/compiler.h"
 #include "kernels/kernel.h"
 #include "runtime/engine.h"
 #include "runtime/instance.h"
@@ -69,6 +75,42 @@ runConfig(const kernels::Kernel& kernel, rt::EngineKind kind,
     return matches ? 0 : 1;
 }
 
+/** Compile @p kernel for one JIT config and write its code bytes. */
+int
+writeCode(const kernels::Kernel& kernel, rt::EngineKind kind,
+          mem::BoundsStrategy strategy, const char* path)
+{
+    rt::EngineConfig config;
+    config.kind = kind;
+    config.strategy = strategy;
+    auto compiled = rt::Engine(config).compile(kernel.buildModule(16));
+    if (!compiled.isOk()) {
+        std::fprintf(stderr, "compile failed: %s\n",
+                     compiled.status().toString().c_str());
+        return 1;
+    }
+    const jit::CompiledCode* code = compiled.value()->jitCode();
+    if (code == nullptr) {
+        std::fprintf(stderr, "%s emits no JIT code\n", engineKindName(kind));
+        return 1;
+    }
+    FILE* out = std::fopen(path, "wb");
+    if (out == nullptr) {
+        std::perror(path);
+        return 1;
+    }
+    size_t written = std::fwrite(code->codeData(), 1, code->codeBytes(), out);
+    bool ok = std::fclose(out) == 0 && written == code->codeBytes();
+    if (!ok) {
+        std::fprintf(stderr, "short write to %s\n", path);
+        return 1;
+    }
+    std::printf("%s %s %s: %zu code bytes -> %s\n", kernel.name.c_str(),
+                engineKindName(kind), boundsStrategyName(strategy),
+                code->codeBytes(), path);
+    return 0;
+}
+
 } // namespace
 
 int
@@ -81,8 +123,9 @@ main(int argc, char** argv)
                         kernel.suite.c_str(),
                         kernel.description.c_str());
         }
-        std::printf("\nusage: %s <kernel> [engine] [strategy] [--dump]\n",
-                    argv[0]);
+        std::printf("\nusage: %s <kernel> [engine] [strategy] [--dump]\n"
+                    "       %s <kernel> <engine> <strategy> --code <file>\n",
+                    argv[0], argv[0]);
         return 0;
     }
 
@@ -101,6 +144,21 @@ main(int argc, char** argv)
             std::printf("%s\n",
                         wasm::loweredFuncToString(func).c_str());
         return 0;
+    }
+
+    if (argc >= 5 && std::strcmp(argv[4], "--code") == 0) {
+        if (argc != 6) {
+            std::fprintf(stderr, "--code takes one output file\n");
+            return 1;
+        }
+        rt::EngineKind kind;
+        mem::BoundsStrategy strategy;
+        if (!engineKindFromName(argv[2], kind) ||
+            !boundsStrategyFromName(argv[3], strategy)) {
+            std::fprintf(stderr, "unknown engine or strategy\n");
+            return 1;
+        }
+        return writeCode(*kernel, kind, strategy, argv[5]);
     }
 
     // Native baseline.

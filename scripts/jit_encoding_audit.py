@@ -1,0 +1,241 @@
+#!/usr/bin/env python3
+"""Where do the JIT's code bytes go, and which could be shorter?
+
+Disassembles raw JIT code (as written by `kernel_explorer <kernel>
+<engine> <strategy> --code <file>`) with objdump, re-assembles every
+instruction with GNU as, and prints, by mnemonic, how many bytes the
+JIT spends above as's encoding of the same instruction.
+
+    # audit code files written earlier
+    scripts/jit_encoding_audit.py gemm.jit-base.trap.bin ...
+    # write and audit every suite kernel x jit-base x {none, trap, clamp}
+    scripts/jit_encoding_audit.py --explorer build/examples/kernel_explorer
+
+Exits 1 when any instruction with a memory operand, or any backward
+branch, is longer than as encodes it: the assembler promises the
+shortest displacement and a rel8 back edge wherever one reaches
+(DESIGN.md §6). Other excess (say, `cmp eax, imm32` without the
+accumulator short form) is reported but allowed. Forward branches are
+rel32 by design (there is no relaxation pass) and are only counted.
+Relocated `movabs` (glue, code-table and code addresses) is allow-listed:
+the loader re-patches all 8 immediate bytes when a cached artifact is
+mapped into another process, so its width cannot depend on the value.
+
+Needs objdump, as and objcopy (GNU binutils).
+"""
+
+import argparse
+import collections
+import os
+import re
+import struct
+import subprocess
+import sys
+import tempfile
+
+LINE = re.compile(r"^\s*([0-9a-f]+):\t([0-9a-f ]+?)\s*\t(.*)$")
+BRANCH = re.compile(r"^(j[a-z]+)\s+(0x[0-9a-f]+|[0-9a-f]+)$")
+# Data the JIT emits inline: the trap-kind byte after each island's ud2
+# (read by the SIGILL handler) and jump tables after `jmp *(...)`.
+TRAP_KIND_BYTES = 1
+SUITES = ("polybench", "specproxy")
+SWEEP_ENGINE = "jit-base"
+SWEEP_STRATEGIES = ("none", "trap", "clamp")
+
+
+def run(cmd, **kw):
+    return subprocess.run(cmd, check=True, capture_output=True, text=True, **kw)
+
+
+def objdump(path, start):
+    """{addr: (length, text)} decoded from byte @p start on."""
+    out = run(["objdump", "-D", "-b", "binary", "-m", "i386:x86-64",
+               "--insn-width=15", "--start-address=%d" % start, path]).stdout
+    listing = {}
+    for line in out.splitlines():
+        m = LINE.match(line)
+        if m:
+            length = len(m.group(2).split())
+            listing[int(m.group(1), 16)] = (length, " ".join(m.group(3).split()))
+    return listing
+
+
+def decode(path):
+    """Instructions of one code file as (addr, length, text), skipping the
+    inline data; objdump re-syncs after each stretch of data."""
+    data = open(path, "rb").read()
+    size = len(data)
+    listing = objdump(path, 0)
+    insns = []
+    pos = 0
+    while pos < size:
+        if pos not in listing:
+            listing = objdump(path, pos)
+            if pos not in listing:
+                raise SystemExit("%s: cannot decode at 0x%x" % (path, pos))
+        length, text = listing[pos]
+        insns.append((pos, length, text))
+        pos += length
+        if text == "ud2":
+            pos += TRAP_KIND_BYTES
+        elif text.startswith("jmp *") and len(insns) >= 2:
+            # The movabs before the dispatch loads the table's absolute
+            # address, which is also where this code's base sits minus
+            # the table offset; entries are absolute addresses into it.
+            prev = insns[-2][2]
+            m = re.match(r"movabs \$0x([0-9a-f]+),%rcx$", prev)
+            if m:
+                base = int(m.group(1), 16) - pos
+                while pos + 8 <= size:
+                    (entry,) = struct.unpack_from("<Q", data, pos)
+                    if not 0 <= entry - base < size:
+                        break
+                    pos += 8
+    return insns
+
+
+def as_lengths(texts, workdir):
+    """GNU as's length of each instruction text; None where as rejects it."""
+    texts = list(texts)
+    bad = set()
+    while True:
+        keep = [t for t in texts if t not in bad]
+        src = os.path.join(workdir, "reasm.s")
+        obj = os.path.join(workdir, "reasm.o")
+        lens = os.path.join(workdir, "reasm.len")
+        with open(src, "w") as f:
+            f.write(".text\n")
+            for i, t in enumerate(keep):
+                f.write(".L%d:\n\t%s\n" % (i, t))
+            f.write(".L%d:\n.data\n" % len(keep))
+            for i in range(len(keep)):
+                f.write("\t.byte .L%d-.L%d\n" % (i + 1, i))
+        proc = subprocess.run(["as", "--64", "-o", obj, src],
+                              capture_output=True, text=True)
+        if proc.returncode == 0:
+            break
+        # "reasm.s:<line>: Error: ..." -> drop that line's instruction.
+        lines = {int(n) for n in re.findall(r"reasm\.s:(\d+): Error", proc.stderr)}
+        dropped = {keep[(n - 3) // 2] for n in lines
+                   if n >= 3 and (n - 3) % 2 == 0 and (n - 3) // 2 < len(keep)}
+        if not dropped:
+            raise SystemExit("as failed:\n" + proc.stderr)
+        bad |= dropped
+    run(["objcopy", "-O", "binary", "-j", ".data", obj, lens])
+    sizes = open(lens, "rb").read()
+    result = {t: sizes[i] for i, t in enumerate(keep)}
+    result.update({t: None for t in bad})
+    return result
+
+
+def shortest_branch(mnemonic, addr, target):
+    rel8 = target - (addr + 2)
+    if -128 <= rel8 <= 127:
+        return 2
+    return 5 if mnemonic == "jmp" else 6
+
+
+def audit(paths, workdir):
+    decoded = {p: decode(p) for p in paths}
+    texts = {t for insns in decoded.values() for (_, _, t) in insns
+             if not BRANCH.match(t)}
+    ref = as_lengths(sorted(texts), workdir)
+
+    by_mnemonic = collections.defaultdict(lambda: [0, 0, 0])  # n, bytes, over
+    failures = []
+    forward = [0, 0]  # count, bytes
+    allowed_over = 0
+    unassembled = collections.Counter()
+    total = 0
+    for path, insns in decoded.items():
+        for addr, length, text in insns:
+            total += length
+            mnemonic = text.split()[0]
+            row = by_mnemonic[mnemonic]
+            row[0] += 1
+            row[1] += length
+            m = BRANCH.match(text)
+            if m:
+                target = int(m.group(2), 16)
+                if target > addr:
+                    forward[0] += 1
+                    forward[1] += length
+                    continue
+                over = length - shortest_branch(mnemonic, addr, target)
+                if over > 0:
+                    failures.append((path, addr, text, length, length - over))
+                row[2] += over
+                continue
+            want = ref.get(text)
+            if want is None:
+                unassembled[text] += 1
+                continue
+            over = length - want
+            row[2] += over
+            if over <= 0:
+                continue
+            if mnemonic == "movabs":
+                allowed_over += over
+            elif "(" in text:
+                failures.append((path, addr, text, length, want))
+
+    print("%d files, %d code bytes" % (len(paths), total))
+    print("%-12s %8s %9s %9s" % ("mnemonic", "count", "bytes", "above-as"))
+    rows = sorted(by_mnemonic.items(), key=lambda kv: (-kv[1][2], -kv[1][1]))
+    for mnemonic, (n, nbytes, over) in rows:
+        print("%-12s %8d %9d %9d" % (mnemonic, n, nbytes, over))
+    print("bytes above as: %d (%.1f%% of code)" %
+          (sum(r[2] for r in by_mnemonic.values()),
+           100.0 * sum(r[2] for r in by_mnemonic.values()) / max(total, 1)))
+    print("forward branches (rel32 by design): %d, %d bytes" % tuple(forward))
+    print("allow-listed: relocated movabs, %d bytes above as" % allowed_over)
+    for text, n in unassembled.most_common():
+        print("not re-assembled (%d): %s" % (n, text))
+    for path, addr, text, length, want in failures[:40]:
+        print("FAIL %s+0x%x: %s is %d bytes, as encodes %d" %
+              (os.path.basename(path), addr, text, length, want))
+    if failures:
+        print("%d memory-operand or backward-branch encodings are longer "
+              "than GNU as's" % len(failures))
+        return 1
+    print("OK: every memory operand and backward branch is as short as "
+          "GNU as encodes it")
+    return 0
+
+
+def sweep(explorer, workdir):
+    """Write every suite kernel x SWEEP_ENGINE x SWEEP_STRATEGIES."""
+    listing = run([explorer]).stdout
+    kernels = [line.split()[0] for line in listing.splitlines()
+               if len(line.split()) >= 2 and line.startswith("  ")
+               and line.split()[1] in SUITES]
+    if not kernels:
+        raise SystemExit("no suite kernels listed by %s" % explorer)
+    paths = []
+    for kernel in kernels:
+        for strategy in SWEEP_STRATEGIES:
+            path = os.path.join(workdir, "%s.%s.%s.bin" %
+                                (kernel, SWEEP_ENGINE, strategy))
+            run([explorer, kernel, SWEEP_ENGINE, strategy, "--code", path])
+            paths.append(path)
+    return paths
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("files", nargs="*", help="raw JIT code files")
+    parser.add_argument("--explorer",
+                        help="kernel_explorer binary: audit every suite "
+                             "kernel x jit-base x {none, trap, clamp}")
+    args = parser.parse_args()
+    if not args.files and not args.explorer:
+        parser.error("give code files or --explorer")
+    with tempfile.TemporaryDirectory(prefix="jit_audit_") as workdir:
+        paths = list(args.files)
+        if args.explorer:
+            paths += sweep(args.explorer, workdir)
+        return audit(paths, workdir)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -103,12 +103,14 @@ struct TableEntry
 static_assert(sizeof(TableEntry) == 32, "JIT indexes the table by *32");
 
 /**
- * All state one executing instance needs. Hot fields first; the JIT reads
- * them via offsetof from its context register.
+ * All state one executing instance needs. Hot fields first: the JIT
+ * reads them via offsetof from its context register, and every field it
+ * reads must sit in the first 128 bytes so that [rbp+disp8] reaches it
+ * (the JIT's CTX_FIELD static_asserts this; DESIGN.md §6).
  */
 struct InstanceContext
 {
-    // ----- hot: read by generated code -----
+    // ----- hot: read by generated code, all below byte 128 -----
     uint8_t* memBase = nullptr;
     uint64_t memSize = 0;      ///< current linear-memory size in bytes
     uint64_t clampOffset = 0;  ///< red-zone offset for the clamp strategy
@@ -129,6 +131,29 @@ struct InstanceContext
      * the paper lists among wasm's safety mechanisms).
      */
     uint64_t nativeStackLimit = 0;
+    /**
+     * Cross-thread interrupt request: 0 when idle, else the wasm::TrapKind
+     * (interrupted / deadline_exceeded) the next epoch check must raise.
+     * Written by Instance::interrupt() from reaper/killer threads; read by
+     * generated code at every function entry and loop back edge as a
+     * 32-bit memory operand of `cmp dword [rbp+disp8], 0` (x86 aligned
+     * loads are atomic), and by the interpreters relaxed. Only ever
+     * nonzero on the kill path. Cleared by the owning thread when the
+     * trap is delivered and on instance (re)initialization.
+     */
+    std::atomic<uint32_t> interruptFlag{0};
+    /**
+     * Dynamically retired bounds checks (trap/clamp strategies): every
+     * software range compare actually executed, whether inline in a
+     * memory access, a hoisted check_bounds, or a versioning guard term.
+     * Interpreters always count; the JIT emits increments only under
+     * EngineConfig.countRetiredChecks (the ablation knob) since the
+     * read-modify-write would pollute steady-state measurements.
+     */
+    uint64_t checksRetired = 0;
+    /** Times a versioned loop's preheader guard failed and execution fell
+     * back to the checked slow-path clone (LOp::count_fallback). */
+    uint64_t guardFallbacks = 0;
 
     // ----- cold: runtime bookkeeping -----
     /**
@@ -148,18 +173,6 @@ struct InstanceContext
      * host calls that may block, trap recoveries. */
     uint64_t blockingEvents = 0;
     /**
-     * Dynamically retired bounds checks (trap/clamp strategies): every
-     * software range compare actually executed, whether inline in a
-     * memory access, a hoisted check_bounds, or a versioning guard term.
-     * Interpreters always count; the JIT emits increments only under
-     * EngineConfig.countRetiredChecks (the ablation knob) since the
-     * read-modify-write would pollute steady-state measurements.
-     */
-    uint64_t checksRetired = 0;
-    /** Times a versioned loop's preheader guard failed and execution fell
-     * back to the checked slow-path clone (LOp::count_fallback). */
-    uint64_t guardFallbacks = 0;
-    /**
      * True when `memory` is shared between several instances running on
      * different threads. `memSize` is then a per-thread mirror of the
      * memory's authoritative atomic size word, refreshed at every
@@ -172,17 +185,7 @@ struct InstanceContext
      */
     bool sharedMem = false;
 
-    // ----- preemption (cold struct-wise; the JIT loads interruptFlag at
-    // every loop back edge, but it is only ever nonzero on the kill path)
-    /**
-     * Cross-thread interrupt request: 0 when idle, else the wasm::TrapKind
-     * (interrupted / deadline_exceeded) the next epoch check must raise.
-     * Written by Instance::interrupt() from reaper/killer threads; read by
-     * generated code as a plain 32-bit load (x86 aligned loads are atomic,
-     * and the interpreters load it relaxed). Cleared by the owning thread
-     * when the trap is delivered and on instance (re)initialization.
-     */
-    std::atomic<uint32_t> interruptFlag{0};
+    // ----- preemption (interruptFlag is in the hot prefix above) -----
     /**
      * Interpreter poll divisor: the countdown is decremented at every
      * function entry and loop back edge, and only hitting zero pays the

@@ -83,14 +83,34 @@ Assembler::modrmReg(uint8_t reg, uint8_t rm)
     byte(uint8_t(0xC0 | ((reg & 7) << 3) | (rm & 7)));
 }
 
+uint8_t
+Assembler::dispMod(Reg base, int32_t disp)
+{
+    // rbp/r13 have no mod=00 form (it means rip-relative / no base), so
+    // a zero displacement off them still takes a disp8.
+    if (disp == 0 && (base & 7) != 5)
+        return 0x00;
+    return fitsImm8(disp) ? 0x40 : 0x80;
+}
+
+void
+Assembler::dispBytes(uint8_t mod, int32_t value)
+{
+    if (mod == 0x40)
+        byte(uint8_t(value));
+    else if (mod == 0x80)
+        u32(uint32_t(value));
+}
+
 void
 Assembler::modrmMem(uint8_t reg, Reg base, int32_t disp)
 {
-    // Always mod=10 (disp32) for simplicity; rsp/r12 base requires a SIB.
-    byte(uint8_t(0x80 | ((reg & 7) << 3) | (base & 7)));
+    // rsp/r12 base requires a SIB (rm=100 is the SIB escape).
+    uint8_t mod = dispMod(base, disp);
+    byte(uint8_t(mod | ((reg & 7) << 3) | (base & 7)));
     if ((base & 7) == 4)
         byte(0x24); // SIB: scale=0, index=none, base=rsp/r12
-    u32(uint32_t(disp));
+    dispBytes(mod, disp);
 }
 
 void
@@ -101,10 +121,11 @@ Assembler::modrmMemIdx(uint8_t reg, const MemIdx& mem)
                          : mem.scale == 2 ? 1
                          : mem.scale == 4 ? 2
                                           : 3;
-    byte(uint8_t(0x80 | ((reg & 7) << 3) | 4)); // mod=10, rm=SIB
+    uint8_t mod = dispMod(mem.base, mem.disp);
+    byte(uint8_t(mod | ((reg & 7) << 3) | 4)); // rm=SIB
     byte(uint8_t((scale_bits << 6) | ((mem.index & 7) << 3) |
                  (mem.base & 7)));
-    u32(uint32_t(mem.disp));
+    dispBytes(mod, mem.disp);
 }
 
 // ---------------------------------------------------------------------
@@ -374,12 +395,14 @@ Assembler::aluRI(bool w, uint8_t ext, Reg dst, int32_t imm)
 {
     rex(w, 0, 0, dst);
     bool short_imm = fitsImm8(imm);
+    if (dst == rax && !short_imm) {
+        byte(uint8_t((ext << 3) | 0x05)); // op eax/rax, imm32: no ModRM
+        u32(uint32_t(imm));
+        return;
+    }
     byte(short_imm ? 0x83 : 0x81); // 0x83: sign-extended imm8
     modrmReg(ext, dst);
-    if (short_imm)
-        byte(uint8_t(imm));
-    else
-        u32(uint32_t(imm));
+    immediate(imm);
 }
 
 void
@@ -389,10 +412,7 @@ Assembler::imulRRI(bool w, Reg dst, Reg src, int32_t imm)
     bool short_imm = fitsImm8(imm);
     byte(short_imm ? 0x6B : 0x69); // imul r, r/m, imm8 / imm32
     modrmReg(dst, src);
-    if (short_imm)
-        byte(uint8_t(imm));
-    else
-        u32(uint32_t(imm));
+    immediate(imm);
 }
 
 void
@@ -401,6 +421,15 @@ Assembler::cmpRM64(Reg lhs, Mem rhs)
     rex(true, lhs, 0, rhs.base);
     byte(0x3B); // cmp r64, r/m64
     modrmMem(lhs, rhs.base, rhs.disp);
+}
+
+void
+Assembler::cmpMI32(Mem lhs, int32_t imm)
+{
+    rex(false, 0, 0, lhs.base);
+    byte(fitsImm8(imm) ? 0x83 : 0x81);
+    modrmMem(7, lhs.base, lhs.disp);
+    immediate(imm);
 }
 
 void
@@ -498,18 +527,20 @@ void
 Assembler::shiftImm32(uint8_t ext, Reg dst, uint8_t count)
 {
     rex(false, 0, 0, dst);
-    byte(0xC1);
+    byte(count == 1 ? 0xD1 : 0xC1); // D1: the implicit count of 1
     modrmReg(ext, dst);
-    byte(count);
+    if (count != 1)
+        byte(count);
 }
 
 void
 Assembler::shiftImm64(uint8_t ext, Reg dst, uint8_t count)
 {
     rex(true, 0, 0, dst);
-    byte(0xC1);
+    byte(count == 1 ? 0xD1 : 0xC1); // D1: the implicit count of 1
     modrmReg(ext, dst);
-    byte(count);
+    if (count != 1)
+        byte(count);
 }
 
 void
@@ -587,10 +618,20 @@ Assembler::popcnt64(Reg dst, Reg src)
 void
 Assembler::setcc(Cond cond, Reg dst8)
 {
-    rex(false, 0, 0, dst8, true); // force REX for uniform byte registers
+    // REX only where it is needed: sil/dil/bpl/spl and r8b..r15b.
+    rex(false, 0, 0, dst8, dst8 >= 4);
     byte(0x0F);
     byte(uint8_t(0x90 | uint8_t(cond)));
     modrmReg(0, dst8);
+}
+
+void
+Assembler::movzxRR8(Reg dst, Reg src8)
+{
+    rex(false, dst, 0, src8, src8 >= 4);
+    byte(0x0F);
+    byte(0xB6);
+    modrmReg(dst, src8);
 }
 
 void
@@ -624,10 +665,17 @@ Assembler::cmovccRM64(Cond cond, Reg dst, Mem src)
 // Control flow
 // ---------------------------------------------------------------------
 
-void
-Assembler::jmp(Label target)
+bool
+Assembler::fitsRel8(Label target) const
 {
-    byte(0xE9);
+    const LabelState& state = labels_[target.id];
+    return state.offset >= 0 &&
+           fitsImm8(int32_t(state.offset - int64_t(pos_ + 2)));
+}
+
+void
+Assembler::rel32(Label target)
+{
     LabelState& state = labels_[target.id];
     if (state.offset >= 0) {
         u32(uint32_t(state.offset - int64_t(pos_ + 4)));
@@ -638,17 +686,28 @@ Assembler::jmp(Label target)
 }
 
 void
+Assembler::jmp(Label target)
+{
+    if (fitsRel8(target)) {
+        byte(0xEB);
+        byte(uint8_t(labels_[target.id].offset - int64_t(pos_ + 1)));
+        return;
+    }
+    byte(0xE9);
+    rel32(target);
+}
+
+void
 Assembler::jcc(Cond cond, Label target)
 {
+    if (fitsRel8(target)) {
+        byte(uint8_t(0x70 | uint8_t(cond)));
+        byte(uint8_t(labels_[target.id].offset - int64_t(pos_ + 1)));
+        return;
+    }
     byte(0x0F);
     byte(uint8_t(0x80 | uint8_t(cond)));
-    LabelState& state = labels_[target.id];
-    if (state.offset >= 0) {
-        u32(uint32_t(state.offset - int64_t(pos_ + 4)));
-    } else {
-        state.rel32Fixups.push_back(pos_);
-        u32(0);
-    }
+    rel32(target);
 }
 
 void

@@ -2,8 +2,16 @@
  * @file
  * A minimal x86-64 assembler covering exactly the instruction selection the
  * baseline and optimizing JIT tiers emit. Code is written into a caller-
- * provided buffer; rel32 branches use a label/fixup mechanism and 64-bit
- * absolute data slots (jump tables) are patched when the label binds.
+ * provided buffer; forward branches are rel32 with a label/fixup
+ * mechanism, and 64-bit absolute data slots (jump tables) are patched
+ * when the label binds.
+ *
+ * Every operand takes its shortest encoding (DESIGN.md §6): a memory
+ * operand's displacement is omitted when zero (except off rbp/r13),
+ * disp8 when it fits and disp32 otherwise; immediates of the group-1
+ * ALU ops take imm8 when they fit; a branch to an already-bound label
+ * takes rel8 when it reaches. There is no relaxation pass, so forward
+ * branches stay rel32.
  *
  * Encoding reference: Intel SDM Vol. 2. REX bits: W=64-bit operand,
  * R=modrm.reg extension, X=index extension, B=modrm.rm/base extension.
@@ -45,7 +53,7 @@ enum class Cond : uint8_t {
     le = 0xE, g = 0xF,   // signed <= / >
 };
 
-/** A [base + disp32] memory operand (no index; the JIT's frame and context
+/** A [base + disp] memory operand (no index; the JIT's frame and context
  * accesses never need one). */
 struct Mem
 {
@@ -53,7 +61,7 @@ struct Mem
     int32_t disp;
 };
 
-/** A [base + index*scale + disp32] operand (jump tables). */
+/** A [base + index*scale + disp] operand (jump tables). */
 struct MemIdx
 {
     Reg base;
@@ -177,7 +185,8 @@ class Assembler
 
     // ----- ALU (reg, imm) -----
     /** Group-1 op (0x81 /ext) with the shortest immediate: 0x83 and a
-     * sign-extended imm8 when @p imm fits in one. */
+     * sign-extended imm8 when @p imm fits in one, else the accumulator
+     * form (no ModRM) when @p dst is rax. */
     void aluRI32(uint8_t ext, Reg dst, uint32_t imm)
     {
         aluRI(false, ext, dst, int32_t(imm));
@@ -194,6 +203,7 @@ class Assembler
     void cmpRI64(Reg d, int32_t i) { aluRI64(7, d, i); }
 
     void cmpRM64(Reg lhs, Mem rhs); ///< cmp reg, [mem]
+    void cmpMI32(Mem lhs, int32_t imm); ///< cmp dword [mem], imm8/imm32
     void testRR32(Reg a, Reg b);
     void testRR64(Reg a, Reg b);
 
@@ -212,7 +222,7 @@ class Assembler
     /** Shift/rotate group: ext 0=rol 1=ror 4=shl 5=shr 7=sar; count in CL. */
     void shiftCl32(uint8_t ext, Reg dst);
     void shiftCl64(uint8_t ext, Reg dst);
-    /** Shift/rotate by immediate count. */
+    /** Shift/rotate by immediate count (D1, no immediate, for 1). */
     void shiftImm32(uint8_t ext, Reg dst, uint8_t count);
     void shiftImm64(uint8_t ext, Reg dst, uint8_t count);
 
@@ -226,11 +236,13 @@ class Assembler
     void popcnt64(Reg dst, Reg src);
 
     void setcc(Cond cond, Reg dst8); ///< sets low byte; caller zero-extends
+    void movzxRR8(Reg dst, Reg src8); ///< movzx r32, r8
     void cmovcc32(Cond cond, Reg dst, Reg src);
     void cmovcc64(Cond cond, Reg dst, Reg src);
     void cmovccRM64(Cond cond, Reg dst, Mem src);
 
     // ----- control flow -----
+    /** rel8 when @p target is bound and in reach, else rel32. */
     void jmp(Label target);
     void jcc(Cond cond, Label target);
     void jmpMemIdx(MemIdx target);
@@ -340,18 +352,35 @@ class Assembler
     }
 
     static bool fitsImm8(int32_t imm) { return imm >= -128 && imm <= 127; }
+    /** A sign-extended imm8 when @p imm fits one, else imm32. */
+    void immediate(int32_t imm)
+    {
+        if (fitsImm8(imm))
+            byte(uint8_t(imm));
+        else
+            u32(uint32_t(imm));
+    }
     void aluRI(bool w, uint8_t ext, Reg dst, int32_t imm);
     void imulRRI(bool w, Reg dst, Reg src, int32_t imm);
 
     /** Emit REX if needed (or always when @p force for 8-bit regs). */
     void rex(bool w, uint8_t reg, uint8_t index, uint8_t base,
              bool force = false);
+    /** ModRM mod bits (0x00 / 0x40 disp8 / 0x80 disp32) of the shortest
+     * [base + disp] form. */
+    static uint8_t dispMod(Reg base, int32_t disp);
+    /** The displacement bytes @p mod calls for. */
+    void dispBytes(uint8_t mod, int32_t value);
     /** ModRM + SIB + disp for [base + disp]. */
     void modrmMem(uint8_t reg, Reg base, int32_t disp);
     void modrmMemIdx(uint8_t reg, const MemIdx& mem);
     void modrmReg(uint8_t reg, uint8_t rm);
 
     void patchLabel(int32_t id);
+    /** Does a 2-byte branch emitted here reach @p target (bound only)? */
+    bool fitsRel8(Label target) const;
+    /** rel32 to @p target, patched at bind() when it is still unbound. */
+    void rel32(Label target);
 
     struct LabelState
     {

@@ -208,13 +208,19 @@ calleeSaved(Reg reg)
     return reg == rbx || reg == r12 || reg == r13 || reg == r14;
 }
 
+/** [rbp+disp8] operand of the context field at byte @p Offset. Every
+ * field generated code reads lives in InstanceContext's hot prefix, so
+ * its operand costs one displacement byte, not four. */
+template <size_t Offset>
 Mem
-ctxField(size_t offset)
+ctxField()
 {
-    return Mem{kCtxReg, int32_t(offset)};
+    static_assert(Offset < 128,
+                  "the JIT reads only InstanceContext's hot prefix");
+    return Mem{kCtxReg, int32_t(Offset)};
 }
 
-#define CTX_FIELD(name) ctxField(offsetof(InstanceContext, name))
+#define CTX_FIELD(name) ctxField<offsetof(InstanceContext, name)>()
 
 /** Register class of a value type. */
 enum class RC : uint8_t { gpr, fpr };
@@ -513,14 +519,14 @@ class FunctionCompiler
             interruptLabel_ = as_.newLabel();
         return interruptLabel_;
     }
-    /** Load+test+branch on the instance interrupt flag. rax is dead at
-     * instruction boundaries, so nothing is saved; an aligned 32-bit
-     * load is atomic on x86, pairing with the killer thread's store. */
+    /** Compare the instance interrupt flag in place and branch: no
+     * register is touched, and flags are dead between IR instructions.
+     * An aligned 32-bit load is atomic on x86, pairing with the killer
+     * thread's store. */
     void
     emitEpochPoll()
     {
-        as_.movRM32(rax, CTX_FIELD(interruptFlag));
-        as_.testRR32(rax, rax);
+        as_.cmpMI32(CTX_FIELD(interruptFlag), 0);
         as_.jcc(Cond::ne, interruptIsland());
     }
     /** The poll's cold target: hand the context to the noreturn
@@ -594,16 +600,13 @@ class FunctionCompiler
             as_.addRM64(rax, CTX_FIELD(memBase));
             if (offset <= 0x7FFFFF00ull)
                 return Mem{rax, int32_t(offset)};
-            as_.movRI32(rcx, uint32_t(offset));
-            as_.addRR64(rax, rcx);
+            addOffset(rax, offset);
             return Mem{rax, 0};
         }
 
         // Software checks: ea = addr + offset in rax.
-        if (offset != 0) {
-            as_.movRI32(rcx, uint32_t(offset));
-            as_.addRR64(rax, rcx);
-        }
+        if (offset != 0)
+            addOffset(rax, offset);
 
         if (checkSkipped()) {
             jitMetrics().boundsChecksElided.add();
@@ -626,6 +629,22 @@ class FunctionCompiler
         }
         as_.addRM64(rax, CTX_FIELD(memBase));
         return Mem{rax, 0};
+    }
+
+    /** reg += @p offset: add with a sign-extended imm8/imm32 up to
+     * INT32_MAX, else staged in rcx. */
+    void
+    addOffset(Reg reg, uint64_t offset)
+    {
+        if (offset <= uint64_t(INT32_MAX)) {
+            as_.addRI64(reg, int32_t(offset));
+            return;
+        }
+        if (offset <= UINT32_MAX)
+            as_.movRI32(rcx, uint32_t(offset));
+        else
+            as_.movRI64(rcx, offset);
+        as_.addRR64(reg, rcx);
     }
 
     bool isJumpTarget(uint32_t pc) const { return pcLabels_[pc].id >= 0; }
@@ -757,7 +776,17 @@ class FunctionCompiler
     materializeCond(Cond cond)
     {
         as_.setcc(cond, rax);
-        as_.andRI32(rax, 0xFF);
+        as_.movzxRR8(rax, rax);
+    }
+
+    /** reg = 0 as `xor r32, r32`: 2-3 bytes where `mov r32, 0` takes 5-6.
+     * It clobbers the flags, which is safe because no flag is live
+     * between IR instructions (each one that branches on flags sets them
+     * itself, immediately before), nor across this call's own uses. */
+    void
+    zeroGpr(Reg reg)
+    {
+        as_.xorRR32(reg, reg);
     }
 
     void
@@ -1016,15 +1045,14 @@ FunctionCompiler::emitInstr(const LInst& inst)
         uint32_t check_begin = uint32_t(as_.size());
         if (inst.aux == 0) {
             loadGpr32(rax, inst.a);
-            as_.movRI64(rcx, inst.imm);
-            as_.addRR64(rax, rcx);
-            as_.cmpRM64(rax, CTX_FIELD(memSize));
-            as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
+            addOffset(rax, inst.imm);
+        } else if (inst.imm <= UINT32_MAX) {
+            as_.movRI32(rax, uint32_t(inst.imm));
         } else {
             as_.movRI64(rax, inst.imm);
-            as_.cmpRM64(rax, CTX_FIELD(memSize));
-            as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
         }
+        as_.cmpRM64(rax, CTX_FIELD(memSize));
+        as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
         recordCheckRange(check_begin);
         return;
       }
@@ -1367,7 +1395,7 @@ FunctionCompiler::emitIntDivRem(Op op, const Operands& v)
         as_.jcc(Cond::ne, do_div);
         if (is_rem) {
             // INT_MIN % -1 == 0 (never traps).
-            as_.movRI32(rdx, 0);
+            zeroGpr(rdx);
             as_.jmp(done);
         } else {
             if (is64) {
@@ -1387,7 +1415,7 @@ FunctionCompiler::emitIntDivRem(Op op, const Operands& v)
         as_.cdq();
         as_.idiv32(rcx);
     } else {
-        as_.movRI32(rdx, 0);
+        zeroGpr(rdx);
         if (is64)
             as_.div64(rcx);
         else
@@ -1468,7 +1496,7 @@ FunctionCompiler::emitFloatCompare(Op op, const Operands& v)
         as_.setcc(Cond::e, rax);
         as_.setcc(Cond::np, rcx);
         as_.andRR32(rax, rcx);
-        as_.andRI32(rax, 0xFF);
+        as_.movzxRR8(rax, rax);
         break;
       case Op::f32_ne:
       case Op::f64_ne:
@@ -1476,7 +1504,7 @@ FunctionCompiler::emitFloatCompare(Op op, const Operands& v)
         as_.setcc(Cond::ne, rax);
         as_.setcc(Cond::p, rcx);
         as_.orRR32(rax, rcx);
-        as_.andRI32(rax, 0xFF);
+        as_.movzxRR8(rax, rax);
         break;
       case Op::f32_lt:
       case Op::f64_lt:
@@ -1763,7 +1791,7 @@ FunctionCompiler::emitTruncSat(Op op, const Operands& v)
         ucomiSelf();
         Label not_nan = as_.newLabel();
         as_.jcc(Cond::np, not_nan);
-        as_.movRI32(rax, 0);
+        zeroGpr(rax);
         as_.jmp(ok);
         as_.bind(not_nan);
         as_.bind(sat);
@@ -1790,7 +1818,7 @@ FunctionCompiler::emitTruncSat(Op op, const Operands& v)
         else
             as_.cvttsd2si64(rax, xmm0);
         // NaN/negative -> clamp to zero.
-        as_.movRI32(rcx, 0);
+        zeroGpr(rcx);
         as_.testRR64(rax, rax);
         as_.cmovcc64(Cond::s, rax, rcx);
         as_.jmp(ok);
@@ -1813,7 +1841,7 @@ FunctionCompiler::emitTruncSat(Op op, const Operands& v)
         ucomiSelf();
         Label not_nan = as_.newLabel();
         as_.jcc(Cond::np, not_nan);
-        as_.movRI32(rax, 0);
+        zeroGpr(rax);
         as_.jmp(ok);
         as_.bind(not_nan);
         as_.pxor(xmm1, xmm1);
@@ -1858,7 +1886,7 @@ FunctionCompiler::emitTruncSat(Op op, const Operands& v)
         as_.movRI64(rax, 0xFFFFFFFFFFFFFFFFull);
         as_.jmp(ok);
         as_.bind(zero);
-        as_.movRI32(rax, 0);
+        zeroGpr(rax);
         as_.bind(ok);
         storeGpr64(v.dst, rax);
         return;
@@ -1976,7 +2004,9 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         uint64_t imm = is64 ? inst.imm : uint32_t(inst.imm);
         int dst = slotRegIndex(inst.a);
         Reg target = dst >= 0 ? kSlotGpr[dst] : rax;
-        if (imm <= UINT32_MAX)
+        if (imm == 0)
+            zeroGpr(target);
+        else if (imm <= UINT32_MAX)
             as_.movRI32(target, uint32_t(imm));
         else
             as_.movRI64(target, imm);
@@ -2395,6 +2425,7 @@ class ModuleArtifact : public CompiledCode
     }
 
     size_t codeBytes() const override { return buffer_->used(); }
+    const uint8_t* codeData() const override { return buffer_->data(); }
 
     std::string
     dumpFunction(uint32_t func_idx) const override

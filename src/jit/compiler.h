@@ -101,6 +101,10 @@ class CompiledCode
     /** Total bytes of generated machine code. */
     virtual size_t codeBytes() const = 0;
 
+    /** The codeBytes() bytes of generated code, every function in
+     * order. */
+    virtual const uint8_t* codeData() const = 0;
+
     /** Hex dump of one function's code (debugging aid). */
     virtual std::string dumpFunction(uint32_t func_idx) const = 0;
 };

@@ -64,7 +64,10 @@ struct CacheFileHeader
 static_assert(sizeof(CacheFileHeader) == 48);
 
 constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
-constexpr uint32_t kCacheFormatVersion = 4;
+/** Bumped whenever the artifact's bytes change meaning: 5 = shortest
+ * x86 encodings and InstanceContext's hot prefix (JIT code bytes and the
+ * context offsets baked into them). */
+constexpr uint32_t kCacheFormatVersion = 5;
 
 uint64_t
 cacheBuildId()

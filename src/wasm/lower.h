@@ -37,7 +37,7 @@ enum class LOp : uint16_t {
     jump_table, ///< a = tablePool base, aux = case count, b = index cell
     copy,       ///< a = src cell, b = dst cell, aux = ValType
     ret,        ///< aux = result count, a = result cell
-    callf,      ///< a = defined function index, b = argument base cell
+    callf,      ///< a = function index (module-wide), b = argument base cell
     call_host,  ///< a = import index, b = argument base cell
     calli,      ///< a = type index, b = table-index cell
     trap,       ///< aux = TrapKind

@@ -1,5 +1,7 @@
 #include "wasm/serialize.h"
 
+#include <algorithm>
+
 namespace lnb::wasm {
 
 namespace {
@@ -80,26 +82,110 @@ checkSkipList(const LoweredFunc& f)
 }
 
 /**
- * The JIT turns a register form's cells into [r15 + 8 * cell] operands
- * and each jump target into a code label, so a form must name cells
- * inside the frame and a jump must land inside the code.
+ * Does every cell @p inst reads or writes lie inside the frame? The
+ * interpreters index frame[] with these cells and the JIT turns them into
+ * [r15 + 8 * cell] operands, so none may reach past numCells. Operand
+ * conventions per LInst (wasm/lower.h).
+ */
+bool
+cellsInFrame(const LInst& inst, const LoweredFunc& f, const Module& m)
+{
+    auto in = [&](uint64_t cell) { return cell < f.numCells; };
+    // A call's arguments start at `base` and its results overwrite them.
+    auto span = [&](uint64_t base, uint32_t type_idx) {
+        const FuncType& t = m.types[type_idx];
+        size_t n = std::max(t.params.size(), t.results.size());
+        return base + n <= f.numCells;
+    };
+    if (isFormOp(inst.op)) {
+        IrForm form = formOf(inst.op);
+        bool jump = form == IrForm::jrr || form == IrForm::jri;
+        bool rhs_cell = form == IrForm::rr || form == IrForm::jrr;
+        return (jump || in(inst.a)) && in(inst.b) &&
+               (!rhs_cell || in(inst.imm));
+    }
+    if (!inst.isWasmOp()) {
+        switch (inst.lop()) {
+          case LOp::jump_if:
+          case LOp::jump_if_zero:
+          case LOp::jump_table:
+            return in(inst.b);
+          case LOp::copy:
+            return in(inst.a) && in(inst.b);
+          case LOp::ret:
+            return inst.aux == 0 || in(inst.a);
+          case LOp::callf:
+            return inst.a < m.numTotalFuncs() &&
+                   m.funcTypeIdx(inst.a) < m.types.size() &&
+                   span(inst.b, m.funcTypeIdx(inst.a));
+          case LOp::call_host:
+            return inst.a < m.numImportedFuncs() &&
+                   m.funcTypeIdx(inst.a) < m.types.size() &&
+                   span(inst.b, m.funcTypeIdx(inst.a));
+          case LOp::calli: {
+            if (inst.a >= m.types.size() || !in(inst.b))
+                return false;
+            size_t nargs = m.types[inst.a].params.size();
+            return inst.b >= nargs && span(inst.b - nargs, inst.a);
+          }
+          case LOp::check_bounds:
+            return inst.aux != 0 || in(inst.a);
+          default:
+            return true;
+        }
+    }
+    Op op = inst.wasmOp();
+    switch (op) {
+      case Op::select:
+        return in(uint64_t(inst.a) + 2);
+      case Op::global_get:
+      case Op::global_set:
+        return in(inst.a) && inst.b < m.globals.size();
+      default:
+        break;
+    }
+    int inputs = opInputs(op);
+    if (inputs == 3)
+        return in(uint64_t(inst.a) + 2);
+    if (inputs == 2 && !in(inst.b))
+        return false;
+    return (inputs <= 0 && opResult(op) == 0) || in(inst.a);
+}
+
+/** Does @p inst jump past the code of @p f: a jump or branch form to a
+ * pc past it, or a jump_table whose cases run past the table pool? */
+bool
+jumpsPastCode(const LInst& inst, const LoweredFunc& f)
+{
+    IrForm form = isFormOp(inst.op) ? formOf(inst.op) : IrForm::count_;
+    bool jump = inst.op == uint16_t(LOp::jump) ||
+                inst.op == uint16_t(LOp::jump_if) ||
+                inst.op == uint16_t(LOp::jump_if_zero) ||
+                form == IrForm::jrr || form == IrForm::jri;
+    if (jump)
+        return inst.a >= f.code.size();
+    if (inst.op == uint16_t(LOp::jump_table))
+        return uint64_t(inst.a) + inst.aux + 1 > f.tablePool.size();
+    return false;
+}
+
+/**
+ * The executors index the frame with every cell operand and turn each
+ * jump target into a code label, so every cell must lie inside the frame
+ * and every jump, branch form and jump_table case must land inside the
+ * code.
  */
 Status
-checkOperands(const LoweredFunc& f)
+checkOperands(const LoweredFunc& f, const Module& m)
 {
+    for (uint32_t target : f.tablePool) {
+        if (target >= f.code.size())
+            return errInvalid("serialized jump table names pc " +
+                              std::to_string(target) + " past the code");
+    }
     for (size_t pc = 0; pc < f.code.size(); pc++) {
         const LInst& inst = f.code[pc];
-        IrForm form = isFormOp(inst.op) ? formOf(inst.op) : IrForm::count_;
-        bool jump = inst.op == uint16_t(LOp::jump) ||
-                    inst.op == uint16_t(LOp::jump_if) ||
-                    inst.op == uint16_t(LOp::jump_if_zero) ||
-                    form == IrForm::jrr || form == IrForm::jri;
-        bool cells_ok =
-            form == IrForm::count_ ||
-            ((jump || inst.a < f.numCells) && inst.b < f.numCells &&
-             ((form != IrForm::rr && form != IrForm::jrr) ||
-              inst.imm < f.numCells));
-        if (!cells_ok || (jump && inst.a >= f.code.size()))
+        if (!cellsInFrame(inst, f, m) || jumpsPastCode(inst, f))
             return errInvalid("serialized IR at pc " + std::to_string(pc) +
                               " names a cell outside the frame or jumps "
                               "past the code");
@@ -251,7 +337,7 @@ deserializeLoweredModule(ByteReader& r, LoweredModule& out)
                                   std::to_string(inst.op) +
                                   " with no handler");
         }
-        LNB_RETURN_IF_ERROR(checkOperands(f));
+        LNB_RETURN_IF_ERROR(checkOperands(f, out.module));
         LNB_RETURN_IF_ERROR(checkSkipList(f));
     }
     return Status::ok();

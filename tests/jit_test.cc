@@ -48,20 +48,86 @@ TEST(Assembler, MovEncodings)
                               0x33, 0x22, 0x11}));
 }
 
+using Bytes = std::vector<uint8_t>;
+
 TEST(Assembler, MemoryOperands)
 {
-    // mov rax, [rbp+8] : REX.W 8B 85 disp32
-    EXPECT_EQ(assemble([](Assembler& a) { a.movRM64(rax, {rbp, 8}); }),
-              (std::vector<uint8_t>{0x48, 0x8B, 0x85, 0x08, 0x00, 0x00,
-                                    0x00}));
-    // rsp base needs a SIB byte.
-    EXPECT_EQ(assemble([](Assembler& a) { a.movRM32(rcx, {rsp, 4}); }),
-              (std::vector<uint8_t>{0x8B, 0x8C, 0x24, 0x04, 0x00, 0x00,
-                                    0x00}));
-    // r12 (encoding 100b) also needs the SIB escape.
+    // Every [base + disp] takes its shortest ModRM form: no displacement
+    // for 0, disp8 for [-128, 127], disp32 beyond.
+    // mov rax, [rax] : REX.W 8B 00 (mod=00)
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM64(rax, {rax, 0}); }),
+              (Bytes{0x48, 0x8B, 0x00}));
+    // rbp/r13 have no mod=00 form (it means rip/no base): disp8 of 0.
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM64(rax, {rbp, 0}); }),
+              (Bytes{0x48, 0x8B, 0x45, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM64(rax, {r13, 0}); }),
+              (Bytes{0x49, 0x8B, 0x45, 0x00}));
+    // rsp and r12 (encoding 100b) need the SIB escape, at every size.
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM32(rcx, {rsp, 0}); }),
+              (Bytes{0x8B, 0x0C, 0x24}));
     EXPECT_EQ(assemble([](Assembler& a) { a.movMR64({r12, 0}, rax); }),
-              (std::vector<uint8_t>{0x49, 0x89, 0x84, 0x24, 0x00, 0x00,
-                                    0x00, 0x00}));
+              (Bytes{0x49, 0x89, 0x04, 0x24}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM32(rcx, {rsp, 4}); }),
+              (Bytes{0x8B, 0x4C, 0x24, 0x04}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM32(rcx, {rsp, 128}); }),
+              (Bytes{0x8B, 0x8C, 0x24, 0x80, 0x00, 0x00, 0x00}));
+    // The disp8/disp32 boundary: 127 and -128 fit, 128 and -129 do not.
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM64(rax, {rbp, 127}); }),
+              (Bytes{0x48, 0x8B, 0x45, 0x7F}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM64(rax, {r15, -128}); }),
+              (Bytes{0x49, 0x8B, 0x47, 0x80}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM64(rax, {r15, 128}); }),
+              (Bytes{0x49, 0x8B, 0x87, 0x80, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRM64(rax, {rbp, -129}); }),
+              (Bytes{0x48, 0x8B, 0x85, 0x7F, 0xFF, 0xFF, 0xFF}));
+}
+
+TEST(Assembler, IndexedMemoryOperands)
+{
+    // [base + index*scale + disp] follows the same rules through the SIB.
+    auto lea = [](Reg base, uint8_t scale, int32_t disp) {
+        return assemble([&](Assembler& a) {
+            a.leaIdx(rax, MemIdx{base, rdx, scale, disp});
+        });
+    };
+    EXPECT_EQ(lea(rcx, 8, 0), (Bytes{0x48, 0x8D, 0x04, 0xD1}));
+    EXPECT_EQ(lea(rbp, 8, 0), (Bytes{0x48, 0x8D, 0x44, 0xD5, 0x00}));
+    EXPECT_EQ(lea(r13, 8, 0), (Bytes{0x49, 0x8D, 0x44, 0xD5, 0x00}));
+    EXPECT_EQ(lea(rsp, 1, 0), (Bytes{0x48, 0x8D, 0x04, 0x14}));
+    EXPECT_EQ(lea(r12, 2, 0), (Bytes{0x49, 0x8D, 0x04, 0x54}));
+    EXPECT_EQ(lea(rcx, 8, 127), (Bytes{0x48, 0x8D, 0x44, 0xD1, 0x7F}));
+    EXPECT_EQ(lea(rcx, 8, -128), (Bytes{0x48, 0x8D, 0x44, 0xD1, 0x80}));
+    EXPECT_EQ(lea(rcx, 8, 128),
+              (Bytes{0x48, 0x8D, 0x84, 0xD1, 0x80, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(lea(rcx, 8, -129),
+              (Bytes{0x48, 0x8D, 0x84, 0xD1, 0x7F, 0xFF, 0xFF, 0xFF}));
+    // The jump-table dispatch: jmp [rcx+rax*8].
+    EXPECT_EQ(assemble([](Assembler& a) {
+                  a.jmpMemIdx(MemIdx{rcx, rax, 8, 0});
+              }),
+              (Bytes{0xFF, 0x24, 0xC1}));
+}
+
+TEST(Assembler, BooleansPollsAndZeroes)
+{
+    // setcc writes al/cl without a REX prefix; sil needs one.
+    EXPECT_EQ(assemble([](Assembler& a) { a.setcc(Cond::e, rax); }),
+              (Bytes{0x0F, 0x94, 0xC0}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.setcc(Cond::ne, rcx); }),
+              (Bytes{0x0F, 0x95, 0xC1}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.setcc(Cond::e, rsi); }),
+              (Bytes{0x40, 0x0F, 0x94, 0xC6}));
+    // movzx eax, al
+    EXPECT_EQ(assemble([](Assembler& a) { a.movzxRR8(rax, rax); }),
+              (Bytes{0x0F, 0xB6, 0xC0}));
+    // cmp dword [rbp+0x50], 0 : the epoch poll.
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpMI32({rbp, 0x50}, 0); }),
+              (Bytes{0x83, 0x7D, 0x50, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpMI32({rbp, 0x50}, 256); }),
+              (Bytes{0x81, 0x7D, 0x50, 0x00, 0x01, 0x00, 0x00}));
+    // xor r32, r32 : the zero idiom.
+    EXPECT_EQ(assemble([](Assembler& a) { a.xorRR32(r14, r14); }),
+              (Bytes{0x45, 0x31, 0xF6}));
 }
 
 TEST(Assembler, AluAndShift)
@@ -70,8 +136,11 @@ TEST(Assembler, AluAndShift)
               (std::vector<uint8_t>{0x01, 0xC8}));
     EXPECT_EQ(assemble([](Assembler& a) { a.subRR64(rdx, rbx); }),
               (std::vector<uint8_t>{0x48, 0x29, 0xDA}));
+    // An imm32 against eax/rax takes the accumulator form (no ModRM).
     EXPECT_EQ(assemble([](Assembler& a) { a.cmpRI32(rax, 0x80000000u); }),
-              (std::vector<uint8_t>{0x81, 0xF8, 0x00, 0x00, 0x00, 0x80}));
+              (std::vector<uint8_t>{0x3D, 0x00, 0x00, 0x00, 0x80}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRI32(rcx, 0x80000000u); }),
+              (std::vector<uint8_t>{0x81, 0xF9, 0x00, 0x00, 0x00, 0x80}));
     // Immediates that fit a sign-extended imm8 take the 0x83 form.
     EXPECT_EQ(assemble([](Assembler& a) { a.addRI32(rbx, 1); }),
               (std::vector<uint8_t>{0x83, 0xC3, 0x01}));
@@ -83,7 +152,9 @@ TEST(Assembler, AluAndShift)
     EXPECT_EQ(assemble([](Assembler& a) { a.addRI32(rax, 127); }),
               (std::vector<uint8_t>{0x83, 0xC0, 0x7F}));
     EXPECT_EQ(assemble([](Assembler& a) { a.addRI32(rax, 128); }),
-              (std::vector<uint8_t>{0x81, 0xC0, 0x80, 0x00, 0x00, 0x00}));
+              (std::vector<uint8_t>{0x05, 0x80, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.addRI64(rax, 0x478); }),
+              (std::vector<uint8_t>{0x48, 0x05, 0x78, 0x04, 0x00, 0x00}));
     EXPECT_EQ(assemble([](Assembler& a) { a.aluRI64(5, rdx, -128); }),
               (std::vector<uint8_t>{0x48, 0x83, 0xEA, 0x80}));
     EXPECT_EQ(assemble([](Assembler& a) { a.aluRI64(5, rdx, -129); }),
@@ -97,13 +168,15 @@ TEST(Assembler, AluAndShift)
     // shl rax, 5 -> 48 C1 E0 05
     EXPECT_EQ(assemble([](Assembler& a) { a.shiftImm64(4, rax, 5); }),
               (std::vector<uint8_t>{0x48, 0xC1, 0xE0, 0x05}));
+    // shr rcx, 1 -> 48 D1 E9 (the count-of-one form has no immediate)
+    EXPECT_EQ(assemble([](Assembler& a) { a.shiftImm64(5, rcx, 1); }),
+              (std::vector<uint8_t>{0x48, 0xD1, 0xE9}));
     EXPECT_EQ(assemble([](Assembler& a) { a.aluRM32(0x00, rax,
                                                     {rbx, 16}); }),
-              (std::vector<uint8_t>{0x03, 0x83, 0x10, 0x00, 0x00, 0x00}));
-    // add rax, [rbp+16] -> 48 03 85 disp32
+              (std::vector<uint8_t>{0x03, 0x43, 0x10}));
+    // add rax, [rbp+16] -> 48 03 45 disp8
     EXPECT_EQ(assemble([](Assembler& a) { a.addRM64(rax, {rbp, 16}); }),
-              (std::vector<uint8_t>{0x48, 0x03, 0x85, 0x10, 0x00, 0x00,
-                                    0x00}));
+              (std::vector<uint8_t>{0x48, 0x03, 0x45, 0x10}));
 }
 
 TEST(Assembler, SseEncodings)
@@ -111,10 +184,9 @@ TEST(Assembler, SseEncodings)
     // addsd xmm0, xmm1 -> F2 0F 58 C1
     EXPECT_EQ(assemble([](Assembler& a) { a.addsd(xmm0, xmm1); }),
               (std::vector<uint8_t>{0xF2, 0x0F, 0x58, 0xC1}));
-    // movsd xmm8, [rbp+0] -> F2 44 0F 10 85 00000000
+    // movsd xmm8, [rbp+0] -> F2 44 0F 10 45 00 (rbp keeps a disp8 of 0)
     EXPECT_EQ(assemble([](Assembler& a) { a.movsdRM(xmm8, {rbp, 0}); }),
-              (std::vector<uint8_t>{0xF2, 0x44, 0x0F, 0x10, 0x85, 0x00,
-                                    0x00, 0x00, 0x00}));
+              (std::vector<uint8_t>{0xF2, 0x44, 0x0F, 0x10, 0x45, 0x00}));
     // cvttsd2si rax, xmm0 (64-bit) -> F2 48 0F 2C C0
     EXPECT_EQ(assemble([](Assembler& a) { a.cvttsd2si64(rax, xmm0); }),
               (std::vector<uint8_t>{0xF2, 0x48, 0x0F, 0x2C, 0xC0}));
@@ -126,25 +198,59 @@ TEST(Assembler, SseEncodings)
               (std::vector<uint8_t>{0x66, 0x48, 0x0F, 0x7E, 0xC0}));
 }
 
-TEST(Assembler, LabelsAndBranches)
+/** A branch back to offset 0: the label binds there, then @p pad
+ * one-byte int3 fill the gap up to the branch. */
+Bytes
+backwardBranch(bool conditional, int pad)
 {
-    // Backward jump: label at 0, jmp at 0 -> rel32 = -5.
-    auto bytes = assemble([](Assembler& a) {
+    return assemble([&](Assembler& a) {
         Label label = a.newLabel();
         a.bind(label);
-        a.jmp(label);
+        for (int i = 0; i < pad; i++)
+            a.int3();
+        if (conditional)
+            a.jcc(Cond::e, label);
+        else
+            a.jmp(label);
     });
-    EXPECT_EQ(bytes, (std::vector<uint8_t>{0xE9, 0xFB, 0xFF, 0xFF, 0xFF}));
+}
 
-    // Forward conditional branch is patched when bound.
-    bytes = assemble([](Assembler& a) {
+/** The branch bytes after the fill. */
+Bytes
+tail(const Bytes& bytes, int pad)
+{
+    return Bytes(bytes.begin() + pad, bytes.end());
+}
+
+TEST(Assembler, LabelsAndBranches)
+{
+    // Backward jump to the label it follows: rel8 = -2.
+    EXPECT_EQ(backwardBranch(false, 0), (Bytes{0xEB, 0xFE}));
+    // rel8 reaches exactly -128 from the end of the 2-byte branch ...
+    EXPECT_EQ(tail(backwardBranch(false, 126), 126), (Bytes{0xEB, 0x80}));
+    EXPECT_EQ(tail(backwardBranch(true, 126), 126), (Bytes{0x74, 0x80}));
+    // ... and -129 takes rel32, measured from the end of the longer form.
+    EXPECT_EQ(tail(backwardBranch(false, 127), 127),
+              (Bytes{0xE9, 0x7C, 0xFF, 0xFF, 0xFF})); // -132
+    EXPECT_EQ(tail(backwardBranch(true, 127), 127),
+              (Bytes{0x0F, 0x84, 0x7B, 0xFF, 0xFF, 0xFF})); // -133
+
+    // Forward branches stay rel32 (no relaxation pass), patched when the
+    // label binds, however near it turns out to be.
+    Bytes bytes = assemble([](Assembler& a) {
         Label label = a.newLabel();
         a.jcc(Cond::e, label); // 6 bytes
         a.ud2();               // 2 bytes
         a.bind(label);
     });
-    EXPECT_EQ(bytes, (std::vector<uint8_t>{0x0F, 0x84, 0x02, 0x00, 0x00,
-                                           0x00, 0x0F, 0x0B}));
+    EXPECT_EQ(bytes, (Bytes{0x0F, 0x84, 0x02, 0x00, 0x00, 0x00, 0x0F,
+                            0x0B}));
+    bytes = assemble([](Assembler& a) {
+        Label label = a.newLabel();
+        a.jmp(label);
+        a.bind(label);
+    });
+    EXPECT_EQ(bytes, (Bytes{0xE9, 0x00, 0x00, 0x00, 0x00}));
 }
 
 TEST(Assembler, OverflowIsReported)
@@ -655,6 +761,189 @@ TEST(Compiler, CompilesEveryDefinedForm)
     }
     EXPECT_GT(pairs, 200u);
     EXPECT_GT(calls, 0u);
+}
+
+/**
+ * Parameters (i32 address seed, i64 seed) and 22 locals cycling through
+ * the four types: cells 0..3 have register homes, cells 4..15 sit at
+ * [r15+disp8] and cells 16..23 at [r15+disp32]. Every local is seeded,
+ * then combined with a same-type partner on the other side of the
+ * [r15+0x80] boundary; an i64 round-trips through memory at an address
+ * cell past it; a 20-deep expression stack spills operand slots past it;
+ * and one load reads param 0 as its address, which may fall past the
+ * memory end. Returns every local folded into one i64.
+ *
+ * The exported "run" calls it with 18 i64 locals of its own live in the
+ * 16 cells right below the callee's frame, and folds them into the
+ * result: an access that lands outside its cell shows either in the
+ * callee's result or in the caller's locals.
+ */
+wasm::Module
+disp8BoundaryModule()
+{
+    using wasm::ValType;
+    static constexpr ValType kTypes[4] = {ValType::i32, ValType::i64,
+                                          ValType::f32, ValType::f64};
+    wasm::ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    auto& f = mb.addFunction(
+        mb.addType({ValType::i32, ValType::i64}, {ValType::i64}));
+    const uint32_t cells = 24;
+    auto type = [](uint32_t cell) {
+        return cell == 0 ? ValType::i32
+               : cell == 1 ? ValType::i64
+                           : kTypes[cell % 4];
+    };
+    for (uint32_t cell = 2; cell < cells; cell++)
+        f.addLocal(type(cell));
+    for (uint32_t cell = 2; cell < cells; cell++) {
+        switch (type(cell)) {
+          case ValType::i32:
+            f.localGet(0);
+            f.i32Const(int32_t(0x9E3779B1u * cell));
+            f.emit(wasm::Op::i32_xor);
+            break;
+          case ValType::i64:
+            f.localGet(1);
+            f.i64Const(int64_t(0x9E3779B97F4A7C15ull * cell));
+            f.emit(wasm::Op::i64_add);
+            break;
+          case ValType::f32:
+            f.localGet(0);
+            f.emit(wasm::Op::f32_convert_i32_s);
+            f.f32Const(float(cell) + 0.5f);
+            f.emit(wasm::Op::f32_mul);
+            break;
+          default:
+            f.localGet(1);
+            f.emit(wasm::Op::f64_convert_i64_s);
+            f.f64Const(double(cell) * 1.25);
+            f.emit(wasm::Op::f64_add);
+            break;
+        }
+        f.localSet(cell);
+    }
+    // cell k meets cell k + 12 (same type: 12 is a multiple of 4).
+    for (uint32_t cell = 4; cell + 12 < cells; cell++) {
+        uint32_t far = cell + 12;
+        f.localGet(cell);
+        f.localGet(far);
+        switch (type(cell)) {
+          case ValType::i32: f.emit(wasm::Op::i32_sub); break;
+          case ValType::i64: f.emit(wasm::Op::i64_mul); break;
+          case ValType::f32: f.emit(wasm::Op::f32_add); break;
+          default: f.emit(wasm::Op::f64_sub); break;
+        }
+        f.localSet(far);
+    }
+    // An i64 stored at an address held in cell 20 (an i32 past the
+    // boundary), loaded back into cell 21.
+    f.localGet(20);
+    f.i32Const(0xFF8);
+    f.emit(wasm::Op::i32_and);
+    f.localGet(17);
+    f.memOp(wasm::Op::i64_store, 8);
+    f.localGet(20);
+    f.i32Const(0xFF8);
+    f.emit(wasm::Op::i32_and);
+    f.memOp(wasm::Op::i64_load, 8);
+    f.localSet(21);
+    // A 20-deep stack of i64 cells, summed from the top.
+    for (int depth = 0; depth < 20; depth++)
+        f.localGet(depth % 2 == 0 ? 17 : 21);
+    for (int depth = 1; depth < 20; depth++)
+        f.emit(wasm::Op::i64_add);
+    f.localSet(13);
+    // Param 0 as a raw address.
+    f.localGet(0);
+    f.memOp(wasm::Op::i32_load, 4);
+    f.localSet(cells - 4);
+    f.i64Const(0);
+    for (uint32_t cell = 0; cell < cells; cell++) {
+        f.localGet(cell);
+        switch (type(cell)) {
+          case ValType::i32: f.emit(wasm::Op::i64_extend_i32_u); break;
+          case ValType::f32:
+            f.emit(wasm::Op::i32_reinterpret_f32);
+            f.emit(wasm::Op::i64_extend_i32_u);
+            break;
+          case ValType::f64: f.emit(wasm::Op::i64_reinterpret_f64); break;
+          default: break;
+        }
+        f.i64Const(int64_t(cell) * 2 + 1);
+        f.emit(wasm::Op::i64_mul);
+        f.emit(wasm::Op::i64_xor);
+    }
+    uint32_t boundary = f.finish();
+
+    auto& run = mb.addFunction(
+        mb.addType({ValType::i32, ValType::i64}, {ValType::i64}));
+    std::vector<uint32_t> live;
+    for (int i = 0; i < 18; i++) {
+        live.push_back(run.addLocal(ValType::i64));
+        run.localGet(1);
+        run.i64Const(int64_t(0xD6E8FEB86659FD93ull * uint64_t(i + 1)));
+        run.emit(wasm::Op::i64_xor);
+        run.localSet(live.back());
+    }
+    run.localGet(0);
+    run.localGet(1);
+    run.call(boundary);
+    for (uint32_t local : live) {
+        run.localGet(local);
+        run.emit(wasm::Op::i64_add);
+        run.i64Const(31);
+        run.emit(wasm::Op::i64_rotl);
+    }
+    mb.exportFunc("run", run.finish());
+    return mb.build();
+}
+
+TEST(Compiler, FrameCellsPastTheDisp8RangeStayBitExact)
+{
+    wasm::Module module = disp8BoundaryModule();
+    ASSERT_TRUE(wasm::validateModule(module).isOk());
+    for (mem::BoundsStrategy strategy :
+         {mem::BoundsStrategy::none, mem::BoundsStrategy::trap,
+          mem::BoundsStrategy::clamp}) {
+        SCOPED_TRACE(mem::boundsStrategyName(strategy));
+        std::unique_ptr<rt::Instance> instances[2];
+        for (int e = 0; e < 2; e++) {
+            rt::EngineConfig config;
+            config.kind = e == 0 ? rt::EngineKind::jit_base
+                                 : rt::EngineKind::interp_switch;
+            config.strategy = strategy;
+            auto cm = rt::Engine(config).compile(wasm::Module(module));
+            ASSERT_TRUE(cm.isOk()) << cm.status().toString();
+            auto inst = rt::Instance::create(cm.takeValue());
+            ASSERT_TRUE(inst.isOk()) << inst.status().toString();
+            instances[e] = inst.takeValue();
+        }
+        // Addresses in bounds, at the last word, and (checked strategies
+        // only) past the end.
+        std::vector<uint32_t> addrs = {0, 12345, uint32_t(wasm::kPageSize) - 8};
+        if (strategy != mem::BoundsStrategy::none) {
+            addrs.push_back(uint32_t(wasm::kPageSize) - 7);
+            addrs.push_back(0xFFFFFFF0u);
+        }
+        size_t traps = 0;
+        for (uint32_t addr : addrs) {
+            for (uint64_t seed : {0ull, 1ull, 0x8000000000000001ull,
+                                  0x0123456789ABCDEFull}) {
+                std::vector<wasm::Value> args = {wasm::Value::fromI32(addr),
+                                                 wasm::Value::fromI64(seed)};
+                rt::CallOutcome jit = instances[0]->callExport("run", args);
+                rt::CallOutcome interp = instances[1]->callExport("run", args);
+                ASSERT_EQ(jit.trap, interp.trap) << addr << " " << seed;
+                traps += !jit.ok();
+                if (jit.ok()) {
+                    ASSERT_EQ(jit.results[0].i64, interp.results[0].i64)
+                        << addr << " " << seed;
+                }
+            }
+        }
+        EXPECT_EQ(traps, strategy == mem::BoundsStrategy::trap ? 8u : 0u);
+    }
 }
 
 TEST(Compiler, StackCheckAblationShrinksPrologue)

@@ -761,6 +761,140 @@ TEST(Serialize, OutOfRangeFormOperandsAreRejected)
     EXPECT_TRUE(rt::deserializeCompiledModule(blob.data(), blob.size()).isOk());
 }
 
+TEST(Serialize, OutOfRangePlainOperandsAreRejected)
+{
+    // Unoptimized IR keeps the plain stack ops: a copy, an add, a load, a
+    // store, a select, a call of each kind, global accesses and a
+    // jump_table. The executors index the frame with their cells (the JIT
+    // as [r15 + 8 * cell]), call into the callee's frame at the argument
+    // base and dispatch through the table pool, so each field pushed one
+    // past its range must be refused.
+    wasm::ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    uint32_t t = mb.addType({ValType::i32}, {ValType::i32});
+    uint32_t host = mb.addImport("env", "h", t);
+    uint32_t g = mb.addGlobal(ValType::i32, true, Instr::constI32(0));
+    mb.addTable(1, 1);
+    auto& callee = mb.addFunction(t);
+    callee.localGet(0);
+    uint32_t callee_idx = callee.finish();
+    mb.addElem(0, {callee_idx});
+    auto& f = mb.addFunction(t);
+    uint32_t tmp = f.addLocal(ValType::i32);
+    f.localGet(0);
+    f.localSet(tmp);
+    f.localGet(tmp);
+    f.localGet(0);
+    f.emit(Op::i32_add);
+    f.memOp(Op::i32_load, 4);
+    f.localSet(tmp);
+    f.localGet(0);
+    f.localGet(tmp);
+    f.memOp(Op::i32_store, 8);
+    f.localGet(tmp);
+    f.localGet(0);
+    f.localGet(0);
+    f.select();
+    f.call(callee_idx);
+    f.call(host);
+    f.i32Const(0);
+    f.callIndirect(t);
+    f.globalSet(g);
+    auto outer = f.block();
+    auto inner = f.block();
+    f.globalGet(g);
+    f.brTable({inner}, outer);
+    f.end();
+    f.end();
+    f.localGet(tmp);
+    mb.exportFunc("run", f.finish());
+    EngineConfig config;
+    config.kind = EngineKind::interp_threaded;
+    config.optimizeLoweredIR = false;
+    auto compiled =
+        Engine(config).compileBytes(wasm::encodeModule(mb.build()));
+    ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+    const std::vector<uint8_t> blob =
+        rt::serializeCompiledModule(*compiled.value());
+    const wasm::LoweredModule& lowered = compiled.value()->lowered();
+    const wasm::LoweredFunc& func = lowered.funcs[1];
+    const auto* code = reinterpret_cast<const uint8_t*>(func.code.data());
+    const size_t code_bytes = func.code.size() * sizeof(wasm::LInst);
+    auto at = std::search(blob.begin(), blob.end(), code, code + code_bytes);
+    ASSERT_NE(at, blob.end());
+    const size_t base = size_t(at - blob.begin());
+    ASSERT_FALSE(func.tablePool.empty());
+    const auto* pool = reinterpret_cast<const uint8_t*>(func.tablePool.data());
+    auto pool_at = std::search(at + code_bytes, blob.end(), pool,
+                               pool + func.tablePool.size() * 4);
+    ASSERT_NE(pool_at, blob.end());
+
+    auto op = [](uint16_t want) {
+        return [want](const wasm::LInst& inst) { return inst.op == want; };
+    };
+    auto wasm_op = [&](Op want) { return op(uint16_t(want)); };
+    auto lop = [&](wasm::LOp want) { return op(uint16_t(want)); };
+    const uint64_t cells = func.numCells;
+    struct Corruption
+    {
+        const char* what;
+        std::function<bool(const wasm::LInst&)> match;
+        size_t offset;
+        size_t width;
+        uint64_t value;
+    };
+    const size_t kA = offsetof(wasm::LInst, a);
+    const size_t kB = offsetof(wasm::LInst, b);
+    const size_t kAux = offsetof(wasm::LInst, aux);
+    const Corruption corruptions[] = {
+        {"copy src", lop(wasm::LOp::copy), kA, 4, cells},
+        {"copy dst", lop(wasm::LOp::copy), kB, 4, cells},
+        {"add lhs/result", wasm_op(Op::i32_add), kA, 4, cells},
+        {"add rhs", wasm_op(Op::i32_add), kB, 4, cells},
+        {"load address", wasm_op(Op::i32_load), kA, 4, cells},
+        {"store address", wasm_op(Op::i32_store), kA, 4, cells},
+        {"store value", wasm_op(Op::i32_store), kB, 4, cells},
+        {"select third cell", wasm_op(Op::select), kA, 4, cells - 2},
+        {"global index", wasm_op(Op::global_get), kB, 4,
+         lowered.module.globals.size()},
+        {"jump_table case count", lop(wasm::LOp::jump_table), kAux, 2,
+         func.tablePool.size()},
+        {"jump_table pool base", lop(wasm::LOp::jump_table), kA, 4,
+         func.tablePool.size()},
+        {"jump_table index cell", lop(wasm::LOp::jump_table), kB, 4, cells},
+        {"callf arg base", lop(wasm::LOp::callf), kB, 4, cells},
+        {"callf callee", lop(wasm::LOp::callf), kA, 4,
+         lowered.module.numTotalFuncs()},
+        {"call_host arg base", lop(wasm::LOp::call_host), kB, 4, cells},
+        {"calli table-index cell", lop(wasm::LOp::calli), kB, 4, cells},
+        {"calli type", lop(wasm::LOp::calli), kA, 4,
+         lowered.module.types.size()},
+    };
+    for (const Corruption& c : corruptions) {
+        SCOPED_TRACE(c.what);
+        size_t k = 0;
+        while (k < func.code.size() && !c.match(func.code[k]))
+            k++;
+        ASSERT_LT(k, func.code.size()) << "no instruction to corrupt";
+        std::vector<uint8_t> bad = blob;
+        std::memcpy(&bad[base + k * sizeof(wasm::LInst) + c.offset], &c.value,
+                    c.width);
+        auto reloaded = rt::deserializeCompiledModule(bad.data(), bad.size());
+        ASSERT_FALSE(reloaded.isOk());
+        EXPECT_EQ(reloaded.status().code(), StatusCode::invalid_argument);
+    }
+    {
+        SCOPED_TRACE("jump_table pool entry");
+        std::vector<uint8_t> bad = blob;
+        uint32_t past_code = uint32_t(func.code.size());
+        std::memcpy(&bad[size_t(pool_at - blob.begin())], &past_code, 4);
+        auto reloaded = rt::deserializeCompiledModule(bad.data(), bad.size());
+        ASSERT_FALSE(reloaded.isOk());
+        EXPECT_EQ(reloaded.status().code(), StatusCode::invalid_argument);
+    }
+    EXPECT_TRUE(rt::deserializeCompiledModule(blob.data(), blob.size()).isOk());
+}
+
 // ---------------------------------------------------------------------
 // The EngineConfig field table: serialization, cache key, env overrides
 // ---------------------------------------------------------------------
