@@ -120,8 +120,7 @@ BENCHMARK(BM_JitOptLoadStore)
  * The gemm beta-scale phase (PolyBench) as a standalone loop kernel:
  * C[i] *= beta over one f64 row — a read-modify-write loop whose load
  * and store hit the same address through different cells. Exercises the
- * opt pass's value-numbered check elision (the per-cell dataflow alone
- * cannot carry the load's check to the store).
+ * opt pass's value-numbered check elision.
  */
 wasm::Module
 rmwScaleModule(int count)
@@ -212,7 +211,6 @@ BM_OptCheckElim(benchmark::State& state)
         benchmark::DoNotOptimize(out.results);
     }
     state.counters["checks_emitted"] = double(emitted_delta);
-    state.counters["checks_hoisted"] = double(opt_stats.checksHoisted);
     state.counters["checks_elided"] = double(opt_stats.checksElided);
     state.SetLabel(optimize ? "opt-pass on" : "opt-pass off");
 }
@@ -338,98 +336,6 @@ BM_EpochChecks(benchmark::State& state)
     state.SetLabel(epoch ? "epoch checks on" : "epoch checks off");
 }
 BENCHMARK(BM_EpochChecks)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
-/** Caller loop re-touching mem[64] around a call into a grow-free leaf:
- * the second check survives the call only with summaries on. */
-wasm::Module
-ipoLoopModule(int count)
-{
-    wasm::ModuleBuilder mb;
-    mb.addMemory(1, 1);
-    uint32_t leaf_t = mb.addType({ValType::i32}, {ValType::i32});
-    auto& leaf = mb.addFunction(leaf_t);
-    leaf.localGet(0);
-    leaf.memOp(Op::i32_load, 0);
-    uint32_t leaf_idx = leaf.finish();
-
-    uint32_t t = mb.addType({}, {ValType::i32});
-    auto& f = mb.addFunction(t);
-    uint32_t i = f.addLocal(ValType::i32);
-    uint32_t sum = f.addLocal(ValType::i32);
-    uint32_t addr = f.addLocal(ValType::i32);
-    // addr = memory_size*0 + 64: the value is 64, but the expression is
-    // opaque to value numbering, so the second in-loop check can only be
-    // elided by proving the local's NAME survives the call — exactly
-    // what the grow-free summary licenses.
-    f.memorySize();
-    f.i32Const(0);
-    f.emit(Op::i32_mul);
-    f.i32Const(64);
-    f.emit(Op::i32_add);
-    f.localSet(addr);
-    auto head = f.loop();
-    f.localGet(sum);
-    f.localGet(addr);
-    f.memOp(Op::i32_load, 0);
-    f.emit(Op::i32_add);
-    f.i32Const(128);
-    f.call(leaf_idx);
-    f.emit(Op::i32_add);
-    f.localGet(addr);
-    f.memOp(Op::i32_load, 0); // elidable across the call with IPO on
-    f.emit(Op::i32_add);
-    f.localSet(sum);
-    f.localGet(i);
-    f.i32Const(1);
-    f.emit(Op::i32_add);
-    f.localTee(i);
-    f.i32Const(count);
-    f.emit(Op::i32_lt_u);
-    f.brIf(head);
-    f.end(); // loop
-    f.localGet(sum);
-    mb.exportFunc("run", f.finish());
-    return mb.build();
-}
-
-/**
- * Interprocedural-summary ablation, jit-opt x trap: arg 0 = summaries
- * off, arg 1 = on. Versioning is pinned off (the call in the body blocks
- * it anyway) so checks_retired_per_call isolates what the summaries
- * recover across the call.
- */
-void
-BM_IpoElision(benchmark::State& state)
-{
-    bool ipo = state.range(0) != 0;
-    constexpr int kCount = 1 << 13;
-    rt::EngineConfig config;
-    config.kind = EngineKind::jit_opt;
-    config.strategy = BoundsStrategy::trap;
-    config.optVersioning = false;
-    config.optIpoSummaries = ipo;
-    config.optIpoStats = true; // attribute checks_elided_ipo (diag run)
-    config.countRetiredChecks = true;
-    wasm::OptStats opt_stats;
-    auto inst = makeInstanceCfg(config, ipoLoopModule(kCount), &opt_stats);
-    if (!inst) {
-        state.SkipWithError("instance creation failed");
-        return;
-    }
-    for (auto _ : state) {
-        rt::CallOutcome out = inst->callExport("run", {});
-        benchmark::DoNotOptimize(out.results);
-    }
-    state.counters["checks_elided_ipo"] =
-        double(opt_stats.checksElidedIpo);
-    state.counters["checks_retired_per_call"] =
-        state.iterations() > 0
-            ? double(inst->checksRetired()) / double(state.iterations())
-            : 0.0;
-    state.SetItemsProcessed(int64_t(state.iterations()) * kCount);
-    state.SetLabel(ipo ? "ipo summaries on" : "ipo summaries off");
-}
-BENCHMARK(BM_IpoElision)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /**
  * Register-form ablation on the threaded interpreter: the retired

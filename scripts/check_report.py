@@ -78,8 +78,8 @@ def check_metrics(report_dir):
     if not isinstance(counters, dict):
         fail("metrics dump has no counters object")
     # BM_MemoryGrow + BM_InstanceChurn must have driven all of these,
-    # and the BM_LoopVersioning / BM_IpoElision ablations the opt.*
-    # check-elimination counters.
+    # and the BM_LoopVersioning ablation the opt.* check-elimination
+    # counter.
     required = [
         "mem.memories_created",
         "mem.mmap_calls",
@@ -88,7 +88,6 @@ def check_metrics(report_dir):
         "rt.instances_created",
         "jit.modules_compiled",
         "opt.loops_versioned",
-        "opt.checks_elided_ipo",
     ]
     for name in required:
         value = counters.get(name)
@@ -762,7 +761,7 @@ def main():
         cmd = [
             micro_bounds,
             "--benchmark_filter=BM_MemoryGrow|BM_InstanceChurn"
-            "|BM_LoopVersioning|BM_IpoElision",
+            "|BM_LoopVersioning",
             "--benchmark_min_time=0.01",
         ]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)

@@ -145,7 +145,7 @@ struct InstanceContext
     /**
      * Dynamically retired bounds checks (trap/clamp strategies): every
      * software range compare actually executed, whether inline in a
-     * memory access, a hoisted check_bounds, or a versioning guard term.
+     * memory access or a versioning guard term.
      * Interpreters always count; the JIT emits increments only under
      * EngineConfig.countRetiredChecks (the ablation knob) since the
      * read-modify-write would pollute steady-state measurements.

@@ -900,32 +900,6 @@ LNB_SEM(global_set, ctx->globals[inst.b] = f[inst.a];)
 #undef LNB_SEM
 
 // ---------------------------------------------------------------------
-// Pseudo-ops emitted by the optimization pass (wasm/opt.*)
-// ---------------------------------------------------------------------
-
-/**
- * Hoisted bounds check. Only the trap executor acts on it; raw and
- * clamp executors never trap on bounds, so for them it is a no-op (the
- * pass only inserts it under the trap strategy anyway).
- */
-template <CheckMode M>
-inline void
-semCheckBounds(InstanceContext* ctx, Value* f, const LInst& inst)
-{
-    if constexpr (M == CheckMode::trap) {
-        uint64_t limit =
-            inst.aux == 0 ? uint64_t(f[inst.a].i32) + inst.imm : inst.imm;
-        ctx->checksRetired++;
-        if (limit > ctx->memSize)
-            trap(TrapKind::out_of_bounds_memory);
-    } else {
-        (void)ctx;
-        (void)f;
-        (void)inst;
-    }
-}
-
-// ---------------------------------------------------------------------
 // Register forms (wasm::IrForm), emitted by the register-form rewrite
 // ---------------------------------------------------------------------
 

@@ -116,10 +116,6 @@ runSwitch(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
           case uint16_t(LOp::trap):
             mem::TrapManager::raiseTrap(TrapKind(inst.aux));
 
-          case uint16_t(LOp::check_bounds):
-            sem::semCheckBounds<M>(ctx, frame, inst);
-            break;
-
           case uint16_t(LOp::count_fallback):
             ctx->guardFallbacks++;
             break;

@@ -38,7 +38,7 @@ runThreaded(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
 #undef V
         &&L_jump,      &&L_jump_if, &&L_jump_if_zero, &&L_jump_table,
         &&L_copy,      &&L_ret,     &&L_callf,        &&L_call_host,
-        &&L_calli,     &&L_trap,    &&L_check_bounds, &&L_count_fallback,
+        &&L_calli,     &&L_trap,    &&L_count_fallback,
         // Register forms, form-major (wasm::formOp); a (form, op) pair
         // the rewrite never emits goes to the no-handler trap.
 #define FORM_LABEL(form, id)                                                 \
@@ -147,10 +147,6 @@ L_calli: {
 
 L_trap:
     mem::TrapManager::raiseTrap(TrapKind(inst->aux));
-
-L_check_bounds:
-    sem::semCheckBounds<M>(ctx, frame, *inst);
-    NEXT();
 
     // Register forms: one handler per (form, wasm op), each inlining the
     // op's semantic function. Labels without a form are never in the

@@ -1031,32 +1031,6 @@ FunctionCompiler::emitInstr(const LInst& inst)
         as_.jmp(trapLabel(TrapKind(inst.aux)));
         return;
 
-      case LOp::check_bounds: {
-        // Hoisted check emitted by the opt pass (trap strategy only; for
-        // other strategies it is dead weight the pass never inserts).
-        if (opts_.strategy != BoundsStrategy::trap)
-            return;
-        if (checkSkipped()) {
-            jitMetrics().boundsChecksElided.add();
-            return;
-        }
-        jitMetrics().boundsChecksEmitted.add();
-        emitCountRetired();
-        uint32_t check_begin = uint32_t(as_.size());
-        if (inst.aux == 0) {
-            loadGpr32(rax, inst.a);
-            addOffset(rax, inst.imm);
-        } else if (inst.imm <= UINT32_MAX) {
-            as_.movRI32(rax, uint32_t(inst.imm));
-        } else {
-            as_.movRI64(rax, inst.imm);
-        }
-        as_.cmpRM64(rax, CTX_FIELD(memSize));
-        as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
-        recordCheckRange(check_begin);
-        return;
-      }
-
       case LOp::count_fallback:
         // Versioned-loop guard failure: bump the fallback counter. A
         // plain mov/lea/mov so no live register or flag is disturbed.

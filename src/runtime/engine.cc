@@ -245,20 +245,18 @@ Engine::compile(wasm::Module module) const
     if (config.optimizeLoweredIR) {
         // Every executor runs the register-form rewrite, last. The
         // optimizing JIT under the trap strategy first gets check
-        // analysis + hoisting (guard-page and clamp codegen has nothing
-        // to elide — clamp must still redirect); the rewrite carries the
-        // skip list along. Tiered modules share one IR between both
-        // tiers; the interpreter executes hoisted check_bounds soundly.
+        // analysis + versioning (guard-page and clamp codegen has
+        // nothing to elide — clamp must still redirect); the rewrite
+        // carries the skip list along. Tiered modules share one IR
+        // between both tiers; the interpreter runs the versioned clones
+        // and guards like any other code.
         wasm::OptOptions opt;
         bool top_is_opt_jit =
             tiered || config.kind == EngineKind::jit_opt;
         opt.analyzeChecks = top_is_opt_jit &&
                             config.strategy == mem::BoundsStrategy::trap;
-        opt.hoistChecks = opt.analyzeChecks;
         opt.versionLoops =
             opt.analyzeChecks && config.optVersioning && grow_free;
-        opt.ipoSummaries = opt.analyzeChecks && config.optIpoSummaries;
-        opt.ipoStats = opt.ipoSummaries && config.optIpoStats;
         LNB_TRACE_SCOPE("rt.opt");
         ScopedTimer timer(cm->stats_.optSeconds);
         cm->optStats_ = wasm::optimizeLoweredModule(cm->lowered_, opt);

@@ -85,8 +85,9 @@ engineIsJit(EngineKind kind)
     V(uint32_t,            maxCallDepth,       8192,      nullptr, 0, 0)      \
     /* Run the lowered-IR optimization pass (wasm/opt.*) between lowering     \
        and execution: the register-form rewrite for every executor, after     \
-       cross-block/loop bounds-check elimination for jit_opt under the trap   \
-       strategy. Ablation knob; LNB_OPT_DISABLED (flag) clears it. */         \
+       bounds-check elimination (value numbering, loop versioning) for        \
+       jit_opt under the trap strategy. Ablation knob; LNB_OPT_DISABLED       \
+       (flag) clears it. */                                                   \
     V(bool,                optimizeLoweredIR,  true,      nullptr, 0, 0)      \
     /* Affine loop versioning (wasm/opt.*): clone counted loops with in-loop  \
        bounds checks behind a preheader range guard so the fast path runs     \
@@ -94,16 +95,6 @@ engineIsJit(EngineKind kind)
        tiered, trap strategy, optimizeLoweredIR on). */                       \
     V(bool,                optVersioning,      true,                          \
       "LNB_OPT_VERSIONING", 0, 1)                                             \
-    /* Interprocedural check summaries (wasm/opt.*): bottom-up grow-free and  \
-       entry-checked-limit facts let bounds-check elision survive calls.      \
-       Same gating as optVersioning. */                                       \
-    V(bool,                optIpoSummaries,    true,      "LNB_OPT_IPO", 0, 1)\
-    /* Attribute the IPO contribution to check elision                        \
-       (opt.checks_elided_ipo) by re-running the check analysis with the old  \
-       clear-at-call semantics. Diagnostics only -- emitted code is identical \
-       -- and roughly doubles check-analysis compile time. */                 \
-    V(bool,                optIpoStats,        false,                         \
-      "LNB_OPT_IPO_STATS", 0, 1)                                              \
     /* Count dynamically retired software bounds checks in JIT code           \
        (InstanceContext::checksRetired; the interpreters always count).       \
        Measurement only: the increments pollute steady-state timings. */      \

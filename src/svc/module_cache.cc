@@ -66,8 +66,11 @@ static_assert(sizeof(CacheFileHeader) == 48);
 constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
 /** Bumped whenever the artifact's bytes change meaning: 5 = shortest
  * x86 encodings and InstanceContext's hot prefix (JIT code bytes and the
- * context offsets baked into them). */
-constexpr uint32_t kCacheFormatVersion = 5;
+ * context offsets baked into them); 6 = the hoisted-check pseudo-op left
+ * the lowered IR (count_fallback and every register-form opcode moved
+ * down by one) and the two interprocedural-summary rows left the
+ * serialized EngineConfig. */
+constexpr uint32_t kCacheFormatVersion = 6;
 
 uint64_t
 cacheBuildId()

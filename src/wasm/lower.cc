@@ -678,7 +678,6 @@ lopName(uint16_t op)
       case LOp::call_host: return "call.host";
       case LOp::calli: return "call.i";
       case LOp::trap: return "trap";
-      case LOp::check_bounds: return "check.bounds";
       case LOp::count_fallback: return "count.fallback";
       default: return "?";
     }

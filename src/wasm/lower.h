@@ -43,13 +43,6 @@ enum class LOp : uint16_t {
     trap,       ///< aux = TrapKind
     // ----- emitted only by the optimization pass (wasm/opt.*) -----
     /**
-     * Hoisted bounds check (trap strategy only). aux == 0: trap if
-     * f[a].i32 + imm > memSize. aux == 1: trap if imm > memSize (the
-     * whole limit folded to a constant). Raw/clamp executors treat it
-     * as a no-op; the pass only inserts it for the trap strategy.
-     */
-    check_bounds,
-    /**
      * First instruction of the slow-path clone a versioned loop falls
      * back to when its preheader guard fails: bumps the instance's
      * guard-fallback counter (surfaced as opt.guard_fallbacks). No
@@ -161,17 +154,16 @@ struct LInst
 
 /**
  * Does @p inst carry a software bounds check: a load (plain or in its r
- * form), a store, or a check_bounds? The only instructions an
- * elidableCheckPcs entry may name.
+ * form) or a store? The only instructions an elidableCheckPcs entry may
+ * name.
  */
 constexpr bool
 carriesBoundsCheck(const LInst& inst)
 {
     if (inst.isWasmOp())
         return isLoadOp(inst.wasmOp()) || isStoreOp(inst.wasmOp());
-    if (isFormOp(inst.op))
-        return formOf(inst.op) == IrForm::r && isLoadOp(formWasmOp(inst.op));
-    return inst.lop() == LOp::check_bounds;
+    return isFormOp(inst.op) && formOf(inst.op) == IrForm::r &&
+           isLoadOp(formWasmOp(inst.op));
 }
 
 /** Executable form of one defined function. */
@@ -194,14 +186,12 @@ struct LoweredFunc
 
     /**
      * Published by the optimization pass (wasm/opt.*), trap strategy
-     * only: the complete, sorted list of pcs of loads, stores and
-     * check_bounds whose check an executor may skip. A check is listed
-     * when an equal-or-stronger check of the same address has passed on
-     * every path to it (value numbering within a block, the
-     * available-checks dataflow across blocks and calls), or when a
-     * hoisted check_bounds or a versioned loop's guard covers it. The JIT
-     * skips exactly these checks under `trap` and keeps no check state of
-     * its own.
+     * only: the complete, sorted list of pcs of loads and stores whose
+     * check an executor may skip. A check is listed when an
+     * equal-or-stronger check of the same address value passed earlier
+     * in its block (value numbering), or when a versioned loop's guard
+     * covers it. The JIT skips exactly these checks under `trap` and
+     * keeps no check state of its own.
      */
     std::vector<uint32_t> elidableCheckPcs;
 };

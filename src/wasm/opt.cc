@@ -1,7 +1,7 @@
 /**
  * @file
- * Lowered-IR optimization pass: CFG/dominator/loop discovery, redundant
- * bounds-check analysis, loop-invariant check hoisting, and the
+ * Lowered-IR optimization pass: CFG/dominator/loop discovery, affine
+ * loop versioning, per-block value numbering of bounds checks, and the
  * register-form rewrite every executor runs. See opt.h for the soundness
  * arguments.
  */
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstring>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -24,22 +23,18 @@ namespace {
 
 struct OptCounters
 {
-    obs::Counter hoisted;
     obs::Counter elided;
     obs::Counter fused;
     obs::Counter versioned;
-    obs::Counter elidedIpo;
 };
 
 OptCounters&
 optCounters()
 {
     static OptCounters counters{
-        obs::registerCounter("opt.checks_hoisted"),
-        obs::registerCounter("opt.checks_elided_crossblock"),
+        obs::registerCounter("opt.checks_elided_vn"),
         obs::registerCounter("opt.insts_fused"),
         obs::registerCounter("opt.loops_versioned"),
-        obs::registerCounter("opt.checks_elided_ipo"),
     };
     return counters;
 }
@@ -47,15 +42,6 @@ optCounters()
 // ---------------------------------------------------------------------
 // Instruction classification
 // ---------------------------------------------------------------------
-
-bool
-isCallLop(const LInst& inst)
-{
-    if (inst.isWasmOp())
-        return false;
-    LOp lop = inst.lop();
-    return lop == LOp::callf || lop == LOp::call_host || lop == LOp::calli;
-}
 
 /** A conditional or unconditional transfer of control ends a block. */
 bool
@@ -78,7 +64,7 @@ isTerminator(const LInst& inst)
 
 /**
  * Which frame cell @p inst writes, if exactly one. Calls are excluded:
- * the analyses treat them as clobber-everything barriers.
+ * each analysis handles them itself.
  */
 bool
 writesCell(const LInst& inst, uint32_t& cell)
@@ -385,9 +371,9 @@ remapFacts(LoweredFunc& func, const std::vector<uint32_t>& new_pc)
 
 /**
  * Insert instructions before given pcs. A jump targeting an insertion
- * point lands after the inserted instruction (back edges re-enter the
- * loop body, not the hoisted preheader check); fallthrough entry
- * executes it.
+ * point lands after the inserted instructions (back edges re-enter the
+ * loop body, not a versioned loop's preheader guard); fallthrough entry
+ * executes them.
  */
 void
 applyInsertions(LoweredFunc& func,
@@ -418,246 +404,6 @@ applyInsertions(LoweredFunc& func,
     func.code = std::move(out);
     remapJumps(func, new_pc);
     remapFacts(func, new_pc);
-}
-
-// ---------------------------------------------------------------------
-// Loop-invariant check hoisting (trap strategy only)
-// ---------------------------------------------------------------------
-
-/**
- * May @p inst run before a hoisted check without changing observable
- * behavior when the check traps? Loads are allowed: they either succeed
- * without side effects or raise the same out-of-bounds trap kind the
- * hoisted check raises. Instructions with side effects or with other
- * trap kinds (division, checked truncation) are not.
- */
-bool
-isHoistSafePrefix(const LInst& inst)
-{
-    if (!inst.isWasmOp())
-        return inst.lop() == LOp::copy || inst.lop() == LOp::check_bounds;
-    Op op = inst.wasmOp();
-    if (isAtomicOp(op))
-        return false; // synchronization points: writes, waits, wakes
-    if (isStoreOp(op))
-        return false;
-    if (isLoadOp(op))
-        return true;
-    switch (op) {
-      case Op::global_set:
-      case Op::memory_grow:
-      case Op::memory_copy:
-      case Op::memory_fill:
-      case Op::i32_div_s:
-      case Op::i32_div_u:
-      case Op::i32_rem_s:
-      case Op::i32_rem_u:
-      case Op::i64_div_s:
-      case Op::i64_div_u:
-      case Op::i64_rem_s:
-      case Op::i64_rem_u:
-      case Op::i32_trunc_f32_s:
-      case Op::i32_trunc_f32_u:
-      case Op::i32_trunc_f64_s:
-      case Op::i32_trunc_f64_u:
-      case Op::i64_trunc_f32_s:
-      case Op::i64_trunc_f32_u:
-      case Op::i64_trunc_f64_s:
-      case Op::i64_trunc_f64_u:
-        return false;
-      case Op::select:
-      case Op::global_get:
-        return true;
-      default:
-        return opInfo(op).sig[0] != '*';
-    }
-}
-
-bool
-loopClobbersCell(const LoweredFunc& func, const Cfg& cfg, const Loop& loop,
-                 uint32_t cell)
-{
-    for (uint32_t b = 0; b < cfg.blocks.size(); b++) {
-        if (!loop.body[b])
-            continue;
-        for (uint32_t pc = cfg.blocks[b].begin; pc < cfg.blocks[b].end;
-             pc++) {
-            const LInst& inst = func.code[pc];
-            if (isCallLop(inst))
-                return true; // calls clobber the argument area
-            uint32_t written;
-            if (writesCell(inst, written) && written == cell)
-                return true;
-        }
-    }
-    return false;
-}
-
-/** True if block @p p ends with a jump whose target is pc @p h. */
-bool
-blockJumpsTo(const LoweredFunc& func, const Block& p, uint32_t h)
-{
-    const LInst& last = func.code[p.end - 1];
-    if (last.isWasmOp())
-        return false;
-    switch (last.lop()) {
-      case LOp::jump:
-      case LOp::jump_if:
-      case LOp::jump_if_zero:
-        return last.a == h;
-      case LOp::jump_table:
-        for (uint32_t i = 0; i <= last.aux; i++) {
-            if (func.tablePool[last.a + i] == h)
-                return true;
-        }
-        return false;
-      default:
-        return false;
-    }
-}
-
-struct HoistResult
-{
-    std::vector<std::pair<uint32_t, LInst>> inserts;
-    std::vector<uint32_t> elidePcs;
-    uint64_t hoisted = 0;
-};
-
-/** @p skip (optional, pc-indexed) marks accesses whose check is already
- * elidable (e.g. on a versioned fast path); hoisting leaves them alone
- * rather than inserting a redundant preheader check. */
-HoistResult
-planHoists(const LoweredFunc& func, const Cfg& cfg,
-           const std::vector<uint8_t>* skip = nullptr)
-{
-    HoistResult result;
-    std::vector<Loop> loops = findNaturalLoops(cfg);
-    for (const Loop& loop : loops) {
-        const Block& header = cfg.blocks[loop.header];
-        uint32_t h = header.begin;
-        // Preheader entry must be fallthrough-only: every jump into the
-        // header pc has to be a back edge from inside the loop, or the
-        // hoisted check could be bypassed / run on a non-entry path.
-        bool eligible = true;
-        for (uint32_t p : header.preds) {
-            if (!loop.body[p] && blockJumpsTo(func, cfg.blocks[p], h)) {
-                eligible = false;
-                break;
-            }
-        }
-        if (!eligible)
-            continue;
-
-        // Walk the header block. Every instruction up to an access
-        // provably executes each iteration; stop at the first
-        // instruction that could have observable effects before a trap.
-        struct Def
-        {
-            enum Kind { copy, constant, other } kind = other;
-            uint32_t src = 0;
-            uint64_t val = 0;
-            /** PC of the defining instruction; chain resolution only
-             * follows defs strictly older than the point being
-             * resolved, which also guarantees termination on cyclic
-             * copy chains (swap patterns). */
-            uint32_t pc = 0;
-        };
-        std::unordered_map<uint32_t, Def> defs;
-        // Per-loop merged checks: cell-relative (cell -> max limit) and
-        // one constant absolute limit.
-        std::map<uint32_t, uint64_t> cellChecks;
-        bool haveConstCheck = false;
-        uint64_t constLimit = 0;
-        for (uint32_t pc = header.begin; pc < header.end; pc++) {
-            const LInst& inst = func.code[pc];
-            if (inst.isWasmOp() && (!skip || !(*skip)[pc]) &&
-                (isLoadOp(inst.wasmOp()) || isStoreOp(inst.wasmOp()))) {
-                Op op = inst.wasmOp();
-                uint64_t limit = inst.imm + memAccessSize(op);
-                // Resolve the address cell through in-block copies. The
-                // map holds each cell's LATEST in-block def, so a copy
-                // may only be followed to a source def recorded before
-                // the copy itself: a later redefinition of the source
-                // (swap patterns) means the value the copy read is gone.
-                // as_of strictly decreases, so the walk terminates even
-                // on cyclic copy chains.
-                uint32_t cur = inst.a;
-                uint32_t as_of = pc;
-                const Def* def;
-                bool is_const = false;
-                uint64_t const_val = 0;
-                for (;;) {
-                    auto it = defs.find(cur);
-                    if (it == defs.end())
-                        break; // live-in to the header: stable name
-                    def = &it->second;
-                    if (def->pc >= as_of) {
-                        cur = UINT32_MAX; // redefined since; unknown
-                        break;
-                    }
-                    if (def->kind == Def::copy) {
-                        as_of = def->pc;
-                        cur = def->src;
-                        continue;
-                    }
-                    if (def->kind == Def::constant) {
-                        is_const = true;
-                        const_val = def->val;
-                    } else {
-                        cur = UINT32_MAX;
-                    }
-                    break;
-                }
-                if (is_const) {
-                    constLimit = std::max(
-                        constLimit, uint64_t(uint32_t(const_val)) + limit);
-                    haveConstCheck = true;
-                    result.elidePcs.push_back(pc);
-                    result.hoisted++;
-                } else if (cur != UINT32_MAX &&
-                           !loopClobbersCell(func, cfg, loop, cur)) {
-                    uint64_t& merged = cellChecks[cur];
-                    merged = std::max(merged, limit);
-                    result.elidePcs.push_back(pc);
-                    result.hoisted++;
-                }
-            }
-            if (!isHoistSafePrefix(inst))
-                break;
-            // Track in-block definitions for address provenance.
-            if (inst.isWasmOp()) {
-                Op op = inst.wasmOp();
-                if (op == Op::i32_const || op == Op::i64_const ||
-                    op == Op::f32_const || op == Op::f64_const) {
-                    defs[inst.a] = {Def::constant, 0, inst.imm, pc};
-                    continue;
-                }
-            } else if (inst.lop() == LOp::copy) {
-                defs[inst.b] = {Def::copy, inst.a, 0, pc};
-                continue;
-            }
-            uint32_t written;
-            if (writesCell(inst, written))
-                defs[written] = {Def::other, 0, 0, pc};
-        }
-
-        for (const auto& [cell, limit] : cellChecks) {
-            LInst check;
-            check.op = uint16_t(LOp::check_bounds);
-            check.aux = 0;
-            check.a = cell;
-            check.imm = limit;
-            result.inserts.emplace_back(h, check);
-        }
-        if (haveConstCheck) {
-            LInst check;
-            check.op = uint16_t(LOp::check_bounds);
-            check.aux = 1;
-            check.imm = constLimit;
-            result.inserts.emplace_back(h, check);
-        }
-    }
-    return result;
 }
 
 // ---------------------------------------------------------------------
@@ -785,6 +531,29 @@ struct LoopVersionPlan
     std::vector<uint32_t> elidePcs; ///< fast-path accesses made elidable
 };
 
+/** True if block @p p ends with a jump whose target is pc @p h. */
+bool
+blockJumpsTo(const LoweredFunc& func, const Block& p, uint32_t h)
+{
+    const LInst& last = func.code[p.end - 1];
+    if (last.isWasmOp())
+        return false;
+    switch (last.lop()) {
+      case LOp::jump:
+      case LOp::jump_if:
+      case LOp::jump_if_zero:
+        return last.a == h;
+      case LOp::jump_table:
+        for (uint32_t i = 0; i <= last.aux; i++) {
+            if (func.tablePool[last.a + i] == h)
+                return true;
+        }
+        return false;
+      default:
+        return false;
+    }
+}
+
 /**
  * Analyze one single-block loop for versioning eligibility. Returns true
  * and fills @p plan if the loop has a recognizable counted form and at
@@ -795,7 +564,8 @@ planLoopVersion(const LoweredFunc& func, const Cfg& cfg, const Loop& loop,
                 LoopVersionPlan& plan)
 {
     // Exactly one block in the body, and a fallthrough-only entry (every
-    // jump to the header pc must be the back edge), mirroring hoisting.
+    // jump to the header pc must be the back edge), so no path into the
+    // loop bypasses the guard.
     uint32_t nbody = 0;
     for (uint8_t in : loop.body)
         nbody += in;
@@ -1038,7 +808,9 @@ struct VersionResult
 /**
  * Version every eligible loop of @p func in place: append checked slow
  * clones, insert preheader guards, and mark fast-path accesses elidable
- * (appended to func.elidableCheckPcs, remapped with the insertions).
+ * (appended to func.elidableCheckPcs, remapped with the insertions). The
+ * list stays sorted: loops come in header order and their single-block
+ * bodies do not overlap.
  */
 VersionResult
 versionLoops(LoweredFunc& func)
@@ -1141,37 +913,42 @@ versionLoops(LoweredFunc& func)
     // (back edges skip it), fallthrough entry executes it; clone-internal
     // and guard-fail targets shift with everything else.
     applyInsertions(func, std::move(inserts));
+    assert(std::is_sorted(func.elidableCheckPcs.begin(),
+                          func.elidableCheckPcs.end()));
     return result;
 }
 
 // ---------------------------------------------------------------------
-// Redundant-check analysis (value numbering + forward dataflow)
+// Redundant-check analysis (per-block value numbering)
 // ---------------------------------------------------------------------
 
 constexpr uint32_t kNoVn = 0;
 
 /**
- * Per-block value numbering of cell contents; marks accesses whose
- * check is covered by an earlier check of the same address value.
- * Under @p ipo, callf only forgets cell names at and above its
- * argument base (inst.b): frames overlap, so a wasm callee cannot
- * write caller cells below it. calli stays fully conservative — its
- * inst.b is the table-index cell, not the arg base, so the real base
- * (inst.b - nargs, which needs the callee type) is unknown here — as
- * do host calls.
+ * Per-block value numbering of cell contents; marks in @p hinted every
+ * access whose check is covered by an earlier check of the same address
+ * value in the same block, and returns how many it newly marked. A callf
+ * only forgets cell names at and above its argument base (inst.b):
+ * frames overlap, so a wasm callee cannot write caller cells below it.
+ * calli forgets every name — its inst.b is the table-index cell, not the
+ * arg base, so the real base (inst.b - nargs, which needs the callee
+ * type) is unknown here — as do host calls.
  */
 uint64_t
-markVnElidableChecks(const LoweredFunc& func, const Cfg& cfg,
-                     std::vector<uint8_t>& hinted, bool ipo)
+markVnElidableChecks(const LoweredFunc& func, std::vector<uint8_t>& hinted)
 {
+    std::vector<uint8_t> jump_target;
+    std::vector<uint32_t> begins, block_of;
+    collectJumpTargets(func, jump_target);
+    findBlocks(func, jump_target, begins, block_of);
     uint64_t marked = 0;
     std::vector<uint32_t> cellVn(func.numCells, kNoVn);
-    for (const Block& block : cfg.blocks) {
+    for (size_t b = 0; b + 1 < begins.size(); b++) {
         std::fill(cellVn.begin(), cellVn.end(), kNoVn);
         uint32_t next = 1;
         std::map<std::array<uint64_t, 3>, uint32_t> exprs;
         // Passed checks stay valid for a value forever (memories never
-        // shrink), so availability is never killed within the block.
+        // shrink), so within the block only an atomic kills availability.
         std::unordered_map<uint32_t, uint64_t> avail; // vn -> limit
         auto vnOf = [&](uint32_t cell) {
             if (cellVn[cell] == kNoVn)
@@ -1184,31 +961,20 @@ markVnElidableChecks(const LoweredFunc& func, const Cfg& cfg,
                 next++;
             return it->second;
         };
-        for (uint32_t pc = block.begin; pc < block.end; pc++) {
+        for (uint32_t pc = begins[b]; pc < begins[b + 1]; pc++) {
             const LInst& inst = func.code[pc];
             if (!inst.isWasmOp()) {
                 switch (inst.lop()) {
                   case LOp::copy:
                     cellVn[inst.b] = vnOf(inst.a);
                     break;
-                  case LOp::check_bounds:
-                    if (inst.aux == 0) {
-                        uint64_t& limit = avail[vnOf(inst.a)];
-                        limit = std::max(limit, inst.imm);
-                    }
-                    break;
                   case LOp::callf:
                     // Callee overlap clobbers cells from the arg base
                     // up; values already checked stay checked, so
                     // `avail` survives.
-                    if (ipo) {
-                        std::fill(cellVn.begin() + inst.b, cellVn.end(),
-                                  kNoVn);
-                        break;
-                    }
-                    [[fallthrough]];
-                  case LOp::calli: // inst.b is the table index, not the
-                                   // arg base: forget every cell name
+                    std::fill(cellVn.begin() + inst.b, cellVn.end(), kNoVn);
+                    break;
+                  case LOp::calli:
                   case LOp::call_host:
                     std::fill(cellVn.begin(), cellVn.end(), kNoVn);
                     break;
@@ -1287,487 +1053,6 @@ markVnElidableChecks(const LoweredFunc& func, const Cfg& cfg,
     return marked;
 }
 
-using Facts = std::map<uint32_t, uint64_t>; // address cell -> checked limit
-
-/**
- * Pseudo-cell carrying a *constant* check fact, "memSize >= limit", with
- * no address cell involved (from a check_bounds aux == 1 or a callee
- * summary). Never a real cell index: frames are far smaller than 2^32
- * cells.
- */
-constexpr uint32_t kCheckFactConstCell = 0xFFFFFFFFu;
-
-/** Intersect @p into with @p other, keeping the smaller limit. */
-void
-meetFacts(Facts& into, const Facts& other)
-{
-    for (auto it = into.begin(); it != into.end();) {
-        auto jt = other.find(it->first);
-        if (jt == other.end()) {
-            it = into.erase(it);
-        } else {
-            it->second = std::min(it->second, jt->second);
-            ++it;
-        }
-    }
-}
-
-/** Does @p facts hold a check of at least @p limit on @p cell? */
-bool
-factCovers(const Facts& facts, uint32_t cell, uint64_t limit)
-{
-    auto it = facts.find(cell);
-    return it != facts.end() && it->second >= limit;
-}
-
-/**
- * Interprocedural summary of one defined function, computed bottom-up and
- * SCC-aware when ipoSummaries is set. Local to the pass: summaries are not
- * part of the lowered module.
- */
-struct FuncSummary
-{
-    /**
-     * The function cannot change memSize: no memory.grow, no call_indirect
-     * and no host calls (either could reach a grower), and every direct
-     * callee is itself grow-free. Members of non-trivial call-graph SCCs
-     * (including self-recursion) are conservatively not grow-free.
-     *
-     * Because caller and callee frames overlap (callee frame = caller
-     * frame + arg base), a call can only clobber caller cells >= the arg
-     * base — so a call into a grow-free callee invalidates neither
-     * memSize-dependent facts nor facts about cells below the arg base.
-     */
-    bool growFree = false;
-    /**
-     * Largest constant limit the function is guaranteed to have checked
-     * against memSize before it can return normally (max over entry-block
-     * constant-address accesses and check_bounds aux == 1). After a
-     * completed call, the caller knows memSize >= this. Sound forever:
-     * memories never shrink. 0 = nothing proven.
-     */
-    uint64_t maxConstCheckLimit = 0;
-};
-
-/** Interprocedural context threaded through the dataflow when summaries
- * are enabled; null pointers select the old intraprocedural behavior. */
-struct IpoView
-{
-    const LoweredModule* mod = nullptr;
-    const std::vector<FuncSummary>* summaries = nullptr;
-
-    const FuncSummary* summaryFor(uint32_t module_func_idx) const
-    {
-        if (!mod || !summaries)
-            return nullptr;
-        uint32_t d = module_func_idx - mod->module.numImportedFuncs();
-        return d < summaries->size() ? &(*summaries)[d] : nullptr;
-    }
-};
-
-/** Drop facts a call with argument base @p arg_base can invalidate: the
- * callee frame overlaps the caller's from arg_base up, so only cells
- * there are clobbered; the const pseudo-fact survives (memSize is
- * monotone). */
-void
-killFactsFromCall(Facts& facts, uint32_t arg_base)
-{
-    for (auto it = facts.lower_bound(arg_base); it != facts.end();) {
-        if (it->first == kCheckFactConstCell)
-            ++it;
-        else
-            it = facts.erase(it);
-    }
-}
-
-/**
- * Transfer function of the available-checks dataflow: facts are
- * generated where a check executes, and killed where the address cell
- * is rewritten or a call clobbers the frame. Accesses already marked in
- * @p hinted generate nothing (the executor skips their check). Under
- * @p ipo: facts follow values through copies, calls into grow-free
- * callees keep facts below the argument base, completed calls establish
- * the callee's constant-limit fact, and the const pseudo-fact survives
- * calls and memory.grow. When @p covered is non-null, every load, store
- * and check_bounds whose check the incoming facts already cover is
- * marked in it: those are the checks the executor may skip.
- */
-void
-applyTransfer(const LoweredFunc& func, const Block& block,
-              const std::vector<uint8_t>& hinted, const IpoView* ipo,
-              Facts& facts, std::vector<uint8_t>* covered = nullptr)
-{
-    for (uint32_t pc = block.begin; pc < block.end; pc++) {
-        const LInst& inst = func.code[pc];
-        if (!inst.isWasmOp()) {
-            switch (inst.lop()) {
-              case LOp::copy:
-                if (ipo) {
-                    auto it = facts.find(inst.a);
-                    if (it != facts.end())
-                        facts[inst.b] = it->second;
-                    else
-                        facts.erase(inst.b);
-                } else {
-                    facts.erase(inst.b);
-                }
-                break;
-              case LOp::check_bounds: {
-                uint32_t cell = inst.aux == 0 ? inst.a : kCheckFactConstCell;
-                if (covered && factCovers(facts, cell, inst.imm))
-                    (*covered)[pc] = 1;
-                if (inst.aux == 0 || ipo) {
-                    uint64_t& limit = facts[cell];
-                    limit = std::max(limit, inst.imm);
-                }
-                break;
-              }
-              case LOp::callf: {
-                const FuncSummary* s =
-                    ipo ? ipo->summaryFor(inst.a) : nullptr;
-                if (s && s->growFree)
-                    killFactsFromCall(facts, inst.b);
-                else if (ipo)
-                    killFactsFromCall(facts, 0);
-                else
-                    facts.clear();
-                if (s && s->maxConstCheckLimit > 0) {
-                    uint64_t& limit = facts[kCheckFactConstCell];
-                    limit = std::max(limit, s->maxConstCheckLimit);
-                }
-                break;
-              }
-              case LOp::calli:
-                if (ipo)
-                    killFactsFromCall(facts, 0);
-                else
-                    facts.clear();
-                break;
-              case LOp::call_host:
-                facts.clear();
-                break;
-              default:
-                break;
-            }
-            continue;
-        }
-        Op op = inst.wasmOp();
-        if (isLoadOp(op) || isStoreOp(op)) {
-            uint64_t limit = inst.imm + memAccessSize(op);
-            if (covered && factCovers(facts, inst.a, limit))
-                (*covered)[pc] = 1;
-            if (!hinted[pc]) {
-                uint64_t& cached = facts[inst.a];
-                cached = std::max(cached, limit);
-            }
-            if (isLoadOp(op))
-                facts.erase(inst.a); // the load overwrites its cell
-            continue;
-        }
-        if (isAtomicOp(op)) {
-            // Synchronization point: a grow performed by another thread
-            // becomes observable here, so no passed check (including the
-            // const pseudo-fact, whose limit was proven against a size
-            // this thread read) may be carried across it.
-            facts.clear();
-            continue;
-        }
-        if (op == Op::memory_grow) {
-            // Cell facts dropped; under IPO the const pseudo-fact
-            // survives (growing never shrinks memSize).
-            if (ipo)
-                killFactsFromCall(facts, 0);
-            else
-                facts.clear();
-            facts.erase(inst.a); // grow writes its result cell
-            continue;
-        }
-        uint32_t written;
-        if (writesCell(inst, written))
-            facts.erase(written);
-    }
-}
-
-/**
- * Forward available-checks dataflow to a fixpoint, then one replay of
- * applyTransfer per reachable block from its solved in-state that marks
- * in @p hinted every check the facts already cover. Returns how many
- * checks it newly marked. @p entry_seed (may be null) holds facts
- * proven to hold at *any* entry into the function (currently the
- * initial-memory-size const pseudo-fact — sound no matter how the
- * function is reached, including direct Instance::call invocations);
- * they join the entry block's in-state.
- */
-uint64_t
-markCoveredChecks(const LoweredFunc& func, const Cfg& cfg,
-                  std::vector<uint8_t>& hinted, const IpoView* ipo,
-                  const Facts* entry_seed)
-{
-    const size_t nb = cfg.blocks.size();
-    std::vector<Facts> in(nb), out(nb);
-    std::vector<uint8_t> computed(nb, 0);
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (uint32_t b : cfg.rpo) {
-            Facts merged;
-            bool first = true;
-            if (b == 0 && entry_seed) {
-                // Function entry contributes the interprocedural seed;
-                // back edges into pc 0 (if any) still meet below.
-                merged = *entry_seed;
-                first = false;
-            }
-            for (uint32_t p : cfg.blocks[b].preds) {
-                if (!cfg.reachable[p] || !computed[p])
-                    continue;
-                if (first) {
-                    merged = out[p];
-                    first = false;
-                } else {
-                    meetFacts(merged, out[p]);
-                }
-            }
-            if (b == 0 && !entry_seed) {
-                // Nothing is checked yet when the function is entered,
-                // whatever its back edges carry.
-                merged.clear();
-            }
-            // A block with no computed predecessor yet keeps the
-            // optimistic (empty-meet) state.
-            Facts next = merged;
-            applyTransfer(func, cfg.blocks[b], hinted, ipo, next);
-            if (!computed[b] || next != out[b] || merged != in[b]) {
-                in[b] = std::move(merged);
-                out[b] = std::move(next);
-                computed[b] = 1;
-                changed = true;
-            }
-        }
-    }
-
-    std::vector<uint8_t> covered(func.code.size(), 0);
-    for (uint32_t b : cfg.rpo)
-        applyTransfer(func, cfg.blocks[b], hinted, ipo, in[b], &covered);
-    uint64_t marked = 0;
-    for (size_t pc = 0; pc < covered.size(); pc++) {
-        if (covered[pc] && !hinted[pc]) {
-            hinted[pc] = 1;
-            marked++;
-        }
-    }
-    return marked;
-}
-
-// ---------------------------------------------------------------------
-// Interprocedural summaries (bottom-up, SCC-aware over the callf graph)
-// ---------------------------------------------------------------------
-
-/**
- * Largest constant limit the function provably checks against memSize
- * before it can return normally: constant-address accesses and
- * check_bounds instructions in the straight-line entry region (pc 0 up
- * to the first terminator) all retire — or trap, in which case the
- * caller never resumes — so "memSize >= limit" holds after any
- * completed call. Calls inside the region are scanned through (they
- * too must have returned normally) but clobber tracked defs.
- */
-uint64_t
-entryConstCheckLimit(const LoweredFunc& func)
-{
-    struct EDef
-    {
-        enum Kind { copy, constant, other } kind = other;
-        uint32_t src = 0;
-        uint64_t val = 0;
-        uint32_t pc = 0;
-    };
-    std::unordered_map<uint32_t, EDef> defs;
-    // Same strictly-decreasing as_of discipline as planHoists: a copy is
-    // only followed to a source def recorded before the copy itself.
-    auto resolveConst = [&defs](uint32_t cell, uint32_t as_of,
-                                uint64_t& val) {
-        uint32_t cur = cell;
-        for (;;) {
-            auto it = defs.find(cur);
-            if (it == defs.end())
-                return false;
-            const EDef& d = it->second;
-            if (d.pc >= as_of)
-                return false;
-            if (d.kind == EDef::copy) {
-                as_of = d.pc;
-                cur = d.src;
-                continue;
-            }
-            if (d.kind == EDef::constant) {
-                val = d.val;
-                return true;
-            }
-            return false;
-        }
-    };
-    uint64_t best = 0;
-    for (uint32_t pc = 0; pc < func.code.size(); pc++) {
-        const LInst& inst = func.code[pc];
-        if (isTerminator(inst))
-            break;
-        if (inst.isWasmOp()) {
-            Op op = inst.wasmOp();
-            if (isLoadOp(op) || isStoreOp(op)) {
-                uint64_t v;
-                if (resolveConst(inst.a, pc, v))
-                    best = std::max(best, uint64_t(uint32_t(v)) +
-                                              inst.imm + memAccessSize(op));
-                if (isLoadOp(op))
-                    defs[inst.a] = {EDef::other, 0, 0, pc};
-                continue;
-            }
-            if (op == Op::i32_const) {
-                defs[inst.a] = {EDef::constant, 0, inst.imm, pc};
-                continue;
-            }
-            uint32_t w;
-            if (writesCell(inst, w))
-                defs[w] = {EDef::other, 0, 0, pc};
-            continue;
-        }
-        switch (inst.lop()) {
-          case LOp::copy:
-            defs[inst.b] = {EDef::copy, inst.a, 0, pc};
-            continue;
-          case LOp::check_bounds: {
-            uint64_t v;
-            if (inst.aux == 1)
-                best = std::max(best, inst.imm);
-            else if (resolveConst(inst.a, pc, v))
-                best = std::max(best, uint64_t(uint32_t(v)) + inst.imm);
-            continue;
-          }
-          case LOp::callf:
-          case LOp::call_host:
-          case LOp::calli:
-            defs.clear(); // callee may clobber cells; keep scanning
-            continue;
-          default:
-            continue;
-        }
-    }
-    return best;
-}
-
-/** Tarjan SCCs (iterative) over the defined-function callf graph, in
- * completion order — every SCC precedes the SCCs that call into it is
- * false; completion order lists callees before their callers. */
-std::vector<std::vector<uint32_t>>
-tarjanSccs(const std::vector<std::vector<uint32_t>>& adj)
-{
-    const uint32_t n = uint32_t(adj.size());
-    std::vector<uint32_t> index(n, UINT32_MAX), low(n, 0);
-    std::vector<uint8_t> onStack(n, 0);
-    std::vector<uint32_t> stack;
-    std::vector<std::vector<uint32_t>> sccs;
-    uint32_t next = 0;
-    struct Frame
-    {
-        uint32_t v;
-        size_t child;
-    };
-    std::vector<Frame> dfs;
-    for (uint32_t root = 0; root < n; root++) {
-        if (index[root] != UINT32_MAX)
-            continue;
-        index[root] = low[root] = next++;
-        stack.push_back(root);
-        onStack[root] = 1;
-        dfs.push_back({root, 0});
-        while (!dfs.empty()) {
-            Frame& f = dfs.back();
-            if (f.child < adj[f.v].size()) {
-                uint32_t w = adj[f.v][f.child++];
-                if (index[w] == UINT32_MAX) {
-                    index[w] = low[w] = next++;
-                    stack.push_back(w);
-                    onStack[w] = 1;
-                    dfs.push_back({w, 0});
-                } else if (onStack[w]) {
-                    low[f.v] = std::min(low[f.v], index[w]);
-                }
-            } else {
-                uint32_t v = f.v;
-                dfs.pop_back();
-                if (!dfs.empty())
-                    low[dfs.back().v] = std::min(low[dfs.back().v], low[v]);
-                if (low[v] == index[v]) {
-                    std::vector<uint32_t> scc;
-                    for (;;) {
-                        uint32_t w = stack.back();
-                        stack.pop_back();
-                        onStack[w] = 0;
-                        scc.push_back(w);
-                        if (w == v)
-                            break;
-                    }
-                    sccs.push_back(std::move(scc));
-                }
-            }
-        }
-    }
-    return sccs;
-}
-
-/** Summaries of every defined function, parallel to module.funcs:
- * bottom-up grow-freedom over the callf graph (SCC members — mutual or
- * self recursion — degrade to not grow-free) plus the per-function entry
- * constant-check limit. */
-std::vector<FuncSummary>
-computeFuncSummaries(const LoweredModule& module)
-{
-    const uint32_t n = uint32_t(module.funcs.size());
-    const uint32_t imported = module.module.numImportedFuncs();
-    std::vector<FuncSummary> summaries(n);
-    std::vector<std::vector<uint32_t>> callees(n);
-    std::vector<uint8_t> localBar(n, 0); // grows, host or indirect calls
-    for (uint32_t i = 0; i < n; i++) {
-        const LoweredFunc& func = module.funcs[i];
-        for (const LInst& inst : func.code) {
-            if (inst.isWasmOp()) {
-                if (inst.wasmOp() == Op::memory_grow)
-                    localBar[i] = 1;
-                continue;
-            }
-            switch (inst.lop()) {
-              case LOp::callf:
-                callees[i].push_back(inst.a - imported);
-                break;
-              case LOp::call_host:
-              case LOp::calli:
-                localBar[i] = 1;
-                break;
-              default:
-                break;
-            }
-        }
-        std::sort(callees[i].begin(), callees[i].end());
-        callees[i].erase(
-            std::unique(callees[i].begin(), callees[i].end()),
-            callees[i].end());
-        summaries[i].maxConstCheckLimit = entryConstCheckLimit(func);
-    }
-    for (const std::vector<uint32_t>& scc : tarjanSccs(callees)) {
-        if (scc.size() != 1)
-            continue; // mutual recursion: conservatively not grow-free
-        uint32_t v = scc[0];
-        if (std::binary_search(callees[v].begin(), callees[v].end(), v))
-            continue; // self recursion
-        bool ok = !localBar[v];
-        for (uint32_t w : callees[v])
-            ok = ok && summaries[w].growFree;
-        summaries[v].growFree = ok;
-    }
-    return summaries;
-}
-
 // ---------------------------------------------------------------------
 // Register-form rewrite (every executor)
 // ---------------------------------------------------------------------
@@ -1833,8 +1118,6 @@ stackUseDef(const LInst& inst, const StackBits& sb)
         return {sb.bit(inst.b), 0};
       case LOp::ret:
         return {inst.aux != 0 ? sb.bit(inst.a) : 0, 0};
-      case LOp::check_bounds:
-        return {inst.aux == 0 ? sb.bit(inst.a) : 0, 0};
       case LOp::jump:
       case LOp::trap:
       case LOp::count_fallback:
@@ -1899,8 +1182,8 @@ class RegisterFormRewriter
         computeLiveness();
         std::vector<uint32_t> new_pc(in_.size() + 1, 0);
         // Each listed check moves with its instruction: the rewrite
-        // keeps every load, store and check_bounds, as the last
-        // instruction it emits for that input pc.
+        // keeps every load and store, as the last instruction it emits
+        // for that input pc.
         std::vector<uint32_t>& skip = func_.elidableCheckPcs;
         size_t next_skip = 0;
         out_.reserve(in_.size());
@@ -2259,17 +1542,13 @@ rewriteRegisterForm(LoweredFunc& func)
     return before - func.code.size();
 }
 
-} // namespace
-
 // ---------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------
 
-/** Per-function pipeline. @p ipo / @p entry_seed are null outside
- * module-level IPO runs. */
+/** Per-function pipeline. */
 OptStats
-optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
-                     const IpoView* ipo, const Facts* entry_seed)
+optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts)
 {
     OptStats stats;
     stats.instsBefore = func.code.size();
@@ -2280,67 +1559,23 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
     }
 
     // Versioning runs first: it appends clones and marks fast-path
-    // accesses elidable; hoisting and the analyses below then see (and
-    // skip) those marks.
+    // accesses elidable; value numbering then sees those marks.
     if (opts.versionLoops) {
         VersionResult versioned = versionLoops(func);
         stats.loopsVersioned = versioned.loopsVersioned;
         stats.checksVersioned = versioned.checksVersioned;
     }
 
-    if (opts.hoistChecks) {
-        Cfg cfg = buildCfg(func);
-        std::vector<uint8_t> skip(func.code.size(), 0);
-        for (uint32_t pc : func.elidableCheckPcs)
-            skip[pc] = 1;
-        HoistResult hoists = planHoists(func, cfg, &skip);
-        if (!hoists.inserts.empty()) {
-            // Merge elide pcs before applyInsertions so the remap covers
-            // both the hoisted and the versioned marks.
-            for (uint32_t pc : hoists.elidePcs)
-                func.elidableCheckPcs.push_back(pc);
-            applyInsertions(func, std::move(hoists.inserts));
-            stats.checksHoisted = hoists.hoisted;
-        }
-    }
-
     if (opts.analyzeChecks) {
-        Cfg cfg = buildCfg(func);
         std::vector<uint8_t> hinted(func.code.size(), 0);
         for (uint32_t pc : func.elidableCheckPcs)
             hinted[pc] = 1;
-        // Value numbering first: the dataflow skips what it marked.
-        auto analyze = [&](std::vector<uint8_t>& marks, const IpoView* view,
-                           const Facts* seed) {
-            uint64_t marked =
-                markVnElidableChecks(func, cfg, marks, view != nullptr);
-            return marked + markCoveredChecks(func, cfg, marks, view, seed);
-        };
-        uint64_t base = 0;
-        if (ipo != nullptr && opts.ipoStats) {
-            // Diagnostics-only baseline run with the old clear-at-call
-            // semantics so the IPO contribution can be attributed
-            // (opt.checks_elided_ipo). Its marks are discarded.
-            std::vector<uint8_t> base_hinted = hinted;
-            base = analyze(base_hinted, nullptr, nullptr);
-        }
-        stats.checksElided = analyze(hinted, ipo, entry_seed);
-        if (ipo != nullptr && opts.ipoStats && stats.checksElided > base)
-            stats.checksElidedIpo = stats.checksElided - base;
+        stats.checksElided = markVnElidableChecks(func, hinted);
         func.elidableCheckPcs.clear();
         for (uint32_t pc = 0; pc < hinted.size(); pc++) {
             if (hinted[pc])
                 func.elidableCheckPcs.push_back(pc);
         }
-    } else if (opts.versionLoops || opts.hoistChecks) {
-        // The executors binary-search elidableCheckPcs; keep it sorted
-        // even when the analysis pass did not rebuild it.
-        std::sort(func.elidableCheckPcs.begin(),
-                  func.elidableCheckPcs.end());
-        func.elidableCheckPcs.erase(
-            std::unique(func.elidableCheckPcs.begin(),
-                        func.elidableCheckPcs.end()),
-            func.elidableCheckPcs.end());
     }
 
     stats.instsFused = rewriteRegisterForm(func);
@@ -2349,49 +1584,25 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
     return stats;
 }
 
+} // namespace
+
 OptStats
 optimizeLoweredModule(LoweredModule& module, const OptOptions& opts)
 {
     OptStats total;
-    std::vector<FuncSummary> summaries;
-    IpoView view;
-    Facts seed;
-    const IpoView* ipo = nullptr;
-    const Facts* entry_seed = nullptr;
-    if (opts.ipoSummaries && opts.analyzeChecks) {
-        summaries = computeFuncSummaries(module);
-        for (const FuncSummary& summary : summaries)
-            total.funcsGrowFree += summary.growFree;
-        view.mod = &module;
-        view.summaries = &summaries;
-        ipo = &view;
-        // Sound at *any* entry — including direct Instance::call into an
-        // arbitrary function index: memories never shrink below their
-        // initial size, so memSize >= min pages holds unconditionally.
-        if (!module.module.memories.empty() &&
-            module.module.memories[0].min > 0) {
-            seed[kCheckFactConstCell] =
-                uint64_t(module.module.memories[0].min) * kPageSize;
-            entry_seed = &seed;
-        }
-    }
     for (LoweredFunc& func : module.funcs) {
-        OptStats s = optimizeFuncInternal(func, opts, ipo, entry_seed);
-        total.checksHoisted += s.checksHoisted;
+        OptStats s = optimizeFuncInternal(func, opts);
         total.checksElided += s.checksElided;
         total.instsFused += s.instsFused;
         total.loopsVersioned += s.loopsVersioned;
         total.checksVersioned += s.checksVersioned;
-        total.checksElidedIpo += s.checksElidedIpo;
         total.instsBefore += s.instsBefore;
         total.instsAfter += s.instsAfter;
     }
     OptCounters& counters = optCounters();
-    counters.hoisted.add(total.checksHoisted);
     counters.elided.add(total.checksElided);
     counters.fused.add(total.instsFused);
     counters.versioned.add(total.loopsVersioned);
-    counters.elidedIpo.add(total.checksElidedIpo);
     return total;
 }
 

@@ -61,7 +61,7 @@ readLoweredFunc(ByteReader& r, bool include_code)
 /**
  * The JIT binary-searches elidableCheckPcs and skips the checks it
  * lists, so a corrupt list must neither break the search nor remove a
- * check from anything but a load, store or check_bounds.
+ * check from anything but a load or store.
  */
 Status
 checkSkipList(const LoweredFunc& f)
@@ -128,8 +128,6 @@ cellsInFrame(const LInst& inst, const LoweredFunc& f, const Module& m)
             size_t nargs = m.types[inst.a].params.size();
             return inst.b >= nargs && span(inst.b - nargs, inst.a);
           }
-          case LOp::check_bounds:
-            return inst.aux != 0 || in(inst.a);
           default:
             return true;
         }

@@ -380,7 +380,6 @@ TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
     wasm::optimizeLoweredModule(lowered, wasm::OptOptions());
     wasm::OptOptions passes;
     passes.analyzeChecks = true;
-    passes.hoistChecks = true;
     wasm::optimizeLoweredModule(analyzed, passes);
     ASSERT_FALSE(analyzed.funcs[0].elidableCheckPcs.empty());
 
@@ -397,7 +396,7 @@ TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
 }
 
 #ifndef LNB_OBS_DISABLED
-/** Loads, stores and check_bounds: the sites that carry a software check. */
+/** Loads and stores: the sites that carry a software check. */
 uint64_t
 softwareCheckSites(const wasm::LoweredModule& lowered)
 {
@@ -439,9 +438,7 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
             // the list survives the register-form rewrite that ran last.
             const wasm::OptStats& stats = cm->optStats();
             EXPECT_GT(stats.instsFused, 0u) << kernel->name;
-            EXPECT_EQ(stats.checksElided + stats.checksHoisted +
-                          stats.checksVersioned,
-                      listed)
+            EXPECT_EQ(stats.checksElided + stats.checksVersioned, listed)
                 << kernel->name;
             EXPECT_EQ(emitted.value() - emitted_before +
                           elided.value() - elided_before,

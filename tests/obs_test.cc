@@ -304,9 +304,7 @@ TEST(Report, OptPassCountersAppearInBenchResultReports)
     EXPECT_EQ(doc.find("schema")->string, "lnb.bench_result.v1");
     const JsonValue* counters = doc.find("counters");
     ASSERT_NE(counters, nullptr);
-    for (const char* name :
-         {"opt.checks_hoisted", "opt.checks_elided_crossblock",
-          "opt.insts_fused"}) {
+    for (const char* name : {"opt.checks_elided_vn", "opt.insts_fused"}) {
         ASSERT_NE(counters->find(name), nullptr)
             << name << " missing from the run report";
     }

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the lowered-IR optimization pass (wasm/opt.*): the
- * register-form rewrite, loop-invariant check hoisting,
- * cross-block check facts, the bounds-check soundness property (a
- * rewrite of the address cell must never let an elided check skip a
- * required trap), and the headline elision rate on a PolyBench-style
- * loop kernel.
+ * register-form rewrite, bounds-check value numbering and its kills at
+ * atomics and calls, affine loop versioning, the bounds-check soundness
+ * property (a rewrite of the address cell must never let an elided check
+ * skip a required trap), and the headline elision rates on
+ * PolyBench-style loop kernels.
  */
 #include <gtest/gtest.h>
 
@@ -31,7 +31,7 @@ using rt::EngineKind;
 using rt::Instance;
 
 /** sum += mem[addr] over i in [0, n) with a bottom-test loop, so the
- * loop header holds the body (the shape hoisting targets). */
+ * loop header holds the body. */
 Module
 bottomTestSumModule()
 {
@@ -71,9 +71,8 @@ bottomTestSumModule()
 /**
  * The gemm beta-scale phase as its own kernel: C[i] *= beta over a
  * contiguous f64 row, a read-modify-write loop where load and store hit
- * the same address. The available-checks dataflow cannot carry the check
- * from the load to the store (the load clobbers its own address cell),
- * but value numbering proves the store's check redundant.
+ * the same address through different cells (the load clobbers its own
+ * address cell); value numbering proves the store's check redundant.
  */
 Module
 rmwScaleModule()
@@ -518,55 +517,8 @@ TEST(RegisterForm, InterpretersMatchUnoptimizedResults)
 }
 
 // ---------------------------------------------------------------------
-// Hoisting + cross-block facts
+// Value numbering
 // ---------------------------------------------------------------------
-
-TEST(Hoisting, BottomTestLoopGetsPreheaderCheck)
-{
-    Module module = bottomTestSumModule();
-    auto lowered = lowerModule(std::move(module));
-    ASSERT_TRUE(lowered.isOk());
-    LoweredModule lm = lowered.takeValue();
-
-    OptOptions opts;
-    opts.analyzeChecks = true;
-    opts.hoistChecks = true;
-    OptStats stats = optimizeLoweredModule(lm, opts);
-    EXPECT_GE(stats.checksHoisted, 1u);
-
-    const LoweredFunc& func = lm.funcs[0];
-    int checks = 0;
-    uint32_t check_pc = 0;
-    for (uint32_t pc = 0; pc < func.code.size(); pc++) {
-        const LInst& inst = func.code[pc];
-        if (!inst.isWasmOp() && inst.lop() == LOp::check_bounds) {
-            checks++;
-            check_pc = pc;
-            EXPECT_EQ(inst.aux, 0u); // cell-relative: addr + 4 <= memSize
-            EXPECT_EQ(inst.imm, 4u);
-        }
-    }
-    ASSERT_EQ(checks, 1);
-    // The back edge must jump past the hoisted check (it runs once per
-    // loop entry, not per iteration), also where the rewrite made it a
-    // compare-and-branch form.
-    int back_edges = 0;
-    for (uint32_t pc = 0; pc < func.code.size(); pc++) {
-        const LInst& inst = func.code[pc];
-        bool jumps = isFormOp(inst.op)
-                         ? formOf(inst.op) == IrForm::jrr ||
-                               formOf(inst.op) == IrForm::jri
-                         : !inst.isWasmOp() && (inst.lop() == LOp::jump ||
-                                                inst.lop() == LOp::jump_if);
-        if (jumps) {
-            EXPECT_NE(inst.a, check_pc);
-            back_edges += inst.a < pc;
-        }
-    }
-    EXPECT_GE(back_edges, 1);
-    // The in-loop access is marked elidable for the JIT.
-    EXPECT_FALSE(func.elidableCheckPcs.empty());
-}
 
 TEST(Analysis, RmwStoreCheckIsValueNumberedAway)
 {
@@ -584,40 +536,35 @@ TEST(Analysis, RmwStoreCheckIsValueNumberedAway)
     EXPECT_FALSE(lm.funcs[0].elidableCheckPcs.empty());
 }
 
-/**
- * A loop whose header loads mem[addr] (hoisted to a preheader
- * check_bounds on addr's cell), leaving by a br_if to a join label that
- * is entered with that fact; at the join, optionally an i32 atomic rmw,
- * then mem[addr] again. The join's entry fact covers the second load,
- * but the atomic is a synchronization point that no passed check may
- * cross.
- */
+/** The pc of the last instruction of @p func that carries a check. */
+uint32_t
+lastCheckPc(const LoweredFunc& func)
+{
+    uint32_t pc = uint32_t(func.code.size());
+    while (pc-- > 0 && !carriesBoundsCheck(func.code[pc])) {
+    }
+    EXPECT_LT(pc, func.code.size());
+    return pc;
+}
+
+bool
+listed(const LoweredFunc& func, uint32_t pc)
+{
+    return std::binary_search(func.elidableCheckPcs.begin(),
+                              func.elidableCheckPcs.end(), pc);
+}
+
+/** In one block: mem[addr], optionally an i32 atomic rmw, then mem[addr]
+ * again. */
 Module
-joinReuseModule(bool atomic)
+atomicReloadModule(bool atomic)
 {
     ModuleBuilder mb;
     mb.addMemory(1, 1);
-    uint32_t t = mb.addType({ValType::i32, ValType::i32}, {ValType::i32});
-    auto& f = mb.addFunction(t); // params: addr, n
-    f.addLocal(ValType::i32);    // local 2: i
-    f.addLocal(ValType::i32);    // local 3: sum
-    auto exit = f.block();
-    auto head = f.loop();
+    uint32_t t = mb.addType({ValType::i32}, {ValType::i32});
+    auto& f = mb.addFunction(t); // param: addr
     f.localGet(0);
     f.memOp(Op::i32_load, 0);
-    f.localGet(3);
-    f.emit(Op::i32_add);
-    f.localSet(3);
-    f.localGet(2);
-    f.i32Const(1);
-    f.emit(Op::i32_add);
-    f.localTee(2);
-    f.localGet(1);
-    f.emit(Op::i32_ge_s);
-    f.brIf(exit);
-    f.br(head);
-    f.end(); // loop
-    f.end(); // block: the join
     if (atomic) {
         f.i32Const(64);
         f.i32Const(1);
@@ -626,55 +573,30 @@ joinReuseModule(bool atomic)
     }
     f.localGet(0);
     f.memOp(Op::i32_load, 0);
-    f.localGet(3);
     f.emit(Op::i32_add);
     uint32_t idx = f.finish();
     mb.exportFunc("run", idx);
     return mb.build();
 }
 
-#ifndef LNB_OBS_DISABLED
-TEST(Analysis, JoinEntryFactCoversTheReloadUnlessAnAtomicIntervenes)
+TEST(Analysis, AtomicBetweenReloadsKeepsTheSecondCheck)
 {
-    if (!jit::jitSupported())
-        GTEST_SKIP() << "JIT unsupported on this CPU";
-    obs::Counter elided = obs::registerCounter("jit.bounds_checks_elided");
+    // An atomic is a synchronization point: on a shared memory another
+    // thread's grow becomes observable there, so no passed check may be
+    // carried across it.
     for (bool atomic : {false, true}) {
-        SCOPED_TRACE(atomic ? "atomic at the join" : "no atomic");
-        EngineConfig config;
-        config.kind = EngineKind::jit_opt;
-        config.strategy = BoundsStrategy::trap;
-        uint64_t before = elided.value();
-        auto compiled = Engine(config).compile(joinReuseModule(atomic));
-        ASSERT_TRUE(compiled.isOk());
-        uint64_t elided_delta = elided.value() - before;
-        const OptStats& stats = compiled.value()->optStats();
-        ASSERT_EQ(stats.checksHoisted, 1u);
-        ASSERT_EQ(stats.loopsVersioned, 0u);
-        // The pass counts each skipped check once: the hoisted loop
-        // access under checksHoisted, every other one under
-        // checksElided.
-        EXPECT_EQ(stats.checksElided, elided_delta - stats.checksHoisted);
-
-        // The load after the join is listed exactly when no atomic
-        // sits between the join and it.
-        const LoweredFunc& func = compiled.value()->lowered().funcs[0];
-        uint32_t pc = uint32_t(func.code.size());
-        while (pc-- > 0 && !carriesBoundsCheck(func.code[pc])) {
-        }
-        ASSERT_LT(pc, func.code.size());
-        EXPECT_EQ(std::binary_search(func.elidableCheckPcs.begin(),
-                                     func.elidableCheckPcs.end(), pc),
-                  !atomic);
-
-        auto inst = Instance::create(compiled.takeValue());
-        ASSERT_TRUE(inst.isOk());
-        auto out = inst.value()->callExport(
-            "run", {Value::fromI32(65532), Value::fromI32(3)});
-        ASSERT_TRUE(out.ok());
+        SCOPED_TRACE(atomic ? "atomic between the loads" : "no atomic");
+        auto lowered = lowerModule(atomicReloadModule(atomic));
+        ASSERT_TRUE(lowered.isOk());
+        LoweredModule lm = lowered.takeValue();
+        OptOptions opts;
+        opts.analyzeChecks = true;
+        OptStats stats = optimizeLoweredModule(lm, opts);
+        const LoweredFunc& func = lm.funcs[0];
+        EXPECT_EQ(listed(func, lastCheckPc(func)), !atomic);
+        EXPECT_EQ(stats.checksElided, atomic ? 0u : 1u);
     }
 }
-#endif // LNB_OBS_DISABLED
 
 // ---------------------------------------------------------------------
 // Soundness: rewriting the address cell must kill the elision
@@ -934,18 +856,14 @@ blockedLoopModule(bool use_grow)
     return mb.build();
 }
 
-/** Optimize one module with the full check pipeline (analysis, hoisting,
- * versioning, IPO summaries) as the engine would configure it. */
+/** Optimize one module with the full check pipeline (value numbering
+ * and versioning) as the engine would configure it. */
 OptStats
-optimizeWithVersioning(LoweredModule& lm, bool versioning = true,
-                       bool ipo = true)
+optimizeWithVersioning(LoweredModule& lm, bool versioning = true)
 {
     OptOptions opts;
     opts.analyzeChecks = true;
-    opts.hoistChecks = true;
     opts.versionLoops = versioning;
-    opts.ipoSummaries = ipo;
-    opts.ipoStats = ipo; // tests assert the attributed counter
     return optimizeLoweredModule(lm, opts);
 }
 
@@ -1097,22 +1015,23 @@ TEST(Versioning, U32WraparoundFallsBackSoundly)
 }
 
 // ---------------------------------------------------------------------
-// Interprocedural check summaries
+// Calls
 // ---------------------------------------------------------------------
 
 /**
- * callee: grow-free leaf returning mem[8]. caller: mem[addr] + callee()
- * + mem[addr] — without summaries the call kills the first check's fact,
- * with summaries the grow-free callee (whose frame sits above the
- * caller's cells) preserves it for the second load.
+ * callee: returns mem[p], optionally after a memory.grow. caller:
+ * mem[addr] + mem[callee(addr)] + mem[addr]. The direct call's argument
+ * cell carries addr's value until the callee's result overwrites it; the
+ * address local sits below the argument base, where the callee's frame
+ * cannot reach.
  */
 Module
-ipoCallModule(bool callee_grows)
+directCallModule(bool callee_grows)
 {
     ModuleBuilder mb;
     mb.addMemory(1, 4);
     uint32_t leaf_t = mb.addType({ValType::i32}, {ValType::i32});
-    auto& leaf = mb.addFunction(leaf_t); // param: addr
+    auto& leaf = mb.addFunction(leaf_t); // param: p
     if (callee_grows) {
         leaf.i32Const(0);
         leaf.memoryGrow();
@@ -1125,53 +1044,53 @@ ipoCallModule(bool callee_grows)
     uint32_t t = mb.addType({ValType::i32}, {ValType::i32});
     auto& f = mb.addFunction(t); // param: addr
     f.localGet(0);
-    f.memOp(Op::i32_load, 0);
-    f.i32Const(8);
-    f.call(callee);
+    f.memOp(Op::i32_load, 0); // checks addr's value
+    f.localGet(0);            // arg cell: carries addr's value
+    f.call(callee);           // result overwrites the arg cell
+    f.memOp(Op::i32_load, 0); // address is the callee's result
     f.emit(Op::i32_add);
     f.localGet(0);
-    f.memOp(Op::i32_load, 0);
+    f.memOp(Op::i32_load, 0); // addr again
     f.emit(Op::i32_add);
     uint32_t idx = f.finish();
     mb.exportFunc("run", idx);
     return mb.build();
 }
 
-TEST(Ipo, GrowFreeCalleeKeepsCallerFacts)
+TEST(Analysis, DirectCallForgetsOnlyCellsFromItsArgBase)
 {
-    auto lowered = lowerModule(ipoCallModule(false));
-    ASSERT_TRUE(lowered.isOk());
-    LoweredModule lm = lowered.takeValue();
+    for (bool grows : {false, true}) {
+        SCOPED_TRACE(grows ? "callee grows memory" : "grow-free callee");
+        auto lowered = lowerModule(directCallModule(grows));
+        ASSERT_TRUE(lowered.isOk());
+        LoweredModule lm = lowered.takeValue();
+        optimizeWithVersioning(lm);
 
-    OptStats stats = optimizeWithVersioning(lm);
-    EXPECT_EQ(stats.funcsGrowFree, 2u);
-    // The caller's second mem[addr] check is elidable only because the
-    // summary proves the call cannot shrink facts below its arg base.
-    EXPECT_GE(stats.checksElidedIpo, 1u);
-}
-
-TEST(Ipo, GrowingCalleeLosesGrowFreeBit)
-{
-    auto lowered = lowerModule(ipoCallModule(true));
-    ASSERT_TRUE(lowered.isOk());
-    LoweredModule lm = lowered.takeValue();
-
-    OptStats stats = optimizeWithVersioning(lm);
-    // The callee's grow poisons it and (bottom-up) its caller.
-    EXPECT_EQ(stats.funcsGrowFree, 0u);
-    // Same-VALUE re-checks stay elidable even across a growing callee:
-    // memSize is monotone, so a passed check for a value holds forever.
-    // growFree only widens what survives in the cell-fact cache.
-    EXPECT_GE(stats.checksElidedIpo, 1u);
+        const LoweredFunc& caller = lm.funcs[1];
+        uint32_t pc = 0;
+        while (pc < caller.code.size() &&
+               caller.code[pc].op != uint16_t(LOp::callf))
+            pc++;
+        while (pc < caller.code.size() &&
+               !carriesBoundsCheck(caller.code[pc]))
+            pc++;
+        ASSERT_LT(pc, caller.code.size());
+        // The load through the callee's result keeps its check.
+        EXPECT_FALSE(listed(caller, pc));
+        // mem[addr] again is covered by the first check, whatever the
+        // callee did: memories never shrink.
+        EXPECT_TRUE(listed(caller, lastCheckPc(caller)));
+    }
 }
 
 /**
  * caller: check mem[addr], then table[0](addr) via call_indirect, then
  * load through the callee-returned value. calli's inst.b is the
  * table-index cell, not the arg base, so the result cell (arg base =
- * inst.b - nargs) sits *below* inst.b — an IPO value-numbering clear
- * that starts at inst.b would leave it holding addr's (checked) value
- * number while the callee wrote an arbitrary address into it.
+ * inst.b - nargs) sits *below* inst.b — a value-numbering clear that
+ * started at inst.b, as a direct call's does, would leave it holding
+ * addr's (checked) value number while the callee wrote an arbitrary
+ * address into it.
  */
 Module
 indirectResultModule()
@@ -1199,15 +1118,15 @@ indirectResultModule()
     return mb.build();
 }
 
-TEST(Ipo, IndirectCallResultKeepsItsCheck)
+TEST(Analysis, IndirectCallResultKeepsItsCheck)
 {
     auto lowered = lowerModule(indirectResultModule());
     ASSERT_TRUE(lowered.isOk());
     LoweredModule lm = lowered.takeValue();
     optimizeWithVersioning(lm);
 
-    // The load after the calli must not be hinted elidable: no summary
-    // covers an indirect callee, and its result is a fresh value.
+    // The load after the calli must not be hinted elidable: an indirect
+    // call forgets every cell name, and its result is a fresh value.
     const LoweredFunc& caller = lm.funcs[1];
     bool saw_calli = false;
     bool checked_post_call_load = false;
@@ -1228,7 +1147,7 @@ TEST(Ipo, IndirectCallResultKeepsItsCheck)
     EXPECT_TRUE(checked_post_call_load);
 }
 
-TEST(Ipo, IndirectCallResultTrapsOutOfBounds)
+TEST(Analysis, IndirectCallResultTrapsOutOfBounds)
 {
     if (!jit::jitSupported())
         GTEST_SKIP() << "JIT unsupported on this CPU";
@@ -1245,32 +1164,6 @@ TEST(Ipo, IndirectCallResultTrapsOutOfBounds)
     auto out = inst.value()->callExport("run", {Value::fromI32(0)});
     EXPECT_EQ(out.trap, TrapKind::out_of_bounds_memory)
         << trapKindName(out.trap);
-}
-
-TEST(Ipo, ResultsMatchWithSummariesOnAndOff)
-{
-    for (EngineKind kind :
-         {EngineKind::interp_threaded, EngineKind::jit_opt}) {
-        if (kind == EngineKind::jit_opt && !jit::jitSupported())
-            continue;
-        std::vector<uint32_t> sums;
-        for (bool ipo : {false, true}) {
-            EngineConfig config;
-            config.kind = kind;
-            config.strategy = BoundsStrategy::trap;
-            config.optIpoSummaries = ipo;
-            Engine engine(config);
-            auto compiled = engine.compile(ipoCallModule(false));
-            ASSERT_TRUE(compiled.isOk());
-            auto inst = Instance::create(compiled.takeValue());
-            ASSERT_TRUE(inst.isOk());
-            auto out =
-                inst.value()->callExport("run", {Value::fromI32(16)});
-            ASSERT_TRUE(out.ok());
-            sums.push_back(out.results[0].i32);
-        }
-        EXPECT_EQ(sums[0], sums[1]);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1310,27 +1203,25 @@ TEST(Criterion, RetiredChecksDropAtLeast60PercentOnAffineKernel)
 // Toggles
 // ---------------------------------------------------------------------
 
-TEST(Toggles, VersioningAndIpoConfigKnobs)
+TEST(Toggles, VersioningConfigKnob)
 {
-    auto stats_with = [](bool versioning, bool ipo) {
+    auto stats_with = [](bool versioning) {
         auto lowered = lowerModule(affineSumModule());
         LoweredModule lm = lowered.takeValue();
-        return optimizeWithVersioning(lm, versioning, ipo);
+        return optimizeWithVersioning(lm, versioning);
     };
-    EXPECT_GE(stats_with(true, true).loopsVersioned, 1u);
-    EXPECT_EQ(stats_with(false, true).loopsVersioned, 0u);
+    EXPECT_GE(stats_with(true).loopsVersioned, 1u);
+    EXPECT_EQ(stats_with(false).loopsVersioned, 0u);
     // The engine-level kill switch takes the same path.
     if (jit::jitSupported()) {
         EngineConfig config;
         config.kind = EngineKind::jit_opt;
         config.strategy = BoundsStrategy::trap;
         config.optVersioning = false;
-        config.optIpoSummaries = false;
         Engine engine(config);
         auto compiled = engine.compile(affineSumModule());
         ASSERT_TRUE(compiled.isOk());
         EXPECT_EQ(compiled.value()->optStats().loopsVersioned, 0u);
-        EXPECT_EQ(compiled.value()->optStats().checksElidedIpo, 0u);
     }
 }
 
