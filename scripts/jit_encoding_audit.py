@@ -10,6 +10,9 @@ JIT spends above as's encoding of the same instruction.
     scripts/jit_encoding_audit.py gemm.jit-base.trap.bin ...
     # write and audit every suite kernel x jit-base x {none, trap, clamp}
     scripts/jit_encoding_audit.py --explorer build/examples/kernel_explorer
+    # do two builds emit the same code? (exits 1 on any difference)
+    scripts/jit_encoding_audit.py --compare old/kernel_explorer \
+        build/examples/kernel_explorer
 
 Exits 1 when any instruction with a memory operand, or any backward
 branch, is longer than as encodes it: the assembler promises the
@@ -21,13 +24,23 @@ Relocated `movabs` (glue, code-table and code addresses) is allow-listed:
 the loader re-patches all 8 immediate bytes when a cached artifact is
 mapped into another process, so its width cannot depend on the value.
 
+--compare writes every suite kernel x {jit-base, jit-opt} x all five
+strategies with two kernel_explorer binaries and compares the listings:
+every instruction, trap-kind byte and jump-table entry (as a code
+offset). A `movabs` immediate that is a user-space address (2^32 up to
+2^47) is masked, since glue addresses differ between any two binaries;
+both binaries run with address-space randomization off (setarch -R) so
+that masking is all it takes. Exits 1 on any difference.
+
 Needs objdump, as and objcopy (GNU binutils).
 """
 
 import argparse
 import collections
 import os
+import platform
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -41,6 +54,10 @@ TRAP_KIND_BYTES = 1
 SUITES = ("polybench", "specproxy")
 SWEEP_ENGINE = "jit-base"
 SWEEP_STRATEGIES = ("none", "trap", "clamp")
+COMPARE_ENGINES = ("jit-base", "jit-opt")
+COMPARE_STRATEGIES = ("none", "clamp", "trap", "mprotect", "uffd")
+MOVABS = re.compile(r"^movabs \$0x([0-9a-f]+),(%\w+)$")
+USER_ADDRESSES = range(1 << 32, 1 << 47)
 
 
 def run(cmd, **kw):
@@ -60,9 +77,10 @@ def objdump(path, start):
     return listing
 
 
-def decode(path):
+def decode(path, inline_data=None):
     """Instructions of one code file as (addr, length, text), skipping the
-    inline data; objdump re-syncs after each stretch of data."""
+    inline data; objdump re-syncs after each stretch of data. Appends the
+    skipped data as (addr, text) to @p inline_data when it is a list."""
     data = open(path, "rb").read()
     size = len(data)
     listing = objdump(path, 0)
@@ -77,6 +95,8 @@ def decode(path):
         insns.append((pos, length, text))
         pos += length
         if text == "ud2":
+            if inline_data is not None and pos < size:
+                inline_data.append((pos, ".byte 0x%02x" % data[pos]))
             pos += TRAP_KIND_BYTES
         elif text.startswith("jmp *") and len(insns) >= 2:
             # The movabs before the dispatch loads the table's absolute
@@ -90,6 +110,9 @@ def decode(path):
                     (entry,) = struct.unpack_from("<Q", data, pos)
                     if not 0 <= entry - base < size:
                         break
+                    if inline_data is not None:
+                        inline_data.append(
+                            (pos, ".quad code+0x%x" % (entry - base)))
                     pos += 8
     return insns
 
@@ -203,16 +226,20 @@ def audit(paths, workdir):
     return 0
 
 
-def sweep(explorer, workdir):
-    """Write every suite kernel x SWEEP_ENGINE x SWEEP_STRATEGIES."""
+def suite_kernels(explorer):
     listing = run([explorer]).stdout
     kernels = [line.split()[0] for line in listing.splitlines()
                if len(line.split()) >= 2 and line.startswith("  ")
                and line.split()[1] in SUITES]
     if not kernels:
         raise SystemExit("no suite kernels listed by %s" % explorer)
+    return kernels
+
+
+def sweep(explorer, workdir):
+    """Write every suite kernel x SWEEP_ENGINE x SWEEP_STRATEGIES."""
     paths = []
-    for kernel in kernels:
+    for kernel in suite_kernels(explorer):
         for strategy in SWEEP_STRATEGIES:
             path = os.path.join(workdir, "%s.%s.%s.bin" %
                                 (kernel, SWEEP_ENGINE, strategy))
@@ -221,15 +248,79 @@ def sweep(explorer, workdir):
     return paths
 
 
+def comparable_listing(path):
+    """Instructions and inline data of one code file, in address order,
+    with user-space movabs addresses masked."""
+    items = []
+    for addr, _, text in decode(path, items):
+        m = MOVABS.match(text)
+        if m and int(m.group(1), 16) in USER_ADDRESSES:
+            text = "movabs $<address>,%s" % m.group(2)
+        items.append((addr, text))
+    return sorted(items)
+
+
+def compare(old_explorer, new_explorer, workdir):
+    """Write every suite kernel x COMPARE_ENGINES x COMPARE_STRATEGIES
+    with both binaries; 1 if any listing differs."""
+    no_aslr = []
+    if shutil.which("setarch"):
+        no_aslr = ["setarch", platform.machine(), "-R"]
+    kernels = suite_kernels(new_explorer)
+    if kernels != suite_kernels(old_explorer):
+        print("the two binaries register different suite kernels")
+        return 1
+    configs = differing = total_bytes = 0
+    for kernel in kernels:
+        for engine in COMPARE_ENGINES:
+            for strategy in COMPARE_STRATEGIES:
+                listings = []
+                for tag, explorer in (("old", old_explorer),
+                                      ("new", new_explorer)):
+                    path = os.path.join(workdir, "%s.%s.%s.%s.bin" %
+                                        (kernel, engine, strategy, tag))
+                    run(no_aslr + [explorer, kernel, engine, strategy,
+                                   "--code", path])
+                    listings.append(comparable_listing(path))
+                total_bytes += os.path.getsize(path)
+                configs += 1
+                old, new = listings
+                if old == new:
+                    continue
+                differing += 1
+                at = next((i for i, (a, b) in enumerate(zip(old, new))
+                           if a != b), min(len(old), len(new)))
+                print("DIFF %s %s %s: %d vs %d items, first at item %d: "
+                      "%s | %s" % (kernel, engine, strategy, len(old),
+                                   len(new), at,
+                                   old[at] if at < len(old) else "(end)",
+                                   new[at] if at < len(new) else "(end)"))
+    print("%d configs (%d kernels x %d engines x %d strategies), %d new "
+          "code bytes: %d differ" %
+          (configs, len(kernels), len(COMPARE_ENGINES),
+           len(COMPARE_STRATEGIES), total_bytes, differing))
+    return 1 if differing else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("files", nargs="*", help="raw JIT code files")
     parser.add_argument("--explorer",
                         help="kernel_explorer binary: audit every suite "
                              "kernel x jit-base x {none, trap, clamp}")
+    parser.add_argument("--compare", nargs=2,
+                        metavar=("OLD_EXPLORER", "NEW_EXPLORER"),
+                        help="check that two kernel_explorer binaries emit "
+                             "the same code for every suite kernel x "
+                             "{jit-base, jit-opt} x every strategy")
     args = parser.parse_args()
+    if args.compare:
+        if args.files or args.explorer:
+            parser.error("--compare takes no other inputs")
+        with tempfile.TemporaryDirectory(prefix="jit_compare_") as workdir:
+            return compare(args.compare[0], args.compare[1], workdir)
     if not args.files and not args.explorer:
-        parser.error("give code files or --explorer")
+        parser.error("give code files, --explorer or --compare")
     with tempfile.TemporaryDirectory(prefix="jit_audit_") as workdir:
         paths = list(args.files)
         if args.explorer:

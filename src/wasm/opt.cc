@@ -1,9 +1,9 @@
 /**
  * @file
- * Lowered-IR optimization pass: CFG/dominator/loop discovery, affine
- * loop versioning, per-block value numbering of bounds checks, and the
- * register-form rewrite every executor runs. See opt.h for the soundness
- * arguments.
+ * Lowered-IR optimization pass: affine versioning of single-block
+ * loops, per-block value numbering of bounds checks, and the
+ * register-form rewrite every executor runs, all over one basic-block
+ * partition. See opt.h for the soundness arguments.
  */
 #include "wasm/opt.h"
 
@@ -94,30 +94,22 @@ writesCell(const LInst& inst, uint32_t& cell)
 }
 
 // ---------------------------------------------------------------------
-// CFG
+// Basic blocks
 // ---------------------------------------------------------------------
 
-struct Block
+/** The basic-block partition every transform walks. */
+struct Blocks
 {
-    uint32_t begin = 0;
-    uint32_t end = 0; ///< one past the last instruction
-    std::vector<uint32_t> succs;
-    std::vector<uint32_t> preds;
+    std::vector<uint32_t> jumpsTo; ///< pc -> how many jumps target it
+    std::vector<uint32_t> begins;  ///< block begins, then code.size()
+    std::vector<uint32_t> blockOf; ///< pc -> block index
 };
 
-struct Cfg
-{
-    std::vector<Block> blocks;
-    std::vector<uint32_t> blockOf;   ///< pc -> block index
-    std::vector<uint8_t> jumpTarget; ///< pc -> is a jump target
-    std::vector<uint8_t> reachable;  ///< block -> reachable from entry
-    std::vector<uint32_t> rpo;       ///< reachable blocks, reverse postorder
-};
-
+/** Counts, per pc, the jumps (and jump-table entries) that target it. */
 void
-collectJumpTargets(const LoweredFunc& func, std::vector<uint8_t>& target)
+collectJumpTargets(const LoweredFunc& func, std::vector<uint32_t>& jumps_to)
 {
-    target.assign(func.code.size(), 0);
+    jumps_to.assign(func.code.size(), 0);
     for (const LInst& inst : func.code) {
         if (inst.isWasmOp())
             continue;
@@ -125,11 +117,11 @@ collectJumpTargets(const LoweredFunc& func, std::vector<uint8_t>& target)
           case LOp::jump:
           case LOp::jump_if:
           case LOp::jump_if_zero:
-            target[inst.a] = 1;
+            jumps_to[inst.a]++;
             break;
           case LOp::jump_table:
             for (uint32_t i = 0; i <= inst.aux; i++)
-                target[func.tablePool[inst.a + i]] = 1;
+                jumps_to[func.tablePool[inst.a + i]]++;
             break;
           default:
             break;
@@ -139,20 +131,24 @@ collectJumpTargets(const LoweredFunc& func, std::vector<uint8_t>& target)
 
 /**
  * Block begins of @p func — pc 0, every jump target, every pc after a
- * terminator — closed by code.size(), and the block of each pc.
+ * terminator — closed by code.size(), the block of each pc, and the
+ * jumps to each pc.
  */
-void
-findBlocks(const LoweredFunc& func, const std::vector<uint8_t>& jump_target,
-           std::vector<uint32_t>& begins, std::vector<uint32_t>& block_of)
+Blocks
+findBlocks(const LoweredFunc& func)
 {
+    Blocks blocks;
+    collectJumpTargets(func, blocks.jumpsTo);
     const uint32_t n = uint32_t(func.code.size());
-    block_of.resize(n);
+    blocks.blockOf.resize(n);
     for (uint32_t pc = 0; pc < n; pc++) {
-        if (pc == 0 || jump_target[pc] || isTerminator(func.code[pc - 1]))
-            begins.push_back(pc);
-        block_of[pc] = uint32_t(begins.size() - 1);
+        if (pc == 0 || blocks.jumpsTo[pc] != 0 ||
+            isTerminator(func.code[pc - 1]))
+            blocks.begins.push_back(pc);
+        blocks.blockOf[pc] = uint32_t(blocks.begins.size() - 1);
     }
-    begins.push_back(n);
+    blocks.begins.push_back(n);
+    return blocks;
 }
 
 /** Calls @p fn with the pc of each successor of the block that ends
@@ -184,152 +180,6 @@ forEachSuccPc(const LoweredFunc& func, uint32_t end, Fn fn)
     }
     if (end < func.code.size())
         fn(end);
-}
-
-Cfg
-buildCfg(const LoweredFunc& func)
-{
-    Cfg cfg;
-    collectJumpTargets(func, cfg.jumpTarget);
-    std::vector<uint32_t> begins;
-    findBlocks(func, cfg.jumpTarget, begins, cfg.blockOf);
-    for (size_t b = 0; b + 1 < begins.size(); b++)
-        cfg.blocks.push_back({begins[b], begins[b + 1], {}, {}});
-    for (uint32_t b = 0; b < cfg.blocks.size(); b++) {
-        forEachSuccPc(func, cfg.blocks[b].end, [&](uint32_t to_pc) {
-            uint32_t to = cfg.blockOf[to_pc];
-            std::vector<uint32_t>& succs = cfg.blocks[b].succs;
-            if (std::find(succs.begin(), succs.end(), to) == succs.end()) {
-                succs.push_back(to);
-                cfg.blocks[to].preds.push_back(b);
-            }
-        });
-    }
-
-    // Reachability + reverse postorder via iterative DFS from block 0.
-    const size_t nb = cfg.blocks.size();
-    cfg.reachable.assign(nb, 0);
-    std::vector<uint32_t> post;
-    if (nb > 0) {
-        std::vector<std::pair<uint32_t, size_t>> stack;
-        cfg.reachable[0] = 1;
-        stack.emplace_back(0, 0);
-        while (!stack.empty()) {
-            auto& [b, next] = stack.back();
-            if (next < cfg.blocks[b].succs.size()) {
-                uint32_t s = cfg.blocks[b].succs[next++];
-                if (!cfg.reachable[s]) {
-                    cfg.reachable[s] = 1;
-                    stack.emplace_back(s, 0);
-                }
-            } else {
-                post.push_back(b);
-                stack.pop_back();
-            }
-        }
-    }
-    cfg.rpo.assign(post.rbegin(), post.rend());
-    return cfg;
-}
-
-/** Iterative dominator sets over reachable blocks (bitsets; functions
- * here are small enough that O(n^2/64) per iteration is fine). */
-std::vector<std::vector<uint64_t>>
-computeDominators(const Cfg& cfg)
-{
-    const size_t nb = cfg.blocks.size();
-    const size_t words = (nb + 63) / 64;
-    std::vector<std::vector<uint64_t>> dom(
-        nb, std::vector<uint64_t>(words, ~uint64_t(0)));
-    auto setOnly = [&](uint32_t b) {
-        std::fill(dom[b].begin(), dom[b].end(), 0);
-        dom[b][b / 64] |= uint64_t(1) << (b % 64);
-    };
-    if (nb == 0)
-        return dom;
-    setOnly(0);
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (uint32_t b : cfg.rpo) {
-            if (b == 0)
-                continue;
-            std::vector<uint64_t> meet(words, ~uint64_t(0));
-            bool any = false;
-            for (uint32_t p : cfg.blocks[b].preds) {
-                if (!cfg.reachable[p])
-                    continue;
-                for (size_t w = 0; w < words; w++)
-                    meet[w] &= dom[p][w];
-                any = true;
-            }
-            if (!any)
-                std::fill(meet.begin(), meet.end(), 0);
-            meet[b / 64] |= uint64_t(1) << (b % 64);
-            if (meet != dom[b]) {
-                dom[b] = std::move(meet);
-                changed = true;
-            }
-        }
-    }
-    return dom;
-}
-
-inline bool
-dominates(const std::vector<std::vector<uint64_t>>& dom, uint32_t a,
-          uint32_t b)
-{
-    return (dom[b][a / 64] >> (a % 64)) & 1;
-}
-
-/** Natural loops merged by header block. */
-struct Loop
-{
-    uint32_t header = 0;
-    std::vector<uint8_t> body; ///< block membership bitmap
-};
-
-std::vector<Loop>
-findNaturalLoops(const Cfg& cfg)
-{
-    const size_t nb = cfg.blocks.size();
-    std::vector<std::vector<uint64_t>> dom = computeDominators(cfg);
-    std::map<uint32_t, Loop> byHeader;
-    for (uint32_t u = 0; u < nb; u++) {
-        if (!cfg.reachable[u])
-            continue;
-        for (uint32_t h : cfg.blocks[u].succs) {
-            if (!dominates(dom, h, u))
-                continue;
-            Loop& loop = byHeader[h];
-            if (loop.body.empty()) {
-                loop.header = h;
-                loop.body.assign(nb, 0);
-                loop.body[h] = 1;
-            }
-            // Backward walk from the back-edge source.
-            std::vector<uint32_t> work;
-            if (!loop.body[u]) {
-                loop.body[u] = 1;
-                work.push_back(u);
-            }
-            while (!work.empty()) {
-                uint32_t b = work.back();
-                work.pop_back();
-                for (uint32_t p : cfg.blocks[b].preds) {
-                    if (cfg.reachable[p] && !loop.body[p]) {
-                        loop.body[p] = 1;
-                        work.push_back(p);
-                    }
-                }
-            }
-        }
-    }
-    std::vector<Loop> loops;
-    loops.reserve(byHeader.size());
-    for (auto& [h, loop] : byHeader)
-        loops.push_back(std::move(loop));
-    return loops;
 }
 
 // ---------------------------------------------------------------------
@@ -531,58 +381,26 @@ struct LoopVersionPlan
     std::vector<uint32_t> elidePcs; ///< fast-path accesses made elidable
 };
 
-/** True if block @p p ends with a jump whose target is pc @p h. */
-bool
-blockJumpsTo(const LoweredFunc& func, const Block& p, uint32_t h)
-{
-    const LInst& last = func.code[p.end - 1];
-    if (last.isWasmOp())
-        return false;
-    switch (last.lop()) {
-      case LOp::jump:
-      case LOp::jump_if:
-      case LOp::jump_if_zero:
-        return last.a == h;
-      case LOp::jump_table:
-        for (uint32_t i = 0; i <= last.aux; i++) {
-            if (func.tablePool[last.a + i] == h)
-                return true;
-        }
-        return false;
-      default:
-        return false;
-    }
-}
-
 /**
- * Analyze one single-block loop for versioning eligibility. Returns true
- * and fills @p plan if the loop has a recognizable counted form and at
- * least one IV-dependent affine access.
+ * Analyze the block [@p begin, @p end) as a single-block loop for
+ * versioning eligibility. Returns true and fills @p plan if its
+ * terminator is the loop's back edge and only jump in, the loop has a
+ * recognizable counted form, and it makes at least one IV-dependent
+ * affine access.
  */
 bool
-planLoopVersion(const LoweredFunc& func, const Cfg& cfg, const Loop& loop,
-                LoopVersionPlan& plan)
+planLoopVersion(const LoweredFunc& func, const Blocks& blocks,
+                uint32_t begin, uint32_t end, LoopVersionPlan& plan)
 {
-    // Exactly one block in the body, and a fallthrough-only entry (every
-    // jump to the header pc must be the back edge), so no path into the
-    // loop bypasses the guard.
-    uint32_t nbody = 0;
-    for (uint8_t in : loop.body)
-        nbody += in;
-    if (nbody != 1)
+    // The back edge must be the only jump to the begin: every other
+    // entry falls through the preheader guard, so no path into the loop
+    // bypasses it.
+    if (end - begin < 2 || blocks.jumpsTo[begin] != 1)
         return false;
-    const Block& header = cfg.blocks[loop.header];
-    uint32_t h = header.begin;
-    for (uint32_t p : header.preds) {
-        if (!loop.body[p] && blockJumpsTo(func, cfg.blocks[p], h))
-            return false;
-    }
-    if (header.end - header.begin < 2)
-        return false;
-    const LInst& term = func.code[header.end - 1];
+    const LInst& term = func.code[end - 1];
     if (term.isWasmOp() ||
         (term.lop() != LOp::jump_if && term.lop() != LOp::jump_if_zero) ||
-        term.a != h)
+        term.a != begin)
         return false;
 
     // Abstract-interpret the body once: affine state per cell, snapshots
@@ -606,7 +424,7 @@ planLoopVersion(const LoweredFunc& func, const Cfg& cfg, const Loop& loop,
     std::map<uint32_t, CmpRec> cmps;     // pc -> operand snapshot
     std::map<uint32_t, uint32_t> lastDef; // cell -> defining pc
 
-    for (uint32_t pc = header.begin; pc + 1 < header.end; pc++) {
+    for (uint32_t pc = begin; pc + 1 < end; pc++) {
         const LInst& inst = func.code[pc];
         if (!inst.isWasmOp()) {
             switch (inst.lop()) {
@@ -782,8 +600,8 @@ planLoopVersion(const LoweredFunc& func, const Cfg& cfg, const Loop& loop,
         t.kConst = kconst;
         plan.terms.push_back(t);
     }
-    plan.headerBegin = h;
-    plan.headerEnd = header.end;
+    plan.headerBegin = begin;
+    plan.headerEnd = end;
     return true;
 }
 
@@ -813,15 +631,14 @@ struct VersionResult
  * bodies do not overlap.
  */
 VersionResult
-versionLoops(LoweredFunc& func)
+versionLoops(LoweredFunc& func, const Blocks& blocks)
 {
     VersionResult result;
-    Cfg cfg = buildCfg(func);
-    std::vector<Loop> loops = findNaturalLoops(cfg);
     std::vector<LoopVersionPlan> plans;
-    for (const Loop& loop : loops) {
+    for (size_t b = 0; b + 1 < blocks.begins.size(); b++) {
         LoopVersionPlan plan;
-        if (planLoopVersion(func, cfg, loop, plan))
+        if (planLoopVersion(func, blocks, blocks.begins[b],
+                            blocks.begins[b + 1], plan))
             plans.push_back(std::move(plan));
     }
     if (plans.empty())
@@ -922,8 +739,6 @@ versionLoops(LoweredFunc& func)
 // Redundant-check analysis (per-block value numbering)
 // ---------------------------------------------------------------------
 
-constexpr uint32_t kNoVn = 0;
-
 /**
  * Per-block value numbering of cell contents; marks in @p hinted every
  * access whose check is covered by an earlier check of the same address
@@ -932,51 +747,60 @@ constexpr uint32_t kNoVn = 0;
  * frames overlap, so a wasm callee cannot write caller cells below it.
  * calli forgets every name — its inst.b is the table-index cell, not the
  * arg base, so the real base (inst.b - nargs, which needs the callee
- * type) is unknown here — as do host calls.
+ * type) is unknown here — as do host calls. Forgetting every name is one
+ * increment: each name carries the epoch it was given in, a name from an
+ * earlier epoch reads as unknown, and each block and each calli or host
+ * call starts a new epoch.
  */
 uint64_t
-markVnElidableChecks(const LoweredFunc& func, std::vector<uint8_t>& hinted)
+markVnElidableChecks(const LoweredFunc& func, const Blocks& blocks,
+                     std::vector<uint8_t>& hinted)
 {
-    std::vector<uint8_t> jump_target;
-    std::vector<uint32_t> begins, block_of;
-    collectJumpTargets(func, jump_target);
-    findBlocks(func, jump_target, begins, block_of);
     uint64_t marked = 0;
-    std::vector<uint32_t> cellVn(func.numCells, kNoVn);
-    for (size_t b = 0; b + 1 < begins.size(); b++) {
-        std::fill(cellVn.begin(), cellVn.end(), kNoVn);
-        uint32_t next = 1;
-        std::map<std::array<uint64_t, 3>, uint32_t> exprs;
-        // Passed checks stay valid for a value forever (memories never
-        // shrink), so within the block only an atomic kills availability.
-        std::unordered_map<uint32_t, uint64_t> avail; // vn -> limit
-        auto vnOf = [&](uint32_t cell) {
-            if (cellVn[cell] == kNoVn)
-                cellVn[cell] = next++;
-            return cellVn[cell];
-        };
-        auto keyed = [&](std::array<uint64_t, 3> key) {
-            auto [it, inserted] = exprs.emplace(key, next);
-            if (inserted)
-                next++;
-            return it->second;
-        };
-        for (uint32_t pc = begins[b]; pc < begins[b + 1]; pc++) {
+    // Per cell: epoch << 32 | value number. Epoch 0 is never current.
+    std::vector<uint64_t> cellVn(func.numCells, 0);
+    uint64_t epoch = 0;
+    uint32_t next = 1;
+    std::map<std::array<uint64_t, 3>, uint32_t> exprs;
+    // Passed checks stay valid for a value forever (memories never
+    // shrink), so within the block only an atomic kills availability.
+    std::unordered_map<uint32_t, uint64_t> avail; // vn -> limit
+    auto name = [&](uint32_t cell, uint32_t vn) {
+        cellVn[cell] = epoch << 32 | vn;
+    };
+    auto vnOf = [&](uint32_t cell) {
+        if (cellVn[cell] >> 32 != epoch)
+            name(cell, next++);
+        return uint32_t(cellVn[cell]);
+    };
+    auto keyed = [&](std::array<uint64_t, 3> key) {
+        auto [it, inserted] = exprs.emplace(key, next);
+        if (inserted)
+            next++;
+        return it->second;
+    };
+    for (size_t b = 0; b + 1 < blocks.begins.size(); b++) {
+        epoch++;
+        next = 1;
+        exprs.clear();
+        avail.clear();
+        for (uint32_t pc = blocks.begins[b]; pc < blocks.begins[b + 1];
+             pc++) {
             const LInst& inst = func.code[pc];
             if (!inst.isWasmOp()) {
                 switch (inst.lop()) {
                   case LOp::copy:
-                    cellVn[inst.b] = vnOf(inst.a);
+                    name(inst.b, vnOf(inst.a));
                     break;
                   case LOp::callf:
                     // Callee overlap clobbers cells from the arg base
                     // up; values already checked stay checked, so
                     // `avail` survives.
-                    std::fill(cellVn.begin() + inst.b, cellVn.end(), kNoVn);
+                    std::fill(cellVn.begin() + inst.b, cellVn.end(), 0);
                     break;
                   case LOp::calli:
                   case LOp::call_host:
-                    std::fill(cellVn.begin(), cellVn.end(), kNoVn);
+                    epoch++;
                     break;
                   default:
                     break;
@@ -998,7 +822,7 @@ markVnElidableChecks(const LoweredFunc& func, std::vector<uint8_t>& hinted)
                     slot = std::max(slot, limit);
                 }
                 if (isLoadOp(op))
-                    cellVn[inst.a] = next++; // loaded value: fresh
+                    name(inst.a, next++); // loaded value: fresh
                 continue;
             }
             if (isAtomicOp(op)) {
@@ -1009,7 +833,7 @@ markVnElidableChecks(const LoweredFunc& func, std::vector<uint8_t>& hinted)
                 avail.clear();
                 uint32_t written;
                 if (writesCell(inst, written))
-                    cellVn[written] = next++;
+                    name(written, next++);
                 continue;
             }
             switch (op) {
@@ -1017,36 +841,32 @@ markVnElidableChecks(const LoweredFunc& func, std::vector<uint8_t>& hinted)
               case Op::i64_const:
               case Op::f32_const:
               case Op::f64_const:
-                cellVn[inst.a] =
-                    keyed({uint64_t(inst.op) << 32, inst.imm, 0});
+                name(inst.a, keyed({uint64_t(inst.op) << 32, inst.imm, 0}));
                 continue;
               case Op::select: {
                 uint64_t va = vnOf(inst.a), vb = vnOf(inst.a + 1);
                 uint64_t vc = vnOf(inst.a + 2);
-                cellVn[inst.a] =
-                    keyed({uint64_t(inst.op), (va << 32) | vb, vc});
+                name(inst.a, keyed({uint64_t(inst.op), (va << 32) | vb, vc}));
                 continue;
               }
               case Op::global_get:
               case Op::memory_size:
               case Op::memory_grow:
-                cellVn[inst.a] = next++;
+                name(inst.a, next++);
                 continue;
               default:
                 break;
             }
             int nin = opInputs(op);
             if (nin == 1 && opResult(op) != 0) {
-                cellVn[inst.a] =
-                    keyed({uint64_t(inst.op), vnOf(inst.a), 1});
+                name(inst.a, keyed({uint64_t(inst.op), vnOf(inst.a), 1}));
             } else if (nin == 2 && opResult(op) != 0) {
                 uint64_t va = vnOf(inst.a), vb = vnOf(inst.b);
-                cellVn[inst.a] =
-                    keyed({uint64_t(inst.op), (va << 32) | vb, 2});
+                name(inst.a, keyed({uint64_t(inst.op), (va << 32) | vb, 2}));
             } else {
                 uint32_t written;
                 if (writesCell(inst, written))
-                    cellVn[written] = next++;
+                    name(written, next++);
             }
         }
     }
@@ -1165,9 +985,11 @@ isCommutativeInt(Op op)
 class RegisterFormRewriter
 {
   public:
-    explicit RegisterFormRewriter(LoweredFunc& func)
+    RegisterFormRewriter(LoweredFunc& func, const Blocks& blocks)
         : func_(func),
           in_(func.code),
+          begins_(blocks.begins),
+          blockOf_(blocks.blockOf),
           sb_{func.numLocalCells},
           pend_(func.numCells, LInst{kNoOp, 0, 0, 0, 0})
     {
@@ -1175,10 +997,6 @@ class RegisterFormRewriter
 
     void run()
     {
-        // Only block ranges and successors: no full Cfg.
-        std::vector<uint8_t> jump_target;
-        collectJumpTargets(func_, jump_target);
-        findBlocks(func_, jump_target, begins_, blockOf_);
         computeLiveness();
         std::vector<uint32_t> new_pc(in_.size() + 1, 0);
         // Each listed check moves with its instruction: the rewrite
@@ -1520,14 +1338,14 @@ class RegisterFormRewriter
 
     LoweredFunc& func_;
     const std::vector<LInst>& in_; ///< func_.code until run() replaces it
+    const std::vector<uint32_t>& begins_;  ///< block begins, then size
+    const std::vector<uint32_t>& blockOf_; ///< pc -> block
     StackBits sb_;
     std::vector<LInst> out_;
     /** Deferred write per cell (op == kNoOp when none). */
     std::vector<LInst> pend_;
     /** Cells that may hold a deferred write. */
     std::vector<uint32_t> pending_;
-    std::vector<uint32_t> begins_;  ///< block begins, then code.size()
-    std::vector<uint32_t> blockOf_; ///< pc -> block
     std::vector<uint64_t> liveOut_; ///< per block
     std::vector<uint64_t> liveAfter_; ///< per pc
     /** Stack cell the last emitted instruction wrote, if retargetable. */
@@ -1535,10 +1353,10 @@ class RegisterFormRewriter
 };
 
 uint64_t
-rewriteRegisterForm(LoweredFunc& func)
+rewriteRegisterForm(LoweredFunc& func, const Blocks& blocks)
 {
     const size_t before = func.code.size();
-    RegisterFormRewriter(func).run();
+    RegisterFormRewriter(func, blocks).run();
     return before - func.code.size();
 }
 
@@ -1559,18 +1377,23 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts)
     }
 
     // Versioning runs first: it appends clones and marks fast-path
-    // accesses elidable; value numbering then sees those marks.
+    // accesses elidable; value numbering then sees those marks. It is
+    // the only step that moves block boundaries, so the partition it
+    // leaves serves value numbering and the rewrite alike.
+    Blocks blocks = findBlocks(func);
     if (opts.versionLoops) {
-        VersionResult versioned = versionLoops(func);
+        VersionResult versioned = versionLoops(func, blocks);
         stats.loopsVersioned = versioned.loopsVersioned;
         stats.checksVersioned = versioned.checksVersioned;
+        if (versioned.loopsVersioned != 0)
+            blocks = findBlocks(func);
     }
 
     if (opts.analyzeChecks) {
         std::vector<uint8_t> hinted(func.code.size(), 0);
         for (uint32_t pc : func.elidableCheckPcs)
             hinted[pc] = 1;
-        stats.checksElided = markVnElidableChecks(func, hinted);
+        stats.checksElided = markVnElidableChecks(func, blocks, hinted);
         func.elidableCheckPcs.clear();
         for (uint32_t pc = 0; pc < hinted.size(); pc++) {
             if (hinted[pc])
@@ -1578,7 +1401,7 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts)
         }
     }
 
-    stats.instsFused = rewriteRegisterForm(func);
+    stats.instsFused = rewriteRegisterForm(func, blocks);
 
     stats.instsAfter = func.code.size();
     return stats;

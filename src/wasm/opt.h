@@ -2,17 +2,20 @@
  * @file
  * Optimization pass over the lowered slot-machine IR, shared by the
  * interpreter and JIT tiers. Three transforms, selected per engine
- * configuration:
+ * configuration, walk one basic-block partition (blocks begin at pc 0,
+ * jump targets and after terminators), recomputed after versioning:
  *
- *  - Affine loop versioning (trap strategy only): rediscovers basic
- *    blocks, dominators, and natural loops from the resolved-jump CFG;
- *    for single-block bottom-test counted loops whose memory accesses
- *    are affine in the induction variable (`k_iv*i + k_base*base +
- *    const`), the loop body is cloned; the original becomes a fast path
- *    whose accesses are all marked elidable, guarded by preheader range
- *    checks — evaluated in 64-bit arithmetic over the maximum IV extent,
- *    which also rules out u32 wraparound of the in-loop address
- *    arithmetic — that jump to the fully-checked clone when they fail.
+ *  - Affine loop versioning (trap strategy only): a candidate is a
+ *    block whose conditional terminator jumps back to its own begin and
+ *    is the only jump there, so every other entry falls through the
+ *    preheader guard. For such bottom-test counted loops whose memory
+ *    accesses are affine in the induction variable (`k_iv*i +
+ *    k_base*base + const`), the loop body is cloned; the original
+ *    becomes a fast path whose accesses are all marked elidable,
+ *    guarded by preheader range checks — evaluated in 64-bit arithmetic
+ *    over the maximum IV extent, which also rules out u32 wraparound of
+ *    the in-loop address arithmetic — that jump to the fully-checked
+ *    clone when they fail.
  *    The only sound way to remove variable-index checks.
  *
  *  - Bounds-check value numbering (trap strategy only): value-numbers

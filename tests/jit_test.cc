@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "jit/assembler.h"
 #include "jit/code_buffer.h"
 #include "jit/compiler.h"
@@ -416,8 +418,23 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
     // skips none.
     obs::Counter emitted = obs::registerCounter("jit.bounds_checks_emitted");
     obs::Counter elided = obs::registerCounter("jit.bounds_checks_elided");
+    // The suite's elision decisions at scale 16, pinned: a change to how
+    // loops are found or checks numbered that lists other checks shows
+    // here, not only as a changed runtime.
+    struct Decisions
+    {
+        uint64_t loopsVersioned = 0;
+        uint64_t checksVersioned = 0;
+        uint64_t checksElided = 0;
+        bool operator==(const Decisions&) const = default;
+    };
+    const std::pair<const char*, Decisions> pinned[] = {
+        {"polybench", {84, 161, 42}},
+        {"specproxy", {10, 19, 11}},
+    };
     uint64_t total_listed = 0;
-    for (const char* suite : {"polybench", "specproxy"}) {
+    for (const auto& [suite, want] : pinned) {
+        Decisions got;
         for (const kernels::Kernel* kernel : kernels::suiteKernels(suite)) {
             rt::EngineConfig config;
             config.kind = rt::EngineKind::jit_opt;
@@ -429,8 +446,20 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
                           .takeValue();
             const wasm::LoweredModule& lowered = cm->lowered();
             uint64_t listed = 0;
-            for (const wasm::LoweredFunc& func : lowered.funcs)
-                listed += func.elidableCheckPcs.size();
+            for (const wasm::LoweredFunc& func : lowered.funcs) {
+                const std::vector<uint32_t>& pcs = func.elidableCheckPcs;
+                listed += pcs.size();
+                // Sorted without repeats, and each entry still names a
+                // load or store after the register-form rewrite.
+                for (size_t i = 0; i < pcs.size(); i++) {
+                    ASSERT_LT(pcs[i], func.code.size()) << kernel->name;
+                    EXPECT_TRUE(wasm::carriesBoundsCheck(func.code[pcs[i]]))
+                        << kernel->name << " pc " << pcs[i];
+                    if (i > 0) {
+                        EXPECT_LT(pcs[i - 1], pcs[i]) << kernel->name;
+                    }
+                }
+            }
             uint64_t sites = softwareCheckSites(lowered);
             EXPECT_EQ(elided.value() - elided_before, listed)
                 << kernel->name;
@@ -440,6 +469,9 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
             EXPECT_GT(stats.instsFused, 0u) << kernel->name;
             EXPECT_EQ(stats.checksElided + stats.checksVersioned, listed)
                 << kernel->name;
+            got.loopsVersioned += stats.loopsVersioned;
+            got.checksVersioned += stats.checksVersioned;
+            got.checksElided += stats.checksElided;
             EXPECT_EQ(emitted.value() - emitted_before +
                           elided.value() - elided_before,
                       sites)
@@ -458,6 +490,10 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
             EXPECT_EQ(emitted.value() - emitted_before, sites)
                 << kernel->name;
         }
+        EXPECT_TRUE(got == want)
+            << suite << ": loops versioned " << got.loopsVersioned
+            << ", checks versioned " << got.checksVersioned
+            << ", checks elided " << got.checksElided;
     }
     EXPECT_GT(total_listed, 0u);
 }

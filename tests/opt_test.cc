@@ -806,10 +806,20 @@ affineStoreModule()
     return mb.build();
 }
 
-/** The affine sum loop with a versioning blocker in the body: either a
- * memory.grow or a call (both may move/extend memory mid-loop). */
+/** What keeps blockedLoopModule's loop from being versioned. */
+enum class Blocker
+{
+    grow, ///< memory.grow may extend memory mid-loop
+    call, ///< so may a callee
+    /** A second `br_if head` mid-body: the loop's first block ends in a
+     * counted back edge, but it is not the only jump to the header, so
+     * the header has an entry the preheader guard cannot cover. */
+    secondBackEdge,
+};
+
+/** The affine sum loop with a versioning blocker in the body. */
 Module
-blockedLoopModule(bool use_grow)
+blockedLoopModule(Blocker blocker)
 {
     ModuleBuilder mb;
     mb.addMemory(1, 4);
@@ -834,12 +844,24 @@ blockedLoopModule(bool use_grow)
     f.localGet(3);
     f.emit(Op::i32_add);
     f.localSet(3);
-    if (use_grow) {
+    switch (blocker) {
+      case Blocker::grow:
         f.i32Const(0);
         f.memoryGrow();
         f.drop();
-    } else {
+        break;
+      case Blocker::call:
         f.call(helper);
+        break;
+      case Blocker::secondBackEdge:
+        f.localGet(2);
+        f.i32Const(1);
+        f.emit(Op::i32_add);
+        f.localTee(2);
+        f.localGet(1);
+        f.emit(Op::i32_lt_u);
+        f.brIf(head);
+        break;
     }
     f.localGet(2);
     f.i32Const(1);
@@ -891,15 +913,15 @@ TEST(Versioning, AffineLoopGetsVersionedClone)
         EXPECT_LT(pc, func.code.size());
 }
 
-TEST(Versioning, GrowOrCallInBodyPreventsVersioning)
+TEST(Versioning, GrowCallOrSecondBackEdgePreventsVersioning)
 {
-    for (bool use_grow : {true, false}) {
-        auto lowered = lowerModule(blockedLoopModule(use_grow));
+    for (Blocker blocker :
+         {Blocker::grow, Blocker::call, Blocker::secondBackEdge}) {
+        auto lowered = lowerModule(blockedLoopModule(blocker));
         ASSERT_TRUE(lowered.isOk());
         LoweredModule lm = lowered.takeValue();
         OptStats stats = optimizeWithVersioning(lm);
-        EXPECT_EQ(stats.loopsVersioned, 0u)
-            << (use_grow ? "memory.grow" : "call") << " in the body";
+        EXPECT_EQ(stats.loopsVersioned, 0u) << "blocker " << int(blocker);
     }
 }
 
