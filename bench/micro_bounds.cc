@@ -307,7 +307,7 @@ BENCHMARK(BM_LoopVersioning)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 /**
  * Epoch-check ablation on the affine RMW kernel, jit-opt x trap: arg 0
  * compiles the interrupt polls out (LNB_EPOCH_CHECKS=0), arg 1 leaves
- * them in (a flag load + never-taken branch per loop back edge and
+ * them in (one 3-byte load from the poll page per loop back edge and
  * function entry). The wall-time delta is the whole price of making
  * every request killable; the acceptance criterion is < 2% on the
  * tightest loop the JIT emits, which this kernel is — real kernels with

@@ -19,7 +19,11 @@ branch, is longer than as encodes it: the assembler promises the
 shortest displacement and a rel8 back edge wherever one reaches
 (DESIGN.md §6). Other excess (say, `cmp eax, imm32` without the
 accumulator short form) is reported but allowed. Forward branches are
-rel32 by design (there is no relaxation pass) and are only counted.
+rel32 by design (there is no relaxation pass) and are only counted, by
+target: a trap island (`ud2`) or any other. Also exits 1 when the old
+epoch poll (`cmpl $0x0,0x50(%rbp)` then `jne` to an interrupt island)
+reappears: the JIT polls with one load from the poll page below the
+context, `cmp -0x40(%rbp),%eax` (DESIGN.md §6).
 Relocated `movabs` (glue, code-table and code addresses) is allow-listed:
 the loader re-patches all 8 immediate bytes when a cached artifact is
 mapped into another process, so its width cannot depend on the value.
@@ -57,6 +61,7 @@ SWEEP_STRATEGIES = ("none", "trap", "clamp")
 COMPARE_ENGINES = ("jit-base", "jit-opt")
 COMPARE_STRATEGIES = ("none", "clamp", "trap", "mprotect", "uffd")
 MOVABS = re.compile(r"^movabs \$0x([0-9a-f]+),(%\w+)$")
+OLD_POLL = "cmpl $0x0,0x50(%rbp)"
 USER_ADDRESSES = range(1 << 32, 1 << 47)
 
 
@@ -166,11 +171,16 @@ def audit(paths, workdir):
 
     by_mnemonic = collections.defaultdict(lambda: [0, 0, 0])  # n, bytes, over
     failures = []
-    forward = [0, 0]  # count, bytes
+    forward = {"trap island": [0, 0], "other": [0, 0]}  # count, bytes
+    old_polls = []
     allowed_over = 0
     unassembled = collections.Counter()
     total = 0
     for path, insns in decoded.items():
+        islands = {addr for addr, _, text in insns if text == "ud2"}
+        for (addr, _, text), (_, _, after) in zip(insns, insns[1:]):
+            if text == OLD_POLL and after.startswith("jne "):
+                old_polls.append((path, addr))
         for addr, length, text in insns:
             total += length
             mnemonic = text.split()[0]
@@ -181,8 +191,9 @@ def audit(paths, workdir):
             if m:
                 target = int(m.group(2), 16)
                 if target > addr:
-                    forward[0] += 1
-                    forward[1] += length
+                    kind = "trap island" if target in islands else "other"
+                    forward[kind][0] += 1
+                    forward[kind][1] += length
                     continue
                 over = length - shortest_branch(mnemonic, addr, target)
                 if over > 0:
@@ -210,19 +221,28 @@ def audit(paths, workdir):
     print("bytes above as: %d (%.1f%% of code)" %
           (sum(r[2] for r in by_mnemonic.values()),
            100.0 * sum(r[2] for r in by_mnemonic.values()) / max(total, 1)))
-    print("forward branches (rel32 by design): %d, %d bytes" % tuple(forward))
+    print("forward branches (rel32 by design): %d, %d bytes" %
+          tuple(map(sum, zip(*forward.values()))))
+    for kind, (n, nbytes) in forward.items():
+        print("  to %s: %d, %d bytes" % (kind, n, nbytes))
     print("allow-listed: relocated movabs, %d bytes above as" % allowed_over)
     for text, n in unassembled.most_common():
         print("not re-assembled (%d): %s" % (n, text))
     for path, addr, text, length, want in failures[:40]:
         print("FAIL %s+0x%x: %s is %d bytes, as encodes %d" %
               (os.path.basename(path), addr, text, length, want))
-    if failures:
-        print("%d memory-operand or backward-branch encodings are longer "
-              "than GNU as's" % len(failures))
+    for path, addr in old_polls[:40]:
+        print("FAIL %s+0x%x: compare-and-branch epoch poll (%s; jne)" %
+              (os.path.basename(path), addr, OLD_POLL))
+    if failures or old_polls:
+        if failures:
+            print("%d memory-operand or backward-branch encodings are "
+                  "longer than GNU as's" % len(failures))
+        if old_polls:
+            print("%d compare-and-branch epoch polls" % len(old_polls))
         return 1
     print("OK: every memory operand and backward branch is as short as "
-          "GNU as encodes it")
+          "GNU as encodes it, and no compare-and-branch poll is left")
     return 0
 
 

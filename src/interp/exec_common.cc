@@ -55,15 +55,6 @@ epochInterruptCheck(InstanceContext* ctx)
         mem::TrapManager::raiseTrap(wasm::TrapKind(kind));
 }
 
-extern "C" void
-lnbJitInterrupt(InstanceContext* ctx)
-{
-    uint32_t kind = ctx->interruptFlag.load(std::memory_order_relaxed);
-    if (kind == 0)
-        kind = uint32_t(wasm::TrapKind::interrupted);
-    mem::TrapManager::raiseTrap(wasm::TrapKind(kind));
-}
-
 const char*
 tierName(Tier tier)
 {

@@ -11,9 +11,11 @@
 #define LNB_INTERP_EXEC_COMMON_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "mem/linear_memory.h"
+#include "mem/signals.h"
 #include "wasm/lower.h"
 #include "wasm/types.h"
 
@@ -134,12 +136,14 @@ struct InstanceContext
     /**
      * Cross-thread interrupt request: 0 when idle, else the wasm::TrapKind
      * (interrupted / deadline_exceeded) the next epoch check must raise.
-     * Written by Instance::interrupt() from reaper/killer threads; read by
-     * generated code at every function entry and loop back edge as a
-     * 32-bit memory operand of `cmp dword [rbp+disp8], 0` (x86 aligned
-     * loads are atomic), and by the interpreters relaxed. Only ever
-     * nonzero on the kill path. Cleared by the owning thread when the
-     * trap is delivered and on instance (re)initialization.
+     * Written by Instance::interrupt() from reaper/killer threads, which
+     * then makes the poll page below the context unreadable. JIT code
+     * never reads the flag: its polls load from that page, and the
+     * SIGSEGV handler reads the flag at mem::kPollFlagOffset to pick the
+     * trap. The interpreters read it relaxed. Only ever nonzero on the
+     * kill path. Cleared by the owning thread, which also makes the page
+     * readable again, when the trap is delivered and on instance
+     * (re)initialization.
      */
     std::atomic<uint32_t> interruptFlag{0};
     /**
@@ -210,6 +214,17 @@ struct InstanceContext
     void (*tierRequest)(void* ctl, uint32_t func_idx) = nullptr;
     void* tierCtl = nullptr;
 };
+
+static_assert(offsetof(InstanceContext, interruptFlag) ==
+                  mem::kPollFlagOffset,
+              "the poll-fault handler reads the flag at kPollFlagOffset");
+
+/** Displacement of the JIT's epoch poll from the context register: a
+ * disp8 that lands on the poll page directly below the context. */
+constexpr int32_t kEpochPollDisp = -0x40;
+static_assert(kEpochPollDisp < 0 &&
+                  -kEpochPollDisp <= int32_t(mem::kPollPageBytes),
+              "the epoch poll must read the poll page");
 
 /** Hotness credited to one function entry (back edges count 1 each). */
 constexpr uint32_t kEntryHotness = 8;
@@ -378,15 +393,6 @@ extern "C" void lnbJitMemoryFill(InstanceContext* ctx, uint32_t dst,
 extern "C" uint64_t lnbJitAtomic(InstanceContext* ctx, uint32_t addr,
                                  uint64_t v1, uint64_t v2, uint64_t offset,
                                  uint32_t op_mode);
-
-/**
- * Epoch-interrupt island target for JIT code: generated polls load
- * ctx->interruptFlag and branch here when it is nonzero. Noreturn — it
- * raises the requested trap via siglongjmp, which is also why calling
- * native code from the island is safe despite JIT locals living in
- * caller-saved XMM registers: nothing after the call ever executes.
- */
-extern "C" [[noreturn]] void lnbJitInterrupt(InstanceContext* ctx);
 
 } // namespace lnb::exec
 

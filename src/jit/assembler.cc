@@ -424,15 +424,6 @@ Assembler::cmpRM64(Reg lhs, Mem rhs)
 }
 
 void
-Assembler::cmpMI32(Mem lhs, int32_t imm)
-{
-    rex(false, 0, 0, lhs.base);
-    byte(fitsImm8(imm) ? 0x83 : 0x81);
-    modrmMem(7, lhs.base, lhs.disp);
-    immediate(imm);
-}
-
-void
 Assembler::testRR32(Reg a, Reg b)
 {
     rex(false, b, 0, a);

@@ -85,7 +85,7 @@ struct Label
  */
 enum class RelocKind : uint8_t {
     /** Address of a process-local runtime glue symbol (host-call /
-     * interrupt / atomic / bulk-memory helpers). addend = GlueSym id
+     * atomic / memory-size / bulk-memory helpers). addend = GlueSym id
      * (see jit/compiler.h); re-resolved from the loader's own symbol
      * table. */
     glue,
@@ -182,6 +182,7 @@ class Assembler
     void aluRM32(uint8_t opcode_base, Reg dst, Mem src);
     void aluRM64(uint8_t opcode_base, Reg dst, Mem src);
     void addRM64(Reg d, Mem s) { aluRM64(0x00, d, s); }
+    void cmpRM32(Reg d, Mem s) { aluRM32(0x38, d, s); }
 
     // ----- ALU (reg, imm) -----
     /** Group-1 op (0x81 /ext) with the shortest immediate: 0x83 and a
@@ -203,7 +204,6 @@ class Assembler
     void cmpRI64(Reg d, int32_t i) { aluRI64(7, d, i); }
 
     void cmpRM64(Reg lhs, Mem rhs); ///< cmp reg, [mem]
-    void cmpMI32(Mem lhs, int32_t imm); ///< cmp dword [mem], imm8/imm32
     void testRR32(Reg a, Reg b);
     void testRR64(Reg a, Reg b);
 

@@ -57,7 +57,8 @@ jitMetrics()
  */
 enum GlueSym : uint64_t {
     kGlueHostCall = 0,
-    kGlueInterrupt = 1,
+    // 1 was the epoch-interrupt glue; polls fault instead since cache
+    // format 7.
     kGlueAtomic = 2,
     kGlueMemSize = 3,
     kGlueMemGrow = 4,
@@ -74,8 +75,6 @@ glueSymAddress(uint64_t id)
     switch (id) {
       case kGlueHostCall:
         return reinterpret_cast<const void*>(&exec::lnbJitHostCall);
-      case kGlueInterrupt:
-        return reinterpret_cast<const void*>(&exec::lnbJitInterrupt);
       case kGlueAtomic:
         return reinterpret_cast<const void*>(&exec::lnbJitAtomic);
       case kGlueMemSize:
@@ -512,35 +511,14 @@ class FunctionCompiler
     }
 
     // ----- epoch interrupt polls -----
-    Label
-    interruptIsland()
-    {
-        if (interruptLabel_.id < 0)
-            interruptLabel_ = as_.newLabel();
-        return interruptLabel_;
-    }
-    /** Compare the instance interrupt flag in place and branch: no
-     * register is touched, and flags are dead between IR instructions.
-     * An aligned 32-bit load is atomic on x86, pairing with the killer
-     * thread's store. */
+    /** One load from the poll page below the context, `cmp eax,
+     * [rbp-0x40]`: Instance::interrupt() makes the page unreadable, and
+     * the poll's SIGSEGV raises the requested trap (mem/signals.cc). No
+     * register is written, and flags are dead between IR instructions. */
     void
     emitEpochPoll()
     {
-        as_.cmpMI32(CTX_FIELD(interruptFlag), 0);
-        as_.jcc(Cond::ne, interruptIsland());
-    }
-    /** The poll's cold target: hand the context to the noreturn
-     * lnbJitInterrupt glue, which raises the requested trap via
-     * siglongjmp. Because nothing returns here, the call is safe even
-     * though XMM-homed locals are caller-saved. */
-    void
-    emitInterruptIsland()
-    {
-        if (interruptLabel_.id < 0)
-            return;
-        as_.bind(interruptLabel_);
-        as_.movRR64(rdi, kCtxReg);
-        callGlue(kGlueInterrupt);
+        as_.cmpRM32(rax, Mem{kCtxReg, exec::kEpochPollDisp});
     }
 
     /**
@@ -818,9 +796,6 @@ class FunctionCompiler
      * poll sites. */
     std::unordered_set<uint32_t> backEdgeTargets_;
     std::unordered_map<uint8_t, Label> trapLabels_;
-    /** Per-function epoch-interrupt island (lazily created; id -1 when no
-     * poll was emitted). */
-    Label interruptLabel_;
     /** pc currently being emitted (for check skip-list lookups). */
     uint32_t curPc_ = 0;
 };
@@ -928,7 +903,7 @@ FunctionCompiler::compile()
     for (uint32_t pc = 0; pc < func_.code.size(); pc++) {
         if (isJumpTarget(pc)) {
             as_.bind(pcLabels_[pc]);
-            // Loop headers poll the interrupt flag: every back edge runs
+            // Loop headers poll the poll page: every back edge runs
             // through here, so a spinning loop is preempted within one
             // iteration.
             if (opts_.epochChecks && backEdgeTargets_.count(pc))
@@ -939,7 +914,6 @@ FunctionCompiler::compile()
     }
 
     emitTrapIslands();
-    emitInterruptIsland();
 }
 
 void

@@ -70,12 +70,12 @@ struct JitOptions
      */
     bool sharedMemory = false;
     /**
-     * Emit epoch interrupt polls: a 32-bit load of
-     * InstanceContext::interruptFlag plus a test/jcc to a per-function
-     * interrupt island, at the function entry and at every label that is
-     * the target of a backward jump (loop headers). The island calls the
-     * noreturn lnbJitInterrupt glue, which raises the requested
-     * clean-unwind trap — no register state needs preserving past it.
+     * Emit epoch interrupt polls at the function entry and at every
+     * label that is the target of a backward jump (loop headers): one
+     * 3-byte `cmp eax, [rbp-0x40]` that reads the poll page below the
+     * InstanceContext. Instance::interrupt() makes that page unreadable,
+     * and the SIGSEGV handler raises the requested clean-unwind trap
+     * (mem/signals.h) — no branch, no island, no register written.
      */
     bool epochChecks = true;
 };

@@ -35,6 +35,8 @@ std::atomic<uint64_t> g_trapCount{0};
 std::atomic<uint64_t> g_faultsResolved{0}; ///< lazily populated pages
 std::atomic<uint64_t> g_faultsTrapped{0};  ///< faults -> wasm OOB traps
 std::atomic<uint64_t> g_faultsReraised{0}; ///< not ours; default action
+std::atomic<uint64_t> g_pollFaults{0};     ///< polls that raised a kill
+std::atomic<uint64_t> g_pollStaleDisarms{0}; ///< armed pages, flag clear
 
 /** Byte the JIT places after each ud2 to identify the trap kind. */
 constexpr size_t kTrapKindByteOffset = 2; // sizeof(ud2)
@@ -109,6 +111,37 @@ populatePage(ArenaInfo* arena, uintptr_t fault_addr)
     return false;
 }
 
+/**
+ * An epoch poll that found its page armed: raise the trap kind the
+ * interrupt flag holds. A clear flag means the arm is stale (a kill
+ * raced the flag's clearing): disarm and let the poll retry. False when
+ * the fault is no poll: not at a JIT pc, or not on the page below the
+ * JIT's context register (rbp).
+ */
+bool
+handlePollFault(siginfo_t* info, void* ucontext)
+{
+    auto* uc = static_cast<ucontext_t*>(ucontext);
+    auto pc = reinterpret_cast<const uint8_t*>(
+        uc->uc_mcontext.gregs[REG_RIP]);
+    auto ctx = uintptr_t(uc->uc_mcontext.gregs[REG_RBP]);
+    auto addr = reinterpret_cast<uintptr_t>(info->si_addr);
+    if (addr >= ctx || ctx - addr > kPollPageBytes ||
+        !CodeRegionRegistry::contains(pc)) {
+        return false;
+    }
+    const auto& flag = *reinterpret_cast<const std::atomic<uint32_t>*>(
+        ctx + kPollFlagOffset);
+    uint32_t kind = flag.load(std::memory_order_seq_cst);
+    if (kind == 0) {
+        g_pollStaleDisarms.fetch_add(1, std::memory_order_relaxed);
+        syncPollPage(flag);
+        return true; // retry the poll
+    }
+    g_pollFaults.fetch_add(1, std::memory_order_relaxed);
+    jumpToFrame(wasm::TrapKind(kind));
+}
+
 void
 faultHandler(int sig, siginfo_t* info, void* ucontext)
 {
@@ -130,6 +163,8 @@ faultHandler(int sig, siginfo_t* info, void* ucontext)
             g_faultsTrapped.fetch_add(1, std::memory_order_relaxed);
             jumpToFrame(wasm::TrapKind::out_of_bounds_memory);
         }
+        if (sig == SIGSEGV && handlePollFault(info, ucontext))
+            return;
         g_faultsReraised.fetch_add(1, std::memory_order_relaxed);
         reraiseAsDefault(sig, info);
         return;
@@ -160,6 +195,23 @@ std::once_flag g_installOnce;
 } // namespace
 
 void
+syncPollPage(const std::atomic<uint32_t>& flag)
+{
+    auto* page = reinterpret_cast<void*>(
+        reinterpret_cast<uintptr_t>(&flag) - kPollFlagOffset -
+        kPollPageBytes);
+    bool armed = flag.load(std::memory_order_seq_cst) != 0;
+    for (;;) {
+        mprotect(page, kPollPageBytes,
+                 armed ? PROT_NONE : PROT_READ | PROT_WRITE);
+        bool want = flag.load(std::memory_order_seq_cst) != 0;
+        if (want == armed)
+            return;
+        armed = want;
+    }
+}
+
+void
 TrapManager::install()
 {
     std::call_once(g_installOnce, [] {
@@ -169,6 +221,9 @@ TrapManager::install()
                                      &g_faultsResolved);
         obs::registerExternalCounter("mem.faults_trapped",
                                      &g_faultsTrapped);
+        obs::registerExternalCounter("mem.poll_faults", &g_pollFaults);
+        obs::registerExternalCounter("mem.poll_stale_disarms",
+                                     &g_pollStaleDisarms);
         obs::registerExternalCounter("signals.reraised",
                                      &g_faultsReraised);
         obs::registerExternalCounter("signals.wasm_traps", &g_trapCount);

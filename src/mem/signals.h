@@ -13,19 +13,43 @@
  *  - SIGILL/SIGFPE with the program counter inside a registered JIT code
  *    region are wasm traps (the JIT encodes the trap kind in a byte after
  *    each ud2 island);
+ *  - a SIGSEGV at a JIT pc on the poll page below the context register
+ *    is an epoch poll that found its instance interrupted (see
+ *    kPollPageBytes);
  *  - anything else is re-raised with default disposition: a real crash
  *    stays a crash.
  */
 #ifndef LNB_MEM_SIGNALS_H
 #define LNB_MEM_SIGNALS_H
 
+#include <atomic>
 #include <csetjmp>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 
 #include "wasm/types.h"
 
 namespace lnb::mem {
+
+/**
+ * The epoch poll page (DESIGN.md §6). Every InstanceContext sits
+ * page-aligned directly above one page of its own mapping, and JIT code
+ * polls for interrupts with one load from that page. Instance::interrupt()
+ * makes the page unreadable after it sets the interrupt flag; the poll's
+ * SIGSEGV then raises the trap kind the flag holds. exec_common.h asserts
+ * that the flag sits at kPollFlagOffset in the context.
+ */
+constexpr size_t kPollPageBytes = 4096;
+constexpr size_t kPollFlagOffset = 0x50;
+
+/**
+ * Make the poll page of the context whose interrupt flag is @p flag
+ * unreadable while the flag is nonzero and readable while it is zero.
+ * Re-reads the flag after each mprotect, so callers racing on one flag
+ * leave the page matching its last value. Async-signal-safe.
+ */
+void syncPollPage(const std::atomic<uint32_t>& flag);
 
 /**
  * Per-thread trap recovery frame. Frames nest (wasm -> host -> wasm), the

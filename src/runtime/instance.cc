@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 #include "mem/signals.h"
 #include "obs/metrics.h"
@@ -124,8 +125,10 @@ Instance::create(std::shared_ptr<const CompiledModule> module,
 
 Instance::~Instance()
 {
-    if (vstack_ != nullptr)
-        munmap(vstack_, vstackBytes_);
+    if (mapping_ != nullptr) {
+        std::destroy_at(ctx_);
+        munmap(mapping_, mappingBytes_);
+    }
 }
 
 Status
@@ -139,6 +142,32 @@ Instance::initialize(ImportMap imports,
     imports_ = std::move(imports);
 
     mem::TrapManager::install();
+
+    // ----- poll page, context and value stack: one mapping -----
+    // Its own mapping, not the heap: glibc raises its mmap threshold to
+    // the size of any mmapped chunk that is freed, so freeing one 8 MiB
+    // stack would move every later allocation below 8 MiB onto the brk
+    // heap, whose freed pages stay resident (DESIGN.md §14). The context
+    // starts one page in: JIT code polls for interrupts by loading from
+    // the page below it (DESIGN.md §6), which stays readable until
+    // interrupt() arms it, and is never written (its reads map the shared
+    // zero page). The stack follows the context on the same page, so
+    // neither adds a written page or a syscall.
+    constexpr size_t kCtxBytes =
+        (sizeof(exec::InstanceContext) + 63) & ~size_t(63);
+    mappingBytes_ = mem::kPollPageBytes + kCtxBytes +
+                    size_t(config.valueStackCells) * sizeof(wasm::Value);
+    void* mapping = mmap(nullptr, mappingBytes_, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (mapping == MAP_FAILED)
+        return errResource("value stack mmap failed");
+    mapping_ = mapping;
+    auto* ctx_at = static_cast<uint8_t*>(mapping) + mem::kPollPageBytes;
+    ctx_ = new (ctx_at) exec::InstanceContext();
+    ctx_->vstack = reinterpret_cast<wasm::Value*>(ctx_at + kCtxBytes);
+    ctx_->vstackEnd = ctx_->vstack + config.valueStackCells;
+    ctx_->maxCallDepth = config.maxCallDepth;
+    ctx_->lowered = &module_->lowered();
 
     // ----- linear memory -----
     if (!m.memories.empty()) {
@@ -160,18 +189,18 @@ Instance::initialize(ImportMap imports,
             LNB_ASSIGN_OR_RETURN(
                 memory_, mem::LinearMemory::create(m.memories[0], mc));
         }
-        ctx_.memBase = memory_->base();
-        ctx_.memSize = memory_->sizeBytes();
-        ctx_.clampOffset = memory_->clampOffset();
-        ctx_.memory = memory_.get();
-        ctx_.sharedMem = memory_->shared();
+        ctx_->memBase = memory_->base();
+        ctx_->memSize = memory_->sizeBytes();
+        ctx_->clampOffset = memory_->clampOffset();
+        ctx_->memory = memory_.get();
+        ctx_->sharedMem = memory_->shared();
     } else if (shared_memory != nullptr) {
         return errInvalid("module has no memory to run against");
     }
 
     // ----- globals (storage; values set in initMutableState) -----
     globals_.resize(m.globals.size());
-    ctx_.globals = globals_.data();
+    ctx_->globals = globals_.data();
 
     // ----- host bindings -----
     hostBindings_.resize(m.imports.size());
@@ -191,52 +220,36 @@ Instance::initialize(ImportMap imports,
         hostBindings_[i].user = entry->user;
         hostBindings_[i].type = &m.types[imp.typeIdx];
     }
-    ctx_.hostFuncs = hostBindings_.data();
-    ctx_.numHostFuncs = uint32_t(hostBindings_.size());
+    ctx_->hostFuncs = hostBindings_.data();
+    ctx_->numHostFuncs = uint32_t(hostBindings_.size());
 
     // ----- table (storage; entries set in initMutableState) -----
     if (!m.tables.empty()) {
         table_.resize(m.tables[0].min);
-        ctx_.table = table_.data();
-        ctx_.tableSize = table_.size();
+        ctx_->table = table_.data();
+        ctx_->tableSize = table_.size();
     }
-
-    // ----- value stack -----
-    // Its own mapping, not the heap: glibc raises its mmap threshold to
-    // the size of any mmapped chunk that is freed, so freeing one 8 MiB
-    // stack would move every later allocation below 8 MiB onto the brk
-    // heap, whose freed pages stay resident (DESIGN.md §14).
-    vstackBytes_ = size_t(config.valueStackCells) * sizeof(wasm::Value);
-    void* vstack = mmap(nullptr, vstackBytes_, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (vstack == MAP_FAILED)
-        return errResource("value stack mmap failed");
-    vstack_ = static_cast<wasm::Value*>(vstack);
-    ctx_.vstack = vstack_;
-    ctx_.vstackEnd = vstack_ + config.valueStackCells;
-    ctx_.maxCallDepth = config.maxCallDepth;
-    ctx_.lowered = &module_->lowered();
 
     // ----- preemption -----
     // Epoch checks are on by default (the serving kill path depends on
     // them); LNB_EPOCH_INTERVAL tunes how many interpreter entries/back
-    // edges elapse between atomic flag loads. JIT code polls the flag
-    // directly at every back edge, so the interval only shapes
-    // interpreter overhead.
-    ctx_.epochInterval =
+    // edges elapse between atomic flag loads. JIT code polls the poll
+    // page at every back edge, so the interval only shapes interpreter
+    // overhead.
+    ctx_->epochInterval =
         config.epochChecks
             ? uint32_t(envInt("LNB_EPOCH_INTERVAL", 128, 1, 1 << 20))
             : 0;
 
     // ----- per-function code table + tier profiling -----
-    ctx_.funcCode = module_->funcCode();
+    ctx_->funcCode = module_->funcCode();
     if (config.tiered) {
         funcHotness_.reset(new uint32_t[module_->numFuncs()]);
-        ctx_.funcHotness = funcHotness_.get();
-        ctx_.tierThreshold = config.tierThreshold;
+        ctx_->funcHotness = funcHotness_.get();
+        ctx_->tierThreshold = config.tierThreshold;
         if (TierController* controller = module_->tierController()) {
-            ctx_.tierCtl = controller;
-            ctx_.tierRequest = &TierController::requestHook;
+            ctx_->tierCtl = controller;
+            ctx_->tierRequest = &TierController::requestHook;
         }
     }
 
@@ -248,7 +261,7 @@ Instance::initialize(ImportMap imports,
     if (eligible) {
         if (const SnapshotState* snap = module_->snapshot()) {
             LNB_RETURN_IF_ERROR(memory_->adoptSnapshot(snap->memory));
-            ctx_.memSize = memory_->sizeBytes();
+            ctx_->memSize = memory_->sizeBytes();
             LNB_RETURN_IF_ERROR(applySnapshotState(*snap));
             rtMetrics().snapshotRestores.add();
             return Status::ok();
@@ -267,7 +280,7 @@ Instance::snapshotEligible() const
     // memory + globals + table), the memory is private to this instance,
     // and nothing has refused capture before.
     return snapshotEnabled() && memory_ != nullptr && !externalMemory_ &&
-           !ctx_.sharedMem && module_->startIsPure() &&
+           !ctx_->sharedMem && module_->startIsPure() &&
            !module_->snapshotRefused();
 }
 
@@ -329,14 +342,12 @@ Instance::resetExecState()
     // A pending-but-undelivered interrupt dies with the request it
     // targeted: the flag clears before the start function runs so a
     // recycled instance is indistinguishable from a fresh one.
-    ctx_.interruptFlag.store(0, std::memory_order_relaxed);
-    ctx_.epochCountdown = ctx_.epochInterval != 0 ? ctx_.epochInterval
-                                                  : ~0u;
-    ctx_.vstackTop = vstack_;
-    ctx_.callDepth = 0;
-    ctx_.blockingEvents = 0;
-    ctx_.checksRetired = 0;
-    ctx_.guardFallbacks = 0;
+    clearInterrupt();
+    ctx_->vstackTop = ctx_->vstack;
+    ctx_->callDepth = 0;
+    ctx_->blockingEvents = 0;
+    ctx_->checksRetired = 0;
+    ctx_->guardFallbacks = 0;
     // Fresh profile: a recycled instance must neither inherit hotness
     // toward a spurious tier-up nor suppress one it would have earned.
     if (funcHotness_ != nullptr) {
@@ -344,11 +355,23 @@ Instance::resetExecState()
     }
 }
 
+void
+Instance::clearInterrupt()
+{
+    // Only a set flag can have armed the page, so the common path makes
+    // no syscall. An arm that lands after this exchange is stale: the
+    // poll-fault handler disarms it.
+    if (ctx_->interruptFlag.exchange(0, std::memory_order_seq_cst) != 0)
+        mem::syncPollPage(ctx_->interruptFlag);
+    ctx_->epochCountdown = ctx_->epochInterval != 0 ? ctx_->epochInterval
+                                                    : ~0u;
+}
+
 Status
 Instance::applySnapshotState(const SnapshotState& snap)
 {
-    // Copy into the existing vectors — ctx_.globals / ctx_.table point at
-    // their storage, so reassignment would dangle those mirrors.
+    // Copy into the existing vectors — ctx_->globals / ctx_->table
+    // point at their storage, so reassignment would dangle those mirrors.
     if (snap.globals.size() != globals_.size() ||
         snap.table.size() != table_.size()) {
         return errInternal("snapshot shape does not match module");
@@ -411,7 +434,7 @@ Instance::recycle()
                 rtMetrics().snapshotInvalidations.add();
             // memBase is stable (same reservation); only the size mirror
             // changes.
-            ctx_.memSize = memory_->sizeBytes();
+            ctx_->memSize = memory_->sizeBytes();
             LNB_RETURN_IF_ERROR(applySnapshotState(*snap));
             rtMetrics().snapshotRestores.add();
             return Status::ok();
@@ -419,7 +442,7 @@ Instance::recycle()
     }
     if (memory_ != nullptr) {
         LNB_RETURN_IF_ERROR(memory_->reset());
-        ctx_.memSize = memory_->sizeBytes();
+        ctx_->memSize = memory_->sizeBytes();
     }
     LNB_RETURN_IF_ERROR(initMutableState());
     if (snapshotEligible())
@@ -436,13 +459,16 @@ Instance::interrupt(wasm::TrapKind kind)
     // First request wins: a CAS so a racing second kill cannot change the
     // kind mid-delivery. seq_cst so a parked waiter's check under its
     // bucket lock is ordered against the waitListInterrupt scan below.
+    // The winner then arms the poll page JIT code loads from.
     uint32_t expected = 0;
-    ctx_.interruptFlag.compare_exchange_strong(expected, uint32_t(kind),
-                                               std::memory_order_seq_cst);
+    if (ctx_->interruptFlag.compare_exchange_strong(
+            expected, uint32_t(kind), std::memory_order_seq_cst)) {
+        mem::syncPollPage(ctx_->interruptFlag);
+    }
     // Wake a thread parked in memory.atomic.wait: the flag is visible
     // before the scan, so a waiter either sees it pre-park or is found
     // parked here.
-    uint32_t woken = rt::waitListInterrupt(&ctx_.interruptFlag);
+    uint32_t woken = rt::waitListInterrupt(&ctx_->interruptFlag);
     if (woken != 0)
         rtMetrics().interruptWaitWakes.add(woken);
     std::lock_guard<std::mutex> lock(childrenMutex_);
@@ -458,11 +484,11 @@ Instance::addChild(Instance* child)
         std::lock_guard<std::mutex> lock(childrenMutex_);
         children_.push_back(child);
         pending =
-            ctx_.interruptFlag.load(std::memory_order_seq_cst) != 0;
+            ctx_->interruptFlag.load(std::memory_order_seq_cst) != 0;
     }
     if (pending) {
         child->interrupt(wasm::TrapKind(
-            ctx_.interruptFlag.load(std::memory_order_relaxed)));
+            ctx_->interruptFlag.load(std::memory_order_relaxed)));
     }
 }
 
@@ -492,11 +518,11 @@ Instance::call(uint32_t func_idx, const std::vector<wasm::Value>& args)
     // Re-entrant calls (host function calling back into the instance)
     // must not clobber the outer activation's depth accounting; a trap
     // unwinds past interpreter decrements, so restore rather than reset.
-    uint32_t saved_depth = ctx_.callDepth;
-    wasm::Value* saved_top = ctx_.vstackTop;
-    ctx_.nativeStackLimit = threadStackLimit();
-    wasm::Value* frame = ctx_.vstackTop;
-    if (frame + type.params.size() > ctx_.vstackEnd) {
+    uint32_t saved_depth = ctx_->callDepth;
+    wasm::Value* saved_top = ctx_->vstackTop;
+    ctx_->nativeStackLimit = threadStackLimit();
+    wasm::Value* frame = ctx_->vstackTop;
+    if (frame + type.params.size() > ctx_->vstackEnd) {
         outcome.trap = wasm::TrapKind::stack_overflow;
         return outcome;
     }
@@ -513,15 +539,15 @@ Instance::call(uint32_t func_idx, const std::vector<wasm::Value>& args)
       case exec::Tier::jit: rtMetrics().callsJit.add(); break;
       default: rtMetrics().callsInterp.add(); break;
     }
-    uint64_t fallbacks_before = ctx_.guardFallbacks;
+    uint64_t fallbacks_before = ctx_->guardFallbacks;
     outcome.trap = mem::TrapManager::protect([&] {
-        fc.entry.load(std::memory_order_acquire)(&ctx_, frame, func_idx);
+        fc.entry.load(std::memory_order_acquire)(ctx_, frame, func_idx);
     });
 
-    ctx_.callDepth = saved_depth;
-    ctx_.vstackTop = saved_top;
-    if (ctx_.guardFallbacks != fallbacks_before)
-        rtMetrics().guardFallbacks.add(ctx_.guardFallbacks -
+    ctx_->callDepth = saved_depth;
+    ctx_->vstackTop = saved_top;
+    if (ctx_->guardFallbacks != fallbacks_before)
+        rtMetrics().guardFallbacks.add(ctx_->guardFallbacks -
                                        fallbacks_before);
 
     if (outcome.trap == wasm::TrapKind::interrupted ||
@@ -530,9 +556,7 @@ Instance::call(uint32_t func_idx, const std::vector<wasm::Value>& args)
         // call on this (possibly pooled) instance starts clean even if
         // the caller skips a recycle.
         rtMetrics().interruptsDelivered.add();
-        ctx_.interruptFlag.store(0, std::memory_order_relaxed);
-        ctx_.epochCountdown = ctx_.epochInterval != 0 ? ctx_.epochInterval
-                                                      : ~0u;
+        clearInterrupt();
     }
     if (!outcome.ok())
         rtMetrics().trapsReturned.add();

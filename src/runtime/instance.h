@@ -109,8 +109,10 @@ class Instance
      * Ask the instance to stop: the next epoch check (loop back edge or
      * function entry, interpreted or JIT) raises @p kind as a clean-unwind
      * trap, and a thread parked in `memory.atomic.wait` is woken to do the
-     * same. Safe to call from any thread while another thread executes in
-     * the instance — this is the deadline-reaper / shutdown kill path.
+     * same. JIT code sees the kill because the request makes the poll
+     * page below the context unreadable (one mprotect). Safe to call from
+     * any thread while another thread executes in the instance — this is
+     * the deadline-reaper / shutdown kill path.
      * One-shot: the first request wins until the trap is delivered (or the
      * instance is recycled), so a delivered `deadline_exceeded` cannot be
      * overwritten into a plain `interrupted` mid-unwind. Propagates to
@@ -146,7 +148,7 @@ class Instance
     {
         return module_;
     }
-    exec::InstanceContext& context() { return ctx_; }
+    exec::InstanceContext& context() { return *ctx_; }
     mem::LinearMemory* memory() { return memory_.get(); }
     /** Co-owning handle to the linear memory, for sharing with sibling
      * instances (see the shared_memory parameter of create()). */
@@ -156,14 +158,14 @@ class Instance
     }
 
     /** Runtime blocking events (paper Fig. 5 substitute). */
-    uint64_t blockingEvents() const { return ctx_.blockingEvents; }
+    uint64_t blockingEvents() const { return ctx_->blockingEvents; }
 
     /** Dynamically retired software bounds checks. Interpreters always
      * count; JIT code only under EngineConfig::countRetiredChecks. */
-    uint64_t checksRetired() const { return ctx_.checksRetired; }
+    uint64_t checksRetired() const { return ctx_->checksRetired; }
 
     /** Versioned-loop guard failures (slow-path clone entries). */
-    uint64_t guardFallbacks() const { return ctx_.guardFallbacks; }
+    uint64_t guardFallbacks() const { return ctx_->guardFallbacks; }
 
   private:
     Instance() = default;
@@ -176,6 +178,9 @@ class Instance
      * top, counters, hotness) — the tail both initMutableState() and the
      * snapshot-restore path run. */
     void resetExecState();
+    /** Clear the interrupt flag and restart the interpreter countdown;
+     * when the flag was set, make the poll page readable again. */
+    void clearInterrupt();
     /** Copy a published SnapshotState's globals/table into this
      * instance's existing storage (ctx_ pointers stay valid) and reset
      * execution state. The memory template must already be adopted /
@@ -199,10 +204,11 @@ class Instance
     std::vector<wasm::Value> globals_;
     std::vector<exec::TableEntry> table_;
     std::vector<exec::HostFuncBinding> hostBindings_;
-    /** The value stack: its own MAP_NORESERVE mapping, unmapped in the
-     * destructor. */
-    wasm::Value* vstack_ = nullptr;
-    size_t vstackBytes_ = 0;
+    /** One MAP_NORESERVE mapping, unmapped in the destructor: the epoch
+     * poll page (mem::kPollPageBytes), then the context, page-aligned,
+     * then the value stack. */
+    void* mapping_ = nullptr;
+    size_t mappingBytes_ = 0;
     /** Per-instance hotness accumulators (tiered modules only); zeroed
      * on create and on every recycle so pool reuse cannot inherit a
      * previous tenant's profile. */
@@ -212,7 +218,8 @@ class Instance
      * childrenMutex_ (interrupt() may run on any thread). */
     std::mutex childrenMutex_;
     std::vector<Instance*> children_;
-    exec::InstanceContext ctx_;
+    /** Lives in mapping_, one page in; set before any context field. */
+    exec::InstanceContext* ctx_ = nullptr;
 };
 
 } // namespace lnb::rt

@@ -69,8 +69,10 @@ constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
  * context offsets baked into them); 6 = the hoisted-check pseudo-op left
  * the lowered IR (count_fallback and every register-form opcode moved
  * down by one) and the two interprocedural-summary rows left the
- * serialized EngineConfig. */
-constexpr uint32_t kCacheFormatVersion = 6;
+ * serialized EngineConfig; 7 = the epoch poll became one load from the
+ * poll page below the context, and interrupt islands and their glue
+ * symbol left the code. */
+constexpr uint32_t kCacheFormatVersion = 7;
 
 uint64_t
 cacheBuildId()

@@ -4,10 +4,13 @@
  * reference encodings from the Intel SDM), code-buffer lifecycle, and
  * compiler-level properties (code size, register forms compiled
  * bit-exact against the interpreter, which bounds checks the trap
- * strategy skips, trap-kind bytes after ud2 islands).
+ * strategy skips, trap-kind bytes after ud2 islands, one 3-byte epoch
+ * poll per function entry and loop header).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <utility>
 
 #include "jit/assembler.h"
@@ -122,11 +125,11 @@ TEST(Assembler, BooleansPollsAndZeroes)
     // movzx eax, al
     EXPECT_EQ(assemble([](Assembler& a) { a.movzxRR8(rax, rax); }),
               (Bytes{0x0F, 0xB6, 0xC0}));
-    // cmp dword [rbp+0x50], 0 : the epoch poll.
-    EXPECT_EQ(assemble([](Assembler& a) { a.cmpMI32({rbp, 0x50}, 0); }),
-              (Bytes{0x83, 0x7D, 0x50, 0x00}));
-    EXPECT_EQ(assemble([](Assembler& a) { a.cmpMI32({rbp, 0x50}, 256); }),
-              (Bytes{0x81, 0x7D, 0x50, 0x00, 0x01, 0x00, 0x00}));
+    // cmp eax, [rbp-0x40] : the epoch poll, one load from the poll page.
+    EXPECT_EQ(assemble([](Assembler& a) {
+                  a.cmpRM32(rax, {rbp, exec::kEpochPollDisp});
+              }),
+              (Bytes{0x3B, 0x45, 0xC0}));
     // xor r32, r32 : the zero idiom.
     EXPECT_EQ(assemble([](Assembler& a) { a.xorRR32(r14, r14); }),
               (Bytes{0x45, 0x31, 0xF6}));
@@ -977,6 +980,100 @@ TEST(Compiler, FrameCellsPastTheDisp8RangeStayBitExact)
         }
         EXPECT_EQ(traps, strategy == mem::BoundsStrategy::trap ? 8u : 0u);
     }
+}
+
+/** Function entries plus loop headers (targets of a jump at or after
+ * them): where the JIT polls for interrupts. */
+size_t
+pollSites(const wasm::LoweredModule& lowered)
+{
+    size_t sites = 0;
+    for (const wasm::LoweredFunc& func : lowered.funcs) {
+        std::set<uint32_t> headers;
+        for (uint32_t pc = 0; pc < func.code.size(); pc++) {
+            const wasm::LInst& inst = func.code[pc];
+            std::vector<uint32_t> targets;
+            if (wasm::isFormOp(inst.op)) {
+                if (wasm::formOf(inst.op) >= wasm::IrForm::jrr)
+                    targets.push_back(inst.a);
+            } else if (wasm::LOp(inst.op) == wasm::LOp::jump_table) {
+                for (uint32_t i = 0; i <= inst.aux; i++)
+                    targets.push_back(func.tablePool[inst.a + i]);
+            } else if (wasm::LOp(inst.op) == wasm::LOp::jump ||
+                       wasm::LOp(inst.op) == wasm::LOp::jump_if ||
+                       wasm::LOp(inst.op) == wasm::LOp::jump_if_zero) {
+                targets.push_back(inst.a);
+            }
+            for (uint32_t target : targets) {
+                if (target <= pc)
+                    headers.insert(target);
+            }
+        }
+        sites += 1 + headers.size();
+    }
+    return sites;
+}
+
+/** Occurrences of the epoch poll, `cmp eax, [rbp-0x40]`. */
+size_t
+countPolls(const CompiledCode& code)
+{
+    static const uint8_t kPoll[] = {0x3B, 0x45, 0xC0};
+    const uint8_t* begin = code.codeData();
+    const uint8_t* end = begin + code.codeBytes();
+    size_t polls = 0;
+    for (const uint8_t* at = begin;
+         (at = std::search(at, end, kPoll, kPoll + 3)) != end; at += 3)
+        polls++;
+    return polls;
+}
+
+TEST(Compiler, EpochPollIsOneLoadAtEveryEntryAndLoopHeader)
+{
+    // The sample's one function has one loop: two polls of exactly three
+    // bytes each, and nothing else (no branch, no island, no glue call).
+    wasm::LoweredModule sample = lowerSample();
+    JitOptions polled = tableOptions();
+    JitOptions unpolled = tableOptions();
+    unpolled.epochChecks = false;
+    auto with_polls = compileModule(sample, polled).takeValue();
+    auto without_polls = compileModule(sample, unpolled).takeValue();
+    EXPECT_EQ(pollSites(sample), 2u);
+    EXPECT_EQ(countPolls(*with_polls), 2u);
+    EXPECT_EQ(countPolls(*without_polls), 0u);
+    EXPECT_EQ(with_polls->codeBytes() - without_polls->codeBytes(), 3u * 2);
+
+    // Every suite kernel, in both JIT tiers' IR: one poll per site.
+    size_t total_sites = 0;
+    for (const char* suite : {"polybench", "specproxy"}) {
+        for (const kernels::Kernel* kernel : kernels::suiteKernels(suite)) {
+            for (rt::EngineKind kind :
+                 {rt::EngineKind::jit_base, rt::EngineKind::jit_opt}) {
+                rt::EngineConfig config;
+                config.kind = kind;
+                config.strategy = mem::BoundsStrategy::trap;
+                auto cm = rt::Engine(config)
+                              .compile(kernel->buildModule(16))
+                              .takeValue();
+                const wasm::LoweredModule& lowered = cm->lowered();
+                std::unique_ptr<exec::FuncCode[]> table(
+                    new exec::FuncCode[lowered.module.numImportedFuncs() +
+                                       lowered.funcs.size()]);
+                JitOptions on;
+                on.codeTable = table.get();
+                JitOptions off = on;
+                off.epochChecks = false;
+                size_t polls =
+                    countPolls(*compileModule(lowered, on).takeValue()) -
+                    countPolls(*compileModule(lowered, off).takeValue());
+                EXPECT_EQ(polls, pollSites(lowered))
+                    << kernel->name << " " << rt::engineKindName(kind);
+                total_sites += pollSites(lowered);
+            }
+        }
+    }
+    // Every kernel has at least one function and one loop per tier.
+    EXPECT_GE(total_sites, 2u * 2 * 28);
 }
 
 TEST(Compiler, StackCheckAblationShrinksPrologue)

@@ -10,13 +10,16 @@
  * every engine leaves identical side effects up to the poll boundary.
  */
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <csignal>
 #include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runtime/engine.h"
 #include "runtime/instance.h"
 #include "runtime/threads.h"
@@ -61,6 +64,19 @@ sweepConfigs(BoundsStrategy strategy)
     tiered.tierThreshold = 1;
     tiered.strategy = strategy;
     configs.push_back(tiered);
+    return configs;
+}
+
+/** jit_base, jit_opt and tiered: the configurations whose loops run as
+ * JIT code. */
+std::vector<EngineConfig>
+jitConfigs(BoundsStrategy strategy)
+{
+    std::vector<EngineConfig> configs;
+    for (const EngineConfig& config : sweepConfigs(strategy)) {
+        if (config.tiered || rt::engineIsJit(config.kind))
+            configs.push_back(config);
+    }
     return configs;
 }
 
@@ -221,9 +237,7 @@ TEST_P(PreemptStrategyTest, JriBackEdgeSpinIsInterrupted)
     mb.exportFunc("spin", f.finish());
     wasm::Module module = mb.build();
 
-    for (const EngineConfig& config : sweepConfigs(GetParam())) {
-        if (!config.tiered && !rt::engineIsJit(config.kind))
-            continue;
+    for (const EngineConfig& config : jitConfigs(GetParam())) {
         auto inst = instantiate(config, wasm::Module(module));
         ASSERT_NE(inst, nullptr) << configName(config);
         bool jri = false;
@@ -279,6 +293,133 @@ TEST(Preempt, EpochChecksDisabledRunsToCompletion)
     CallOutcome out = inst->callExport("run", {Value::fromI32(100)});
     ASSERT_TRUE(out.ok()) << trapKindName(out.trap);
     EXPECT_EQ(out.results[0].i64, 100);
+}
+
+// ---------------------------------------------------------------------
+// The JIT's poll page: kills arrive as poll faults; stale arms and
+// stale kills are harmless
+// ---------------------------------------------------------------------
+
+/** The spin module with run() already JIT code (tiered: after one
+ * warm-up call and its tier-up). */
+std::unique_ptr<Instance>
+instantiateJitSpin(const EngineConfig& config)
+{
+    auto inst = instantiate(config, buildKillableSpinModule());
+    if (inst == nullptr)
+        return nullptr;
+    EXPECT_TRUE(inst->callExport("run", {Value::fromI32(1)}).ok());
+    inst->module().drainTierQueue();
+    EXPECT_EQ(inst->module().funcTier(inst->exportedFunc("run").value()),
+              exec::Tier::jit)
+        << configName(config);
+    return inst;
+}
+
+uint64_t
+counterValue(const char* name)
+{
+    return obs::snapshotMetrics().counter(name);
+}
+
+/** Every kill that reaches a running JIT loop is delivered by a poll
+ * fault: one mem.poll_faults per delivered interrupt. */
+TEST_P(PreemptStrategyTest, JitKillsAreDeliveredByPollFaults)
+{
+    for (const EngineConfig& config : jitConfigs(GetParam())) {
+        auto inst = instantiateJitSpin(config);
+        ASSERT_NE(inst, nullptr) << configName(config);
+        [[maybe_unused]] uint64_t faults = counterValue("mem.poll_faults");
+        [[maybe_unused]] uint64_t delivered =
+            counterValue("rt.interrupts_delivered");
+        std::thread killer([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            inst->interrupt(TrapKind::deadline_exceeded);
+        });
+        CallOutcome out = inst->callExport("run", {Value::fromI32(0)});
+        killer.join();
+        EXPECT_EQ(out.trap, TrapKind::deadline_exceeded)
+            << configName(config);
+#ifndef LNB_OBS_DISABLED
+        EXPECT_EQ(counterValue("rt.interrupts_delivered") - delivered, 1u)
+            << configName(config);
+        EXPECT_EQ(counterValue("mem.poll_faults") - faults, 1u)
+            << configName(config);
+#endif
+        // Delivery disarmed the page: the next call completes.
+        CallOutcome again = inst->callExport("run", {Value::fromI32(10)});
+        ASSERT_TRUE(again.ok())
+            << configName(config) << ": " << trapKindName(again.trap);
+    }
+}
+
+/** A kill posted to an idle instance dies with its recycle: the flag
+ * clears and the page is readable again, so the next long call runs to
+ * completion. */
+TEST(Preempt, StaleKillDiesWithRecycle)
+{
+    for (const EngineConfig& config : jitConfigs(BoundsStrategy::none)) {
+        auto inst = instantiateJitSpin(config);
+        ASSERT_NE(inst, nullptr) << configName(config);
+        inst->interrupt();
+        ASSERT_TRUE(inst->recycle().isOk()) << configName(config);
+        CallOutcome out = inst->callExport("run", {Value::fromI32(200000)});
+        ASSERT_TRUE(out.ok())
+            << configName(config) << ": " << trapKindName(out.trap);
+        EXPECT_EQ(out.results[0].i64, 200000) << configName(config);
+    }
+}
+
+/** An arm that lost the race with the flag's clearing leaves the page
+ * unreadable with the flag at 0: the poll's fault handler disarms it,
+ * and the poll retries and passes. */
+TEST(Preempt, StaleArmIsDisarmedByTheHandler)
+{
+    for (const EngineConfig& config : jitConfigs(BoundsStrategy::none)) {
+        auto inst = instantiateJitSpin(config);
+        ASSERT_NE(inst, nullptr) << configName(config);
+        inst->interrupt();
+        inst->context().interruptFlag.store(0);
+        [[maybe_unused]] uint64_t stale =
+            counterValue("mem.poll_stale_disarms");
+        [[maybe_unused]] uint64_t faults = counterValue("mem.poll_faults");
+        CallOutcome out = inst->callExport("run", {Value::fromI32(1000)});
+        ASSERT_TRUE(out.ok())
+            << configName(config) << ": " << trapKindName(out.trap);
+        EXPECT_EQ(out.results[0].i64, 1001) << configName(config);
+#ifndef LNB_OBS_DISABLED
+        EXPECT_EQ(counterValue("mem.poll_stale_disarms") - stale, 1u)
+            << configName(config);
+        EXPECT_EQ(counterValue("mem.poll_faults") - faults, 0u)
+            << configName(config);
+#endif
+    }
+}
+
+/** Read one word without leaving a core file behind. */
+void
+readWithoutCore(const volatile uint32_t* word)
+{
+    struct rlimit no_core = {0, 0};
+    setrlimit(RLIMIT_CORE, &no_core);
+    (void)*word;
+}
+
+/** The handler claims only faults at a JIT pc: a plain C++ read of an
+ * armed poll page still kills the process with SIGSEGV. */
+TEST(PreemptDeathTest, ArmedPollPageReadOutsideJitCodeCrashes)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EngineConfig config;
+    config.kind = EngineKind::jit_opt;
+    auto inst = instantiate(config, buildKillableSpinModule());
+    ASSERT_NE(inst, nullptr);
+    inst->interrupt();
+    auto* poll = reinterpret_cast<const volatile uint32_t*>(
+        reinterpret_cast<const uint8_t*>(&inst->context()) +
+        exec::kEpochPollDisp);
+    EXPECT_EXIT(readWithoutCore(poll), testing::KilledBySignal(SIGSEGV),
+                "");
 }
 
 // ---------------------------------------------------------------------
