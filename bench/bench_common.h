@@ -35,15 +35,6 @@ allStrategies()
     return strategies;
 }
 
-inline const std::vector<EngineKind>&
-allEngines()
-{
-    static const std::vector<EngineKind> engines = {
-        EngineKind::interp_switch, EngineKind::interp_threaded,
-        EngineKind::jit_base, EngineKind::jit_opt};
-    return engines;
-}
-
 /** Run one wasm config with a standard short protocol. */
 inline BenchResult
 runConfig(const Kernel& kernel, EngineKind engine, BoundsStrategy strategy,
@@ -60,17 +51,6 @@ runConfig(const Kernel& kernel, EngineKind engine, BoundsStrategy strategy,
     spec.minIterations = 2;
     spec.freshInstancePerIteration = fresh_instance;
     return harness::runBenchmark(spec);
-}
-
-/** Native-Clang-equivalent baseline with the same protocol. */
-inline BenchResult
-runNative(const Kernel& kernel, int scale, int threads,
-          double target_seconds)
-{
-    BenchSpec protocol;
-    protocol.targetSeconds = target_seconds;
-    protocol.minIterations = 2;
-    return harness::runNativeBaseline(kernel, scale, threads, protocol);
 }
 
 /** Short kernels suitable for the thread-scaling/contention benches. */

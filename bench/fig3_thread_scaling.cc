@@ -1,17 +1,27 @@
 /**
  * @file
- * Figure 3 reproduction (real-host part): "Performance scaling with
- * increased number of threads".
+ * Figures 3-5 reproduction (real-host part): "Performance scaling with
+ * increased number of threads", "Average CPU load" and "Number of
+ * context switches".
  *
  * The paper runs 1/4/16 benchmark copies pinned to cores and shows that
  * mprotect-based memory management scales worst, because short-running
  * benchmarks allocate and free memory frequently and every resize
- * serializes on the kernel's VMA lock. This binary reproduces the
- * experiment in two parts:
+ * serializes on the kernel's VMA lock; the same runs show mprotect
+ * losing CPU utilization (Fig. 4) and context-switching an order of
+ * magnitude more (Fig. 5). This binary reproduces the experiment in two
+ * parts:
  *
- *  1. Instance-churn mode (the paper's setup): per-iteration instance
- *     churn on short kernels for 1, 2 and 4 threads (the host has 2
- *     cores; 4 = oversubscribed). The 16-thread shape is reproduced by
+ *  1. Instance-churn mode (the paper's setup, one run set for Figs.
+ *     3-5): per-iteration instance churn on short kernels for
+ *     {jit-base, jit-opt, interp-threaded} x 5 strategies at 1, 2 and 4
+ *     threads, plus every online CPU when there are more. Each row
+ *     reports throughput, CPU utilization (100% = one core,
+ *     CLOCK_THREAD_CPUTIME_ID) and memory-management blocking
+ *     operations per second: grow-path syscalls plus runtime blocking
+ *     events, the operations that cause involuntary context switches
+ *     (DESIGN.md substitution 7). The 16-thread shape, with exact
+ *     simulated context switches, is reproduced by
  *     fig3_simkernel_scaling.
  *
  *  2. Shared-memory mode (threads proposal): N threads hammer ONE
@@ -237,58 +247,72 @@ writeSharedJsonReport(mem::BoundsStrategy strategy, uint32_t num_threads,
     harness::maybeWriteJsonReport(spec, result, "shared-threads");
 }
 
-/** The paper-style instance-churn part (original Figure 3a shape). */
+/** The paper-style instance-churn part (Figs. 3a, 4 and 5). */
 void
 runChurnMode()
 {
     int scale = std::max(harness::benchScale(), 2);
     double target = harness::quickMode() ? 0.06 : 0.2;
     std::vector<int> thread_counts = {1, 2, 4};
+    if (onlineCpuCount() > thread_counts.back())
+        thread_counts.push_back(onlineCpuCount());
     std::vector<const Kernel*> workload = shortKernels();
 
-    Table table({"strategy", "threads", "median-iter(ms)",
-                 "throughput(iters/s)", "resize-syscalls", "faults",
-                 "cpu-util"});
-    for (BoundsStrategy strategy : allStrategies()) {
-        for (int threads : thread_counts) {
-            // Aggregate across the short-kernel workload.
-            double total_iters_per_sec = 0;
-            std::vector<double> medians;
-            uint64_t resizes = 0, faults = 0;
-            double util = 0;
-            bool ok = true;
-            for (const Kernel* kernel : workload) {
-                BenchResult result =
-                    runConfig(*kernel, EngineKind::jit_base, strategy,
-                              scale, threads, target,
-                              /*fresh_instance=*/true);
-                if (!result.ok) {
-                    ok = false;
-                    break;
+    Table table({"engine", "strategy", "threads", "median-iter(ms)",
+                 "throughput(iters/s)", "cpu-util", "mm-blocking-ops/s",
+                 "resize-syscalls", "faults"});
+    for (EngineKind engine :
+         {EngineKind::jit_base, EngineKind::jit_opt,
+          EngineKind::interp_threaded}) {
+        for (BoundsStrategy strategy : allStrategies()) {
+            for (int threads : thread_counts) {
+                // Aggregate across the short-kernel workload: cpu-util
+                // and blocking ops/s are per-kernel means, throughput
+                // and counts are totals.
+                double total_iters_per_sec = 0;
+                std::vector<double> medians;
+                uint64_t resizes = 0, faults = 0;
+                double util = 0, blocking_per_sec = 0;
+                bool ok = true;
+                for (const Kernel* kernel : workload) {
+                    BenchResult result =
+                        runConfig(*kernel, engine, strategy, scale,
+                                  threads, target, /*fresh_instance=*/true);
+                    if (!result.ok) {
+                        ok = false;
+                        break;
+                    }
+                    size_t iters = 0;
+                    for (const auto& t : result.threads)
+                        iters += t.iterationSeconds.size();
+                    total_iters_per_sec +=
+                        double(iters) / result.wallSeconds;
+                    medians.push_back(result.medianIterationSeconds);
+                    resizes += result.resizeSyscalls;
+                    faults += result.faultsHandled;
+                    util += result.cpuUtilizationPercent;
+                    blocking_per_sec +=
+                        result.blockingEventsPerSec +
+                        double(result.resizeSyscalls) / result.wallSeconds;
                 }
-                size_t iters = 0;
-                for (const auto& t : result.threads)
-                    iters += t.iterationSeconds.size();
-                total_iters_per_sec +=
-                    double(iters) / result.wallSeconds;
-                medians.push_back(result.medianIterationSeconds);
-                resizes += result.resizeSyscalls;
-                faults += result.faultsHandled;
-                util += result.cpuUtilizationPercent;
+                std::vector<std::string> row = {engineKindName(engine),
+                                                boundsStrategyName(strategy),
+                                                cell("%d", threads)};
+                if (!ok) {
+                    row.insert(row.end(), {"fail", "", "", "", "", ""});
+                    table.addRow(std::move(row));
+                    continue;
+                }
+                double runs = double(workload.size());
+                row.insert(row.end(),
+                           {cell("%.3f", median(medians) * 1e3),
+                            cell("%.0f", total_iters_per_sec),
+                            cell("%.0f%%", util / runs),
+                            cell("%.0f", blocking_per_sec / runs),
+                            cell("%lu", (unsigned long)resizes),
+                            cell("%lu", (unsigned long)faults)});
+                table.addRow(std::move(row));
             }
-            if (!ok) {
-                table.addRow({boundsStrategyName(strategy),
-                              cell("%d", threads), "fail", "", "", "",
-                              ""});
-                continue;
-            }
-            table.addRow(
-                {boundsStrategyName(strategy), cell("%d", threads),
-                 cell("%.3f", median(medians) * 1e3),
-                 cell("%.0f", total_iters_per_sec),
-                 cell("%lu", (unsigned long)resizes),
-                 cell("%lu", (unsigned long)faults),
-                 cell("%.0f%%", util / double(workload.size()))});
         }
     }
     std::fputs(table.toString().c_str(), stdout);
@@ -412,13 +436,14 @@ main(int argc, char** argv)
 {
     bool shared_only = argc > 1 && std::string(argv[1]) == "--shared";
     harness::printBanner("fig3: thread scaling (real host)",
-                         "paper Figure 3a (PolyBench, short tasks)");
+                         "paper Figures 3a, 4a/4c, 5a (short tasks)");
 
     if (!shared_only)
         runChurnMode();
     int rc = runSharedMode();
     std::printf("\nNote: run fig3_simkernel_scaling for the paper's "
-                "16-thread regime (this host has %d cores).\n",
+                "16-thread regime and its exact context-switch counts "
+                "(this host has %d cores).\n",
                 onlineCpuCount());
     return rc;
 }

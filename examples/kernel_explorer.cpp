@@ -6,7 +6,7 @@
  * cycles go.
  *
  *   $ ./examples/kernel_explorer                      # list kernels
- *   $ ./examples/kernel_explorer gemm                 # all engines
+ *   $ ./examples/kernel_explorer gemm                 # all configs
  *   $ ./examples/kernel_explorer gemm jit-opt uffd    # one config
  *   $ ./examples/kernel_explorer gemm --dump          # WAT + lowered IR
  *   $ ./examples/kernel_explorer gemm jit-base trap --code gemm.bin
@@ -188,8 +188,9 @@ main(int argc, char** argv)
     for (auto kind : {rt::EngineKind::interp_threaded,
                       rt::EngineKind::jit_base, rt::EngineKind::jit_opt}) {
         for (auto strategy :
-             {mem::BoundsStrategy::none, mem::BoundsStrategy::trap,
-              mem::BoundsStrategy::mprotect, mem::BoundsStrategy::uffd}) {
+             {mem::BoundsStrategy::none, mem::BoundsStrategy::clamp,
+              mem::BoundsStrategy::trap, mem::BoundsStrategy::mprotect,
+              mem::BoundsStrategy::uffd}) {
             failures +=
                 runConfig(*kernel, kind, strategy, scale, native_best);
         }

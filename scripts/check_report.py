@@ -20,7 +20,11 @@ block (requests/ups, the time-to-peak curve).
 strategies hammering one growable shared linear memory) and validates
 the per-(strategy, threads) reports: the bench's own bit-exact checksum
 verdict (exit code), and the threads.* / mem.shared_grow_* counters in
-every lnb.bench_result.v1 document.
+every lnb.bench_result.v1 document. It then runs the whole bench once
+more with LNB_CSV_DIR and validates the instance-churn table behind
+Figs. 3-5: one row per engine x strategy x thread count, none failed,
+mprotect rows with resize syscalls and blocking operations, and no
+resize syscall under none/clamp/trap.
 
 --deadline mode runs the adversarial-tenant ablation: the same load
 twice, deadlines off then on, and validates the deadline-kill counters
@@ -40,6 +44,7 @@ Usage: check_report.py <path-to-micro_bounds>
        check_report.py --coldstart <path-to-lnb_svc>
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -585,7 +590,56 @@ def run_threads_scaling(fig3):
                  f"strategy x thread count")
     print(f"check_report: threads scaling OK ({expected} reports, "
           f"checksums bit-exact)")
+    check_churn_table(fig3)
     print("check_report: PASS")
+
+
+def check_churn_table(fig3):
+    """Run the whole fig3 bench (churn mode, then shared mode) and
+    validate the churn table it writes as fig3_thread_scaling.csv."""
+    engines = ["jit-base", "jit-opt", "interp-threaded"]
+    strategies = ["none", "clamp", "trap", "mprotect", "uffd"]
+    thread_counts = [1, 2, 4]
+    cpus = os.sysconf("SC_NPROCESSORS_ONLN")
+    if cpus > thread_counts[-1]:
+        thread_counts.append(cpus)
+    with tempfile.TemporaryDirectory(prefix="lnb_check_churn_") as tmp:
+        env = dict(os.environ)
+        env.pop("LNB_JSON_DIR", None)
+        env["LNB_CSV_DIR"] = tmp
+        env["LNB_QUICK"] = "1"
+        proc = subprocess.run([fig3], env=env, capture_output=True,
+                              text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stdout)
+            sys.stderr.write(proc.stderr)
+            fail(f"{fig3} exited with {proc.returncode}")
+        path = os.path.join(tmp, "fig3_thread_scaling.csv")
+        try:
+            with open(path, encoding="utf-8", newline="") as handle:
+                rows = list(csv.DictReader(handle))
+        except OSError as err:
+            fail(f"{path}: {err}")
+    keys = [(r["engine"], r["strategy"], int(r["threads"])) for r in rows]
+    expected = [(e, s, t) for e in engines for s in strategies
+                for t in thread_counts]
+    if sorted(keys) != sorted(expected):
+        fail(f"churn table rows {keys}, expected one per engine x "
+             f"strategy x thread count {thread_counts}")
+    for row, key in zip(rows, keys):
+        if "fail" in row.values():
+            fail(f"churn table: {key} failed")
+        resizes = int(row["resize-syscalls"])
+        blocking = float(row["mm-blocking-ops/s"])
+        if not row["cpu-util"].endswith("%"):
+            fail(f"churn table: {key} cpu-util {row['cpu-util']!r}")
+        if key[1] == "mprotect" and (resizes <= 0 or blocking <= 0):
+            fail(f"churn table: {key} has {resizes} resize syscalls and "
+                 f"{blocking} blocking ops/s, expected both > 0")
+        if key[1] in ("none", "clamp", "trap") and resizes != 0:
+            fail(f"churn table: {key} has {resizes} resize syscalls, "
+                 f"expected 0")
+    print(f"check_report: churn table OK ({len(rows)} rows)")
 
 
 def coldstart_run(lnb_svc, cache_dir, json_dir, trace_path=None):

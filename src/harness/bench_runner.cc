@@ -305,27 +305,6 @@ runBenchmark(const BenchSpec& spec)
     return result;
 }
 
-BenchResult
-runNativeBaseline(const kernels::Kernel& kernel, int scale,
-                  int num_threads, const BenchSpec& protocol)
-{
-    BenchSpec spec = protocol;
-    spec.kernel = &kernel;
-    spec.numThreads = num_threads;
-    spec.scale = scale;
-    auto iteration = [&](int) -> IterSample {
-        IterSample sample;
-        uint64_t t0 = monotonicNanos();
-        sample.checksum = kernel.native(scale);
-        sample.seconds = double(monotonicNanos() - t0) * 1e-9;
-        return sample;
-    };
-    auto blocking = [](int) -> uint64_t { return 0; };
-    BenchResult result = driveThreads(spec, iteration, blocking);
-    maybeWriteJsonReport(spec, result, "native");
-    return result;
-}
-
 bool
 quickMode()
 {

@@ -15,10 +15,9 @@
  *    cool-down iterations until every thread has finished measuring, so
  *    late measurements are not flattered by idle cores.
  *
- * The native baseline runs the same protocol calling the kernel's C++
- * implementation (substitution for the paper's vfork+fexecve runner,
- * which spawns a process per iteration; ours is strictly faster, making
- * the baseline conservative).
+ * The single-thread wasm-vs-native figures (paper Figs. 1, 2a, §4.4)
+ * are measured by perfbench's steady phase instead, which interleaves
+ * native with every cell (perfbench/README.md).
  */
 #ifndef LNB_HARNESS_BENCH_RUNNER_H
 #define LNB_HARNESS_BENCH_RUNNER_H
@@ -139,10 +138,6 @@ void computeTimeToPeak(TierCurve& tier);
 
 /** Run a wasm benchmark under the given spec. */
 BenchResult runBenchmark(const BenchSpec& spec);
-
-/** Run the native baseline with the same protocol. */
-BenchResult runNativeBaseline(const kernels::Kernel& kernel, int scale,
-                              int num_threads, const BenchSpec& protocol);
 
 /** True if the LNB_QUICK environment variable requests a fast pass. */
 bool quickMode();

@@ -44,7 +44,7 @@ void printBanner(const std::string& title, const std::string& paper_ref);
  * lnb.bench_result.v1): config echo, wall/compile/median times, kernel
  * MM counters, host info, per-thread latency percentiles, and a full
  * metrics-registry snapshot. @p engine_label overrides the engine name
- * (used by the native baseline); null uses the spec's engine kind.
+ * (used by fig3's shared-memory runs); null uses the spec's engine kind.
  */
 std::string benchResultToJson(const BenchSpec& spec,
                               const BenchResult& result,

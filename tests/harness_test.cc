@@ -82,17 +82,6 @@ TEST(BenchRunner, InstanceChurnAccountsMemoryWork)
     EXPECT_LT(reuse.resizeSyscalls, churn.resizeSyscalls);
 }
 
-TEST(BenchRunner, NativeBaselineMatchesProtocol)
-{
-    BenchSpec protocol;
-    protocol.iterations = 4;
-    BenchResult result =
-        runNativeBaseline(*smallKernel(), 16, 1, protocol);
-    ASSERT_TRUE(result.ok);
-    EXPECT_EQ(result.threads[0].iterationSeconds.size(), 4u);
-    EXPECT_EQ(result.threads[0].checksum, smallKernel()->native(16));
-}
-
 TEST(BenchRunner, JsonReportMatchesResultCounters)
 {
     // Deterministic fault workload: emulated uffd populates pages lazily
