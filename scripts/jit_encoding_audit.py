@@ -9,6 +9,7 @@ JIT spends above as's encoding of the same instruction.
     # audit code files written earlier
     scripts/jit_encoding_audit.py gemm.jit-base.trap.bin ...
     # write and audit every suite kernel x jit-base x {none, trap, clamp}
+    # and x jit-opt x {trap, clamp} (versioned loops: guards and clones)
     scripts/jit_encoding_audit.py --explorer build/examples/kernel_explorer
     # do two builds emit the same code? (exits 1 on any difference)
     scripts/jit_encoding_audit.py --compare old/kernel_explorer \
@@ -56,8 +57,9 @@ BRANCH = re.compile(r"^(j[a-z]+)\s+(0x[0-9a-f]+|[0-9a-f]+)$")
 # (read by the SIGILL handler) and jump tables after `jmp *(...)`.
 TRAP_KIND_BYTES = 1
 SUITES = ("polybench", "specproxy")
-SWEEP_ENGINE = "jit-base"
-SWEEP_STRATEGIES = ("none", "trap", "clamp")
+SWEEP_CONFIGS = (("jit-base", "none"), ("jit-base", "trap"),
+                 ("jit-base", "clamp"), ("jit-opt", "trap"),
+                 ("jit-opt", "clamp"))
 COMPARE_ENGINES = ("jit-base", "jit-opt")
 COMPARE_STRATEGIES = ("none", "clamp", "trap", "mprotect", "uffd")
 MOVABS = re.compile(r"^movabs \$0x([0-9a-f]+),(%\w+)$")
@@ -257,13 +259,13 @@ def suite_kernels(explorer):
 
 
 def sweep(explorer, workdir):
-    """Write every suite kernel x SWEEP_ENGINE x SWEEP_STRATEGIES."""
+    """Write every suite kernel x SWEEP_CONFIGS (engine, strategy)."""
     paths = []
     for kernel in suite_kernels(explorer):
-        for strategy in SWEEP_STRATEGIES:
+        for engine, strategy in SWEEP_CONFIGS:
             path = os.path.join(workdir, "%s.%s.%s.bin" %
-                                (kernel, SWEEP_ENGINE, strategy))
-            run([explorer, kernel, SWEEP_ENGINE, strategy, "--code", path])
+                                (kernel, engine, strategy))
+            run([explorer, kernel, engine, strategy, "--code", path])
             paths.append(path)
     return paths
 
@@ -327,7 +329,8 @@ def main():
     parser.add_argument("files", nargs="*", help="raw JIT code files")
     parser.add_argument("--explorer",
                         help="kernel_explorer binary: audit every suite "
-                             "kernel x jit-base x {none, trap, clamp}")
+                             "kernel x jit-base x {none, trap, clamp} and "
+                             "x jit-opt x {trap, clamp}")
     parser.add_argument("--compare", nargs=2,
                         metavar=("OLD_EXPLORER", "NEW_EXPLORER"),
                         help="check that two kernel_explorer binaries emit "

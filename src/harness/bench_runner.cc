@@ -35,19 +35,8 @@ harnessMetrics()
     return m;
 }
 
-/** One iteration's outcome: the measured execution time covers only the
- * module run, not instance setup/teardown (paper SS3.5). */
-struct IterSample
-{
-    double seconds = 0;
-    double checksum = 0;
-};
+} // namespace
 
-/**
- * Generic multithreaded timed-loop driver. @p iteration runs one
- * iteration for a given thread id, timing the execution phase itself.
- * Implements warm-up, adaptive rep counts and the cool-down overlap.
- */
 BenchResult
 driveThreads(const BenchSpec& spec,
              const std::function<IterSample(int thread_id)>& iteration,
@@ -119,10 +108,6 @@ driveThreads(const BenchSpec& spec,
                 }
             }
 
-            stats.cpuSeconds =
-                double(threadCpuNanos() - cpu_start) * 1e-9;
-            stats.blockingEvents = blocking_events(tid);
-
             // Cool-down: keep the core busy until everyone finished
             // measuring (paper §3.5).
             still_measuring.fetch_sub(1, std::memory_order_acq_rel);
@@ -130,6 +115,10 @@ driveThreads(const BenchSpec& spec,
                    !failed.load(std::memory_order_relaxed)) {
                 iteration(tid);
             }
+            // Read after the cool-down: the window wallSeconds spans.
+            stats.cpuSeconds =
+                double(threadCpuNanos() - cpu_start) * 1e-9;
+            stats.blockingEvents = blocking_events(tid);
         });
     }
     for (std::thread& worker : workers)
@@ -161,8 +150,6 @@ driveThreads(const BenchSpec& spec,
     result.ok = !failed.load();
     return result;
 }
-
-} // namespace
 
 void
 computeTimeToPeak(TierCurve& tier)

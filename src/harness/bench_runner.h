@@ -22,6 +22,7 @@
 #ifndef LNB_HARNESS_BENCH_RUNNER_H
 #define LNB_HARNESS_BENCH_RUNNER_H
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,10 @@ struct BenchSpec
 struct ThreadStats
 {
     std::vector<double> iterationSeconds;
-    double cpuSeconds = 0;      ///< thread CPU time over the run phase
-    uint64_t blockingEvents = 0;
+    /** Thread CPU time over the run phase, warm-up and cool-down
+     * included: the window BenchResult::wallSeconds spans. */
+    double cpuSeconds = 0;
+    uint64_t blockingEvents = 0; ///< over the same window
     double checksum = 0;        ///< kernel result, for validation
 };
 
@@ -138,6 +141,29 @@ void computeTimeToPeak(TierCurve& tier);
 
 /** Run a wasm benchmark under the given spec. */
 BenchResult runBenchmark(const BenchSpec& spec);
+
+/** One iteration's outcome: the measured execution time covers only the
+ * module run, not instance setup/teardown (paper SS3.5). */
+struct IterSample
+{
+    double seconds = 0;
+    double checksum = 0;
+};
+
+/**
+ * The multithreaded timed-loop driver behind runBenchmark: runs
+ * spec.numThreads workers, each doing spec.warmupIterations, then its
+ * measured iterations (fixed or adaptive), then cool-down iterations
+ * until every worker finished measuring. @p iteration runs one
+ * iteration for a thread id, timing the execution phase itself;
+ * @p blocking_events reads a thread's blocking count, after its
+ * cool-down. Fills the threads, wall time, CPU, RSS and profile fields
+ * of the result (spec.kernel is not used).
+ */
+BenchResult
+driveThreads(const BenchSpec& spec,
+             const std::function<IterSample(int thread_id)>& iteration,
+             const std::function<uint64_t(int thread_id)>& blocking_events);
 
 /** True if the LNB_QUICK environment variable requests a fast pass. */
 bool quickMode();

@@ -233,6 +233,14 @@ Assembler::movMI64(Mem dst, uint32_t imm)
 }
 
 void
+Assembler::incM64(Mem dst)
+{
+    rex(true, 0, 0, dst.base);
+    byte(0xFF);
+    modrmMem(0, dst.base, dst.disp);
+}
+
+void
 Assembler::movzxRM8(Reg dst, Mem src)
 {
     rex(false, dst, 0, src.base);

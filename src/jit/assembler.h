@@ -144,6 +144,7 @@ class Assembler
     void movMR8(Mem dst, Reg src);
     void movMI32(Mem dst, uint32_t imm); ///< mov dword ptr
     void movMI64(Mem dst, uint32_t imm); ///< mov qword ptr, sign-ext imm32
+    void incM64(Mem dst); ///< inc qword ptr (leaves CF alone)
     // loads with extension
     void movzxRM8(Reg dst, Mem src);   ///< 32-bit dst
     void movzxRM16(Reg dst, Mem src);

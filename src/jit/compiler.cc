@@ -523,15 +523,16 @@ class FunctionCompiler
 
     /**
      * May the software check of the instruction being emitted be
-     * skipped? Exactly when the strategy traps and the opt pass listed
-     * its pc: a listed check is covered by one that already passed, so
-     * it cannot fail. clamp must still redirect every access.
+     * skipped? Exactly when the opt pass listed its pc: under trap a
+     * listed check is covered by one that already passed or by a loop
+     * guard or proof, under clamp (which the pass lists versioned loops'
+     * checks for only) the access provably stays in bounds, so it never
+     * redirects.
      */
     bool
     checkSkipped() const
     {
-        return opts_.strategy == BoundsStrategy::trap &&
-               std::binary_search(func_.elidableCheckPcs.begin(),
+        return std::binary_search(func_.elidableCheckPcs.begin(),
                                   func_.elidableCheckPcs.end(), curPc_);
     }
 
@@ -1006,11 +1007,9 @@ FunctionCompiler::emitInstr(const LInst& inst)
         return;
 
       case LOp::count_fallback:
-        // Versioned-loop guard failure: bump the fallback counter. A
-        // plain mov/lea/mov so no live register or flag is disturbed.
-        as_.movRM64(rax, CTX_FIELD(guardFallbacks));
-        as_.lea(rax, Mem{rax, 1});
-        as_.movMR64(CTX_FIELD(guardFallbacks), rax);
+        // Versioned-loop guard failure: bump the fallback counter (no
+        // flag is live between IR instructions).
+        as_.incM64(CTX_FIELD(guardFallbacks));
         return;
 
       default:
@@ -2284,10 +2283,14 @@ FunctionCompiler::emitValueOp(Op op, const Operands& v)
         as_.movsxdRR(rax, rax);
         storeGpr64(v.dst, rax);
         return;
-      case Op::i64_extend_i32_u:
-        loadGpr32(rax, v.lhs);
-        storeGpr64(v.dst, rax);
+      case Op::i64_extend_i32_u: {
+        // A 32-bit move zero-extends, so load straight into dst's home.
+        int s = slotRegIndex(v.dst);
+        Reg reg = s >= 0 ? kSlotGpr[s] : rax;
+        loadGpr32(reg, v.lhs);
+        storeGpr64(v.dst, reg);
         return;
+      }
 
       case Op::i32_trunc_f32_s: case Op::i32_trunc_f32_u:
       case Op::i32_trunc_f64_s: case Op::i32_trunc_f64_u:

@@ -10,9 +10,10 @@
  * Bounds-check emission is a compile-time strategy:
  *   none / mprotect / uffd -> no inline checks (guard-page reliance)
  *   clamp                  -> compare + cmov to the red-zone offset
- *   trap                   -> compare + branch to a ud2 island, except
- *                             at the pcs the opt pass lists as covered
- *                             (LoweredFunc::elidableCheckPcs)
+ *   trap                   -> compare + branch to a ud2 island
+ * Both software strategies skip the check at every pc the opt pass
+ * lists (LoweredFunc::elidableCheckPcs): under trap, checks covered by
+ * an earlier one or by a loop guard; under clamp, loop-guarded ones only.
  */
 #ifndef LNB_JIT_COMPILER_H
 #define LNB_JIT_COMPILER_H
@@ -39,7 +40,7 @@ struct JitOptions
      * one codegen fed different IR. Both work on the operands' register
      * homes, compile the register forms the opt pass's rewrite emits,
      * and add the memory base from the context on every access; under
-     * `trap` both skip exactly the checks listed in
+     * `trap` and `clamp` both skip exactly the checks listed in
      * LoweredFunc::elidableCheckPcs, which only jit_opt's check analysis
      * fills.
      */

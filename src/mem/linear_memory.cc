@@ -454,9 +454,12 @@ LinearMemory::snapshot()
     // For uffd_real, fault-populate every page below bounds from user
     // space before the pwrite: kernel-side access (copy_from_user)
     // reports EFAULT for missing registered pages instead of raising
-    // the SIGBUS the fault handler resolves.
+    // the SIGBUS the fault handler resolves. Every 4 KiB page is read:
+    // the handler usually populates the whole wasm page, but falls back
+    // to the faulting 4 KiB page when part of it is already there.
     if (arenaKind_ == ArenaKind::uffd_real) {
-        for (uint64_t o = 0; o < size; o += wasm::kPageSize) {
+        constexpr uint64_t kOsPageBytes = 4096;
+        for (uint64_t o = 0; o < size; o += kOsPageBytes) {
             volatile uint8_t byte = base_[o];
             (void)byte;
         }

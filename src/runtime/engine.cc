@@ -244,19 +244,22 @@ Engine::compile(wasm::Module module) const
 
     if (config.optimizeLoweredIR) {
         // Every executor runs the register-form rewrite, last. The
-        // optimizing JIT under the trap strategy first gets check
-        // analysis + versioning (guard-page and clamp codegen has
-        // nothing to elide — clamp must still redirect); the rewrite
+        // optimizing JIT under a software-check strategy first gets loop
+        // versioning: a proved or guarded fast path can neither trap nor
+        // clamp. Value numbering runs under trap only: a check that
+        // clamped proves nothing about the next access to the same
+        // address. Guard-page codegen has no check to skip. The rewrite
         // carries the skip list along. Tiered modules share one IR
         // between both tiers; the interpreter runs the versioned clones
         // and guards like any other code.
         wasm::OptOptions opt;
-        bool top_is_opt_jit =
+        const bool top_is_opt_jit =
             tiered || config.kind == EngineKind::jit_opt;
-        opt.analyzeChecks = top_is_opt_jit &&
-                            config.strategy == mem::BoundsStrategy::trap;
-        opt.versionLoops =
-            opt.analyzeChecks && config.optVersioning && grow_free;
+        const bool trap = config.strategy == mem::BoundsStrategy::trap;
+        const bool clamp = config.strategy == mem::BoundsStrategy::clamp;
+        opt.analyzeChecks = top_is_opt_jit && trap;
+        opt.versionLoops = top_is_opt_jit && (trap || clamp) &&
+                           config.optVersioning && grow_free;
         LNB_TRACE_SCOPE("rt.opt");
         ScopedTimer timer(cm->stats_.optSeconds);
         cm->optStats_ = wasm::optimizeLoweredModule(cm->lowered_, opt);

@@ -179,6 +179,13 @@ Instance::initialize(ImportMap imports,
                 return errInvalid(
                     "shared memory bounds strategy mismatch");
             }
+            // The opt pass proves loops in bounds against the declared
+            // minimum (wasm/opt.h), as import matching requires.
+            if (shared_memory->sizeBytes() <
+                uint64_t(m.memories[0].min) * wasm::kPageSize) {
+                return errInvalid(
+                    "shared memory is smaller than the declared minimum");
+            }
             memory_ = std::move(shared_memory);
             externalMemory_ = true;
         } else {

@@ -185,13 +185,14 @@ struct LoweredFunc
     std::vector<uint32_t> tablePool;
 
     /**
-     * Published by the optimization pass (wasm/opt.*), trap strategy
-     * only: the complete, sorted list of pcs of loads and stores whose
-     * check an executor may skip. A check is listed when an
-     * equal-or-stronger check of the same address value passed earlier
-     * in its block (value numbering), or when a versioned loop's guard
-     * covers it. The JIT skips exactly these checks under `trap` and
-     * keeps no check state of its own.
+     * Published by the optimization pass (wasm/opt.*) under the trap
+     * and clamp strategies: the complete, sorted list of pcs of loads
+     * and stores whose check an executor may skip. A check is listed
+     * when a versioned loop's proof or guard covers it, or (trap only)
+     * when an equal-or-stronger check of the same address value passed
+     * earlier in its block (value numbering). The JIT skips exactly
+     * these checks under `trap` and `clamp` and keeps no check state of
+     * its own.
      */
     std::vector<uint32_t> elidableCheckPcs;
 };

@@ -1,6 +1,6 @@
 /**
  * @file
- * Lowered-IR optimization pass: affine versioning of single-block
+ * Lowered-IR optimization pass: affine versioning of counted inner
  * loops, per-block value numbering of bounds checks, and the
  * register-form rewrite every executor runs, all over one basic-block
  * partition. See opt.h for the soundness arguments.
@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <map>
 #include <unordered_map>
@@ -183,6 +184,127 @@ forEachSuccPc(const LoweredFunc& func, uint32_t end, Fn fn)
 }
 
 // ---------------------------------------------------------------------
+// Stack-cell use/def
+// ---------------------------------------------------------------------
+
+/**
+ * Stack cells [base, base + 64) map to one bit of a 64-bit liveness
+ * word. Deeper cells have no bit and always count as live.
+ */
+struct StackBits
+{
+    uint32_t base = 0;
+
+    uint64_t bit(uint32_t cell) const
+    {
+        return cell >= base && cell - base < 64
+                   ? uint64_t(1) << (cell - base)
+                   : 0;
+    }
+    bool live(uint64_t mask, uint32_t cell) const
+    {
+        return cell - base >= 64 || ((mask >> (cell - base)) & 1) != 0;
+    }
+};
+
+/** Stack cells one instruction reads and writes. */
+struct StackUseDef
+{
+    uint64_t use = 0;
+    uint64_t def = 0;
+};
+
+/** Calls and anything unmodelled read every cell. */
+StackUseDef
+stackUseDef(const LInst& inst, const StackBits& sb)
+{
+    constexpr uint64_t kAll = ~uint64_t(0);
+    if (inst.isWasmOp()) {
+        Op op = inst.wasmOp();
+        if (op == Op::select) {
+            return {sb.bit(inst.a) | sb.bit(inst.a + 1) | sb.bit(inst.a + 2),
+                    sb.bit(inst.a)};
+        }
+        if (op == Op::global_get)
+            return {0, sb.bit(inst.a)};
+        if (op == Op::global_set)
+            return {sb.bit(inst.a), 0};
+        int inputs = opInputs(op);
+        if (inputs < 0)
+            return {kAll, 0};
+        StackUseDef ud;
+        for (int i = 0; i < inputs; i++)
+            ud.use |= sb.bit(inputs == 2 && i == 1 ? inst.b : inst.a + i);
+        if (opResult(op) != 0)
+            ud.def = sb.bit(inst.a);
+        return ud;
+    }
+    switch (inst.lop()) {
+      case LOp::copy:
+        return {sb.bit(inst.a), sb.bit(inst.b)};
+      case LOp::jump_if:
+      case LOp::jump_if_zero:
+      case LOp::jump_table:
+        return {sb.bit(inst.b), 0};
+      case LOp::ret:
+        return {inst.aux != 0 ? sb.bit(inst.a) : 0, 0};
+      case LOp::jump:
+      case LOp::trap:
+      case LOp::count_fallback:
+        return {};
+      default:
+        return {kAll, 0};
+    }
+}
+
+/** Backward liveness over stack cells: each pc's use/def and each
+ * block's live-in and live-out words. */
+struct StackLiveness
+{
+    std::vector<StackUseDef> ud; ///< per pc
+    std::vector<uint64_t> in;    ///< per block
+    std::vector<uint64_t> out;   ///< per block
+};
+
+StackLiveness
+stackLiveness(const LoweredFunc& func, const Blocks& blocks,
+              const StackBits& sb)
+{
+    StackLiveness lv;
+    const size_t n = func.code.size();
+    const size_t nb = blocks.begins.size() - 1;
+    lv.ud.resize(n);
+    for (size_t pc = 0; pc < n; pc++)
+        lv.ud[pc] = stackUseDef(func.code[pc], sb);
+    std::vector<uint64_t> gen(nb, 0), kill(nb, 0);
+    lv.in.assign(nb, 0);
+    lv.out.assign(nb, 0);
+    for (size_t b = 0; b < nb; b++) {
+        for (uint32_t pc = blocks.begins[b + 1]; pc-- > blocks.begins[b];) {
+            gen[b] = lv.ud[pc].use | (gen[b] & ~lv.ud[pc].def);
+            kill[b] |= lv.ud[pc].def;
+        }
+    }
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (size_t b = nb; b-- > 0;) {
+            uint64_t o = 0;
+            forEachSuccPc(func, blocks.begins[b + 1], [&](uint32_t pc) {
+                o |= lv.in[blocks.blockOf[pc]];
+            });
+            uint64_t i = gen[b] | (o & ~kill[b]);
+            if (i != lv.in[b] || o != lv.out[b]) {
+                lv.in[b] = i;
+                lv.out[b] = o;
+                changed = true;
+            }
+        }
+    }
+    return lv;
+}
+
+// ---------------------------------------------------------------------
 // Code rewriting (insertions / deletions with pc remapping)
 // ---------------------------------------------------------------------
 
@@ -220,28 +342,47 @@ remapFacts(LoweredFunc& func, const std::vector<uint32_t>& new_pc)
 }
 
 /**
- * Insert instructions before given pcs. A jump targeting an insertion
- * point lands after the inserted instructions (back edges re-enter the
- * loop body, not a versioned loop's preheader guard); fallthrough entry
- * executes them.
+ * Insert instructions before given pcs, all below @p entering_from and
+ * listed in ascending pc order (instructions at one pc in the order
+ * given). A jump at a pc below @p entering_from that targets an
+ * insertion point lands after the inserted instructions (back edges
+ * re-enter the loop body, not a versioned loop's preheader guard); a
+ * jump at or past it lands on them, as fallthrough entry does (a clone
+ * leaving its loop runs the guard of a loop that starts right there).
  */
 void
 applyInsertions(LoweredFunc& func,
-                std::vector<std::pair<uint32_t, LInst>> inserts)
+                const std::vector<std::pair<uint32_t, LInst>>& inserts,
+                uint32_t entering_from)
 {
     if (inserts.empty())
         return;
-    std::stable_sort(inserts.begin(), inserts.end(),
-                     [](const auto& x, const auto& y) {
-                         return x.first < y.first;
-                     });
+    assert(std::is_sorted(inserts.begin(), inserts.end(),
+                          [](const auto& x, const auto& y) {
+                              return x.first < y.first;
+                          }));
+    assert(inserts.back().first < entering_from);
     const size_t n = func.code.size();
-    std::vector<uint32_t> new_pc(n + 1);
+    std::vector<uint32_t> new_pc(n + 1), enter_pc(n + 1);
     size_t k = 0;
     for (size_t pc = 0; pc <= n; pc++) {
-        while (k < inserts.size() && inserts[k].first <= pc)
+        while (k < inserts.size() && inserts[k].first < pc)
             k++;
-        new_pc[pc] = uint32_t(pc + k);
+        enter_pc[pc] = uint32_t(pc + k);
+        size_t at = k;
+        while (at < inserts.size() && inserts[at].first == pc)
+            at++;
+        new_pc[pc] = uint32_t(pc + at);
+    }
+    // Entering jumps keep their old target until the remap below, which
+    // then sends them to enter_pc instead of new_pc.
+    std::vector<uint32_t> entering;
+    for (size_t pc = entering_from; pc < n; pc++) {
+        const LInst& inst = func.code[pc];
+        if (!inst.isWasmOp() &&
+            (inst.lop() == LOp::jump || inst.lop() == LOp::jump_if ||
+             inst.lop() == LOp::jump_if_zero))
+            entering.push_back(uint32_t(pc));
     }
     std::vector<LInst> out;
     out.reserve(n + inserts.size());
@@ -252,36 +393,69 @@ applyInsertions(LoweredFunc& func,
         out.push_back(func.code[pc]);
     }
     func.code = std::move(out);
+    std::vector<uint32_t> entering_targets;
+    for (uint32_t pc : entering)
+        entering_targets.push_back(func.code[new_pc[pc]].a);
     remapJumps(func, new_pc);
+    for (size_t i = 0; i < entering.size(); i++)
+        func.code[new_pc[entering[i]]].a = enter_pc[entering_targets[i]];
     remapFacts(func, new_pc);
 }
 
 // ---------------------------------------------------------------------
-// Affine loop versioning (trap strategy only)
+// Affine loop versioning (trap and clamp)
 // ---------------------------------------------------------------------
 //
-// For a single-block bottom-test loop whose exit condition is an unsigned
-// compare of the (post-increment) induction variable against a
-// loop-invariant bound N, recognize accesses whose address is affine in
-// the IV: k_iv*iv + k_base*base + const. The loop body stays in place as
-// the fast path with every qualifying check marked elidable; a cloned,
-// fully-checked copy is appended, and preheader guards — evaluated in
-// 64-bit arithmetic, so they also rule out u32 wraparound of the in-loop
+// A candidate loop is a run of blocks [begin, end) whose last instruction
+// jumps back to begin and is the only jump there, so every other entry
+// falls through the preheader. It leaves through that back edge's
+// condition (bottom test) or, when the back edge is unconditional,
+// through the first block's conditional jump to end (top test). Every
+// other jump inside goes forward to a pc inside, and no jump from outside
+// lands inside. The exit condition must compare the induction variable
+// (IV), which every iteration advances by a constant step >= 1, against a
+// loop-invariant bound N: iv < N or iv <= N, signed or unsigned.
+// Accesses whose address is affine in the IV, k_iv*iv + k_base*base +
+// const, become elidable on the loop body, which stays in place as the
+// fast path (in a top-test loop, those after the exit test). Unless the
+// compiler proves every such access in bounds, a cloned, fully-checked
+// copy is appended, and preheader guards — evaluated in 64-bit
+// arithmetic, so they also rule out u32 wraparound of the in-loop
 // address computation — branch to the clone when they fail.
 //
-// Soundness of the guard bound: in a bottom-test loop, iteration j >= 1
-// only runs because the previous iteration's compare saw iv < N — and the
-// compare reads the *wrapped* u32 value, so iv_start(j) < N holds as an
-// integer regardless of wraparound. Iteration 0 starts from the entry
-// value. Hence M = max(iv_entry, N-1) bounds iv at the top of every
-// iteration. If every affine term, evaluated without wrapping at
-// coefficient*M + base-coefficient*base + const + access-limit, fits
-// under memSize, then each partial sum of the in-loop u32 arithmetic is
-// bounded by that total < 2^32 (all terms are non-negative), so the u32
-// computation never wraps, computes the true affine value, and every
-// access check on the fast path provably passes. N == 0 makes N-1
-// underflow to 2^64-1, M >= 2^32 is separately guarded, and the loop
-// falls back to the checked clone — degenerate bounds are never fast.
+// Soundness of the guard bound (for iv <= N read N where N-1 appears):
+// in a bottom-test loop, iteration j >= 1 only runs because the previous
+// iteration's compare saw iv < N, and iteration 0 starts from the entry
+// value; in a top-test loop, the body only runs once the test saw
+// iv < N. An unsigned compare reads the *wrapped* u32 value, so iv < N
+// holds as an integer regardless of wraparound. Hence M = max(iv_entry,
+// N-1) bounds iv wherever an elidable access runs. A signed compare
+// agrees with the unsigned one while both sides lie in [0, 2^31), which
+// M + step < 2^31 keeps from one iteration to the next. If every affine
+// term, evaluated without wrapping at k_iv*M + k_base*base + const +
+// access-limit, fits under memSize, then each partial sum of the in-loop
+// u32 arithmetic is bounded by that total < 2^32 (all terms are
+// non-negative), so the u32 computation never wraps, computes the true
+// affine value, and every access check on the fast path provably passes.
+// After a join inside the loop, a cell written earlier in the iteration
+// holds whichever path's value, so the analysis forgets it; an access an
+// iteration skips needs no check at all.
+//
+// Guard folding: when N is a constant and the preheader sets the IV to a
+// constant on the fall-through into the loop, M is a constant, so every
+// term folds to kBase*base + K with K constant, and terms without a base
+// to K alone. A loop whose terms are all base-free and whose largest K
+// fits the module's declared minimum memory needs no guard and no clone:
+// every instance's memory starts at least that large and memories never
+// shrink. Otherwise the guard tests kBase*base + K <= memory bytes once
+// per distinct (base, kBase), or, with no base at all, the page count
+// against ceil(K / 64 KiB). A K past the declared maximum can never pass,
+// so such a loop is left as it is. With a variable N or entry value the
+// guard computes M at run time: it takes the clone unless iv_entry < N
+// (then M = N-1 >= iv_entry; a loop entered past its bound runs at most
+// one iteration), and, under a signed compare, unless M + step < 2^31;
+// each term's check then adds k_iv*M. A proved or guarded fast path
+// never goes out of bounds, so it needs no clamp either.
 
 /** Cap on affine coefficients so coef*M (M < 2^32) stays < 2^48 and the
  * guard's u64 sums cannot overflow. */
@@ -291,18 +465,23 @@ constexpr uint64_t kMaxAffineConst = uint64_t(1) << 34;
 
 /** Affine form of a cell's value inside one loop iteration:
  * sum(coef * value-at-iteration-entry(cell)) + k, tracked in exact
- * (non-wrapping) u64 arithmetic over zero-extended i32 inputs. */
+ * (non-wrapping) u64 arithmetic over zero-extended i32 inputs. At most two
+ * terms, sorted by cell; anything wider is top. */
 struct Affine
 {
     bool top = true;
-    std::map<uint32_t, uint64_t> terms; ///< cell -> coefficient
+    uint8_t n = 0; ///< terms in use
+    std::array<uint32_t, 2> cell{};
+    std::array<uint64_t, 2> coef{};
     uint64_t k = 0;
 
-    static Affine identity(uint32_t cell)
+    static Affine identity(uint32_t c)
     {
         Affine a;
         a.top = false;
-        a.terms[cell] = 1;
+        a.n = 1;
+        a.cell[0] = c;
+        a.coef[0] = 1;
         return a;
     }
     static Affine constant(uint64_t v)
@@ -312,29 +491,47 @@ struct Affine
         a.k = v;
         return a;
     }
-    bool isConst() const { return !top && terms.empty(); }
+    bool isConst() const { return !top && n == 0; }
     bool operator==(const Affine& o) const
     {
-        return top == o.top && terms == o.terms && k == o.k;
+        if (top != o.top || n != o.n || k != o.k)
+            return false;
+        for (uint8_t i = 0; i < n; i++) {
+            if (cell[i] != o.cell[i] || coef[i] != o.coef[i])
+                return false;
+        }
+        return true;
     }
 };
 
 Affine
 affAdd(const Affine& x, const Affine& y)
 {
-    Affine r;
     if (x.top || y.top)
-        return r;
-    r.top = false;
-    r.terms = x.terms;
-    for (const auto& [cell, coef] : y.terms) {
-        uint64_t& c = r.terms[cell];
-        c += coef;
-        if (c > kMaxAffineCoef)
+        return Affine{};
+    Affine r = x;
+    for (uint8_t j = 0; j < y.n; j++) {
+        uint8_t i = 0;
+        while (i < r.n && r.cell[i] < y.cell[j])
+            i++;
+        if (i < r.n && r.cell[i] == y.cell[j]) {
+            r.coef[i] += y.coef[j];
+            if (r.coef[i] > kMaxAffineCoef)
+                return Affine{};
+            continue;
+        }
+        if (r.n == 2)
             return Affine{};
+        if (i == 0) {
+            r.cell[1] = r.cell[0];
+            r.coef[1] = r.coef[0];
+        }
+        r.cell[i] = y.cell[j];
+        r.coef[i] = y.coef[j];
+        r.n++;
     }
     r.k = x.k + y.k;
-    if (r.k > kMaxAffineConst || r.terms.size() > 2)
+    if (r.k > kMaxAffineConst)
         return Affine{};
     return r;
 }
@@ -342,15 +539,13 @@ affAdd(const Affine& x, const Affine& y)
 Affine
 affScale(const Affine& x, uint64_t s)
 {
-    Affine r;
     if (x.top || s > kMaxAffineCoef)
-        return r;
-    r.top = false;
-    for (const auto& [cell, coef] : x.terms) {
-        uint64_t c = coef * s;
-        if (c > kMaxAffineCoef)
+        return Affine{};
+    Affine r = x;
+    for (uint8_t i = 0; i < r.n; i++) {
+        r.coef[i] *= s;
+        if (r.coef[i] > kMaxAffineCoef)
             return Affine{};
-        r.terms[cell] = c;
     }
     r.k = x.k * s;
     if (r.k > kMaxAffineConst)
@@ -372,43 +567,34 @@ struct GuardTerm
 struct LoopVersionPlan
 {
     uint32_t headerBegin = 0;
-    uint32_t headerEnd = 0; ///< one past the back-edge terminator
+    uint32_t headerEnd = 0; ///< one past the back edge
+    /** The back edge is unconditional; the first block tests the exit. */
+    bool topTest = false;
+    uint32_t depth = 0; ///< loops holding this one, itself included
     uint32_t ivCell = 0;
+    uint64_t step = 0; ///< what every iteration adds to the IV
     bool boundIsConst = false;
     uint32_t boundCell = 0;
     uint64_t boundConst = 0;
+    bool boundInclusive = false; ///< the loop runs while iv <= N
+    bool boundSigned = false;    ///< the exit compare is signed
+    /** The preheader sets the IV to ivEntry on the fall-through in. */
+    bool ivEntryIsConst = false;
+    uint64_t ivEntry = 0;
     std::vector<GuardTerm> terms;
     std::vector<uint32_t> elidePcs; ///< fast-path accesses made elidable
 };
 
-/**
- * Analyze the block [@p begin, @p end) as a single-block loop for
- * versioning eligibility. Returns true and fills @p plan if its
- * terminator is the loop's back edge and only jump in, the loop has a
- * recognizable counted form, and it makes at least one IV-dependent
- * affine access.
- */
-bool
-planLoopVersion(const LoweredFunc& func, const Blocks& blocks,
-                uint32_t begin, uint32_t end, LoopVersionPlan& plan)
+/** Reusable state of planLoopVersion, so analyzing a candidate allocates
+ * nothing once the vectors have grown. A cell's entry belongs to the
+ * current candidate only when its stamp matches. */
+struct LoopScratch
 {
-    // The back edge must be the only jump to the begin: every other
-    // entry falls through the preheader guard, so no path into the loop
-    // bypasses it.
-    if (end - begin < 2 || blocks.jumpsTo[begin] != 1)
-        return false;
-    const LInst& term = func.code[end - 1];
-    if (term.isWasmOp() ||
-        (term.lop() != LOp::jump_if && term.lop() != LOp::jump_if_zero) ||
-        term.a != begin)
-        return false;
-
-    // Abstract-interpret the body once: affine state per cell, snapshots
-    // of compare operands, and the address expression at each access.
-    std::map<uint32_t, Affine> state;
-    auto exprOf = [&](uint32_t cell) -> Affine {
-        auto it = state.find(cell);
-        return it != state.end() ? it->second : Affine::identity(cell);
+    struct CellState
+    {
+        uint32_t stamp = 0;
+        uint32_t defPc = 0;
+        Affine value;
     };
     struct AccessRec
     {
@@ -416,22 +602,183 @@ planLoopVersion(const LoweredFunc& func, const Blocks& blocks,
         Affine addr;
         uint64_t limit;
     };
-    std::vector<AccessRec> accesses;
     struct CmpRec
     {
+        uint32_t pc;
         Affine lhs, rhs;
     };
-    std::map<uint32_t, CmpRec> cmps;     // pc -> operand snapshot
-    std::map<uint32_t, uint32_t> lastDef; // cell -> defining pc
+    std::vector<CellState> cells;
+    uint32_t stamp = 0;
+    std::vector<uint32_t> defined; ///< cells with the current stamp
+    std::vector<AccessRec> accesses;
+    std::vector<CmpRec> cmps;
+};
 
-    for (uint32_t pc = begin; pc + 1 < end; pc++) {
+/**
+ * The value @p cell holds when control falls from @p pc - 1 into @p pc,
+ * if the block holding @p pc - 1 sets it from an i32 constant, directly
+ * or through copies. A call ends the search: it may write any cell.
+ */
+bool
+fallThroughConstant(const LoweredFunc& func, const Blocks& blocks,
+                    uint32_t pc, uint32_t cell, uint64_t& value)
+{
+    if (pc == 0)
+        return false;
+    const uint32_t first = blocks.begins[blocks.blockOf[pc - 1]];
+    for (uint32_t p = pc; p-- > first;) {
+        const LInst& inst = func.code[p];
+        if (inst.op == uint16_t(LOp::callf) ||
+            inst.op == uint16_t(LOp::calli) ||
+            inst.op == uint16_t(LOp::call_host))
+            return false;
+        uint32_t w;
+        if (!writesCell(inst, w) || w != cell)
+            continue;
+        if (inst.op == uint16_t(LOp::copy)) {
+            cell = inst.a;
+            continue;
+        }
+        if (inst.op != uint16_t(Op::i32_const))
+            return false;
+        value = uint32_t(inst.imm);
+        return true;
+    }
+    return false;
+}
+
+bool
+isJump(const LInst& inst)
+{
+    return !inst.isWasmOp() &&
+           (inst.lop() == LOp::jump || inst.lop() == LOp::jump_if ||
+            inst.lop() == LOp::jump_if_zero);
+}
+
+/**
+ * Reads "the loop continues iff compare @p op of (lhs, rhs) is
+ * @p cont_true" as iv < N or iv <= N: whether the IV is the left
+ * operand, whether N is inclusive, and whether the compare is signed.
+ */
+bool
+continueForm(Op op, bool cont_true, bool& iv_lhs, bool& inclusive,
+             bool& is_signed)
+{
+    switch (op) {
+      case Op::i32_lt_u:
+      case Op::i32_lt_s: // x < y, or else y <= x
+        iv_lhs = cont_true;
+        inclusive = !cont_true;
+        break;
+      case Op::i32_gt_u:
+      case Op::i32_gt_s: // y < x, or else x <= y
+        iv_lhs = !cont_true;
+        inclusive = !cont_true;
+        break;
+      case Op::i32_le_u:
+      case Op::i32_le_s: // x <= y, or else y < x
+        iv_lhs = cont_true;
+        inclusive = cont_true;
+        break;
+      case Op::i32_ge_u:
+      case Op::i32_ge_s: // y <= x, or else x < y
+        iv_lhs = !cont_true;
+        inclusive = cont_true;
+        break;
+      default:
+        return false;
+    }
+    is_signed = op == Op::i32_lt_s || op == Op::i32_gt_s ||
+                op == Op::i32_le_s || op == Op::i32_ge_s;
+    return true;
+}
+
+/**
+ * Analyze [@p begin, @p end) as a loop for versioning eligibility.
+ * Returns true and fills @p plan if its last instruction is the loop's
+ * back edge and only jump in, it has a recognizable counted form, and
+ * it makes at least one IV-dependent affine access.
+ */
+bool
+planLoopVersion(const LoweredFunc& func, const Blocks& blocks,
+                uint32_t begin, uint32_t end, LoopScratch& s,
+                LoopVersionPlan& plan)
+{
+    // The back edge must be the only jump to the begin: every other
+    // entry falls through the preheader guard, so no path into the loop
+    // bypasses it.
+    if (end - begin < 2 || blocks.jumpsTo[begin] != 1)
+        return false;
+    const LInst& back = func.code[end - 1];
+    if (!isJump(back) || back.a != begin)
+        return false;
+    plan.topTest = back.lop() == LOp::jump;
+    const uint32_t firstEnd = blocks.begins[blocks.blockOf[begin] + 1];
+    const uint32_t testPc = plan.topTest ? firstEnd - 1 : end - 1;
+    const LInst& test = func.code[testPc];
+    if (plan.topTest &&
+        (!isJump(test) || test.lop() == LOp::jump || test.a != end))
+        return false;
+
+    // Abstract-interpret the body once, in pc order: affine state per
+    // cell, snapshots of compare operands, and the address expression at
+    // each access. Inner jumps only go forward, so pc order visits every
+    // path's instructions before each join.
+    if (s.cells.size() < func.numCells)
+        s.cells.resize(func.numCells);
+    s.stamp++;
+    s.defined.clear();
+    s.accesses.clear();
+    s.cmps.clear();
+    auto exprOf = [&](uint32_t cell) {
+        const LoopScratch::CellState& c = s.cells[cell];
+        return c.stamp == s.stamp ? c.value : Affine::identity(cell);
+    };
+    auto define = [&](uint32_t cell, uint32_t pc, const Affine& value) {
+        LoopScratch::CellState& c = s.cells[cell];
+        if (c.stamp != s.stamp) {
+            c.stamp = s.stamp;
+            s.defined.push_back(cell);
+        }
+        c.defPc = pc;
+        c.value = value;
+    };
+
+    uint32_t condPc = UINT32_MAX; // the def of the exit condition
+    uint32_t innerJumps = 0, joinedJumps = 0;
+    for (uint32_t pc = begin; pc < end; pc++) {
+        if (pc != begin && blocks.jumpsTo[pc] != 0) {
+            joinedJumps += blocks.jumpsTo[pc];
+            for (uint32_t cell : s.defined) {
+                s.cells[cell].value = Affine{};
+                s.cells[cell].defPc = UINT32_MAX;
+            }
+        }
         const LInst& inst = func.code[pc];
+        if (pc == testPc) {
+            const LoopScratch::CellState& c = s.cells[inst.b];
+            if (c.stamp == s.stamp)
+                condPc = c.defPc;
+            continue;
+        }
+        if (pc == end - 1)
+            continue; // the unconditional back edge of a top test
         if (!inst.isWasmOp()) {
             switch (inst.lop()) {
               case LOp::copy:
-                state[inst.b] = exprOf(inst.a);
-                lastDef[inst.b] = pc;
+                define(inst.b, pc, exprOf(inst.a));
                 continue;
+              case LOp::jump:
+              case LOp::jump_if:
+              case LOp::jump_if_zero:
+                if (inst.a <= pc || inst.a >= end)
+                    return false;
+                innerJumps++;
+                continue;
+              case LOp::jump_table:
+              case LOp::ret:
+              case LOp::trap:
+                return false;
               case LOp::callf:
               case LOp::call_host:
               case LOp::calli:
@@ -440,10 +787,8 @@ planLoopVersion(const LoweredFunc& func, const Blocks& blocks,
                 break;
             }
             uint32_t w;
-            if (writesCell(inst, w)) {
-                state[w] = Affine{};
-                lastDef[w] = pc;
-            }
+            if (writesCell(inst, w))
+                define(w, pc, Affine{});
             continue;
         }
         Op op = inst.wasmOp();
@@ -452,154 +797,151 @@ planLoopVersion(const LoweredFunc& func, const Blocks& blocks,
         if (isAtomicOp(op))
             return false; // may observe a concurrent grow (shared memory)
         if (isLoadOp(op) || isStoreOp(op)) {
-            accesses.push_back(
+            s.accesses.push_back(
                 {pc, exprOf(inst.a), inst.imm + memAccessSize(op)});
-            if (isLoadOp(op)) {
-                state[inst.a] = Affine{};
-                lastDef[inst.a] = pc;
-            }
+            if (isLoadOp(op))
+                define(inst.a, pc, Affine{});
             continue;
         }
         switch (op) {
           case Op::i32_const:
-            state[inst.a] = Affine::constant(uint32_t(inst.imm));
-            lastDef[inst.a] = pc;
+            define(inst.a, pc, Affine::constant(uint32_t(inst.imm)));
             continue;
           case Op::i32_add:
-            state[inst.a] = affAdd(exprOf(inst.a), exprOf(inst.b));
-            lastDef[inst.a] = pc;
+            define(inst.a, pc, affAdd(exprOf(inst.a), exprOf(inst.b)));
             continue;
           case Op::i32_mul: {
             Affine lhs = exprOf(inst.a), rhs = exprOf(inst.b);
             if (rhs.isConst())
-                state[inst.a] = affScale(lhs, rhs.k);
+                define(inst.a, pc, affScale(lhs, rhs.k));
             else if (lhs.isConst())
-                state[inst.a] = affScale(rhs, lhs.k);
+                define(inst.a, pc, affScale(rhs, lhs.k));
             else
-                state[inst.a] = Affine{};
-            lastDef[inst.a] = pc;
+                define(inst.a, pc, Affine{});
             continue;
           }
           case Op::i32_shl: {
             Affine rhs = exprOf(inst.b);
             if (rhs.isConst() && (rhs.k & 31) < 17)
-                state[inst.a] =
-                    affScale(exprOf(inst.a), uint64_t(1) << (rhs.k & 31));
+                define(inst.a, pc,
+                       affScale(exprOf(inst.a),
+                                uint64_t(1) << (rhs.k & 31)));
             else
-                state[inst.a] = Affine{};
-            lastDef[inst.a] = pc;
+                define(inst.a, pc, Affine{});
             continue;
           }
           case Op::i32_lt_u:
           case Op::i32_gt_u:
           case Op::i32_ge_u:
           case Op::i32_le_u:
-            cmps[pc] = {exprOf(inst.a), exprOf(inst.b)};
-            state[inst.a] = Affine{};
-            lastDef[inst.a] = pc;
+          case Op::i32_lt_s:
+          case Op::i32_gt_s:
+          case Op::i32_ge_s:
+          case Op::i32_le_s:
+            s.cmps.push_back({pc, exprOf(inst.a), exprOf(inst.b)});
+            define(inst.a, pc, Affine{});
             continue;
           default:
             break;
         }
         uint32_t w;
-        if (writesCell(inst, w)) {
-            state[w] = Affine{};
-            lastDef[w] = pc;
-        }
+        if (writesCell(inst, w))
+            define(w, pc, Affine{});
     }
+    // Every join inside is reached from inside only.
+    if (joinedJumps != innerJumps)
+        return false;
 
-    // Resolve the exit condition: the branch cell's last def must be one
-    // of the four continue-iff-(iv' < N) unsigned compare forms, with the
-    // IV side exactly iv + step (step >= 1).
-    auto ld = lastDef.find(term.b);
-    if (ld == lastDef.end())
-        return false;
-    auto cm = cmps.find(ld->second);
-    if (cm == cmps.end() || func.code[ld->second].a != term.b)
-        return false;
-    Op cmpOp = func.code[ld->second].wasmOp();
-    bool zero = term.lop() == LOp::jump_if_zero;
-    // continue == branch taken (jump_if) / not taken (jump_if_zero).
-    Affine ivSide, boundSide;
-    if ((!zero && cmpOp == Op::i32_lt_u) || (zero && cmpOp == Op::i32_ge_u)) {
-        ivSide = cm->second.lhs;
-        boundSide = cm->second.rhs;
-    } else if ((!zero && cmpOp == Op::i32_gt_u) ||
-               (zero && cmpOp == Op::i32_le_u)) {
-        ivSide = cm->second.rhs;
-        boundSide = cm->second.lhs;
-    } else {
-        return false;
+    // Resolve the exit condition: its last def must be a compare of the
+    // IV against N, the IV side exactly iv + step after the increment
+    // (bottom test) or iv itself (top test), and the IV must end every
+    // iteration at iv + step.
+    const LoopScratch::CmpRec* cm = nullptr;
+    for (const LoopScratch::CmpRec& c : s.cmps) {
+        if (c.pc == condPc)
+            cm = &c;
     }
-    if (ivSide.top || ivSide.terms.size() != 1 ||
-        ivSide.terms.begin()->second != 1 || ivSide.k < 1)
+    if (cm == nullptr)
         return false;
-    plan.ivCell = ivSide.terms.begin()->first;
-    // The IV cell itself must end the iteration at exactly iv + step.
-    Affine ivEnd = exprOf(plan.ivCell);
-    if (!(ivEnd == ivSide))
+    // Continuing is a taken bottom-test jump_if or an untaken top-test
+    // jump_if: either way the compare reads true exactly when the jump
+    // is a jump_if at the bottom or a jump_if_zero at the top.
+    bool ivLhs, inclusive, isSigned;
+    if (!continueForm(func.code[condPc].wasmOp(),
+                      (test.lop() == LOp::jump_if) != plan.topTest, ivLhs,
+                      inclusive, isSigned))
         return false;
+    const Affine& ivSide = ivLhs ? cm->lhs : cm->rhs;
+    const Affine& boundSide = ivLhs ? cm->rhs : cm->lhs;
+    if (ivSide.top || ivSide.n != 1 || ivSide.coef[0] != 1)
+        return false;
+    plan.ivCell = ivSide.cell[0];
+    const Affine next = exprOf(plan.ivCell);
+    if (next.top || next.n != 1 || next.cell[0] != plan.ivCell ||
+        next.coef[0] != 1 || next.k < 1)
+        return false;
+    if (plan.topTest ? ivSide.k != 0 : !(ivSide == next))
+        return false;
+    plan.step = next.k;
+    plan.boundInclusive = inclusive;
+    plan.boundSigned = isSigned;
     auto invariant = [&](uint32_t cell) {
-        auto it = state.find(cell);
-        return it == state.end() || it->second == Affine::identity(cell);
+        return exprOf(cell) == Affine::identity(cell);
     };
     if (boundSide.isConst()) {
-        if (boundSide.k == 0)
+        if (!inclusive && boundSide.k == 0)
             return false; // guard would always fail; keep the plain loop
         plan.boundIsConst = true;
         plan.boundConst = boundSide.k;
-    } else if (!boundSide.top && boundSide.terms.size() == 1 &&
-               boundSide.terms.begin()->second == 1 && boundSide.k == 0 &&
-               boundSide.terms.begin()->first != plan.ivCell &&
-               invariant(boundSide.terms.begin()->first)) {
-        plan.boundCell = boundSide.terms.begin()->first;
+    } else if (!boundSide.top && boundSide.n == 1 &&
+               boundSide.coef[0] == 1 && boundSide.k == 0 &&
+               boundSide.cell[0] != plan.ivCell &&
+               invariant(boundSide.cell[0])) {
+        plan.boundCell = boundSide.cell[0];
     } else {
         return false;
     }
+    plan.ivEntryIsConst =
+        fallThroughConstant(func, blocks, begin, plan.ivCell, plan.ivEntry);
 
-    // Qualify accesses: affine in at most {iv, one invariant base}.
-    std::map<std::tuple<uint64_t, uint32_t, uint64_t>, uint64_t> merged;
+    // Qualify accesses: affine in at most {iv, one invariant base}; one
+    // guard term per (kIv, base, kBase), at its worst constant. A top
+    // test's own accesses also run on the iteration that leaves.
     bool anyIvAccess = false;
-    for (const AccessRec& acc : accesses) {
-        if (acc.addr.top)
+    for (const LoopScratch::AccessRec& acc : s.accesses) {
+        if (acc.addr.top || (plan.topTest && acc.pc < testPc))
             continue;
-        uint64_t kiv = 0, kbase = 0;
-        bool hasBase = false;
-        uint32_t baseCell = 0;
+        GuardTerm t;
         bool ok = true;
-        for (const auto& [cell, coef] : acc.addr.terms) {
-            if (cell == plan.ivCell) {
-                kiv = coef;
-            } else if (!hasBase && invariant(cell)) {
-                hasBase = true;
-                baseCell = cell;
-                kbase = coef;
+        for (uint8_t i = 0; i < acc.addr.n; i++) {
+            if (acc.addr.cell[i] == plan.ivCell) {
+                t.kIv = acc.addr.coef[i];
+            } else if (!t.hasBase && invariant(acc.addr.cell[i])) {
+                t.hasBase = true;
+                t.baseCell = acc.addr.cell[i];
+                t.kBase = acc.addr.coef[i];
             } else {
                 ok = false;
-                break;
             }
         }
-        uint64_t kconst = acc.addr.k + acc.limit;
-        if (!ok || kconst > kMaxAffineConst)
+        t.kConst = acc.addr.k + acc.limit;
+        if (!ok || t.kConst > kMaxAffineConst)
             continue;
-        if (kiv > 0)
+        if (t.kIv > 0)
             anyIvAccess = true;
-        uint64_t& worst =
-            merged[{kiv, hasBase ? baseCell + 1 : 0, kbase}];
-        worst = std::max(worst, kconst);
+        auto same = std::find_if(
+            plan.terms.begin(), plan.terms.end(), [&](const GuardTerm& u) {
+                return u.kIv == t.kIv && u.hasBase == t.hasBase &&
+                       u.baseCell == t.baseCell && u.kBase == t.kBase;
+            });
+        if (same == plan.terms.end())
+            plan.terms.push_back(t);
+        else
+            same->kConst = std::max(same->kConst, t.kConst);
         plan.elidePcs.push_back(acc.pc);
     }
     if (!anyIvAccess || plan.elidePcs.empty())
         return false;
-    for (const auto& [key, kconst] : merged) {
-        GuardTerm t;
-        t.kIv = std::get<0>(key);
-        t.hasBase = std::get<1>(key) != 0;
-        t.baseCell = t.hasBase ? std::get<1>(key) - 1 : 0;
-        t.kBase = std::get<2>(key);
-        t.kConst = kconst;
-        plan.terms.push_back(t);
-    }
     plan.headerBegin = begin;
     plan.headerEnd = end;
     return true;
@@ -617,6 +959,71 @@ makeInst(uint16_t op, uint16_t aux, uint32_t a, uint32_t b, uint64_t imm)
     return i;
 }
 
+/** The declared size range of the module's memory, in bytes. */
+struct MemoryBounds
+{
+    uint64_t minBytes = 0; ///< every instance starts at least this large
+    uint64_t maxBytes = 0; ///< and never grows past this
+};
+
+/** What a loop's guard checks. */
+struct GuardPlan
+{
+    bool neverPasses = false; ///< the fast path could never run
+    bool proved = false;      ///< no guard and no clone needed
+    /** The IV's entry value is only known at run time: the guard takes
+     * the clone unless it is below N (at most N). */
+    bool entryTest = false;
+    /** N is only known at run time, so is M; each check adds kIv*M.
+     * Otherwise every check has kIv == 0, its constant folded into
+     * kConst. */
+    bool runTimeM = false;
+    uint64_t freeK = 0; ///< worst end of folded base-free accesses
+    std::vector<GuardTerm> checks;
+};
+
+GuardPlan
+planGuard(const LoopVersionPlan& plan, const MemoryBounds& mem)
+{
+    GuardPlan g;
+    g.entryTest = !plan.ivEntryIsConst;
+    if (!plan.boundIsConst) {
+        g.entryTest = true;
+        g.runTimeM = true;
+        g.checks = plan.terms;
+        return g;
+    }
+    uint64_t m = plan.boundInclusive ? plan.boundConst : plan.boundConst - 1;
+    if (plan.ivEntryIsConst)
+        m = std::max(m, plan.ivEntry);
+    // Past 2^31 a signed compare bounds nothing.
+    g.neverPasses = plan.boundSigned && m + plan.step >= (uint64_t(1) << 31);
+    for (const GuardTerm& t : plan.terms) {
+        const uint64_t end = t.kIv * m + t.kConst;
+        g.neverPasses |= end > mem.maxBytes;
+        if (!t.hasBase) {
+            g.freeK = std::max(g.freeK, end);
+            continue;
+        }
+        auto same = std::find_if(
+            g.checks.begin(), g.checks.end(), [&](const GuardTerm& u) {
+                return u.baseCell == t.baseCell && u.kBase == t.kBase;
+            });
+        if (same == g.checks.end())
+            g.checks.push_back({0, true, t.baseCell, t.kBase, end});
+        else
+            same->kConst = std::max(same->kConst, end);
+    }
+    // A based check with k >= freeK also covers the base-free accesses
+    // (kBase*base >= 0), so one compare serves both.
+    if (g.freeK > mem.minBytes && !g.checks.empty()) {
+        g.checks[0].kConst = std::max(g.checks[0].kConst, g.freeK);
+        g.freeK = 0;
+    }
+    g.proved = !g.entryTest && g.checks.empty() && g.freeK <= mem.minBytes;
+    return g;
+}
+
 struct VersionResult
 {
     uint64_t loopsVersioned = 0;
@@ -624,112 +1031,218 @@ struct VersionResult
 };
 
 /**
- * Version every eligible loop of @p func in place: append checked slow
- * clones, insert preheader guards, and mark fast-path accesses elidable
- * (appended to func.elidableCheckPcs, remapped with the insertions). The
- * list stays sorted: loops come in header order and their single-block
- * bodies do not overlap.
+ * Version every eligible loop of @p func in place: mark fast-path
+ * accesses elidable (appended to func.elidableCheckPcs, remapped with the
+ * insertions) and, for loops not proved in bounds against @p mem, append
+ * checked slow clones and insert preheader guards. The list stays sorted:
+ * loops come in header order and their bodies do not overlap (a loop
+ * holds no backward jump but its own back edge).
  */
 VersionResult
-versionLoops(LoweredFunc& func, const Blocks& blocks)
+versionLoops(LoweredFunc& func, const Blocks& blocks,
+             const MemoryBounds& mem)
 {
     VersionResult result;
     std::vector<LoopVersionPlan> plans;
+    LoopScratch scratch;
+    // Every backward jump closes a loop [its target, one past it).
+    std::vector<std::pair<uint32_t, uint32_t>> loops;
     for (size_t b = 0; b + 1 < blocks.begins.size(); b++) {
+        const uint32_t end = blocks.begins[b + 1];
+        const LInst& last = func.code[end - 1];
+        if (isJump(last) && last.a <= blocks.begins[b])
+            loops.emplace_back(last.a, end);
+    }
+    for (const auto& [begin, end] : loops) {
         LoopVersionPlan plan;
-        if (planLoopVersion(func, blocks, blocks.begins[b],
-                            blocks.begins[b + 1], plan))
-            plans.push_back(std::move(plan));
+        if (!planLoopVersion(func, blocks, begin, end, scratch, plan))
+            continue;
+        for (const auto& [outer_begin, outer_end] : loops)
+            plan.depth += outer_begin <= begin && outer_end >= end;
+        plans.push_back(std::move(plan));
     }
     if (plans.empty())
         return result;
+    uint32_t maxDepth = 0;
+    for (const LoopVersionPlan& plan : plans)
+        maxDepth = std::max(maxDepth, plan.depth);
 
-    // Five scratch cells, shared by all guards in the function:
-    //   S0 = memSize in bytes, S1 = M (then per-term work in S2..S4).
-    // The memSize in S0 and M in S1 are read by every term.
-    const uint32_t S0 = func.numCells;
-    const uint32_t S1 = S0 + 1, S2 = S0 + 2, S3 = S0 + 3, S4 = S0 + 4;
-    func.numCells += 5;
     const uint16_t kCopy = uint16_t(LOp::copy);
     const uint16_t kI32 = uint16_t(ValType::i32);
     const uint16_t kI64 = uint16_t(ValType::i64);
+    auto op = [](Op o) { return uint16_t(o); };
+    // Frame cells past the stack, added on first use, for guards whose
+    // loop body has too few dead stack cells.
+    uint32_t fresh = UINT32_MAX;
+    auto freshCells = [&] {
+        if (fresh == UINT32_MAX) {
+            fresh = func.numCells;
+            func.numCells += 5;
+        }
+        return fresh;
+    };
 
+    const uint32_t appended = uint32_t(func.code.size());
+    // Stack cells with a liveness bit; deeper ones always count as live.
+    const StackBits sb{func.numLocalCells};
+    const StackLiveness liveness = stackLiveness(func, blocks, sb);
+    const uint32_t stackCells = func.numCells - func.numLocalCells;
+    const uint64_t stackMask = stackCells > 64    ? 0
+                               : stackCells == 64 ? ~uint64_t(0)
+                                                  : (uint64_t(1) << stackCells) - 1;
+    size_t clone_insts = 0;
+    for (const LoopVersionPlan& plan : plans)
+        clone_insts += plan.headerEnd - plan.headerBegin + 2;
+    func.code.reserve(func.code.size() + clone_insts);
     std::vector<std::pair<uint32_t, LInst>> inserts;
     for (const LoopVersionPlan& plan : plans) {
-        // Append the checked slow-path clone first, while original pcs
-        // are still valid: count_fallback, the body, then a jump to the
-        // loop exit. The back edge re-targets the first body copy so the
-        // fallback counter bumps once per guard failure, not per
-        // iteration.
-        const uint32_t cloneStart = uint32_t(func.code.size());
-        func.code.push_back(
-            makeInst(uint16_t(LOp::count_fallback), 0, 0, 0, 0));
-        for (uint32_t pc = plan.headerBegin; pc < plan.headerEnd; pc++)
-            func.code.push_back(func.code[pc]);
-        LInst& cloneTerm = func.code.back();
-        cloneTerm.a = cloneStart + 1;
-        func.code.push_back(
-            makeInst(uint16_t(LOp::jump), 0, plan.headerEnd, 0, 0));
-
-        // Guard prelude: S0 = memSize bytes, S1 = M = max(iv, N-1).
-        const uint32_t h = plan.headerBegin;
-        auto ins = [&](LInst i) { inserts.emplace_back(h, i); };
-        ins(makeInst(uint16_t(Op::memory_size), 0, S0, 0, 0));
-        ins(makeInst(uint16_t(Op::i64_extend_i32_u), 0, S0, 0, 0));
-        ins(makeInst(uint16_t(Op::i64_const), 0, S1, 0, 16));
-        ins(makeInst(uint16_t(Op::i64_shl), 0, S0, S1, 0));
-        ins(makeInst(kCopy, kI32, plan.ivCell, S1, 0));
-        ins(makeInst(uint16_t(Op::i64_extend_i32_u), 0, S1, 0, 0));
-        if (plan.boundIsConst) {
-            ins(makeInst(uint16_t(Op::i64_const), 0, S2, 0,
-                         plan.boundConst - 1));
-        } else {
-            ins(makeInst(kCopy, kI32, plan.boundCell, S2, 0));
-            ins(makeInst(uint16_t(Op::i64_extend_i32_u), 0, S2, 0, 0));
-            ins(makeInst(uint16_t(Op::i64_const), 0, S3, 0, 1));
-            ins(makeInst(uint16_t(Op::i64_sub), 0, S2, S3, 0));
-        }
-        // S1 = max(S1, S2) via select: cond S3 = (S2 < S1) picks S1.
-        ins(makeInst(kCopy, kI64, S2, S3, 0));
-        ins(makeInst(uint16_t(Op::i64_lt_u), 0, S3, S1, 0));
-        ins(makeInst(uint16_t(Op::select), 0, S1, 0, 0));
-        if (!plan.boundIsConst) {
-            // Variable bound: N == 0 underflows N-1 to 2^64-1; require
-            // M < 2^32 so coef*M below cannot overflow u64.
-            ins(makeInst(kCopy, kI64, S1, S2, 0));
-            ins(makeInst(uint16_t(Op::i64_const), 0, S3, 0,
-                         uint64_t(1) << 32));
-            ins(makeInst(uint16_t(Op::i64_ge_u), 0, S2, S3, 0));
-            ins(makeInst(uint16_t(LOp::jump_if), 0, cloneStart, S2, 0));
-        }
-        // One range check per distinct (kIv, base, kBase) group.
-        for (const GuardTerm& t : plan.terms) {
-            ins(makeInst(kCopy, kI64, S1, S2, 0));
-            ins(makeInst(uint16_t(Op::i64_const), 0, S3, 0, t.kIv));
-            ins(makeInst(uint16_t(Op::i64_mul), 0, S2, S3, 0));
-            if (t.hasBase) {
-                ins(makeInst(kCopy, kI32, t.baseCell, S3, 0));
-                ins(makeInst(uint16_t(Op::i64_extend_i32_u), 0, S3, 0, 0));
-                ins(makeInst(uint16_t(Op::i64_const), 0, S4, 0, t.kBase));
-                ins(makeInst(uint16_t(Op::i64_mul), 0, S3, S4, 0));
-                ins(makeInst(uint16_t(Op::i64_add), 0, S2, S3, 0));
-            }
-            ins(makeInst(uint16_t(Op::i64_const), 0, S3, 0, t.kConst));
-            ins(makeInst(uint16_t(Op::i64_add), 0, S2, S3, 0));
-            ins(makeInst(uint16_t(Op::i64_gt_u), 0, S2, S0, 0));
-            ins(makeInst(uint16_t(LOp::jump_if), 0, cloneStart, S2, 0));
-        }
-
+        const GuardPlan g = planGuard(plan, mem);
+        if (g.neverPasses)
+            continue;
+        // A clone costs as many code bytes as its loop body, so only the
+        // deepest loops, which run the most iterations, get one.
+        if (!g.proved && plan.depth < maxDepth)
+            continue;
         for (uint32_t pc : plan.elidePcs)
             func.elidableCheckPcs.push_back(pc);
         result.loopsVersioned++;
         result.checksVersioned += plan.elidePcs.size();
+        if (g.proved)
+            continue;
+
+        // Append the checked slow-path clone first, while original pcs
+        // are still valid: count_fallback, the body with its inner jumps
+        // re-targeted, then (bottom test) a jump to the loop exit. The
+        // back edge re-targets the first body copy so the fallback
+        // counter bumps once per guard failure, not per iteration.
+        const uint32_t cloneStart = uint32_t(func.code.size());
+        func.code.push_back(
+            makeInst(uint16_t(LOp::count_fallback), 0, 0, 0, 0));
+        for (uint32_t pc = plan.headerBegin; pc < plan.headerEnd; pc++) {
+            LInst inst = func.code[pc];
+            if (isJump(inst) && inst.a >= plan.headerBegin &&
+                inst.a < plan.headerEnd)
+                inst.a = cloneStart + 1 + (inst.a - plan.headerBegin);
+            func.code.push_back(inst);
+        }
+        if (!plan.topTest)
+            func.code.push_back(
+                makeInst(uint16_t(LOp::jump), 0, plan.headerEnd, 0, 0));
+
+        // S0 = memory size, S1/S2 = work, and with M computed at run
+        // time S3 = M and S4 = work: the lowest stack cells dead at the
+        // header above every live one (the lowest six have JIT register
+        // homes), else fresh ones. On a shared memory the memory.size
+        // call saves the homes below its result cell, so it keeps every
+        // live one.
+        const uint32_t h = plan.headerBegin;
+        auto ins = [&](uint16_t o, uint16_t aux, uint32_t a, uint32_t b,
+                       uint64_t imm) {
+            inserts.emplace_back(h, makeInst(o, aux, a, b, imm));
+        };
+        auto toClone = [&](uint32_t cond) {
+            ins(uint16_t(LOp::jump_if), 0, cloneStart, cond, 0);
+        };
+        // Register homes go to the busiest cells first.
+        const int need = g.runTimeM ? 5 : 3;
+        const int order[5] = {0, 1, 3, 2, 4};
+        const uint64_t live = liveness.in[blocks.blockOf[h]];
+        uint64_t dead = (live == 0 ? ~uint64_t(0)
+                                   : ~(~uint64_t(0) >> std::countl_zero(live))) &
+                        stackMask;
+        const bool stackCellsSuffice = std::popcount(dead) >= need;
+        uint32_t S[5];
+        for (int i = 0, k = 0; k < need; i++) {
+            if (order[i] >= need)
+                continue;
+            if (stackCellsSuffice) {
+                S[order[i]] =
+                    func.numLocalCells + uint32_t(std::countr_zero(dead));
+                dead &= dead - 1;
+            } else {
+                S[order[i]] = freshCells() + uint32_t(order[i]);
+            }
+            k++;
+        }
+        ins(op(Op::memory_size), 0, S[0], 0, 0);
+        if (g.entryTest) {
+            // Take the clone unless iv_entry < N (<= N).
+            const uint32_t n = g.runTimeM ? S[3] : S[2];
+            ins(kCopy, kI32, plan.ivCell, S[1], 0);
+            if (plan.boundIsConst)
+                ins(op(Op::i32_const), 0, n, 0, plan.boundConst);
+            else
+                ins(kCopy, kI32, plan.boundCell, n, 0);
+            ins(op(plan.boundInclusive ? Op::i32_gt_u : Op::i32_ge_u), 0,
+                S[1], n, 0);
+            toClone(S[1]);
+        }
+        if (g.checks.empty()) {
+            // Pages below ceil(freeK / 64 KiB): take the clone.
+            ins(op(Op::i32_const), 0, S[1], 0,
+                (g.freeK + kPageSize - 1) / kPageSize);
+            ins(op(Op::i32_lt_u), 0, S[0], S[1], 0);
+            toClone(S[0]);
+            continue;
+        }
+        if (g.runTimeM) {
+            // M = N-1 (N), and under a signed compare take the clone
+            // unless M + step < 2^31.
+            if (!plan.boundInclusive) {
+                ins(op(Op::i32_const), 0, S[4], 0, 1);
+                ins(op(Op::i32_sub), 0, S[3], S[4], 0);
+            }
+            if (plan.boundSigned) {
+                ins(kCopy, kI32, S[3], S[1], 0);
+                ins(op(Op::i32_const), 0, S[4], 0,
+                    (uint64_t(1) << 31) - 1 - plan.step);
+                ins(op(Op::i32_gt_u), 0, S[1], S[4], 0);
+                toClone(S[1]);
+            }
+            ins(op(Op::i64_extend_i32_u), 0, S[3], 0, 0);
+        }
+        ins(op(Op::i64_extend_i32_u), 0, S[0], 0, 0);
+        ins(op(Op::i64_const), 0, S[1], 0, 16);
+        ins(op(Op::i64_shl), 0, S[0], S[1], 0);
+        for (const GuardTerm& t : g.checks) {
+            // S1 = kIv*M + kBase*base + kConst; the second product, if
+            // any, is built in S2 with its factor in S4.
+            bool started = false;
+            auto product = [&](uint16_t type, uint32_t src, uint64_t coef) {
+                const uint32_t dst = started ? S[2] : S[1];
+                const uint32_t factor = started ? S[4] : S[2];
+                ins(kCopy, type, src, dst, 0);
+                if (type == kI32)
+                    ins(op(Op::i64_extend_i32_u), 0, dst, 0, 0);
+                if (coef != 1) {
+                    ins(op(Op::i64_const), 0, factor, 0, coef);
+                    ins(op(Op::i64_mul), 0, dst, factor, 0);
+                }
+                if (started)
+                    ins(op(Op::i64_add), 0, S[1], S[2], 0);
+                started = true;
+            };
+            if (t.kIv != 0)
+                product(kI64, S[3], t.kIv);
+            if (t.hasBase)
+                product(kI32, t.baseCell, t.kBase);
+            if (started) {
+                ins(op(Op::i64_const), 0, S[2], 0, t.kConst);
+                ins(op(Op::i64_add), 0, S[1], S[2], 0);
+            } else {
+                ins(op(Op::i64_const), 0, S[1], 0, t.kConst);
+            }
+            ins(op(Op::i64_gt_u), 0, S[1], S[0], 0);
+            toClone(S[1]);
+        }
     }
 
-    // One remap pass: jumps targeting the header land after the guard
-    // (back edges skip it), fallthrough entry executes it; clone-internal
-    // and guard-fail targets shift with everything else.
-    applyInsertions(func, std::move(inserts));
+    // One remap pass: jumps in the original code that target a header
+    // land after its guard (back edges skip it), while fallthrough entry
+    // and the clones' jumps out (into a loop that starts where theirs
+    // ends) execute it; clone-internal and guard-fail targets shift with
+    // everything else.
+    applyInsertions(func, inserts, appended);
     assert(std::is_sorted(func.elidableCheckPcs.begin(),
                           func.elidableCheckPcs.end()));
     return result;
@@ -877,76 +1390,6 @@ markVnElidableChecks(const LoweredFunc& func, const Blocks& blocks,
 // Register-form rewrite (every executor)
 // ---------------------------------------------------------------------
 
-/**
- * Stack cells [base, base + 64) map to one bit of a 64-bit liveness
- * word. Deeper cells have no bit and always count as live.
- */
-struct StackBits
-{
-    uint32_t base = 0;
-
-    uint64_t bit(uint32_t cell) const
-    {
-        return cell >= base && cell - base < 64
-                   ? uint64_t(1) << (cell - base)
-                   : 0;
-    }
-    bool live(uint64_t mask, uint32_t cell) const
-    {
-        return cell - base >= 64 || ((mask >> (cell - base)) & 1) != 0;
-    }
-};
-
-/** Stack cells one instruction reads and writes. */
-struct StackUseDef
-{
-    uint64_t use = 0;
-    uint64_t def = 0;
-};
-
-/** Calls and anything unmodelled read every cell. */
-StackUseDef
-stackUseDef(const LInst& inst, const StackBits& sb)
-{
-    constexpr uint64_t kAll = ~uint64_t(0);
-    if (inst.isWasmOp()) {
-        Op op = inst.wasmOp();
-        if (op == Op::select) {
-            return {sb.bit(inst.a) | sb.bit(inst.a + 1) | sb.bit(inst.a + 2),
-                    sb.bit(inst.a)};
-        }
-        if (op == Op::global_get)
-            return {0, sb.bit(inst.a)};
-        if (op == Op::global_set)
-            return {sb.bit(inst.a), 0};
-        int inputs = opInputs(op);
-        if (inputs < 0)
-            return {kAll, 0};
-        StackUseDef ud;
-        for (int i = 0; i < inputs; i++)
-            ud.use |= sb.bit(inputs == 2 && i == 1 ? inst.b : inst.a + i);
-        if (opResult(op) != 0)
-            ud.def = sb.bit(inst.a);
-        return ud;
-    }
-    switch (inst.lop()) {
-      case LOp::copy:
-        return {sb.bit(inst.a), sb.bit(inst.b)};
-      case LOp::jump_if:
-      case LOp::jump_if_zero:
-      case LOp::jump_table:
-        return {sb.bit(inst.b), 0};
-      case LOp::ret:
-        return {inst.aux != 0 ? sb.bit(inst.a) : 0, 0};
-      case LOp::jump:
-      case LOp::trap:
-      case LOp::count_fallback:
-        return {};
-      default:
-        return {kAll, 0};
-    }
-}
-
 bool
 isConstOp(Op op)
 {
@@ -988,6 +1431,7 @@ class RegisterFormRewriter
     RegisterFormRewriter(LoweredFunc& func, const Blocks& blocks)
         : func_(func),
           in_(func.code),
+          blocks_(blocks),
           begins_(blocks.begins),
           blockOf_(blocks.blockOf),
           sb_{func.numLocalCells},
@@ -1040,40 +1484,14 @@ class RegisterFormRewriter
      * (liveOut_) and per instruction (liveAfter_). */
     void computeLiveness()
     {
-        const size_t n = in_.size();
-        const size_t nb = begins_.size() - 1;
-        std::vector<StackUseDef> ud(n);
-        for (size_t pc = 0; pc < n; pc++)
-            ud[pc] = stackUseDef(in_[pc], sb_);
-        std::vector<uint64_t> gen(nb, 0), kill(nb, 0), in(nb, 0);
-        liveOut_.assign(nb, 0);
-        for (size_t b = 0; b < nb; b++) {
-            for (uint32_t pc = begins_[b + 1]; pc-- > begins_[b];) {
-                gen[b] = ud[pc].use | (gen[b] & ~ud[pc].def);
-                kill[b] |= ud[pc].def;
-            }
-        }
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (size_t b = nb; b-- > 0;) {
-                uint64_t o = 0;
-                forEachSuccPc(func_, begins_[b + 1],
-                              [&](uint32_t pc) { o |= in[blockOf_[pc]]; });
-                uint64_t i = gen[b] | (o & ~kill[b]);
-                if (i != in[b] || o != liveOut_[b]) {
-                    in[b] = i;
-                    liveOut_[b] = o;
-                    changed = true;
-                }
-            }
-        }
-        liveAfter_.resize(n);
-        for (size_t b = 0; b < nb; b++) {
+        StackLiveness lv = stackLiveness(func_, blocks_, sb_);
+        liveOut_ = std::move(lv.out);
+        liveAfter_.resize(in_.size());
+        for (size_t b = 0; b < liveOut_.size(); b++) {
             uint64_t live = liveOut_[b];
             for (uint32_t pc = begins_[b + 1]; pc-- > begins_[b];) {
                 liveAfter_[pc] = live;
-                live = ud[pc].use | (live & ~ud[pc].def);
+                live = lv.ud[pc].use | (live & ~lv.ud[pc].def);
             }
         }
     }
@@ -1338,6 +1756,7 @@ class RegisterFormRewriter
 
     LoweredFunc& func_;
     const std::vector<LInst>& in_; ///< func_.code until run() replaces it
+    const Blocks& blocks_;
     const std::vector<uint32_t>& begins_;  ///< block begins, then size
     const std::vector<uint32_t>& blockOf_; ///< pc -> block
     StackBits sb_;
@@ -1366,7 +1785,8 @@ rewriteRegisterForm(LoweredFunc& func, const Blocks& blocks)
 
 /** Per-function pipeline. */
 OptStats
-optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts)
+optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
+                     const MemoryBounds& mem)
 {
     OptStats stats;
     stats.instsBefore = func.code.size();
@@ -1382,7 +1802,7 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts)
     // leaves serves value numbering and the rewrite alike.
     Blocks blocks = findBlocks(func);
     if (opts.versionLoops) {
-        VersionResult versioned = versionLoops(func, blocks);
+        VersionResult versioned = versionLoops(func, blocks, mem);
         stats.loopsVersioned = versioned.loopsVersioned;
         stats.checksVersioned = versioned.checksVersioned;
         if (versioned.loopsVersioned != 0)
@@ -1413,8 +1833,15 @@ OptStats
 optimizeLoweredModule(LoweredModule& module, const OptOptions& opts)
 {
     OptStats total;
+    MemoryBounds mem;
+    if (!module.module.memories.empty()) {
+        const Limits& limits = module.module.memories[0];
+        mem.minBytes = uint64_t(limits.min) * kPageSize;
+        mem.maxBytes =
+            uint64_t(limits.hasMax() ? limits.max : kMaxPages) * kPageSize;
+    }
     for (LoweredFunc& func : module.funcs) {
-        OptStats s = optimizeFuncInternal(func, opts);
+        OptStats s = optimizeFuncInternal(func, opts, mem);
         total.checksElided += s.checksElided;
         total.instsFused += s.instsFused;
         total.loopsVersioned += s.loopsVersioned;

@@ -5,20 +5,39 @@
  * configuration, walk one basic-block partition (blocks begin at pc 0,
  * jump targets and after terminators), recomputed after versioning:
  *
- *  - Affine loop versioning (trap strategy only): a candidate is a
- *    block whose conditional terminator jumps back to its own begin and
- *    is the only jump there, so every other entry falls through the
- *    preheader guard. For such bottom-test counted loops whose memory
- *    accesses are affine in the induction variable (`k_iv*i +
- *    k_base*base + const`), the loop body is cloned; the original
- *    becomes a fast path whose accesses are all marked elidable,
- *    guarded by preheader range checks — evaluated in 64-bit arithmetic
- *    over the maximum IV extent, which also rules out u32 wraparound of
- *    the in-loop address arithmetic — that jump to the fully-checked
- *    clone when they fail.
+ *  - Affine loop versioning (trap and clamp): a candidate is a run of
+ *    blocks closed by a jump back to its first pc, the only jump there,
+ *    so every other entry falls through the preheader. It exits through
+ *    that back edge's condition (bottom test) or, when the back edge is
+ *    unconditional, through the first block's jump past the loop (top
+ *    test); inner jumps only go forward and stay inside. The exit must
+ *    compare the induction variable against a loop-invariant bound
+ *    (`<` or `<=`, signed or unsigned). Every access affine in the
+ *    induction variable (`k_iv*i + k_base*base + const`) is marked
+ *    elidable on the loop body, the fast path; in a top-test loop only
+ *    the accesses after the test. A proved or guarded fast path never
+ *    goes out of bounds, so it neither traps nor clamps.
+ *    With a constant bound each access's worst end folds to
+ *    `k_base*base + K` at compile time. When the induction variable's
+ *    entry value is a constant too and no access has a base, a loop
+ *    whose largest K fits the module's declared minimum memory is
+ *    proved: no guard, no clone (memories never shrink, and an
+ *    instance's memory starts at least at the declared minimum).
+ *    Otherwise the loop body is cloned into a fully-checked copy and a
+ *    preheader guard jumps to it unless the entry value lies below the
+ *    bound and `k_base*base + K <= memory bytes` (once per distinct
+ *    base), or the page count covers K when no access has a base. A
+ *    loop whose K exceeds the declared maximum is left alone. With a
+ *    variable bound the guard computes the maximum IV extent at run
+ *    time. Guards run in 64-bit arithmetic, which also rules out u32
+ *    wraparound of the in-loop address arithmetic. A clone costs as many
+ *    code bytes as its body, so only the loops nested deepest in their
+ *    function get a guard and a clone.
  *    The only sound way to remove variable-index checks.
  *
- *  - Bounds-check value numbering (trap strategy only): value-numbers
+ *  - Bounds-check value numbering (trap strategy only, never clamp: a
+ *    check that clamped says nothing about the next access to the same
+ *    address): value-numbers
  *    addresses within each basic block and marks every check provably
  *    covered by an earlier check of the same address value in that
  *    block. Passed checks stay valid forever (linear memories never
@@ -61,13 +80,15 @@
 namespace lnb::wasm {
 
 /** Which check transforms run before the register-form rewrite, which
- * always runs. Both are only sound when the executor traps (never
- * clamps) on out-of-bounds accesses; the caller is responsible for
- * enabling them only under that strategy. */
+ * always runs. The caller enables each only where it is sound: value
+ * numbering only when the executor traps on out-of-bounds accesses,
+ * versioning when it traps or clamps. */
 struct OptOptions
 {
-    bool analyzeChecks = false; ///< per-block value numbering of checks
-    bool versionLoops = false;  ///< affine loop versioning (guard + clone)
+    /** Per-block value numbering of checks (trap only). */
+    bool analyzeChecks = false;
+    /** Affine loop versioning: proof, or guard + clone (trap, clamp). */
+    bool versionLoops = false;
 };
 
 /** What the pass did, accumulated over all functions of a module. */
@@ -81,7 +102,8 @@ struct OptStats
     uint64_t checksElided = 0;
     /** Instructions the register-form rewrite removed. */
     uint64_t instsFused = 0;
-    /** Loops that received a guarded fast-path clone. */
+    /** Loops whose affine checks became elidable: proved in bounds, or
+     * guarded with a checked clone to fall back to. */
     uint64_t loopsVersioned = 0;
     /** Accesses on versioned fast paths whose checks became elidable. */
     uint64_t checksVersioned = 0;

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "harness/bench_runner.h"
 #include "harness/report.h"
 #include "obs/json.h"
+#include "support/clock.h"
 
 namespace lnb::harness {
 namespace {
@@ -67,6 +69,43 @@ TEST(BenchRunner, MultiThreadRunsAllWorkers)
     // Both workers burn CPU (the exact figure depends on host load and
     // the kernel's CPU-clock granularity).
     EXPECT_GT(result.cpuUtilizationPercent, 0.0);
+}
+
+TEST(BenchRunner, WorkerCpuCoversTheWallClockWindow)
+{
+    // Worker 0 measures three 1 ms iterations, worker 1 three of 40 ms,
+    // each spun on the thread's own CPU clock. Worker 0 then cools down
+    // until worker 1 is done, which the wall clock includes, so its CPU
+    // time and blocking count must cover that too: read when it stopped
+    // measuring, its CPU time was ~3 ms against worker 1's ~120 ms and
+    // the run read ~100% utilization for two busy threads.
+    BenchSpec spec;
+    spec.numThreads = 2;
+    spec.iterations = 3;
+    spec.warmupIterations = 0;
+    spec.pinThreads = false;
+    std::atomic<uint64_t> iterations[2] = {0, 0};
+    auto spin = [&](int tid) {
+        uint64_t start = threadCpuNanos();
+        uint64_t want = tid == 0 ? 1'000'000 : 40'000'000;
+        while (threadCpuNanos() - start < want) {
+        }
+        iterations[tid]++;
+        return IterSample{double(want) * 1e-9, 0};
+    };
+    BenchResult result = driveThreads(
+        spec, spin, [&](int tid) { return iterations[tid].load(); });
+    ASSERT_TRUE(result.ok);
+    ASSERT_EQ(result.threads.size(), 2u);
+    const ThreadStats& fast = result.threads[0];
+    const ThreadStats& slow = result.threads[1];
+    EXPECT_EQ(fast.iterationSeconds.size(), 3u);
+    // Both spin for the whole window, so scheduling shares it evenly.
+    EXPECT_GT(fast.cpuSeconds, 0.5 * slow.cpuSeconds)
+        << "fast " << fast.cpuSeconds << " s, slow " << slow.cpuSeconds
+        << " s of CPU";
+    EXPECT_GT(fast.blockingEvents, 3u * 5u);
+    EXPECT_EQ(fast.blockingEvents, iterations[0].load());
 }
 
 TEST(BenchRunner, InstanceChurnAccountsMemoryWork)

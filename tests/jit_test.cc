@@ -415,33 +415,45 @@ softwareCheckSites(const wasm::LoweredModule& lowered)
 
 TEST(Compiler, SkipsExactlyTheListedChecks)
 {
-    // The opt pass alone decides which checks survive: under `trap` the
-    // JIT skips each listed pc of the rewritten IR and emits every other
-    // check, and under `clamp` (which must redirect every access) it
-    // skips none.
+    // The opt pass alone decides which checks survive: the JIT skips
+    // each listed pc of the rewritten IR and emits every other check.
+    // Under trap the list holds value numbering's and loop versioning's
+    // marks; under clamp only versioning's, since a clamped access
+    // proves nothing about the next access to the same address.
     obs::Counter emitted = obs::registerCounter("jit.bounds_checks_emitted");
     obs::Counter elided = obs::registerCounter("jit.bounds_checks_elided");
     // The suite's elision decisions at scale 16, pinned: a change to how
-    // loops are found or checks numbered that lists other checks shows
-    // here, not only as a changed runtime.
+    // loops are found, guards folded or checks numbered that lists other
+    // checks shows here, not only as a changed runtime.
     struct Decisions
     {
         uint64_t loopsVersioned = 0;
+        /** Versioned loops with a guard and a clone; the rest are
+         * proved in bounds against the declared minimum memory. */
+        uint64_t loopsGuarded = 0;
         uint64_t checksVersioned = 0;
         uint64_t checksElided = 0;
         bool operator==(const Decisions&) const = default;
     };
-    const std::pair<const char*, Decisions> pinned[] = {
-        {"polybench", {84, 161, 42}},
-        {"specproxy", {10, 19, 11}},
+    struct Pinned
+    {
+        const char* suite;
+        mem::BoundsStrategy strategy;
+        Decisions want;
+    };
+    const Pinned pinned[] = {
+        {"polybench", mem::BoundsStrategy::trap, {72, 41, 155, 43}},
+        {"polybench", mem::BoundsStrategy::clamp, {72, 41, 155, 0}},
+        {"specproxy", mem::BoundsStrategy::trap, {13, 3, 47, 11}},
+        {"specproxy", mem::BoundsStrategy::clamp, {13, 3, 47, 0}},
     };
     uint64_t total_listed = 0;
-    for (const auto& [suite, want] : pinned) {
+    for (const auto& [suite, strategy, want] : pinned) {
         Decisions got;
         for (const kernels::Kernel* kernel : kernels::suiteKernels(suite)) {
             rt::EngineConfig config;
             config.kind = rt::EngineKind::jit_opt;
-            config.strategy = mem::BoundsStrategy::trap;
+            config.strategy = strategy;
             uint64_t emitted_before = emitted.value();
             uint64_t elided_before = elided.value();
             auto cm = rt::Engine(config)
@@ -452,6 +464,10 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
             for (const wasm::LoweredFunc& func : lowered.funcs) {
                 const std::vector<uint32_t>& pcs = func.elidableCheckPcs;
                 listed += pcs.size();
+                for (const wasm::LInst& inst : func.code) {
+                    got.loopsGuarded +=
+                        inst.op == uint16_t(wasm::LOp::count_fallback);
+                }
                 // Sorted without repeats, and each entry still names a
                 // load or store after the register-form rewrite.
                 for (size_t i = 0; i < pcs.size(); i++) {
@@ -480,22 +496,11 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
                       sites)
                 << kernel->name;
             total_listed += listed;
-
-            std::unique_ptr<exec::FuncCode[]> table(new exec::FuncCode[
-                lowered.module.numImportedFuncs() + lowered.funcs.size()]);
-            JitOptions clamp;
-            clamp.strategy = mem::BoundsStrategy::clamp;
-            clamp.codeTable = table.get();
-            emitted_before = emitted.value();
-            elided_before = elided.value();
-            ASSERT_TRUE(compileModule(lowered, clamp).isOk());
-            EXPECT_EQ(elided.value() - elided_before, 0u) << kernel->name;
-            EXPECT_EQ(emitted.value() - emitted_before, sites)
-                << kernel->name;
         }
         EXPECT_TRUE(got == want)
-            << suite << ": loops versioned " << got.loopsVersioned
-            << ", checks versioned " << got.checksVersioned
+            << suite << " " << mem::boundsStrategyName(strategy)
+            << ": loops versioned " << got.loopsVersioned << " (guarded "
+            << got.loopsGuarded << "), checks versioned " << got.checksVersioned
             << ", checks elided " << got.checksElided;
     }
     EXPECT_GT(total_listed, 0u);

@@ -161,6 +161,54 @@ TEST(GuardMemory, UffdPopulatesBelowBoundsTrapsAbove)
     EXPECT_EQ(after, wasm::TrapKind::none);
 }
 
+TEST(GuardMemory, RealUffdPopulatesOneWasmPagePerFault)
+{
+    if (!realUffdAvailable())
+        GTEST_SKIP() << "kernel userfaultfd unavailable";
+    MemoryConfig config;
+    config.strategy = BoundsStrategy::uffd;
+    auto memory =
+        LinearMemory::create(Limits{3, 4}, config).takeValue();
+    TrapManager::install();
+
+    // Touch every 4 KiB page of the first two wasm pages, and one byte
+    // of the third: the first touch of a wasm page populates all of it.
+    wasm::TrapKind ok = TrapManager::protect([&] {
+        for (uint64_t off = 0; off < 2 * kPageSize; off += 4096)
+            memory->base()[off + 9] = uint8_t(off >> 12);
+        memory->base()[2 * kPageSize + 40000] = 7;
+    });
+    EXPECT_EQ(ok, wasm::TrapKind::none);
+    EXPECT_EQ(memory->faultsHandled(), 3u);
+    EXPECT_EQ(memory->base()[kPageSize + 4096 + 9], 17);
+
+    wasm::TrapKind oob = TrapManager::protect([&] {
+        volatile uint8_t v = memory->base()[3 * kPageSize];
+        (void)v;
+    });
+    EXPECT_EQ(oob, wasm::TrapKind::out_of_bounds_memory);
+    EXPECT_EQ(memory->faultsTrapped(), 1u);
+    EXPECT_EQ(memory->faultsHandled(), 3u);
+}
+
+TEST(GuardMemory, RealUffdFreshMemorySnapshots)
+{
+    if (!realUffdAvailable())
+        GTEST_SKIP() << "kernel userfaultfd unavailable";
+    // The capture touches one byte per wasm page before its pwrite,
+    // which reads every 4 KiB page: each must be populated by then.
+    // With one 4 KiB page per fault the pwrite failed, and every uffd
+    // instance fell back to a full instantiation.
+    MemoryConfig config;
+    config.strategy = BoundsStrategy::uffd;
+    auto memory =
+        LinearMemory::create(Limits{2, 4}, config).takeValue();
+    TrapManager::install();
+    auto snap = memory->snapshot();
+    ASSERT_TRUE(snap.isOk()) << snap.status().toString();
+    EXPECT_EQ(snap.value()->sizeBytes(), 2 * kPageSize);
+}
+
 TEST(GuardMemory, MprotectGrowCountsSyscalls)
 {
     MemoryConfig config;

@@ -1036,6 +1036,336 @@ TEST(Versioning, U32WraparoundFallsBackSoundly)
     }
 }
 
+/**
+ * Two counted loops over i in [0, 8) from a constant start, so their
+ * guards fold at compile time. Each does mem[a + i*4] += i + 1 and
+ * returns the sum of the words it wrote: "fixed" at a = @p fixed_base,
+ * "based" at a = its parameter. "grow" adds a page to the 1..2-page
+ * memory.
+ */
+Module
+foldedGuardModule(uint32_t fixed_base)
+{
+    ModuleBuilder mb;
+    mb.addMemory(1, 2);
+    uint32_t t = mb.addType({ValType::i32}, {ValType::i32});
+    for (bool based : {false, true}) {
+        auto& f = mb.addFunction(t); // param: base ("based" only)
+        uint32_t i = f.addLocal(ValType::i32);
+        uint32_t sum = f.addLocal(ValType::i32);
+        uint32_t v = f.addLocal(ValType::i32);
+        auto address = [&] {
+            if (based)
+                f.localGet(0);
+            else
+                f.i32Const(int32_t(fixed_base));
+            f.localGet(i);
+            f.i32Const(2);
+            f.emit(Op::i32_shl);
+            f.emit(Op::i32_add);
+        };
+        f.i32Const(0);
+        f.localSet(i);
+        auto head = f.loop();
+        address();
+        address();
+        f.memOp(Op::i32_load, 0);
+        f.localGet(i);
+        f.i32Const(1);
+        f.emit(Op::i32_add);
+        f.emit(Op::i32_add);
+        f.localTee(v);
+        f.memOp(Op::i32_store, 0);
+        f.localGet(sum);
+        f.localGet(v);
+        f.emit(Op::i32_add);
+        f.localSet(sum);
+        f.localGet(i);
+        f.i32Const(1);
+        f.emit(Op::i32_add);
+        f.localTee(i);
+        f.i32Const(8);
+        f.emit(Op::i32_lt_u);
+        f.brIf(head);
+        f.end();
+        f.localGet(sum);
+        mb.exportFunc(based ? "based" : "fixed", f.finish());
+    }
+    uint32_t gt = mb.addType({}, {ValType::i32});
+    auto& g = mb.addFunction(gt);
+    g.i32Const(1);
+    g.memoryGrow();
+    mb.exportFunc("grow", g.finish());
+    return mb.build();
+}
+
+/** Does @p func carry a versioned loop's checked clone? */
+bool
+hasGuardedClone(const LoweredFunc& func)
+{
+    return std::any_of(func.code.begin(), func.code.end(),
+                       [](const LInst& inst) {
+                           return inst.op == uint16_t(LOp::count_fallback);
+                       });
+}
+
+TEST(Versioning, FoldedGuardProvesOnlyAgainstTheDeclaredMinimum)
+{
+    // 1024 + 8*4 fits the one-page minimum: proved, so no guard and no
+    // clone. 65528 + 8*4 lies past the minimum but inside the two-page
+    // maximum: a grown memory could hold it, so it stays guarded.
+    for (uint32_t fixed_base : {1024u, 65528u}) {
+        auto lowered = lowerModule(foldedGuardModule(fixed_base));
+        ASSERT_TRUE(lowered.isOk());
+        LoweredModule lm = lowered.takeValue();
+        OptStats stats = optimizeWithVersioning(lm);
+        EXPECT_EQ(stats.loopsVersioned, 2u);
+        EXPECT_EQ(stats.checksVersioned, 4u);
+        EXPECT_EQ(hasGuardedClone(lm.funcs[0]), fixed_base == 65528u)
+            << "fixed base " << fixed_base;
+        EXPECT_FALSE(lm.funcs[0].elidableCheckPcs.empty());
+        // A base has no compile-time bound: always guarded.
+        EXPECT_TRUE(hasGuardedClone(lm.funcs[1]));
+    }
+}
+
+/** Call @p calls (export name, argument) in order on one instance; the
+ * i64 view of each result, or its trap kind. */
+std::vector<std::pair<TrapKind, uint64_t>>
+runSequence(const Module& module, const EngineConfig& config,
+            const std::vector<std::pair<const char*, uint32_t>>& calls,
+            uint64_t* fallbacks = nullptr)
+{
+    Engine engine(config);
+    auto compiled = engine.compile(Module(module));
+    EXPECT_TRUE(compiled.isOk()) << compiled.status().toString();
+    auto inst = Instance::create(compiled.takeValue());
+    EXPECT_TRUE(inst.isOk()) << inst.status().toString();
+    std::vector<std::pair<TrapKind, uint64_t>> outcomes;
+    for (const auto& [name, arg] : calls) {
+        std::vector<Value> args;
+        if (std::string(name) != "grow")
+            args.push_back(Value::fromI32(int32_t(arg)));
+        rt::CallOutcome out = inst.value()->callExport(name, args);
+        outcomes.emplace_back(out.trap, out.ok() ? out.results[0].i64 : 0);
+    }
+    if (fallbacks != nullptr)
+        *fallbacks = inst.value()->guardFallbacks();
+    return outcomes;
+}
+
+TEST(Versioning, FailedFoldedGuardsTakeTheCloneBitExactly)
+{
+    if (!jit::jitSupported())
+        GTEST_SKIP() << "JIT unsupported on this CPU";
+    // Each sequence fails one folded guard: base + 32 wraps u32 past 0,
+    // base + 32 runs past the one-page memory, and the fixed loop's
+    // 65560 needs the page a later grow adds (then passes). Under clamp
+    // the clone redirects the out-of-bounds accesses, under trap it
+    // traps, and either way it must match the unoptimized interpreters.
+    Module module = foldedGuardModule(65528);
+    const std::vector<std::vector<std::pair<const char*, uint32_t>>>
+        sequences = {
+            {{"based", 0xFFFFFFF0u}, {"based", 0xFFFFFFF0u}},
+            {{"based", 65520}, {"based", 64}},
+            {{"fixed", 0}, {"grow", 0}, {"fixed", 0}},
+        };
+    for (BoundsStrategy strategy :
+         {BoundsStrategy::clamp, BoundsStrategy::trap}) {
+        for (const auto& calls : sequences) {
+            SCOPED_TRACE(std::string(mem::boundsStrategyName(strategy)) +
+                         " " + calls[0].first + " " +
+                         std::to_string(calls[0].second));
+            EngineConfig config;
+            config.strategy = strategy;
+            config.kind = EngineKind::interp_switch;
+            config.optimizeLoweredIR = false;
+            auto want = runSequence(module, config, calls);
+            EXPECT_EQ(want[0].first, strategy == BoundsStrategy::trap
+                                         ? TrapKind::out_of_bounds_memory
+                                         : TrapKind::none);
+            config.kind = EngineKind::interp_threaded;
+            EXPECT_EQ(runSequence(module, config, calls), want);
+            config.kind = EngineKind::jit_opt;
+            config.optimizeLoweredIR = true;
+            uint64_t fallbacks = 0;
+            EXPECT_EQ(runSequence(module, config, calls, &fallbacks), want);
+            // The first call fails its guard; the grown memory and the
+            // in-bounds base pass theirs.
+            EXPECT_EQ(fallbacks, calls[0].first == std::string("based") &&
+                                         calls[1].second == 0xFFFFFFF0u
+                                     ? 2u
+                                     : 1u);
+            config.tiered = true;
+            config.tierThreshold = 1;
+            EXPECT_EQ(runSequence(module, config, calls), want);
+        }
+    }
+}
+
+/**
+ * "adjacent": two counted loops with nothing between them, so the first
+ * one's exit is the second one's header. Both start from the parameter
+ * and run while the IV is below 2: sum += mem[8 + i*4], then
+ * sum += mem[8 + j*8]. A start of 2 or more fails both guards' entry
+ * tests; each loop then runs one checked iteration.
+ *
+ * "toptest": a top-test loop, k from the parameter while k <s 3, with
+ * an `if` inside: sum += mem[16 + k*4], plus mem[k*8] on odd k.
+ */
+Module
+adjacentLoopsModule()
+{
+    ModuleBuilder mb;
+    mb.addMemory(1, 2);
+    uint32_t t = mb.addType({ValType::i32}, {ValType::i32});
+    auto& f = mb.addFunction(t); // param: start
+    uint32_t i = f.addLocal(ValType::i32);
+    uint32_t j = f.addLocal(ValType::i32);
+    uint32_t sum = f.addLocal(ValType::i32);
+    auto accumulate = [&](uint32_t iv, uint32_t base, int shift) {
+        f.localGet(sum);
+        f.i32Const(int32_t(base));
+        f.localGet(iv);
+        f.i32Const(shift);
+        f.emit(Op::i32_shl);
+        f.emit(Op::i32_add);
+        f.memOp(Op::i32_load, 0);
+        f.emit(Op::i32_add);
+        f.localSet(sum);
+    };
+    auto next = [&](uint32_t iv) {
+        f.localGet(iv);
+        f.i32Const(1);
+        f.emit(Op::i32_add);
+        f.localTee(iv);
+    };
+    f.localGet(0);
+    f.localSet(i);
+    f.localGet(0);
+    f.localSet(j);
+    for (auto [iv, shift] : {std::pair{i, 2}, std::pair{j, 3}}) {
+        auto head = f.loop();
+        accumulate(iv, 8, shift);
+        next(iv);
+        f.i32Const(2);
+        f.emit(Op::i32_lt_u);
+        f.brIf(head);
+        f.end();
+    }
+    f.localGet(sum);
+    mb.exportFunc("adjacent", f.finish());
+
+    auto& g = mb.addFunction(t); // param: start
+    uint32_t k = g.addLocal(ValType::i32);
+    uint32_t acc = g.addLocal(ValType::i32);
+    g.localGet(0);
+    g.localSet(k);
+    auto exit = g.block();
+    auto head = g.loop();
+    g.localGet(k);
+    g.i32Const(3);
+    g.emit(Op::i32_ge_s);
+    g.brIf(exit);
+    auto add = [&](uint32_t base, int shift) {
+        g.localGet(acc);
+        g.i32Const(int32_t(base));
+        g.localGet(k);
+        g.i32Const(shift);
+        g.emit(Op::i32_shl);
+        g.emit(Op::i32_add);
+        g.memOp(Op::i32_load, 0);
+        g.emit(Op::i32_add);
+        g.localSet(acc);
+    };
+    g.localGet(k);
+    g.i32Const(1);
+    g.emit(Op::i32_and);
+    g.ifElse();
+    add(0, 3);
+    g.end();
+    add(16, 2);
+    g.localGet(k);
+    g.i32Const(1);
+    g.emit(Op::i32_add);
+    g.localSet(k);
+    g.br(head);
+    g.end();
+    g.end();
+    g.localGet(acc);
+    mb.exportFunc("toptest", g.finish());
+
+    // Distinct words, so every address read shows in the sum.
+    auto& h = mb.addFunction(t); // param unused
+    uint32_t a = h.addLocal(ValType::i32);
+    auto fill = h.loop();
+    h.localGet(a);
+    h.localGet(a);
+    h.i32Const(7);
+    h.emit(Op::i32_mul);
+    h.i32Const(3);
+    h.emit(Op::i32_add);
+    h.memOp(Op::i32_store, 0);
+    h.localGet(a);
+    h.i32Const(4);
+    h.emit(Op::i32_add);
+    h.localTee(a);
+    h.i32Const(65533); // a <= 65532, so the guard passes
+    h.emit(Op::i32_lt_u);
+    h.brIf(fill);
+    h.end();
+    h.i32Const(0);
+    mb.exportFunc("init", h.finish());
+    return mb.build();
+}
+
+TEST(Versioning, CloneExitRunsTheNextLoopsGuard)
+{
+    if (!jit::jitSupported())
+        GTEST_SKIP() << "JIT unsupported on this CPU";
+    // The first loop's clone leaves at the second loop's header, where
+    // the second guard sits: it must run that guard, not skip to the
+    // unchecked fast path. Start 16380 puts the second loop's one
+    // iteration at 8 + 16380*8 = 131048, past the one-page memory.
+    Module module = adjacentLoopsModule();
+    {
+        auto lowered = lowerModule(module);
+        ASSERT_TRUE(lowered.isOk());
+        LoweredModule lm = lowered.takeValue();
+        OptStats stats = optimizeWithVersioning(lm);
+        EXPECT_EQ(stats.loopsVersioned, 4u); // both, toptest and init
+    }
+    const std::vector<std::pair<const char*, uint32_t>> calls = {
+        {"init", 0},        {"adjacent", 0},     {"adjacent", 5},
+        {"adjacent", 16380}, {"toptest", 0},     {"toptest", 2},
+        {"toptest", 0xFFFFFFFFu}, {"toptest", 0xFFFFFFFEu},
+    };
+    for (BoundsStrategy strategy :
+         {BoundsStrategy::clamp, BoundsStrategy::trap}) {
+        SCOPED_TRACE(mem::boundsStrategyName(strategy));
+        EngineConfig config;
+        config.strategy = strategy;
+        config.kind = EngineKind::interp_switch;
+        config.optimizeLoweredIR = false;
+        auto want = runSequence(module, config, calls);
+        EXPECT_EQ(want[3].first, strategy == BoundsStrategy::trap
+                                     ? TrapKind::out_of_bounds_memory
+                                     : TrapKind::none);
+        config.kind = EngineKind::interp_threaded;
+        EXPECT_EQ(runSequence(module, config, calls), want);
+        config.kind = EngineKind::jit_opt;
+        config.optimizeLoweredIR = true;
+        uint64_t fallbacks = 0;
+        EXPECT_EQ(runSequence(module, config, calls, &fallbacks), want);
+        // Starts 5 and 16380 fail both adjacent guards; -1 and -2 fail
+        // the top test's entry test (the signed loop runs from there).
+        EXPECT_EQ(fallbacks, 6u);
+        config.tiered = true;
+        config.tierThreshold = 1;
+        EXPECT_EQ(runSequence(module, config, calls), want);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Calls
 // ---------------------------------------------------------------------

@@ -261,6 +261,37 @@ TEST(ThreadsValidation, SharedMemoryRequiresMax)
     EXPECT_FALSE(wasm::validateModule(mb.build()).isOk());
 }
 
+TEST(ThreadsValidation, SiblingRefusesAMemoryBelowItsDeclaredMinimum)
+{
+    // The opt pass proves loops in bounds against the declared minimum,
+    // so a sibling must not adopt a smaller shared memory: a one-page
+    // memory cannot back a module that declares two.
+    auto shared_module = [](uint32_t min) {
+        ModuleBuilder mb;
+        mb.addMemory(min, 4, true);
+        uint32_t t = mb.addType({}, {ValType::i32});
+        auto& f = mb.addFunction(t);
+        f.i32Const(0);
+        mb.exportFunc("run", f.finish());
+        return mb.build();
+    };
+    EngineConfig config;
+    config.kind = EngineKind::jit_opt;
+    config.strategy = BoundsStrategy::clamp;
+    Engine engine(config);
+    auto owner_module = engine.compile(shared_module(1));
+    ASSERT_TRUE(owner_module.isOk());
+    auto owner = Instance::create(owner_module.takeValue());
+    ASSERT_TRUE(owner.isOk());
+    for (uint32_t min : {1u, 2u}) {
+        auto sibling_module = engine.compile(shared_module(min));
+        ASSERT_TRUE(sibling_module.isOk());
+        auto sibling = Instance::create(sibling_module.takeValue(), {},
+                                        owner.value()->memoryShared());
+        EXPECT_EQ(sibling.isOk(), min == 1) << "declared minimum " << min;
+    }
+}
+
 TEST_P(ThreadsStrategyTest, MisalignedAddressTrapsAtRuntime)
 {
     ModuleBuilder mb;
