@@ -199,8 +199,6 @@ runBenchmark(const BenchSpec& spec)
     struct PerThread
     {
         std::unique_ptr<rt::Instance> instance;
-        uint64_t resizeSyscalls = 0;
-        uint64_t faultsHandled = 0;
         uint64_t blockingEvents = 0;
     };
     std::vector<PerThread> per_thread(size_t(spec.numThreads));
@@ -213,18 +211,6 @@ runBenchmark(const BenchSpec& spec)
         if (spec.freshInstancePerIteration || !slot.instance) {
             // Account the outgoing instance's counters before dropping it.
             if (slot.instance) {
-#ifdef LNB_OBS_DISABLED
-                // No metrics registry: drain the outgoing instance's own
-                // counters by hand (the pre-obs plumbing).
-                slot.resizeSyscalls +=
-                    slot.instance->memory()
-                        ? slot.instance->memory()->resizeSyscalls()
-                        : 0;
-                slot.faultsHandled +=
-                    slot.instance->memory()
-                        ? slot.instance->memory()->faultsHandled()
-                        : 0;
-#endif
                 slot.blockingEvents += slot.instance->blockingEvents();
                 slot.instance.reset();
             }
@@ -248,33 +234,17 @@ runBenchmark(const BenchSpec& spec)
         return events;
     };
 
-#ifndef LNB_OBS_DISABLED
     const obs::MetricsSnapshot before = obs::snapshotMetrics();
-#endif
     BenchResult result = driveThreads(spec, iteration, blocking);
     result.compileSeconds = compile_seconds;
-#ifndef LNB_OBS_DISABLED
-    // Registry deltas replace the per-instance plumbing: every grow-path
-    // syscall and every resolved fault lands in these counters no matter
-    // which instance or worker produced it, including instances created
-    // and destroyed mid-run.
+    // Registry deltas: every grow-path syscall and every resolved fault
+    // lands in these counters no matter which instance or worker produced
+    // it, including instances created and destroyed mid-run.
     const obs::MetricsSnapshot after = obs::snapshotMetrics();
     result.resizeSyscalls = after.counter("mem.resize_syscalls") -
                             before.counter("mem.resize_syscalls");
     result.faultsHandled = after.counter("mem.faults_resolved") -
                            before.counter("mem.faults_resolved");
-#else
-    for (PerThread& slot : per_thread) {
-        result.resizeSyscalls += slot.resizeSyscalls;
-        result.faultsHandled += slot.faultsHandled;
-        if (slot.instance && slot.instance->memory()) {
-            result.resizeSyscalls +=
-                slot.instance->memory()->resizeSyscalls();
-            result.faultsHandled +=
-                slot.instance->memory()->faultsHandled();
-        }
-    }
-#endif
     if (compiled->config().tiered) {
         rt::TierStats tier_stats = compiled->tierStats();
         result.tier.tiered = true;

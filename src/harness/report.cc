@@ -280,8 +280,7 @@ benchResultToJson(const BenchSpec& spec, const BenchResult& result,
     w.endObject();
 
     // Full registry snapshot: process-lifetime totals (not per-run
-    // deltas), so successive reports can be differenced offline. Empty
-    // objects under LNB_OBS_DISABLED.
+    // deltas), so successive reports can be differenced offline.
     const obs::MetricsSnapshot snap = obs::snapshotMetrics();
     w.key("counters").beginObject();
     for (const obs::CounterValue& c : snap.counters)

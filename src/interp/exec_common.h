@@ -149,10 +149,10 @@ struct InstanceContext
     /**
      * Dynamically retired bounds checks (trap/clamp strategies): every
      * software range compare actually executed, whether inline in a
-     * memory access or a versioning guard term.
-     * Interpreters always count; the JIT emits increments only under
-     * EngineConfig.countRetiredChecks (the ablation knob) since the
-     * read-modify-write would pollute steady-state measurements.
+     * memory access or a versioning guard term, by JIT code under
+     * EngineConfig.countRetiredChecks (the ablation knob: the increments
+     * pollute steady-state timings). The interpreters count only atomic
+     * accesses, whose glue they share with the JIT.
      */
     uint64_t checksRetired = 0;
     /** Times a versioned loop's preheader guard failed and execution fell

@@ -55,7 +55,6 @@ memAddr(InstanceContext* ctx, uint32_t addr, uint64_t offset, unsigned size)
 {
     uint64_t ea = uint64_t(addr) + offset;
     if constexpr (M == CheckMode::clamp) {
-        ctx->checksRetired++;
         if (ea + size > ctx->memSize) {
             // Failed-check slow path: on a shared memory another thread
             // may have grown since the mirror was last refreshed.
@@ -64,7 +63,6 @@ memAddr(InstanceContext* ctx, uint32_t addr, uint64_t offset, unsigned size)
                 ea = ctx->clampOffset;
         }
     } else if constexpr (M == CheckMode::trap) {
-        ctx->checksRetired++;
         if (ea + size > ctx->memSize) {
             syncSharedSize(ctx);
             if (ea + size > ctx->memSize)

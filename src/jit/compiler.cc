@@ -814,15 +814,13 @@ FunctionCompiler::emitPrologue()
     as_.movRR64(kCtxReg, rdi);
     as_.movRR64(kFrameReg, rsi);
 
-    if (opts_.stackChecks) {
-        // Native stack headroom (guards runaway recursion).
-        as_.cmpRM64(rsp, CTX_FIELD(nativeStackLimit));
-        as_.jcc(Cond::be, trapLabel(TrapKind::stack_overflow));
-        // Value-stack headroom for this frame.
-        as_.lea(rax, Mem{kFrameReg, int32_t(func_.numCells * 8)});
-        as_.cmpRM64(rax, CTX_FIELD(vstackEnd));
-        as_.jcc(Cond::a, trapLabel(TrapKind::stack_overflow));
-    }
+    // Native stack headroom (guards runaway recursion).
+    as_.cmpRM64(rsp, CTX_FIELD(nativeStackLimit));
+    as_.jcc(Cond::be, trapLabel(TrapKind::stack_overflow));
+    // Value-stack headroom for this frame.
+    as_.lea(rax, Mem{kFrameReg, int32_t(func_.numCells * 8)});
+    as_.cmpRM64(rax, CTX_FIELD(vstackEnd));
+    as_.jcc(Cond::a, trapLabel(TrapKind::stack_overflow));
 
     // Parameters arrive in the frame's memory cells (the caller wrote
     // them there); load register-homed ones. Zero-initialize the rest.

@@ -45,15 +45,11 @@ struct JitOptions
      * fills.
      */
     uint8_t profTier = obs::kProfTierJitBase;
-    /** Emit the function-entry value-stack overflow check (paper §1 lists
-     * stack checks among the safety costs; disable for ablation only). */
-    bool stackChecks = true;
     /**
      * Emit an InstanceContext::checksRetired increment in front of every
      * software bounds check (trap compare or clamp redirect) so retired
      * dynamic check counts can be compared across optimization ablations.
-     * The interpreters always count; the JIT only under this knob, since
-     * the extra load/store pollutes steady-state timings.
+     * Off by default: the extra load/store pollutes steady-state timings.
      */
     bool countChecks = false;
     /**

@@ -160,8 +160,6 @@ metricsToPrometheus(const MetricsSnapshot& snapshot)
     return out;
 }
 
-#ifndef LNB_OBS_DISABLED
-
 namespace detail {
 
 constinit thread_local ThreadShard* t_shard = nullptr;
@@ -417,7 +415,5 @@ snapshotMetrics()
         snapshot.histograms.push_back(aggregateHistogram(uint16_t(i)));
     return snapshot;
 }
-
-#endif // !LNB_OBS_DISABLED
 
 } // namespace lnb::obs

@@ -18,10 +18,6 @@
  *  - Signal handlers must not touch shard claiming (it may allocate TLS
  *    cleanup records); they use registerExternalCounter() to expose a
  *    plain global atomic they already own.
- *
- * Compile-time kill switch: with LNB_OBS_DISABLED defined every
- * operation here is an empty inline stub — no atomics, no registry, no
- * code in instrumented hot loops.
  */
 #ifndef LNB_OBS_METRICS_H
 #define LNB_OBS_METRICS_H
@@ -70,8 +66,6 @@ struct MetricsSnapshot
     /** Snapshot of a named histogram; null if absent. */
     const HistogramSnapshot* histogram(const std::string& name) const;
 };
-
-#ifndef LNB_OBS_DISABLED
 
 namespace detail {
 
@@ -207,73 +201,24 @@ std::string metricsToJson(const MetricsSnapshot& snapshot);
  */
 std::string metricsToPrometheus(const MetricsSnapshot& snapshot);
 
-#else // LNB_OBS_DISABLED -----------------------------------------------
-
-class Counter
-{
-  public:
-    void add(uint64_t = 1) const {}
-    uint64_t value() const { return 0; }
-    const char* name() const { return ""; }
-};
-
-class Histogram
-{
-  public:
-    void record(uint64_t) const {}
-    HistogramSnapshot snapshot() const { return {}; }
-    const char* name() const { return ""; }
-};
-
-inline Counter
-registerCounter(const char*)
-{
-    return {};
-}
-
-inline Histogram
-registerHistogram(const char*)
-{
-    return {};
-}
-
-inline void
-registerExternalCounter(const char*, const std::atomic<uint64_t>*)
-{}
-
-inline MetricsSnapshot
-snapshotMetrics()
-{
-    return {};
-}
-
-std::string metricsToJson(const MetricsSnapshot& snapshot);
-std::string metricsToPrometheus(const MetricsSnapshot& snapshot);
-
-#endif // LNB_OBS_DISABLED
-
 /**
  * Scoped latency probe: records monotonic elapsed nanoseconds into a
- * histogram on destruction. Compiles out under LNB_OBS_DISABLED.
+ * histogram on destruction.
  */
 class ScopedLatency
 {
   public:
-#ifndef LNB_OBS_DISABLED
     explicit ScopedLatency(Histogram hist)
         : hist_(hist), start_(monotonicNanos())
     {}
     ~ScopedLatency() { hist_.record(monotonicNanos() - start_); }
 
+    ScopedLatency(const ScopedLatency&) = delete;
+    ScopedLatency& operator=(const ScopedLatency&) = delete;
+
   private:
     Histogram hist_;
     uint64_t start_;
-#else
-    explicit ScopedLatency(Histogram) {}
-#endif
-  public:
-    ScopedLatency(const ScopedLatency&) = delete;
-    ScopedLatency& operator=(const ScopedLatency&) = delete;
 };
 
 } // namespace lnb::obs

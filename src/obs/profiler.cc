@@ -25,8 +25,6 @@
 
 namespace lnb::obs {
 
-// ---- definitions needed with or without LNB_OBS_DISABLED ---------------
-
 const char*
 profCategoryName(int i)
 {
@@ -83,8 +81,6 @@ installedJitPcClassifier()
 }
 
 } // namespace prof
-
-#ifndef LNB_OBS_DISABLED
 
 namespace detail {
 
@@ -776,7 +772,5 @@ profFoldedPath()
     detail::profInit();
     return detail::collector().foldedPath;
 }
-
-#endif // !LNB_OBS_DISABLED
 
 } // namespace lnb::obs

@@ -29,8 +29,7 @@
  * handler in mem/signals.cc masks SIGPROF), and code-region removal
  * quiesces in-flight symbolization before code bytes are freed.
  *
- * Everything is compiled out under LNB_OBS_DISABLED, and costs one
- * relaxed load + branch per scope when LNB_PROF_HZ is unset.
+ * A scope costs one relaxed load + branch when LNB_PROF_HZ is unset.
  *
  * Environment:
  *   LNB_PROF_HZ      sampling rate per thread, 0..10000 (default 0 = off)
@@ -121,8 +120,6 @@ using JitPcClassifier = bool (*)(const void* pc, JitPcSample* out);
 void setJitPcClassifier(JitPcClassifier classifier);
 
 } // namespace prof
-
-#ifndef LNB_OBS_DISABLED
 
 namespace detail {
 
@@ -273,86 +270,6 @@ bool writeFoldedStacks(const std::string& path);
 
 /** Path from LNB_PROF_FOLDED, or empty (read once). */
 const std::string& profFoldedPath();
-
-#else // LNB_OBS_DISABLED -----------------------------------------------
-
-namespace prof {
-
-inline void
-currentMark(void** top, uint8_t* category)
-{
-    *top = nullptr;
-    *category = 0;
-}
-
-inline void restoreMark(void*, uint8_t) {}
-
-inline void ensureThreadRegistered() {}
-
-} // namespace prof
-
-class ProfFrameScope
-{
-  public:
-    ProfFrameScope(uint32_t, uint8_t) {}
-    ProfFrameScope(const ProfFrameScope&) = delete;
-    ProfFrameScope& operator=(const ProfFrameScope&) = delete;
-};
-
-class ProfCategoryScope
-{
-  public:
-    explicit ProfCategoryScope(ProfCategory) {}
-    ProfCategoryScope(const ProfCategoryScope&) = delete;
-    ProfCategoryScope& operator=(const ProfCategoryScope&) = delete;
-};
-
-inline int
-profilerHz()
-{
-    return 0;
-}
-
-inline bool
-profilerEnabled()
-{
-    return false;
-}
-
-inline void setProfilerHzForTesting(int) {}
-
-inline ProfileSnapshot
-snapshotProfile()
-{
-    return {};
-}
-
-inline ProfileSnapshot
-profileDelta(const ProfileSnapshot&, const ProfileSnapshot&)
-{
-    return {};
-}
-
-inline std::vector<std::pair<std::string, uint64_t>>
-collectFoldedStacks()
-{
-    return {};
-}
-
-inline bool
-writeFoldedStacks(const std::string&)
-{
-    return false;
-}
-
-inline const std::string&
-profFoldedPath()
-{
-    static const std::string empty;
-    return empty;
-}
-
-#endif // LNB_OBS_DISABLED
 
 } // namespace lnb::obs
 

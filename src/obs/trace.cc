@@ -37,8 +37,6 @@ currentTid()
 
 } // namespace
 
-#ifndef LNB_OBS_DISABLED
-
 namespace detail {
 
 std::atomic<int> g_traceState{0};
@@ -326,12 +324,9 @@ writeChromeTrace(const std::string& path)
     return true;
 }
 
-#endif // !LNB_OBS_DISABLED
-
 void
 flushObservability()
 {
-#ifndef LNB_OBS_DISABLED
     const std::string& trace_path = traceFilePath();
     if (!trace_path.empty())
         writeChromeTrace(trace_path);
@@ -349,7 +344,6 @@ flushObservability()
         }
         file << metricsToJson(snapshotMetrics());
     }
-#endif
 }
 
 } // namespace lnb::obs

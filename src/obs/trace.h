@@ -15,7 +15,7 @@
  * When off, a scope costs one predictable branch. Each thread owns a
  * bounded ring of kTraceRingCapacity events; overflow overwrites the
  * oldest events (tracing never blocks or allocates on the hot path once
- * the ring exists). The whole layer compiles out under LNB_OBS_DISABLED.
+ * the ring exists).
  */
 #ifndef LNB_OBS_TRACE_H
 #define LNB_OBS_TRACE_H
@@ -52,8 +52,6 @@ struct TraceEvent
     uint32_t tid = 0;
     TraceKind kind = TraceKind::span;
 };
-
-#ifndef LNB_OBS_DISABLED
 
 namespace detail {
 
@@ -140,45 +138,6 @@ bool writeChromeTrace(const std::string& path);
 /** Path from LNB_TRACE_FILE, or empty (read once). */
 const std::string& traceFilePath();
 
-#else // LNB_OBS_DISABLED -----------------------------------------------
-
-class TraceScope
-{
-  public:
-    explicit TraceScope(const char*) {}
-    TraceScope(const TraceScope&) = delete;
-    TraceScope& operator=(const TraceScope&) = delete;
-};
-
-inline void recordInstantEvent(const char*) {}
-
-inline void recordAsyncSpan(const char*, uint64_t, uint64_t, uint64_t) {}
-
-inline void
-setTraceEnabledForTesting(bool)
-{}
-
-inline std::vector<TraceEvent>
-drainTraceEvents()
-{
-    return {};
-}
-
-inline bool
-writeChromeTrace(const std::string&)
-{
-    return false;
-}
-
-inline const std::string&
-traceFilePath()
-{
-    static const std::string empty;
-    return empty;
-}
-
-#endif // LNB_OBS_DISABLED
-
 /**
  * Flush observability artifacts now: the Chrome trace to LNB_TRACE_FILE
  * (if set) and a process-wide metrics dump into LNB_JSON_DIR (if set).
@@ -192,12 +151,8 @@ void flushObservability();
 #define LNB_OBS_CONCAT2(a, b) a##b
 #define LNB_OBS_CONCAT(a, b) LNB_OBS_CONCAT2(a, b)
 
-#ifndef LNB_OBS_DISABLED
 #define LNB_TRACE_SCOPE(name) \
     ::lnb::obs::TraceScope LNB_OBS_CONCAT(lnb_trace_scope_, \
                                           __LINE__)(name)
-#else
-#define LNB_TRACE_SCOPE(name) ((void)0)
-#endif
 
 #endif // LNB_OBS_TRACE_H

@@ -142,7 +142,6 @@ CompiledModule::installCode(wasm::ByteReader* reload)
     options.profTier = tiered || config_.kind == EngineKind::jit_opt
                            ? obs::kProfTierJitOpt
                            : obs::kProfTierJitBase;
-    options.stackChecks = config_.stackChecks;
     options.countChecks = config_.countRetiredChecks;
     options.sharedMemory = config_.sharedMemory;
     options.epochChecks = config_.epochChecks;

@@ -78,8 +78,6 @@ engineIsJit(EngineKind kind)
       nullptr, 0, 0)                                                          \
     /* Force the uffd emulation even when real userfaultfd exists. */         \
     V(bool,                forceUffdEmulation, false,     nullptr, 0, 0)      \
-    /* Function-entry stack-overflow checks (ablation knob). */               \
-    V(bool,                stackChecks,        true,      nullptr, 0, 0)      \
     /* Value-stack size per instance, in 8-byte cells. */                     \
     V(uint32_t,            valueStackCells,    1u << 20,  nullptr, 0, 0)      \
     V(uint32_t,            maxCallDepth,       8192,      nullptr, 0, 0)      \
@@ -96,8 +94,8 @@ engineIsJit(EngineKind kind)
     V(bool,                optVersioning,      true,                          \
       "LNB_OPT_VERSIONING", 0, 1)                                             \
     /* Count dynamically retired software bounds checks in JIT code           \
-       (InstanceContext::checksRetired; the interpreters always count).       \
-       Measurement only: the increments pollute steady-state timings. */      \
+       (InstanceContext::checksRetired). Measurement only: the increments     \
+       pollute steady-state timings. */                                       \
     V(bool,                countRetiredChecks, false,                         \
       "LNB_COUNT_CHECKS", 0, 1)                                               \
     /* Per-function tiered execution: every function starts in the profiled   \

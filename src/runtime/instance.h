@@ -160,8 +160,8 @@ class Instance
     /** Runtime blocking events (paper Fig. 5 substitute). */
     uint64_t blockingEvents() const { return ctx_->blockingEvents; }
 
-    /** Dynamically retired software bounds checks. Interpreters always
-     * count; JIT code only under EngineConfig::countRetiredChecks. */
+    /** Dynamically retired software bounds checks: JIT code counts under
+     * EngineConfig::countRetiredChecks, interpreters only atomics. */
     uint64_t checksRetired() const { return ctx_->checksRetired; }
 
     /** Versioned-loop guard failures (slow-path clone entries). */

@@ -71,8 +71,9 @@ constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
  * down by one) and the two interprocedural-summary rows left the
  * serialized EngineConfig; 7 = the epoch poll became one load from the
  * poll page below the context, and interrupt islands and their glue
- * symbol left the code. */
-constexpr uint32_t kCacheFormatVersion = 7;
+ * symbol left the code; 8 = the stackChecks row left the serialized
+ * EngineConfig. */
+constexpr uint32_t kCacheFormatVersion = 8;
 
 uint64_t
 cacheBuildId()

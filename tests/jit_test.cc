@@ -392,15 +392,12 @@ TEST(Compiler, CheckEliminationShrinksOptTierTrapCode)
     trap.strategy = mem::BoundsStrategy::trap;
     obs::Counter elided = obs::registerCounter("jit.bounds_checks_elided");
     size_t base_bytes = compileModule(lowered, trap).value()->codeBytes();
-    [[maybe_unused]] uint64_t elided_before = elided.value();
+    uint64_t elided_before = elided.value();
     size_t opt_bytes = compileModule(analyzed, trap).value()->codeBytes();
     EXPECT_LT(opt_bytes, base_bytes);
-#ifndef LNB_OBS_DISABLED
     EXPECT_GT(elided.value(), elided_before);
-#endif
 }
 
-#ifndef LNB_OBS_DISABLED
 /** Loads and stores: the sites that carry a software check. */
 uint64_t
 softwareCheckSites(const wasm::LoweredModule& lowered)
@@ -505,9 +502,6 @@ TEST(Compiler, SkipsExactlyTheListedChecks)
     }
     EXPECT_GT(total_listed, 0u);
 }
-#endif // LNB_OBS_DISABLED
-
-#ifndef LNB_OBS_DISABLED
 TEST(Compiler, ReportsFrameCellTrafficPastTheRegisterHomes)
 {
     // A function using more stack slots and locals than have register
@@ -539,7 +533,6 @@ TEST(Compiler, ReportsFrameCellTrafficPastTheRegisterHomes)
     ASSERT_TRUE(compileModule(lowered, options).isOk());
     EXPECT_GT(cells.value() - before, 0u);
 }
-#endif // LNB_OBS_DISABLED
 
 // ---------------------------------------------------------------------
 // Register forms: every (form, op) pair compiles and matches the
@@ -1079,19 +1072,6 @@ TEST(Compiler, EpochPollIsOneLoadAtEveryEntryAndLoopHeader)
     }
     // Every kernel has at least one function and one loop per tier.
     EXPECT_GE(total_sites, 2u * 2 * 28);
-}
-
-TEST(Compiler, StackCheckAblationShrinksPrologue)
-{
-    wasm::LoweredModule lowered = lowerSample();
-    JitOptions checked = tableOptions();
-    JitOptions unchecked = tableOptions();
-    unchecked.stackChecks = false;
-    size_t with_checks =
-        compileModule(lowered, checked).value()->codeBytes();
-    size_t without_checks =
-        compileModule(lowered, unchecked).value()->codeBytes();
-    EXPECT_GT(with_checks, without_checks);
 }
 
 } // namespace

@@ -78,8 +78,6 @@ TEST(Json, EscapeCoversControlCharacters)
     EXPECT_EQ(doc.string, "a\x01b\"c\\d");
 }
 
-#ifndef LNB_OBS_DISABLED
-
 // ----- metrics registry -----------------------------------------------
 
 TEST(Metrics, CounterAggregatesAcrossThreads)
@@ -310,23 +308,6 @@ TEST(Report, OptPassCountersAppearInBenchResultReports)
     }
     EXPECT_GT(counters->find("opt.insts_fused")->number, 0.0);
 }
-
-#else // LNB_OBS_DISABLED
-
-TEST(Metrics, DisabledStubsAreInert)
-{
-    Counter counter = registerCounter("test.disabled");
-    counter.add(100);
-    EXPECT_EQ(counter.value(), 0u);
-    Histogram hist = registerHistogram("test.disabled_hist");
-    hist.record(1);
-    EXPECT_EQ(hist.snapshot().totalCount, 0u);
-    EXPECT_TRUE(snapshotMetrics().counters.empty());
-    LNB_TRACE_SCOPE("test.disabled_scope");
-    EXPECT_TRUE(drainTraceEvents().empty());
-}
-
-#endif // LNB_OBS_DISABLED
 
 } // namespace
 } // namespace lnb::obs

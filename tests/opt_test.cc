@@ -674,7 +674,6 @@ TEST(Soundness, AddressRewriteNeverSkipsRequiredCheck)
 // Headline criterion: >= 30% fewer emitted checks on an RMW loop kernel
 // ---------------------------------------------------------------------
 
-#ifndef LNB_OBS_DISABLED
 TEST(Criterion, EmittedChecksDropAtLeast30PercentOnRmwKernel)
 {
     if (!jit::jitSupported())
@@ -713,7 +712,6 @@ TEST(Criterion, EmittedChecksDropAtLeast30PercentOnRmwKernel)
         EXPECT_TRUE(out.ok());
     }
 }
-#endif // LNB_OBS_DISABLED
 
 // ---------------------------------------------------------------------
 // Affine loop versioning

@@ -329,9 +329,8 @@ TEST_P(PreemptStrategyTest, JitKillsAreDeliveredByPollFaults)
     for (const EngineConfig& config : jitConfigs(GetParam())) {
         auto inst = instantiateJitSpin(config);
         ASSERT_NE(inst, nullptr) << configName(config);
-        [[maybe_unused]] uint64_t faults = counterValue("mem.poll_faults");
-        [[maybe_unused]] uint64_t delivered =
-            counterValue("rt.interrupts_delivered");
+        uint64_t faults = counterValue("mem.poll_faults");
+        uint64_t delivered = counterValue("rt.interrupts_delivered");
         std::thread killer([&] {
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
             inst->interrupt(TrapKind::deadline_exceeded);
@@ -340,12 +339,10 @@ TEST_P(PreemptStrategyTest, JitKillsAreDeliveredByPollFaults)
         killer.join();
         EXPECT_EQ(out.trap, TrapKind::deadline_exceeded)
             << configName(config);
-#ifndef LNB_OBS_DISABLED
         EXPECT_EQ(counterValue("rt.interrupts_delivered") - delivered, 1u)
             << configName(config);
         EXPECT_EQ(counterValue("mem.poll_faults") - faults, 1u)
             << configName(config);
-#endif
         // Delivery disarmed the page: the next call completes.
         CallOutcome again = inst->callExport("run", {Value::fromI32(10)});
         ASSERT_TRUE(again.ok())
@@ -380,19 +377,16 @@ TEST(Preempt, StaleArmIsDisarmedByTheHandler)
         ASSERT_NE(inst, nullptr) << configName(config);
         inst->interrupt();
         inst->context().interruptFlag.store(0);
-        [[maybe_unused]] uint64_t stale =
-            counterValue("mem.poll_stale_disarms");
-        [[maybe_unused]] uint64_t faults = counterValue("mem.poll_faults");
+        uint64_t stale = counterValue("mem.poll_stale_disarms");
+        uint64_t faults = counterValue("mem.poll_faults");
         CallOutcome out = inst->callExport("run", {Value::fromI32(1000)});
         ASSERT_TRUE(out.ok())
             << configName(config) << ": " << trapKindName(out.trap);
         EXPECT_EQ(out.results[0].i64, 1001) << configName(config);
-#ifndef LNB_OBS_DISABLED
         EXPECT_EQ(counterValue("mem.poll_stale_disarms") - stale, 1u)
             << configName(config);
         EXPECT_EQ(counterValue("mem.poll_faults") - faults, 0u)
             << configName(config);
-#endif
     }
 }
 

@@ -246,11 +246,6 @@ TEST(JitCodeMap, RegionWithoutInfoClassifiesAsAnonymousJit)
 
 // ------------------------------------------------- profiled smoke runs
 
-// Everything below needs a live sampler/metrics layer; with the obs
-// layer compiled out these are meaningless (profiler_test still covers
-// the always-compiled JIT code map, signal coexistence and lifecycle).
-#ifndef LNB_OBS_DISABLED
-
 struct SmokeCase
 {
     const char* label;
@@ -517,8 +512,6 @@ TEST(Prometheus, SnapshotRendersCountersAndHistograms)
     EXPECT_NE(text.find("lnb_test_prom_probe_ns_sum 103"),
               std::string::npos);
 }
-
-#endif // LNB_OBS_DISABLED
 
 // ------------------------------------ SIGPROF vs SIGSEGV coexistence
 

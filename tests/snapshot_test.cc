@@ -252,18 +252,13 @@ struct SnapshotCounters
     }
 };
 
-/** Counter deltas are observable only with obs compiled in. */
 void
 expectCounts(const SnapshotCounters& d, uint64_t captures, uint64_t adopts,
              uint64_t restores)
 {
-#ifndef LNB_OBS_DISABLED
     EXPECT_EQ(d.captures, captures);
     EXPECT_EQ(d.adopts, adopts);
     EXPECT_EQ(d.restores, restores);
-#else
-    (void)d, (void)captures, (void)adopts, (void)restores;
-#endif
 }
 
 std::shared_ptr<const rt::CompiledModule>
