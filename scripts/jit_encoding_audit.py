@@ -9,7 +9,8 @@ JIT spends above as's encoding of the same instruction.
     # audit code files written earlier
     scripts/jit_encoding_audit.py gemm.jit-base.trap.bin ...
     # write and audit every suite kernel x jit-base x {none, trap, clamp}
-    # and x jit-opt x {trap, clamp} (versioned loops: guards and clones)
+    # and x jit-opt x {none, trap, clamp} (versioned loops: guards and
+    # clones; accesses off the pinned memory base)
     scripts/jit_encoding_audit.py --explorer build/examples/kernel_explorer
     # do two builds emit the same code? (exits 1 on any difference)
     scripts/jit_encoding_audit.py --compare old/kernel_explorer \
@@ -24,7 +25,11 @@ rel32 by design (there is no relaxation pass) and are only counted, by
 target: a trap island (`ud2`) or any other. Also exits 1 when the old
 epoch poll (`cmpl $0x0,0x50(%rbp)` then `jne` to an interrupt island)
 reappears: the JIT polls with one load from the poll page below the
-context, `cmp -0x40(%rbp),%eax` (DESIGN.md §6).
+context, `cmp -0x40(%rbp),%eax` (DESIGN.md §6). And exits 1 when a
+jit-opt listing (a file named `*.jit-opt.*`, as --explorer writes them)
+still adds the memory base from the context (`add 0x0(%rbp),%rax`):
+the optimizing JIT keeps the base in a register and addresses every
+access as [base + index + disp].
 Relocated `movabs` (glue, code-table and code addresses) is allow-listed:
 the loader re-patches all 8 immediate bytes when a cached artifact is
 mapped into another process, so its width cannot depend on the value.
@@ -58,12 +63,13 @@ BRANCH = re.compile(r"^(j[a-z]+)\s+(0x[0-9a-f]+|[0-9a-f]+)$")
 TRAP_KIND_BYTES = 1
 SUITES = ("polybench", "specproxy")
 SWEEP_CONFIGS = (("jit-base", "none"), ("jit-base", "trap"),
-                 ("jit-base", "clamp"), ("jit-opt", "trap"),
-                 ("jit-opt", "clamp"))
+                 ("jit-base", "clamp"), ("jit-opt", "none"),
+                 ("jit-opt", "trap"), ("jit-opt", "clamp"))
 COMPARE_ENGINES = ("jit-base", "jit-opt")
 COMPARE_STRATEGIES = ("none", "clamp", "trap", "mprotect", "uffd")
 MOVABS = re.compile(r"^movabs \$0x([0-9a-f]+),(%\w+)$")
 OLD_POLL = "cmpl $0x0,0x50(%rbp)"
+CONTEXT_BASE_ADD = "add 0x0(%rbp),%rax"
 USER_ADDRESSES = range(1 << 32, 1 << 47)
 
 
@@ -175,11 +181,15 @@ def audit(paths, workdir):
     failures = []
     forward = {"trap island": [0, 0], "other": [0, 0]}  # count, bytes
     old_polls = []
+    base_adds = collections.Counter()
     allowed_over = 0
     unassembled = collections.Counter()
     total = 0
     for path, insns in decoded.items():
         islands = {addr for addr, _, text in insns if text == "ud2"}
+        if ".jit-opt." in os.path.basename(path):
+            base_adds[path] = sum(text == CONTEXT_BASE_ADD
+                                  for _, _, text in insns)
         for (addr, _, text), (_, _, after) in zip(insns, insns[1:]):
             if text == OLD_POLL and after.startswith("jne "):
                 old_polls.append((path, addr))
@@ -236,15 +246,26 @@ def audit(paths, workdir):
     for path, addr in old_polls[:40]:
         print("FAIL %s+0x%x: compare-and-branch epoch poll (%s; jne)" %
               (os.path.basename(path), addr, OLD_POLL))
-    if failures or old_polls:
+    for path, n in sorted(base_adds.items()):
+        if n:
+            print("FAIL %s: %d accesses add the memory base from the "
+                  "context (%s)" % (os.path.basename(path), n,
+                                    CONTEXT_BASE_ADD))
+    unpinned = sum(base_adds.values())
+    if failures or old_polls or unpinned:
         if failures:
             print("%d memory-operand or backward-branch encodings are "
                   "longer than GNU as's" % len(failures))
         if old_polls:
             print("%d compare-and-branch epoch polls" % len(old_polls))
+        if unpinned:
+            print("%d jit-opt accesses off an unpinned memory base" %
+                  unpinned)
         return 1
     print("OK: every memory operand and backward branch is as short as "
-          "GNU as encodes it, and no compare-and-branch poll is left")
+          "GNU as encodes it, no compare-and-branch poll is left, and "
+          "%d jit-opt listings address memory off the pinned base" %
+          len(base_adds))
     return 0
 
 
@@ -330,7 +351,7 @@ def main():
     parser.add_argument("--explorer",
                         help="kernel_explorer binary: audit every suite "
                              "kernel x jit-base x {none, trap, clamp} and "
-                             "x jit-opt x {trap, clamp}")
+                             "x jit-opt x {none, trap, clamp}")
     parser.add_argument("--compare", nargs=2,
                         metavar=("OLD_EXPLORER", "NEW_EXPLORER"),
                         help="check that two kernel_explorer binaries emit "

@@ -103,28 +103,22 @@ Assembler::dispBytes(uint8_t mod, int32_t value)
 }
 
 void
-Assembler::modrmMem(uint8_t reg, Reg base, int32_t disp)
+Assembler::modrmMem(uint8_t reg, const Mem& mem)
 {
-    // rsp/r12 base requires a SIB (rm=100 is the SIB escape).
-    uint8_t mod = dispMod(base, disp);
-    byte(uint8_t(mod | ((reg & 7) << 3) | (base & 7)));
-    if ((base & 7) == 4)
-        byte(0x24); // SIB: scale=0, index=none, base=rsp/r12
-    dispBytes(mod, disp);
-}
-
-void
-Assembler::modrmMemIdx(uint8_t reg, const MemIdx& mem)
-{
-    assert((mem.index & 7) != 4 && "rsp cannot be an index");
-    uint8_t scale_bits = mem.scale == 1   ? 0
-                         : mem.scale == 2 ? 1
-                         : mem.scale == 4 ? 2
-                                          : 3;
     uint8_t mod = dispMod(mem.base, mem.disp);
-    byte(uint8_t(mod | ((reg & 7) << 3) | 4)); // rm=SIB
-    byte(uint8_t((scale_bits << 6) | ((mem.index & 7) << 3) |
-                 (mem.base & 7)));
+    if (mem.index == kNoIndex && (mem.base & 7) != 4) {
+        byte(uint8_t(mod | ((reg & 7) << 3) | (mem.base & 7)));
+    } else {
+        // rm=100 is the SIB escape: an index needs one, and so does an
+        // rsp/r12 base (whose SIB names index 100, "none").
+        uint8_t scale_bits = mem.scale == 1   ? 0
+                             : mem.scale == 2 ? 1
+                             : mem.scale == 4 ? 2
+                                              : 3;
+        byte(uint8_t(mod | ((reg & 7) << 3) | 4));
+        byte(uint8_t((scale_bits << 6) | ((mem.index & 7) << 3) |
+                     (mem.base & 7)));
+    }
     dispBytes(mod, mem.disp);
 }
 
@@ -167,139 +161,139 @@ Assembler::movRI64(Reg dst, uint64_t imm)
 void
 Assembler::movRM64(Reg dst, Mem src)
 {
-    rex(true, dst, 0, src.base);
+    rex(true, dst, src.index, src.base);
     byte(0x8B);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movRM32(Reg dst, Mem src)
 {
-    rex(false, dst, 0, src.base);
+    rex(false, dst, src.index, src.base);
     byte(0x8B);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movMR64(Mem dst, Reg src)
 {
-    rex(true, src, 0, dst.base);
+    rex(true, src, dst.index, dst.base);
     byte(0x89);
-    modrmMem(src, dst.base, dst.disp);
+    modrmMem(src, dst);
 }
 
 void
 Assembler::movMR32(Mem dst, Reg src)
 {
-    rex(false, src, 0, dst.base);
+    rex(false, src, dst.index, dst.base);
     byte(0x89);
-    modrmMem(src, dst.base, dst.disp);
+    modrmMem(src, dst);
 }
 
 void
 Assembler::movMR16(Mem dst, Reg src)
 {
     byte(0x66);
-    rex(false, src, 0, dst.base);
+    rex(false, src, dst.index, dst.base);
     byte(0x89);
-    modrmMem(src, dst.base, dst.disp);
+    modrmMem(src, dst);
 }
 
 void
 Assembler::movMR8(Mem dst, Reg src)
 {
     // Force REX so sil/dil/bpl/spl encode as byte registers.
-    rex(false, src, 0, dst.base, src >= 4);
+    rex(false, src, dst.index, dst.base, src >= 4);
     byte(0x88);
-    modrmMem(src, dst.base, dst.disp);
+    modrmMem(src, dst);
 }
 
 void
 Assembler::movMI32(Mem dst, uint32_t imm)
 {
-    rex(false, 0, 0, dst.base);
+    rex(false, 0, dst.index, dst.base);
     byte(0xC7);
-    modrmMem(0, dst.base, dst.disp);
+    modrmMem(0, dst);
     u32(imm);
 }
 
 void
 Assembler::movMI64(Mem dst, uint32_t imm)
 {
-    rex(true, 0, 0, dst.base);
+    rex(true, 0, dst.index, dst.base);
     byte(0xC7);
-    modrmMem(0, dst.base, dst.disp);
+    modrmMem(0, dst);
     u32(imm);
 }
 
 void
 Assembler::incM64(Mem dst)
 {
-    rex(true, 0, 0, dst.base);
+    rex(true, 0, dst.index, dst.base);
     byte(0xFF);
-    modrmMem(0, dst.base, dst.disp);
+    modrmMem(0, dst);
 }
 
 void
 Assembler::movzxRM8(Reg dst, Mem src)
 {
-    rex(false, dst, 0, src.base);
+    rex(false, dst, src.index, src.base);
     byte(0x0F);
     byte(0xB6);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movzxRM16(Reg dst, Mem src)
 {
-    rex(false, dst, 0, src.base);
+    rex(false, dst, src.index, src.base);
     byte(0x0F);
     byte(0xB7);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movsxRM8_32(Reg dst, Mem src)
 {
-    rex(false, dst, 0, src.base);
+    rex(false, dst, src.index, src.base);
     byte(0x0F);
     byte(0xBE);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movsxRM16_32(Reg dst, Mem src)
 {
-    rex(false, dst, 0, src.base);
+    rex(false, dst, src.index, src.base);
     byte(0x0F);
     byte(0xBF);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movsxRM8_64(Reg dst, Mem src)
 {
-    rex(true, dst, 0, src.base);
+    rex(true, dst, src.index, src.base);
     byte(0x0F);
     byte(0xBE);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movsxRM16_64(Reg dst, Mem src)
 {
-    rex(true, dst, 0, src.base);
+    rex(true, dst, src.index, src.base);
     byte(0x0F);
     byte(0xBF);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movsxRM32_64(Reg dst, Mem src)
 {
-    rex(true, dst, 0, src.base);
+    rex(true, dst, src.index, src.base);
     byte(0x63);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
@@ -349,17 +343,9 @@ Assembler::movsxRR16_64(Reg dst, Reg src)
 void
 Assembler::lea(Reg dst, Mem src)
 {
-    rex(true, dst, 0, src.base);
-    byte(0x8D);
-    modrmMem(dst, src.base, src.disp);
-}
-
-void
-Assembler::leaIdx(Reg dst, MemIdx src)
-{
     rex(true, dst, src.index, src.base);
     byte(0x8D);
-    modrmMemIdx(dst, src);
+    modrmMem(dst, src);
 }
 
 // ---------------------------------------------------------------------
@@ -385,17 +371,17 @@ Assembler::aluRR64(uint8_t opcode_base, Reg dst, Reg src)
 void
 Assembler::aluRM32(uint8_t opcode_base, Reg dst, Mem src)
 {
-    rex(false, dst, 0, src.base);
+    rex(false, dst, src.index, src.base);
     byte(uint8_t(opcode_base + 0x03)); // op r32, r/m32
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::aluRM64(uint8_t opcode_base, Reg dst, Mem src)
 {
-    rex(true, dst, 0, src.base);
+    rex(true, dst, src.index, src.base);
     byte(uint8_t(opcode_base + 0x03));
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
@@ -426,9 +412,9 @@ Assembler::imulRRI(bool w, Reg dst, Reg src, int32_t imm)
 void
 Assembler::cmpRM64(Reg lhs, Mem rhs)
 {
-    rex(true, lhs, 0, rhs.base);
+    rex(true, lhs, rhs.index, rhs.base);
     byte(0x3B); // cmp r64, r/m64
-    modrmMem(lhs, rhs.base, rhs.disp);
+    modrmMem(lhs, rhs);
 }
 
 void
@@ -654,10 +640,10 @@ Assembler::cmovcc64(Cond cond, Reg dst, Reg src)
 void
 Assembler::cmovccRM64(Cond cond, Reg dst, Mem src)
 {
-    rex(true, dst, 0, src.base);
+    rex(true, dst, src.index, src.base);
     byte(0x0F);
     byte(uint8_t(0x40 | uint8_t(cond)));
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 // ---------------------------------------------------------------------
@@ -710,11 +696,11 @@ Assembler::jcc(Cond cond, Label target)
 }
 
 void
-Assembler::jmpMemIdx(MemIdx target)
+Assembler::jmpMem(Mem target)
 {
     rex(false, 0, target.index, target.base);
     byte(0xFF);
-    modrmMemIdx(4, target);
+    modrmMem(4, target);
 }
 
 void
@@ -810,40 +796,40 @@ void
 Assembler::movssRM(Xmm dst, Mem src)
 {
     byte(0xF3);
-    rex(false, dst, 0, src.base);
+    rex(false, dst, src.index, src.base);
     byte(0x0F);
     byte(0x10);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movsdRM(Xmm dst, Mem src)
 {
     byte(0xF2);
-    rex(false, dst, 0, src.base);
+    rex(false, dst, src.index, src.base);
     byte(0x0F);
     byte(0x10);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void
 Assembler::movssMR(Mem dst, Xmm src)
 {
     byte(0xF3);
-    rex(false, src, 0, dst.base);
+    rex(false, src, dst.index, dst.base);
     byte(0x0F);
     byte(0x11);
-    modrmMem(src, dst.base, dst.disp);
+    modrmMem(src, dst);
 }
 
 void
 Assembler::movsdMR(Mem dst, Xmm src)
 {
     byte(0xF2);
-    rex(false, src, 0, dst.base);
+    rex(false, src, dst.index, dst.base);
     byte(0x0F);
     byte(0x11);
-    modrmMem(src, dst.base, dst.disp);
+    modrmMem(src, dst);
 }
 
 void
@@ -909,10 +895,10 @@ void
 Assembler::sseOpRM(uint8_t prefix, uint8_t opcode, Xmm dst, Mem src)
 {
     byte(prefix);
-    rex(false, dst, 0, src.base);
+    rex(false, dst, src.index, src.base);
     byte(0x0F);
     byte(opcode);
-    modrmMem(dst, src.base, src.disp);
+    modrmMem(dst, src);
 }
 
 void

@@ -53,21 +53,18 @@ enum class Cond : uint8_t {
     le = 0xE, g = 0xF,   // signed <= / >
 };
 
-/** A [base + disp] memory operand (no index; the JIT's frame and context
- * accesses never need one). */
+/** rsp cannot be an index: its SIB encoding means "no index". */
+constexpr Reg kNoIndex = rsp;
+
+/** A [base + index*scale + disp] memory operand; the frame and context
+ * accesses leave the index out, linear-memory accesses off a pinned
+ * memory base and jump tables use it. */
 struct Mem
 {
     Reg base;
-    int32_t disp;
-};
-
-/** A [base + index*scale + disp] operand (jump tables). */
-struct MemIdx
-{
-    Reg base;
-    Reg index;
-    uint8_t scale; // 1, 2, 4 or 8
-    int32_t disp;
+    int32_t disp = 0;
+    Reg index = kNoIndex;
+    uint8_t scale = 1; ///< 1, 2, 4 or 8
 };
 
 /** Branch-target label. Create with Assembler::newLabel(). */
@@ -161,7 +158,6 @@ class Assembler
     void movsxRR16_64(Reg dst, Reg src);
 
     void lea(Reg dst, Mem src);
-    void leaIdx(Reg dst, MemIdx src);
 
     // ----- ALU (reg, reg) -----
     void aluRR32(uint8_t opcode_base, Reg dst, Reg src);
@@ -246,7 +242,7 @@ class Assembler
     /** rel8 when @p target is bound and in reach, else rel32. */
     void jmp(Label target);
     void jcc(Cond cond, Label target);
-    void jmpMemIdx(MemIdx target);
+    void jmpMem(Mem target);
     void callReg(Reg target);
     void callImm(const void* target); ///< via movabs r11 + call r11
     /** callImm that records a relocation for the movabs imm64. */
@@ -372,9 +368,8 @@ class Assembler
     static uint8_t dispMod(Reg base, int32_t disp);
     /** The displacement bytes @p mod calls for. */
     void dispBytes(uint8_t mod, int32_t value);
-    /** ModRM + SIB + disp for [base + disp]. */
-    void modrmMem(uint8_t reg, Reg base, int32_t disp);
-    void modrmMemIdx(uint8_t reg, const MemIdx& mem);
+    /** ModRM, then a SIB when needed, then the displacement. */
+    void modrmMem(uint8_t reg, const Mem& mem);
     void modrmReg(uint8_t reg, uint8_t rm);
 
     void patchLabel(int32_t id);

@@ -173,7 +173,11 @@ constexpr uint32_t kBranchCell = UINT32_MAX;
 //
 //   rbp  InstanceContext*                        (pinned, callee-saved)
 //   r15  frame base (cells) in the value stack   (pinned, callee-saved)
+//   r11  linear-memory base, in a function whose IR pins it
+//        (LoweredFunc::memBasePinned; reloaded after every native call)
 //   rbx, r12, r13, rsi, rdi, r11     integer homes of stack slots 0..5
+//                                    (slot 5 lives in its frame cell
+//                                    while r11 holds the memory base)
 //   xmm8, xmm9, xmm10, xmm2-xmm4     float homes of stack slots 0..5
 //   r14, r8, r9, r10     integer homes of the first four locals
 //   xmm11..xmm14         float homes of the first four locals
@@ -199,6 +203,9 @@ constexpr Xmm kSlotXmm[11] = {xmm8,  xmm9,  xmm10, xmm2,  xmm3, xmm4,
 constexpr int kNumSlotRegs = 6;  ///< stack slots with register homes
 constexpr int kNumLocalRegs = 4; ///< locals with register homes
 constexpr int kBranchHome = kNumSlotRegs + kNumLocalRegs;
+/** Holds ctx->memBase in a function whose IR pins it, which costs that
+ * function slot 5's register home: no suite inner loop reaches slot 5. */
+constexpr Reg kMemBaseReg = kSlotGpr[kNumSlotRegs - 1];
 
 /** Survives a SysV call (rbp and r15 are pinned, never homes). */
 constexpr bool
@@ -258,7 +265,8 @@ class FunctionCompiler
           mod_(mod),
           func_(func),
           opts_(opts),
-          checkRanges_(check_ranges)
+          checkRanges_(check_ranges),
+          numSlotRegs_(func.memBasePinned ? kNumSlotRegs - 1 : kNumSlotRegs)
     {
         assignLocalHomes();
     }
@@ -276,7 +284,7 @@ class FunctionCompiler
         if (cell < func_.numLocalCells)
             return localHome_[cell];
         uint32_t s = cell - func_.numLocalCells;
-        return s < uint32_t(kNumSlotRegs) ? int(s) : -1;
+        return s < uint32_t(numSlotRegs_) ? int(s) : -1;
     }
 
     void
@@ -319,7 +327,9 @@ class FunctionCompiler
     }
     /** A frame cell takes all 8 bytes even of a 32-bit value (its high
      * half is unspecified), so a later 8-byte copy of the cell forwards
-     * from the store instead of stalling on a narrower one. */
+     * from the store instead of stalling on a narrower one. A register
+     * home ends zero-extended: @p src, when it is that home, was written
+     * in place by a 32-bit op (workReg, imul). */
     void
     storeGpr32(uint32_t cell, Reg src)
     {
@@ -328,6 +338,7 @@ class FunctionCompiler
             as_.movMR64(cellMem(cell), src);
         else if (kSlotGpr[s] != src)
             as_.movRR32(kSlotGpr[s], src);
+        noteGprWrite(cell, true);
     }
     void
     storeGpr64(uint32_t cell, Reg src)
@@ -337,6 +348,30 @@ class FunctionCompiler
             as_.movMR64(cellMem(cell), src);
         else if (kSlotGpr[s] != src)
             as_.movRR64(kSlotGpr[s], src);
+        noteGprWrite(cell, false);
+    }
+
+    /**
+     * Record a write to the cell's gpr home: @p zero_extended when a
+     * 32-bit op wrote it, so its upper half is known zero. The knowledge
+     * lasts until the next write, label or native call.
+     */
+    void
+    noteGprWrite(uint32_t cell, bool zero_extended)
+    {
+        int s = slotRegIndex(cell);
+        if (s < 0 || s == kBranchHome) // rax: scratch, never tracked
+            return;
+        if (zero_extended)
+            zeroExtended_ |= uint16_t(1u << s);
+        else
+            zeroExtended_ &= uint16_t(~(1u << s));
+    }
+    bool
+    knownZeroExtended(uint32_t cell) const
+    {
+        int s = slotRegIndex(cell);
+        return s >= 0 && (zeroExtended_ >> s) & 1;
     }
     void
     loadGpr(bool is64, Reg dst, uint32_t cell)
@@ -413,6 +448,7 @@ class FunctionCompiler
         } else {
             as_.movqXR(kSlotXmm[s], src);
         }
+        noteGprWrite(cell, false);
     }
 
     /** Write the cell's register home back to its memory slot (calls). */
@@ -438,6 +474,7 @@ class FunctionCompiler
             as_.movRM64(kSlotGpr[s], cellMem(cell));
         else
             as_.movsdRM(kSlotXmm[s], cellMem(cell));
+        noteGprWrite(cell, false);
     }
 
     /**
@@ -456,7 +493,7 @@ class FunctionCompiler
         uint32_t slots = live_end > func_.numLocalCells
                              ? live_end - func_.numLocalCells
                              : 0;
-        for (uint32_t s = 0; s < slots && s < uint32_t(kNumSlotRegs);
+        for (uint32_t s = 0; s < slots && s < uint32_t(numSlotRegs_);
              s++) {
             RC rc = (float_mask & (1u << s)) ? RC::fpr : RC::gpr;
             if (rc == RC::fpr || !calleeSaved(kSlotGpr[s]))
@@ -475,11 +512,21 @@ class FunctionCompiler
         forEachCallClobberedHome(float_mask, live_end,
                                  [&](uint32_t c, RC rc) { spillCell(c, rc); });
     }
+    /** Also reloads the pinned memory base: every native call ends
+     * here. */
     void
     reloadLiveHomes(uint16_t float_mask, uint32_t live_end)
     {
         forEachCallClobberedHome(float_mask, live_end,
                                  [&](uint32_t c, RC rc) { fillCell(c, rc); });
+        if (func_.memBasePinned)
+            loadMemBase();
+        zeroExtended_ = 0;
+    }
+    void
+    loadMemBase()
+    {
+        as_.movRM64(kMemBaseReg, CTX_FIELD(memBase));
     }
 
     /** Call runtime glue @p id through a relocated absolute address. */
@@ -576,11 +623,11 @@ class FunctionCompiler
             // displacement when it fits; the 8 GiB reservation absorbs
             // the worst case (2^32-1 base + 2^32-1 offset).
             jitMetrics().guardAccessesEmitted.add();
-            as_.addRM64(rax, CTX_FIELD(memBase));
-            if (offset <= 0x7FFFFF00ull)
-                return Mem{rax, int32_t(offset)};
-            addOffset(rax, offset);
-            return Mem{rax, 0};
+            bool fits = offset <= 0x7FFFFF00ull;
+            Mem access = linearAccess(fits ? int32_t(offset) : 0);
+            if (!fits)
+                addOffset(rax, offset);
+            return access;
         }
 
         // Software checks: ea = addr + offset in rax.
@@ -606,8 +653,19 @@ class FunctionCompiler
             }
             recordCheckRange(check_begin);
         }
+        return linearAccess(0);
+    }
+
+    /** The operand of linear-memory byte rax + @p disp: [base + rax +
+     * disp] off the pinned base, else [rax + disp] once the base from
+     * the context is added to rax. */
+    Mem
+    linearAccess(int32_t disp)
+    {
+        if (func_.memBasePinned)
+            return Mem{kMemBaseReg, disp, rax};
         as_.addRM64(rax, CTX_FIELD(memBase));
-        return Mem{rax, 0};
+        return Mem{rax, disp};
     }
 
     /** reg += @p offset: add with a sign-extended imm8/imm32 up to
@@ -789,6 +847,9 @@ class FunctionCompiler
      * the profiler code map; null when symbolization is not wanted. */
     std::vector<std::pair<uint32_t, uint32_t>>* checkRanges_ = nullptr;
 
+    /** Stack slots with a register home: all but slot 5 when the
+     * function pins the memory base in slot 5's register. */
+    const int numSlotRegs_;
     /** Pool index per local cell, -1 = memory home. */
     std::vector<int8_t> localHome_;
     /** Label per pc, created (id >= 0) only at jump targets. */
@@ -799,6 +860,9 @@ class FunctionCompiler
     std::unordered_map<uint8_t, Label> trapLabels_;
     /** pc currently being emitted (for check skip-list lookups). */
     uint32_t curPc_ = 0;
+    /** Pool indices of gpr homes a 32-bit op wrote last since the last
+     * label or native call (noteGprWrite). */
+    uint16_t zeroExtended_ = 0;
 };
 
 void
@@ -843,6 +907,9 @@ FunctionCompiler::emitPrologue()
             as_.movMI64(cellMem(i), 0);
         }
     }
+
+    if (func_.memBasePinned)
+        loadMemBase();
 
     // Function-entry epoch poll: recursion without loops must still be
     // preemptible, and entries are where the interpreters poll too.
@@ -902,6 +969,7 @@ FunctionCompiler::compile()
     for (uint32_t pc = 0; pc < func_.code.size(); pc++) {
         if (isJumpTarget(pc)) {
             as_.bind(pcLabels_[pc]);
+            zeroExtended_ = 0; // other predecessors join here
             // Loop headers poll the poll page: every back edge runs
             // through here, so a spinning loop is preempted within one
             // iteration.
@@ -947,7 +1015,7 @@ FunctionCompiler::emitInstr(const LInst& inst)
         as_.cmovcc32(Cond::a, rax, rcx); // clamp to the default case
         Label table = as_.newLabel();
         as_.movRI64Label(rcx, table);
-        as_.jmpMemIdx(MemIdx{rcx, rax, 8, 0});
+        as_.jmpMem(Mem{rcx, 0, rax, 8});
         as_.bind(table);
         for (uint32_t i = 0; i <= inst.aux; i++)
             as_.absq(pcLabels_[func_.tablePool[inst.a + i]]);
@@ -959,6 +1027,7 @@ FunctionCompiler::emitInstr(const LInst& inst)
         // stages through rax.
         RC rc = classOf(ValType(inst.aux));
         int src = slotRegIndex(inst.a), dst = slotRegIndex(inst.b);
+        noteGprWrite(inst.b, false);
         if (src < 0 && dst < 0) {
             as_.movRM64(rax, cellMem(inst.a));
             as_.movMR64(cellMem(inst.b), rax);
@@ -1173,8 +1242,10 @@ FunctionCompiler::emitLoad(Op op, const Operands& v)
       case Op::i64_load32_u: as_.movRM32(g, src); break; // zero-extends
       default: assert(false);
     }
-    if (home >= 0)
+    if (home >= 0) {
+        noteGprWrite(v.dst, wasm::opInfo(op).sig[2] == 'i');
         return;
+    }
     switch (wasm::opInfo(op).sig[2]) { // "i:<result>"
       case 'f':
       case 'F': storeXmm(v.dst, xmm0); break;
@@ -1955,8 +2026,7 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
             as_.movRI32(target, uint32_t(imm));
         else
             as_.movRI64(target, imm);
-        if (dst < 0)
-            storeGpr(is64, inst.a, rax);
+        storeGpr(is64, inst.a, target);
         return;
       }
       case Op::f32_const:
@@ -2282,10 +2352,12 @@ FunctionCompiler::emitValueOp(Op op, const Operands& v)
         storeGpr64(v.dst, rax);
         return;
       case Op::i64_extend_i32_u: {
-        // A 32-bit move zero-extends, so load straight into dst's home.
+        // A 32-bit move zero-extends, so load straight into dst's home;
+        // in place, a home a 32-bit op wrote last needs no move at all.
         int s = slotRegIndex(v.dst);
         Reg reg = s >= 0 ? kSlotGpr[s] : rax;
-        loadGpr32(reg, v.lhs);
+        if (v.lhs != v.dst || !knownZeroExtended(v.lhs))
+            loadGpr32(reg, v.lhs);
         storeGpr64(v.dst, reg);
         return;
       }

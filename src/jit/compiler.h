@@ -38,11 +38,13 @@ struct JitOptions
      * Profiler tier tag (obs::kProfTierJitBase / kProfTierJitOpt) stamped
      * on the artifact's code map. A label only: jit_base and jit_opt are
      * one codegen fed different IR. Both work on the operands' register
-     * homes, compile the register forms the opt pass's rewrite emits,
-     * and add the memory base from the context on every access; under
-     * `trap` and `clamp` both skip exactly the checks listed in
-     * LoweredFunc::elidableCheckPcs, which only jit_opt's check analysis
-     * fills.
+     * homes and compile the register forms the opt pass's rewrite emits.
+     * A function whose IR sets LoweredFunc::memBasePinned (jit_opt's,
+     * under every strategy) keeps the memory base in r11 and addresses
+     * every access off it; jit_base IR never pins, so its accesses add
+     * the base from the context. Under `trap` and `clamp` both skip
+     * exactly the checks listed in LoweredFunc::elidableCheckPcs, which
+     * only jit_opt's check analysis fills.
      */
     uint8_t profTier = obs::kProfTierJitBase;
     /**

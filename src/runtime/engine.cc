@@ -247,8 +247,9 @@ Engine::compile(wasm::Module module) const
         // versioning: a proved or guarded fast path can neither trap nor
         // clamp. Value numbering runs under trap only: a check that
         // clamped proves nothing about the next access to the same
-        // address. Guard-page codegen has no check to skip. The rewrite
-        // carries the skip list along. Tiered modules share one IR
+        // address. Guard-page codegen has no check to skip. The
+        // optimizing JIT pins the memory base under every strategy. The
+        // rewrite carries the skip list along. Tiered modules share one IR
         // between both tiers; the interpreter runs the versioned clones
         // and guards like any other code.
         wasm::OptOptions opt;
@@ -259,6 +260,7 @@ Engine::compile(wasm::Module module) const
         opt.analyzeChecks = top_is_opt_jit && trap;
         opt.versionLoops = top_is_opt_jit && (trap || clamp) &&
                            config.optVersioning && grow_free;
+        opt.pinMemoryBase = top_is_opt_jit;
         LNB_TRACE_SCOPE("rt.opt");
         ScopedTimer timer(cm->stats_.optSeconds);
         cm->optStats_ = wasm::optimizeLoweredModule(cm->lowered_, opt);

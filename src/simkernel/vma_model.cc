@@ -20,19 +20,22 @@ VmaTree::map(uint64_t addr, uint64_t len, VmaProt prot)
 {
     assert(aligned(addr) && aligned(len) && len > 0);
     VmaOpStats stats;
-    stats.pagesAffected = len / kPage;
 
     // Find the insertion point and check for overlap.
     auto next = vmas_.lower_bound(addr);
     if (next != vmas_.begin()) {
-        auto prev = std::prev(next);
         stats.vmasVisited++;
-        assert(prev->second.end <= addr && "map over existing VMA");
+        if (std::prev(next)->second.end > addr)
+            stats.refused = true;
     }
     if (next != vmas_.end()) {
         stats.vmasVisited++;
-        assert(next->first >= addr + len && "map over existing VMA");
+        if (next->first < addr + len)
+            stats.refused = true;
     }
+    if (stats.refused)
+        return stats;
+    stats.pagesAffected = len / kPage;
     vmas_[addr] = Vma{addr + len, prot};
     mergeRange(addr, addr + len, stats);
     return stats;

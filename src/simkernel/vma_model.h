@@ -33,6 +33,10 @@ struct VmaOpStats
     uint32_t splits = 0;
     uint32_t merges = 0;
     uint64_t pagesAffected = 0;
+    /** A map was refused because its range overlaps a mapped VMA (how
+     * mmap with MAP_FIXED_NOREPLACE fails, with EEXIST); the tree is
+     * unchanged. */
+    bool refused = false;
 
     VmaOpStats&
     operator+=(const VmaOpStats& other)
@@ -41,6 +45,7 @@ struct VmaOpStats
         splits += other.splits;
         merges += other.merges;
         pagesAffected += other.pagesAffected;
+        refused = refused || other.refused;
         return *this;
     }
 };
@@ -56,7 +61,9 @@ class VmaTree
   public:
     static constexpr uint64_t kPage = 4096;
 
-    /** Map [addr, addr+len) with @p prot; fails on overlap. */
+    /** Map [addr, addr+len) with @p prot. A range that overlaps a
+     * mapped VMA is refused (VmaOpStats::refused) in every build and
+     * leaves the tree unchanged. */
     VmaOpStats map(uint64_t addr, uint64_t len, VmaProt prot);
 
     /** Unmap any part of [addr, addr+len), splitting partial overlaps. */

@@ -72,8 +72,9 @@ constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
  * serialized EngineConfig; 7 = the epoch poll became one load from the
  * poll page below the context, and interrupt islands and their glue
  * symbol left the code; 8 = the stackChecks row left the serialized
- * EngineConfig. */
-constexpr uint32_t kCacheFormatVersion = 8;
+ * EngineConfig; 9 = each lowered function carries its memory-base pin
+ * flag, and optimizing-JIT code addresses memory off a pinned base. */
+constexpr uint32_t kCacheFormatVersion = 9;
 
 uint64_t
 cacheBuildId()

@@ -195,6 +195,15 @@ struct LoweredFunc
      * its own.
      */
     std::vector<uint32_t> elidableCheckPcs;
+    /**
+     * Published by the optimization pass for the optimizing JIT (every
+     * strategy; never in jit_base IR), on a function that loads or
+     * stores: the JIT keeps the linear-memory base in a register, loaded
+     * at entry and after every native call, and addresses each access
+     * off it instead of adding the base from the context. Executors
+     * that address memory otherwise ignore it.
+     */
+    bool memBasePinned = false;
 };
 
 /** A module plus the lowered form of each defined function. */

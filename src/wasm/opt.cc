@@ -1791,6 +1791,7 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
     OptStats stats;
     stats.instsBefore = func.code.size();
     func.elidableCheckPcs.clear();
+    func.memBasePinned = false;
     if (func.code.empty()) {
         stats.instsAfter = 0;
         return stats;
@@ -1822,6 +1823,10 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
     }
 
     stats.instsFused = rewriteRegisterForm(func, blocks);
+
+    func.memBasePinned =
+        opts.pinMemoryBase &&
+        std::any_of(func.code.begin(), func.code.end(), carriesBoundsCheck);
 
     stats.instsAfter = func.code.size();
     return stats;

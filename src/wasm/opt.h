@@ -66,6 +66,11 @@
  *    store and moves each `elidableCheckPcs` entry to its instruction's
  *    new pc.
  *
+ *  - Memory-base pinning (the optimizing JIT, every strategy): every
+ *    function that loads or stores gets `memBasePinned`, so the JIT
+ *    keeps the linear-memory base in a register for its whole body and
+ *    addresses each access as [base + index + disp].
+ *
  * The pass reports opt.checks_elided_vn, opt.loops_versioned and
  * opt.insts_fused through the obs registry (opt.guard_fallbacks is a
  * runtime counter fed from InstanceContext::guardFallbacks).
@@ -89,6 +94,9 @@ struct OptOptions
     bool analyzeChecks = false;
     /** Affine loop versioning: proof, or guard + clone (trap, clamp). */
     bool versionLoops = false;
+    /** Set LoweredFunc::memBasePinned on every function that loads or
+     * stores (the optimizing JIT, every strategy). */
+    bool pinMemoryBase = false;
 };
 
 /** What the pass did, accumulated over all functions of a module. */

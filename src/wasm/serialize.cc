@@ -37,12 +37,14 @@ writeLoweredFunc(const LoweredFunc& f, ByteWriter& w, bool include_code)
     w.podVec(f.code);
     w.podVec(f.tablePool);
     w.podVec(f.elidableCheckPcs);
+    w.boolean(f.memBasePinned);
 }
 
-LoweredFunc
-readLoweredFunc(ByteReader& r, bool include_code)
+/** Fails only on a memBasePinned byte other than 0 or 1; truncation is
+ * left to the caller's ok() check. */
+Status
+readLoweredFunc(ByteReader& r, bool include_code, LoweredFunc& f)
 {
-    LoweredFunc f;
     f.funcIdx = r.u32();
     f.typeIdx = r.u32();
     f.numParams = r.u32();
@@ -51,11 +53,16 @@ readLoweredFunc(ByteReader& r, bool include_code)
     f.numResults = r.u16();
     f.localTypes = r.podVec<ValType>();
     if (!include_code)
-        return f;
+        return Status::ok();
     f.code = r.podVec<LInst>();
     f.tablePool = r.podVec<uint32_t>();
     f.elidableCheckPcs = r.podVec<uint32_t>();
-    return f;
+    uint8_t pinned = r.u8();
+    if (pinned > 1)
+        return errInvalid("serialized memory-base pin flag is " +
+                          std::to_string(pinned) + ", not 0 or 1");
+    f.memBasePinned = pinned != 0;
+    return Status::ok();
 }
 
 /**
@@ -322,7 +329,8 @@ deserializeLoweredModule(ByteReader& r, LoweredModule& out)
         return errInvalid("truncated serialized module payload");
     out.funcs.reserve(size_t(n));
     for (uint64_t i = 0; i < n && r.ok(); i++)
-        out.funcs.push_back(readLoweredFunc(r, include_func_code));
+        LNB_RETURN_IF_ERROR(
+            readLoweredFunc(r, include_func_code, out.funcs.emplace_back()));
     out.typeCanon = r.podVec<uint32_t>();
     if (!r.ok())
         return errInvalid("truncated serialized module payload");

@@ -177,9 +177,10 @@ bool deserializeModule(ByteReader& r, Module& out);
 void serializeLoweredModule(const LoweredModule& lm, ByteWriter& w,
                             bool include_func_code = true);
 /** Inverse. Fails with invalid_argument on truncation, on an
- * instruction whose opcode no executor has a handler for, and on a
- * check skip list (LoweredFunc::elidableCheckPcs) that is out of range,
- * not strictly increasing, or names a pc with no bounds check. */
+ * instruction whose opcode no executor has a handler for, on a check
+ * skip list (LoweredFunc::elidableCheckPcs) that is out of range, not
+ * strictly increasing, or names a pc with no bounds check, and on a
+ * memory-base pin flag (LoweredFunc::memBasePinned) other than 0 or 1. */
 Status deserializeLoweredModule(ByteReader& r, LoweredModule& out);
 
 } // namespace lnb::wasm

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <utility>
 
@@ -92,7 +93,7 @@ TEST(Assembler, IndexedMemoryOperands)
     // [base + index*scale + disp] follows the same rules through the SIB.
     auto lea = [](Reg base, uint8_t scale, int32_t disp) {
         return assemble([&](Assembler& a) {
-            a.leaIdx(rax, MemIdx{base, rdx, scale, disp});
+            a.lea(rax, Mem{base, disp, rdx, scale});
         });
     };
     EXPECT_EQ(lea(rcx, 8, 0), (Bytes{0x48, 0x8D, 0x04, 0xD1}));
@@ -107,10 +108,47 @@ TEST(Assembler, IndexedMemoryOperands)
     EXPECT_EQ(lea(rcx, 8, -129),
               (Bytes{0x48, 0x8D, 0x84, 0xD1, 0x7F, 0xFF, 0xFF, 0xFF}));
     // The jump-table dispatch: jmp [rcx+rax*8].
-    EXPECT_EQ(assemble([](Assembler& a) {
-                  a.jmpMemIdx(MemIdx{rcx, rax, 8, 0});
-              }),
+    EXPECT_EQ(assemble([](Assembler& a) { a.jmpMem(Mem{rcx, 0, rax, 8}); }),
               (Bytes{0xFF, 0x24, 0xC1}));
+
+    // Linear-memory accesses off the pinned base: [r11 + rax + disp].
+    auto load = [](Reg base, int32_t disp, Reg index) {
+        return assemble([&](Assembler& a) {
+            a.movRM32(rax, Mem{base, disp, index});
+        });
+    };
+    EXPECT_EQ(load(r11, 0, rax), (Bytes{0x41, 0x8B, 0x04, 0x03}));
+    EXPECT_EQ(load(r11, 0x10, rax), (Bytes{0x41, 0x8B, 0x44, 0x03, 0x10}));
+    EXPECT_EQ(load(r11, 0x1000, rax),
+              (Bytes{0x41, 0x8B, 0x84, 0x03, 0x00, 0x10, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) {
+                  a.movRM64(rax, Mem{r11, -128, rax});
+              }),
+              (Bytes{0x49, 0x8B, 0x44, 0x03, 0x80}));
+    // An r13 base has no mod=00 form even behind a SIB: disp8 of 0.
+    EXPECT_EQ(load(r13, 0, rax), (Bytes{0x41, 0x8B, 0x44, 0x05, 0x00}));
+    // r12 (encoding 100b, "no index" without REX.X) is an index with it.
+    EXPECT_EQ(load(r11, 0, r12), (Bytes{0x43, 0x8B, 0x04, 0x23}));
+    // movsd xmm8, [r11+rax]
+    EXPECT_EQ(assemble([](Assembler& a) {
+                  a.movsdRM(xmm8, Mem{r11, 0, rax});
+              }),
+              (Bytes{0xF2, 0x45, 0x0F, 0x10, 0x04, 0x03}));
+    // movzx ebx, byte [r11+rax+4]
+    EXPECT_EQ(assemble([](Assembler& a) {
+                  a.movzxRM8(rbx, Mem{r11, 4, rax});
+              }),
+              (Bytes{0x41, 0x0F, 0xB6, 0x5C, 0x03, 0x04}));
+    // mov [r11+rax], sil; without REX.B the byte store still forces a
+    // REX, or the register would encode dh.
+    EXPECT_EQ(assemble([](Assembler& a) {
+                  a.movMR8(Mem{r11, 0, rax}, rsi);
+              }),
+              (Bytes{0x41, 0x88, 0x34, 0x03}));
+    EXPECT_EQ(assemble([](Assembler& a) {
+                  a.movMR8(Mem{rcx, 0, rax}, rsi);
+              }),
+              (Bytes{0x40, 0x88, 0x34, 0x01}));
 }
 
 TEST(Assembler, BooleansPollsAndZeroes)
@@ -977,6 +1015,224 @@ TEST(Compiler, FrameCellsPastTheDisp8RangeStayBitExact)
             }
         }
         EXPECT_EQ(traps, strategy == mem::BoundsStrategy::trap ? 8u : 0u);
+    }
+}
+
+/**
+ * `run(addr) -> i64` touches memory right after each kind of native call
+ * a JIT function makes: a direct call, a call_indirect, a host call,
+ * memory.grow and an atomic. Each result is stored at addr + 4k and
+ * loaded back (the memory base must be valid after every call), while
+ * two loaded values stay live across all of them. The callee stores
+ * too; host `env.mix` re-enters nothing and returns 3x + 1.
+ */
+wasm::Module
+pinnedBaseModule()
+{
+    wasm::ModuleBuilder mb;
+    uint32_t unop = mb.addType({wasm::ValType::i32}, {wasm::ValType::i32});
+    uint32_t host = mb.addImport("env", "mix", unop);
+    mb.addMemory(1, 4);
+    mb.addTable(1, 1);
+
+    auto& callee = mb.addFunction(unop);
+    callee.localGet(0);
+    callee.localGet(0);
+    callee.i32Const(0x5A);
+    callee.emit(wasm::Op::i32_xor);
+    callee.memOp(wasm::Op::i32_store, 40);
+    callee.localGet(0);
+    callee.memOp(wasm::Op::i32_load, 40);
+    callee.i32Const(7);
+    callee.emit(wasm::Op::i32_mul);
+    uint32_t callee_idx = callee.finish();
+    mb.addElem(0, {callee_idx});
+
+    auto& run = mb.addFunction(
+        mb.addType({wasm::ValType::i32}, {wasm::ValType::i64}));
+    uint32_t acc = run.addLocal(wasm::ValType::i64);
+    uint32_t first = run.addLocal(wasm::ValType::i32);
+    uint32_t wide = run.addLocal(wasm::ValType::f64);
+    // Seed the memory and keep two loaded values live across the calls.
+    run.localGet(0);
+    run.localGet(0);
+    run.i32Const(0x9E3779B9);
+    run.emit(wasm::Op::i32_mul);
+    run.memOp(wasm::Op::i32_store);
+    run.localGet(0);
+    run.memOp(wasm::Op::i32_load);
+    run.localSet(first);
+    run.localGet(0);
+    run.localGet(first);
+    run.emit(wasm::Op::f64_convert_i32_u);
+    run.memOp(wasm::Op::f64_store, 48);
+    run.localGet(0);
+    run.memOp(wasm::Op::f64_load, 48);
+    run.localSet(wide);
+    // Store the i32 on the stack at addr + offset, then acc = acc * 31 +
+    // zext(mem[addr + offset]).
+    uint32_t scratch = run.addLocal(wasm::ValType::i32);
+    auto storeAndFold = [&](uint32_t offset) {
+        run.localSet(scratch);
+        run.localGet(0);
+        run.localGet(scratch);
+        run.memOp(wasm::Op::i32_store, offset);
+        run.localGet(acc);
+        run.i64Const(31);
+        run.emit(wasm::Op::i64_mul);
+        run.localGet(0);
+        run.memOp(wasm::Op::i32_load, offset);
+        run.emit(wasm::Op::i64_extend_i32_u);
+        run.emit(wasm::Op::i64_add);
+        run.localSet(acc);
+    };
+    run.localGet(0);
+    run.call(callee_idx);
+    storeAndFold(4);
+    run.localGet(0);
+    run.i32Const(0);
+    run.callIndirect(unop);
+    storeAndFold(8);
+    run.localGet(0);
+    run.call(host);
+    storeAndFold(12);
+    run.i32Const(1);
+    run.memoryGrow();
+    storeAndFold(16);
+    run.localGet(0);
+    run.i32Const(5);
+    run.memOp(wasm::Op::i32_atomic_rmw_add, 20);
+    storeAndFold(24);
+    // The live values, reloaded and compared with their memory copies.
+    run.localGet(acc);
+    run.localGet(first);
+    run.localGet(0);
+    run.memOp(wasm::Op::i32_load);
+    run.emit(wasm::Op::i32_xor);
+    run.emit(wasm::Op::i64_extend_i32_u);
+    run.emit(wasm::Op::i64_add);
+    run.localGet(wide);
+    run.localGet(0);
+    run.memOp(wasm::Op::f64_load, 48);
+    run.emit(wasm::Op::f64_sub);
+    run.emit(wasm::Op::i64_reinterpret_f64);
+    run.emit(wasm::Op::i64_add);
+    mb.exportFunc("run", run.finish());
+    return mb.build();
+}
+
+TEST(Compiler, PinnedMemoryBaseSurvivesEveryNativeCall)
+{
+    wasm::Module module = pinnedBaseModule();
+    ASSERT_TRUE(wasm::validateModule(module).isOk());
+    auto instantiate = [&](const rt::EngineConfig& config) {
+        auto cm = rt::Engine(config).compile(wasm::Module(module));
+        EXPECT_TRUE(cm.isOk()) << cm.status().toString();
+        rt::ImportMap imports;
+        imports.add("env", "mix",
+                    wasm::FuncType{{wasm::ValType::i32}, {wasm::ValType::i32}},
+                    [](exec::InstanceContext*, wasm::Value* args, void*) {
+                        args[0] = wasm::Value::fromI32(args[0].i32 * 3 + 1);
+                    });
+        auto inst = rt::Instance::create(cm.takeValue(), std::move(imports));
+        EXPECT_TRUE(inst.isOk()) << inst.status().toString();
+        return inst.takeValue();
+    };
+    for (mem::BoundsStrategy strategy :
+         {mem::BoundsStrategy::none, mem::BoundsStrategy::clamp,
+          mem::BoundsStrategy::trap, mem::BoundsStrategy::mprotect,
+          mem::BoundsStrategy::uffd}) {
+        SCOPED_TRACE(mem::boundsStrategyName(strategy));
+        rt::EngineConfig reference;
+        reference.kind = rt::EngineKind::interp_threaded;
+        reference.strategy = strategy;
+        rt::EngineConfig opt = reference;
+        opt.kind = rt::EngineKind::jit_opt;
+        rt::EngineConfig base = reference;
+        base.kind = rt::EngineKind::jit_base;
+        rt::EngineConfig tiered = reference;
+        tiered.tiered = true;
+        tiered.tierThreshold = 8; // the first entry requests tier-up
+        std::unique_ptr<rt::Instance> expected = instantiate(reference);
+        std::unique_ptr<rt::Instance> opt_inst = instantiate(opt);
+        std::unique_ptr<rt::Instance> tiered_inst = instantiate(tiered);
+        ASSERT_TRUE(expected && opt_inst && tiered_inst);
+
+        // Every function that touches memory pins the base in jit_opt
+        // and tiered IR, and none does in jit_base IR.
+        uint32_t run_idx = opt_inst->exportedFunc("run").value();
+        EXPECT_TRUE(opt_inst->module().lowered().funcByIndex(run_idx)
+                        .memBasePinned);
+        EXPECT_TRUE(tiered_inst->module().lowered().funcByIndex(run_idx)
+                        .memBasePinned);
+        std::unique_ptr<rt::Instance> base_inst = instantiate(base);
+        ASSERT_TRUE(base_inst);
+        for (const wasm::LoweredFunc& f : base_inst->module().lowered().funcs)
+            EXPECT_FALSE(f.memBasePinned);
+
+        for (uint32_t addr : {0u, 4u, 1000u, 65536u - 64}) {
+            for (int round = 0; round < 2; round++) {
+                std::vector<wasm::Value> args = {wasm::Value::fromI32(addr)};
+                rt::CallOutcome want = expected->callExport("run", args);
+                ASSERT_TRUE(want.ok());
+                for (rt::Instance* inst : {opt_inst.get(), tiered_inst.get()}) {
+                    rt::CallOutcome got = inst->callExport("run", args);
+                    ASSERT_TRUE(got.ok()) << addr;
+                    EXPECT_EQ(got.results[0].i64, want.results[0].i64)
+                        << addr << " round " << round;
+                }
+                tiered_inst->module().drainTierQueue();
+            }
+        }
+        EXPECT_EQ(tiered_inst->module().funcTier(run_idx), exec::Tier::jit);
+    }
+}
+
+TEST(Compiler, ZeroExtensionIsTrackedPerHomeWrite)
+{
+    // i64.extend_i32_u in place skips its `mov r32, r32` only when a
+    // 32-bit op wrote the home last. `f32.demote_f64` leaves bits 32-63
+    // of its xmm register holding the f64's high half, and
+    // `i32.reinterpret_f32` moves all 64 bits into the int home, so the
+    // extend after it must keep its move: skipping it would leak the
+    // f64's high half into the result. The i32.add case is the skip.
+    wasm::ModuleBuilder mb;
+    auto& bits = mb.addFunction(
+        mb.addType({wasm::ValType::f64}, {wasm::ValType::i64}));
+    bits.localGet(0);
+    bits.emit(wasm::Op::f32_demote_f64);
+    bits.emit(wasm::Op::i32_reinterpret_f32);
+    bits.emit(wasm::Op::i64_extend_i32_u);
+    mb.exportFunc("bits", bits.finish());
+    auto& sum = mb.addFunction(mb.addType(
+        {wasm::ValType::i32, wasm::ValType::i32}, {wasm::ValType::i64}));
+    sum.localGet(0);
+    sum.localGet(1);
+    sum.emit(wasm::Op::i32_add);
+    sum.emit(wasm::Op::i64_extend_i32_u);
+    mb.exportFunc("sum", sum.finish());
+    wasm::Module module = mb.build();
+    for (rt::EngineKind kind :
+         {rt::EngineKind::jit_base, rt::EngineKind::jit_opt}) {
+        rt::EngineConfig config;
+        config.kind = kind;
+        auto cm = rt::Engine(config).compile(wasm::Module(module));
+        ASSERT_TRUE(cm.isOk()) << cm.status().toString();
+        auto inst = rt::Instance::create(cm.takeValue()).takeValue();
+        for (double x : {1.5, -2.25, 3.0e38, 1.0e-300}) {
+            float f = float(x);
+            uint32_t want;
+            std::memcpy(&want, &f, sizeof want);
+            rt::CallOutcome out =
+                inst->callExport("bits", {wasm::Value::fromF64(x)});
+            ASSERT_TRUE(out.ok());
+            EXPECT_EQ(out.results[0].i64, uint64_t(want)) << x;
+        }
+        rt::CallOutcome out = inst->callExport(
+            "sum", {wasm::Value::fromI32(0xFFFFFFFFu),
+                    wasm::Value::fromI32(0xFFFFFFFFu)});
+        ASSERT_TRUE(out.ok());
+        EXPECT_EQ(out.results[0].i64, 0xFFFFFFFEull);
     }
 }
 

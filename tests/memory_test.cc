@@ -101,6 +101,44 @@ TEST_P(MemoryStrategyTest, InitDataBoundsChecked)
     EXPECT_EQ(trap, wasm::TrapKind::none);
 }
 
+TEST_P(MemoryStrategyTest, BaseNeverMovesAcrossGrowResetOrRestore)
+{
+    // The optimizing JIT keeps base() in a register for a whole call and
+    // reloads it only after native calls: no grow, recycle or snapshot
+    // restore may move it.
+    TrapManager::install();
+    auto memory = make(1, 8);
+    ASSERT_NE(memory, nullptr);
+    uint8_t* const base = memory->base();
+    ASSERT_EQ(memory->grow(2), 1);
+    EXPECT_EQ(memory->base(), base);
+    ASSERT_TRUE(memory->reset().isOk());
+    EXPECT_EQ(memory->base(), base);
+    ASSERT_EQ(memory->sizePages(), 1u);
+
+    auto snap = memory->snapshot();
+    if (!snap.isOk()) {
+        // Only the uffd emulation refuses a template.
+        EXPECT_EQ(memory->arenaKind(), ArenaKind::uffd_emu)
+            << snap.status().toString();
+        return;
+    }
+    ASSERT_TRUE(memory->adoptSnapshot(snap.takeValue()).isOk());
+    EXPECT_EQ(memory->base(), base);
+    ASSERT_EQ(memory->grow(3), 1);
+    wasm::TrapKind trap = TrapManager::protect([&] {
+        memory->base()[3 * kPageSize] = 7;
+    });
+    ASSERT_EQ(trap, wasm::TrapKind::none);
+    bool grew_past = false;
+    ASSERT_TRUE(memory->restoreFromSnapshot(&grew_past).isOk());
+    EXPECT_TRUE(grew_past);
+    EXPECT_EQ(memory->base(), base);
+    EXPECT_EQ(memory->sizePages(), 1u);
+    ASSERT_EQ(memory->grow(1), 1);
+    EXPECT_EQ(memory->base(), base);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, MemoryStrategyTest,
     testing::Values(BoundsStrategy::none, BoundsStrategy::clamp,

@@ -29,6 +29,34 @@ TEST(VmaTree, MapAndQuery)
     EXPECT_EQ(tree.checkInvariants(), "");
 }
 
+TEST(VmaTree, MapOverAMappedRangeIsRefused)
+{
+    // Like MAP_FIXED_NOREPLACE: any overlap fails and changes nothing,
+    // in every build (not only where asserts are compiled in).
+    VmaTree tree;
+    EXPECT_FALSE(tree.map(0x10000, 4 * kPage, prot_rw).refused);
+    const uint64_t starts[] = {0x10000, 0x10000 - kPage, 0x10000 + kPage,
+                               0x10000 + 3 * kPage, 0x10000 - 2 * kPage};
+    const uint64_t lens[] = {4 * kPage, 2 * kPage, kPage, 4 * kPage,
+                             8 * kPage};
+    for (size_t i = 0; i < 5; i++) {
+        VmaOpStats st = tree.map(starts[i], lens[i], prot_none);
+        EXPECT_TRUE(st.refused) << i;
+        EXPECT_EQ(st.pagesAffected, 0u) << i;
+        EXPECT_EQ(tree.vmaCount(), 1u) << i;
+        EXPECT_EQ(tree.mappedBytes(), 4 * kPage) << i;
+        EXPECT_EQ(tree.protAt(0x10000), prot_rw) << i;
+        EXPECT_EQ(tree.checkInvariants(), "") << i;
+    }
+    // Touching ranges on either side are not overlaps.
+    EXPECT_FALSE(tree.map(0x10000 - kPage, kPage, prot_none).refused);
+    EXPECT_FALSE(tree.map(0x10000 + 4 * kPage, kPage, prot_none).refused);
+    EXPECT_EQ(tree.mappedBytes(), 6 * kPage);
+    VmaOpStats total;
+    total += tree.map(0x10000, kPage, prot_none);
+    EXPECT_TRUE(total.refused);
+}
+
 TEST(VmaTree, ProtectSplitsAndMerges)
 {
     VmaTree tree;

@@ -651,6 +651,55 @@ TEST(Serialize, CorruptCheckSkipListsAreRejected)
     EXPECT_TRUE(rt::deserializeCompiledModule(blob.data(), blob.size()).isOk());
 }
 
+TEST(Serialize, CorruptMemBasePinFlagIsRejected)
+{
+    // A tiered artifact keeps the IR, whose one function loads and so
+    // pins the memory base: the flag byte follows the function's code,
+    // its (empty) table pool and its (empty) skip list.
+    wasm::ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    uint32_t t = mb.addType({ValType::i32}, {ValType::i32});
+    auto& f = mb.addFunction(t);
+    f.localGet(0);
+    f.memOp(Op::i32_load);
+    mb.exportFunc("load", f.finish());
+    EngineConfig config;
+    config.tiered = true;
+    auto compiled =
+        Engine(config).compileBytes(wasm::encodeModule(mb.build()));
+    ASSERT_TRUE(compiled.isOk());
+    const std::vector<uint8_t> blob =
+        rt::serializeCompiledModule(*compiled.value());
+    const wasm::LoweredFunc& func = compiled.value()->lowered().funcs[0];
+    ASSERT_TRUE(func.memBasePinned);
+    ASSERT_TRUE(func.tablePool.empty() && func.elidableCheckPcs.empty());
+
+    const auto* code = reinterpret_cast<const uint8_t*>(func.code.data());
+    const size_t code_bytes = func.code.size() * sizeof(wasm::LInst);
+    auto at = std::search(blob.begin(), blob.end(), code, code + code_bytes);
+    ASSERT_NE(at, blob.end());
+    const size_t flag = size_t(at - blob.begin()) + code_bytes + 2 * 8;
+    ASSERT_EQ(blob[flag], 1);
+
+    for (uint8_t value : {uint8_t(2), uint8_t(0x80), uint8_t(0xFF)}) {
+        std::vector<uint8_t> bad = blob;
+        bad[flag] = value;
+        auto reloaded = rt::deserializeCompiledModule(bad.data(), bad.size());
+        ASSERT_FALSE(reloaded.isOk()) << int(value);
+        EXPECT_EQ(reloaded.status().code(), StatusCode::invalid_argument);
+    }
+    // 0 is a valid flag: the reloaded IR just no longer pins.
+    std::vector<uint8_t> unpinned = blob;
+    unpinned[flag] = 0;
+    auto reloaded =
+        rt::deserializeCompiledModule(unpinned.data(), unpinned.size());
+    ASSERT_TRUE(reloaded.isOk()) << reloaded.status().toString();
+    EXPECT_FALSE(reloaded.value()->lowered().funcs[0].memBasePinned);
+    reloaded = rt::deserializeCompiledModule(blob.data(), blob.size());
+    ASSERT_TRUE(reloaded.isOk());
+    EXPECT_TRUE(reloaded.value()->lowered().funcs[0].memBasePinned);
+}
+
 TEST(Serialize, OutOfRangeFormOperandsAreRejected)
 {
     // A loop whose IR holds an rr (acc = x - y), a jrr (i < y), a jri
