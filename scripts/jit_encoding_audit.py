@@ -29,7 +29,13 @@ context, `cmp -0x40(%rbp),%eax` (DESIGN.md §6). And exits 1 when a
 jit-opt listing (a file named `*.jit-opt.*`, as --explorer writes them)
 still adds the memory base from the context (`add 0x0(%rbp),%rax`):
 the optimizing JIT keeps the base in a register and addresses every
-access as [base + index + disp].
+access as [base + index + disp]; or when it adds a static offset to rax
+(`add $imm,%rax`) right before an access through `(%r11,%rax,1)`: an
+access whose check is skipped or absent takes its offset as the
+displacement. Also prints, per engine x strategy, the frame-cell
+operands (`(%r15)`) inside innermost loops (the spans of backward
+branches that hold no other): operand traffic that register homes would
+remove. That count is informational, not a gate.
 Relocated `movabs` (glue, code-table and code addresses) is allow-listed:
 the loader re-patches all 8 immediate bytes when a cached artifact is
 mapped into another process, so its width cannot depend on the value.
@@ -70,6 +76,9 @@ COMPARE_STRATEGIES = ("none", "clamp", "trap", "mprotect", "uffd")
 MOVABS = re.compile(r"^movabs \$0x([0-9a-f]+),(%\w+)$")
 OLD_POLL = "cmpl $0x0,0x50(%rbp)"
 CONTEXT_BASE_ADD = "add 0x0(%rbp),%rax"
+OFFSET_ADD = re.compile(r"^add \$0x[0-9a-f]+,%rax$")
+PINNED_ACCESS = "(%r11,%rax,1)"
+FRAME_CELL = "(%r15)"
 USER_ADDRESSES = range(1 << 32, 1 << 47)
 
 
@@ -171,6 +180,32 @@ def shortest_branch(mnemonic, addr, target):
     return 5 if mnemonic == "jmp" else 6
 
 
+def config_of(path):
+    """(engine, strategy) of a file named kernel.engine.strategy.bin, as
+    --explorer writes them; ("files", "") for any other name."""
+    parts = os.path.basename(path).split(".")
+    if len(parts) == 4 and parts[3] == "bin":
+        return parts[1], parts[2]
+    return "files", ""
+
+
+def innermost_frame_cells(insns):
+    """Frame-cell operands inside innermost loops: the spans [target,
+    branch] of backward branches that contain no other such span."""
+    loops = {}
+    for addr, _, text in insns:
+        m = BRANCH.match(text)
+        if m and int(m.group(2), 16) <= addr:
+            target = int(m.group(2), 16)
+            loops[target] = max(loops.get(target, addr), addr)
+    spans = sorted(loops.items())
+    inner = [(t, a) for t, a in spans
+             if not any((t2, a2) != (t, a) and t <= t2 and a2 <= a
+                        for t2, a2 in spans)]
+    return sum(1 for addr, _, text in insns if FRAME_CELL in text
+               and any(t <= addr <= a for t, a in inner))
+
+
 def audit(paths, workdir):
     decoded = {p: decode(p) for p in paths}
     texts = {t for insns in decoded.values() for (_, _, t) in insns
@@ -182,17 +217,23 @@ def audit(paths, workdir):
     forward = {"trap island": [0, 0], "other": [0, 0]}  # count, bytes
     old_polls = []
     base_adds = collections.Counter()
+    offset_adds = []
+    loop_cells = collections.Counter()
     allowed_over = 0
     unassembled = collections.Counter()
     total = 0
     for path, insns in decoded.items():
         islands = {addr for addr, _, text in insns if text == "ud2"}
-        if ".jit-opt." in os.path.basename(path):
+        jit_opt = ".jit-opt." in os.path.basename(path)
+        if jit_opt:
             base_adds[path] = sum(text == CONTEXT_BASE_ADD
                                   for _, _, text in insns)
+        loop_cells[config_of(path)] += innermost_frame_cells(insns)
         for (addr, _, text), (_, _, after) in zip(insns, insns[1:]):
             if text == OLD_POLL and after.startswith("jne "):
                 old_polls.append((path, addr))
+            if jit_opt and OFFSET_ADD.match(text) and PINNED_ACCESS in after:
+                offset_adds.append((path, addr, text, after))
         for addr, length, text in insns:
             total += length
             mnemonic = text.split()[0]
@@ -240,6 +281,10 @@ def audit(paths, workdir):
     print("allow-listed: relocated movabs, %d bytes above as" % allowed_over)
     for text, n in unassembled.most_common():
         print("not re-assembled (%d): %s" % (n, text))
+    print("frame-cell operands %s in innermost loops (informational):" %
+          FRAME_CELL)
+    for (engine, strategy), n in sorted(loop_cells.items()):
+        print("  %s %s: %d" % (engine, strategy, n))
     for path, addr, text, length, want in failures[:40]:
         print("FAIL %s+0x%x: %s is %d bytes, as encodes %d" %
               (os.path.basename(path), addr, text, length, want))
@@ -251,8 +296,11 @@ def audit(paths, workdir):
             print("FAIL %s: %d accesses add the memory base from the "
                   "context (%s)" % (os.path.basename(path), n,
                                     CONTEXT_BASE_ADD))
+    for path, addr, text, after in offset_adds[:40]:
+        print("FAIL %s+0x%x: %s; %s (the offset belongs in the "
+              "displacement)" % (os.path.basename(path), addr, text, after))
     unpinned = sum(base_adds.values())
-    if failures or old_polls or unpinned:
+    if failures or old_polls or unpinned or offset_adds:
         if failures:
             print("%d memory-operand or backward-branch encodings are "
                   "longer than GNU as's" % len(failures))
@@ -261,11 +309,14 @@ def audit(paths, workdir):
         if unpinned:
             print("%d jit-opt accesses off an unpinned memory base" %
                   unpinned)
+        if offset_adds:
+            print("%d jit-opt accesses add their offset to rax" %
+                  len(offset_adds))
         return 1
     print("OK: every memory operand and backward branch is as short as "
           "GNU as encodes it, no compare-and-branch poll is left, and "
-          "%d jit-opt listings address memory off the pinned base" %
-          len(base_adds))
+          "%d jit-opt listings address memory off the pinned base with "
+          "offsets in the displacement" % len(base_adds))
     return 0
 
 

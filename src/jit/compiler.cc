@@ -179,33 +179,39 @@ constexpr uint32_t kBranchCell = UINT32_MAX;
 //                                    (slot 5 lives in its frame cell
 //                                    while r11 holds the memory base)
 //   xmm8, xmm9, xmm10, xmm2-xmm4     float homes of stack slots 0..5
-//   r14, r8, r9, r10     integer homes of the first four locals
-//   xmm11..xmm14         float homes of the first four locals
+//   r14, r8, r9, r10     integer local homes
+//   xmm11..xmm14         float local homes
 //   rax, rcx, rdx, xmm0, xmm1        scratch (rax also homes kBranchCell)
+//
+// Optimizing-JIT IR names each local's home (LoweredFunc::localHomes):
+// the local registers of its class, or the registers of stack slots the
+// function never names, shared by locals whose live intervals are
+// disjoint. jit_base IR names none, so its first four locals take the
+// local registers in declaration order.
 // ---------------------------------------------------------------------
 
 constexpr Reg kCtxReg = rbp;
 constexpr Reg kFrameReg = r15;
 
 /**
- * Register-home pools. Indices 0..5 are the homes of operand-stack slots
- * 0..5 (dual-class: a slot holds ints or floats depending on the program
- * point). Indices 6..9 are assigned to the function's first four locals;
- * a local uses the pool register of its own class (the cross-class
- * register of that index stays idle). rbx/r12/r13/r14 are callee-saved;
- * every other home is caller-saved and spilled around native calls
- * while live. Index 10 is kBranchCell's scratch home.
+ * Register-home pools, one register per class and pool index
+ * (wasm/lower.h): indices [0, kNumSlotHomes) are the homes of
+ * operand-stack slots 0..5 (dual-class: a slot holds ints or floats
+ * depending on the program point), [kNumSlotHomes, kNumHomes) the local
+ * registers; a local uses the register of its own class. rbx/r12/r13/r14
+ * are callee-saved; every other home is caller-saved and spilled around
+ * native calls while live. Index kNumHomes is kBranchCell's scratch home.
  */
-constexpr Reg kSlotGpr[11] = {rbx, r12, r13, rsi, rdi, r11,
-                              r14, r8,  r9,  r10, rax};
-constexpr Xmm kSlotXmm[11] = {xmm8,  xmm9,  xmm10, xmm2,  xmm3, xmm4,
-                              xmm11, xmm12, xmm13, xmm14, xmm0};
-constexpr int kNumSlotRegs = 6;  ///< stack slots with register homes
-constexpr int kNumLocalRegs = 4; ///< locals with register homes
-constexpr int kBranchHome = kNumSlotRegs + kNumLocalRegs;
+constexpr Reg kSlotGpr[wasm::kNumHomes + 1] = {rbx, r12, r13, rsi, rdi, r11,
+                                               r14, r8,  r9,  r10, rax};
+constexpr Xmm kSlotXmm[wasm::kNumHomes + 1] = {
+    xmm8, xmm9, xmm10, xmm2, xmm3, xmm4, xmm11, xmm12, xmm13, xmm14, xmm0};
+static_assert(wasm::kNumSlotHomes == 6 && wasm::kNumLocalHomes == 4,
+              "the pool tables list six slot and four local registers");
+constexpr int kBranchHome = wasm::kNumHomes;
 /** Holds ctx->memBase in a function whose IR pins it, which costs that
  * function slot 5's register home: no suite inner loop reaches slot 5. */
-constexpr Reg kMemBaseReg = kSlotGpr[kNumSlotRegs - 1];
+constexpr Reg kMemBaseReg = kSlotGpr[wasm::kMemBaseHome];
 
 /** Survives a SysV call (rbp and r15 are pinned, never homes). */
 constexpr bool
@@ -266,7 +272,8 @@ class FunctionCompiler
           func_(func),
           opts_(opts),
           checkRanges_(check_ranges),
-          numSlotRegs_(func.memBasePinned ? kNumSlotRegs - 1 : kNumSlotRegs)
+          numSlotRegs_(func.memBasePinned ? wasm::kMemBaseHome
+                                          : wasm::kNumSlotHomes)
     {
         assignLocalHomes();
     }
@@ -287,17 +294,38 @@ class FunctionCompiler
         return s < uint32_t(numSlotRegs_) ? int(s) : -1;
     }
 
+    /** The homes the IR names (optimizing-JIT IR), else the local
+     * registers for the first locals in declaration order. */
     void
     assignLocalHomes()
     {
         localHome_.assign(func_.numLocalCells, -1);
-        int next = kNumSlotRegs;
+        if (!func_.localHomes.empty()) {
+            for (uint32_t i = 0; i < func_.numLocalCells; i++)
+                localHome_[i] = func_.localHomes[i].home;
+            return;
+        }
+        int next = wasm::kNumSlotHomes;
         for (uint32_t i = 0;
-             i < func_.numLocalCells &&
-             next < kNumSlotRegs + kNumLocalRegs;
-             i++) {
+             i < func_.numLocalCells && next < wasm::kNumHomes; i++) {
             localHome_[i] = int8_t(next++);
         }
+    }
+    /** Does local @p i hold a value at @p pc: inside its live interval
+     * (declaration-order homes are live everywhere)? */
+    bool
+    localLiveAt(uint32_t i, uint32_t pc) const
+    {
+        if (func_.localHomes.empty())
+            return true;
+        const wasm::LocalHome& lh = func_.localHomes[i];
+        return lh.begin <= pc && pc <= lh.end;
+    }
+    /** Must local @p i start with its incoming value or zero? */
+    bool
+    localLiveIn(uint32_t i) const
+    {
+        return func_.localHomes.empty() || func_.localHomes[i].liveIn;
     }
     /** The frame-memory operand of @p cell; call only to emit it. */
     Mem
@@ -483,7 +511,9 @@ class FunctionCompiler
      * (the first cell the call consumes) in their xmm home when
      * @p float_mask (the lowering's live mask) marks them float, else in
      * a caller-saved gpr home; and every local homed in a caller-saved
-     * register.
+     * register whose live interval covers the call. Locals sharing a
+     * home have disjoint intervals, so only the live one is saved: a
+     * dead occupant's stale cell would overwrite the live value.
      */
     template <typename Fn>
     void
@@ -502,7 +532,8 @@ class FunctionCompiler
         for (uint32_t i = 0; i < func_.numLocalCells; i++) {
             int h = localHome_[i];
             RC rc = classOf(func_.localTypes[i]);
-            if (h >= 0 && (rc == RC::fpr || !calleeSaved(kSlotGpr[h])))
+            if (h >= 0 && (rc == RC::fpr || !calleeSaved(kSlotGpr[h])) &&
+                localLiveAt(i, curPc_))
                 fn(i, rc);
         }
     }
@@ -630,6 +661,12 @@ class FunctionCompiler
             return access;
         }
 
+        // A skipped check's access is in bounds, so its offset folds into
+        // the displacement as under the guard-page strategies.
+        if (checkSkipped() && offset <= 0x7FFFFF00ull) {
+            jitMetrics().boundsChecksElided.add();
+            return linearAccess(int32_t(offset));
+        }
         // Software checks: ea = addr + offset in rax.
         if (offset != 0)
             addOffset(rax, offset);
@@ -685,6 +722,40 @@ class FunctionCompiler
     }
 
     bool isJumpTarget(uint32_t pc) const { return pcLabels_[pc].id >= 0; }
+
+    /** Does @p inst run to the next pc without a jump, a call (native
+     * glue included) or a return? Only a trap can leave it. */
+    static bool
+    straightLine(const LInst& inst)
+    {
+        if (wasm::isFormOp(inst.op))
+            return wasm::formOf(inst.op) < wasm::IrForm::jrr;
+        if (!inst.isWasmOp())
+            return inst.op == uint16_t(LOp::copy) ||
+                   inst.op == uint16_t(LOp::count_fallback);
+        Op op = inst.wasmOp();
+        return !wasm::isAtomicOp(op) && op != Op::memory_size &&
+               op != Op::memory_grow && op != Op::memory_copy &&
+               op != Op::memory_fill;
+    }
+    /**
+     * Does straight-line code from @p pc reach a loop header? A poll
+     * there covers the code before it, so a loop header or function
+     * entry that falls into another header needs no poll of its own:
+     * every pass through it polls a few instructions later. The last
+     * header of such a run keeps its poll.
+     */
+    bool
+    fallsIntoPoll(uint32_t pc) const
+    {
+        for (; pc < func_.code.size(); pc++) {
+            if (backEdgeTargets_.count(pc))
+                return true;
+            if (!straightLine(func_.code[pc]))
+                return false;
+        }
+        return false;
+    }
 
     /**
      * Home an op computing dst = lhs OP rhs works in: dst's, unless that
@@ -887,10 +958,14 @@ FunctionCompiler::emitPrologue()
     as_.jcc(Cond::a, trapLabel(TrapKind::stack_overflow));
 
     // Parameters arrive in the frame's memory cells (the caller wrote
-    // them there); load register-homed ones. Zero-initialize the rest.
+    // them there); load register-homed ones. Zero-initialize the rest
+    // that are live at entry: every other local is written before any
+    // read.
     for (uint32_t i = 0; i < func_.numLocalCells; i++) {
         int h = localHome_[i];
         bool is_float = wasm::isFloatType(func_.localTypes[i]);
+        if (!localLiveIn(i))
+            continue;
         if (i < func_.numParams) {
             if (h < 0)
                 continue;
@@ -913,7 +988,7 @@ FunctionCompiler::emitPrologue()
 
     // Function-entry epoch poll: recursion without loops must still be
     // preemptible, and entries are where the interpreters poll too.
-    if (opts_.epochChecks)
+    if (opts_.epochChecks && !fallsIntoPoll(0))
         emitEpochPoll();
 }
 
@@ -973,7 +1048,8 @@ FunctionCompiler::compile()
             // Loop headers poll the poll page: every back edge runs
             // through here, so a spinning loop is preempted within one
             // iteration.
-            if (opts_.epochChecks && backEdgeTargets_.count(pc))
+            if (opts_.epochChecks && backEdgeTargets_.count(pc) &&
+                !(straightLine(func_.code[pc]) && fallsIntoPoll(pc + 1)))
                 emitEpochPoll();
         }
         curPc_ = pc;

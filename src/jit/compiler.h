@@ -42,9 +42,13 @@ struct JitOptions
      * A function whose IR sets LoweredFunc::memBasePinned (jit_opt's,
      * under every strategy) keeps the memory base in r11 and addresses
      * every access off it; jit_base IR never pins, so its accesses add
-     * the base from the context. Under `trap` and `clamp` both skip
-     * exactly the checks listed in LoweredFunc::elidableCheckPcs, which
-     * only jit_opt's check analysis fills.
+     * the base from the context. Locals live where
+     * LoweredFunc::localHomes says (jit_opt's IR: allocated by live
+     * interval and loop depth); jit_base IR carries none, so its first
+     * four locals take the local registers in declaration order. Under
+     * `trap` and `clamp` both skip exactly the checks listed in
+     * LoweredFunc::elidableCheckPcs, which only jit_opt's check analysis
+     * fills.
      */
     uint8_t profTier = obs::kProfTierJitBase;
     /**
@@ -70,7 +74,8 @@ struct JitOptions
     bool sharedMemory = false;
     /**
      * Emit epoch interrupt polls at the function entry and at every
-     * label that is the target of a backward jump (loop headers): one
+     * label that is the target of a backward jump (loop headers), less
+     * those whose straight-line code falls into another loop header: one
      * 3-byte `cmp eax, [rbp-0x40]` that reads the poll page below the
      * InstanceContext. Instance::interrupt() makes that page unreadable,
      * and the SIGSEGV handler raises the requested clean-unwind trap

@@ -82,15 +82,17 @@ engineIsJit(EngineKind kind)
     V(uint32_t,            valueStackCells,    1u << 20,  nullptr, 0, 0)      \
     V(uint32_t,            maxCallDepth,       8192,      nullptr, 0, 0)      \
     /* Run the lowered-IR optimization pass (wasm/opt.*) between lowering     \
-       and execution: the register-form rewrite for every executor, after     \
-       bounds-check elimination (value numbering, loop versioning) for        \
-       jit_opt under the trap strategy. Ablation knob; LNB_OPT_DISABLED       \
-       (flag) clears it. */                                                   \
+       and execution: the register-form rewrite for every executor; for       \
+       jit_opt and the tiered top tier, bounds-check elimination before it    \
+       (loop versioning under trap and clamp, value numbering under trap)     \
+       and, under every strategy, the memory-base pin and the local-home      \
+       allocation after it. Ablation knob; LNB_OPT_DISABLED (flag) clears     \
+       it. */                                                                 \
     V(bool,                optimizeLoweredIR,  true,      nullptr, 0, 0)      \
     /* Affine loop versioning (wasm/opt.*): clone counted loops with in-loop  \
        bounds checks behind a preheader range guard so the fast path runs     \
        check-free. Effective only where check analysis runs (jit_opt or       \
-       tiered, trap strategy, optimizeLoweredIR on). */                       \
+       tiered, trap or clamp strategy, optimizeLoweredIR on). */              \
     V(bool,                optVersioning,      true,                          \
       "LNB_OPT_VERSIONING", 0, 1)                                             \
     /* Count dynamically retired software bounds checks in JIT code           \
@@ -119,9 +121,11 @@ engineIsJit(EngineKind kind)
        declares a shared memory. */                                           \
     V(bool,                sharedMemory,       false,                         \
       "LNB_SHARED_MEM", 0, 1)                                                 \
-    /* Compile epoch interrupt checks into all tiers: a load+branch on the    \
-       instance's interrupt flag at loop back edges and function entries,     \
-       raising the clean-unwind traps interrupted/deadline_exceeded.          \
+    /* Compile epoch interrupt checks into all tiers at loop back edges and   \
+       function entries, raising the clean-unwind traps                       \
+       interrupted/deadline_exceeded: the interpreters count down to a read   \
+       of the instance's interrupt flag, the JIT polls with one load from     \
+       the instance's poll page, which interrupt() makes unreadable.          \
        Deadlines, Service::stop() and waking parked memory.atomic.wait all    \
        depend on it. LNB_EPOCH_INTERVAL tunes the interpreter poll divisor. */\
     V(bool,                epochChecks,        true,                          \

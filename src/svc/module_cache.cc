@@ -73,8 +73,10 @@ constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
  * poll page below the context, and interrupt islands and their glue
  * symbol left the code; 8 = the stackChecks row left the serialized
  * EngineConfig; 9 = each lowered function carries its memory-base pin
- * flag, and optimizing-JIT code addresses memory off a pinned base. */
-constexpr uint32_t kCacheFormatVersion = 9;
+ * flag, and optimizing-JIT code addresses memory off a pinned base;
+ * 10 = each lowered function carries its local homes and live intervals
+ * (optimizing-JIT IR), and polls that fall into another poll are gone. */
+constexpr uint32_t kCacheFormatVersion = 10;
 
 uint64_t
 cacheBuildId()

@@ -166,6 +166,38 @@ carriesBoundsCheck(const LInst& inst)
            isLoadOp(formWasmOp(inst.op));
 }
 
+/**
+ * The JIT's register-home pools (jit/compiler.cc), one per register
+ * class, indexed alike: [0, kNumSlotHomes) are the homes of operand-stack
+ * slots 0..5 (a slot holds ints or floats depending on the program
+ * point), [kNumSlotHomes, kNumHomes) the registers set aside for locals.
+ * A local's home names the register of its own class at that index, so
+ * an int local and a float local may hold the same index.
+ */
+constexpr int kNumSlotHomes = 6;
+constexpr int kNumLocalHomes = 4;
+constexpr int kNumHomes = kNumSlotHomes + kNumLocalHomes;
+/** The slot whose integer register holds the linear-memory base in a
+ * function that pins it (LoweredFunc::memBasePinned); that slot then
+ * lives in its frame cell. */
+constexpr int kMemBaseHome = kNumSlotHomes - 1;
+
+/** Where one local lives in optimizing-JIT code, and when it is live. */
+struct LocalHome
+{
+    /** Pool index of its register in its own class, or -1: the frame
+     * cell. */
+    int8_t home = -1;
+    /** Some path from the entry reads it before writing it, so it starts
+     * with its incoming value (parameters) or zero (the rest). */
+    bool liveIn = false;
+    /** Live interval on the linear code, inclusive: every pc that reads
+     * or writes it, from pc 0 when it is live at entry, widened to cover
+     * every loop it meets. Outside it the home holds nothing of it. */
+    uint32_t begin = 0;
+    uint32_t end = 0;
+};
+
 /** Executable form of one defined function. */
 struct LoweredFunc
 {
@@ -204,6 +236,16 @@ struct LoweredFunc
      * that address memory otherwise ignore it.
      */
     bool memBasePinned = false;
+    /**
+     * Published by the optimization pass for the optimizing JIT (never in
+     * jit_base IR): one entry per local cell (numLocalCells). Homes are
+     * allocated by live interval, hottest local first (references
+     * weighted by 8^loop depth), from separate int and float pools; two
+     * locals share a home only when their intervals are disjoint. Empty:
+     * the JIT homes the first kNumLocalHomes locals in declaration
+     * order, live everywhere. Other executors ignore it.
+     */
+    std::vector<LocalHome> localHomes;
 };
 
 /** A module plus the lowered form of each defined function. */

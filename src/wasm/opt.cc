@@ -1,9 +1,10 @@
 /**
  * @file
  * Lowered-IR optimization pass: affine versioning of counted inner
- * loops, per-block value numbering of bounds checks, and the
- * register-form rewrite every executor runs, all over one basic-block
- * partition. See opt.h for the soundness arguments.
+ * loops, per-block value numbering of bounds checks, the register-form
+ * rewrite every executor runs, and for the optimizing JIT the
+ * memory-base pin and the local-home allocation, all over one
+ * basic-block partition. See opt.h for the soundness arguments.
  */
 #include "wasm/opt.h"
 
@@ -44,11 +45,20 @@ optCounters()
 // Instruction classification
 // ---------------------------------------------------------------------
 
+/** A branch form (IrForm::jrr, jri): a = target pc. */
+bool
+isBranchForm(const LInst& inst)
+{
+    return isFormOp(inst.op) && formOf(inst.op) >= IrForm::jrr;
+}
+
 /** A conditional or unconditional transfer of control ends a block. */
 bool
 isTerminator(const LInst& inst)
 {
-    if (inst.isWasmOp())
+    if (isBranchForm(inst))
+        return true;
+    if (inst.isWasmOp() || isFormOp(inst.op))
         return false;
     switch (inst.lop()) {
       case LOp::jump:
@@ -106,28 +116,40 @@ struct Blocks
     std::vector<uint32_t> blockOf; ///< pc -> block index
 };
 
+/** Calls @p fn with each pc @p inst jumps to: a jump's or branch
+ * form's target, each jump-table entry. */
+template <typename Fn>
+void
+forEachJumpTarget(const LoweredFunc& func, const LInst& inst, Fn fn)
+{
+    if (isBranchForm(inst)) {
+        fn(inst.a);
+        return;
+    }
+    if (inst.isWasmOp() || isFormOp(inst.op))
+        return;
+    switch (inst.lop()) {
+      case LOp::jump:
+      case LOp::jump_if:
+      case LOp::jump_if_zero:
+        fn(inst.a);
+        break;
+      case LOp::jump_table:
+        for (uint32_t i = 0; i <= inst.aux; i++)
+            fn(func.tablePool[inst.a + i]);
+        break;
+      default:
+        break;
+    }
+}
+
 /** Counts, per pc, the jumps (and jump-table entries) that target it. */
 void
 collectJumpTargets(const LoweredFunc& func, std::vector<uint32_t>& jumps_to)
 {
     jumps_to.assign(func.code.size(), 0);
-    for (const LInst& inst : func.code) {
-        if (inst.isWasmOp())
-            continue;
-        switch (inst.lop()) {
-          case LOp::jump:
-          case LOp::jump_if:
-          case LOp::jump_if_zero:
-            jumps_to[inst.a]++;
-            break;
-          case LOp::jump_table:
-            for (uint32_t i = 0; i <= inst.aux; i++)
-                jumps_to[func.tablePool[inst.a + i]]++;
-            break;
-          default:
-            break;
-        }
-    }
+    for (const LInst& inst : func.code)
+        forEachJumpTarget(func, inst, [&](uint32_t pc) { jumps_to[pc]++; });
 }
 
 /**
@@ -159,7 +181,9 @@ void
 forEachSuccPc(const LoweredFunc& func, uint32_t end, Fn fn)
 {
     const LInst& last = func.code[end - 1];
-    if (!last.isWasmOp()) {
+    if (isBranchForm(last)) {
+        fn(last.a);
+    } else if (!last.isWasmOp()) {
         switch (last.lop()) {
           case LOp::jump:
             fn(last.a);
@@ -1780,18 +1804,275 @@ rewriteRegisterForm(LoweredFunc& func, const Blocks& blocks)
 }
 
 // ---------------------------------------------------------------------
+// Local homes (the optimizing JIT)
+// ---------------------------------------------------------------------
+
+/**
+ * Calls @p fn(cell, write) for each frame cell @p inst reads, then each
+ * it writes, by the operand conventions of wasm/lower.h; a call names its
+ * argument and result cells. False for an instruction it does not model.
+ */
+template <typename Fn>
+bool
+forEachCellRef(const LInst& inst, const Module& m, Fn fn)
+{
+    auto call = [&](const FuncType& t, uint32_t base) {
+        for (uint32_t i = 0; i < t.params.size(); i++)
+            fn(base + i, false);
+        for (uint32_t i = 0; i < t.results.size(); i++)
+            fn(base + i, true);
+        return true;
+    };
+    if (isFormOp(inst.op)) {
+        IrForm form = formOf(inst.op);
+        fn(inst.b, false);
+        if (form == IrForm::rr || form == IrForm::jrr)
+            fn(uint32_t(inst.imm), false);
+        if (form < IrForm::jrr)
+            fn(inst.a, true);
+        return true;
+    }
+    if (!inst.isWasmOp()) {
+        switch (inst.lop()) {
+          case LOp::copy:
+            fn(inst.a, false);
+            fn(inst.b, true);
+            return true;
+          case LOp::jump_if:
+          case LOp::jump_if_zero:
+          case LOp::jump_table:
+            fn(inst.b, false);
+            return true;
+          case LOp::ret:
+            if (inst.aux != 0)
+                fn(inst.a, false);
+            return true;
+          case LOp::jump:
+          case LOp::trap:
+          case LOp::count_fallback:
+            return true;
+          case LOp::callf:
+          case LOp::call_host:
+            return call(m.funcType(inst.a), inst.b);
+          case LOp::calli:
+            fn(inst.b, false);
+            return call(m.types[inst.a],
+                        inst.b - uint32_t(m.types[inst.a].params.size()));
+          default:
+            return false;
+        }
+    }
+    Op op = inst.wasmOp();
+    if (op == Op::global_get || op == Op::global_set) {
+        fn(inst.a, op == Op::global_get);
+        return true;
+    }
+    int inputs = op == Op::select ? 3 : opInputs(op);
+    if (inputs < 0)
+        return false;
+    for (int i = 0; i < inputs; i++)
+        fn(inputs == 2 && i == 1 ? inst.b : inst.a + uint32_t(i), false);
+    if (op == Op::select || opResult(op) != 0)
+        fn(inst.a, true);
+    return true;
+}
+
+/**
+ * Which locals some path from the entry reads before writing them:
+ * backward liveness over @p blocks, given each block's upward-exposed
+ * reads (@p gen) and writes (@p kill), @p words bit words per block,
+ * solved for the entry block. Parameters always count.
+ */
+std::vector<bool>
+localsLiveAtEntry(const LoweredFunc& func, const Blocks& blocks,
+                  size_t words, const std::vector<uint64_t>& gen,
+                  const std::vector<uint64_t>& kill)
+{
+    const size_t nb = blocks.begins.size() - 1;
+    std::vector<uint64_t> in = gen, out(words);
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (size_t b = nb; b-- > 0;) {
+            std::fill(out.begin(), out.end(), 0);
+            forEachSuccPc(func, blocks.begins[b + 1], [&](uint32_t pc) {
+                const uint64_t* s = &in[blocks.blockOf[pc] * words];
+                for (size_t w = 0; w < words; w++)
+                    out[w] |= s[w];
+            });
+            for (size_t w = 0; w < words; w++) {
+                uint64_t v = gen[b * words + w] |
+                             (out[w] & ~kill[b * words + w]);
+                if (v != in[b * words + w]) {
+                    in[b * words + w] = v;
+                    changed = true;
+                }
+            }
+        }
+    }
+    std::vector<bool> live(func.numLocalCells);
+    for (uint32_t i = 0; i < func.numLocalCells; i++)
+        live[i] = i < func.numParams || ((in[i / 64] >> (i % 64)) & 1);
+    return live;
+}
+
+/**
+ * Publish LoweredFunc::localHomes (see opt.h): live intervals on the
+ * final code, widened over the loops they meet, weighted by loop depth,
+ * and assigned hottest first to the first home of their class whose
+ * occupants they do not overlap. A function with an instruction
+ * forEachCellRef does not model publishes none.
+ */
+void
+allocateLocalHomes(LoweredFunc& func, const Module& m)
+{
+    func.localHomes.clear();
+    const uint32_t n = uint32_t(func.code.size());
+    const uint32_t locals = func.numLocalCells;
+    if (locals == 0)
+        return;
+
+    // Loops: per target, the farthest backward jump to it (jumps end
+    // blocks). Depth is the number of loops around a pc; spans merge
+    // overlapping loops.
+    constexpr uint32_t kNone = UINT32_MAX;
+    const Blocks blocks = findBlocks(func);
+    const size_t nb = blocks.begins.size() - 1;
+    std::vector<uint32_t> loopEnd(n, kNone);
+    for (size_t b = 0; b < nb; b++) {
+        uint32_t pc = blocks.begins[b + 1] - 1;
+        forEachJumpTarget(func, func.code[pc], [&](uint32_t to) {
+            if (to <= pc && (loopEnd[to] == kNone || loopEnd[to] < pc))
+                loopEnd[to] = pc;
+        });
+    }
+    std::vector<int32_t> depthStep(n + 1, 0);
+    std::vector<uint32_t> spanLo(n), spanHi(n);
+    for (uint32_t pc = 0; pc < n; pc++)
+        spanLo[pc] = spanHi[pc] = pc;
+    for (uint32_t t = 0; t < n;) {
+        if (loopEnd[t] == kNone) {
+            t++;
+            continue;
+        }
+        uint32_t hi = loopEnd[t];
+        for (uint32_t pc = t; pc <= hi; pc++) {
+            if (loopEnd[pc] != kNone) {
+                depthStep[pc]++;
+                depthStep[loopEnd[pc] + 1]--;
+                hi = std::max(hi, loopEnd[pc]);
+            }
+        }
+        for (uint32_t pc = t; pc <= hi; pc++) {
+            spanLo[pc] = t;
+            spanHi[pc] = hi;
+        }
+        t = hi + 1;
+    }
+
+    // One pass over the blocks: each local's first and last reference
+    // and weight, each block's upward-exposed reads and writes of locals,
+    // and the stack slots the code names (the others give their
+    // registers to locals).
+    const size_t words = (locals + 63) / 64;
+    std::vector<uint64_t> gen(nb * words, 0), kill(nb * words, 0);
+    std::vector<uint32_t> first(locals, kNone), last(locals, 0);
+    std::vector<double> weight(locals, 0);
+    std::array<bool, kNumSlotHomes> named{};
+    int32_t depth = 0;
+    for (size_t b = 0; b < nb; b++) {
+        uint64_t* g = &gen[b * words];
+        uint64_t* k = &kill[b * words];
+        for (uint32_t pc = blocks.begins[b]; pc < blocks.begins[b + 1];
+             pc++) {
+            depth += depthStep[pc];
+            double scale = double(uint64_t(1) << (3 * std::min(depth, 16)));
+            bool modelled = forEachCellRef(
+                func.code[pc], m, [&](uint32_t cell, bool write) {
+                    if (cell >= locals) {
+                        if (cell - locals < uint32_t(kNumSlotHomes))
+                            named[cell - locals] = true;
+                        return;
+                    }
+                    first[cell] = std::min(first[cell], pc);
+                    last[cell] = pc;
+                    weight[cell] += scale;
+                    uint64_t bit = uint64_t(1) << (cell % 64);
+                    if (write)
+                        k[cell / 64] |= bit;
+                    else if (!(k[cell / 64] & bit))
+                        g[cell / 64] |= bit;
+                });
+            if (!modelled)
+                return;
+        }
+    }
+
+    std::array<std::vector<int8_t>, 2> pool; // [0] int, [1] float
+    for (int h = kNumSlotHomes; h < kNumHomes; h++) {
+        pool[0].push_back(int8_t(h));
+        pool[1].push_back(int8_t(h));
+    }
+    for (int s = 0; s < kNumSlotHomes; s++) {
+        if (named[s])
+            continue;
+        if (!(func.memBasePinned && s == kMemBaseHome))
+            pool[0].push_back(int8_t(s));
+        pool[1].push_back(int8_t(s));
+    }
+
+    std::vector<bool> live_in =
+        localsLiveAtEntry(func, blocks, words, gen, kill);
+    func.localHomes.resize(locals);
+    std::vector<uint32_t> order;
+    for (uint32_t i = 0; i < locals; i++) {
+        LocalHome& lh = func.localHomes[i];
+        lh.liveIn = live_in[i];
+        if (first[i] == kNone)
+            continue; // never referenced: no interval, no home
+        lh.begin = spanLo[lh.liveIn ? 0 : first[i]];
+        lh.end = spanHi[last[i]];
+        order.push_back(i);
+    }
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return weight[a] > weight[b];
+    });
+    // Occupants' intervals per (class, pool index).
+    std::array<std::array<std::vector<std::pair<uint32_t, uint32_t>>,
+                          kNumHomes>,
+               2>
+        occupants;
+    for (uint32_t i : order) {
+        LocalHome& lh = func.localHomes[i];
+        int cls = isFloatType(func.localTypes[i]) ? 1 : 0;
+        for (int8_t h : pool[cls]) {
+            auto& occ = occupants[cls][h];
+            bool free = std::all_of(occ.begin(), occ.end(), [&](auto iv) {
+                return iv.second < lh.begin || lh.end < iv.first;
+            });
+            if (free) {
+                lh.home = h;
+                occ.emplace_back(lh.begin, lh.end);
+                break;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------
 
 /** Per-function pipeline. */
 OptStats
-optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
-                     const MemoryBounds& mem)
+optimizeFuncInternal(LoweredFunc& func, const Module& m,
+                     const OptOptions& opts, const MemoryBounds& mem)
 {
     OptStats stats;
     stats.instsBefore = func.code.size();
     func.elidableCheckPcs.clear();
     func.memBasePinned = false;
+    func.localHomes.clear();
     if (func.code.empty()) {
         stats.instsAfter = 0;
         return stats;
@@ -1824,9 +2105,11 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
 
     stats.instsFused = rewriteRegisterForm(func, blocks);
 
-    func.memBasePinned =
-        opts.pinMemoryBase &&
-        std::any_of(func.code.begin(), func.code.end(), carriesBoundsCheck);
+    if (opts.optimizingJit) {
+        func.memBasePinned = std::any_of(func.code.begin(), func.code.end(),
+                                         carriesBoundsCheck);
+        allocateLocalHomes(func, m);
+    }
 
     stats.instsAfter = func.code.size();
     return stats;
@@ -1846,7 +2129,7 @@ optimizeLoweredModule(LoweredModule& module, const OptOptions& opts)
             uint64_t(limits.hasMax() ? limits.max : kMaxPages) * kPageSize;
     }
     for (LoweredFunc& func : module.funcs) {
-        OptStats s = optimizeFuncInternal(func, opts, mem);
+        OptStats s = optimizeFuncInternal(func, module.module, opts, mem);
         total.checksElided += s.checksElided;
         total.instsFused += s.instsFused;
         total.loopsVersioned += s.loopsVersioned;

@@ -1,9 +1,10 @@
 /**
  * @file
  * Optimization pass over the lowered slot-machine IR, shared by the
- * interpreter and JIT tiers. Three transforms, selected per engine
+ * interpreter and JIT tiers. Five transforms, selected per engine
  * configuration, walk one basic-block partition (blocks begin at pc 0,
- * jump targets and after terminators), recomputed after versioning:
+ * jump targets and after terminators), recomputed after versioning and
+ * after the rewrite:
  *
  *  - Affine loop versioning (trap and clamp): a candidate is a run of
  *    blocks closed by a jump back to its first pc, the only jump there,
@@ -49,7 +50,7 @@
  *    checks the JIT skips. This pass is the only place that decides
  *    which checks survive; the JIT keeps no check state of its own.
  *
- *  - Register-form rewrite (every executor, last): a block-local
+ *  - Register-form rewrite (every executor): a block-local
  *    pass, driven by a liveness word over the first 64 stack cells,
  *    that turns the stack-slot IR into three-address forms (IrForm,
  *    wasm/lower.h). Copies from locals and constants into stack cells
@@ -71,6 +72,20 @@
  *    keeps the linear-memory base in a register for its whole body and
  *    addresses each access as [base + index + disp].
  *
+ *  - Local-home allocation (the optimizing JIT, every strategy, after
+ *    the rewrite): on the final code's block partition each local gets a
+ *    live interval (its first to last reference, from pc 0 when a
+ *    backward liveness dataflow finds it live at entry), widened to
+ *    cover every loop (a backward jump's [target, source]) it meets, and
+ *    a weight (its references, each scaled by 8^loop depth). Hottest
+ *    first, each local takes the first home of its class whose occupants'
+ *    intervals are all disjoint from its own, or stays in its frame
+ *    cell. Each class's pool is the four local registers plus the
+ *    registers of stack slots the code never names (not the pinned
+ *    base's). Published as `localHomes`; the JIT spills around a native
+ *    call only the homes whose interval covers it, and zeroes at entry
+ *    only the locals live there.
+ *
  * The pass reports opt.checks_elided_vn, opt.loops_versioned and
  * opt.insts_fused through the obs registry (opt.guard_fallbacks is a
  * runtime counter fed from InstanceContext::guardFallbacks).
@@ -85,7 +100,8 @@
 namespace lnb::wasm {
 
 /** Which check transforms run before the register-form rewrite, which
- * always runs. The caller enables each only where it is sound: value
+ * always runs, and whether the optimizing JIT's transforms run after it.
+ * The caller enables each check transform only where it is sound: value
  * numbering only when the executor traps on out-of-bounds accesses,
  * versioning when it traps or clamps. */
 struct OptOptions
@@ -94,9 +110,10 @@ struct OptOptions
     bool analyzeChecks = false;
     /** Affine loop versioning: proof, or guard + clone (trap, clamp). */
     bool versionLoops = false;
-    /** Set LoweredFunc::memBasePinned on every function that loads or
-     * stores (the optimizing JIT, every strategy). */
-    bool pinMemoryBase = false;
+    /** The IR feeds the optimizing JIT (every strategy): set
+     * LoweredFunc::memBasePinned on every function that loads or stores,
+     * and allocate LoweredFunc::localHomes. */
+    bool optimizingJit = false;
 };
 
 /** What the pass did, accumulated over all functions of a module. */
@@ -122,8 +139,9 @@ struct OptStats
 };
 
 /** Optimize every function of @p module in place — the enabled check
- * transforms first and the register-form rewrite last — and bump the obs
- * counters by the module-wide totals. */
+ * transforms first, then the register-form rewrite, then for the
+ * optimizing JIT the memory-base pin and the local-home allocation — and
+ * bump the obs counters by the module-wide totals. */
 OptStats optimizeLoweredModule(LoweredModule& module, const OptOptions& opts);
 
 } // namespace lnb::wasm

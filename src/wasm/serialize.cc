@@ -38,10 +38,18 @@ writeLoweredFunc(const LoweredFunc& f, ByteWriter& w, bool include_code)
     w.podVec(f.tablePool);
     w.podVec(f.elidableCheckPcs);
     w.boolean(f.memBasePinned);
+    w.u64(f.localHomes.size());
+    for (const LocalHome& lh : f.localHomes) {
+        w.u8(uint8_t(lh.home));
+        w.boolean(lh.liveIn);
+        w.u32(lh.begin);
+        w.u32(lh.end);
+    }
 }
 
-/** Fails only on a memBasePinned byte other than 0 or 1; truncation is
- * left to the caller's ok() check. */
+/** Fails only on a memBasePinned or liveIn byte other than 0 or 1, or a
+ * local-home count other than 0 or numLocalCells; truncation is left to
+ * the caller's ok() check. */
 Status
 readLoweredFunc(ByteReader& r, bool include_code, LoweredFunc& f)
 {
@@ -62,6 +70,48 @@ readLoweredFunc(ByteReader& r, bool include_code, LoweredFunc& f)
         return errInvalid("serialized memory-base pin flag is " +
                           std::to_string(pinned) + ", not 0 or 1");
     f.memBasePinned = pinned != 0;
+    uint64_t homes = r.u64();
+    if (homes != 0 && homes != f.numLocalCells)
+        return errInvalid("serialized local homes number " +
+                          std::to_string(homes) + ", not 0 or " +
+                          std::to_string(f.numLocalCells));
+    for (uint64_t i = 0; i < homes && r.ok(); i++) {
+        LocalHome& lh = f.localHomes.emplace_back();
+        lh.home = int8_t(r.u8());
+        uint8_t live_in = r.u8();
+        if (live_in > 1)
+            return errInvalid("serialized live-in flag is " +
+                              std::to_string(live_in) + ", not 0 or 1");
+        lh.liveIn = live_in != 0;
+        lh.begin = r.u32();
+        lh.end = r.u32();
+    }
+    return Status::ok();
+}
+
+/**
+ * The JIT turns each local's home into a register of its class and
+ * trusts the interval to decide what survives a native call, so a corrupt
+ * home must name a pool register (never the pinned memory base) and an
+ * interval must lie inside the code.
+ */
+Status
+checkLocalHomes(const LoweredFunc& f)
+{
+    if (!f.localHomes.empty() && f.localTypes.size() != f.numLocalCells)
+        return errInvalid("serialized local homes for locals with no type");
+    for (uint32_t i = 0; i < f.localHomes.size(); i++) {
+        const LocalHome& lh = f.localHomes[i];
+        bool base = f.memBasePinned && !isFloatType(f.localTypes[i]) &&
+                    lh.home == kMemBaseHome;
+        if (lh.home < -1 || lh.home >= kNumHomes || base)
+            return errInvalid("serialized home " + std::to_string(lh.home) +
+                              " of local " + std::to_string(i) +
+                              " is out of range for its class");
+        if (lh.begin > lh.end || lh.end >= f.code.size())
+            return errInvalid("serialized live interval of local " +
+                              std::to_string(i) + " lies outside the code");
+    }
     return Status::ok();
 }
 
@@ -345,6 +395,7 @@ deserializeLoweredModule(ByteReader& r, LoweredModule& out)
         }
         LNB_RETURN_IF_ERROR(checkOperands(f, out.module));
         LNB_RETURN_IF_ERROR(checkSkipList(f));
+        LNB_RETURN_IF_ERROR(checkLocalHomes(f));
     }
     return Status::ok();
 }

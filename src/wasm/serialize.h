@@ -168,7 +168,8 @@ void serializeModule(const Module& m, ByteWriter& w);
 bool deserializeModule(ByteReader& r, Module& out);
 
 /** Serialize the lowered form: Module + per-function IR + the
- * optimization pass's check skip lists. When @p include_func_code is
+ * optimization pass's check skip lists, memory-base pin flags and local
+ * homes. When @p include_func_code is
  * false only the per-function frame metadata (cell counts, types) is
  * written and the lowered instruction streams are dropped — correct
  * for an artifact whose every entry point is AOT JIT code, and the
@@ -179,8 +180,11 @@ void serializeLoweredModule(const LoweredModule& lm, ByteWriter& w,
 /** Inverse. Fails with invalid_argument on truncation, on an
  * instruction whose opcode no executor has a handler for, on a check
  * skip list (LoweredFunc::elidableCheckPcs) that is out of range, not
- * strictly increasing, or names a pc with no bounds check, and on a
- * memory-base pin flag (LoweredFunc::memBasePinned) other than 0 or 1. */
+ * strictly increasing, or names a pc with no bounds check, on a
+ * memory-base pin flag (LoweredFunc::memBasePinned) other than 0 or 1,
+ * and on local homes (LoweredFunc::localHomes) that are neither absent
+ * nor one per local, name a register outside their class's pool (or the
+ * pinned memory base), or carry an interval outside the code. */
 Status deserializeLoweredModule(ByteReader& r, LoweredModule& out);
 
 } // namespace lnb::wasm

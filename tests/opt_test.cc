@@ -1550,6 +1550,227 @@ TEST(Criterion, RetiredChecksDropAtLeast60PercentOnAffineKernel)
 }
 
 // ---------------------------------------------------------------------
+// Local homes (the optimizing JIT)
+// ---------------------------------------------------------------------
+
+/** Lower @p module and run the pass as it runs for the optimizing JIT
+ * under a guard-page strategy. */
+LoweredModule
+forOptimizingJit(Module module)
+{
+    EXPECT_TRUE(validateModule(module).isOk());
+    LoweredModule lm = lowerModule(std::move(module)).takeValue();
+    OptOptions opts;
+    opts.optimizingJit = true;
+    optimizeLoweredModule(lm, opts);
+    return lm;
+}
+
+/** for (i = 0; i < n; i++) mem[i * 4] = i + @p bias, counting in
+ * @p counter: the loop runs its test at the top. */
+void
+storeLoop(FunctionBuilder& f, uint32_t counter, uint32_t n, int32_t bias)
+{
+    f.i32Const(0);
+    f.localSet(counter);
+    auto exit = f.block();
+    auto head = f.loop();
+    f.localGet(counter);
+    f.i32Const(int32_t(n));
+    f.emit(Op::i32_ge_u);
+    f.brIf(exit);
+    f.localGet(counter);
+    f.i32Const(2);
+    f.emit(Op::i32_shl);
+    f.localGet(counter);
+    f.i32Const(bias);
+    f.emit(Op::i32_add);
+    f.memOp(Op::i32_store);
+    f.localGet(counter);
+    f.i32Const(1);
+    f.emit(Op::i32_add);
+    f.localSet(counter);
+    f.br(head);
+    f.end(); // loop
+    f.end(); // block
+}
+
+TEST(LocalHomes, PublishedForTheOptimizingJitOnly)
+{
+    // bottomTestSumModule's one function has four locals, two of them
+    // parameters.
+    if (!jit::jitSupported())
+        GTEST_SKIP() << "no JIT on this CPU";
+    for (EngineKind kind : {EngineKind::jit_base, EngineKind::jit_opt,
+                            EngineKind::interp_threaded}) {
+        for (BoundsStrategy strategy :
+             {BoundsStrategy::none, BoundsStrategy::trap}) {
+            EngineConfig config;
+            config.kind = kind;
+            config.strategy = strategy;
+            auto compiled = Engine(config).compile(bottomTestSumModule());
+            ASSERT_TRUE(compiled.isOk());
+            const LoweredFunc& func = compiled.value()->lowered().funcs[0];
+            if (kind == EngineKind::jit_opt) {
+                ASSERT_EQ(func.localHomes.size(), func.numLocalCells);
+                for (const LocalHome& lh : func.localHomes)
+                    EXPECT_GE(lh.home, 0); // four locals, four registers
+                EXPECT_TRUE(func.localHomes[0].liveIn); // parameters
+                EXPECT_TRUE(func.localHomes[1].liveIn);
+            } else {
+                EXPECT_TRUE(func.localHomes.empty())
+                    << rt::engineKindName(kind);
+            }
+        }
+    }
+    // The pass itself publishes none unless asked to.
+    LoweredModule plain = rewritten(bottomTestSumModule());
+    EXPECT_TRUE(plain.funcs[0].localHomes.empty());
+}
+
+TEST(LocalHomes, PhasesThatDoNotOverlapShareAHome)
+{
+    // An init loop counting in `a`, then a hotter nest counting in `b`
+    // (inner) and `c` (outer): `a` dies before `b` is born.
+    ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    auto& f = mb.addFunction(mb.addType({}, {}));
+    uint32_t a = f.addLocal(ValType::i32);
+    uint32_t b = f.addLocal(ValType::i32);
+    uint32_t c = f.addLocal(ValType::i32);
+    storeLoop(f, a, 64, 0);
+    f.i32Const(0);
+    f.localSet(c);
+    auto outer = f.loop();
+    storeLoop(f, b, 64, 1);
+    f.localGet(c);
+    f.i32Const(1);
+    f.emit(Op::i32_add);
+    f.localTee(c);
+    f.i32Const(8);
+    f.emit(Op::i32_lt_u);
+    f.brIf(outer);
+    f.end(); // outer loop
+    f.finish();
+    LoweredModule lm = forOptimizingJit(mb.build());
+    const std::vector<LocalHome>& homes = lm.funcs[0].localHomes;
+    ASSERT_EQ(homes.size(), 3u);
+    EXPECT_GE(homes[a].home, 0);
+    EXPECT_EQ(homes[a].home, homes[b].home);
+    EXPECT_LT(homes[a].end, homes[b].begin);
+    // `b` and `c` are live together in the nest: never one register.
+    EXPECT_GE(homes[c].home, 0);
+    EXPECT_NE(homes[b].home, homes[c].home);
+    // `b` is live across the inner back edge, so its interval covers the
+    // inner loop, and with it the outer loop, out to c's last use (the
+    // outer back edge).
+    EXPECT_EQ(homes[b].end, homes[c].end);
+    for (const LocalHome& lh : homes)
+        EXPECT_FALSE(lh.liveIn); // each is written before it is read
+}
+
+TEST(LocalHomes, ReadAfterAOneArmedWriteIsLiveAtEntry)
+{
+    // x = 7 only when the parameter is nonzero; x read after the join,
+    // where the other path sees its zero init. y is written on both
+    // paths before the join, so no path reads it unwritten.
+    ModuleBuilder mb;
+    uint32_t t = mb.addType({ValType::i32}, {ValType::i32});
+    auto& f = mb.addFunction(t);
+    uint32_t x = f.addLocal(ValType::i32);
+    uint32_t y = f.addLocal(ValType::i32);
+    f.localGet(0);
+    f.ifElse();
+    f.i32Const(7);
+    f.localSet(x);
+    f.i32Const(1);
+    f.localSet(y);
+    f.elseBranch();
+    f.i32Const(2);
+    f.localSet(y);
+    f.end();
+    f.localGet(x);
+    f.localGet(y);
+    f.emit(Op::i32_add);
+    mb.exportFunc("run", f.finish());
+    Module module = mb.build();
+    LoweredModule lm = forOptimizingJit(module);
+    const std::vector<LocalHome>& homes = lm.funcs[0].localHomes;
+    ASSERT_EQ(homes.size(), 3u);
+    EXPECT_TRUE(homes[x].liveIn);
+    EXPECT_EQ(homes[x].begin, 0u);
+    EXPECT_FALSE(homes[y].liveIn);
+    EXPECT_GT(homes[y].begin, 0u);
+
+    // And the JIT zeroes x's home at entry: the untaken arm reads 0.
+    if (!jit::jitSupported())
+        return;
+    EngineConfig config;
+    config.kind = EngineKind::jit_opt;
+    config.strategy = BoundsStrategy::none;
+    auto compiled = Engine(config).compile(std::move(module));
+    ASSERT_TRUE(compiled.isOk());
+    auto inst = Instance::create(compiled.takeValue());
+    ASSERT_TRUE(inst.isOk());
+    for (int32_t arg : {0, 1, 0}) {
+        auto out = inst.value()->callExport("run", {Value::fromI32(arg)});
+        ASSERT_TRUE(out.ok());
+        EXPECT_EQ(out.results[0].i32, arg != 0 ? 8 : 2) << arg;
+    }
+}
+
+TEST(LocalHomes, FloatAccumulatorGetsAHomeBesideFourInts)
+{
+    // sum += f64 mem[i * 8] over a loop whose five int locals are
+    // declared before the accumulator: declaration order would leave the
+    // accumulator in its frame cell, separate pools do not.
+    ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    uint32_t t = mb.addType({ValType::i32}, {ValType::f64});
+    auto& f = mb.addFunction(t); // param 0: n
+    uint32_t i = f.addLocal(ValType::i32);
+    uint32_t addr = f.addLocal(ValType::i32);
+    uint32_t stride = f.addLocal(ValType::i32);
+    uint32_t scratch = f.addLocal(ValType::i32);
+    uint32_t sum = f.addLocal(ValType::f64);
+    f.i32Const(8);
+    f.localSet(stride);
+    auto exit = f.block();
+    auto head = f.loop();
+    f.localGet(i);
+    f.localGet(0);
+    f.emit(Op::i32_ge_u);
+    f.brIf(exit);
+    f.localGet(i);
+    f.localGet(stride);
+    f.emit(Op::i32_mul);
+    f.localTee(addr);
+    f.localSet(scratch);
+    f.localGet(sum);
+    f.localGet(scratch);
+    f.memOp(Op::f64_load);
+    f.emit(Op::f64_add);
+    f.localSet(sum);
+    f.localGet(i);
+    f.i32Const(1);
+    f.emit(Op::i32_add);
+    f.localSet(i);
+    f.br(head);
+    f.end(); // loop
+    f.end(); // block
+    f.localGet(sum);
+    f.finish();
+    LoweredModule lm = forOptimizingJit(mb.build());
+    const std::vector<LocalHome>& homes = lm.funcs[0].localHomes;
+    ASSERT_EQ(homes.size(), 6u);
+    ASSERT_GE(sum, uint32_t(kNumLocalHomes));
+    EXPECT_GE(homes[sum].home, 0);
+    EXPECT_TRUE(homes[sum].liveIn); // read before its first write
+    for (uint32_t local : {i, stride})
+        EXPECT_GE(homes[local].home, 0);
+}
+
+// ---------------------------------------------------------------------
 // Toggles
 // ---------------------------------------------------------------------
 

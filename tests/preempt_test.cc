@@ -262,6 +262,69 @@ TEST_P(PreemptStrategyTest, JriBackEdgeSpinIsInterrupted)
     }
 }
 
+/**
+ * spin(n) runs an outer loop whose body, past one add, is only an inner
+ * loop that exits at once (its back edge tests i < 0), until i reaches
+ * n; n == 0 spins forever. The outer header falls straight into the inner
+ * header, so the JIT polls only there: every outer round still passes a
+ * poll, and a kill still lands.
+ */
+TEST_P(PreemptStrategyTest, OuterLoopPolledThroughItsInnerHeader)
+{
+    ModuleBuilder mb;
+    auto& f = mb.addFunction(mb.addType({ValType::i32}, {ValType::i32}));
+    uint32_t i = f.addLocal(ValType::i32);
+    uint32_t j = f.addLocal(ValType::i32);
+    auto exit = f.block();
+    auto outer = f.loop();
+    f.localGet(j);
+    f.i32Const(1);
+    f.emit(Op::i32_add);
+    f.localSet(j);
+    auto inner = f.loop();
+    f.localGet(i);
+    f.i32Const(1);
+    f.emit(Op::i32_add);
+    f.localTee(i);
+    f.localGet(0);
+    f.emit(Op::i32_eq);
+    f.brIf(exit);
+    f.localGet(i);
+    f.i32Const(0);
+    f.emit(Op::i32_lt_s);
+    f.brIf(inner);
+    f.end(); // inner
+    f.br(outer);
+    f.end(); // outer
+    f.end(); // exit
+    f.localGet(i);
+    f.localGet(j);
+    f.emit(Op::i32_add);
+    mb.exportFunc("spin", f.finish());
+    wasm::Module module = mb.build();
+
+    for (const EngineConfig& config : jitConfigs(GetParam())) {
+        auto inst = instantiate(config, wasm::Module(module));
+        ASSERT_NE(inst, nullptr) << configName(config);
+        // Tiered: the first call tiers spin() up; later calls run JIT code.
+        CallOutcome done = inst->callExport("spin", {Value::fromI32(1000)});
+        ASSERT_TRUE(done.ok()) << configName(config);
+        EXPECT_EQ(done.results[0].i32, 2000) << configName(config);
+        inst->module().drainTierQueue();
+        EXPECT_EQ(inst->module().funcTier(inst->exportedFunc("spin").value()),
+                  exec::Tier::jit)
+            << configName(config);
+
+        std::thread killer([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            inst->interrupt(TrapKind::deadline_exceeded);
+        });
+        CallOutcome out = inst->callExport("spin", {Value::fromI32(0)});
+        killer.join();
+        EXPECT_EQ(out.trap, TrapKind::deadline_exceeded) << configName(config);
+    }
+}
+
 /** An interrupt posted to an idle instance kills the NEXT call — the
  * flag is one-shot and cleared on delivery, so the call after that one
  * runs to completion without a recycle. */

@@ -700,6 +700,80 @@ TEST(Serialize, CorruptMemBasePinFlagIsRejected)
     EXPECT_TRUE(reloaded.value()->lowered().funcs[0].memBasePinned);
 }
 
+TEST(Serialize, CorruptLocalHomeIsRejected)
+{
+    // A tiered artifact keeps the optimizing JIT's IR. Its one function
+    // loads (so it pins the memory base) and has an int and an f64 local:
+    // after the pin flag come the home count and, per local, its home
+    // byte, live-in byte and interval (two u32s).
+    wasm::ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    uint32_t t = mb.addType({ValType::i32}, {ValType::f64});
+    auto& f = mb.addFunction(t);
+    uint32_t wide = f.addLocal(ValType::f64);
+    f.localGet(0);
+    f.memOp(Op::f64_load);
+    f.localSet(wide);
+    f.localGet(wide);
+    mb.exportFunc("load", f.finish());
+    EngineConfig config;
+    config.tiered = true;
+    auto compiled =
+        Engine(config).compileBytes(wasm::encodeModule(mb.build()));
+    ASSERT_TRUE(compiled.isOk());
+    const std::vector<uint8_t> blob =
+        rt::serializeCompiledModule(*compiled.value());
+    const wasm::LoweredFunc& func = compiled.value()->lowered().funcs[0];
+    ASSERT_TRUE(func.memBasePinned);
+    ASSERT_EQ(func.localHomes.size(), 2u);
+    ASSERT_TRUE(func.tablePool.empty() && func.elidableCheckPcs.empty());
+
+    const auto* code = reinterpret_cast<const uint8_t*>(func.code.data());
+    const size_t code_bytes = func.code.size() * sizeof(wasm::LInst);
+    auto at = std::search(blob.begin(), blob.end(), code, code + code_bytes);
+    ASSERT_NE(at, blob.end());
+    const size_t count = size_t(at - blob.begin()) + code_bytes + 2 * 8 + 1;
+    const size_t int_home = count + 8;
+    const size_t float_home = int_home + 10;
+    ASSERT_EQ(blob[count], 2);
+    ASSERT_EQ(int8_t(blob[int_home]), func.localHomes[0].home);
+    ASSERT_EQ(int8_t(blob[float_home]), func.localHomes[1].home);
+
+    auto reload = [](const std::vector<uint8_t>& bytes) {
+        return rt::deserializeCompiledModule(bytes.data(), bytes.size());
+    };
+    // Past either pool, below -1, and the pinned base's int register.
+    const std::vector<std::pair<size_t, uint8_t>> bad_bytes = {
+        {int_home, uint8_t(wasm::kNumHomes)},
+        {float_home, uint8_t(wasm::kNumHomes)},
+        {int_home, 0x7F},
+        {int_home, 0x80},
+        {float_home, 0xFE},
+        {int_home, uint8_t(wasm::kMemBaseHome)},
+        {int_home + 1, 2}, // live-in flag
+        {count, 1},        // one home for two locals
+    };
+    for (auto [pos, value] : bad_bytes) {
+        std::vector<uint8_t> bad = blob;
+        bad[pos] = value;
+        auto reloaded = reload(bad);
+        ASSERT_FALSE(reloaded.isOk()) << pos << " " << int(value);
+        EXPECT_EQ(reloaded.status().code(), StatusCode::invalid_argument);
+    }
+    // -1 (the frame cell) is a valid home in either class, and so is a
+    // float home in slot 5's register.
+    std::vector<uint8_t> framed = blob;
+    framed[int_home] = 0xFF;
+    framed[float_home] = uint8_t(wasm::kMemBaseHome);
+    auto reloaded = reload(framed);
+    ASSERT_TRUE(reloaded.isOk()) << reloaded.status().toString();
+    EXPECT_EQ(reloaded.value()->lowered().funcs[0].localHomes[0].home, -1);
+    reloaded = reload(blob);
+    ASSERT_TRUE(reloaded.isOk());
+    EXPECT_EQ(reloaded.value()->lowered().funcs[0].localHomes[1].home,
+              func.localHomes[1].home);
+}
+
 TEST(Serialize, OutOfRangeFormOperandsAreRejected)
 {
     // A loop whose IR holds an rr (acc = x - y), a jrr (i < y), a jri
